@@ -2,8 +2,11 @@
 
 Reports are JSON with insertion-ordered keys and canonical polynomial
 strings, so identical configurations produce byte-identical files.
-Exit codes: 0 success, 1 usage or input error, 2 Painlevé obstruction.
-Nothing is written on an error path.
+Exit codes: 0 success, 1 usage or input error, 2 Painlevé obstruction,
+3 numerical breakdown (a flow or the Jacobi lattice blew up, or a
+continued-fraction denominator of the Stieltjes check vanished).
+On exit codes 1 and 3 nothing is written: each command computes
+everything before it writes its first file.
 """
 from __future__ import annotations
 
@@ -26,6 +29,10 @@ REPORT_VERSION = 1
 
 class UsageError(ValueError):
     pass
+
+
+class BreakdownError(ArithmeticError):
+    """A float computation broke down (exit code 3)."""
 
 
 def _write_json(path: str, payload: dict):
@@ -245,19 +252,21 @@ def cmd_jacobi(args) -> int:
         grid = _stieltjes_grid(data)
         worst = 0.0
         for z in grid:
-            frac = js.gamma_fraction(m.a, m.b, a0, z, args.depth)
+            try:
+                frac = js.gamma_fraction(m.a, m.b, a0, z, args.depth)
+            except ZeroDivisionError as exc:
+                raise BreakdownError(f"Stieltjes check at z = {z}: {exc}")
             ct = measure.cauchy_transform(z)
             worst = max(worst, abs(ct - frac))
         payload["stieltjes_check"] = {"points": len(grid), "depth": args.depth,
                                       "max_error": worst,
                                       "pass": bool(worst < args.tol)}
+    tables = []
     if args.format == "csv":
-        bands_path = os.path.join(args.out, "jacobi_bands.csv")
         rows = [["stable", lo, hi] for lo, hi in data.stable_bands]
         rows += [["gap", lo, hi] for lo, hi in data.gaps]
         rows.sort(key=lambda r: r[1])
-        _write_csv(bands_path, ["kind", "lo", "hi"], rows)
-        print(bands_path)
+        tables.append(("jacobi_bands.csv", ["kind", "lo", "hi"], rows))
     if args.toda_t_end:
         diag = js.toda_flow_jacobi(m, args.toda_t_end, args.dt)
         payload["toda"] = {
@@ -267,7 +276,6 @@ def cmd_jacobi(args) -> int:
             "interlacing_ok": diag.interlacing_ok,
             "min_abs_a": diag.min_abs_a,
         }
-        csv_path = os.path.join(args.out, "jacobi_toda.csv")
         n = m.period
         header = (["t"] + [f"a{j+1}" for j in range(n)] +
                   [f"b{j+1}" for j in range(n)] +
@@ -278,8 +286,11 @@ def cmd_jacobi(args) -> int:
                 for t, aa, bb, ee, ss in zip(diag.times, diag.a_states,
                                              diag.b_states, diag.band_edges,
                                              diag.aux_states)]
-        _write_csv(csv_path, header, rows)
-        print(csv_path)
+        tables.append(("jacobi_toda.csv", header, rows))
+    for name, header, rows in tables:
+        path = os.path.join(args.out, name)
+        _write_csv(path, header, rows)
+        print(path)
     out = os.path.join(args.out, "jacobi_report.json")
     _write_json(out, payload)
     print(out)
@@ -389,6 +400,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (BreakdownError, lf.BlowUpError) as exc:
+        print(f"error: numerical breakdown: {exc}", file=sys.stderr)
+        return 3
     except (ParseError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

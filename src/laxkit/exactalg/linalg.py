@@ -17,7 +17,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .poly import MultiPoly, Q
+from .poly import MultiPoly
+from .roots import rational_roots
 
 Mat = List[List[MultiPoly]]
 
@@ -315,93 +316,6 @@ def left_kernel_vector(M) -> List[MultiPoly] | None:
         return solve_pinned(Mt, zero, free[0], MultiPoly.const(1))
     except (SingularMatrixError, InconsistentSystemError):
         return None
-
-
-# -- univariate helpers over Fraction ------------------------------------
-
-def rational_roots(coeffs: Sequence[Fraction]) -> Tuple[List[Tuple[Fraction, int]], List[Fraction]]:
-    """All rational roots (with multiplicity) of a univariate polynomial
-    given by ascending Fraction coefficients; also returns the deflated
-    rational-root-free cofactor."""
-    cs = [Q(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        raise ValueError("zero polynomial")
-    # factor out t^m
-    m = 0
-    while cs[0] == 0:
-        cs.pop(0)
-        m += 1
-    from math import lcm
-    den = lcm(*[c.denominator for c in cs]) if cs else 1
-    ints = [int(c * den) for c in cs]
-    roots: List[Tuple[Fraction, int]] = []
-    if m:
-        roots.append((Fraction(0), m))
-
-    def divisors(k: int):
-        k = abs(k)
-        out = set()
-        d = 1
-        while d * d <= k:
-            if k % d == 0:
-                out.add(d)
-                out.add(k // d)
-            d += 1
-        return sorted(out)
-
-    def eval_int(poly, x: Fraction) -> Fraction:
-        v = Fraction(0)
-        for c in reversed(poly):
-            v = v * x + c
-        return v
-
-    def deflate(poly, r: Fraction):
-        # synthetic division by (x - r); exact
-        out = []
-        acc = Fraction(0)
-        for c in reversed(poly):
-            acc = acc * r + c
-            out.append(acc)
-        out.reverse()
-        assert out[0] == 0
-        return out[1:]
-
-    work = [Fraction(c) for c in ints]
-    changed = True
-    while changed and len(work) > 1:
-        changed = False
-        if work[0] == 0:
-            work = work[1:]
-            roots.append((Fraction(0), 1))
-            changed = True
-            continue
-        d = lcm(*[c.denominator for c in work])
-        cleared = [int(c * d) for c in work]
-        num_divs = divisors(cleared[0])
-        den_divs = divisors(cleared[-1])
-        found = None
-        for p in num_divs:
-            for q in den_divs:
-                for s in (1, -1):
-                    r = Fraction(s * p, q)
-                    if eval_int(work, r) == 0:
-                        found = r
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is not None:
-            mult = 0
-            while len(work) > 1 and eval_int(work, found) == 0:
-                work = deflate(work, found)
-                mult += 1
-            roots.append((found, mult))
-            changed = True
-    roots.sort(key=lambda rm: rm[0])
-    return roots, work
 
 
 def eigenvalues_float(M, tol: float = 1e-6):

@@ -1,37 +1,51 @@
-"""Real roots of univariate polynomials.
+"""Real and rational roots of univariate polynomials.
 
-Rational-coefficient input takes the exact route: square-free
-decomposition for multiplicities, rational-root extraction for exact
-values, then Sturm bisection brackets for the irrational remainder,
-polished by bisection+Newton to the requested tolerance.  Float input
-falls back to companion-matrix eigenvalues plus Newton polishing.
+Exact input (int or Fraction coefficients) takes one route.  Yun's
+square-free decomposition gives the multiplicities.  Each square-free
+factor is cleared to an integer polynomial f, and its real roots are
+isolated once, by bisection on a Sturm chain whose members are primitive
+integer polynomials (each a positive multiple of the classical chain
+f, f', -rem, ..., so every sign count is the same).  Signs are taken at
+rational points n/d with a homogenised integer Horner step, the sign of
+d^deg p(n/d); no Fraction arithmetic runs inside the evaluations.
+
+Rational roots are read off the isolating intervals.  A rational root of
+f is k/lc(f) for an integer k, so once an interval is narrower than
+1/lc(f) it holds at most one candidate, and one exact evaluation decides
+it.  An irrational root is bisected further on the same interval to the
+requested tolerance and polished by Newton's method in floats.
+
+Cost: one pseudo-remainder chain per factor, then about
+log2(cauchy_bound * lc(f)) + log2(1/tol) bisection steps per root, each a
+few integer Horner steps.  That is polynomial in the bit size of the
+coefficients; the trial division of the constant term used before was
+exponential in it (x10 time per two digits, and a period-3 Jacobi
+discriminant never finished).
+
+Float input falls back to companion-matrix eigenvalues plus Newton
+polishing.
 
 Polynomials are dense ascending coefficient lists.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from math import ceil, gcd, lcm
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .poly import Q
-from .linalg import rational_roots
 
 
-def _strip(p: List[Fraction]) -> List[Fraction]:
+def _strip(p: List) -> List:
     p = list(p)
     while p and p[-1] == 0:
         p.pop()
     return p
 
 
-def poly_eval_frac(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    v = Fraction(0)
-    for c in reversed(p):
-        v = v * x + c
-    return v
-
+# -- Fraction polynomials: square-free decomposition --------------------------
 
 def poly_deriv_frac(p: Sequence[Fraction]) -> List[Fraction]:
     return [c * i for i, c in enumerate(p)][1:]
@@ -88,61 +102,116 @@ def square_free_decomposition(p: Sequence[Fraction]) -> List[Tuple[List[Fraction
     return out
 
 
-def sturm_chain(p: Sequence[Fraction]) -> List[List[Fraction]]:
-    p = _strip([Q(c) for c in p])
-    chain = [p, poly_deriv_frac(p)]
-    while _strip(chain[-1]):
-        _, r = _divmod_frac(chain[-2], chain[-1])
+# -- integer kernel -------------------------------------------------------------
+
+def _cleared(p: Sequence[Fraction]) -> List[int]:
+    """den * p as integers, den the lcm of the denominators."""
+    den = lcm(*(c.denominator for c in p))
+    return [c.numerator * (den // c.denominator) for c in p]
+
+
+def _primitive(p: Sequence[int]) -> List[int]:
+    """p divided by the gcd of its coefficients: a positive multiple."""
+    p = _strip(p)
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _prem(a: List[int], b: List[int]) -> List[int]:
+    """A positive multiple of the remainder of a on division by b."""
+    if b[-1] < 0:
+        b = [-c for c in b]
+    lb, db = b[-1], len(b) - 1
+    r = list(a)
+    while len(r) > db:
+        c, k = r[-1], len(r) - 1 - db
+        r = [lb * x for x in r]
+        for i, bc in enumerate(b):
+            r[i + k] -= c * bc
+        r = _strip(r[:-1])
+    return r
+
+
+def _quo(a: List[int], b: List[int]) -> List[int]:
+    """Exact quotient of integer polynomials when b is primitive and divides a."""
+    q = [0] * (len(a) - len(b) + 1)
+    r = list(a)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + len(b) - 1] // b[-1]
+        q[k] = c
+        for i, bc in enumerate(b):
+            r[i + k] -= c * bc
+    return q
+
+
+def _chain(f: List[int]) -> List[List[int]]:
+    """Sturm chain of primitive integer polynomials; it ends at gcd(f, f')."""
+    chain = [f]
+    if len(f) > 1:
+        chain.append(_primitive([i * c for i, c in enumerate(f)][1:]))
+    while len(chain[-1]) > 1:
+        r = _prem(chain[-2], chain[-1])
         if not r:
             break
-        chain.append([-c for c in r])
-    return [c for c in chain if _strip(c)]
+        chain.append(_primitive([-c for c in r]))
+    return chain
 
 
-def _sign_changes(chain, x: Fraction) -> int:
-    signs = []
+def _powers(d: int, k: int) -> List[int]:
+    pw = [1]
+    for _ in range(k):
+        pw.append(pw[-1] * d)
+    return pw
+
+
+def _sign(p: List[int], n: int, pw: List[int]) -> int:
+    """Sign of p(n/d), d > 0, with pw[i] = d^i: homogenised Horner on
+    the integer d^deg p(n/d)."""
+    deg = len(p) - 1
+    v = p[deg]
+    for i in range(1, deg + 1):
+        v = v * n + p[deg - i] * pw[i]
+    return (v > 0) - (v < 0)
+
+
+def _sign_at(p: List[int], x: Fraction) -> int:
+    return _sign(p, x.numerator, _powers(x.denominator, len(p) - 1))
+
+
+def _variations(chain: List[List[int]], x: Fraction) -> int:
+    pw = _powers(x.denominator, len(chain[0]) - 1)
+    count, prev = 0, 0
     for p in chain:
-        v = poly_eval_frac(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        s = _sign(p, x.numerator, pw)
+        if s:
+            count += prev == -s
+            prev = s
+    return count
 
 
-def count_roots_between(chain, lo: Fraction, hi: Fraction) -> int:
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+def _isolate(f: List[int], chain: List[List[int]]) -> List[Tuple[Fraction, Fraction]]:
+    """Sorted disjoint intervals (lo, hi), one root of the square-free f
+    in each, f(lo) f(hi) != 0, by bisection of the Cauchy bound."""
+    b = 1 + Fraction(max(abs(c) for c in f[:-1]), abs(f[-1]))
+    seen = {}
 
+    def var(x):
+        if x not in seen:
+            seen[x] = _variations(chain, x)
+        return seen[x]
 
-def cauchy_bound(p: Sequence[Fraction]) -> Fraction:
-    p = _strip([Q(c) for c in p])
-    lead = abs(p[-1])
-    return 1 + max((abs(c) / lead for c in p[:-1]), default=Fraction(0))
-
-
-def isolate_real_roots(p: Sequence[Fraction], lo=None, hi=None) -> List[Tuple[Fraction, Fraction]]:
-    """Disjoint isolating intervals for the real roots of a square-free p."""
-    p = _strip([Q(c) for c in p])
-    chain = sturm_chain(p)
-    if lo is None or hi is None:
-        b = cauchy_bound(p)
-        lo = -b if lo is None else Q(lo)
-        hi = b if hi is None else Q(hi)
-    # nudge endpoints off roots
-    while poly_eval_frac(p, lo) == 0:
-        lo -= Fraction(1, 1000)
-    while poly_eval_frac(p, hi) == 0:
-        hi += Fraction(1, 1000)
     out = []
-    stack = [(Q(lo), Q(hi))]
+    stack = [(-b, b)]
     while stack:
         a, b = stack.pop()
-        n = count_roots_between(chain, a, b)
+        n = var(a) - var(b)
         if n == 0:
             continue
         if n == 1:
             out.append((a, b))
             continue
         mid = (a + b) / 2
-        while poly_eval_frac(p, mid) == 0:
+        while _sign_at(f, mid) == 0:
             mid += (b - a) / 1024
         stack.append((a, mid))
         stack.append((mid, b))
@@ -150,20 +219,75 @@ def isolate_real_roots(p: Sequence[Fraction], lo=None, hi=None) -> List[Tuple[Fr
     return out
 
 
-def _refine(p: Sequence[Fraction], lo: Fraction, hi: Fraction, tol: float) -> float:
-    """Bisection to ~sqrt(tol), then Newton polishing in floats."""
-    flo = poly_eval_frac(p, lo)
-    while float(hi - lo) > max(tol, 1e-14):
+def _settle(f: List[int], lo: Fraction, hi: Fraction, eps: Optional[float]):
+    """The root of f isolated in (lo, hi): a Fraction when it is rational;
+    otherwise the first bisection bracket no wider than eps (None when eps
+    is None)."""
+    lc = abs(f[-1])
+    s_lo = _sign_at(f, lo)
+    tested, bracket = False, None
+    while True:
+        w = hi - lo
+        if not tested and w * lc < 1:
+            tested = True
+            x = Fraction(ceil(lo * lc), lc)
+            if x < hi and _sign_at(f, x) == 0:
+                return x
+        if bracket is None and eps is not None and float(w) <= eps:
+            bracket = (lo, hi)
+        if tested and (eps is None or bracket is not None):
+            return bracket
         mid = (lo + hi) / 2
-        fm = poly_eval_frac(p, mid)
-        if fm == 0:
-            return float(mid)
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+        s = _sign_at(f, mid)
+        if s == 0:
+            return mid
+        if s == s_lo:
+            lo = mid
         else:
             hi = mid
+
+
+def _split(f: Sequence[int], eps: Optional[float]):
+    """Distinct rational roots of the integer polynomial f (sorted), and a
+    bracket no wider than eps around each irrational real root."""
+    f = _primitive(f)
+    if len(f) < 2:
+        return [], []
+    chain = _chain(f)
+    if len(chain[-1]) > 1:
+        f = _quo(f, chain[-1])
+        chain = _chain(f)
+    rational, brackets = [], []
+    for lo, hi in _isolate(f, chain):
+        r = _settle(f, lo, hi, eps)
+        if isinstance(r, Fraction):
+            rational.append(r)
+        else:
+            brackets.append(r)
+    return rational, brackets
+
+
+def _deflate(p: List[Fraction], r: Fraction) -> Tuple[List[Fraction], Fraction]:
+    """Synthetic division by (x - r): (quotient, remainder p(r)), exact."""
+    out = []
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * r + c
+        out.append(acc)
+    out.reverse()
+    return out[1:], out[0]
+
+
+def _leading_zeros(cs: List[Fraction]) -> int:
+    m = 0
+    while cs[m] == 0:
+        m += 1
+    return m
+
+
+def _polish(pf: List[float], lo: Fraction, hi: Fraction) -> float:
+    """Newton polishing in floats from the midpoint of the bracket."""
     x = float((lo + hi) / 2)
-    pf = [float(c) for c in p]
     dpf = [i * c for i, c in enumerate(pf)][1:]
     for _ in range(8):
         fx = np.polyval(pf[::-1], x)
@@ -179,6 +303,66 @@ def _refine(p: Sequence[Fraction], lo: Fraction, hi: Fraction, tol: float) -> fl
     if float(lo) - 1e-9 <= x <= float(hi) + 1e-9:
         return x
     return float((lo + hi) / 2)
+
+
+def _factor_roots(factor: List[Fraction], tol: float) -> List[object]:
+    """Real roots of a square-free factor: Fractions for the rational ones,
+    floats bracketed to tol for the rest."""
+    cs = _strip(factor)
+    m = _leading_zeros(cs)
+    ints = _cleared(cs[m:])
+    eps = max(tol, 1e-14)
+    rational, brackets = _split(ints, eps)
+    cof = [Fraction(c) for c in ints]
+    for r in rational:
+        cof, _ = _deflate(cof, r)
+    if rational and brackets:
+        # Newton's last digit depends on the polynomial and the bracket it
+        # starts from.  Polishing on the rational-root-free cofactor, from
+        # brackets of its own isolation, keeps the floats of every report
+        # stable; from the factor's brackets about one mixed factor in five
+        # moves in the last digit.
+        brackets = _split(_cleared(cof), eps)[1]
+    pf = [float(c) for c in cof]
+    return ([Fraction(0)] * m + rational +
+            [_polish(pf, lo, hi) for lo, hi in brackets])
+
+
+# -- public API -----------------------------------------------------------------
+
+def sturm_chain(p: Sequence) -> List[List[int]]:
+    """Sturm chain of a rational polynomial, as primitive integer
+    polynomials (positive multiples of p, p', -rem(p, p'), ...)."""
+    return _chain(_primitive(_cleared(_strip([Q(c) for c in p]))))
+
+
+def count_roots_between(chain, lo, hi) -> int:
+    """Distinct roots in (lo, hi] of the first member of a Sturm chain."""
+    return _variations(chain, Q(lo)) - _variations(chain, Q(hi))
+
+
+def rational_roots(coeffs: Sequence[Fraction]) -> Tuple[List[Tuple[Fraction, int]], List[Fraction]]:
+    """All rational roots (with multiplicity) of a univariate polynomial
+    given by ascending rational coefficients, sorted; also returns the
+    rational-root-free cofactor: den * p / prod (x - r)^m, den the lcm of
+    the denominators of p after the factor x^m(0) is removed."""
+    cs = _strip([Q(c) for c in coeffs])
+    if not cs:
+        raise ValueError("zero polynomial")
+    m = _leading_zeros(cs)
+    ints = _cleared(cs[m:])
+    roots: List[Tuple[Fraction, int]] = [(Fraction(0), m)] if m else []
+    work = [Fraction(c) for c in ints]
+    for r in _split(ints, None)[0]:
+        mult = 0
+        while len(work) > 1:
+            q, rem = _deflate(work, r)
+            if rem:
+                break
+            work, mult = q, mult + 1
+        roots.append((r, mult))
+    roots.sort(key=lambda rm: rm[0])
+    return roots, work
 
 
 def real_roots(coeffs, interval=None, tol: float = 1e-12) -> List[Tuple[object, int]]:
@@ -227,13 +411,7 @@ def real_roots(coeffs, interval=None, tol: float = 1e-12) -> List[Tuple[object, 
     p = [Q(c) for c in cs]
     results: List[Tuple[object, int]] = []
     for factor, mult in square_free_decomposition(p):
-        rat, cofactor = rational_roots(factor)
-        for r, m in rat:
-            # factor is square-free so m == 1
-            results.append((r, mult))
-        if len(cofactor) > 1:
-            for a, b in isolate_real_roots(cofactor):
-                results.append((_refine(cofactor, a, b, tol), mult))
+        results.extend((x, mult) for x in _factor_roots(factor, tol))
     if interval is not None:
         results = [(x, m) for x, m in results
                    if float(lo) - 1e-12 <= float(x) <= float(hi) + 1e-12]

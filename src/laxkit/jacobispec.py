@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .exactalg import Q, real_roots
+from .laxflow import BlowUpError
 
 
 class DegenerateSpectrumError(ValueError):
@@ -341,11 +343,13 @@ class StieltjesMeasure:
     a0: float
     nodes: int = 160
 
-    def integrate(self, f: Callable[[float], float]) -> float:
-        """Atom sum plus per-band Gauss-Legendre with the sine substitution
-        x = mid + rad sin(theta), which absorbs the square-root edges."""
-        total = sum(mass * f(x) for x, mass in self.atoms)
+    @cached_property
+    def quadrature(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per band (nodes xs, weights, density at xs) of Gauss-Legendre
+        with the sine substitution x = mid + rad sin(theta), which absorbs
+        the square-root edges.  Built once; the weights are w_q * jacobian."""
         tq, wq = np.polynomial.legendre.leggauss(self.nodes)
+        table = []
         for lo, hi in self.bands:
             if hi - lo < 1e-13:
                 continue
@@ -353,8 +357,14 @@ class StieltjesMeasure:
             theta = (np.pi / 2) * tq
             xs = mid + rad * np.sin(theta)
             jac = (np.pi / 2) * rad * np.cos(theta)
-            total += float(np.sum(wq * jac *
-                                  np.array([self.density(x) * f(x) for x in xs])))
+            table.append((xs, wq * jac, np.array([self.density(x) for x in xs])))
+        return table
+
+    def integrate(self, f: Callable[[float], float]) -> float:
+        """Atom sum plus the per-band quadrature of density * f."""
+        total = sum(mass * f(x) for x, mass in self.atoms)
+        for xs, w, dens in self.quadrature:
+            total += float(np.sum(w * np.array([d * f(x) for d, x in zip(dens, xs)])))
         return total
 
     def total_mass(self) -> float:
@@ -362,16 +372,8 @@ class StieltjesMeasure:
 
     def cauchy_transform(self, z: complex) -> complex:
         total = sum(mass / (z - x) for x, mass in self.atoms)
-        tq, wq = np.polynomial.legendre.leggauss(self.nodes)
-        for lo, hi in self.bands:
-            if hi - lo < 1e-13:
-                continue
-            mid, rad = (lo + hi) / 2, (hi - lo) / 2
-            theta = (np.pi / 2) * tq
-            xs = mid + rad * np.sin(theta)
-            jac = (np.pi / 2) * rad * np.cos(theta)
-            vals = np.array([self.density(x) for x in xs]) / (z - xs)
-            total += complex(np.sum(wq * jac * vals))
+        for xs, w, dens in self.quadrature:
+            total += complex(np.sum(w * (dens / (z - xs))))
         return total
 
 
@@ -508,7 +510,8 @@ def toda_flow_jacobi(m: PeriodicJacobi, t_end: float, dt: float,
                      samples: int = 10) -> TodaDiagnostics:
     """Integrate the periodic lattice in Flaschka form and watch the
     spectral data: band edges frozen, auxiliary spectrum interlacing at
-    every sample, sum b_j exactly conserved, a_j never vanishing."""
+    every sample, sum b_j exactly conserved, a_j never vanishing.  Raises
+    BlowUpError when the state stops being finite."""
     from .builtins import toda_scalar_rhs
     if dt <= 0:
         raise ValueError("step size must be positive")
@@ -527,7 +530,7 @@ def toda_flow_jacobi(m: PeriodicJacobi, t_end: float, dt: float,
         a = a + dt / 6 * (ka1 + 2 * ka2 + 2 * ka3 + ka4)
         b = b + dt / 6 * (kb1 + 2 * kb2 + 2 * kb3 + kb4)
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise RuntimeError(f"lattice blew up near t={ (s+1)*dt }")
+            raise BlowUpError((s + 1) * dt)
         if (s + 1) % stride == 0 or s == steps - 1:
             times.append((s + 1) * dt)
             a_states.append(a.copy())

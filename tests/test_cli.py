@@ -200,3 +200,55 @@ def test_flow_neumann(tmp_path):
 
 def test_unknown_flow_builtin(tmp_path):
     assert run(tmp_path, "flow", "--builtin", "wat") == 1
+
+
+def test_jacobi_lattice_blowup_exit_3_writes_nothing(tmp_path, capsys):
+    code = run(tmp_path, "jacobi", "-a", "1,2,3", "-b", "0,1,2",
+               "--format", "csv", "--toda-t-end", "20", "--dt", "2")
+    assert code == 3
+    assert "numerical breakdown" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_jacobi_vanishing_fraction_denominator_exit_3(tmp_path, capsys,
+                                                      monkeypatch):
+    from laxkit import jacobispec as js
+
+    def collapse(*args, **kwargs):
+        raise ZeroDivisionError("continued fraction denominator vanished at level 7")
+
+    monkeypatch.setattr(js, "gamma_fraction", collapse)
+    code = run(tmp_path, "jacobi", "-a", "1,2", "-b", "0,0", "--format", "csv",
+               "--check-stieltjes")
+    assert code == 3
+    assert "level 7" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+# sha256 of jacobi_report.json, recorded before exact root finding moved to
+# the integer Sturm kernel; any change to a report byte shows here.  The
+# period-3 input has a square-free factor with both rational and irrational
+# branch points, the period-5 one only irrational ones.
+JACOBI_GOLDEN = [
+    (["-a=1,1,1", "-b=0,0,1/2", "--check-stieltjes", "--toda-t-end", "0.5"],
+     "fe07f718cc702e4f29ad09841d69fa042284769e2153d64782c3c9808328cea1"),
+    (["-a=2/3,5/3,4/3,4/3,5/3", "-b=1/3,2/3,2/3,1/3,2/3", "--check-stieltjes"],
+     "8adf41e3cedd5e7995b2e8c314025ec8fd9c418064d138dc4a45e346a574152c"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", JACOBI_GOLDEN,
+                         ids=["period3", "period5"])
+def test_jacobi_report_golden_digest(tmp_path, argv, digest):
+    import hashlib
+    assert run(tmp_path, "jacobi", *argv) == 0
+    data = (tmp_path / "jacobi_report.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_flow_blowup_exit_3_writes_nothing(tmp_path, capsys):
+    code = run(tmp_path, "flow", "--builtin", "toda-periodic", "--t-end", "20",
+               "--dt", "4")
+    assert code == 3
+    assert "blew up" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []

@@ -264,3 +264,50 @@ def test_atom_mass_dichotomy():
                     denom *= (x - s)
             want = _math.sqrt(max(disc, 0.0)) / abs(denom)
             assert abs(mass - want) < 1e-7 * max(1.0, want)
+
+
+# the period-3 input whose discriminant once hung exact root finding: its
+# constant and leading coefficients are far too large for trial division
+ITEM4_A = [F(7, 13), F(7, 13) + F(1, 97), F(7, 13) + F(2, 97)]
+ITEM4_B = [F(-1, 3), F(1, 11) - F(1, 3), F(2, 11) - F(1, 3)]
+
+
+def test_large_height_period_three_spectral_data(time_limit):
+    with time_limit(20):
+        d = js.spectral_data(js.PeriodicJacobi(ITEM4_A, ITEM4_B))
+    assert sum(m for _, m in d.branch_points) == 6
+    assert d.interlacing_ok()
+    # independent check: the branch points are the eigenvalues of the
+    # periodic (h = 1) and antiperiodic (h = -1) matrices
+    a = [float(x) for x in ITEM4_A]
+    b = [float(x) for x in ITEM4_B]
+    ref = sorted(np.concatenate([np.linalg.eigvalsh(js._periodic_matrix(a, b, h))
+                                 for h in (1.0, -1.0)]))
+    assert [x for x, _ in d.branch_points] == pytest.approx(ref, abs=1e-10)
+
+
+def test_large_height_period_three_cli(tmp_path, time_limit):
+    from laxkit.cli import main
+    import json
+    argv = ["jacobi", "-a=" + ",".join(map(str, ITEM4_A)),
+            "-b=" + ",".join(map(str, ITEM4_B)),
+            "--check-stieltjes", "--toda-t-end", "1", "--out", str(tmp_path)]
+    with time_limit(30):
+        assert main(argv) == 0
+    payload = json.loads((tmp_path / "jacobi_report.json").read_text())
+    assert len(payload["branch_points"]) == 6
+    assert payload["interlacing_ok"] is True
+    assert payload["stieltjes_check"]["pass"] is True
+    assert payload["toda"]["interlacing_ok"] is True
+
+
+def test_measure_quadrature_table_is_shared():
+    m = js.PeriodicJacobi([F(1), F(2), F(3, 2)], [F(1, 2), F(-1, 2), F(0)])
+    mu = js.measure_decompose(m, F(3, 2))
+    table = mu.quadrature
+    mu.total_mass()
+    mu.cauchy_transform(2j)
+    assert mu.quadrature is table
+    assert len(table) == len(mu.bands)
+    xs, w, dens = table[0]
+    assert dens.tolist() == [mu.density(x) for x in xs]

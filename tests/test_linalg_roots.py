@@ -160,3 +160,113 @@ def test_ring_matrix_wrapper():
     assert sq.det().const_value() == 6
     with pytest.raises(ValueError):
         A.det()
+
+
+# -- bounded time on coefficients of large height ----------------------------
+
+def _expand(factors):
+    """Ascending Fraction coefficients of a product of ascending factors."""
+    out = [F(1)]
+    for fac in factors:
+        prod = [F(0)] * (len(out) + len(fac) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(fac):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def test_rational_roots_constant_near_1e14(time_limit):
+    # x^2 (7x - 99999989)(s x + 1000003)(x^2 - 3): the constant term of the
+    # x^2-free part is 3 * 99999989 * 1000003 ~ 3e14, the leading coefficient
+    # 7 s has 23 digits.  Trial division of either would take hours.
+    p, q, r, s = 99999989, 7, 1000003, 1234567890123456789013
+    poly = _expand([[F(0), F(1)], [F(0), F(1)], [F(-p), F(q)], [F(r), F(s)],
+                    [F(-3), F(0), F(1)]])
+    assert 1e14 < poly[2] < 1e15 and len(str(poly[-1])) >= 20
+    with time_limit(20):
+        roots, cof = rational_roots(poly)
+        rts = real_roots(poly)
+    assert roots == [(F(-r, s), 1), (F(0), 2), (F(p, q), 1)]
+    assert len(cof) == 3 and cof[1] == 0 and cof[0] / cof[2] == -3
+    assert [x for x, _ in rts if isinstance(x, F)] == [F(-r, s), F(0), F(p, q)]
+    assert dict(rts)[F(0)] == 2
+    irr = sorted(x for x, _ in rts if not isinstance(x, F))
+    assert irr == pytest.approx([-3 ** 0.5, 3 ** 0.5], rel=1e-12)
+
+
+def test_rational_roots_repeated_root_of_large_height(time_limit):
+    lin1 = [F(-9999991), F(1234567891)]          # root 9999991/1234567891
+    lin2 = [F(10000019), F(9876543211)]          # root -10000019/9876543211
+    quad = [F(-2), F(0), F(1000003)]             # roots +-sqrt(2/1000003)
+    poly = _expand([lin1, lin2, lin2, quad])
+    with time_limit(20):
+        roots, cof = rational_roots(poly)
+    assert roots == [(F(-10000019, 9876543211), 2), (F(9999991, 1234567891), 1)]
+    assert len(cof) == 3 and cof[1] == 0 and cof[0] / cof[2] == F(-2, 1000003)
+
+
+_big_rationals = st.builds(
+    F, st.integers(-10 ** 12, 10 ** 12),
+    st.integers(1, 10 ** 9))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_big_rationals, min_size=1, max_size=4),
+       st.integers(1, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+def test_planted_large_height_roots_recovered(roots, lead, c0):
+    # planted roots of height up to 1e12 times an x^2 + c0/lead factor
+    poly = _expand([[-r, F(1)] for r in roots] + [[F(c0, lead), F(0), F(1)]])
+    found = real_roots(poly)
+    rats = {r: m for r, m in found if isinstance(r, F)}
+    for r in set(roots):
+        assert rats[r] >= roots.count(r)
+    got, cof = rational_roots(poly)
+    assert sum(m for _, m in got) + len(cof) - 1 == len(poly) - 1
+    for r in set(roots):
+        assert dict(got)[r] >= roots.count(r)
+    irr = [x for x, _ in found if not isinstance(x, F)]
+    if c0 < 0 and not any(q * q == F(-c0, lead) for q in rats):
+        assert len(irr) == 2 and irr[0] == pytest.approx(-irr[1], rel=1e-9)
+    else:
+        assert irr == []
+
+
+# -- sympy as a differential oracle --------------------------------------------
+
+def _random_rational_poly(rng):
+    """Planted rational roots (some repeated) times a random integer factor."""
+    factors = []
+    for _ in range(rng.integers(0, 4)):
+        r = F(int(rng.integers(-40, 41)), int(rng.integers(1, 12)))
+        factors += [[-r, F(1)]] * int(rng.integers(1, 3))
+    extra = [F(int(rng.integers(-30, 31)), int(rng.integers(1, 5)))
+             for _ in range(int(rng.integers(1, 5)))] + [F(int(rng.integers(1, 6)))]
+    return _expand(factors + [extra])
+
+
+def test_roots_match_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        poly = _random_rational_poly(rng)
+        P = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                        for c in reversed(poly)], x, domain="QQ")
+        truth = {F(int(r.p), int(r.q)): m for r, m in P.ground_roots().items()}
+        roots, cof = rational_roots(poly)
+        assert dict(roots) == truth
+        assert sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(cof)], x).ground_roots() == {}
+        found = real_roots(poly, tol=1e-13)
+        assert {r: m for r, m in found if isinstance(r, F)} == truth
+        irr_truth = {}
+        for r in sympy.real_roots(P):
+            if not r.is_Rational:
+                key = float(r.evalf(30))
+                irr_truth[key] = irr_truth.get(key, 0) + 1
+        irr = [(r, m) for r, m in found if not isinstance(r, F)]
+        assert len(irr) == len(irr_truth)
+        for (r, m), (t, tm) in zip(irr, sorted(irr_truth.items())):
+            assert m == tm
+            assert abs(r - t) <= 1e-12 * max(1.0, abs(t))
