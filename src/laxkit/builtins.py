@@ -18,7 +18,6 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from .exactalg import Q
 from .laxflow import MatrixPencil
 from .sysdsl import VectorFieldSystem, parse_system
 
@@ -137,12 +136,11 @@ def flaschka(x: Sequence[float], y: Sequence[float]) -> Tuple[np.ndarray, np.nda
     return a, b
 
 
-def toda_periodic_pencil(a: Sequence, b: Sequence
-                         ) -> Tuple[MatrixPencil, Callable[[MatrixPencil], MatrixPencil]]:
-    """Periodic Toda Lax pair: A(h) symmetric tridiagonal with corner
-    entries a_N h^{+-1}, B(h) its antisymmetrized counterpart; the flow
-    dA/dt = [B(A), A] is the lattice ȧ_j = a_j(b_{j+1}-b_j),
-    ḃ_j = 2(a_j^2 - a_{j-1}^2)."""
+def toda_periodic_coeffs(a: Sequence, b: Sequence) -> Dict[int, list]:
+    """Coefficients {-1: A_-1, 0: A_0, 1: A_1} of the periodic Toda pencil
+    A(h): symmetric tridiagonal A_0 with corner entries a_N h^{+-1}.  The
+    entries are the given numbers, so rational data gives the exact
+    pencil that pencil_charpoly turns into the exact spectral curve."""
     a = list(a)
     b = list(b)
     n = len(a)
@@ -150,33 +148,37 @@ def toda_periodic_pencil(a: Sequence, b: Sequence
         raise ValueError("need equal-length a, b with N >= 2")
     if any(float(x) == 0 for x in a):
         raise ValueError("off-diagonal entries a_j must be nonzero")
-    exact = all(isinstance(x, (int, Fraction)) for x in list(a) + list(b))
-    caster = (lambda v: Q(v)) if exact else float
-    A0 = [[caster(0)] * n for _ in range(n)]
+    A0 = [[0] * n for _ in range(n)]
     for j in range(n):
-        A0[j][j] = caster(b[j])
+        A0[j][j] = b[j]
     for j in range(n - 1):
-        A0[j][j + 1] = caster(a[j])
-        A0[j + 1][j] = caster(a[j])
-    Am = [[caster(0)] * n for _ in range(n)]
-    Ap = [[caster(0)] * n for _ in range(n)]
-    Am[0][n - 1] = caster(a[n - 1])
-    Ap[n - 1][0] = caster(a[n - 1])
-    pencil = MatrixPencil({-1: Am, 0: A0, 1: Ap}, symmetry="symmetric")
+        A0[j][j + 1] = A0[j + 1][j] = a[j]
+    Am = [[0] * n for _ in range(n)]
+    Ap = [[0] * n for _ in range(n)]
+    Am[0][n - 1] = a[n - 1]
+    Ap[n - 1][0] = a[n - 1]
+    return {-1: Am, 0: A0, 1: Ap}
+
+
+def toda_periodic_pencil(a: Sequence, b: Sequence
+                         ) -> Tuple[MatrixPencil, Callable[[MatrixPencil], MatrixPencil]]:
+    """Periodic Toda Lax pair: the float pencil of toda_periodic_coeffs and
+    B(h), its antisymmetrized counterpart; the flow dA/dt = [B(A), A] is
+    the lattice ȧ_j = a_j(b_{j+1}-b_j), ḃ_j = 2(a_j^2 - a_{j-1}^2)."""
+    pencil = MatrixPencil(toda_periodic_coeffs(a, b))
 
     def B(P: MatrixPencil) -> MatrixPencil:
         # upper-minus-lower splitting of the doubly infinite matrix: the
         # h^-1 corner block sits below the diagonal there, h^+1 above
         out: Dict[int, np.ndarray] = {}
         for k, M in P.coeffs.items():
-            Mf = M.astype(float)
             if k == 0:
-                out[k] = np.triu(Mf, 1) - np.tril(Mf, -1)
+                out[k] = np.triu(M, 1) - np.tril(M, -1)
             elif k > 0:
-                out[k] = Mf
+                out[k] = M
             else:
-                out[k] = -Mf
-        return MatrixPencil(out, symmetry="skew")
+                out[k] = -M
+        return MatrixPencil(out)
 
     return pencil, B
 
@@ -191,17 +193,20 @@ def toda_open_pencil(a, b):
     A0 = np.diag(np.asarray(b, dtype=float))
     for j in range(n - 1):
         A0[j, j + 1] = A0[j + 1, j] = float(a[j])
-    pencil = MatrixPencil({0: A0}, symmetry="symmetric")
+    pencil = MatrixPencil({0: A0})
 
     def B(P: MatrixPencil) -> MatrixPencil:
-        M = P.coeffs[0].astype(float)
-        return MatrixPencil({0: np.triu(M, 1) - np.tril(M, -1)}, symmetry="skew")
+        M = P.coeffs[0]
+        return MatrixPencil({0: np.triu(M, 1) - np.tril(M, -1)})
 
     return pencil, B
 
 
 def toda_scalar_rhs(a: np.ndarray, b: np.ndarray):
     """Periodic lattice ODE in Flaschka variables (index mod N)."""
+    # Kept as scalar loops: numpy's scalar a[j] ** 2 and the array a ** 2
+    # differ in the last bit on some inputs, and the lattice flow's
+    # reports are golden.
     n = len(a)
     da = np.array([a[j] * (b[(j + 1) % n] - b[j]) for j in range(n)])
     db = np.array([2 * (a[j] ** 2 - a[j - 1] ** 2) for j in range(n)])
@@ -240,7 +245,7 @@ def euler_arnold_pencil(alphas: Sequence[float], betas: Sequence[float],
     pencil = MatrixPencil({0: X0, 1: np.diag(al)})
 
     def B(P: MatrixPencil) -> MatrixPencil:
-        X = P.coeffs.get(0, np.zeros((n, n)))
+        X = P.coeffs[0]
         return MatrixPencil({0: -(lam * X), 1: -np.diag(be)})
 
     return pencil, B
@@ -252,15 +257,13 @@ def manakov_pencil(j_diag: Sequence[float], omega: np.ndarray
     B pencil is -(Omega + J h) so that [B(A), A] gives dM/dt = [M, Omega]."""
     J = np.diag(np.asarray(j_diag, dtype=float))
     Om = np.asarray(omega, dtype=float)
-    n = J.shape[0]
     if np.max(np.abs(Om + Om.T)) > 1e-12:
         raise ValueError("omega must be skew-symmetric")
     M = Om @ J + J @ Om
-    pencil = MatrixPencil({0: M, 1: J @ J}, symmetry="manakov")
-    j2 = np.diag(J @ J).copy()
+    pencil = MatrixPencil({0: M, 1: J @ J})
 
     def B(P: MatrixPencil) -> MatrixPencil:
-        Mt = P.coeffs.get(0, np.zeros((n, n)))
+        Mt = P.coeffs[0]
         # invert M = Omega J + J Omega entrywise: Omega_ij = M_ij/(J_i+J_j)
         denom = np.add.outer(np.diag(J), np.diag(J))
         Omt = Mt / denom
@@ -300,7 +303,7 @@ def rank2_pencil(alphas: Sequence[float], x: np.ndarray, y: np.ndarray,
                 ratio[i, j] = (be[i] - be[j]) / (al[i] - al[j])
 
     def B(P: MatrixPencil) -> MatrixPencil:
-        A1t = P.coeffs.get(1, np.zeros((n, n)))
+        A1t = P.coeffs[1]
         # A1 = -x^y, so ad_beta ad_alpha^{-1}(y^x) = ratio * A1
         return MatrixPencil({0: -(ratio * A1t), 1: -np.diag(be)})
 

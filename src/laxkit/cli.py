@@ -7,6 +7,9 @@ Exit codes: 0 success, 1 usage or input error, 2 Painlevé obstruction,
 continued-fraction denominator of the Stieltjes check vanished).
 On exit codes 1 and 3 nothing is written: each command computes
 everything before it writes its first file.
+Flows take fixed steps: the step (--dt) must divide the horizon
+(`flow --t-end`, `jacobi --toda-t-end`) into a positive whole number of
+steps, to 1e-9 relative, or the command exits 1.
 """
 from __future__ import annotations
 
@@ -123,6 +126,7 @@ def cmd_flow(args) -> int:
         raise UsageError("--dt must be positive")
     if args.t_end <= 0:
         raise UsageError("--t-end must be positive")
+    stride = max(1, lf.steps_for(args.t_end, args.dt) // 20)
     name = args.builtin
     summary = {"laxkit_report": REPORT_VERSION, "command": "flow",
                "builtin": name, "t_end": args.t_end, "dt": args.dt}
@@ -135,7 +139,7 @@ def cmd_flow(args) -> int:
         b = list(rng.uniform(-0.5, 0.5, n))
         pencil, B = bi.toda_periodic_pencil(a, b)
         traj = lf.integrate_lax(pencil, B, args.t_end, args.dt,
-                                sample_every=max(1, int(round(args.t_end / args.dt)) // 20))
+                                sample_every=stride)
         drift = lf.isospectral_drift(traj, [1.0, -1.0, 0.5, 2.0], n)
         summary["trace_drift"] = drift
         summary["curve_drift"] = lf.curve_drift(traj)
@@ -163,7 +167,7 @@ def cmd_flow(args) -> int:
     elif name == "euler-arnold":
         pencil, B = bi.builtin("euler-arnold", n=args.N, seed=args.seed)
         traj = lf.integrate_lax(pencil, B, args.t_end, args.dt,
-                                sample_every=max(1, int(round(args.t_end / args.dt)) // 20))
+                                sample_every=stride)
         drift = lf.isospectral_drift(traj, [1.0, -1.0, 0.5], args.N)
         summary["trace_drift"] = drift
         summary["pass"] = bool(drift < args.tol)
@@ -181,7 +185,7 @@ def cmd_flow(args) -> int:
         alphas = list(range(1, n + 1))
         pencil, B = bi.neumann_pencil(alphas, x, y)
         traj = lf.integrate_lax(pencil, B, args.t_end, args.dt,
-                                sample_every=max(1, int(round(args.t_end / args.dt)) // 20))
+                                sample_every=stride)
         drift = lf.isospectral_drift(traj, [1.0, -1.0, 2.0], n)
         summary["trace_drift"] = drift
         summary["branch_points"] = list(map(float, bi.neumann_branch_points(alphas, x, y)))

@@ -156,6 +156,46 @@ def det_exact(M) -> MultiPoly:
     return d if n % 2 == 0 else -d
 
 
+def solve_linear_fractions(rows: List[List[Fraction]], rhs: List[Fraction]):
+    """Gaussian elimination over Q; returns (particular, nullspace basis)
+    or None when inconsistent."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    A = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
+    piv_cols: List[int] = []
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, m) if A[i][c] != 0), None)
+        if p is None:
+            continue
+        A[r], A[p] = A[p], A[r]
+        pv = A[r][c]
+        A[r] = [x / pv for x in A[r]]
+        for i in range(m):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if A[i][n] != 0:
+            return None
+    part = [Fraction(0)] * n
+    for i, c in enumerate(piv_cols):
+        part[c] = A[i][n]
+    free = [c for c in range(n) if c not in piv_cols]
+    basis = []
+    for fcol in free:
+        v = [Fraction(0)] * n
+        v[fcol] = Fraction(1)
+        for i, c in enumerate(piv_cols):
+            v[c] = -A[i][fcol]
+        basis.append(v)
+    return part, basis
+
+
 def _pivot_choice(rows: Mat, col: int, start: int):
     """Row index of the preferred pivot in a column, or None."""
     best = None

@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exactalg import Q, real_roots
-from .laxflow import BlowUpError
+from .laxflow import rk4, steps_for
 
 
 class DegenerateSpectrumError(ValueError):
@@ -511,30 +511,19 @@ def toda_flow_jacobi(m: PeriodicJacobi, t_end: float, dt: float,
     """Integrate the periodic lattice in Flaschka form and watch the
     spectral data: band edges frozen, auxiliary spectrum interlacing at
     every sample, sum b_j exactly conserved, a_j never vanishing.  Raises
-    BlowUpError when the state stops being finite."""
+    BlowUpError when the state stops being finite, and ValueError unless
+    dt divides t_end (laxflow.steps_for)."""
     from .builtins import toda_scalar_rhs
-    if dt <= 0:
-        raise ValueError("step size must be positive")
-    a = np.array([float(x) for x in m.a])
-    b = np.array([float(x) for x in m.b])
-    steps = int(round(t_end / dt))
-    stride = max(1, steps // samples)
-    times = [0.0]
-    a_states = [a.copy()]
-    b_states = [b.copy()]
-    for s in range(steps):
-        ka1, kb1 = toda_scalar_rhs(a, b)
-        ka2, kb2 = toda_scalar_rhs(a + dt / 2 * ka1, b + dt / 2 * kb1)
-        ka3, kb3 = toda_scalar_rhs(a + dt / 2 * ka2, b + dt / 2 * kb2)
-        ka4, kb4 = toda_scalar_rhs(a + dt * ka3, b + dt * kb3)
-        a = a + dt / 6 * (ka1 + 2 * ka2 + 2 * ka3 + ka4)
-        b = b + dt / 6 * (kb1 + 2 * kb2 + 2 * kb3 + kb4)
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise BlowUpError((s + 1) * dt)
-        if (s + 1) % stride == 0 or s == steps - 1:
-            times.append((s + 1) * dt)
-            a_states.append(a.copy())
-            b_states.append(b.copy())
+    n = m.period
+
+    def rhs(y):
+        return np.concatenate(toda_scalar_rhs(y[:n], y[n:]))
+
+    stride = max(1, steps_for(t_end, dt) // samples)
+    y0 = np.array([float(x) for x in list(m.a) + list(m.b)])
+    times, states = rk4(rhs, y0, t_end, dt, stride, np.inf)
+    a_states = [y[:n] for y in states]
+    b_states = [y[n:] for y in states]
 
     edge_sets = []
     aux_sets = []

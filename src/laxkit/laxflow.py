@@ -3,19 +3,27 @@ conservation diagnostics, Poisson-bracket checks, and the dimension
 arithmetic of the free rigid body.
 
 Flow convention: integrate_lax solves dA/dt = [B(A), A] with the
-commutator taken per h-degree, [A, B]_k = sum_{i+j=k} [A_i, B_j].  The
-classical fixed-step fourth-order scheme is used throughout so that
-conservation errors have a reproducible dt^4 baseline.
+commutator taken per h-degree, [A, B]_k = sum_{i+j=k} [A_i, B_j].  Every
+flow of the package (Lax pencils, polynomial vector fields, the Jacobi
+lattice) steps through the one classical fixed-step fourth-order kernel
+`rk4`, so conservation errors have a reproducible dt^4 baseline.  Its
+step dt must divide the horizon t_end into whole steps.
+
+Pencils are float: a MatrixPencil holds the blocks A_lo..A_hi of its
+h-window in one (K, n, n) array.  Exact spectral curves come from plain
+{k: matrix of Fractions} dicts, which pencil_charpoly evaluates exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .exactalg import MultiPoly, Q, charpoly_exact
+from .exactalg.linalg import solve_linear_fractions
 from .sysdsl import VectorFieldSystem, gradient
 
 
@@ -30,99 +38,87 @@ class BlowUpError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class MatrixPencil:
-    """A(h) = sum_k A_k h^k with square coefficient matrices.
+    """A(h) = sum_k A_k h^k with float n x n blocks.
 
-    Entries may be floats (flows) or Fractions (exact characteristic
-    polynomials); symmetry is a bookkeeping tag, not enforced.
+    `blocks[k - lo]` is A_k for every k of the h-window lo..hi; blocks
+    inside the window may be zero.  `coeffs` is a read-only {k: A_k} view.
     """
 
-    def __init__(self, coeffs: Dict[int, object], symmetry: str = "none",
-                 dim: Optional[int] = None):
-        self.coeffs: Dict[int, np.ndarray] = {}
-        for k, M in coeffs.items():
-            A = np.array(M, dtype=object) if _is_exact(M) else np.array(M, dtype=float)
-            if A.ndim != 2 or A.shape[0] != A.shape[1]:
-                raise ValueError("pencil coefficients must be square")
-            if dim is None:
-                dim = A.shape[0]
-            elif A.shape[0] != dim:
-                raise ValueError("pencil coefficients must share a dimension")
-            if _nonzero(A):
-                self.coeffs[int(k)] = A
-        if dim is None:
+    def __init__(self, coeffs: Mapping[int, object]):
+        mats = {int(k): np.asarray(M, dtype=float) for k, M in coeffs.items()}
+        if not mats:
             raise ValueError("empty pencil")
-        self.dim = dim
-        self.symmetry = symmetry
+        if any(A.ndim != 2 or A.shape[0] != A.shape[1] for A in mats.values()):
+            raise ValueError("pencil coefficients must be square")
+        dims = {A.shape[0] for A in mats.values()}
+        if len(dims) > 1:
+            raise ValueError("pencil coefficients must share a dimension")
+        n = dims.pop()
+        lo = min(mats)
+        blocks = np.zeros((max(mats) - lo + 1, n, n))
+        for k, A in mats.items():
+            blocks[k - lo] = A
+        blocks.flags.writeable = False
+        self.lo, self.blocks = lo, blocks
+
+    @classmethod
+    def from_blocks(cls, lo: int, blocks: np.ndarray) -> "MatrixPencil":
+        """The pencil sum_i blocks[i] h^(lo+i); `blocks` is not copied but
+        made read-only."""
+        blocks.flags.writeable = False
+        P = cls.__new__(cls)
+        P.lo, P.blocks = lo, blocks
+        return P
+
+    @property
+    def dim(self) -> int:
+        return self.blocks.shape[1]
 
     @property
     def h_range(self) -> Tuple[int, int]:
-        if not self.coeffs:
-            return (0, 0)
-        return (min(self.coeffs), max(self.coeffs))
+        return (self.lo, self.lo + len(self.blocks) - 1)
 
     @property
-    def is_exact(self) -> bool:
-        return any(A.dtype == object for A in self.coeffs.values())
+    def coeffs(self) -> Mapping[int, np.ndarray]:
+        return MappingProxyType({k: A for k, A in enumerate(self.blocks, self.lo)})
 
     def evaluate(self, h):
-        lo, _ = self.h_range
-        if lo < 0 and h == 0:
+        if self.lo < 0 and h == 0:
             raise ZeroDivisionError("pencil has h^-1 terms; cannot evaluate at 0")
-        if self.is_exact and isinstance(h, (int, Fraction)):
-            out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-            for k, A in self.coeffs.items():
-                hk = Q(h) ** k
-                for i in range(self.dim):
-                    for j in range(self.dim):
-                        out[i][j] += Q(A[i, j]) * hk
-            return out
         out = np.zeros((self.dim, self.dim), dtype=complex if isinstance(h, complex) else float)
-        for k, A in self.coeffs.items():
-            out = out + A.astype(out.dtype) * (h ** k)
+        for k, A in enumerate(self.blocks, self.lo):
+            out = out + A * (h ** k)
         return out
-
-    def to_float(self) -> "MatrixPencil":
-        return MatrixPencil({k: A.astype(float) for k, A in self.coeffs.items()},
-                            self.symmetry, dim=self.dim)
 
     def commutator(self, other: "MatrixPencil",
                    window: Optional[Tuple[int, int]] = None) -> "MatrixPencil":
-        """[self, other] per h-degree; degrees outside `window` must vanish
-        (up to roundoff for float pencils)."""
-        out: Dict[int, np.ndarray] = {}
-        for i, A in self.coeffs.items():
-            for j, B in other.coeffs.items():
+        """[self, other] per h-degree over `window` (default: every degree
+        the product reaches); degrees outside it must vanish up to roundoff,
+        or ValueError is raised."""
+        wlo, whi = window or (self.lo + other.lo, self.h_range[1] + other.h_range[1])
+        out = np.zeros((whi - wlo + 1, self.dim, self.dim))
+        for i, A in enumerate(self.blocks, self.lo):
+            for j, B in enumerate(other.blocks, other.lo):
                 C = A @ B - B @ A
                 k = i + j
-                if window is not None and not (window[0] <= k <= window[1]):
-                    scale = float(np.max(np.abs(A.astype(float)))) * \
-                        float(np.max(np.abs(B.astype(float))))
-                    if float(np.max(np.abs(C.astype(float)))) > 1e-10 * (1 + scale):
-                        raise ValueError(
-                            f"commutator spills h^{k} outside the declared window")
+                if wlo <= k <= whi:
+                    out[k - wlo] += C
                     continue
-                if _nonzero(C):
-                    out[k] = out.get(k, 0) + C
-        return MatrixPencil(out, dim=self.dim)
+                spill = float(np.max(np.abs(C)))
+                if spill > 1e-10 and spill > 1e-10 * (
+                        1 + float(np.max(np.abs(A))) * float(np.max(np.abs(B)))):
+                    raise ValueError(
+                        f"commutator spills h^{k} outside the declared window")
+        return MatrixPencil.from_blocks(wlo, out)
 
     def axpy(self, c: float, other: "MatrixPencil") -> "MatrixPencil":
-        out = {k: A.copy() for k, A in self.coeffs.items()}
-        for k, B in other.coeffs.items():
-            out[k] = out.get(k, 0) + c * B
-        return MatrixPencil(out, self.symmetry, dim=self.dim)
+        """self + c * other, for two pencils on the same h-window."""
+        if other.h_range != self.h_range:
+            raise ValueError("axpy needs pencils on the same h-window")
+        return MatrixPencil.from_blocks(self.lo, self.blocks + c * other.blocks)
 
     def norm(self) -> float:
-        return max((float(np.max(np.abs(A.astype(float)))) for A in self.coeffs.values()),
-                   default=0.0)
-
-
-def _is_exact(M) -> bool:
-    arr = np.array(M, dtype=object)
-    return any(isinstance(x, Fraction) for x in arr.flat)
-
-
-def _nonzero(A) -> bool:
-    return any(bool(x) for x in np.array(A, dtype=object).flat)
+        return float(np.max(np.abs(self.blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,28 +157,37 @@ def _h_nodes(count: int) -> List[Fraction]:
     return nodes
 
 
-def pencil_charpoly(p: MatrixPencil) -> SpectralCurve:
+def pencil_charpoly(p: Union[MatrixPencil, Mapping[int, Sequence[Sequence]]]
+                    ) -> SpectralCurve:
     """Recover P(z,h) = det(A(h) - zI) by sampling h and interpolating.
 
-    Exact rational determinants are used when the pencil is exact; the
-    h-degree window for the z^k coefficient is (n-k)*[min(l,0), max(m,0)].
+    A MatrixPencil gives a float curve.  A dict {k: square matrix of
+    rationals} gives the exact curve: exact determinants and an exact
+    interpolation over Q.  The h-degree window for the z^k coefficient is
+    (n-k)*[min(l,0), max(m,0)].
     """
-    n = p.dim
-    lo, hi = p.h_range
+    exact = not isinstance(p, MatrixPencil)
+    if exact:
+        blocks = {k: [[Q(x) for x in row] for row in M] for k, M in p.items()}
+        n = len(next(iter(blocks.values())))
+        lo, hi = min(blocks), max(blocks)
+    else:
+        n = p.dim
+        lo, hi = p.h_range
     lo, hi = min(lo, 0), max(hi, 0)
     width = n * (hi - lo) + 1
     nodes = _h_nodes(width)
-    exact = p.is_exact
     rows = []
     for h0 in nodes:
-        A = p.evaluate(h0 if exact else float(h0))
         if exact:
+            A = [[sum((M[i][j] * h0 ** k for k, M in blocks.items()), Fraction(0))
+                  for j in range(n)] for i in range(n)]
             cp = charpoly_exact([[MultiPoly.const(x) for x in row] for row in A])
             # det(A - zI) = (-1)^n * charpoly(z)
             sign = Fraction(-1) ** n
             rows.append([sign * c.const_value() for c in cp])
         else:
-            cp = np.poly(np.asarray(A))[::-1]  # ascending in z of det(zI - A)
+            cp = np.poly(p.evaluate(float(h0)))[::-1]  # ascending in z of det(zI - A)
             sign = (-1.0) ** n
             rows.append([sign * c for c in cp])
 
@@ -193,7 +198,7 @@ def pencil_charpoly(p: MatrixPencil) -> SpectralCurve:
         if exact:
             V = [[nodes[r] ** (wlo + c) for c in range(m)] for r in range(m)]
             rhs = [rows[r][k] for r in range(m)]
-            sol = _solve_fraction_system(V, rhs)
+            sol, _ = solve_linear_fractions(V, rhs)
         else:
             V = np.array([[float(nodes[r]) ** (wlo + c) for c in range(m)]
                           for r in range(m)])
@@ -206,24 +211,52 @@ def pencil_charpoly(p: MatrixPencil) -> SpectralCurve:
     return SpectralCurve(coeffs, n)
 
 
-def _solve_fraction_system(A: List[List[Fraction]], b: List[Fraction]) -> List[Fraction]:
-    n = len(A)
-    M = [list(map(Fraction, A[i])) + [Fraction(b[i])] for i in range(n)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if M[r][c] != 0)
-        M[c], M[piv] = M[piv], M[c]
-        pv = M[c][c]
-        M[c] = [x / pv for x in M[c]]
-        for r in range(n):
-            if r != c and M[r][c] != 0:
-                f = M[r][c]
-                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
-    return [M[i][n] for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # Lax integration
 # ---------------------------------------------------------------------------
+
+def steps_for(t_end: float, dt: float) -> int:
+    """Number of steps of size dt that reach t_end.  ValueError unless dt
+    divides t_end into a positive whole number of steps, to 1e-9
+    relative: a flow never stops short of or runs past its horizon, and
+    never takes zero steps."""
+    if not dt > 0:
+        raise ValueError("step size must be positive")
+    ratio = t_end / dt
+    steps = int(round(ratio)) if np.isfinite(ratio) else 0
+    if steps < 1 or abs(steps * dt - t_end) > 1e-9 * abs(t_end):
+        raise ValueError(f"dt = {dt} does not divide t_end = {t_end} "
+                         "into a positive whole number of steps")
+    return steps
+
+
+def rk4(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, t_end: float,
+        dt: float, sample_every: int, blowup: float
+        ) -> Tuple[List[float], List[np.ndarray]]:
+    """Classical fixed-step fourth-order integration of y' = rhs(y).
+
+    Returns the sample times and states: t = 0 (y0 itself), every
+    `sample_every`-th step and the last step, each at t = step * dt.
+    Raises BlowUpError when the state stops being finite or its max-norm
+    exceeds `blowup`, and ValueError unless dt divides t_end (steps_for).
+    """
+    steps = steps_for(t_end, dt)
+    y = y0
+    times = [0.0]
+    states = [y]
+    for s in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + dt / 2 * k1)
+        k3 = rhs(y + dt / 2 * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > blowup:
+            raise BlowUpError((s + 1) * dt)
+        if (s + 1) % sample_every == 0 or s == steps - 1:
+            times.append((s + 1) * dt)
+            states.append(y)
+    return times, states
+
 
 @dataclass
 class LaxTrajectory:
@@ -239,40 +272,26 @@ class LaxTrajectory:
 def integrate_lax(p0: MatrixPencil, B: Callable[[MatrixPencil], MatrixPencil],
                   t_end: float, dt: float, sample_every: int = 10,
                   blowup: float = 1e8) -> LaxTrajectory:
-    """Fourth-order fixed-step integration of dA/dt = [B(A), A].
+    """rk4 on dA/dt = [B(A), A] over the h-window of p0.
 
     Deterministic for a given (p0, dt); aborts with BlowUpError when the
-    max-norm of the state exceeds `blowup`.
+    max-norm of the state exceeds `blowup`, and with ValueError when the
+    commutator spills outside the window (a malformed B).
     """
-    if dt <= 0:
-        raise ValueError("step size must be positive")
+    lo = p0.lo
     window = p0.h_range
 
-    def rhs(P: MatrixPencil) -> MatrixPencil:
-        return B(P).commutator(P, window=window)
+    def rhs(y: np.ndarray) -> np.ndarray:
+        P = MatrixPencil.from_blocks(lo, y)
+        return B(P).commutator(P, window=window).blocks
 
-    steps = int(round(t_end / dt))
-    A = p0.to_float()
-    times = [0.0]
-    snaps = [A]
-    for s in range(steps):
-        k1 = rhs(A)
-        k2 = rhs(A.axpy(dt / 2, k1))
-        k3 = rhs(A.axpy(dt / 2, k2))
-        k4 = rhs(A.axpy(dt, k3))
-        incr = k1.axpy(2.0, k2).axpy(2.0, k3).axpy(1.0, k4)
-        A = A.axpy(dt / 6, incr)
-        if A.norm() > blowup or not np.isfinite(A.norm()):
-            raise BlowUpError((s + 1) * dt)
-        if (s + 1) % sample_every == 0 or s == steps - 1:
-            times.append((s + 1) * dt)
-            snaps.append(A)
-    return LaxTrajectory(times=times, pencils=snaps, dt=dt)
+    times, states = rk4(rhs, p0.blocks, t_end, dt, sample_every, blowup)
+    return LaxTrajectory(times=times, dt=dt,
+                         pencils=[MatrixPencil.from_blocks(lo, y) for y in states])
 
 
 def trace_powers(p: MatrixPencil, h: float, k_max: int) -> List[float]:
     A = p.evaluate(h)
-    A = np.asarray(A, dtype=float)
     out = []
     Ak = np.eye(p.dim)
     for _ in range(k_max):
@@ -312,9 +331,7 @@ def curve_drift(traj: LaxTrajectory) -> float:
 def integrate_system(sys: VectorFieldSystem, z0: Sequence[float], t_end: float,
                      dt: float, constants: Optional[Dict[str, float]] = None,
                      sample_every: int = 50, blowup: float = 1e8):
-    """RK4 on z' = f(z); returns (times, states ndarray)."""
-    if dt <= 0:
-        raise ValueError("step size must be positive")
+    """rk4 on z' = f(z); returns (times, states ndarray)."""
     consts = dict(constants or {})
     fns = list(sys.equations)
     names = list(sys.variables)
@@ -324,21 +341,8 @@ def integrate_system(sys: VectorFieldSystem, z0: Sequence[float], t_end: float,
         env.update(consts)
         return np.array([f.eval_num(env) for f in fns])
 
-    steps = int(round(t_end / dt))
-    z = np.array(z0, dtype=float)
-    times = [0.0]
-    states = [z.copy()]
-    for s in range(steps):
-        k1 = rhs(z)
-        k2 = rhs(z + dt / 2 * k1)
-        k3 = rhs(z + dt / 2 * k2)
-        k4 = rhs(z + dt * k3)
-        z = z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > blowup:
-            raise BlowUpError((s + 1) * dt)
-        if (s + 1) % sample_every == 0 or s == steps - 1:
-            times.append((s + 1) * dt)
-            states.append(z.copy())
+    times, states = rk4(rhs, np.array(z0, dtype=float), t_end, dt,
+                        sample_every, blowup)
     return times, np.array(states)
 
 
@@ -464,13 +468,6 @@ def jacobi_identity_check(sys: VectorFieldSystem,
 # ---------------------------------------------------------------------------
 # rigid-body dimension arithmetic
 # ---------------------------------------------------------------------------
-
-def builtin(name: str, **params):
-    """Named constructors for the shipped systems and pencils (see
-    laxkit.builtins for the catalogue)."""
-    from .builtins import builtin as _builtin
-    return _builtin(name, **params)
-
 
 def rigid_body_dims(n: int) -> Dict[str, int]:
     """Orbit dimension, spectral-curve genera and Prym dimension for the

@@ -28,7 +28,7 @@ from .exactalg import (InconsistentSystemError, MultiPoly, PuiseuxSeries,
                        kernel_free_columns, left_kernel_vector,
                        poly_on_series, rational_roots,
                        solve_square_exact, solve_with_pins)
-from .exactalg.linalg import adjugate_kernel_column
+from .exactalg.linalg import adjugate_kernel_column, solve_linear_fractions
 from .sysdsl import VectorFieldSystem
 
 Key = Tuple[Tuple[str, int], ...]
@@ -82,46 +82,6 @@ class WeightVector:
 def _mono_weight(key: Key, wmap: Mapping[str, Fraction]) -> Fraction:
     return sum((Fraction(e) * wmap[n] for n, e in key if n in wmap),
                Fraction(0))
-
-
-def _solve_linear_fractions(rows: List[List[Fraction]], rhs: List[Fraction]):
-    """Gaussian elimination over Q; returns (particular, nullspace basis)
-    or None when inconsistent."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    A = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    piv_cols: List[int] = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if A[i][c] != 0), None)
-        if p is None:
-            continue
-        A[r], A[p] = A[p], A[r]
-        pv = A[r][c]
-        A[r] = [x / pv for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if A[i][n] != 0:
-            return None
-    part = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        part[c] = A[i][n]
-    free = [c for c in range(n) if c not in piv_cols]
-    basis = []
-    for fcol in free:
-        v = [Fraction(0)] * n
-        v[fcol] = Fraction(1)
-        for i, c in enumerate(piv_cols):
-            v[c] = -A[i][fcol]
-        basis.append(v)
-    return part, basis
 
 
 def _canonical_support(sys: VectorFieldSystem, weights: Sequence[Fraction]):
@@ -183,7 +143,7 @@ def detect_weights(sys: VectorFieldSystem, max_patterns: int = 200000
                 row[i] -= 1
                 rows.append(row)
                 rhs.append(Fraction(1))
-        sol = _solve_linear_fractions(rows, rhs)
+        sol = solve_linear_fractions(rows, rhs)
         if sol is None:
             continue
         part, basis = sol

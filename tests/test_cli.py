@@ -252,3 +252,41 @@ def test_flow_blowup_exit_3_writes_nothing(tmp_path, capsys):
     assert code == 3
     assert "blew up" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--builtin", "toda-periodic", "--t-end", "0.01", "--dt", "0.3"],
+    ["flow", "--builtin", "toda-periodic", "--t-end", "1", "--dt", "0.3"],
+    ["flow", "--builtin", "kvm", "--t-end", "1", "--dt", "0.3"],
+    ["flow", "--builtin", "toda-periodic", "--t-end", "inf"],
+    ["jacobi", "-a", "1,2,3", "-b", "0,1,2", "--toda-t-end", "1", "--dt", "0.3"],
+    ["jacobi", "-a", "1,2,3", "-b", "0,1,2", "--toda-t-end", "-1"],
+], ids=["flow-zero-steps", "flow-short", "flow-kvm", "flow-infinite",
+        "jacobi-short", "jacobi-negative"])
+def test_step_must_divide_horizon_exit_1_writes_nothing(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 1
+    assert "does not divide" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+# sha256 of flow_<builtin>.csv and .json, recorded before the flows moved
+# on to the one rk4 kernel and the array-backed MatrixPencil.
+FLOW_GOLDEN = [
+    (["toda-periodic", "-N", "3"],
+     "07219e71c5b77d9f1f2b743ce2cf0123a7de335e29cd07367e1760ac29c499f5",
+     "4bce2534f67d8bb9d925b608d4d9d825fda33b0ccc90ed91a7f75ae0d7ffbd7a"),
+    (["euler-arnold", "-N", "4"],
+     "e41e23344248246428fc524b78c84006707c269335fd668cc4d5fbb09bdecbc4",
+     "44d829694b82af28c91fb5de64ea4343d778d540897a8733c20c1d6c9148c414"),
+]
+
+
+@pytest.mark.parametrize("argv,csv_digest,json_digest", FLOW_GOLDEN,
+                         ids=["toda-periodic", "euler-arnold"])
+def test_flow_golden_digest(tmp_path, argv, csv_digest, json_digest):
+    import hashlib
+    assert run(tmp_path, "flow", "--builtin", *argv, "--t-end", "0.5") == 0
+    name = argv[0]
+    for ext, digest in (("csv", csv_digest), ("json", json_digest)):
+        data = (tmp_path / f"flow_{name}.{ext}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, ext

@@ -19,7 +19,7 @@ def test_pencil_validation():
 
 
 def test_charpoly_constant_diag():
-    p = lf.MatrixPencil({0: [[F(1), F(0)], [F(0), F(2)]]})
+    p = {0: [[F(1), F(0)], [F(0), F(2)]]}
     curve = lf.pencil_charpoly(p)
     # det(A - zI) = (1-z)(2-z) = z^2 - 3z + 2
     assert curve.coeffs == {(0, 0): F(2), (1, 0): F(-3), (2, 0): F(1)}
@@ -29,7 +29,7 @@ def test_charpoly_toda_structure_matches_floquet():
     from laxkit.jacobispec import PeriodicJacobi, floquet_polynomial
     a = [F(1), F(1, 2), F(3, 2)]
     b = [F(0), F(1, 3), F(-1, 3)]
-    pencil, _ = bi.toda_periodic_pencil(a, b)
+    pencil = bi.toda_periodic_coeffs(a, b)
     curve = lf.pencil_charpoly(pencil)
     N = 3
     alpha = F(1) * a[0] * a[1] * a[2]
@@ -85,6 +85,68 @@ def test_integrate_rejects_bad_step():
     pencil, B = bi.toda_periodic_pencil([1.0, 1.0], [0.0, 0.0])
     with pytest.raises(ValueError):
         lf.integrate_lax(pencil, B, 1.0, 0.0)
+
+
+def test_rk4_matches_the_classical_scheme():
+    # y' = M y + y^2 elementwise, stepped by hand with the same arithmetic
+    M = np.array([[0.0, 1.0], [-2.0, -0.1]])
+
+    def f(y):
+        return M @ y + y ** 2 / 7
+
+    y0 = np.array([0.3, -0.2])
+    dt = 0.01
+    times, states = lf.rk4(f, y0, 1.0, dt, 30, 1e8)
+    y = y0
+    want_t, want_y = [0.0], [y0]
+    for s in range(100):
+        k1 = f(y)
+        k2 = f(y + dt / 2 * k1)
+        k3 = f(y + dt / 2 * k2)
+        k4 = f(y + dt * k3)
+        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if (s + 1) % 30 == 0 or s == 99:
+            want_t.append((s + 1) * dt)
+            want_y.append(y)
+    assert times == want_t == [0.0, 30 * dt, 60 * dt, 90 * dt, 100 * dt]
+    assert all(np.array_equal(a, b) for a, b in zip(states, want_y))
+
+
+@pytest.mark.parametrize("t_end,dt", [(1.0, 0.3), (0.01, 0.3), (0.0, 0.1),
+                                      (-1.0, 0.1), (1.0, 0.0), (1.0, -0.1)])
+def test_rk4_rejects_step_that_misses_horizon(t_end, dt):
+    def f(y):
+        raise AssertionError("no step may be taken")
+    with pytest.raises(ValueError):
+        lf.rk4(f, np.zeros(2), t_end, dt, 1, 1e8)
+
+
+def test_rk4_blowup_on_norm_and_on_nonfinite_state():
+    with pytest.raises(lf.BlowUpError) as exc:
+        lf.rk4(lambda y: y, np.ones(1), 10.0, 0.5, 1, 100.0)
+    assert exc.value.time == 5.0  # e^t passes 100 during the tenth step
+    with pytest.raises(lf.BlowUpError):
+        lf.rk4(lambda y: y * np.inf, np.ones(1), 1.0, 0.5, 1, np.inf)
+
+
+def test_integrate_lax_rejects_malformed_b():
+    pencil, _ = bi.toda_periodic_pencil([1.0, 1.2, 0.8], [0.1, -0.2, 0.3])
+
+    def bad_B(P):
+        return lf.MatrixPencil({2: np.diag([1.0, 2.0, 3.0])})
+    with pytest.raises(ValueError, match="window"):
+        lf.integrate_lax(pencil, bad_B, 1.0, 1e-2)
+
+
+def test_pencil_coeffs_are_read_only():
+    p = lf.MatrixPencil({1: np.eye(2), -1: [[0, 1], [0, 0]]})
+    assert p.h_range == (-1, 1)
+    assert list(p.coeffs) == [-1, 0, 1]
+    assert not p.coeffs[0].any()
+    with pytest.raises(TypeError):
+        p.coeffs[0] = np.eye(2)
+    with pytest.raises(ValueError):
+        p.coeffs[1][0, 0] = 5.0
 
 
 def test_blowup_detection():
