@@ -10,6 +10,8 @@ everything before it writes its first file.
 Flows take fixed steps: the step (--dt) must divide the horizon
 (`flow --t-end`, `jacobi --toda-t-end`) into a positive whole number of
 steps, to 1e-9 relative, or the command exits 1.
+`painleve --order` must be a positive integer, or the command exits 1;
+without it a builtin runs at its own default order, 6 otherwise.
 """
 from __future__ import annotations
 
@@ -82,6 +84,8 @@ def _load_system(args):
 # ---------------------------------------------------------------------------
 
 def cmd_painleve(args) -> int:
+    if args.order is not None and args.order < 1:
+        raise UsageError("--order must be a positive integer")
     system, name = _load_system(args)
     bindings = _parse_bindings(args.bind)
     if bindings:
@@ -105,7 +109,7 @@ def cmd_painleve(args) -> int:
         meta.setdefault("balance_filter", meta["principal"])
     if meta.get("sheet"):
         meta.setdefault("label_fn", meta["sheet"])
-    order = args.order or meta.get("order", 6)
+    order = meta.get("order", 6) if args.order is None else args.order
     report = pv.analyze(system, order, builtin_meta=meta)
     payload = {"laxkit_report": REPORT_VERSION, "command": "painleve",
                "order": order}

@@ -7,7 +7,7 @@ do not wrap it.
 """
 from fractions import Fraction as BigRational
 
-from .poly import MultiPoly, Q, poly_eval
+from .poly import MultiPoly, Q, eliminate_linear, poly_eval
 from .series import PuiseuxSeries, TruncationError, poly_on_series, series_mul
 from .linalg import (InconsistentSystemError, RingMatrix, SingularMatrixError,
                      charpoly_exact, det_exact, eigenvalues_exact,
@@ -21,7 +21,7 @@ from .roots import real_roots, sturm_chain, count_roots_between
 eigenvalues = eigenvalues_float
 
 __all__ = [
-    "BigRational", "MultiPoly", "Q", "poly_eval",
+    "BigRational", "MultiPoly", "Q", "eliminate_linear", "poly_eval",
     "PuiseuxSeries", "TruncationError", "poly_on_series", "series_mul",
     "InconsistentSystemError", "RingMatrix", "SingularMatrixError", "charpoly_exact",
     "det_exact", "eigenvalues_exact", "eigenvalues_float",

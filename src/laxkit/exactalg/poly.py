@@ -403,6 +403,17 @@ class MultiPoly:
         return f"MultiPoly({self.to_str()})"
 
 
+def eliminate_linear(q: MultiPoly, x: str, C: MultiPoly, D: MultiPoly) -> MultiPoly:
+    """Eliminate x from q with C*x + D = 0: the polynomial C^d * q(-D/C),
+    d the degree of q in x, that is sum_k q_k (-D)^k C^(d-k)."""
+    qc = q.coeffs_in(x)
+    d = max(qc) if qc else 0
+    acc = MultiPoly.zero()
+    for k, ck in qc.items():
+        acc = acc + ck * ((-D) ** k) * (C ** (d - k))
+    return acc
+
+
 ZERO = MultiPoly.zero()
 ONE = MultiPoly.const(1)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .poly import MultiPoly, Q
 
@@ -234,14 +234,18 @@ def poly_on_series(p: MultiPoly, env: Mapping[str, PuiseuxSeries],
                    ell: int, const_valid: int) -> PuiseuxSeries:
     """Substitute series for symbols of p; unmapped symbols stay symbolic
     inside the coefficients.  Constant terms get the window [0, const_valid).
+    Each power env[name]**e is computed once per call.
     """
     total = PuiseuxSeries.zero(ell, const_valid)
+    powers: Dict[Tuple[str, int], PuiseuxSeries] = {}
     for key, c in p.terms.items():
         scalar = MultiPoly.const(c)
         factor: PuiseuxSeries | None = None
         for name, e in key:
             if name in env:
-                s = env[name].rescale(ell) ** e
+                s = powers.get((name, e))
+                if s is None:
+                    s = powers[(name, e)] = env[name].rescale(ell) ** e
                 factor = s if factor is None else factor * s
             else:
                 scalar = scalar * MultiPoly.var(name, e)

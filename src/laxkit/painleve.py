@@ -25,8 +25,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exactalg import (InconsistentSystemError, MultiPoly, PuiseuxSeries,
                        Q, SingularMatrixError, charpoly_exact,
-                       kernel_free_columns, left_kernel_vector,
-                       poly_on_series, rational_roots,
+                       eliminate_linear, kernel_free_columns,
+                       left_kernel_vector, poly_on_series, rational_roots,
                        solve_square_exact, solve_with_pins)
 from .exactalg.linalg import adjugate_kernel_column, solve_linear_fractions
 from .sysdsl import VectorFieldSystem
@@ -124,8 +124,9 @@ def detect_weights(sys: VectorFieldSystem, max_patterns: int = 200000
     total = 1
     for ks in eq_keys:
         total *= (2 ** len(ks)) - 1
-        if total > max_patterns:
-            raise ValueError("too many dominant-support patterns to enumerate")
+    if total > max_patterns:
+        raise ValueError(f"{total} dominant-support patterns to enumerate, "
+                         f"more than max_patterns={max_patterns}")
 
     def subsets(ks):
         for r in range(1, len(ks) + 1):
@@ -301,16 +302,8 @@ def solve_poly_system(eqs: Sequence[MultiPoly], unknowns: Sequence[str],
                     recurse([C, D] + [q for k, q in enumerate(cur_eqs) if k != idx],
                             sol, choices)
                     # branch C != 0: clear denominators in the others
-                    others = []
-                    for k, q in enumerate(cur_eqs):
-                        if k == idx:
-                            continue
-                        qc = q.coeffs_in(x)
-                        d = max(qc) if qc else 0
-                        acc = MultiPoly.zero()
-                        for kk, ck in qc.items():
-                            acc = acc + ck * ((-D) ** kk) * (C ** (d - kk))
-                        others.append(acc)
+                    others = [eliminate_linear(q, x, C, D)
+                              for k, q in enumerate(cur_eqs) if k != idx]
                     for sub_sol, sub_choices in solve_poly_system(
                             others, [u for u in present if u != x],
                             max_branches=max_branches,
@@ -541,6 +534,98 @@ def count_free_parameters(fam: LaurentFamily) -> Tuple[int, int]:
     return fam.count_free_parameters()
 
 
+class _RelaxedSystem:
+    """Relaxed (online) evaluation of a system's right-hand sides along a
+    Laurent ansatz z_i = sum_k coef[i][k] t^((k - m_i)/ell).
+
+    Each equation is compiled once into terms (scalar, factors, shift):
+    `scalar` keeps the coefficient and every symbol that is not a
+    variable, `factors` is the sorted tuple of variable indices of the
+    monomial (with multiplicity) and `shift` = m_i + ell - sum(m_factors)
+    places the term's contribution to psi_j at index j - shift of the
+    factor product.  The coefficient list of every prefix product
+    factors[:r] (r >= 2) is running state, one list shared by all terms
+    and equations.  Step j reads psi_j with the step-j coefficients held
+    at zero (`provisional`), and `extend` appends the solved z_j and adds
+    to each prefix product the part of its index-j coefficient that
+    involves z_j.
+    """
+
+    def __init__(self, sys: VectorFieldSystem, m: Sequence[int], ell: int,
+                 leading: Sequence[MultiPoly]):
+        index = {v: i for i, v in enumerate(sys.variables)}
+        self.coef: List[List[MultiPoly]] = [[z] for z in leading]
+        self.terms = []
+        prefixes = set()
+        for i, f in enumerate(sys.equations):
+            compiled = []
+            for key, c in f.terms.items():
+                scalar = MultiPoly.const(c)
+                factors = []
+                for name, e in key:
+                    if name in index:
+                        factors += [index[name]] * e
+                    else:
+                        scalar = scalar * MultiPoly.var(name, e)
+                factors = tuple(sorted(factors))
+                shift = m[i] + ell - sum(m[k] for k in factors)
+                compiled.append((scalar, factors, shift))
+                prefixes.update(factors[:r] for r in range(2, len(factors) + 1))
+            self.terms.append(compiled)
+        self.prefixes = sorted(prefixes, key=lambda T: (len(T), T))
+        self.prods: Dict[Tuple[int, ...], List[MultiPoly]] = {}
+        for T in self.prefixes:
+            self.prods[T] = [self._coeffs(T[:-1])[0] * self.coef[T[-1]][0]]
+        self._prov: Dict[Tuple[int, ...], MultiPoly] = {}
+
+    def _coeffs(self, T: Tuple[int, ...]) -> List[MultiPoly]:
+        return self.coef[T[0]] if len(T) == 1 else self.prods[T]
+
+    def provisional(self, j: int) -> List[MultiPoly]:
+        """psi_j: the index-j right-hand sides with z_j = 0."""
+        prov = self._prov = {}
+        for T in self.prefixes:
+            a, b = self._coeffs(T[:-1]), self.coef[T[-1]]
+            acc = MultiPoly.zero()
+            for k in range(1, j):
+                if a[k] and b[j - k]:
+                    acc = acc + a[k] * b[j - k]
+            if len(T) > 2 and prov[T[:-1]] and b[0]:
+                acc = acc + prov[T[:-1]] * b[0]
+            prov[T] = acc
+        psi = []
+        for compiled in self.terms:
+            total = MultiPoly.zero()
+            for scalar, factors, shift in compiled:
+                k = j - shift
+                if k < 0:
+                    continue
+                if not factors:
+                    if k == 0:
+                        total = total + scalar
+                elif k < j:
+                    ck = self._coeffs(factors)[k]
+                    if ck:
+                        total = total + ck * scalar
+                elif len(factors) > 1 and prov[factors]:
+                    # k == j: a lone variable's index-j coefficient is z_j = 0
+                    total = total + prov[factors] * scalar
+            psi.append(total)
+        return psi
+
+    def extend(self, zj: Sequence[MultiPoly]):
+        """Append the solved step-j coefficients z_j."""
+        for i, z in enumerate(zj):
+            self.coef[i].append(z)
+        delta = {}
+        for T in self.prefixes:
+            head, last = T[:-1], T[-1]
+            dh = zj[head[0]] if len(head) == 1 else delta[head]
+            d = self._coeffs(head)[0] * zj[last] + dh * self.coef[last][0]
+            delta[T] = d
+            self.prods[T].append(self._prov[T] + d)
+
+
 def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
               resonance_names: Optional[Sequence[str]] = None,
               resonance_slots: Optional[Mapping[int, Tuple[str, object]]] = None,
@@ -555,6 +640,16 @@ def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
     certificate.  `resonance_slots` maps a step j to (variable, scale):
     the new parameter appears as exactly scale*symbol in that variable's
     step-j coefficient (this pins the normalization used in golden tests).
+
+    The right-hand sides are evaluated relaxed (online; J. van der Hoeven,
+    "Relax, but don't be too lazy", J. Symbolic Comput. 34, 2002): the
+    coefficient lists of all monomial products are kept as running state
+    (`_RelaxedSystem`), step j reads psi_j with z_j held at zero and then
+    extends every product by its index-j coefficient.  With J = order*ell
+    steps this costs O(J^2) coefficient products, where substituting the
+    truncated series into every equation at every step cost O(J^3).
+    `verify` re-checks the finished family independently: `family_residual`
+    substitutes the full series through `poly_on_series`.
     """
     w = bal.weight_vector
     ell = w.ell
@@ -579,7 +674,7 @@ def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
         raise ValueError(
             f"order {order} stops before the last resonance at level {max_res}; "
             f"need order >= {int(max_res) + 1}")
-    coef: List[List[MultiPoly]] = [[bal.leading[i]] for i in range(n)]
+    rhs = _RelaxedSystem(sys, m, ell, bal.leading)
     L = kd.matrix
     names_iter = iter(resonance_names or [])
     auto_idx = [0]
@@ -596,16 +691,7 @@ def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
                 return nm
 
     for j in range(1, J + 1):
-        env = {
-            sys.variables[i]: PuiseuxSeries(ell, -m[i],
-                                            coef[i] + [MultiPoly.zero()],
-                                            -m[i] + j + 1)
-            for i in range(n)
-        }
-        psi = []
-        for i in range(n):
-            phi = poly_on_series(sys.equations[i], env, ell, const_valid=j + 2)
-            psi.append(phi.coeff(Fraction(j - m[i] - ell, ell)))
+        psi = rhs.provisional(j)
         c = Fraction(j, ell)
         M = [[MultiPoly.const(c if i == jj else 0) - L[i][jj] for jj in range(n)]
              for i in range(n)]
@@ -663,11 +749,10 @@ def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
                 zj = [zj[i] + s * kvec[i] for i in range(n)]
                 params.append(name)
                 resonances.append((j, name))
-        for i in range(n):
-            coef[i].append(zj[i])
+        rhs.extend(zj)
 
     series = {
-        sys.variables[i]: PuiseuxSeries(ell, -m[i], coef[i], -m[i] + J + 1)
+        sys.variables[i]: PuiseuxSeries(ell, -m[i], rhs.coef[i], -m[i] + J + 1)
         for i in range(n)
     }
     fam = LaurentFamily(system=sys, balance=bal, ell=ell, series=series,
@@ -719,6 +804,24 @@ def invariant_series(fam: LaurentFamily, name: str) -> PuiseuxSeries:
     return poly_on_series(H, fam.series, fam.ell, const_valid=lowest)
 
 
+def _invariant_t0_window(fam: LaurentFamily, name: str) -> PuiseuxSeries:
+    """`invariant_series` cut down to the exponents constraint_curve reads.
+
+    With P the largest pole order (in units of 1/ell) of a monomial of H
+    along the family, each series is truncated to k0 + P + 1 before it is
+    substituted.  Every monomial product then stays exact below index 1,
+    so the result equals invariant_series(fam, name) truncated to a window
+    that is >= 1 whenever the full one is > 0 and equal to it otherwise:
+    the polar part, the t^0 coefficient and the too-low-order test read
+    the same values."""
+    H = fam.system.invariants[name]
+    P = max([0] + [-sum(e * fam.series[v].k0 for v, e in key if v in fam.series)
+                   for key in H.terms])
+    env = {v: s.truncate(s.k0 + P + 1) for v, s in fam.series.items()}
+    lowest = min(s.valid for s in fam.series.values())
+    return poly_on_series(H, env, fam.ell, const_valid=min(lowest, P + 1))
+
+
 def constraint_curve(sys: VectorFieldSystem, fam: LaurentFamily,
                      invariant_names: Sequence[str],
                      value_names: Optional[Sequence[str]] = None,
@@ -734,7 +837,7 @@ def constraint_curve(sys: VectorFieldSystem, fam: LaurentFamily,
         value_names = [f"b{i+1}" for i in range(len(invariant_names))]
     relations = []
     for nm, val in zip(invariant_names, value_names):
-        S = invariant_series(fam, nm)
+        S = _invariant_t0_window(fam, nm)
         if S.valid <= 0:
             raise ValueError(
                 f"series order too low to stabilize the constant term of {nm}")
@@ -767,15 +870,7 @@ def constraint_curve(sys: VectorFieldSystem, fam: LaurentFamily,
         r = work.pop(pivot_idx)
         C = r.coeffs_in(p)[1]
         D = r.coeffs_in(p).get(0, MultiPoly.zero())
-        new_work = []
-        for s in work:
-            sc = s.coeffs_in(p)
-            d = max(sc) if sc else 0
-            acc = MultiPoly.zero()
-            for k, ck in sc.items():
-                acc = acc + ck * ((-D) ** k) * (C ** (d - k))
-            new_work.append(acc)
-        work = new_work
+        work = [eliminate_linear(s, p, C, D) for s in work]
     curve = None
     if len(work) == 1:
         curve = work[0].primitive()

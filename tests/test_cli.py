@@ -39,6 +39,27 @@ def test_painleve_missing_file_exits_1_no_output(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("order", ["0", "-2"])
+def test_painleve_nonpositive_order_exits_1_no_output(tmp_path, order):
+    code = run(tmp_path, "painleve", "--builtin", "henon-heiles",
+               "--order", order)
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_painleve_pattern_budget_exits_1_no_output(tmp_path, capsys):
+    # 5 equations of 4 monomials: 759375 dominant-support patterns
+    src = tmp_path / "wide.ivf"
+    src.write_text("system wide\nvars z1 z2 z3 z4 z5\n" + "".join(
+        f"eq z{i} = " + " + ".join(f"z{k}^2" for k in range(1, 6) if k != i)
+        + "\n" for i in range(1, 6)))
+    out = tmp_path / "out"
+    code = main(["painleve", "--file", str(src), "--out", str(out)])
+    assert code == 1
+    assert "759375 dominant-support patterns" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_painleve_obstruction_exit_code(tmp_path):
     src = tmp_path / "damped.ivf"
     src.write_text("system damped\nvars z1 z2\neq z1 = z2\n"

@@ -1,9 +1,12 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from laxkit.builtins import builtin_system, painleve_meta
-from laxkit.exactalg import MultiPoly
+from laxkit import painleve as pv
+from laxkit.acceptance import _principal_families
+from laxkit.builtins import _SYSTEM_FILES, builtin_system, painleve_meta
+from laxkit.exactalg import MultiPoly, PuiseuxSeries, poly_on_series
 from laxkit.painleve import (Balance, FamilyNotPolynomial,
                              PainleveObstruction, PolarPartError, analyze,
                              constraint_curve, detect_weights,
@@ -192,7 +195,7 @@ eq z2 = 6*z1^2 + z2
     with pytest.raises(PainleveObstruction) as exc:
         propagate(sys_, bal, 8)
     assert exc.value.step == 6
-    assert exc.value.pairing is not None and not exc.value.pairing.is_zero
+    assert exc.value.pairing == MultiPoly.const(F(3, 3125))
     assert exc.value.certificate is not None
 
 
@@ -302,3 +305,152 @@ def test_solver_records_algebraic_branches():
                              algebraic_out=dropped)
     assert sols == []
     assert dropped, "the irrational branch must be reported"
+
+
+def test_pattern_budget_error_names_the_count():
+    # 5 equations of 4 monomials: (2^4 - 1)^5 = 759375 dominant-support patterns
+    sys_ = parse_system(WIDE_SYSTEM)
+    with pytest.raises(ValueError, match="759375 dominant-support patterns"
+                       ".*max_patterns=200000"):
+        detect_weights(sys_)
+
+
+WIDE_SYSTEM = """
+system wide
+vars z1 z2 z3 z4 z5
+eq z1 = z2^2 + z3^2 + z4^2 + z5^2
+eq z2 = z1^2 + z3^2 + z4^2 + z5^2
+eq z3 = z1^2 + z2^2 + z4^2 + z5^2
+eq z4 = z1^2 + z2^2 + z3^2 + z5^2
+eq z5 = z1^2 + z2^2 + z3^2 + z4^2
+"""
+
+
+# ---------------------------------------------------------------------------
+# relaxed propagation against the full-series computation of psi
+# ---------------------------------------------------------------------------
+
+class FullSeriesRhs:
+    """Reference for painleve._RelaxedSystem: at every step, rebuild each
+    variable's truncated series (index j padded with zero) and substitute
+    it into every equation."""
+
+    def __init__(self, sys_, m, ell, leading):
+        self.sys, self.m, self.ell = sys_, m, ell
+        self.coef = [[z] for z in leading]
+
+    def provisional(self, j):
+        m, ell = self.m, self.ell
+        env = {v: PuiseuxSeries(ell, -m[i], self.coef[i] + [MultiPoly.zero()],
+                                -m[i] + j + 1)
+               for i, v in enumerate(self.sys.variables)}
+        return [poly_on_series(f, env, ell, const_valid=j + 2)
+                .coeff(F(j - m[i] - ell, ell))
+                for i, f in enumerate(self.sys.equations)]
+
+    def extend(self, zj):
+        for c, z in zip(self.coef, zj):
+            c.append(z)
+
+
+def _outcome(sys_, bal, order, meta, verify):
+    try:
+        fam = propagate(sys_, bal, order,
+                        resonance_names=meta.get("resonance_names"),
+                        resonance_slots=meta.get("resonance_slots"),
+                        verify=verify)
+    except (PainleveObstruction, FamilyNotPolynomial) as exc:
+        return type(exc), exc.step, getattr(exc, "pairing", None)
+    return fam.series, fam.free_parameters, fam.resonances
+
+
+def _assert_same_as_reference(monkeypatch, sys_, bal, order, meta):
+    got = _outcome(sys_, bal, order, meta, verify=True)
+    with monkeypatch.context() as mp:
+        mp.setattr(pv, "_RelaxedSystem", FullSeriesRhs)
+        want = _outcome(sys_, bal, order, meta, verify=False)
+    assert got == want
+
+
+def _balances(name):
+    sys_ = builtin_system(name)
+    meta = painleve_meta(name)
+    wv = [w for w in detect_weights(sys_)
+          if tuple(w.weights) == meta["weights"]][0]
+    for bal in indicial_solve(sys_, wv):
+        bal = bal.rename_free(meta.get("rename", {}))
+        yield sys_, meta, bal
+        if meta.get("specialize"):
+            yield sys_, meta, bal.specialize(meta["specialize"])
+
+
+@pytest.mark.parametrize("name", sorted(n for n in _SYSTEM_FILES
+                                        if n != "harmonic"))
+def test_relaxed_propagation_matches_full_series(monkeypatch, name):
+    # every balance of the principal weight vector (both rdg5 sheets, hh5
+    # before and after its specialization) at the builtin's default order
+    for sys_, meta, bal in _balances(name):
+        _assert_same_as_reference(monkeypatch, sys_, bal, meta["order"], meta)
+
+
+def test_relaxed_propagation_matches_full_series_deep(monkeypatch):
+    # henon-heiles steps in t^(1/2): order 16 is 32 steps
+    for sys_, meta, bal in _balances("henon-heiles"):
+        _assert_same_as_reference(monkeypatch, sys_, bal, 16, meta)
+
+
+def test_relaxed_propagation_matches_full_series_obstruction(monkeypatch):
+    sys_ = parse_system("""
+system damped
+vars z1 z2
+eq z1 = z2
+eq z2 = 6*z1^2 + z2
+""")
+    bal = indicial_solve(sys_, detect_weights(sys_)[0])[0]
+    _assert_same_as_reference(monkeypatch, sys_, bal, 8, {})
+
+
+# ---------------------------------------------------------------------------
+# the t^0 window of constraint_curve
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(
+    n for n in _SYSTEM_FILES
+    if n != "harmonic" and painleve_meta(n).get("curve_invariants")))
+def test_constraint_relations_are_t0_of_invariant_series(name):
+    system, meta, fams = _principal_families(name)
+    for _, fam in fams:
+        cv = constraint_curve(system, fam, meta["curve_invariants"],
+                              value_names=meta["value_names"])
+        want = [invariant_series(fam, nm).coeff(0) - MultiPoly.var(b)
+                for nm, b in zip(meta["curve_invariants"], meta["value_names"])]
+        assert cv.relations == want
+
+
+def test_constraint_order_too_low_matches_full_window():
+    # cut every series c steps past its first term: where the full
+    # invariant series no longer reaches t^0 the "order too low" error
+    # fires, and everywhere else the relation is its t^0 coefficient
+    system, meta, fams = _principal_families("henon-heiles")
+    _, fam = fams[0]
+    seen = set()
+    for c in range(1, 20):
+        cut = replace(fam, series={v: s.truncate(s.k0 + c)
+                                   for v, s in fam.series.items()})
+        full = invariant_series(cut, "H1")
+        if full.valid <= 0:
+            seen.add("low")
+            with pytest.raises(ValueError, match="series order too low"):
+                constraint_curve(system, cut, ["H1"], value_names=["b1"])
+        else:
+            seen.add("ok")
+            cv = constraint_curve(system, cut, ["H1"], value_names=["b1"],
+                                  eliminate=[])
+            assert cv.relations == [full.coeff(0) - MultiPoly.var("b1")]
+    assert seen == {"low", "ok"}
+    # a series that H does not contain still bounds the constant window
+    spare = replace(fam, series=dict(fam.series,
+                                     spare=PuiseuxSeries.zero(fam.ell, 0)))
+    assert invariant_series(spare, "H1").valid == 0
+    with pytest.raises(ValueError, match="series order too low"):
+        constraint_curve(system, spare, ["H1"], value_names=["b1"])
