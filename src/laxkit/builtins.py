@@ -23,17 +23,12 @@ from .sysdsl import VectorFieldSystem, parse_system
 
 _SYSTEM_FILES = {
     "kvm": "kvm5.ivf",
-    "kvm5": "kvm5.ivf",
     "henon-heiles": "henon_heiles.ivf",
     "hh5": "hh5.ivf",
     "rdg": "rdg.ivf",
     "rdg5": "rdg5.ivf",
     "harmonic": "harmonic.ivf",
 }
-
-SYSTEM_NAMES = tuple(sorted(set(_SYSTEM_FILES.values())))
-PENCIL_NAMES = ("toda-periodic", "toda-open", "euler-arnold", "manakov",
-                "neumann", "jacobi-geodesic")
 
 
 def builtin_system(name: str) -> VectorFieldSystem:
@@ -44,10 +39,6 @@ def builtin_system(name: str) -> VectorFieldSystem:
                        f"(have {sorted(_SYSTEM_FILES)})") from None
     text = resources.files("laxkit.systems").joinpath(fname).read_text()
     return parse_system(text)
-
-
-def system_source(name: str) -> str:
-    return resources.files("laxkit.systems").joinpath(_SYSTEM_FILES[name]).read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +96,7 @@ def painleve_meta(name: str) -> dict:
             "specialize": {"alpha": 1},
             "order": 8,
         }
-    if name in ("kvm", "kvm5"):
+    if name == "kvm":
         return {
             "weights": (F(1),) * 5,
             "principal": lambda bal: sum(1 for z in bal.leading if z.is_zero) == 1,

@@ -5,8 +5,10 @@ strings, so identical configurations produce byte-identical files.
 Exit codes: 0 success, 1 usage or input error, 2 Painlevé obstruction,
 3 numerical breakdown (a flow or the Jacobi lattice blew up, or a
 continued-fraction denominator of the Stieltjes check vanished).
-On exit codes 1 and 3 nothing is written: each command computes
-everything before it writes its first file.
+On exit codes 1 and 3 nothing is written, not even the --out
+directory: each command builds the contents of all its files first, and
+one writer then creates --out and moves each file into place from a
+temp file in that directory, so no file is ever seen half-written.
 Flows take fixed steps: the step (--dt) must divide the horizon
 (`flow --t-end`, `jacobi --toda-t-end`) into a positive whole number of
 steps, to 1e-9 relative, or the command exits 1.
@@ -19,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from typing import List, Tuple
 
 import numpy as np
 
@@ -40,18 +43,40 @@ class BreakdownError(ArithmeticError):
     """A float computation broke down (exit code 3)."""
 
 
-def _write_json(path: str, payload: dict):
-    text = json.dumps(payload, indent=2)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+# what a command hands back: its exit code and (file name, contents) pairs
+# in the order their paths are printed
+Result = Tuple[int, List[Tuple[str, str]]]
 
 
-def _write_csv(path: str, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.16g}" if isinstance(x, float) else str(x)
-                              for x in row) + "\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _csv_text(header, rows) -> str:
+    lines = [",".join(header)]
+    lines += [",".join(f"{x:.16g}" if isinstance(x, float) else str(x)
+                       for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write_files(out_dir: str, files) -> None:
+    """Create out_dir if there is anything to write, write each file to a
+    temp file beside it and rename it into place, then print its path."""
+    if not files:
+        return
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in files:
+        path = os.path.join(out_dir, name)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
+        print(path)
 
 
 def _parse_bindings(items):
@@ -83,7 +108,7 @@ def _load_system(args):
 # painleve
 # ---------------------------------------------------------------------------
 
-def cmd_painleve(args) -> int:
+def cmd_painleve(args) -> Result:
     if args.order is not None and args.order < 1:
         raise UsageError("--order must be a positive integer")
     system, name = _load_system(args)
@@ -115,17 +140,15 @@ def cmd_painleve(args) -> int:
                "order": order}
     payload.update(report)
     obstructed = any("obstruction" in b for b in report["balances"])
-    out = os.path.join(args.out, f"painleve_{system.name}.json")
-    _write_json(out, payload)
-    print(out)
-    return 2 if obstructed else 0
+    return (2 if obstructed else 0,
+            [(f"painleve_{system.name}.json", _json_text(payload))])
 
 
 # ---------------------------------------------------------------------------
 # flow
 # ---------------------------------------------------------------------------
 
-def cmd_flow(args) -> int:
+def cmd_flow(args) -> Result:
     if args.dt <= 0:
         raise UsageError("--dt must be positive")
     if args.t_end <= 0:
@@ -155,7 +178,7 @@ def cmd_flow(args) -> int:
                     for j in range(n)]
             brow = [float(A0[j, j]) for j in range(n)]
             rows.append([t] + arow + brow)
-    elif name in ("kvm", "kvm5"):
+    elif name == "kvm":
         system = bi.builtin_system("kvm")
         rng = np.random.default_rng(args.seed)
         z0 = rng.uniform(0.3, 1.2, system.dim)
@@ -201,20 +224,15 @@ def cmd_flow(args) -> int:
     else:
         raise UsageError(f"unknown flow builtin '{name}'")
 
-    csv_path = os.path.join(args.out, f"flow_{name}.csv")
-    json_path = os.path.join(args.out, f"flow_{name}.json")
-    _write_csv(csv_path, header, rows)
-    _write_json(json_path, summary)
+    csv_name = f"flow_{name}.csv"
+    files = [(csv_name, _csv_text(header, rows)),
+             (f"flow_{name}.json", _json_text(summary))]
     if args.gnuplot:
-        gp = os.path.join(args.out, f"flow_{name}.gp")
-        with open(gp, "w") as fh:
-            fh.write(f'set datafile separator ","\nset key autotitle columnhead\n'
-                     f'plot for [i=2:{len(header)}] "{os.path.basename(csv_path)}" '
-                     f'using 1:i with lines\n')
-        print(gp)
-    print(csv_path)
-    print(json_path)
-    return 0
+        files.insert(0, (f"flow_{name}.gp",
+                         f'set datafile separator ","\nset key autotitle columnhead\n'
+                         f'plot for [i=2:{len(header)}] "{csv_name}" '
+                         f'using 1:i with lines\n'))
+    return 0, files
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +246,7 @@ def _parse_seq(text: str):
         raise UsageError(f"bad numeric list '{text}': {exc}")
 
 
-def cmd_jacobi(args) -> int:
+def cmd_jacobi(args) -> Result:
     a = _parse_seq(args.a)
     b = _parse_seq(args.b)
     try:
@@ -269,12 +287,12 @@ def cmd_jacobi(args) -> int:
         payload["stieltjes_check"] = {"points": len(grid), "depth": args.depth,
                                       "max_error": worst,
                                       "pass": bool(worst < args.tol)}
-    tables = []
+    files = []
     if args.format == "csv":
         rows = [["stable", lo, hi] for lo, hi in data.stable_bands]
         rows += [["gap", lo, hi] for lo, hi in data.gaps]
         rows.sort(key=lambda r: r[1])
-        tables.append(("jacobi_bands.csv", ["kind", "lo", "hi"], rows))
+        files.append(("jacobi_bands.csv", _csv_text(["kind", "lo", "hi"], rows)))
     if args.toda_t_end:
         diag = js.toda_flow_jacobi(m, args.toda_t_end, args.dt)
         payload["toda"] = {
@@ -294,15 +312,9 @@ def cmd_jacobi(args) -> int:
                 for t, aa, bb, ee, ss in zip(diag.times, diag.a_states,
                                              diag.b_states, diag.band_edges,
                                              diag.aux_states)]
-        tables.append(("jacobi_toda.csv", header, rows))
-    for name, header, rows in tables:
-        path = os.path.join(args.out, name)
-        _write_csv(path, header, rows)
-        print(path)
-    out = os.path.join(args.out, "jacobi_report.json")
-    _write_json(out, payload)
-    print(out)
-    return 0
+        files.append(("jacobi_toda.csv", _csv_text(header, rows)))
+    files.append(("jacobi_report.json", _json_text(payload)))
+    return 0, files
 
 
 def _stieltjes_grid(data, count: int = 20, dist: float = 1.0):
@@ -325,7 +337,7 @@ def _stieltjes_grid(data, count: int = 20, dist: float = 1.0):
 # check: aggregate acceptance battery
 # ---------------------------------------------------------------------------
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> Result:
     from . import acceptance
     only = args.only
     results = acceptance.run_all(only=only, float_tol=args.tol)
@@ -335,7 +347,7 @@ def cmd_check(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {nm.ljust(width)}  {detail}")
         failures += (not ok)
     print(f"{len(results) - failures}/{len(results)} checks passed")
-    return 1 if failures else 0
+    return (1 if failures else 0), []
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "flows, periodic Jacobi spectra")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", default="json", choices=["json", "csv"])
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--bind", action="append", metavar="NAME=VALUE",
-                       help="bind a symbolic constant to a rational")
-
     p = sub.add_parser("painleve", help="Laurent/Puiseux analysis of a system")
-    common(p)
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--bind", action="append", metavar="NAME=VALUE",
+                   help="bind a symbolic constant to a rational")
     p.add_argument("--builtin", help=f"one of {sorted(bi._SYSTEM_FILES)}")
     p.add_argument("--file", help="path to an .ivf file")
     p.add_argument("--order", type=int, default=None,
@@ -365,7 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_painleve)
 
     p = sub.add_parser("flow", help="integrate a Lax or vector-field builtin")
-    common(p)
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random initial state")
     p.add_argument("--builtin", required=True)
     p.add_argument("-N", type=int, default=3)
     p.add_argument("--t-end", type=float, default=1.0)
@@ -375,7 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_flow)
 
     p = sub.add_parser("jacobi", help="spectral report of a periodic Jacobi matrix")
-    common(p)
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--format", default="json", choices=["json", "csv"],
+                   help="csv adds the band table jacobi_bands.csv")
     p.add_argument("-a", required=True, help="comma list of off-diagonals")
     p.add_argument("-b", required=True, help="comma list of diagonals")
     p.add_argument("--a0", default=None)
@@ -387,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_jacobi)
 
     p = sub.add_parser("check", help="run the golden acceptance battery")
-    common(p)
+    p.add_argument("--out", default=".",
+                   help="accepted like the other commands; check writes no file")
     p.add_argument("--only", default=None,
                    choices=[None, "painleve", "flow", "jacobi", "dims"])
     p.add_argument("--tol", type=float, default=None,
@@ -403,8 +415,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        os.makedirs(args.out, exist_ok=True)
-        return args.fn(args)
+        code, files = args.fn(args)
+        _write_files(args.out, files)
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Dense linear algebra over exact coefficient rings, plus float eigenvalues.
+"""Dense linear algebra over exact coefficient rings.
 
 Matrices are lists of lists whose entries live in a commutative ring with
 exact arithmetic (Fraction or MultiPoly; mixed entries are coerced to
@@ -13,12 +13,10 @@ genericity cannot go unnoticed.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import List, Tuple
 
 from .poly import MultiPoly
-from .roots import rational_roots
+from .roots import rational_roots  # noqa: F401  (a binding perfbench/tracer.py patches)
 
 Mat = List[List[MultiPoly]]
 
@@ -37,64 +35,6 @@ def _coerce_matrix(M) -> Mat:
     return [[MultiPoly.coerce(x) for x in row] for row in M]
 
 
-class RingMatrix:
-    """Dense rectangular matrix over an exact coefficient ring.
-
-    A light wrapper over list-of-lists entries (Fraction or MultiPoly)
-    that enforces rectangularity and dimension-checked multiplication;
-    the module-level routines accept either this or bare nested lists.
-    """
-
-    __slots__ = ("entries", "rows", "cols")
-
-    def __init__(self, entries):
-        rows = [list(r) for r in entries]
-        if not rows or not rows[0]:
-            raise ValueError("matrix needs at least one entry")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("matrix must be rectangular")
-        self.entries = [[MultiPoly.coerce(x) for x in r] for r in rows]
-        self.rows = len(rows)
-        self.cols = width
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return self.rows
-
-    def __matmul__(self, other):
-        if isinstance(other, RingMatrix):
-            if self.cols != other.rows:
-                raise ValueError(
-                    f"cannot multiply {self.rows}x{self.cols} by "
-                    f"{other.rows}x{other.cols}")
-            return RingMatrix(mat_mul(self.entries, other.entries))
-        if self.cols != len(other):
-            raise ValueError("vector length must equal the column count")
-        return mat_vec(self.entries, other)
-
-    def __eq__(self, other):
-        if isinstance(other, RingMatrix):
-            return self.entries == other.entries
-        return NotImplemented
-
-    def charpoly(self):
-        if self.rows != self.cols:
-            raise ValueError("characteristic polynomial needs a square matrix")
-        return charpoly_exact(self.entries)
-
-    def det(self):
-        if self.rows != self.cols:
-            raise ValueError("determinant needs a square matrix")
-        return det_exact(self.entries)
-
-
 def mat_identity(n: int) -> Mat:
     return [[MultiPoly.const(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
@@ -111,19 +51,6 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
             row.append(s)
         out.append(row)
     return out
-
-
-def mat_vec(A: Mat, v: Sequence) -> List[MultiPoly]:
-    return [sum((A[i][j] * MultiPoly.coerce(v[j]) for j in range(len(v))),
-                MultiPoly.zero()) for i in range(len(A))]
-
-
-def mat_sub(A: Mat, B: Mat) -> Mat:
-    return [[A[i][j] - B[i][j] for j in range(len(A[0]))] for i in range(len(A))]
-
-
-def mat_scale(A: Mat, c) -> Mat:
-    return [[x * c for x in row] for row in A]
 
 
 def trace(A: Mat) -> MultiPoly:
@@ -240,6 +167,18 @@ def fraction_free_echelon(rows_in: Mat) -> Tuple[Mat, List[int]]:
     return rows, pivots
 
 
+def _back_substitute(ech: Mat, pivots: List[int], m: int) -> List[MultiPoly]:
+    """Solve an echelon system of m unknowns with one pivot per unknown
+    (pivot i at ech[i][pivots[i]]) and the right-hand side in column m."""
+    x: List[MultiPoly] = [MultiPoly.zero()] * m
+    for i in range(m - 1, -1, -1):
+        s = ech[i][m]
+        for j in range(i + 1, m):
+            s = s - ech[i][pivots[j]] * x[pivots[j]]
+        x[pivots[i]] = s.exact_div(ech[i][pivots[i]])
+    return x
+
+
 def solve_square_exact(M, rhs) -> List[MultiPoly]:
     """Solve M x = rhs for square nonsingular M; raises if the solution is
     not polynomial over the entry ring (it always is over Fraction)."""
@@ -249,14 +188,7 @@ def solve_square_exact(M, rhs) -> List[MultiPoly]:
     ech, pivots = fraction_free_echelon(aug)
     if len(pivots) < n or any(p >= n for p in pivots):
         raise SingularMatrixError("matrix is singular")
-    x: List[MultiPoly] = [MultiPoly.zero()] * n
-    for i in range(n - 1, -1, -1):
-        c = pivots[i]
-        s = ech[i][n]
-        for j in range(i + 1, n):
-            s = s - ech[i][pivots[j]] * x[pivots[j]]
-        x[c] = s.exact_div(ech[i][c])
-    return x
+    return _back_substitute(ech, pivots, n)
 
 
 def solve_with_pins(M, rhs, pins) -> List[MultiPoly]:
@@ -293,13 +225,7 @@ def solve_with_pins(M, rhs, pins) -> List[MultiPoly]:
     if len(pivots) < m:
         raise SingularMatrixError(
             "reduced system still singular (pin more kernel slots)")
-    xred: List[MultiPoly] = [MultiPoly.zero()] * m
-    for i in range(m - 1, -1, -1):
-        c = pivots[i]
-        s = ech[i][m]
-        for j in range(i + 1, m):
-            s = s - ech[i][pivots[j]] * xred[pivots[j]]
-        xred[c] = s.exact_div(ech[i][c])
+    xred = _back_substitute(ech, pivots, m)
     out: List[MultiPoly] = []
     k = 0
     for j in range(n):
@@ -309,11 +235,6 @@ def solve_with_pins(M, rhs, pins) -> List[MultiPoly]:
             out.append(xred[k])
             k += 1
     return out
-
-
-def solve_pinned(M, rhs, pin_col: int, pin_val) -> List[MultiPoly]:
-    """Single-pin convenience wrapper around solve_with_pins."""
-    return solve_with_pins(M, rhs, {pin_col: pin_val})
 
 
 def kernel_free_columns(M) -> List[int]:
@@ -350,46 +271,8 @@ def left_kernel_vector(M) -> List[MultiPoly] | None:
     free = kernel_free_columns(Mt)
     if not free:
         return None
-    n = len(Mt[0])
     zero = [MultiPoly.zero()] * len(Mt)
     try:
-        return solve_pinned(Mt, zero, free[0], MultiPoly.const(1))
+        return solve_with_pins(Mt, zero, {free[0]: MultiPoly.const(1)})
     except (SingularMatrixError, InconsistentSystemError):
         return None
-
-
-def eigenvalues_float(M, tol: float = 1e-6):
-    """Complex eigenvalues of a float square matrix plus integrality flags.
-
-    Returns (eigs, flags) where flags[i] is True when the eigenvalue is
-    within tol of an integer (and essentially real).
-    """
-    A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
-    eigs = np.linalg.eigvals(A)
-    flags = [bool(abs(e.imag) < tol and abs(e.real - round(e.real)) < tol)
-             for e in eigs]
-    order = np.argsort(eigs.real + 1e-12 * eigs.imag)
-    return [complex(eigs[i]) for i in order], [flags[i] for i in order]
-
-
-def eigenvalues_exact(M, max_size: int = 12):
-    """Rational eigenvalues of a matrix with Fraction entries.
-
-    Returns (rational eigenvalue, multiplicity) pairs plus the ascending
-    coefficients of the rational-root-free cofactor of the characteristic
-    polynomial (empty cofactor means the spectrum is fully rational).
-    """
-    n = len(M)
-    if n > max_size:
-        raise ValueError(f"exact eigenvalues limited to size {max_size}")
-    cp = charpoly_exact(M)
-    cs = []
-    for c in cp:
-        if not MultiPoly.coerce(c).is_constant:
-            raise ValueError("characteristic polynomial has symbolic coefficients")
-        cs.append(MultiPoly.coerce(c).const_value())
-    return rational_roots(cs)

@@ -413,11 +413,3 @@ def eliminate_linear(q: MultiPoly, x: str, C: MultiPoly, D: MultiPoly) -> MultiP
         acc = acc + ck * ((-D) ** k) * (C ** (d - k))
     return acc
 
-
-ZERO = MultiPoly.zero()
-ONE = MultiPoly.const(1)
-
-
-def poly_eval(p: MultiPoly, assignment: Mapping[str, Scalar]) -> Fraction:
-    """Exact evaluation; error message names any missing symbol."""
-    return p.eval_exact(assignment)

@@ -72,11 +72,6 @@ class PuiseuxSeries:
             raise ValueError("zero series has no lowest exponent")
         return Fraction(self.k0, self.ell)
 
-    def leading_coeff(self) -> MultiPoly:
-        if self.is_zero:
-            raise ValueError("zero series has no leading coefficient")
-        return self.coeffs[0]
-
     def coeff(self, exponent) -> MultiPoly:
         """Coefficient of t^exponent (a Fraction or int)."""
         e = Q(exponent) * self.ell
@@ -217,17 +212,6 @@ class PuiseuxSeries:
         return " + ".join(parts) + f" + O(t^{Fraction(self.valid, self.ell)})"
 
     __repr__ = __str__
-
-
-def series_mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
-    """Cauchy product; the factors must share a branching index.
-
-    Callers holding series with different indices should rescale to the
-    lcm first -- mixing indices silently is usually a bug upstream.
-    """
-    if a.ell != b.ell:
-        raise ValueError(f"mismatched branching indices {a.ell} and {b.ell}")
-    return a * b
 
 
 def poly_on_series(p: MultiPoly, env: Mapping[str, PuiseuxSeries],

@@ -570,16 +570,3 @@ def _periodic_matrix(a, b, h: float) -> np.ndarray:
     A[0, n - 1] += float(a[-1]) / h
     A[n - 1, 0] += float(a[-1]) * h
     return A
-
-
-def carleman_partial_sums(a: Sequence, terms: int) -> List[float]:
-    """Partial sums of sum 1/|a_j| for a user-supplied half-line sequence;
-    divergence is the self-adjointness criterion.  Periodic data diverges
-    trivially (the terms do not decay)."""
-    n = len(a)
-    out = []
-    s = 0.0
-    for i in range(terms):
-        s += 1.0 / abs(float(a[i % n]))
-        out.append(s)
-    return out

@@ -437,19 +437,6 @@ class KowalewskiData:
     nonrational_factor: List[Fraction]           # ascending; [] if fully rational
     kernels: Dict[Fraction, List[List[MultiPoly]]] = field(default_factory=dict)
 
-    def eigenvalues(self, tol: float = 1e-6):
-        """All eigenvalues: exact rationals plus numeric roots of the
-        leftover factor, each with an integrality flag."""
-        out = [(r, True if r.denominator == 1 else False, m)
-               for r, m in self.rational_eigs]
-        if len(self.nonrational_factor) > 1:
-            import numpy as np
-            cs = [float(c) for c in self.nonrational_factor]
-            for z in np.roots(cs[::-1]):
-                is_int = abs(z.imag) < tol and abs(z.real - round(z.real)) < tol
-                out.append((complex(z), bool(is_int), 1))
-        return out
-
     def resonance_set(self, max_k: Optional[int] = None) -> List[int]:
         """Positive integer eigenvalues (classical resonances)."""
         ks = [int(r) for r, _ in self.rational_eigs
@@ -528,10 +515,6 @@ class LaurentFamily:
 
     def coefficient(self, var: str, exponent) -> MultiPoly:
         return self.series[var].coeff(exponent)
-
-
-def count_free_parameters(fam: LaurentFamily) -> Tuple[int, int]:
-    return fam.count_free_parameters()
 
 
 class _RelaxedSystem:

@@ -21,7 +21,7 @@ the file author.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .exactalg import MultiPoly
@@ -50,9 +50,6 @@ class VectorFieldSystem:
     def dim(self) -> int:
         return len(self.variables)
 
-    def rhs_env(self, point) -> Dict[str, float]:
-        return dict(zip(self.variables, point))
-
     def pretty(self) -> str:
         order = list(self.variables) + list(self.constants)
         lines = [f"system {self.name}", "vars " + " ".join(self.variables)]
@@ -72,32 +69,6 @@ class VectorFieldSystem:
                         lines.append(f"poisson {i+1} {j+1} = "
                                      f"{self.poisson[i][j].to_str(order)}")
         return "\n".join(lines) + "\n"
-
-
-@dataclass
-class PencilSpec:
-    """Symbolic matrix pencil A(h) = sum_k A_k h^k with MultiPoly entries
-    in the phase variables, plus an optional companion B pencil."""
-    name: str
-    variables: Tuple[str, ...]
-    a_coeffs: Dict[int, List[List[MultiPoly]]]
-    b_coeffs: Dict[int, List[List[MultiPoly]]] = field(default_factory=dict)
-
-    @property
-    def dim(self) -> int:
-        some = next(iter(self.a_coeffs.values()))
-        return len(some)
-
-    def h_range(self) -> Tuple[int, int]:
-        ks = list(self.a_coeffs) + list(self.b_coeffs)
-        return min(ks), max(ks)
-
-    def check(self):
-        n = self.dim
-        for tag, coeffs in (("A", self.a_coeffs), ("B", self.b_coeffs)):
-            for k, M in coeffs.items():
-                if len(M) != n or any(len(r) != n for r in M):
-                    raise ValueError(f"{tag}_{k} is not {n}x{n}")
 
 
 # -- expression parsing ----------------------------------------------------

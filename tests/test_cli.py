@@ -47,6 +47,40 @@ def test_painleve_nonpositive_order_exits_1_no_output(tmp_path, order):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_painleve_error_creates_no_out_dir(tmp_path):
+    out = tmp_path / "new" / "dir"
+    code = main(["painleve", "--builtin", "henon-heiles", "--order", "0",
+                 "--out", str(out)])
+    assert code == 1
+    assert not (tmp_path / "new").exists()
+
+
+def test_check_creates_no_out_dir(tmp_path):
+    assert run(tmp_path / "new", "check", "--only", "dims") == 0
+    assert not (tmp_path / "new").exists()
+
+
+# options each subcommand used to accept and ignore, and the kvm5 alias
+@pytest.mark.parametrize("argv", [
+    ["check", "--only", "dims", "--format", "csv"],
+    ["check", "--only", "dims", "--seed", "1"],
+    ["check", "--only", "dims", "--bind", "A=1"],
+    ["painleve", "--builtin", "harmonic", "--format", "csv"],
+    ["painleve", "--builtin", "harmonic", "--seed", "1"],
+    ["flow", "--builtin", "kvm", "--t-end", "0.01", "--format", "csv"],
+    ["flow", "--builtin", "kvm", "--t-end", "0.01", "--bind", "A=1"],
+    ["jacobi", "-a", "1,2", "-b", "0,0", "--seed", "1"],
+    ["jacobi", "-a", "1,2", "-b", "0,0", "--bind", "A=1"],
+    ["flow", "--builtin", "kvm5"],
+    ["painleve", "--builtin", "kvm5"],
+], ids=["check-format", "check-seed", "check-bind", "painleve-format",
+        "painleve-seed", "flow-format", "flow-bind", "jacobi-seed",
+        "jacobi-bind", "flow-kvm5", "painleve-kvm5"])
+def test_removed_options_exit_1_writes_nothing(tmp_path, argv):
+    assert run(tmp_path, *argv) == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_painleve_pattern_budget_exits_1_no_output(tmp_path, capsys):
     # 5 equations of 4 monomials: 759375 dominant-support patterns
     src = tmp_path / "wide.ivf"
@@ -57,7 +91,7 @@ def test_painleve_pattern_budget_exits_1_no_output(tmp_path, capsys):
     code = main(["painleve", "--file", str(src), "--out", str(out)])
     assert code == 1
     assert "759375 dominant-support patterns" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_painleve_obstruction_exit_code(tmp_path):
@@ -109,7 +143,10 @@ def test_flow_gnuplot_script(tmp_path):
     code = run(tmp_path, "flow", "--builtin", "toda-periodic", "-N", "3",
                "--t-end", "0.1", "--gnuplot")
     assert code == 0
-    assert (tmp_path / "flow_toda-periodic.gp").exists()
+    # every file is renamed into place: no temp file is left beside them
+    assert sorted(os.listdir(tmp_path)) == ["flow_toda-periodic.csv",
+                                            "flow_toda-periodic.gp",
+                                            "flow_toda-periodic.json"]
 
 
 def test_jacobi_report_and_stieltjes(tmp_path):

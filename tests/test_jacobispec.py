@@ -223,11 +223,6 @@ def test_toda_flow_shifted_b_conserves_sum():
     assert diag.trace_sum_drift < 1e-12
 
 
-def test_carleman_partial_sums_grow():
-    s = js.carleman_partial_sums([1.0, 2.0], 100)
-    assert s[-1] > s[0] and s[-1] == pytest.approx(75.0)
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 4), st.integers(0, 10 ** 6))
 def test_interlacing_random_rational(N, seed):

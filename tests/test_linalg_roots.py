@@ -2,10 +2,9 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from laxkit.exactalg import (MultiPoly, charpoly_exact, count_roots_between,
-                             eigenvalues_exact, eigenvalues_float,
                              rational_roots, real_roots, solve_square_exact,
                              solve_with_pins, sturm_chain)
 from laxkit.exactalg.linalg import (InconsistentSystemError,
@@ -111,55 +110,6 @@ def test_planted_rational_roots_recovered(roots):
     assert total == len(roots)
     for r in set(roots):
         assert any(rr == r for rr, _ in found)
-
-
-def test_eigenvalues_float_identity_and_diag():
-    eigs, flags = eigenvalues_float(np.eye(3))
-    assert np.allclose(sorted(e.real for e in eigs), [1, 1, 1])
-    assert all(flags)
-    eigs, flags = eigenvalues_float(np.diag([-1.0, 2.0, 5.0]))
-    assert np.allclose(sorted(e.real for e in eigs), [-1, 2, 5])
-    assert all(flags)
-
-
-def test_eigenvalues_float_rejects_bad_input():
-    with pytest.raises(ValueError):
-        eigenvalues_float(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        eigenvalues_float(np.array([[np.nan, 0], [0, 1]]))
-
-
-def test_eigenvalues_exact_rational_spectrum():
-    M = [[F(5), F(0)], [F(1), F(1, 2)]]
-    roots, cof = eigenvalues_exact(M)
-    assert roots == [(F(1, 2), 1), (F(5), 1)]
-    assert len(cof) == 1
-
-
-def test_eigenvalue_residual_well_conditioned():
-    rng = np.random.default_rng(3)
-    A = rng.normal(size=(10, 10))
-    eigs, _ = eigenvalues_float(A)
-    cp = np.poly(A)
-    for lam in eigs:
-        assert abs(np.polyval(cp, lam)) < 1e-8 * max(1.0, abs(np.polyval(cp, 0)))
-
-
-def test_ring_matrix_wrapper():
-    from laxkit.exactalg import RingMatrix
-    A = RingMatrix([[1, 2], [3, 4], [5, 6]])
-    B = RingMatrix([[1, 0], [0, 1]])
-    assert (A @ B) == A
-    with pytest.raises(ValueError):
-        B @ A
-    with pytest.raises(ValueError, match="rectangular"):
-        RingMatrix([[1, 2], [3]])
-    v = A @ [F(1), F(-1)]
-    assert [x.const_value() for x in v] == [F(-1), F(-1), F(-1)]
-    sq = RingMatrix([[2, 0], [0, 3]])
-    assert sq.det().const_value() == 6
-    with pytest.raises(ValueError):
-        A.det()
 
 
 # -- bounded time on coefficients of large height ----------------------------
@@ -270,3 +220,39 @@ def test_roots_match_sympy_oracle():
         for (r, m), (t, tm) in zip(irr, sorted(irr_truth.items())):
             assert m == tm
             assert abs(r - t) <= 1e-12 * max(1.0, abs(t))
+
+
+rational_entries = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+def rational_matrices(min_size=1, max_size=4):
+    return st.integers(min_size, max_size).flatmap(
+        lambda n: st.lists(st.lists(rational_entries, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+
+
+def _sympy_matrix(sympy, M):
+    return sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row]
+                         for row in M])
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_matrices())
+def test_charpoly_matches_sympy(M):
+    sympy = pytest.importorskip("sympy")
+    lam = sympy.Symbol("lam")
+    want = _sympy_matrix(sympy, M).charpoly(lam).all_coeffs()[::-1]
+    got = charpoly_exact(M)
+    assert [c.const_value() for c in got] == [F(int(c.p), int(c.q)) for c in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_matrices(), st.lists(rational_entries, min_size=4, max_size=4))
+def test_solve_square_exact_matches_sympy(M, rhs):
+    sympy = pytest.importorskip("sympy")
+    A = _sympy_matrix(sympy, M)
+    assume(A.det() != 0)
+    rhs = rhs[:len(M)]
+    want = A.LUsolve(_sympy_matrix(sympy, [[c] for c in rhs]))
+    got = solve_square_exact(M, rhs)
+    assert [c.const_value() for c in got] == [F(int(c.p), int(c.q)) for c in want]

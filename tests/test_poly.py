@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laxkit.exactalg import MultiPoly, poly_eval
+from laxkit.exactalg import MultiPoly
 
 x = MultiPoly.var("x")
 y = MultiPoly.var("y")
@@ -11,11 +11,11 @@ y = MultiPoly.var("y")
 
 def test_eval_linear():
     p = x + y
-    assert poly_eval(p, {"x": 1, "y": 2}) == 3
+    assert p.eval_exact({"x": 1, "y": 2}) == 3
 
 
 def test_eval_zero_polynomial():
-    assert poly_eval(MultiPoly.zero(), {"x": 5}) == 0
+    assert MultiPoly.zero().eval_exact({"x": 5}) == 0
 
 
 def test_eval_degree_three_mix():
@@ -23,12 +23,12 @@ def test_eval_degree_three_mix():
     a = MultiPoly.var("alpha")
     b = MultiPoly.var("beta")
     p = 64 * b ** 3 - 16 * a ** 3 * b ** 2
-    assert poly_eval(p, {"alpha": 1, "beta": 1}) == 48
+    assert p.eval_exact({"alpha": 1, "beta": 1}) == 48
 
 
 def test_eval_missing_symbol_names_it():
     with pytest.raises(KeyError, match="y"):
-        poly_eval(x + y, {"x": 1})
+        (x + y).eval_exact({"x": 1})
 
 
 def test_arithmetic_and_equality():
@@ -116,3 +116,72 @@ def test_exact_div_roundtrip(p, q):
     if q.is_zero:
         return
     assert (p * q).exact_div(q) == p
+
+
+
+# -- sympy as a differential oracle --------------------------------------------
+
+z = MultiPoly.var("z")
+
+
+def xyz_polys():
+    mono = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), rats)
+
+    def build(monos):
+        p = MultiPoly.zero()
+        for i, j, k, c in monos:
+            p = p + MultiPoly.monomial(c, x=i, y=j, z=k)
+        return p
+
+    return st.lists(mono, max_size=4).map(build)
+
+
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def to_sympy(sp, p):
+    return sp.Add(*[sp.Rational(c.numerator, c.denominator) *
+                    sp.Mul(*[sp.Symbol(n) ** e for n, e in k])
+                    for k, c in p.terms.items()])
+
+
+def same(sp, p, expr):
+    return sp.expand(to_sympy(sp, p) - expr) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(xyz_polys(), xyz_polys(), st.integers(0, 4))
+def test_ring_ops_match_sympy(sp, p, q, n):
+    P, Qe = to_sympy(sp, p), to_sympy(sp, q)
+    assert same(sp, p + q, P + Qe)
+    assert same(sp, p - q, P - Qe)
+    assert same(sp, p * q, P * Qe)
+    assert same(sp, p ** n, P ** n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(xyz_polys(), xyz_polys(), xyz_polys())
+def test_subs_matches_sympy(sp, p, q, r):
+    X, Y = sp.symbols("x y")
+    got = p.subs({"x": q, "y": r})
+    # MultiPoly.subs is simultaneous: q and r are not substituted into again
+    want = to_sympy(sp, p).xreplace({X: to_sympy(sp, q), Y: to_sympy(sp, r)})
+    assert same(sp, got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(xyz_polys(), xyz_polys())
+def test_exact_div_matches_sympy(sp, p, q):
+    if q.is_zero:
+        return
+    gens = sp.symbols("x y z")
+    for num in (p * q, p):
+        quo, rem = sp.div(sp.Poly(to_sympy(sp, num), *gens),
+                          sp.Poly(to_sympy(sp, q), *gens))
+        if rem.is_zero:
+            assert same(sp, num.exact_div(q), quo.as_expr())
+        else:
+            with pytest.raises(ValueError, match="not exactly divisible"):
+                num.exact_div(q)

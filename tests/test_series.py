@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laxkit.exactalg import (MultiPoly, PuiseuxSeries, TruncationError,
-                             poly_on_series, series_mul)
+                             poly_on_series)
 
 
 def mono(c, num, den=1, valid_extra=20):
@@ -14,7 +14,7 @@ def mono(c, num, den=1, valid_extra=20):
 def test_exponent_cancellation():
     a = mono(1, -1)          # t^-1
     b = mono(1, 1)           # t
-    p = series_mul(a, b)
+    p = a * b
     assert p.coeff(0) == MultiPoly.const(1)
     assert p.lowest_exponent() == 0
 
@@ -32,11 +32,6 @@ def test_y2_square_leading():
     y2 = PuiseuxSeries(1, -2, [F(-3, 8), MultiPoly.zero(), F(-1, 2)], 6)
     sq = y2 * y2
     assert sq.coeff(-4) == MultiPoly.const(F(9, 64))
-
-
-def test_mismatched_branching_index_rejected():
-    with pytest.raises(ValueError, match="branching"):
-        series_mul(mono(1, 0, 2), mono(1, 0, 3))
 
 
 def test_truncation_propagates_minimum():
