@@ -4,6 +4,15 @@ Vector-field systems ship as .ivf sources under laxkit/systems/ and are
 parsed on demand.  Pencil constructors return (MatrixPencil, B) pairs for
 integrate_lax's dA/dt = [B(A), A] convention.
 
+The B contract: B(P) takes a pencil on the h-window of the pencil it was
+returned with and gives a new MatrixPencil, built with
+MatrixPencil.from_blocks on B's own fixed window (which may be narrower
+than P's, as for the rank-2 pencils); it reads P's blocks as
+P.blocks[k - P.lo] and never writes to them.  integrate_lax calls B four
+times per step, so everything that does not depend on P (the constant
+blocks, the metric ratios, the triangular masks) is computed once, when
+the pair is built.
+
 painleve_meta() carries the conventions that pin each built-in family to
 its customary normalization: which weight vector is the principal one,
 which balance symbol gets which name, and at which variable slot (and
@@ -151,25 +160,28 @@ def toda_periodic_coeffs(a: Sequence, b: Sequence) -> Dict[int, list]:
     return {-1: Am, 0: A0, 1: Ap}
 
 
+def _upper_minus_lower(n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """M -> np.triu(M, 1) - np.tril(M, -1) on n x n blocks, selecting with
+    the same masks and zeros as np.triu and np.tril, built once."""
+    keep_upper = ~np.tri(n, n, 0, dtype=bool)
+    keep_lower = np.tri(n, n, -1, dtype=bool)
+    zero = np.zeros(1)
+    return lambda M: np.where(keep_upper, M, zero) - np.where(keep_lower, M, zero)
+
+
 def toda_periodic_pencil(a: Sequence, b: Sequence
                          ) -> Tuple[MatrixPencil, Callable[[MatrixPencil], MatrixPencil]]:
     """Periodic Toda Lax pair: the float pencil of toda_periodic_coeffs and
     B(h), its antisymmetrized counterpart; the flow dA/dt = [B(A), A] is
     the lattice ȧ_j = a_j(b_{j+1}-b_j), ḃ_j = 2(a_j^2 - a_{j-1}^2)."""
     pencil = MatrixPencil(toda_periodic_coeffs(a, b))
+    split = _upper_minus_lower(pencil.dim)
 
     def B(P: MatrixPencil) -> MatrixPencil:
         # upper-minus-lower splitting of the doubly infinite matrix: the
         # h^-1 corner block sits below the diagonal there, h^+1 above
-        out: Dict[int, np.ndarray] = {}
-        for k, M in P.coeffs.items():
-            if k == 0:
-                out[k] = np.triu(M, 1) - np.tril(M, -1)
-            elif k > 0:
-                out[k] = M
-            else:
-                out[k] = -M
-        return MatrixPencil(out)
+        Am, A0, Ap = P.blocks
+        return MatrixPencil.from_blocks(-1, np.stack((-Am, split(A0), Ap)))
 
     return pencil, B
 
@@ -185,10 +197,10 @@ def toda_open_pencil(a, b):
     for j in range(n - 1):
         A0[j, j + 1] = A0[j + 1, j] = float(a[j])
     pencil = MatrixPencil({0: A0})
+    split = _upper_minus_lower(n)
 
     def B(P: MatrixPencil) -> MatrixPencil:
-        M = P.coeffs[0]
-        return MatrixPencil({0: np.triu(M, 1) - np.tril(M, -1)})
+        return MatrixPencil.from_blocks(0, split(P.blocks[0])[None])
 
     return pencil, B
 
@@ -234,10 +246,11 @@ def euler_arnold_pencil(alphas: Sequence[float], betas: Sequence[float],
             if i != j:
                 lam[i, j] = (be[i] - be[j]) / (al[i] - al[j])
     pencil = MatrixPencil({0: X0, 1: np.diag(al)})
+    B1 = -np.diag(be)
 
     def B(P: MatrixPencil) -> MatrixPencil:
-        X = P.coeffs[0]
-        return MatrixPencil({0: -(lam * X), 1: -np.diag(be)})
+        X = P.blocks[0]
+        return MatrixPencil.from_blocks(0, np.stack((-(lam * X), B1)))
 
     return pencil, B
 
@@ -252,14 +265,14 @@ def manakov_pencil(j_diag: Sequence[float], omega: np.ndarray
         raise ValueError("omega must be skew-symmetric")
     M = Om @ J + J @ Om
     pencil = MatrixPencil({0: M, 1: J @ J})
+    # invert M = Omega J + J Omega entrywise: Omega_ij = M_ij/(J_i+J_j)
+    denom = np.add.outer(np.diag(J), np.diag(J))
+    B1 = -J
 
     def B(P: MatrixPencil) -> MatrixPencil:
-        Mt = P.coeffs[0]
-        # invert M = Omega J + J Omega entrywise: Omega_ij = M_ij/(J_i+J_j)
-        denom = np.add.outer(np.diag(J), np.diag(J))
-        Omt = Mt / denom
+        Omt = P.blocks[0] / denom
         np.fill_diagonal(Omt, 0.0)
-        return MatrixPencil({0: -Omt, 1: -J})
+        return MatrixPencil.from_blocks(0, np.stack((-Omt, B1)))
 
     return pencil, B
 
@@ -293,10 +306,12 @@ def rank2_pencil(alphas: Sequence[float], x: np.ndarray, y: np.ndarray,
             if i != j:
                 ratio[i, j] = (be[i] - be[j]) / (al[i] - al[j])
 
+    B1 = -np.diag(be)
+
     def B(P: MatrixPencil) -> MatrixPencil:
-        A1t = P.coeffs[1]
         # A1 = -x^y, so ad_beta ad_alpha^{-1}(y^x) = ratio * A1
-        return MatrixPencil({0: -(ratio * A1t), 1: -np.diag(be)})
+        A1t = P.blocks[1 - P.lo]
+        return MatrixPencil.from_blocks(0, np.stack((-(ratio * A1t), B1)))
 
     return pencil, B
 

@@ -12,6 +12,9 @@ temp file in that directory, so no file is ever seen half-written.
 Flows take fixed steps: the step (--dt) must divide the horizon
 (`flow --t-end`, `jacobi --toda-t-end`) into a positive whole number of
 steps, to 1e-9 relative, or the command exits 1.
+`flow -N` must be at least 2 for toda-periodic and neumann and at least
+3 for euler-arnold (the smallest sizes whose flow moves), or the command
+exits 1; kvm takes no -N.
 `painleve --order` must be a positive integer, or the command exits 1;
 without it a builtin runs at its own default order, 6 otherwise.
 """
@@ -148,7 +151,16 @@ def cmd_painleve(args) -> Result:
 # flow
 # ---------------------------------------------------------------------------
 
+# smallest -N at which each sized flow builtin moves: for N = 2 the
+# euler-arnold flow is static ([X, lam*X] = 0 for a 2 x 2 skew X), and so is
+# neumann for N = 1 (a point of S^0)
+FLOW_MIN_N = {"toda-periodic": 2, "euler-arnold": 3, "neumann": 2}
+
+
 def cmd_flow(args) -> Result:
+    min_n = FLOW_MIN_N.get(args.builtin)
+    if min_n is not None and args.N < min_n:
+        raise UsageError(f"flow --builtin {args.builtin} needs -N >= {min_n}")
     if args.dt <= 0:
         raise UsageError("--dt must be positive")
     if args.t_end <= 0:
@@ -376,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the random initial state")
     p.add_argument("--builtin", required=True)
-    p.add_argument("-N", type=int, default=3)
+    p.add_argument("-N", type=int, default=3,
+                   help="size: >= 2 for toda-periodic and neumann, "
+                        ">= 3 for euler-arnold")
     p.add_argument("--t-end", type=float, default=1.0)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=1e-8)

@@ -67,11 +67,6 @@ class PuiseuxSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def lowest_exponent(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero series has no lowest exponent")
-        return Fraction(self.k0, self.ell)
-
     def coeff(self, exponent) -> MultiPoly:
         """Coefficient of t^exponent (a Fraction or int)."""
         e = Q(exponent) * self.ell

@@ -437,14 +437,6 @@ class KowalewskiData:
     nonrational_factor: List[Fraction]           # ascending; [] if fully rational
     kernels: Dict[Fraction, List[List[MultiPoly]]] = field(default_factory=dict)
 
-    def resonance_set(self, max_k: Optional[int] = None) -> List[int]:
-        """Positive integer eigenvalues (classical resonances)."""
-        ks = [int(r) for r, _ in self.rational_eigs
-              if r.denominator == 1 and r >= 1]
-        if max_k is not None:
-            ks = [k for k in ks if k <= max_k]
-        return sorted(ks)
-
     def rational_spectrum(self) -> List[Fraction]:
         return sorted(r for r, _ in self.rational_eigs)
 

@@ -327,8 +327,11 @@ def test_step_must_divide_horizon_exit_1_writes_nothing(tmp_path, capsys, argv):
     assert os.listdir(tmp_path) == []
 
 
-# sha256 of flow_<builtin>.csv and .json, recorded before the flows moved
-# on to the one rk4 kernel and the array-backed MatrixPencil.
+# sha256 of flow_<builtin>.csv and .json.  The first two were recorded
+# before the flows moved on to the one rk4 kernel and the array-backed
+# MatrixPencil, the last two before the stacked commutator and the
+# pencil-free B factories: N = 6 runs a larger stacked matmul, and the
+# rank-2 B of neumann has a narrower h-window than its pencil.
 FLOW_GOLDEN = [
     (["toda-periodic", "-N", "3"],
      "07219e71c5b77d9f1f2b743ce2cf0123a7de335e29cd07367e1760ac29c499f5",
@@ -336,11 +339,18 @@ FLOW_GOLDEN = [
     (["euler-arnold", "-N", "4"],
      "e41e23344248246428fc524b78c84006707c269335fd668cc4d5fbb09bdecbc4",
      "44d829694b82af28c91fb5de64ea4343d778d540897a8733c20c1d6c9148c414"),
+    (["toda-periodic", "-N", "6"],
+     "eeacb9468ded2eba46349a87c89782a36a5e190b8ea6c4e1659cad69354969b7",
+     "2d68bf7e6e08461f010e0a97c05a641645a75561c5f7349a0f8f04b29629e79e"),
+    (["neumann", "-N", "4"],
+     "c9cd9160ace333bc611e81c011a185e09303f4d0683dc9def43220b9fc345c7b",
+     "bf465d4c2d0795e35a5afccc23d557595a74a391bdaf5561cd0b9492fca1ed6f"),
 ]
 
 
 @pytest.mark.parametrize("argv,csv_digest,json_digest", FLOW_GOLDEN,
-                         ids=["toda-periodic", "euler-arnold"])
+                         ids=["toda-periodic", "euler-arnold",
+                              "toda-periodic-N6", "neumann-N4"])
 def test_flow_golden_digest(tmp_path, argv, csv_digest, json_digest):
     import hashlib
     assert run(tmp_path, "flow", "--builtin", *argv, "--t-end", "0.5") == 0
@@ -348,3 +358,27 @@ def test_flow_golden_digest(tmp_path, argv, csv_digest, json_digest):
     for ext, digest in (("csv", csv_digest), ("json", json_digest)):
         data = (tmp_path / f"flow_{name}.{ext}").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, ext
+
+
+@pytest.mark.parametrize("builtin,n,minimum", [
+    ("euler-arnold", 1, 3), ("euler-arnold", 2, 3), ("euler-arnold", 0, 3),
+    ("neumann", 1, 2), ("neumann", 0, 2),
+    ("toda-periodic", 1, 2), ("toda-periodic", -3, 2),
+])
+def test_flow_rejects_small_n_exit_1_writes_nothing(tmp_path, capsys, builtin,
+                                                    n, minimum):
+    # too small to be a valid pencil, or a flow that never moves and would
+    # pass its drift test vacuously
+    out = tmp_path / "out"
+    assert main(["flow", "--builtin", builtin, "-N", str(n),
+                 "--out", str(out)]) == 1
+    assert f"needs -N >= {minimum}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("builtin,n", [
+    ("euler-arnold", 3), ("neumann", 2), ("toda-periodic", 2)])
+def test_flow_accepts_smallest_n(tmp_path, builtin, n):
+    assert run(tmp_path, "flow", "--builtin", builtin, "-N", str(n),
+               "--t-end", "0.1") == 0
+    assert json.loads((tmp_path / f"flow_{builtin}.json").read_text())["pass"]

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laxkit import builtins as bi
 from laxkit import laxflow as lf
@@ -68,6 +69,217 @@ def test_commutator_window_violation_signals_malformed_b():
                                 0: bi.random_skew(3, seed=1)})
     with pytest.raises(ValueError, match="window"):
         bad_B(A).commutator(A, window=A.h_range)
+
+
+def reference_commutator(P, Q, window=None):
+    """The block-pair double loop that MatrixPencil.commutator replaced:
+    the oracle for its values, the sign of its zeros and its spill check."""
+    wlo, whi = window or (P.lo + Q.lo, P.h_range[1] + Q.h_range[1])
+    out = np.zeros((whi - wlo + 1, P.dim, P.dim))
+    for i, A in enumerate(P.blocks, P.lo):
+        for j, B in enumerate(Q.blocks, Q.lo):
+            C = A @ B - B @ A
+            k = i + j
+            if wlo <= k <= whi:
+                out[k - wlo] += C
+                continue
+            spill = float(np.max(np.abs(C)))
+            if spill > 1e-10 and spill > 1e-10 * (
+                    1 + float(np.max(np.abs(A))) * float(np.max(np.abs(B)))):
+                raise ValueError(
+                    f"commutator spills h^{k} outside the declared window")
+    return lf.MatrixPencil.from_blocks(wlo, out)
+
+
+def assert_same_pencil(got, want):
+    assert got.h_range == want.h_range
+    assert np.array_equal(got.blocks, want.blocks)
+    assert np.array_equal(np.signbit(got.blocks), np.signbit(want.blocks))
+
+
+_entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+                     st.floats(-10, 10, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _pencil(draw, n):
+    """lo in -2..2, one to three blocks, each dense, diagonal (so that
+    diagonal blocks commute exactly) or zero, at a drawn scale."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["dense", "diagonal", "zero"]))
+        scale = draw(st.sampled_from([1e-12, 1e-6, 1.0, 1e3]))
+        M = np.array(draw(st.lists(_entries, min_size=n * n, max_size=n * n)),
+                     dtype=float).reshape(n, n) * scale
+        if kind == "diagonal":
+            M = np.diag(np.diag(M))
+        elif kind == "zero":
+            M = M * 0.0
+        blocks.append(M)
+    return lf.MatrixPencil.from_blocks(draw(st.integers(-2, 2)), np.array(blocks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_commutator_matches_block_pair_loop(data):
+    n = data.draw(st.integers(1, 6))
+    P, Q = data.draw(_pencil(n)), data.draw(_pencil(n))
+    lo, hi = P.lo + Q.lo, P.h_range[1] + Q.h_range[1]
+    shape = data.draw(st.sampled_from(["default", "clip-lo", "clip-hi", "wider"]))
+    window = None
+    if shape == "clip-lo":
+        window = (data.draw(st.integers(lo, hi)), hi)
+    elif shape == "clip-hi":
+        window = (lo, data.draw(st.integers(lo, hi)))
+    elif shape == "wider":
+        window = (lo - data.draw(st.integers(0, 2)), hi + data.draw(st.integers(0, 2)))
+    try:
+        want = reference_commutator(P, Q, window)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            P.commutator(Q, window)
+        assert str(got.value) == str(exc)
+        return
+    assert_same_pencil(P.commutator(Q, window), want)
+
+
+def test_commutator_spill_names_first_pair_in_order():
+    # pairs (0, 0) -> h^0 and (1, 1) -> h^2 both spill out of window (1, 1);
+    # the loop met h^0 first
+    X, Y = bi.random_skew(3, seed=1), bi.random_skew(3, seed=2)
+    P = lf.MatrixPencil({0: X, 1: Y})
+    Q = lf.MatrixPencil({0: Y, 1: X})
+    with pytest.raises(ValueError, match=r"h\^0 outside"):
+        P.commutator(Q, window=(1, 1))
+    with pytest.raises(ValueError, match=r"h\^2 outside"):
+        P.commutator(Q, window=(0, 1))
+
+
+def test_commutator_sums_each_degree_in_block_order():
+    # three pairs land on h^2; float addition does not associate, so some
+    # entries of their sum round differently in another order
+    rng = np.random.default_rng(3)
+    P = lf.MatrixPencil({k: rng.normal(size=(4, 4)) for k in range(3)})
+    Q = lf.MatrixPencil({k: rng.normal(size=(4, 4)) for k in range(3)})
+    for window in (None, (1, 3), (2, 2)):
+        try:
+            want = reference_commutator(P, Q, window)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc).replace("^", r"\^")):
+                P.commutator(Q, window)
+            continue
+        assert_same_pencil(P.commutator(Q, window), want)
+
+
+@pytest.mark.parametrize("spill,raises", [(0.5e-10, False), (1.5e-10, False),
+                                          (2.5e-10, True)])
+def test_commutator_spill_threshold(spill, raises):
+    # [A, B] = diag(a s, -a s) with max|A| max|B| = L s = 1, so the bound is
+    # 1e-10 * (1 + 1) = 2e-10
+    L, s = 1e3, 1e-3
+    P = lf.MatrixPencil({0: [[L, spill / s], [0.0, L]]})
+    Q = lf.MatrixPencil({0: [[0.0, 0.0], [s, 0.0]]})
+    if raises:
+        with pytest.raises(ValueError, match=r"h\^0 outside"):
+            P.commutator(Q, window=(1, 1))
+    else:
+        assert not P.commutator(Q, window=(1, 1)).blocks.any()
+
+
+# The B factories as they were when each built its pencil from a dict:
+# the oracle for the pencil-free factories, down to the sign of zeros
+# (the flow CSVs print -0.0 as -0).
+
+def _dict_b_toda_periodic(P):
+    out = {}
+    for k, M in P.coeffs.items():
+        if k == 0:
+            out[k] = np.triu(M, 1) - np.tril(M, -1)
+        elif k > 0:
+            out[k] = M
+        else:
+            out[k] = -M
+    return lf.MatrixPencil(out)
+
+
+def _dict_b_toda_open(P):
+    M = P.coeffs[0]
+    return lf.MatrixPencil({0: np.triu(M, 1) - np.tril(M, -1)})
+
+
+def _ratio(al, be):
+    n = len(al)
+    lam = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                lam[i, j] = (be[i] - be[j]) / (al[i] - al[j])
+    return lam
+
+
+def _dict_b_euler_arnold(al, be):
+    lam = _ratio(np.asarray(al, dtype=float), np.asarray(be, dtype=float))
+    return lambda P: lf.MatrixPencil({0: -(lam * P.coeffs[0]),
+                                      1: -np.diag(np.asarray(be, dtype=float))})
+
+
+def _dict_b_manakov(j_diag):
+    J = np.diag(np.asarray(j_diag, dtype=float))
+
+    def B(P):
+        denom = np.add.outer(np.diag(J), np.diag(J))
+        Omt = P.coeffs[0] / denom
+        np.fill_diagonal(Omt, 0.0)
+        return lf.MatrixPencil({0: -Omt, 1: -J})
+    return B
+
+
+def _dict_b_rank2(al, be):
+    ratio = _ratio(np.asarray(al, dtype=float), np.asarray(be, dtype=float))
+    return lambda P: lf.MatrixPencil({0: -(ratio * P.coeffs[1]),
+                                      1: -np.diag(np.asarray(be, dtype=float))})
+
+
+def _sphere_point(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    x /= np.linalg.norm(x)
+    y = rng.normal(size=n)
+    y -= (y @ x) * x
+    return x, y
+
+
+def _b_cases():
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 6):
+        a, b = list(rng.uniform(0.6, 1.4, n)), list(rng.uniform(-0.5, 0.5, n))
+        yield f"toda-periodic-{n}", bi.toda_periodic_pencil(a, b), _dict_b_toda_periodic
+    yield ("toda-open", bi.toda_open_pencil([1.0, 0.7, 1.3], [0.1, -0.2, 0.3, 0.0]),
+           _dict_b_toda_open)
+    for n in (3, 4):
+        al = list(range(1, n + 1))
+        yield (f"euler-arnold-{n}", bi.builtin("euler-arnold", n=n, seed=n),
+               _dict_b_euler_arnold(al, [v ** 2 for v in al]))
+    yield ("manakov", bi.manakov_pencil([1, 2, 3, 4], bi.random_skew(4, seed=3)),
+           _dict_b_manakov([1, 2, 3, 4]))
+    x, y = _sphere_point(4, 5)
+    yield ("neumann", bi.neumann_pencil([1.0, 2.0, 3.0, 4.0], x, y),
+           _dict_b_rank2([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]))
+    x, y = _sphere_point(3, 6)
+    al = np.array([1.0, 2.0, 3.5])
+    yield ("jacobi-geodesic", bi.jacobi_geodesic_pencil(al, x, y),
+           _dict_b_rank2(al, 1.0 / al))
+
+
+@pytest.mark.parametrize("case", list(_b_cases()), ids=lambda c: c[0])
+def test_b_factories_match_dict_built_b(case):
+    _, (pencil, B), reference = case
+    states = lf.integrate_lax(pencil, B, 0.1, 0.01, sample_every=3).pencils
+    # the same states with every zero entry turned into -0.0
+    states += [lf.MatrixPencil.from_blocks(P.lo, np.where(P.blocks == 0, -0.0, P.blocks))
+               for P in states]
+    for P in states:
+        assert_same_pencil(B(P), reference(P))
 
 
 def test_integrate_frozen_when_b_zero():
