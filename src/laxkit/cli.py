@@ -14,7 +14,8 @@ Flows take fixed steps: the step (--dt) must divide the horizon
 steps, to 1e-9 relative, or the command exits 1.
 `flow -N` must be at least 2 for toda-periodic and neumann and at least
 3 for euler-arnold (the smallest sizes whose flow moves), or the command
-exits 1; kvm takes no -N.
+exits 1; without it they run at N = 3.  kvm takes no -N: given one, the
+command exits 1.
 `painleve --order` must be a positive integer, or the command exits 1;
 without it a builtin runs at its own default order, 6 otherwise.
 """
@@ -158,8 +159,11 @@ FLOW_MIN_N = {"toda-periodic": 2, "euler-arnold": 3, "neumann": 2}
 
 
 def cmd_flow(args) -> Result:
+    if args.builtin == "kvm" and args.N is not None:
+        raise UsageError("flow --builtin kvm takes no -N")
+    N = 3 if args.N is None else args.N
     min_n = FLOW_MIN_N.get(args.builtin)
-    if min_n is not None and args.N < min_n:
+    if min_n is not None and N < min_n:
         raise UsageError(f"flow --builtin {args.builtin} needs -N >= {min_n}")
     if args.dt <= 0:
         raise UsageError("--dt must be positive")
@@ -172,7 +176,7 @@ def cmd_flow(args) -> Result:
     rows = []
     header = []
     if name == "toda-periodic":
-        n = args.N
+        n = N
         rng = np.random.default_rng(args.seed)
         a = list(rng.uniform(0.6, 1.4, n))
         b = list(rng.uniform(-0.5, 0.5, n))
@@ -204,10 +208,10 @@ def cmd_flow(args) -> Result:
             rows.append([t] + list(map(float, z)) +
                         [H.eval_num(env) for H in system.invariants.values()])
     elif name == "euler-arnold":
-        pencil, B = bi.builtin("euler-arnold", n=args.N, seed=args.seed)
+        pencil, B = bi.builtin("euler-arnold", n=N, seed=args.seed)
         traj = lf.integrate_lax(pencil, B, args.t_end, args.dt,
                                 sample_every=stride)
-        drift = lf.isospectral_drift(traj, [1.0, -1.0, 0.5], args.N)
+        drift = lf.isospectral_drift(traj, [1.0, -1.0, 0.5], N)
         summary["trace_drift"] = drift
         summary["pass"] = bool(drift < args.tol)
         header = ["t", "tr_X2"]
@@ -216,7 +220,7 @@ def cmd_flow(args) -> Result:
             rows.append([t, float(np.trace(X @ X))])
     elif name == "neumann":
         rng = np.random.default_rng(args.seed)
-        n = args.N
+        n = N
         x = rng.normal(size=n)
         x = x / np.linalg.norm(x)
         y = rng.normal(size=n)
@@ -388,9 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the random initial state")
     p.add_argument("--builtin", required=True)
-    p.add_argument("-N", type=int, default=3,
-                   help="size: >= 2 for toda-periodic and neumann, "
-                        ">= 3 for euler-arnold")
+    p.add_argument("-N", type=int, default=None,
+                   help="size (default 3): >= 2 for toda-periodic and "
+                        "neumann, >= 3 for euler-arnold; kvm takes none")
     p.add_argument("--t-end", type=float, default=1.0)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=1e-8)

@@ -1,11 +1,11 @@
 """Real and rational roots of univariate polynomials.
 
-Exact input (int or Fraction coefficients) takes one route.  Yun's
-square-free decomposition gives the multiplicities.  Each square-free
-factor is cleared to an integer polynomial f, and its real roots are
-isolated once, by bisection on a Sturm chain whose members are primitive
-integer polynomials (each a positive multiple of the classical chain
-f, f', -rem, ..., so every sign count is the same).  Signs are taken at
+Every input takes one route, in exact arithmetic.  Yun's square-free
+decomposition gives the multiplicities.  Each square-free factor is
+cleared to an integer polynomial f, and its real roots are isolated
+once, by bisection on a Sturm chain whose members are primitive integer
+polynomials (each a positive multiple of the classical chain f, f',
+-rem, ..., so every sign count is the same).  Signs are taken at
 rational points n/d with a homogenised integer Horner step, the sign of
 d^deg p(n/d); no Fraction arithmetic runs inside the evaluations.
 
@@ -22,8 +22,10 @@ coefficients; the trial division of the constant term used before was
 exponential in it (x10 time per two digits, and a period-3 Jacobi
 discriminant never finished).
 
-Float input falls back to companion-matrix eigenvalues plus Newton
-polishing.
+Every coefficient is coerced with Q, so a float coefficient is read as
+the rational it stores; there is no floating-point root finder.  Float
+spectra of periodic Jacobi matrices are symmetric eigenvalue problems
+and are solved as such in jacobispec.
 
 Polynomials are dense ascending coefficient lists.
 """
@@ -365,55 +367,16 @@ def rational_roots(coeffs: Sequence[Fraction]) -> Tuple[List[Tuple[Fraction, int
     return roots, work
 
 
-def real_roots(coeffs, interval=None, tol: float = 1e-12) -> List[Tuple[object, int]]:
-    """Sorted real roots with multiplicities.
-
-    Rational coefficients are handled exactly: rational roots come back
-    as Fraction, irrational ones as floats bracketed to tol.  Float
-    coefficients use the companion-matrix route.
-    """
-    cs = list(coeffs)
-    if not any(cs):
+def real_roots(coeffs, tol: float = 1e-12) -> List[Tuple[object, int]]:
+    """Sorted real roots, with multiplicities, of a polynomial given by
+    ascending coefficients, each coerced with Q (floats exactly): rational
+    roots come back as Fraction, irrational ones as floats bracketed to
+    tol and polished."""
+    p = [Q(c) for c in coeffs]
+    if not any(p):
         raise ValueError("zero polynomial has no well-defined roots")
-    exact = all(isinstance(c, (int, Fraction)) for c in cs)
-    lo, hi = (None, None) if interval is None else (Q(interval[0]) if exact else interval[0],
-                                                    Q(interval[1]) if exact else interval[1])
-    if not exact:
-        c = np.array([float(x) for x in cs], dtype=float)
-        while c.size and abs(c[-1]) < 1e-300:
-            c = c[:-1]
-        if c.size <= 1:
-            raise ValueError("zero polynomial has no well-defined roots")
-        rts = np.roots(c[::-1])
-        out = []
-        for r in rts:
-            if abs(r.imag) < 1e-7 * max(1.0, abs(r.real)) + 1e-9:
-                x = float(r.real)
-                dp = np.polyder(np.poly1d(c[::-1]))
-                for _ in range(6):
-                    f = np.polyval(c[::-1], x)
-                    d = dp(x)
-                    if d == 0:
-                        break
-                    x -= f / d
-                out.append(x)
-        out.sort()
-        merged: List[Tuple[object, int]] = []
-        for x in out:
-            if merged and abs(x - merged[-1][0]) < 1e-7 * max(1.0, abs(x)):
-                merged[-1] = (merged[-1][0], merged[-1][1] + 1)
-            else:
-                merged.append((x, 1))
-        if interval is not None:
-            merged = [(x, m) for x, m in merged if lo - 1e-12 <= x <= hi + 1e-12]
-        return merged
-
-    p = [Q(c) for c in cs]
     results: List[Tuple[object, int]] = []
     for factor, mult in square_free_decomposition(p):
         results.extend((x, mult) for x in _factor_roots(factor, tol))
-    if interval is not None:
-        results = [(x, m) for x, m in results
-                   if float(lo) - 1e-12 <= float(x) <= float(hi) + 1e-12]
     results.sort(key=lambda rm: float(rm[0]))
     return results

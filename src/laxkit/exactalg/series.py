@@ -154,7 +154,12 @@ class PuiseuxSeries:
         n = valid - k0
         if n <= 0:
             return PuiseuxSeries.zero(a.ell, valid)
-        cs = [MultiPoly.zero()] * n
+        # each index reached sums its products into one term dict, merged in
+        # the order (and with the zero-dropping) of MultiPoly.__add__, and
+        # becomes one MultiPoly at the end; a rescaled series is sparse, so
+        # indices no product reaches share one zero
+        acc: Dict[int, dict] = {}
+        zero = Fraction(0)
         for i, ci in enumerate(a.coeffs):
             if ci.is_zero:
                 continue
@@ -162,7 +167,15 @@ class PuiseuxSeries:
             for j in range(jmax):
                 cj = b.coeffs[j]
                 if not cj.is_zero:
-                    cs[i + j] = cs[i + j] + ci * cj
+                    out = acc.setdefault(i + j, {})
+                    for k, c in (ci * cj).terms.items():
+                        s = out.get(k, zero) + c
+                        if s:
+                            out[k] = s
+                        else:
+                            out.pop(k, None)
+        empty = MultiPoly.zero()
+        cs = [MultiPoly(acc[k]) if k in acc else empty for k in range(n)]
         return PuiseuxSeries(a.ell, k0, cs, valid)
 
     __rmul__ = __mul__

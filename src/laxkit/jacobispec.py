@@ -165,56 +165,77 @@ class SpectralData:
         return roots[0] if sheet < 0 else roots[1]
 
     def interlacing_ok(self, tol: float = 1e-9) -> bool:
-        """Interlacing check: the j-th auxiliary eigenvalue lies in the
-        j-th gap (closed gaps collapse to points)."""
-        if len(self.aux_spectrum) != len(self.gaps):
-            return False
-        for s, (lo, hi) in zip(self.aux_spectrum, self.gaps):
-            if not (lo - tol <= s <= hi + tol):
-                return False
-        return True
+        return _interlaces(self.aux_spectrum, self.gaps, tol)
+
+
+def _interlaces(aux: Sequence[float], gaps: Sequence[Tuple[float, float]],
+                tol: float) -> bool:
+    """Interlacing check: the j-th auxiliary eigenvalue lies in the j-th
+    gap (closed gaps collapse to points)."""
+    return len(aux) == len(gaps) and all(
+        lo - tol <= s <= hi + tol for s, (lo, hi) in zip(aux, gaps))
 
 
 def spectral_data(m: PeriodicJacobi, tol: float = 1e-12) -> SpectralData:
     """Bands, gaps and auxiliary spectrum of a periodic Jacobi matrix.
 
-    Branch points come from exact Sturm isolation when the data is
-    rational; an interlacing violation raises (it would mean the root
-    ordering itself is broken)."""
+    Rational data takes exact Sturm isolation of P^2 - 4 alpha^2 and of
+    the cofactor, with multiplicities.  Float data takes the symmetric
+    eigenvalue route of _float_spectrum, each branch point listed once.
+    An interlacing violation raises (it would mean the root ordering
+    itself is broken)."""
     N = m.period
     P = floquet_polynomial(m)
     alpha = m.alpha()
-    exact = m.is_exact
-    # P^2 - 4 alpha^2
-    n = len(P)
-    sq = [Q(0) if exact else 0.0] * (2 * n - 1)
-    for i, ci in enumerate(P):
-        for j, cj in enumerate(P):
-            sq[i + j] += ci * cj
-    sq[0] -= 4 * (alpha * alpha)
-    roots = real_roots(sq, tol=tol)
-    branch = [(float(r), mult) for r, mult in roots]
+    cof = cofactor_nn_polynomial(m)
+    if m.is_exact:
+        # P^2 - 4 alpha^2
+        n = len(P)
+        sq = [Q(0)] * (2 * n - 1)
+        for i, ci in enumerate(P):
+            for j, cj in enumerate(P):
+                sq[i + j] += ci * cj
+        sq[0] -= 4 * (alpha * alpha)
+        branch = [(float(r), mult) for r, mult in real_roots(sq, tol=tol)]
+        aux = sorted(float(r) for r, _ in real_roots(cof, tol=tol))
+    else:
+        _, edges, sigma = _float_spectrum(m.a, m.b)
+        branch = [(x, 1) for x in edges.tolist()]
+        aux = sigma.tolist()
     flat: List[float] = []
     for r, mult in branch:
         flat.extend([r] * mult)
     if len(flat) != 2 * N:
         raise DegenerateSpectrumError(
             f"expected {2*N} real branch points, found {len(flat)}")
-    bands = [(flat[2 * j], flat[2 * j + 1]) for j in range(N)]
-    gaps = [(flat[2 * j + 1], flat[2 * j + 2]) for j in range(N - 1)]
-    cof = cofactor_nn_polynomial(m)
-    aux = [float(r) for r, _ in real_roots(cof, tol=tol)]
     if len(aux) != N - 1:
         raise DegenerateSpectrumError(
             f"expected {N-1} auxiliary eigenvalues, found {len(aux)}")
+    bands = [(flat[2 * j], flat[2 * j + 1]) for j in range(N)]
+    gaps = [(flat[2 * j + 1], flat[2 * j + 2]) for j in range(N - 1)]
     data = SpectralData(matrix=m, P=P, alpha=float(alpha),
                         branch_points=branch, stable_bands=bands, gaps=gaps,
-                        aux_spectrum=sorted(aux), cofactor=cof)
+                        aux_spectrum=aux, cofactor=cof)
     if not data.interlacing_ok(tol=1e-7):
         raise DegenerateSpectrumError(
             "auxiliary spectrum fails to interlace the gaps; "
             "root ordering is inconsistent")
     return data
+
+
+def _float_spectrum(a, b) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A(1), band edges, auxiliary spectrum) of float period-N data.
+
+    By Floquet theory the 2N roots of P^2 - 4 alpha^2 are the eigenvalues
+    of the periodic matrix A(1) (P = 2 alpha) and of the antiperiodic one
+    A(-1) (P = -2 alpha), and the auxiliary spectrum is the spectrum of
+    the leading (N-1) x (N-1) block, which holds no corner entry.  Each is
+    a symmetric eigenproblem, backward stable at a closed gap's double
+    edge as anywhere else (van Moerbeke, Invent. Math. 37, 1976)."""
+    A = _periodic_matrix(a, b, 1.0)
+    edges = np.sort(np.concatenate(
+        [np.linalg.eigvalsh(A), np.linalg.eigvalsh(_periodic_matrix(a, b, -1.0))]))
+    return A, edges, np.linalg.eigvalsh(A[:-1, :-1])
 
 
 # -- continued fraction / Padé ----------------------------------------------
@@ -510,7 +531,9 @@ def toda_flow_jacobi(m: PeriodicJacobi, t_end: float, dt: float,
                      samples: int = 10) -> TodaDiagnostics:
     """Integrate the periodic lattice in Flaschka form and watch the
     spectral data: band edges frozen, auxiliary spectrum interlacing at
-    every sample, sum b_j exactly conserved, a_j never vanishing.  Raises
+    every sample, sum b_j exactly conserved, a_j never vanishing.  Each
+    sample builds A(1) once: _float_spectrum reads its spectrum from it and
+    the power traces tr A^k are taken of it.  Raises
     BlowUpError when the state stops being finite, and ValueError unless
     dt divides t_end (laxflow.steps_for)."""
     from .builtins import toda_scalar_rhs
@@ -525,39 +548,26 @@ def toda_flow_jacobi(m: PeriodicJacobi, t_end: float, dt: float,
     a_states = [y[:n] for y in states]
     b_states = [y[n:] for y in states]
 
-    edge_sets = []
-    aux_sets = []
+    edge_sets, aux_sets, traces = [], [], []
     inter_ok = True
-    ptrace0 = None
-    ptrace_drift = 0.0
     for aa, bb in zip(a_states, b_states):
-        d = spectral_data(PeriodicJacobi(list(aa), list(bb)))
-        edges = []
-        for r, mult in d.branch_points:
-            edges.extend([r] * mult)
-        edge_sets.append(np.array(edges))
-        aux_sets.append(np.array(d.aux_spectrum))
-        inter_ok = inter_ok and d.interlacing_ok(tol=1e-6)
-        A = _periodic_matrix(aa, bb, 1.0)
-        tr = [float(np.trace(np.linalg.matrix_power(A, k)))
-              for k in range(1, m.period + 1)]
-        if ptrace0 is None:
-            ptrace0 = tr
-        else:
-            ptrace_drift = max(ptrace_drift,
-                               max(abs(x - y) for x, y in zip(tr, ptrace0)))
-    base = edge_sets[0]
-    edge_drift = max(float(np.max(np.abs(e - base))) for e in edge_sets[1:]) \
-        if len(edge_sets) > 1 else 0.0
+        A, edges, aux = _float_spectrum(aa, bb)
+        edge_sets.append(edges)
+        aux_sets.append(aux)
+        gaps = list(zip(edges[1:-1:2], edges[2:-1:2]))
+        inter_ok = inter_ok and _interlaces(aux, gaps, 1e-6)
+        traces.append([float(np.trace(np.linalg.matrix_power(A, k)))
+                       for k in range(1, n + 1)])
+    edges, traces = np.array(edge_sets), np.array(traces)
     tr_drift = max(abs(float(np.sum(bb) - np.sum(b_states[0])))
                    for bb in b_states)
     return TodaDiagnostics(times=times, a_states=np.array(a_states),
                            b_states=np.array(b_states),
-                           band_edges=np.array(edge_sets),
+                           band_edges=edges,
                            aux_states=np.array(aux_sets),
-                           band_edge_drift=edge_drift,
+                           band_edge_drift=float(np.max(np.abs(edges - edges[0]))),
                            trace_sum_drift=tr_drift,
-                           power_trace_drift=ptrace_drift,
+                           power_trace_drift=float(np.max(np.abs(traces - traces[0]))),
                            interlacing_ok=inter_ok,
                            min_abs_a=float(np.min(np.abs(np.array(a_states)))))
 

@@ -286,10 +286,13 @@ def test_jacobi_vanishing_fraction_denominator_exit_3(tmp_path, capsys,
 # sha256 of jacobi_report.json, recorded before exact root finding moved to
 # the integer Sturm kernel; any change to a report byte shows here.  The
 # period-3 input has a square-free factor with both rational and irrational
-# branch points, the period-5 one only irrational ones.
+# branch points, the period-5 one only irrational ones.  The period-3
+# digest was re-recorded when float lattice spectra moved from polynomial
+# roots to symmetric eigenvalues: its one changed field is the roundoff-level
+# toda.band_edge_drift (8.193445921733655e-14 -> 8.215650382226158e-14).
 JACOBI_GOLDEN = [
     (["-a=1,1,1", "-b=0,0,1/2", "--check-stieltjes", "--toda-t-end", "0.5"],
-     "fe07f718cc702e4f29ad09841d69fa042284769e2153d64782c3c9808328cea1"),
+     "1b790e9b5ef2cb17bec2726f20d718355605af7f3934532238ab594f7d158cd6"),
     (["-a=2/3,5/3,4/3,4/3,5/3", "-b=1/3,2/3,2/3,1/3,2/3", "--check-stieltjes"],
      "8adf41e3cedd5e7995b2e8c314025ec8fd9c418064d138dc4a45e346a574152c"),
 ]
@@ -382,3 +385,37 @@ def test_flow_accepts_smallest_n(tmp_path, builtin, n):
     assert run(tmp_path, "flow", "--builtin", builtin, "-N", str(n),
                "--t-end", "0.1") == 0
     assert json.loads((tmp_path / f"flow_{builtin}.json").read_text())["pass"]
+
+
+@pytest.mark.parametrize("a,b", [("1,1,1,1", "0,0,0,0"), ("100,100,100", "0,0,0")],
+                         ids=["four-site", "three-site-100"])
+def test_jacobi_free_lattice_toda(tmp_path, a, b):
+    # every gap closed: the float lattice spectrum must see the double edges
+    assert run(tmp_path, "jacobi", "-a", a, "-b", b, "--toda-t-end", "1") == 0
+    payload = json.loads((tmp_path / "jacobi_report.json").read_text())
+    assert payload["toda"]["interlacing_ok"] is True
+    exact = [x for x, mult in payload["branch_points"] for _ in range(mult)]
+    lines = (tmp_path / "jacobi_toda.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    cols = [header.index(f"xi{j + 1}") for j in range(len(exact))]
+    for line in lines[1:]:
+        row = line.split(",")
+        assert max(abs(float(row[c]) - x) for c, x in zip(cols, exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", ["-3", "3"])
+def test_flow_kvm_rejects_n_exit_1_writes_nothing(tmp_path, capsys, n):
+    out = tmp_path / "out"
+    assert main(["flow", "--builtin", "kvm", "-N", n, "--t-end", "0.01",
+                 "--dt", "0.001", "--out", str(out)]) == 1
+    assert "kvm takes no -N" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flow_default_n_is_3(tmp_path):
+    for d, extra in (("default", []), ("n3", ["-N", "3"])):
+        assert main(["flow", "--builtin", "toda-periodic", "--t-end", "0.1",
+                     *extra, "--out", str(tmp_path / d)]) == 0
+    for name in ("flow_toda-periodic.csv", "flow_toda-periodic.json"):
+        assert (tmp_path / "default" / name).read_bytes() == \
+            (tmp_path / "n3" / name).read_bytes()

@@ -306,3 +306,93 @@ def test_measure_quadrature_table_is_shared():
     assert len(table) == len(mu.bands)
     xs, w, dens = table[0]
     assert dens.tolist() == [mu.density(x) for x in xs]
+
+
+# -- the float route: symmetric eigenvalues of A(1), A(-1) and the leading block
+
+def _edges(d):
+    """The 2N branch points of a SpectralData, each repeated by multiplicity."""
+    return np.array([x for x, mult in d.branch_points for _ in range(mult)])
+
+
+def _float_matrix(m):
+    return js.PeriodicJacobi([float(x) for x in m.a], [float(x) for x in m.b])
+
+
+# free lattices: every gap is closed, so each inner band edge is double
+FREE_LATTICES = [([1, 1, 1, 1], [0, 0, 0, 0]), ([100, 100, 100], [0, 0, 0])]
+
+
+@pytest.mark.parametrize("a,b", FREE_LATTICES, ids=["four-site", "three-site-100"])
+def test_free_lattice_float_edges_match_exact(a, b):
+    exact = js.spectral_data(js.PeriodicJacobi([F(x) for x in a],
+                                               [F(x) for x in b]))
+    flt = js.spectral_data(_float_matrix(exact.matrix))
+    assert all(mult == 1 for _, mult in flt.branch_points)
+    assert np.max(np.abs(_edges(flt) - _edges(exact))) <= 1e-12
+    assert np.max(np.abs(np.subtract(flt.aux_spectrum, exact.aux_spectrum))) <= 1e-12
+    assert flt.interlacing_ok()
+
+
+def test_four_site_free_lattice_double_edges():
+    d = js.spectral_data(js.PeriodicJacobi([1.0] * 4, [0.0] * 4))
+    r2 = math.sqrt(2)
+    assert _edges(d) == pytest.approx([-2, -r2, -r2, 0, 0, r2, r2, 2], abs=1e-12)
+    assert d.aux_spectrum == pytest.approx([-r2, 0, r2], abs=1e-12)
+
+
+_nonzero = st.integers(1, 16).flatmap(lambda k: st.sampled_from([k, -k]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_float_route_matches_exact_route(N, data):
+    a = [F(data.draw(_nonzero), data.draw(st.integers(1, 9))) for _ in range(N)]
+    b = [F(data.draw(st.integers(-16, 16)), data.draw(st.integers(1, 9)))
+         for _ in range(N)]
+    exact = js.spectral_data(js.PeriodicJacobi(a, b))
+    flt = js.spectral_data(_float_matrix(exact.matrix))
+    want = _edges(exact)
+    # relative to the spectral radius: a float eigenvalue is accurate to
+    # roundoff times the norm of the matrix, not times its own size
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(_edges(flt) - want)) <= 1e-9 * scale
+    assert np.max(np.abs(np.subtract(flt.aux_spectrum, exact.aux_spectrum)),
+                  initial=0.0) <= 1e-9 * scale
+    assert len(flt.branch_points) == 2 * N
+
+
+@pytest.mark.parametrize("shift,ok", [(5e-7, True), (2e-6, False)],
+                         ids=["inside-tolerance", "outside-tolerance"])
+def test_toda_interlacing_can_fail(monkeypatch, shift, ok):
+    # move the first sigma below its gap: by 5e-7 it still passes the
+    # documented 1e-6 tolerance, by 2e-6 it must not
+    real = js._float_spectrum
+
+    def displaced(a, b):
+        A, edges, aux = real(a, b)
+        aux = aux.copy()
+        aux[0] = edges[1] - shift
+        return A, edges, aux
+
+    monkeypatch.setattr(js, "_float_spectrum", displaced)
+    m = js.PeriodicJacobi([1.0, 0.8, 1.3], [0.2, -0.1, 0.4])
+    assert js.toda_flow_jacobi(m, 0.1, 1e-3).interlacing_ok is ok
+
+
+@pytest.mark.parametrize("a,b", [
+    ([F(1), F(3, 2), F(2)], [F(1, 4), F(-1, 3), F(0)]),
+    ([F(7, 8), F(-5, 4)], [F(1, 2), F(0)]),
+    ([F(1)] * 4, [F(0)] * 4),
+    ([F(2, 3), F(5, 3), F(4, 3), F(4, 3), F(5, 3)],
+     [F(1, 3), F(2, 3), F(2, 3), F(1, 3), F(2, 3)]),
+], ids=["period3", "period2-negative-a", "free-four-site", "period5"])
+def test_toda_band_edges_match_exact_edges_of_initial_data(a, b):
+    # an oracle independent of the flow: every float band-edge sample
+    # against the exact Sturm edges of the rational starting point
+    m = js.PeriodicJacobi(a, b)
+    want = _edges(js.spectral_data(m))
+    diag = js.toda_flow_jacobi(m, 1.0, 1e-3)
+    assert diag.band_edges.shape == (len(diag.times), 2 * len(a))
+    assert np.max(np.abs(diag.band_edges - want)) < 1e-9
+    assert diag.interlacing_ok

@@ -482,3 +482,27 @@ def test_jacobi_identity_invariant_triples_and_points():
     ok, wit = lf.jacobi_identity_check(
         sys_, points=[[F(1), F(2), F(1, 2), F(3), F(1)]])
     assert ok
+
+
+# -- closed-form oracle: Symes' QR solution of the open Toda lattice
+
+def _symes(L0, t):
+    """L(t) = Q^T L0 Q with e^{t L0} = Q R, R with a positive diagonal: the
+    solution of dL/dt = [L+ - L-, L] (W. W. Symes, Physica D 4, 1982).  The
+    exponential comes from the eigendecomposition of the symmetric L0."""
+    w, V = np.linalg.eigh(L0)
+    Q, R = np.linalg.qr((V * np.exp(t * w)) @ V.T)
+    Q = Q * np.sign(np.diag(R))
+    return Q.T @ L0 @ Q
+
+
+def test_open_toda_matches_symes_qr_formula():
+    pencil, B = bi.toda_open_pencil([1.0, 0.7, 1.3], [0.1, -0.2, 0.3, 0.0])
+    L0 = pencil.blocks[0]
+    traj = lf.integrate_lax(pencil, B, 1.0, 1e-3)
+    assert traj.times[-1] == pytest.approx(1.0)
+    L1 = traj.pencils[-1].blocks[0]
+    assert np.max(np.abs(L1 - _symes(L0, 1.0))) < 1e-10
+    # the time-reversed formula is far off, so a flipped sign in B or in
+    # the commutator cannot pass
+    assert np.max(np.abs(L1 - _symes(L0, -1.0))) > 1e-2

@@ -61,19 +61,19 @@ def test_rational_roots_with_multiplicity():
 
 
 def test_real_roots_symmetric_quadratic():
-    assert [(r, m) for r, m in real_roots([F(-1), F(0), F(1)], (-2, 2))] == \
+    assert [(r, m) for r, m in real_roots([F(-1), F(0), F(1)])] == \
         [(F(-1), 1), (F(1), 1)]
 
 
 def test_real_roots_cubic():
-    rts = real_roots([F(0), F(-1), F(0), F(1)], (-2, 2))
+    rts = real_roots([F(0), F(-1), F(0), F(1)])
     assert [r for r, _ in rts] == [F(-1), F(0), F(1)]
 
 
 def test_real_roots_double_root_case():
     # (z^2-2)^2 - 4 = z^2 (z^2 - 4): roots -2, 0 (double), 2
     coeffs = [F(0), F(0), F(-4), F(0), F(1)]
-    rts = real_roots(coeffs, (-3, 3))
+    rts = real_roots(coeffs)
     assert rts == [(F(-2), 1), (F(0), 2), (F(2), 1)]
 
 
@@ -87,6 +87,20 @@ def test_real_roots_irrational_bracketed():
 def test_real_roots_float_path():
     rts = real_roots([-2.0, 0.0, 1.0])
     assert len(rts) == 2 and abs(rts[1][0] - 2 ** 0.5) < 1e-9
+
+
+def test_real_roots_reads_floats_exactly():
+    # a float coefficient is the rational it stores: the root of x - 0.1 is
+    # that binary fraction, and (x - 1/2)^2 keeps its double root
+    assert real_roots([-0.1, 1.0]) == [(F(0.1), 1)]
+    assert real_roots([0.25, -1.0, 1.0]) == [(F(1, 2), 2)]
+    with pytest.raises(ValueError, match="zero polynomial"):
+        real_roots([0.0, 0.0])
+
+
+def test_real_roots_takes_no_interval():
+    import inspect
+    assert list(inspect.signature(real_roots).parameters) == ["coeffs", "tol"]
 
 
 def test_sturm_count_cross_check():

@@ -94,3 +94,47 @@ def test_mul_matches_naive_convolution(ca, cb, k0a, k0b):
                     for j in range(len(cb))
                     if (k0a + i) + (k0b + j) == e), F(0))
         assert p.coeff(e) == MultiPoly.const(want)
+
+
+# -- series product against the accumulation it replaced ---------------------
+
+def reference_mul(a, b):
+    """PuiseuxSeries product as it was first written: cs[i + j] is rebuilt
+    as a fresh MultiPoly for every partial sum."""
+    a, b = PuiseuxSeries._aligned(a, b)
+    ka, kb = a._eff_k0(), b._eff_k0()
+    valid = min(a.valid + kb, b.valid + ka)
+    if a.is_zero or b.is_zero:
+        return PuiseuxSeries.zero(a.ell, valid)
+    k0 = ka + kb
+    n = valid - k0
+    if n <= 0:
+        return PuiseuxSeries.zero(a.ell, valid)
+    cs = [MultiPoly.zero()] * n
+    for i, ci in enumerate(a.coeffs):
+        if ci.is_zero:
+            continue
+        for j in range(min(len(b.coeffs), n - i)):
+            cj = b.coeffs[j]
+            if not cj.is_zero:
+                cs[i + j] = cs[i + j] + ci * cj
+    return PuiseuxSeries(a.ell, k0, cs, valid)
+
+
+_KEYS = [(), (("x", 1),), (("y", 1),), (("x", 1), ("y", 1)), (("x", 2),)]
+_polys = st.dictionaries(st.sampled_from(_KEYS),
+                         st.builds(F, st.integers(-2, 2), st.integers(1, 3)),
+                         max_size=4).map(MultiPoly)
+_series = st.builds(lambda ell, k0, cs, extra: PuiseuxSeries(ell, k0, cs, k0 + len(cs) + extra),
+                    st.integers(1, 3), st.integers(-3, 3),
+                    st.lists(_polys, max_size=6), st.integers(-2, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series, _series)
+def test_series_mul_matches_reference(a, b):
+    got, want = a * b, reference_mul(a, b)
+    assert (got.ell, got.k0, got.valid) == (want.ell, want.k0, want.valid)
+    # same terms in the same dict order, so nothing downstream can tell
+    assert [list(c.terms.items()) for c in got.coeffs] == \
+        [list(c.terms.items()) for c in want.coeffs]
