@@ -8,10 +8,25 @@ of polynomials is equality of dicts.  All arithmetic is exact.
 Printing uses graded lexicographic order (total degree first, then lex
 over alphabetically ordered symbols), which keeps string output stable
 enough to diff golden files against.
+
+The arithmetic normalises each output coefficient once.  A product of two
+polynomials scales each operand to integers by the lcm of its
+denominators, sums the integer products per key and divides by the two
+lcms only at the end (the common-denominator technique; Geddes, Czapor
+and Labahn, *Algorithms for Computer Algebra*, 1992, ch. 2).  Sums insert
+a new key as it is and add only onto a key already present.  In both, a
+running sum that reaches zero drops its key, so it is re-inserted at the
+end of the dict if it comes back: the values and the dict order are those
+of summing the terms one by one as Fractions.  Results built this way are
+wrapped by `MultiPoly._wrap` without validation; it relies on the
+invariant that every key is canonical (a tuple of (symbol, exponent)
+pairs, sorted by symbol, every exponent positive) and that no coefficient
+is zero.  The public constructor checks and coerces its input.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 Key = Tuple[Tuple[str, int], ...]
@@ -54,6 +69,28 @@ def _div_key(a: Key, b: Key):
     return tuple(sorted(exps.items()))
 
 
+def _merge(out: Dict[Key, object], items) -> None:
+    """Add (key, coefficient) pairs into out, in order.  A new key is
+    inserted as it is, an existing one summed, and a key whose sum cancels
+    is dropped.  Works on Fraction and on int coefficients alike."""
+    for k, c in items:
+        if k in out:
+            s = out[k] + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        else:
+            out[k] = c
+
+
+def _scaled(terms: Mapping[Key, Fraction]):
+    """(L, [(key, c * L)]) with L the lcm of the denominators, so every
+    scaled coefficient is an int."""
+    L = lcm(*[c.denominator for c in terms.values()])
+    return L, [(k, c.numerator * (L // c.denominator)) for k, c in terms.items()]
+
+
 def _key_deg(k: Key) -> int:
     return sum(e for _, e in k)
 
@@ -77,6 +114,14 @@ class MultiPoly:
                 if c:
                     clean[k] = c
         object.__setattr__(self, "terms", clean)
+
+    @staticmethod
+    def _wrap(terms: Dict[Key, Fraction]) -> "MultiPoly":
+        """A MultiPoly that owns terms, a dict the kernel built itself:
+        canonical keys, nonzero Fraction coefficients.  Not validated."""
+        p = object.__new__(MultiPoly)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("MultiPoly is immutable")
@@ -160,18 +205,13 @@ class MultiPoly:
     def __add__(self, other):
         other = MultiPoly.coerce(other)
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return MultiPoly(out)
+        _merge(out, other.terms.items())
+        return MultiPoly._wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly({k: -c for k, c in self.terms.items()})
+        return MultiPoly._wrap({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-MultiPoly.coerce(other))
@@ -184,19 +224,27 @@ class MultiPoly:
             c = Q(other)
             if not c:
                 return MultiPoly()
-            return MultiPoly({k: v * c for k, v in self.terms.items()})
+            return MultiPoly._wrap({k: v * c for k, v in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        out: Dict[Key, Fraction] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = _mul_key(k1, k2)
-                s = out.get(k, Fraction(0)) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return MultiPoly(out)
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            (km, cm), = b.items()
+            return MultiPoly._wrap({_mul_key(k, km): c * cm for k, c in a.items()})
+        if len(a) == 1:
+            (km, cm), = a.items()
+            return MultiPoly._wrap({_mul_key(km, k): cm * c for k, c in b.items()})
+        if not a or not b:
+            return MultiPoly()
+        # a monomial times distinct monomials gives distinct monomials, so
+        # only a general product accumulates; it does so in integers
+        La, sa = _scaled(a)
+        Lb, sb = _scaled(b)
+        out: Dict[Key, int] = {}
+        for k1, n1 in sa:
+            _merge(out, [(_mul_key(k1, k2), n1 * n2) for k2, n2 in sb])
+        L = La * Lb
+        return MultiPoly._wrap({k: Fraction(n, L) for k, n in out.items()})
 
     __rmul__ = __mul__
 
@@ -231,30 +279,27 @@ class MultiPoly:
                 exps.pop(name)
             else:
                 exps[name] = e - 1
-            kk = tuple(sorted(exps.items()))
-            s = out.get(kk, Fraction(0)) + c * e
-            if s:
-                out[kk] = s
-            else:
-                out.pop(kk, None)
-        return MultiPoly(out)
+            _merge(out, [(tuple(sorted(exps.items())), c * e)])
+        return MultiPoly._wrap(out)
 
     def subs(self, mapping: Mapping[str, "MultiPoly | Scalar"]) -> "MultiPoly":
         """Substitute symbols by polynomials/rationals; exact."""
-        out = MultiPoly.zero()
+        # each term is c times its unmapped symbols, as one monomial, times
+        # the mapped powers in key order; a monomial factor moves neither a
+        # value nor a dict position of a product, so this is the term
+        # multiplied out factor by factor
+        out: Dict[Key, Fraction] = {}
         cache: Dict[Tuple[str, int], MultiPoly] = {}
         for k, c in self.terms.items():
-            term = MultiPoly.const(c)
+            term = MultiPoly._wrap({tuple(p for p in k if p[0] not in mapping): c})
             for name, e in k:
                 if name in mapping:
                     key = (name, e)
                     if key not in cache:
                         cache[key] = MultiPoly.coerce(mapping[name]) ** e
                     term = term * cache[key]
-                else:
-                    term = term * MultiPoly.var(name, e)
-            out = out + term
-        return out
+            _merge(out, term.terms.items())
+        return MultiPoly._wrap(out)
 
     def eval_exact(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point; every symbol must be assigned."""
@@ -289,7 +334,7 @@ class MultiPoly:
             e = exps.pop(name, 0)
             kk = tuple(sorted(exps.items()))
             out.setdefault(e, {})[kk] = c
-        return {e: MultiPoly(d) for e, d in out.items()}
+        return {e: MultiPoly._wrap(d) for e, d in out.items()}
 
     def lead(self) -> Tuple[Key, Fraction]:
         """Graded-lex leading term."""
@@ -315,15 +360,9 @@ class MultiPoly:
             if mk is None:
                 raise ValueError("not exactly divisible")
             mc = rc / dc
-            quot[mk] = quot.get(mk, Fraction(0)) + mc
-            for k2, c2 in d.terms.items():
-                k = _mul_key(mk, k2)
-                s = rem.get(k, Fraction(0)) - mc * c2
-                if s:
-                    rem[k] = s
-                else:
-                    rem.pop(k, None)
-        return MultiPoly(quot)
+            _merge(quot, [(mk, mc)])
+            _merge(rem, [(_mul_key(mk, k2), -(mc * c2)) for k2, c2 in d.terms.items()])
+        return MultiPoly._wrap(quot)
 
     def monomial_gcd(self) -> Key:
         """Largest monomial dividing every term."""

@@ -20,7 +20,10 @@ log2(cauchy_bound * lc(f)) + log2(1/tol) bisection steps per root, each a
 few integer Horner steps.  That is polynomial in the bit size of the
 coefficients; the trial division of the constant term used before was
 exponential in it (x10 time per two digits, and a period-3 Jacobi
-discriminant never finished).
+discriminant never finished).  Both loops are capped by this count: a
+bisection that has not settled after (largest coefficient bit length + 3
++ log2(1/tol)) halvings, or a midpoint still a root after deg f nudges,
+raises RuntimeError naming the cap.
 
 Every coefficient is coerced with Q, so a float coefficient is read as
 the rational it stores; there is no floating-point root finder.  Float
@@ -32,7 +35,7 @@ Polynomials are dense ascending coefficient lists.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import ceil, gcd, lcm, log2
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -191,6 +194,23 @@ def _variations(chain: List[List[int]], x: Fraction) -> int:
     return count
 
 
+def _nudge_cap(f: List[int]) -> int:
+    """Nudges of a midpoint off a root of f: f has at most deg f roots, so
+    deg f nudges to distinct points always reach a nonzero value."""
+    return len(f) - 1
+
+
+def _bisection_cap(f: List[int], eps: Optional[float]) -> int:
+    """Halvings that take an isolating interval of f below 1/lc(f) and below
+    eps.  Such an interval lies in the Cauchy bound (-b, b), and with B the
+    largest coefficient bit length both 2b and 2b |lc| are below 2^(B+2);
+    one more step covers the float rounding of the width test."""
+    cap = max(abs(c).bit_length() for c in f) + 3
+    if eps is not None:
+        cap += max(0, ceil(-log2(eps)))
+    return cap
+
+
 def _isolate(f: List[int], chain: List[List[int]]) -> List[Tuple[Fraction, Fraction]]:
     """Sorted disjoint intervals (lo, hi), one root of the square-free f
     in each, f(lo) f(hi) != 0, by bisection of the Cauchy bound."""
@@ -204,6 +224,7 @@ def _isolate(f: List[int], chain: List[List[int]]) -> List[Tuple[Fraction, Fract
 
     out = []
     stack = [(-b, b)]
+    cap = _nudge_cap(f)
     while stack:
         a, b = stack.pop()
         n = var(a) - var(b)
@@ -213,7 +234,12 @@ def _isolate(f: List[int], chain: List[List[int]]) -> List[Tuple[Fraction, Fract
             out.append((a, b))
             continue
         mid = (a + b) / 2
+        nudges = 0
         while _sign_at(f, mid) == 0:
+            if nudges == cap:
+                raise RuntimeError(f"root isolation: the midpoint is still a root "
+                                   f"after {cap} nudges")
+            nudges += 1
             mid += (b - a) / 1024
         stack.append((a, mid))
         stack.append((mid, b))
@@ -228,6 +254,7 @@ def _settle(f: List[int], lo: Fraction, hi: Fraction, eps: Optional[float]):
     lc = abs(f[-1])
     s_lo = _sign_at(f, lo)
     tested, bracket = False, None
+    cap, halvings = _bisection_cap(f, eps), 0
     while True:
         w = hi - lo
         if not tested and w * lc < 1:
@@ -239,6 +266,10 @@ def _settle(f: List[int], lo: Fraction, hi: Fraction, eps: Optional[float]):
             bracket = (lo, hi)
         if tested and (eps is None or bracket is not None):
             return bracket
+        if halvings == cap:
+            raise RuntimeError(f"root refinement: no root settled within {cap} "
+                               f"bisection steps")
+        halvings += 1
         mid = (lo + hi) / 2
         s = _sign_at(f, mid)
         if s == 0:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .poly import MultiPoly, Q
+from .poly import MultiPoly, Q, _merge
 
 
 class TruncationError(ValueError):
@@ -159,7 +159,6 @@ class PuiseuxSeries:
         # becomes one MultiPoly at the end; a rescaled series is sparse, so
         # indices no product reaches share one zero
         acc: Dict[int, dict] = {}
-        zero = Fraction(0)
         for i, ci in enumerate(a.coeffs):
             if ci.is_zero:
                 continue
@@ -167,15 +166,9 @@ class PuiseuxSeries:
             for j in range(jmax):
                 cj = b.coeffs[j]
                 if not cj.is_zero:
-                    out = acc.setdefault(i + j, {})
-                    for k, c in (ci * cj).terms.items():
-                        s = out.get(k, zero) + c
-                        if s:
-                            out[k] = s
-                        else:
-                            out.pop(k, None)
+                    _merge(acc.setdefault(i + j, {}), (ci * cj).terms.items())
         empty = MultiPoly.zero()
-        cs = [MultiPoly(acc[k]) if k in acc else empty for k in range(n)]
+        cs = [MultiPoly._wrap(acc[k]) if k in acc else empty for k in range(n)]
         return PuiseuxSeries(a.ell, k0, cs, valid)
 
     __rmul__ = __mul__

@@ -168,6 +168,38 @@ def test_jacobi_interlacing_table(tmp_path):
     assert len(payload["auxiliary_spectrum"]) == 2
 
 
+@pytest.fixture(scope="module")
+def workloads():
+    import importlib.util
+    import sys
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    sys.modules[spec.name] = mod
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("a, b", [
+    ("1,2", "0,0"),
+    ("3/2,2/3,5/4", "1/3,-1/2,0"),
+    ("1,1,1,1", "0,0,0,0"),
+    ("7/5,1/2,2,3/4,9/8", "-1,1/7,0,2/3,-5/6"),
+])
+def test_jacobi_discriminant_matches_transfer_matrix_trace(tmp_path, workloads, a, b):
+    # the benchmark's Floquet check: alpha tr(T_N ... T_1), computed from the
+    # transfer matrices rather than from laxkit's determinant expansion
+    from fractions import Fraction
+    floquet = workloads.floquet_discriminant
+    assert run(tmp_path, "jacobi", "-a=" + a, "-b=" + b) == 0
+    payload = json.loads((tmp_path / "jacobi_report.json").read_text())
+    aq = [Fraction(x) for x in a.split(",")]
+    bq = [Fraction(x) for x in b.split(",")]
+    assert [Fraction(c) for c in payload["P_ascending"]] == floquet(aq, bq)
+
+
 def test_jacobi_rejects_zero_alpha(tmp_path):
     code = run(tmp_path, "jacobi", "-a", "1,0", "-b", "0,0")
     assert code == 1

@@ -103,6 +103,22 @@ def test_real_roots_takes_no_interval():
     assert list(inspect.signature(real_roots).parameters) == ["coeffs", "tol"]
 
 
+def test_sturm_loops_stop_at_their_caps(monkeypatch):
+    from laxkit.exactalg import roots
+    # (x + 1)(x + 2)(x + 3): isolation halves (-12, 12) down to the midpoint
+    # -3, a root, which needs one nudge
+    cubic = [6, 11, 6, 1]
+    assert real_roots(cubic) == [(F(-3), 1), (F(-2), 1), (F(-1), 1)]
+    assert roots._nudge_cap(cubic) == 3
+    assert roots._bisection_cap([-2, 0, 1], 1e-12) == 2 + 3 + 40
+    monkeypatch.setattr(roots, "_nudge_cap", lambda f: 0)
+    with pytest.raises(RuntimeError, match="after 0 nudges"):
+        real_roots(cubic)
+    monkeypatch.setattr(roots, "_bisection_cap", lambda f, eps: 2)
+    with pytest.raises(RuntimeError, match="within 2 bisection steps"):
+        real_roots([-2, 0, 1])
+
+
 def test_sturm_count_cross_check():
     # roots of (x-1)(x-2)(x-3)
     p = [F(-6), F(11), F(-6), F(1)]

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from laxkit.exactalg import MultiPoly
 
@@ -185,3 +185,129 @@ def test_exact_div_matches_sympy(sp, p, q):
         else:
             with pytest.raises(ValueError, match="not exactly divisible"):
                 num.exact_div(q)
+
+
+# -- the Fraction-by-Fraction kernel as an order oracle ------------------------
+#
+# MultiPoly sums integer products over a common denominator and skips the
+# validating constructor.  These are the products, sums and substitutions as
+# they were first written, one normalising Fraction operation per term pair.
+# The kernel must give the same values and the same dict order.
+
+def reference_add(p, q):
+    out = dict(p.terms)
+    for k, c in q.terms.items():
+        s = out.get(k, F(0)) + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return MultiPoly(out)
+
+
+def reference_mul(p, q):
+    out = {}
+    for k1, c1 in p.terms.items():
+        for k2, c2 in q.terms.items():
+            e = dict(k1)
+            for n, d in k2:
+                e[n] = e.get(n, 0) + d
+            k = tuple(sorted(e.items()))
+            s = out.get(k, F(0)) + c1 * c2
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return MultiPoly(out)
+
+
+def reference_pow(p, n):
+    out, base = MultiPoly.const(1), p
+    while n:
+        if n & 1:
+            out = reference_mul(out, base)
+        base = reference_mul(base, base) if n > 1 else base
+        n >>= 1
+    return out
+
+
+def reference_subs(p, mapping):
+    out = MultiPoly.zero()
+    for k, c in p.terms.items():
+        term = MultiPoly.const(c)
+        for name, e in k:
+            if name in mapping:
+                term = reference_mul(term, reference_pow(MultiPoly.coerce(mapping[name]), e))
+            else:
+                term = reference_mul(term, MultiPoly.var(name, e))
+        out = reference_add(out, term)
+    return out
+
+
+def items(p):
+    return list(p.terms.items())
+
+
+# few keys and few coefficient values, so running sums often cancel midway,
+# over mixed denominators
+_KEYS = [(), (("x", 1),), (("y", 1),), (("x", 1), ("y", 1)), (("x", 2),),
+         (("y", 2),), (("x", 1), ("z", 1))]
+_coeffs = st.builds(F, st.sampled_from([-2, -1, 1, 2]), st.sampled_from([1, 2, 3, 4, 6]))
+_monos = st.builds(lambda k, c: MultiPoly({k: c}), st.sampled_from(_KEYS), _coeffs)
+_mixed = st.dictionaries(st.sampled_from(_KEYS), _coeffs, max_size=6).map(MultiPoly) | _monos
+
+
+# in this product the x^2*y sum cancels after its first two pairs and comes
+# back after other keys were inserted, which moves it to the end of the dict
+_XY, _X2 = (("x", 1), ("y", 1)), (("x", 2),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed, _mixed)
+@example(MultiPoly({_XY: -1, (): F(-1, 2), _X2: -1, (("x", 1),): F(1, 2)}),
+         MultiPoly({(("x", 1),): -1, _XY: 2, _X2: 2, (("y", 1),): 1}))
+def test_mul_matches_reference(p, q):
+    assert items(p * q) == items(reference_mul(p, q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_monos, _mixed)
+def test_monomial_mul_matches_reference_on_either_side(m, p):
+    assert items(m * p) == items(reference_mul(m, p))
+    assert items(p * m) == items(reference_mul(p, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed, _mixed, _mixed)
+def test_add_matches_reference_through_cancellation(p, q, r):
+    assert items(p + q) == items(reference_add(p, q))
+    pq = reference_mul(p, q)
+    assert (p * q + (-p) * q).is_zero
+    # r - p*q cancels some keys of p*q mid-sum; later terms re-insert them
+    assert items(p * q + (r - p * q)) == items(reference_add(pq, reference_add(r, -pq)))
+    assert items(p * q + r * q) == items(reference_add(pq, reference_mul(r, q)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed, _mixed, _mixed, _coeffs)
+def test_subs_matches_reference(p, q, r, c):
+    for mapping in ({"x": q}, {"x": q, "y": r}, {"y": c}, {"x": r, "z": 0}):
+        assert items(p.subs(mapping)) == items(reference_subs(p, mapping))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed, _mixed, _mixed)
+def test_mixed_denominator_mul_and_subs_match_sympy(sp, p, q, r):
+    X, Y = sp.symbols("x y")
+    P, Qe, R = (to_sympy(sp, v) for v in (p, q, r))
+    assert same(sp, p * q, P * Qe)
+    assert same(sp, p.subs({"x": q, "y": r}), P.xreplace({X: Qe, Y: R}))
+
+
+def test_public_constructor_still_cleans_and_coerces():
+    k = (("x", 1),)
+    assert MultiPoly({k: 0}).terms == {}
+    assert MultiPoly({k: 0, (): F(1, 3)}).terms == {(): F(1, 3)}
+    half = MultiPoly({k: 0.5}).terms[k]
+    assert type(half) is F and half == F(1, 2)
+    assert MultiPoly({k: "3/4"}).terms[k] == F(3, 4)
