@@ -5,6 +5,9 @@ strings, so identical configurations produce byte-identical files.
 Exit codes: 0 success, 1 usage or input error, 2 Painlevé obstruction,
 3 numerical breakdown (a flow or the Jacobi lattice blew up, or a
 continued-fraction denominator of the Stieltjes check vanished).
+A computation that runs past one of its budgets (the polynomial
+solver's branch budget, the Sturm loops' nudge and bisection caps)
+exits 1 with its message.
 On exit codes 1 and 3 nothing is written, not even the --out
 directory: each command builds the contents of all its files first, and
 one writer then creates --out and moves each file into place from a
@@ -442,7 +445,7 @@ def main(argv=None) -> int:
     except (BreakdownError, lf.BlowUpError) as exc:
         print(f"error: numerical breakdown: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ValueError, KeyError) as exc:
+    except (ParseError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

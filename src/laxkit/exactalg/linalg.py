@@ -13,7 +13,7 @@ genericity cannot go unnoticed.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .poly import MultiPoly
 from .roots import rational_roots  # noqa: F401  (a binding perfbench/tracer.py patches)
@@ -83,44 +83,46 @@ def det_exact(M) -> MultiPoly:
     return d if n % 2 == 0 else -d
 
 
+def rref_extend(rref: Dict[int, List[Fraction]], rows):
+    """Reduce augmented rows [a | b] over Q into a reduced row-echelon form
+    {pivot column: row}, leaving `rref` as it was; None once inconsistent.
+    A consistent system has one such form however its rows are split."""
+    out = dict(rref)
+    for row in rows:
+        for c, prow in out.items():
+            f = row[c]
+            if f:
+                row = [x - f * y for x, y in zip(row, prow)]
+        c = next((j for j, x in enumerate(row[:-1]) if x), None)
+        if c is None:
+            if row[-1]:
+                return None
+            continue
+        pv = row[c]
+        row = [x / pv for x in row]
+        for k, prow in out.items():
+            f = prow[c]
+            if f:
+                out[k] = [x - f * y for x, y in zip(prow, row)]
+        out[c] = row
+    return out
+
+
+def rref_solution(rref: Dict[int, List[Fraction]], n: int):
+    """(particular, nullspace basis) read off the form of a consistent
+    system in n unknowns; each free unknown is 0 in the particular one."""
+    part = [rref[c][n] if c in rref else Fraction(0) for c in range(n)]
+    basis = [[-rref[c][f] if c in rref else Fraction(c == f) for c in range(n)]
+             for f in range(n) if f not in rref]
+    return part, basis
+
+
 def solve_linear_fractions(rows: List[List[Fraction]], rhs: List[Fraction]):
     """Gaussian elimination over Q; returns (particular, nullspace basis)
     or None when inconsistent."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    A = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    piv_cols: List[int] = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if A[i][c] != 0), None)
-        if p is None:
-            continue
-        A[r], A[p] = A[p], A[r]
-        pv = A[r][c]
-        A[r] = [x / pv for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if A[i][n] != 0:
-            return None
-    part = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        part[c] = A[i][n]
-    free = [c for c in range(n) if c not in piv_cols]
-    basis = []
-    for fcol in free:
-        v = [Fraction(0)] * n
-        v[fcol] = Fraction(1)
-        for i, c in enumerate(piv_cols):
-            v[c] = -A[i][fcol]
-        basis.append(v)
-    return part, basis
+    n = len(rows[0]) if rows else 0
+    rref = rref_extend({}, [list(r) + [b] for r, b in zip(rows, rhs)])
+    return None if rref is None else rref_solution(rref, n)
 
 
 def _pivot_choice(rows: Mat, col: int, start: int):

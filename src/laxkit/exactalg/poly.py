@@ -258,6 +258,8 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
+        if n == 1:
+            return self
         out = MultiPoly.const(1)
         base = self
         while n:
@@ -284,6 +286,8 @@ class MultiPoly:
 
     def subs(self, mapping: Mapping[str, "MultiPoly | Scalar"]) -> "MultiPoly":
         """Substitute symbols by polynomials/rationals; exact."""
+        if not any(n in mapping for k in self.terms for n, _ in k):
+            return self
         # each term is c times its unmapped symbols, as one monomial, times
         # the mapped powers in key order; a monomial factor moves neither a
         # value nor a dict position of a product, so this is the term

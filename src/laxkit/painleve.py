@@ -28,7 +28,8 @@ from .exactalg import (InconsistentSystemError, MultiPoly, PuiseuxSeries,
                        eliminate_linear, kernel_free_columns,
                        left_kernel_vector, poly_on_series, rational_roots,
                        solve_square_exact, solve_with_pins)
-from .exactalg.linalg import adjugate_kernel_column, solve_linear_fractions
+from .exactalg.linalg import (adjugate_kernel_column, rref_extend,
+                               rref_solution)
 from .sysdsl import VectorFieldSystem
 
 Key = Tuple[Tuple[str, int], ...]
@@ -117,7 +118,6 @@ def detect_weights(sys: VectorFieldSystem, max_patterns: int = 200000
     rationals) are dropped.
     """
     nvar = len(sys.variables)
-    vidx = {v: i for i, v in enumerate(sys.variables)}
     eq_keys = [sorted(f.terms.keys()) for f in sys.equations]
     if any(not ks for ks in eq_keys):
         return []
@@ -132,22 +132,27 @@ def detect_weights(sys: VectorFieldSystem, max_patterns: int = 200000
         for r in range(1, len(ks) + 1):
             yield from itertools.combinations(ks, r)
 
+    def aug_row(i, key):
+        # [exponents - e_i | 1]; a constant symbol carries no weight
+        exps = dict(key)
+        return [Fraction(exps.get(v, 0) - (j == i))
+                for j, v in enumerate(sys.variables)] + [Fraction(1)]
+
+    levels = [[(s, [aug_row(i, key) for key in s]) for s in subsets(ks)]
+              for i, ks in enumerate(eq_keys)]
     found: Dict[Tuple[Fraction, ...], WeightVector] = {}
-    for pattern in itertools.product(*[list(subsets(ks)) for ks in eq_keys]):
-        rows, rhs = [], []
-        for i, subset in enumerate(pattern):
-            for key in subset:
-                row = [Fraction(0)] * nvar
-                for n, e in key:
-                    if n in vidx:
-                        row[vidx[n]] += e
-                row[i] -= 1
-                rows.append(row)
-                rhs.append(Fraction(1))
-        sol = solve_linear_fractions(rows, rhs)
-        if sol is None:
-            continue
-        part, basis = sol
+
+    def walk(pattern, rref):
+        # patterns in itertools.product order; a prefix whose rows are
+        # inconsistent is dropped with every pattern that extends it
+        i = len(pattern)
+        if i < nvar:
+            for subset, rows in levels[i]:
+                ext = rref_extend(rref, rows)
+                if ext is not None:
+                    walk(pattern + (subset,), ext)
+            return
+        part, basis = rref_solution(rref, nvar)
         if not basis:
             candidates = [tuple(part)]
         else:
@@ -162,6 +167,8 @@ def detect_weights(sys: VectorFieldSystem, max_patterns: int = 200000
                 found[w] = WeightVector(weights=tuple(w),
                                         dominant_support=cs[0],
                                         lower_terms=cs[1])
+
+    walk((), {})
     out = sorted(found.values(), key=lambda wv: (sorted(wv.weights), wv.weights))
     return out
 
@@ -238,9 +245,11 @@ def solve_poly_system(eqs: Sequence[MultiPoly], unknowns: Sequence[str],
 
         # 1. a variable appearing linearly with a nonzero constant
         # coefficient; later unknowns are eliminated first so that leading
-        # unknowns (positions rather than momenta) stay free
+        # unknowns (positions rather than momenta) stay free; an unknown
+        # absent from e is skipped (coeffs_in gives {0: e}, as in step 4)
         for idx, e in enumerate(cur_eqs):
-            for x in reversed(present):
+            evs = e.variables()
+            for x in [u for u in reversed(present) if u in evs]:
                 cfs = e.coeffs_in(x)
                 if set(cfs) <= {0, 1} and 1 in cfs and cfs[1].is_constant:
                     val = -cfs.get(0, MultiPoly.zero()) / cfs[1].const_value()
@@ -293,7 +302,8 @@ def solve_poly_system(eqs: Sequence[MultiPoly], unknowns: Sequence[str],
         # 4. last resort: eliminate a variable appearing linearly with a
         # polynomial coefficient C, on the branch C != 0
         for idx, e in enumerate(cur_eqs):
-            for x in present:
+            evs = e.variables()
+            for x in [u for u in present if u in evs]:
                 cfs = e.coeffs_in(x)
                 if set(cfs) <= {0, 1} and 1 in cfs:
                     C = cfs[1]

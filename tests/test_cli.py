@@ -94,6 +94,30 @@ def test_painleve_pattern_budget_exits_1_no_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_painleve_solver_branch_budget_exits_1_no_output(tmp_path, capsys,
+                                                         monkeypatch):
+    from laxkit import painleve as pv
+    solve = pv.solve_poly_system
+    monkeypatch.setattr(pv, "solve_poly_system",
+                        lambda *a, **kw: solve(*a, **{**kw, "max_branches": 5}))
+    out = tmp_path / "out"
+    assert main(["painleve", "--builtin", "kvm", "--out", str(out)]) == 1
+    assert "error: polynomial system solver branch budget exceeded" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_jacobi_bisection_cap_exits_1_no_output(tmp_path, capsys, monkeypatch):
+    from laxkit.exactalg import roots
+    monkeypatch.setattr(roots, "_bisection_cap", lambda f, eps: 2)
+    out = tmp_path / "out"
+    assert main(["jacobi", "-a", "1,2,3", "-b", "1/2,-1/2,0",
+                 "--out", str(out)]) == 1
+    assert "error: root refinement: no root settled within 2 bisection steps" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_painleve_obstruction_exit_code(tmp_path):
     src = tmp_path / "damped.ivf"
     src.write_text("system damped\nvars z1 z2\neq z1 = z2\n"

@@ -286,3 +286,98 @@ def test_solve_square_exact_matches_sympy(M, rhs):
     want = A.LUsolve(_sympy_matrix(sympy, [[c] for c in rhs]))
     got = solve_square_exact(M, rhs)
     assert [c.const_value() for c in got] == [F(int(c.p), int(c.q)) for c in want]
+
+
+# -- the incremental reduced row-echelon form ----------------------------------
+#
+# solve_linear_fractions as it was first written: one Gauss-Jordan pass over
+# all rows, pivoting on the first nonzero entry of each column.
+
+def reference_solve_linear_fractions(rows, rhs):
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    A = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
+    piv_cols = []
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, m) if A[i][c] != 0), None)
+        if p is None:
+            continue
+        A[r], A[p] = A[p], A[r]
+        pv = A[r][c]
+        A[r] = [x / pv for x in A[r]]
+        for i in range(m):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if A[i][n] != 0:
+            return None
+    part = [F(0)] * n
+    for i, c in enumerate(piv_cols):
+        part[c] = A[i][n]
+    basis = []
+    for fcol in [c for c in range(n) if c not in piv_cols]:
+        v = [F(0)] * n
+        v[fcol] = F(1)
+        for i, c in enumerate(piv_cols):
+            v[c] = -A[i][fcol]
+        basis.append(v)
+    return part, basis
+
+
+@st.composite
+def augmented_systems(draw):
+    """Augmented rows [a | b] over Q: random rows, then rows that repeat a
+    combination of earlier ones (dependent), zero rows, and combinations
+    with a shifted right-hand side (usually inconsistent)."""
+    n = draw(st.integers(1, 5))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    rows = draw(st.lists(st.lists(small, min_size=n + 1, max_size=n + 1),
+                         min_size=1, max_size=4))
+    for kind in draw(st.lists(st.sampled_from(["dep", "zero", "shift"]),
+                              max_size=4)):
+        if kind == "zero":
+            rows.append([F(0)] * (n + 1))
+            continue
+        cs = draw(st.lists(small, min_size=len(rows), max_size=len(rows)))
+        row = [sum((c * r[j] for c, r in zip(cs, rows)), F(0))
+               for j in range(n + 1)]
+        if kind == "shift":
+            row[n] += 1
+        rows.append(row)
+    order = draw(st.permutations(range(len(rows))))
+    return n, [rows[i] for i in order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(augmented_systems(), st.data())
+def test_rref_extend_matches_one_shot_gauss_jordan(system, data):
+    from laxkit.exactalg.linalg import (rref_extend, rref_solution,
+                                        solve_linear_fractions)
+    n, aug = system
+    rows, rhs = [r[:n] for r in aug], [r[n] for r in aug]
+    want = reference_solve_linear_fractions(rows, rhs)
+    assert solve_linear_fractions(rows, rhs) == want
+    one_shot = rref_extend({}, aug)
+    assert (one_shot is None) == (want is None)
+    if one_shot is not None:
+        assert rref_solution(one_shot, n) == want
+    # row by row, and split at a random point: the same form, and every
+    # intermediate form is left as it was
+    by_row = {}
+    for row in aug:
+        before = {c: list(r) for c, r in by_row.items()}
+        ext = rref_extend(by_row, [row])
+        assert by_row == before
+        by_row = ext
+        if by_row is None:
+            break
+    assert by_row == one_shot
+    k = data.draw(st.integers(0, len(aug)))
+    head = rref_extend({}, aug[:k])
+    assert (None if head is None else rref_extend(head, aug[k:])) == one_shot

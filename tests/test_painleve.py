@@ -2,6 +2,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from laxkit import painleve as pv
 from laxkit.acceptance import _principal_families
@@ -13,7 +14,7 @@ from laxkit.painleve import (Balance, FamilyNotPolynomial,
                              dominant_part, family_residual, indicial_solve,
                              invariant_series, invariant_weight, kowalewski,
                              propagate, solve_poly_system)
-from laxkit.sysdsl import parse_system
+from laxkit.sysdsl import VectorFieldSystem, parse_system
 
 
 def weights_of(sys_):
@@ -456,3 +457,139 @@ def test_constraint_order_too_low_matches_full_window():
     assert invariant_series(spare, "H1").valid == 0
     with pytest.raises(ValueError, match="series order too low"):
         constraint_curve(system, spare, ["H1"], value_names=["b1"])
+
+
+# -- the weight search against the brute-force pattern loop --------------------
+#
+# detect_weights walks the dominant-support patterns depth-first and drops a
+# prefix whose weight equations are inconsistent with all its extensions.
+# This is the search as it was first written: every pattern of
+# itertools.product, each solved from scratch.
+
+def reference_detect_weights(sys_, max_patterns=200000):
+    import itertools
+    from laxkit.exactalg.linalg import solve_linear_fractions
+    nvar = len(sys_.variables)
+    vidx = {v: i for i, v in enumerate(sys_.variables)}
+    eq_keys = [sorted(f.terms.keys()) for f in sys_.equations]
+    if any(not ks for ks in eq_keys):
+        return []
+    total = 1
+    for ks in eq_keys:
+        total *= (2 ** len(ks)) - 1
+    if total > max_patterns:
+        raise ValueError(f"{total} dominant-support patterns to enumerate, "
+                         f"more than max_patterns={max_patterns}")
+
+    def subsets(ks):
+        for r in range(1, len(ks) + 1):
+            yield from itertools.combinations(ks, r)
+
+    found = {}
+    for pattern in itertools.product(*[list(subsets(ks)) for ks in eq_keys]):
+        rows, rhs = [], []
+        for i, subset in enumerate(pattern):
+            for key in subset:
+                row = [F(0)] * nvar
+                for n, e in key:
+                    if n in vidx:
+                        row[vidx[n]] += e
+                row[i] -= 1
+                rows.append(row)
+                rhs.append(F(1))
+        sol = solve_linear_fractions(rows, rhs)
+        if sol is None:
+            continue
+        part, basis = sol
+        if not basis:
+            candidates = [tuple(part)]
+        else:
+            candidates = pv._resolve_weight_family(sys_, pattern, part, basis)
+        for w in candidates:
+            if any(x <= 0 for x in w):
+                continue
+            cs = pv._canonical_support(sys_, w)
+            if cs is None:
+                continue
+            if w not in found:
+                found[w] = pv.WeightVector(weights=tuple(w),
+                                           dominant_support=cs[0],
+                                           lower_terms=cs[1])
+    return sorted(found.values(), key=lambda wv: (sorted(wv.weights), wv.weights))
+
+
+def _search_outcome(search, sys_, **kw):
+    """What a weight search returns or raises, and the arguments it passes
+    to _resolve_weight_family and _canonical_support, in call order."""
+    calls = []
+    resolve, support = pv._resolve_weight_family, pv._canonical_support
+
+    def recorded(name, fn):
+        def call(sys_arg, *args):
+            calls.append((name, args))
+            return fn(sys_arg, *args)
+        return call
+
+    pv._resolve_weight_family = recorded("resolve", resolve)
+    pv._canonical_support = recorded("support", support)
+    try:
+        got = [(w.weights, w.dominant_support, w.lower_terms)
+               for w in search(sys_, **kw)]
+    except (ValueError, RuntimeError) as exc:
+        got = type(exc), str(exc)
+    finally:
+        pv._resolve_weight_family, pv._canonical_support = resolve, support
+    return got, calls
+
+
+def _weight_system(eqs):
+    names = tuple(f"x{i + 1}" for i in range(len(eqs)))
+    return VectorFieldSystem(name="s", variables=names, constants=("c",),
+                             equations=tuple(eqs), invariants={})
+
+
+@st.composite
+def small_vector_fields(draw):
+    """2-5 variables, at most 400 dominant-support patterns; exponents up
+    to 2, about half the monomials of equation i divisible by x_i
+    (Lotka-Volterra form), and now and then a constant symbol c, which
+    carries no weight."""
+    n = draw(st.integers(2, 5))
+    names = [f"x{i + 1}" for i in range(n)]
+    eqs, patterns = [], 1
+    for i in range(n):
+        budget = 400 // patterns // 3 ** (n - 1 - i)
+        most = max(k for k in (1, 2, 3) if 2 ** k - 1 <= budget)
+        p = MultiPoly.zero()
+        for _ in range(draw(st.integers(1, most))):
+            exps = {v: draw(st.integers(0, 2)) for v in names}
+            exps[names[i]] = max(exps[names[i]], draw(st.integers(0, 1)))
+            if draw(st.integers(0, 5)) == 0:
+                exps["c"] = 1
+            p = p + MultiPoly.monomial(draw(st.sampled_from([-3, -1, 1, 2])),
+                                       **exps)
+        assume(not p.is_zero)
+        patterns *= 2 ** len(p.terms) - 1
+        eqs.append(p)
+    return _weight_system(eqs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_vector_fields(), st.integers(20, 400))
+def test_weight_search_matches_brute_force(sys_, max_patterns):
+    kw = {"max_patterns": max_patterns}
+    assert _search_outcome(detect_weights, sys_, **kw) == \
+        _search_outcome(reference_detect_weights, sys_, **kw)
+
+
+def test_weight_search_keeps_weights_of_non_closed_patterns():
+    # (1, 1/3, 1) comes only from the pattern ({x1x3}, {x1x2}, {x1x3}), on
+    # whose weight family x1^2 is dominant too: resolving only the closed
+    # patterns of each family would lose it
+    x1, x2, x3 = (MultiPoly.var(f"x{i}") for i in (1, 2, 3))
+    sys_ = _weight_system([x1 * x3, -x1 * x2,
+                    -x2 ** 3 + x1 ** 2 - 3 * x1 * x3 - 3 * x2 * x3])
+    want = [(F(1), F(1, 3), F(1)), (F(1), F(2, 3), F(1))]
+    assert [w.weights for w in detect_weights(sys_)] == want
+    assert _search_outcome(detect_weights, sys_) == \
+        _search_outcome(reference_detect_weights, sys_)

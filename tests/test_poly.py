@@ -295,6 +295,19 @@ def test_subs_matches_reference(p, q, r, c):
         assert items(p.subs(mapping)) == items(reference_subs(p, mapping))
 
 
+@settings(max_examples=200, deadline=None)
+@given(_mixed, _mixed)
+def test_subs_of_absent_symbols_and_first_power_match_reference(p, q):
+    # subs returns p itself when no mapped symbol occurs in it, and p ** 1
+    # returns p: the values and dict order of the reference kernel
+    for mapping in ({"w": q}, {"z": q}, {"y": 0, "w": 1}):
+        if not set(mapping) & set(p.variables()):
+            assert p.subs(mapping) is p
+        assert items(p.subs(mapping)) == items(reference_subs(p, mapping))
+    assert p ** 1 is p
+    assert items(p ** 1) == items(reference_pow(p, 1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(_mixed, _mixed, _mixed)
 def test_mixed_denominator_mul_and_subs_match_sympy(sp, p, q, r):
