@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -205,14 +205,18 @@ def toda_open_pencil(a, b):
     return pencil, B
 
 
-def toda_scalar_rhs(a: np.ndarray, b: np.ndarray):
-    """Periodic lattice ODE in Flaschka variables (index mod N)."""
-    # Kept as scalar loops: numpy's scalar a[j] ** 2 and the array a ** 2
-    # differ in the last bit on some inputs, and the lattice flow's
-    # reports are golden.
+def toda_scalar_rhs(a: Sequence[float], b: Sequence[float]
+                    ) -> Tuple[List[float], List[float]]:
+    """Periodic lattice ODE in Flaschka variables (index mod N), as the
+    lists (da, db)."""
+    # Scalar loops on the Python floats the lattice flow passes in: on 2-7
+    # sites numpy-scalar arithmetic costs more than the sums.  b[j + 1 - n]
+    # is b[(j + 1) mod n].  `** 2` stays for bit identity with the golden
+    # reports: Python's x ** 2 rounds as numpy's scalar x ** 2 does, where
+    # x * x and numpy's array a ** 2 differ in the last bit on some inputs.
     n = len(a)
-    da = np.array([a[j] * (b[(j + 1) % n] - b[j]) for j in range(n)])
-    db = np.array([2 * (a[j] ** 2 - a[j - 1] ** 2) for j in range(n)])
+    da = [a[j] * (b[j + 1 - n] - b[j]) for j in range(n)]
+    db = [2 * (a[j] ** 2 - a[j - 1] ** 2) for j in range(n)]
     return da, db
 
 

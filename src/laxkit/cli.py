@@ -3,11 +3,12 @@
 Reports are JSON with insertion-ordered keys and canonical polynomial
 strings, so identical configurations produce byte-identical files.
 Exit codes: 0 success, 1 usage or input error, 2 Painlevé obstruction,
-3 numerical breakdown (a flow or the Jacobi lattice blew up, or a
-continued-fraction denominator of the Stieltjes check vanished).
+3 numerical breakdown (a flow or the Jacobi lattice blew up, a
+continued-fraction denominator of the Stieltjes check vanished, or a
+number overflowed a float, as Jacobi entries such as -a 1e300,1 do).
 A computation that runs past one of its budgets (the polynomial
-solver's branch budget, the Sturm loops' nudge and bisection caps)
-exits 1 with its message.
+solver's branch budget, the Sturm loops' nudge and bisection caps, the
+flows' 10**6 steps, laxflow.MAX_STEPS) exits 1 with its message.
 On exit codes 1 and 3 nothing is written, not even the --out
 directory: each command builds the contents of all its files first, and
 one writer then creates --out and moves each file into place from a
@@ -442,7 +443,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BreakdownError, lf.BlowUpError) as exc:
+    except (BreakdownError, lf.BlowUpError, OverflowError) as exc:
         print(f"error: numerical breakdown: {exc}", file=sys.stderr)
         return 3
     except (ParseError, ValueError, KeyError, RuntimeError) as exc:

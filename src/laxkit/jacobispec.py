@@ -533,14 +533,17 @@ def toda_flow_jacobi(m: PeriodicJacobi, t_end: float, dt: float,
     spectral data: band edges frozen, auxiliary spectrum interlacing at
     every sample, sum b_j exactly conserved, a_j never vanishing.  Each
     sample builds A(1) once: _float_spectrum reads its spectrum from it and
-    the power traces tr A^k are taken of it.  Raises
-    BlowUpError when the state stops being finite, and ValueError unless
-    dt divides t_end (laxflow.steps_for)."""
+    the power traces tr A^k are taken of it.  The right-hand side reads
+    the state as Python floats.  Raises BlowUpError when the state stops
+    being finite or a_j ** 2 overflows, and ValueError unless dt divides
+    t_end (laxflow.steps_for)."""
     from .builtins import toda_scalar_rhs
     n = m.period
 
     def rhs(y):
-        return np.concatenate(toda_scalar_rhs(y[:n], y[n:]))
+        v = y.tolist()
+        da, db = toda_scalar_rhs(v[:n], v[n:])
+        return np.array(da + db)
 
     stride = max(1, steps_for(t_end, dt) // samples)
     y0 = np.array([float(x) for x in list(m.a) + list(m.b)])

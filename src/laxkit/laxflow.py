@@ -23,6 +23,7 @@ each must vanish up to roundoff, or ValueError reports a malformed B.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -258,11 +259,16 @@ def pencil_charpoly(p: Union[MatrixPencil, Mapping[int, Sequence[Sequence]]]
 # Lax integration
 # ---------------------------------------------------------------------------
 
+# the most steps one flow may take: a step far below its horizon (say
+# --dt 1e-300) is refused at once instead of running without end
+MAX_STEPS = 10 ** 6
+
+
 def steps_for(t_end: float, dt: float) -> int:
     """Number of steps of size dt that reach t_end.  ValueError unless dt
     divides t_end into a positive whole number of steps, to 1e-9
     relative: a flow never stops short of or runs past its horizon, and
-    never takes zero steps."""
+    never takes zero steps.  ValueError too for more than MAX_STEPS."""
     if not dt > 0:
         raise ValueError("step size must be positive")
     ratio = t_end / dt
@@ -270,6 +276,9 @@ def steps_for(t_end: float, dt: float) -> int:
     if steps < 1 or abs(steps * dt - t_end) > 1e-9 * abs(t_end):
         raise ValueError(f"dt = {dt} does not divide t_end = {t_end} "
                          "into a positive whole number of steps")
+    if steps > MAX_STEPS:
+        raise ValueError(f"dt = {dt} takes {ratio:.7g} steps to reach "
+                         f"t_end = {t_end}, more than MAX_STEPS = {MAX_STEPS}")
     return steps
 
 
@@ -281,19 +290,26 @@ def rk4(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, t_end: float,
     Returns the sample times and states: t = 0 (y0 itself), every
     `sample_every`-th step and the last step, each at t = step * dt.
     Raises BlowUpError when the state stops being finite or its max-norm
-    exceeds `blowup`, and ValueError unless dt divides t_end (steps_for).
+    exceeds `blowup`, or when rhs raises OverflowError (Python float `**`
+    raises where numpy returns inf), and ValueError unless dt divides
+    t_end (steps_for).
     """
     steps = steps_for(t_end, dt)
     y = y0
     times = [0.0]
     states = [y]
     for s in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + dt / 2 * k1)
-        k3 = rhs(y + dt / 2 * k2)
-        k4 = rhs(y + dt * k3)
+        try:
+            k1 = rhs(y)
+            k2 = rhs(y + dt / 2 * k1)
+            k3 = rhs(y + dt / 2 * k2)
+            k4 = rhs(y + dt * k3)
+        except OverflowError as exc:
+            raise BlowUpError((s + 1) * dt) from exc
         y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > blowup:
+        # one reduction: a NaN anywhere makes the max NaN
+        top = np.abs(y).max()
+        if not math.isfinite(top) or top > blowup:
             raise BlowUpError((s + 1) * dt)
         if (s + 1) % sample_every == 0 or s == steps - 1:
             times.append((s + 1) * dt)
@@ -380,7 +396,8 @@ def integrate_system(sys: VectorFieldSystem, z0: Sequence[float], t_end: float,
     names = list(sys.variables)
 
     def rhs(z):
-        env = dict(zip(names, z))
+        # Python floats, so eval_num does no numpy-scalar arithmetic
+        env = dict(zip(names, z.tolist()))
         env.update(consts)
         return np.array([f.eval_num(env) for f in fns])
 

@@ -475,3 +475,24 @@ def test_flow_default_n_is_3(tmp_path):
     for name in ("flow_toda-periodic.csv", "flow_toda-periodic.json"):
         assert (tmp_path / "default" / name).read_bytes() == \
             (tmp_path / "n3" / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["jacobi", "-a", "1,2", "-b", "0,0", "--toda-t-end", "1", "--dt", "1e-300"],
+    ["flow", "--builtin", "toda-periodic", "--t-end", "1", "--dt", "1e-300"],
+    ["flow", "--builtin", "kvm", "--t-end", "1", "--dt", "1e-300"],
+], ids=["jacobi", "flow-toda", "flow-kvm"])
+def test_step_budget_exit_1_writes_nothing(tmp_path, capsys, argv):
+    # 1e300 steps would run without end: refused before the first one
+    assert run(tmp_path, *argv) == 1
+    assert "MAX_STEPS" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("a", ["1e400,1", "1e300,1"], ids=["1e400", "1e300"])
+def test_jacobi_huge_entry_exit_3_writes_nothing(tmp_path, capsys, a):
+    # 1e400 does not fit a float at all, 1e300 overflows once multiplied:
+    # either is a numerical breakdown, not a traceback
+    assert run(tmp_path, "jacobi", "-a", a, "-b", "0,0") == 3
+    assert "error: numerical breakdown:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from laxkit import builtins as bi
 from laxkit import jacobispec as js
 
 
@@ -396,3 +397,69 @@ def test_toda_band_edges_match_exact_edges_of_initial_data(a, b):
     assert diag.band_edges.shape == (len(diag.times), 2 * len(a))
     assert np.max(np.abs(diag.band_edges - want)) < 1e-9
     assert diag.interlacing_ok
+
+
+def _numpy_scalar_toda_rhs(a, b):
+    """The lattice right-hand side on numpy scalars, as the flow computed it
+    before it moved to Python floats: the reference for bit identity."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    n = len(a)
+    da = np.array([a[j] * (b[(j + 1) % n] - b[j]) for j in range(n)])
+    db = np.array([2 * (a[j] ** 2 - a[j - 1] ** 2) for j in range(n)])
+    return list(da), list(db)
+
+
+def _same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.shape == y.shape and np.array_equal(x, y)
+            and np.array_equal(np.signbit(x), np.signbit(y)))
+
+
+def _assert_lattice_flow_matches_reference(m, t_end, dt):
+    got = js.toda_flow_jacobi(m, t_end, dt)
+    calls = []
+
+    def reference(a, b):
+        calls.append(None)
+        return _numpy_scalar_toda_rhs(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bi, "toda_scalar_rhs", reference)
+        want = js.toda_flow_jacobi(m, t_end, dt)
+    assert len(calls) == 4 * round(t_end / dt)
+    assert got.times == want.times
+    for name in ("a_states", "b_states", "band_edges", "aux_states"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+
+
+def test_toda_rhs_matches_numpy_scalar_reference():
+    # Python float ** 2 rounds as numpy's scalar ** 2; signed zeros included
+    rng = np.random.default_rng(11)
+    for n in range(2, 8):
+        for _ in range(300):
+            a = (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)).tolist()
+            b = rng.choice([0.0, -0.0, 1.5, -2.25], n).tolist()
+            if rng.random() < 0.5:
+                b = rng.uniform(-3, 3, n).tolist()
+            got = bi.toda_scalar_rhs(a, b)
+            want = _numpy_scalar_toda_rhs(a, b)
+            assert all(type(x) is float for x in got[0] + got[1])
+            assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 7), st.data())
+def test_toda_flow_matches_numpy_scalar_reference_rational(N, data):
+    a = [F(data.draw(_nonzero), data.draw(st.integers(1, 9))) for _ in range(N)]
+    b = [F(data.draw(st.integers(-16, 16)), data.draw(st.integers(1, 9)))
+         for _ in range(N)]
+    _assert_lattice_flow_matches_reference(js.PeriodicJacobi(a, b), 0.2, 1e-3)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_toda_flow_matches_numpy_scalar_reference_float(seed):
+    rng = np.random.default_rng(seed)
+    n = 2 + seed
+    a = (rng.uniform(0.3, 1.7, n) * rng.choice([-1.0, 1.0], n)).tolist()
+    b = rng.uniform(-1, 1, n).tolist() if seed % 2 else [0.0] * n
+    _assert_lattice_flow_matches_reference(js.PeriodicJacobi(a, b), 0.5, 1e-3)

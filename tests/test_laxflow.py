@@ -341,6 +341,55 @@ def test_rk4_blowup_on_norm_and_on_nonfinite_state():
         lf.rk4(lambda y: y * np.inf, np.ones(1), 1.0, 0.5, 1, np.inf)
 
 
+def test_rk4_blowup_test_nan_inf_and_bound():
+    def const(v):
+        return lambda y: np.array(v)
+    # a NaN state raises, however loose the bound
+    with pytest.raises(lf.BlowUpError) as exc:
+        lf.rk4(const([0.0, np.nan]), np.zeros(2), 1.0, 0.25, 1, np.inf)
+    assert exc.value.time == 0.25
+    # so does an infinite one of either sign with blowup = inf
+    for v in (np.inf, -np.inf):
+        with pytest.raises(lf.BlowUpError):
+            lf.rk4(const([v, 0.0]), np.zeros(2), 1.0, 0.25, 1, np.inf)
+    # a max-norm equal to the bound is not above it; the next float is
+    y0 = np.array([-4.0, 1.0])
+    times, states = lf.rk4(const([0.0, 0.0]), y0, 1.0, 0.25, 1, 4.0)
+    assert times[-1] == 1.0 and np.array_equal(states[-1], y0)
+    with pytest.raises(lf.BlowUpError) as exc:
+        lf.rk4(const([0.0, 0.0]), np.array([np.nextafter(-4.0, -5.0), 1.0]),
+               1.0, 0.25, 1, 4.0)
+    assert exc.value.time == 0.25
+
+
+def test_rk4_overflow_in_rhs_is_a_blowup_at_that_step():
+    calls = []
+
+    def rhs(y):
+        calls.append(None)
+        if len(calls) == 10:  # second stage of the third step
+            raise OverflowError("(34, 'Numerical result out of range')")
+        return np.zeros_like(y)
+
+    with pytest.raises(lf.BlowUpError) as exc:
+        lf.rk4(rhs, np.ones(2), 1.0, 0.125, 1, np.inf)
+    assert exc.value.time == 3 * 0.125
+    assert isinstance(exc.value.__cause__, OverflowError)
+    # Python float ** raises on overflow where numpy returns inf
+    with pytest.raises(lf.BlowUpError) as exc:
+        lf.rk4(lambda y: np.array([x ** 2 for x in y.tolist()]),
+               np.array([1e200]), 1.0, 0.5, 1, np.inf)
+    assert exc.value.time == 0.5
+
+
+def test_steps_for_budget():
+    assert lf.steps_for(1.0, 1e-6) == lf.MAX_STEPS == 10 ** 6
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        lf.steps_for(2.0, 1e-6)
+    with pytest.raises(ValueError, match="1e\\+300 steps"):
+        lf.steps_for(1.0, 1e-300)
+
+
 def test_integrate_lax_rejects_malformed_b():
     pencil, _ = bi.toda_periodic_pencil([1.0, 1.2, 0.8], [0.1, -0.2, 0.3])
 
