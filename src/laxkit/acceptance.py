@@ -140,12 +140,12 @@ def _sheet_sign(bal) -> int:
 # ---------------------------------------------------------------------------
 
 def check_1_hh_series(float_tol=None):
-    t0 = time.time()
+    t0 = time.perf_counter()
     _, _, fams = _principal_families("henon-heiles")
     errs = []
     for _, fam in fams:
         errs += _check_series(fam, GOLDEN_HH)
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     ok = not errs and dt < 10.0
     n = sum(len(t) for t in GOLDEN_HH.values())
     return ok, (f"{n} coefficients exact in {dt:.1f}s" if not errs
@@ -153,7 +153,7 @@ def check_1_hh_series(float_tol=None):
 
 
 def check_2_rdg_series(float_tol=None):
-    t0 = time.time()
+    t0 = time.perf_counter()
     errs = []
     _, _, fams = _principal_families("rdg")
     if len(fams) != 2:
@@ -165,7 +165,7 @@ def check_2_rdg_series(float_tol=None):
         errs.append(f"expected 2 sheets for the 5-variable system, got {len(fams5)}")
     for bal, fam in fams5:
         errs += _check_series(fam, GOLDEN_RDG5, eps=_sheet_sign(bal))
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     ok = not errs and dt < 30.0
     n = (sum(len(t) for t in GOLDEN_RDG.values()) +
          sum(len(t) for t in GOLDEN_RDG5.values()))
@@ -174,7 +174,7 @@ def check_2_rdg_series(float_tol=None):
 
 
 def check_3_constraint_curves(float_tol=None):
-    t0 = time.time()
+    t0 = time.perf_counter()
     errs = []
     for name, golden in (("henon-heiles", GOLDEN_CURVE_HH),
                          ("rdg", GOLDEN_CURVE_RDG),
@@ -186,14 +186,14 @@ def check_3_constraint_curves(float_tol=None):
             want = _expr(golden).primitive()
             if cv.curve != want:
                 errs.append(f"{name}: curve mismatch")
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     ok = not errs and dt < 30.0
     return ok, (f"3 curves exact up to normalization in {dt:.1f}s"
                 if not errs else "; ".join(errs[:2]))
 
 
 def check_4_parameter_counts(float_tol=None):
-    t0 = time.time()
+    t0 = time.perf_counter()
     errs = []
     _, _, fams = _principal_families("kvm")
     if len(fams) != 5:
@@ -208,7 +208,7 @@ def check_4_parameter_counts(float_tol=None):
             exp, tot = fam.count_free_parameters()
             if (exp, tot) != (3, 4):
                 errs.append(f"{name}: counts {(exp, tot)} != (3, 4)")
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     ok = not errs and dt < 10.0
     return ok, ("kvm 4 = m-1 with t0; henon-heiles/rdg 3 explicit + t0 "
                 f"({dt:.1f}s)" if not errs else "; ".join(errs[:2]))
@@ -266,7 +266,7 @@ def check_6_involution(float_tol=None):
 
 def check_7_isospectral(float_tol=None):
     tol = float_tol if float_tol is not None else 1e-8
-    t0 = time.time()
+    t0 = time.perf_counter()
     errs = []
     rng = np.random.default_rng(7)
     a = list(rng.uniform(0.6, 1.4, 3))
@@ -305,7 +305,7 @@ def check_7_isospectral(float_tol=None):
         errs.append(f"dt-halving state-error ratio {ratio:.1f} outside 16 +- 25%")
     if drift_ratio < 12.0:
         errs.append(f"drift ratio {drift_ratio:.1f} below fourth order")
-    dt_w = time.time() - t0
+    dt_w = time.perf_counter() - t0
     ok = not errs and dt_w < 20.0
     return ok, (f"toda {d_toda:.1e}, euler-arnold {d_ea:.1e}, order ratio "
                 f"{ratio:.1f}, drift ratio {drift_ratio:.1f} ({dt_w:.1f}s)"
@@ -315,7 +315,7 @@ def check_7_isospectral(float_tol=None):
 def check_8_jacobi_suite(float_tol=None):
     tol_st = float_tol if float_tol is not None else 1e-6
     tol_mass = float_tol if float_tol is not None else 1e-8
-    t0 = time.time()
+    t0 = time.perf_counter()
     errs = []
     rng = np.random.default_rng(8)
     for N in (2, 3, 4):
@@ -342,7 +342,7 @@ def check_8_jacobi_suite(float_tol=None):
         for k in range(1, 6):
             if js.pade_series(a, b, a0, k, 2 * k) != mom[: 2 * k]:
                 errs.append(f"N={N}: pade k={k} does not match 2k moments")
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     ok = not errs and dt < 60.0
     return ok, (f"N=2,3,4: interlacing, stieltjes<=1e-6, mass=a0^2, "
                 f"pade==moments exact ({dt:.1f}s)"

@@ -6,6 +6,9 @@ Exit codes: 0 success, 1 usage or input error, 2 Painlevé obstruction,
 3 numerical breakdown (a flow or the Jacobi lattice blew up, a
 continued-fraction denominator of the Stieltjes check vanished, or a
 number overflowed a float, as Jacobi entries such as -a 1e300,1 do).
+A report or CSV that would hold a NaN or an infinity is never written:
+the command exits 3.  So does jacobi -a 1e100,1, whose P(z)^2 overflows
+into a NaN atom mass.
 A computation that runs past one of its budgets (the polynomial
 solver's branch budget, the Sturm loops' nudge and bisection caps, the
 flows' 10**6 steps, laxflow.MAX_STEPS) exits 1 with its message.
@@ -20,13 +23,15 @@ steps, to 1e-9 relative, or the command exits 1.
 3 for euler-arnold (the smallest sizes whose flow moves), or the command
 exits 1; without it they run at N = 3.  kvm takes no -N: given one, the
 command exits 1.
-`painleve --order` must be a positive integer, or the command exits 1;
-without it a builtin runs at its own default order, 6 otherwise.
+`painleve --order` must be a positive integer no larger than
+painleve.MAX_ORDER (30), or the command exits 1 before any work; without
+it a builtin runs at its own default order, 6 otherwise.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, Tuple
@@ -57,10 +62,17 @@ Result = Tuple[int, List[Tuple[str, str]]]
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:   # a NaN or an infinity in the payload
+        raise BreakdownError(f"the report holds a value that is not finite ({exc})")
 
 
 def _csv_text(header, rows) -> str:
+    for i, row in enumerate(rows):
+        for name, x in zip(header, row):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise BreakdownError(f"CSV row {i}, column {name}, is not finite")
     lines = [",".join(header)]
     lines += [",".join(f"{x:.16g}" if isinstance(x, float) else str(x)
                        for x in row) for row in rows]
@@ -119,6 +131,9 @@ def _load_system(args):
 def cmd_painleve(args) -> Result:
     if args.order is not None and args.order < 1:
         raise UsageError("--order must be a positive integer")
+    if args.order is not None and args.order > pv.MAX_ORDER:
+        raise UsageError(f"--order {args.order} is above the cap "
+                         f"painleve.MAX_ORDER = {pv.MAX_ORDER}")
     system, name = _load_system(args)
     bindings = _parse_bindings(args.bind)
     if bindings:
@@ -388,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--builtin", help=f"one of {sorted(bi._SYSTEM_FILES)}")
     p.add_argument("--file", help="path to an .ivf file")
     p.add_argument("--order", type=int, default=None,
-                   help="whole powers of t beyond the leading exponent")
+                   help="whole powers of t beyond the leading exponent "
+                        f"(1 to {pv.MAX_ORDER})")
     p.set_defaults(fn=cmd_painleve)
 
     p = sub.add_parser("flow", help="integrate a Lax or vector-field builtin")

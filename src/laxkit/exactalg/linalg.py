@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .poly import MultiPoly
+from .poly import SCALED_ONE, MultiPoly, Scaled, scaled, sum_products
 from .roots import rational_roots  # noqa: F401  (a binding perfbench/tracer.py patches)
 
 Mat = List[List[MultiPoly]]
@@ -39,18 +39,22 @@ def mat_identity(n: int) -> Mat:
     return [[MultiPoly.const(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
+def _neg(S: Scaled) -> Scaled:
+    L, terms = S
+    return L, [(k, -n) for k, n in terms]
+
+
+def _const_inverse(d: MultiPoly):
+    """1/d for a constant d, the kernel's scale for an exact division by d;
+    None for a symbolic d, which divides by exact_div."""
+    return 1 / d.const_value() if d.is_constant else None
+
+
 def mat_mul(A: Mat, B: Mat) -> Mat:
-    n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = MultiPoly.zero()
-            for t in range(k):
-                s = s + A[i][t] * B[t][j]
-            row.append(s)
-        out.append(row)
-    return out
+    SA = [[scaled(MultiPoly.coerce(x)) for x in row] for row in A]
+    SB = [[scaled(MultiPoly.coerce(x)) for x in row] for row in B]
+    return [[sum_products([(Ai[t], SB[t][j]) for t in range(len(SB))])
+             for j in range(len(SB[0]))] for Ai in SA]
 
 
 def trace(A: Mat) -> MultiPoly:
@@ -155,15 +159,19 @@ def fraction_free_echelon(rows_in: Mat) -> Tuple[Mat, List[int]]:
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
+        # rows[i][j] <- (piv * rows[i][j] - fi * rows[r][j]) / prev, with
+        # the pivot row scaled once per pivot
+        P = scaled(rows[r][c])
+        Y = [scaled(y) for y in rows[r][c:]]
+        inv = _const_inverse(prev)
         for i in range(r + 1, nrow):
             if all(rows[i][j].is_zero for j in range(c, ncol)):
                 continue
-            fi = rows[i][c]
+            F = _neg(scaled(rows[i][c]))
             for j in range(c, ncol):
-                num = piv * rows[i][j] - fi * rows[r][j]
-                rows[i][j] = num.exact_div(prev)
-        prev = piv
+                num = sum_products([(P, scaled(rows[i][j])), (F, Y[j - c])], inv)
+                rows[i][j] = num if inv is not None else num.exact_div(prev)
+        prev = rows[r][c]
         pivots.append(c)
         r += 1
     return rows, pivots
@@ -173,11 +181,16 @@ def _back_substitute(ech: Mat, pivots: List[int], m: int) -> List[MultiPoly]:
     """Solve an echelon system of m unknowns with one pivot per unknown
     (pivot i at ech[i][pivots[i]]) and the right-hand side in column m."""
     x: List[MultiPoly] = [MultiPoly.zero()] * m
+    sx: List[Scaled] = [(1, [])] * m
     for i in range(m - 1, -1, -1):
-        s = ech[i][m]
-        for j in range(i + 1, m):
-            s = s - ech[i][pivots[j]] * x[pivots[j]]
-        x[pivots[i]] = s.exact_div(ech[i][pivots[i]])
+        pairs = [(scaled(ech[i][m]), SCALED_ONE)]
+        pairs += [(_neg(scaled(ech[i][pivots[j]])), sx[pivots[j]])
+                  for j in range(i + 1, m)]
+        d = ech[i][pivots[i]]
+        inv = _const_inverse(d)
+        s = sum_products(pairs, inv)
+        x[pivots[i]] = s if inv is not None else s.exact_div(d)
+        sx[pivots[i]] = scaled(x[pivots[i]])
     return x
 
 
@@ -204,13 +217,14 @@ def solve_with_pins(M, rhs, pins) -> List[MultiPoly]:
     n = len(M)
     pinvals = {c: MultiPoly.coerce(v) for c, v in pins.items()}
     cols = [j for j in range(n) if j not in pinvals]
+    spins = {c: scaled(v) for c, v in pinvals.items()}
     aug = []
     for i in range(n):
         row = [MultiPoly.coerce(M[i][j]) for j in cols]
-        r = MultiPoly.coerce(rhs[i])
-        for c, v in pinvals.items():
-            r = r - MultiPoly.coerce(M[i][c]) * v
-        row.append(r)
+        pairs = [(scaled(MultiPoly.coerce(rhs[i])), SCALED_ONE)]
+        pairs += [(_neg(scaled(MultiPoly.coerce(M[i][c]))), v)
+                  for c, v in spins.items()]
+        row.append(sum_products(pairs))
         aug.append(row)
     ech, pivots = fraction_free_echelon(aug)
     m = len(cols)

@@ -9,25 +9,32 @@ Printing uses graded lexicographic order (total degree first, then lex
 over alphabetically ordered symbols), which keeps string output stable
 enough to diff golden files against.
 
-The arithmetic normalises each output coefficient once.  A product of two
-polynomials scales each operand to integers by the lcm of its
-denominators, sums the integer products per key and divides by the two
-lcms only at the end (the common-denominator technique; Geddes, Czapor
-and Labahn, *Algorithms for Computer Algebra*, 1992, ch. 2).  Sums insert
-a new key as it is and add only onto a key already present.  In both, a
-running sum that reaches zero drops its key, so it is re-inserted at the
-end of the dict if it comes back: the values and the dict order are those
-of summing the terms one by one as Fractions.  Results built this way are
-wrapped by `MultiPoly._wrap` without validation; it relies on the
-invariant that every key is canonical (a tuple of (symbol, exponent)
-pairs, sorted by symbol, every exponent positive) and that no coefficient
-is zero.  The public constructor checks and coerces its input.
+The arithmetic normalises each output coefficient once.  One kernel,
+`sum_products`, computes every exact sum of products a1*b1 + a2*b2 + ...:
+each operand comes in its scaled form `(L, [(key, int)])`, L the lcm of
+its denominators (`scaled`), every pair is put over one common
+denominator, the products are summed as Python ints, and only the end
+result is divided, once per key, by that denominator and multiplied by
+an optional rational scale (the common-denominator technique; Geddes,
+Czapor and Labahn, *Algorithms for Computer Algebra*, 1992, ch. 2).  A
+product `a * b` is the kernel's one-pair case, and series products,
+Bareiss elimination, matrix products and back substitution hand it whole
+sums.  Sums insert a new key as it is and add only onto a key already
+present.  A running sum that reaches zero drops its key, so it is
+re-inserted at the end of the dict if it comes back; each pair's product
+is summed on its own before it joins the running total.  So the values
+and the dict order are those of `acc = acc + a * b` over the pairs, one
+Fraction term at a time.  Results built this way are wrapped by
+`MultiPoly._wrap` without validation; it relies on the invariant that
+every key is canonical (a tuple of (symbol, exponent) pairs, sorted by
+symbol, every exponent positive) and that no coefficient is zero.  The
+public constructor checks and coerces its input.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 Key = Tuple[Tuple[str, int], ...]
 Scalar = Union[int, Fraction]
@@ -84,11 +91,77 @@ def _merge(out: Dict[Key, object], items) -> None:
             out[k] = c
 
 
-def _scaled(terms: Mapping[Key, Fraction]):
-    """(L, [(key, c * L)]) with L the lcm of the denominators, so every
-    scaled coefficient is an int."""
+Scaled = Tuple[int, List[Tuple[Key, int]]]
+# the scaled form of the constant 1, the partner of a lone summand
+SCALED_ONE: Scaled = (1, [((), 1)])
+
+
+def scaled(p: "MultiPoly") -> Scaled:
+    """(L, [(key, c * L)]) with L the lcm of the denominators of p, so every
+    scaled coefficient is an int: the operand form of `sum_products`."""
+    terms = p.terms
+    if len(terms) == 1:
+        (k, c), = terms.items()
+        return c.denominator, [(k, c.numerator)]
     L = lcm(*[c.denominator for c in terms.values()])
+    if L == 1:
+        return 1, [(k, c.numerator) for k, c in terms.items()]
     return L, [(k, c.numerator * (L // c.denominator)) for k, c in terms.items()]
+
+
+def sum_products(pairs: Iterable[Tuple[Scaled, Scaled]], scale: Scalar | None = None) -> "MultiPoly":
+    """scale * (a1*b1 + a2*b2 + ...) for pairs of scaled operands, with the
+    values and dict order of `acc = acc + a * b` summed pair by pair.
+
+    The products are summed as ints over D, the lcm of the pairs'
+    denominators (the sum so far is rescaled when a pair widens D), and
+    each output coefficient becomes one Fraction, n * scale / D.  Each
+    pair's product is summed on its own before it joins the sum, so that
+    its cancellations happen where the pairwise sum has them (a product
+    with a one-term operand has distinct keys and cancels nothing)."""
+    out: Dict[Key, int] = {}
+    D = 0
+    for (La, sa), (Lb, sb) in pairs:
+        if not sa or not sb:
+            continue
+        d = La * Lb
+        if not D:
+            D, f = d, 1
+        elif D % d:
+            g = lcm(D, d)
+            out = {k: n * (g // D) for k, n in out.items()}
+            D, f = g, g // d
+        else:
+            f = D // d
+        if len(sa) == 1:
+            (k1, n1), = sa
+            n1 *= f
+            prod = {_mul_key(k1, k2): n1 * n2 for k2, n2 in sb}
+        elif len(sb) == 1:
+            (k2, n2), = sb
+            n2 *= f
+            prod = {_mul_key(k1, k2): n1 * n2 for k1, n1 in sa}
+        else:
+            prod = {}
+            for k1, n1 in sa:
+                n1 *= f
+                _merge(prod, [(_mul_key(k1, k2), n1 * n2) for k2, n2 in sb])
+        if out:
+            _merge(out, prod.items())
+        else:
+            out = prod
+    if not out:
+        return MultiPoly()
+    if scale is not None:
+        scale = Q(scale)
+        if not scale:
+            return MultiPoly()
+        D *= scale.denominator
+        if scale.numerator != 1:
+            out = {k: n * scale.numerator for k, n in out.items()}
+    if D == 1:
+        return MultiPoly._wrap({k: Fraction(n) for k, n in out.items()})
+    return MultiPoly._wrap({k: Fraction(n, D) for k, n in out.items()})
 
 
 def _key_deg(k: Key) -> int:
@@ -220,31 +293,24 @@ class MultiPoly:
         return MultiPoly.coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Q(other)
-            if not c:
+        if isinstance(other, MultiPoly):
+            a, b = self.terms, other.terms
+            if not a or not b:
                 return MultiPoly()
-            return MultiPoly._wrap({k: v * c for k, v in self.terms.items()})
-        if not isinstance(other, MultiPoly):
+            # a constant factor is a scalar; any other product is the
+            # one-pair case of the kernel
+            if len(b) == 1 and () in b:
+                other = b[()]
+            elif len(a) == 1 and () in a:
+                self, other = other, a[()]
+            else:
+                return sum_products(((scaled(self), scaled(other)),))
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        a, b = self.terms, other.terms
-        if len(b) == 1:
-            (km, cm), = b.items()
-            return MultiPoly._wrap({_mul_key(k, km): c * cm for k, c in a.items()})
-        if len(a) == 1:
-            (km, cm), = a.items()
-            return MultiPoly._wrap({_mul_key(km, k): cm * c for k, c in b.items()})
-        if not a or not b:
+        c = Q(other)
+        if not c:
             return MultiPoly()
-        # a monomial times distinct monomials gives distinct monomials, so
-        # only a general product accumulates; it does so in integers
-        La, sa = _scaled(a)
-        Lb, sb = _scaled(b)
-        out: Dict[Key, int] = {}
-        for k1, n1 in sa:
-            _merge(out, [(_mul_key(k1, k2), n1 * n2) for k2, n2 in sb])
-        L = La * Lb
-        return MultiPoly._wrap({k: Fraction(n, L) for k, n in out.items()})
+        return MultiPoly._wrap({k: v * c for k, v in self.terms.items()})
 
     __rmul__ = __mul__
 

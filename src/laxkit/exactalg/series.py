@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .poly import MultiPoly, Q, _merge
+from .poly import MultiPoly, Q, scaled, sum_products
 
 
 class TruncationError(ValueError):
@@ -154,22 +154,18 @@ class PuiseuxSeries:
         n = valid - k0
         if n <= 0:
             return PuiseuxSeries.zero(a.ell, valid)
-        # each index reached sums its products into one term dict, merged in
-        # the order (and with the zero-dropping) of MultiPoly.__add__, and
-        # becomes one MultiPoly at the end; a rescaled series is sparse, so
-        # indices no product reaches share one zero
-        acc: Dict[int, dict] = {}
-        for i, ci in enumerate(a.coeffs):
-            if ci.is_zero:
-                continue
-            jmax = min(len(b.coeffs), n - i)
-            for j in range(jmax):
-                cj = b.coeffs[j]
-                if not cj.is_zero:
-                    _merge(acc.setdefault(i + j, {}), (ci * cj).terms.items())
-        empty = MultiPoly.zero()
-        cs = [MultiPoly._wrap(acc[k]) if k in acc else empty for k in range(n)]
-        return PuiseuxSeries(a.ell, k0, cs, valid)
+        # every coefficient is scaled once; each index sums its products
+        # in one kernel call, in the order i = 0, 1, ... of a's coefficients
+        sb = [(j, scaled(c)) for j, c in enumerate(b.coeffs[:n]) if c]
+        pairs: List[list] = [[] for _ in range(n)]
+        for i, ci in enumerate(a.coeffs[:n]):
+            if ci:
+                A = scaled(ci)
+                for j, B in sb:
+                    if i + j >= n:
+                        break
+                    pairs[i + j].append((A, B))
+        return PuiseuxSeries(a.ell, k0, [sum_products(p) for p in pairs], valid)
 
     __rmul__ = __mul__
 

@@ -435,6 +435,9 @@ def measure_decompose(m: PeriodicJacobi, a0,
             if l != j:
                 den *= (s - s2)
         mass = scale * num / den
+        if not np.isfinite(mass):
+            # P(z)^2 overflowed a float (say a = 1e100): no atom to report
+            raise OverflowError(f"atom mass at sigma={s} is not finite: {mass}")
         if abs(mass.imag if isinstance(mass, complex) else 0.0) > 1e-8:
             raise DegenerateSpectrumError(
                 f"atom mass at sigma={s} is not real: {mass}")

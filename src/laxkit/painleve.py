@@ -30,6 +30,7 @@ from .exactalg import (InconsistentSystemError, MultiPoly, PuiseuxSeries,
                        solve_square_exact, solve_with_pins)
 from .exactalg.linalg import (adjugate_kernel_column, rref_extend,
                                rref_solution)
+from .exactalg.poly import SCALED_ONE, Scaled, scaled, sum_products
 from .sysdsl import VectorFieldSystem
 
 Key = Tuple[Tuple[str, int], ...]
@@ -533,13 +534,17 @@ class _RelaxedSystem:
     and equations.  Step j reads psi_j with the step-j coefficients held
     at zero (`provisional`), and `extend` appends the solved z_j and adds
     to each prefix product the part of its index-j coefficient that
-    involves z_j.
+    involves z_j.  Everything that only enters products (the scalars, the
+    prefix products, a scaled copy of each coefficient) is kept in the
+    scaled form of `sum_products`, so each value is scaled once, and every
+    sum of products is one kernel call.
     """
 
     def __init__(self, sys: VectorFieldSystem, m: Sequence[int], ell: int,
                  leading: Sequence[MultiPoly]):
         index = {v: i for i, v in enumerate(sys.variables)}
         self.coef: List[List[MultiPoly]] = [[z] for z in leading]
+        self.scoef: List[List[Scaled]] = [[scaled(z)] for z in leading]
         self.terms = []
         prefixes = set()
         for i, f in enumerate(sys.equations):
@@ -554,61 +559,68 @@ class _RelaxedSystem:
                         scalar = scalar * MultiPoly.var(name, e)
                 factors = tuple(sorted(factors))
                 shift = m[i] + ell - sum(m[k] for k in factors)
-                compiled.append((scalar, factors, shift))
+                compiled.append((scaled(scalar), factors, shift))
                 prefixes.update(factors[:r] for r in range(2, len(factors) + 1))
             self.terms.append(compiled)
         self.prefixes = sorted(prefixes, key=lambda T: (len(T), T))
-        self.prods: Dict[Tuple[int, ...], List[MultiPoly]] = {}
+        self.prods: Dict[Tuple[int, ...], List[Scaled]] = {}
         for T in self.prefixes:
-            self.prods[T] = [self._coeffs(T[:-1])[0] * self.coef[T[-1]][0]]
+            first = sum_products([(self._coeffs(T[:-1])[0], self.scoef[T[-1]][0])])
+            self.prods[T] = [scaled(first)]
         self._prov: Dict[Tuple[int, ...], MultiPoly] = {}
 
-    def _coeffs(self, T: Tuple[int, ...]) -> List[MultiPoly]:
-        return self.coef[T[0]] if len(T) == 1 else self.prods[T]
+    def _coeffs(self, T: Tuple[int, ...]) -> List[Scaled]:
+        return self.scoef[T[0]] if len(T) == 1 else self.prods[T]
 
     def provisional(self, j: int) -> List[MultiPoly]:
         """psi_j: the index-j right-hand sides with z_j = 0."""
         prov = self._prov = {}
+        sprov: Dict[Tuple[int, ...], Scaled] = {}
         for T in self.prefixes:
-            a, b = self._coeffs(T[:-1]), self.coef[T[-1]]
-            acc = MultiPoly.zero()
-            for k in range(1, j):
-                if a[k] and b[j - k]:
-                    acc = acc + a[k] * b[j - k]
-            if len(T) > 2 and prov[T[:-1]] and b[0]:
-                acc = acc + prov[T[:-1]] * b[0]
-            prov[T] = acc
+            a, b = self._coeffs(T[:-1]), self.scoef[T[-1]]
+            pairs = [(a[k], b[j - k]) for k in range(1, j)]
+            if len(T) > 2:
+                pairs.append((sprov[T[:-1]], b[0]))
+            prov[T] = sum_products(pairs)
+            sprov[T] = scaled(prov[T])
         psi = []
         for compiled in self.terms:
-            total = MultiPoly.zero()
+            pairs = []
             for scalar, factors, shift in compiled:
                 k = j - shift
                 if k < 0:
                     continue
                 if not factors:
                     if k == 0:
-                        total = total + scalar
+                        pairs.append((scalar, SCALED_ONE))
                 elif k < j:
-                    ck = self._coeffs(factors)[k]
-                    if ck:
-                        total = total + ck * scalar
-                elif len(factors) > 1 and prov[factors]:
+                    pairs.append((self._coeffs(factors)[k], scalar))
+                elif len(factors) > 1:
                     # k == j: a lone variable's index-j coefficient is z_j = 0
-                    total = total + prov[factors] * scalar
-            psi.append(total)
+                    pairs.append((sprov[factors], scalar))
+            psi.append(sum_products(pairs))
         return psi
 
     def extend(self, zj: Sequence[MultiPoly]):
         """Append the solved step-j coefficients z_j."""
+        sz = [scaled(z) for z in zj]
         for i, z in enumerate(zj):
             self.coef[i].append(z)
-        delta = {}
+            self.scoef[i].append(sz[i])
+        delta: Dict[Tuple[int, ...], Scaled] = {}
         for T in self.prefixes:
             head, last = T[:-1], T[-1]
-            dh = zj[head[0]] if len(head) == 1 else delta[head]
-            d = self._coeffs(head)[0] * zj[last] + dh * self.coef[last][0]
-            delta[T] = d
-            self.prods[T].append(self._prov[T] + d)
+            dh = sz[head[0]] if len(head) == 1 else delta[head]
+            d = sum_products([(self._coeffs(head)[0], sz[last]),
+                              (dh, self.scoef[last][0])])
+            delta[T] = scaled(d)
+            self.prods[T].append(scaled(self._prov[T] + d))
+
+
+# the largest order `propagate` takes: the cost grows steeply with it (rdg5,
+# the slowest builtin, takes about 8 s at order 30 and 48 s at order 40 on
+# a 2-vCPU x86-64 host), so a larger order is refused at once
+MAX_ORDER = 30
 
 
 def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
@@ -634,7 +646,8 @@ def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
     steps this costs O(J^2) coefficient products, where substituting the
     truncated series into every equation at every step cost O(J^3).
     `verify` re-checks the finished family independently: `family_residual`
-    substitutes the full series through `poly_on_series`.
+    substitutes the full series through `poly_on_series`.  An order above
+    MAX_ORDER raises ValueError.
     """
     w = bal.weight_vector
     ell = w.ell
@@ -654,6 +667,8 @@ def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
                    if r > 0 and (r * ell).denominator == 1), default=Fraction(0))
     if order is None:
         order = int(max_res) + 4
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} is above MAX_ORDER = {MAX_ORDER}")
     J = order * ell
     if J < int(max_res * ell) + 1:
         raise ValueError(

@@ -496,3 +496,59 @@ def test_jacobi_huge_entry_exit_3_writes_nothing(tmp_path, capsys, a):
     assert run(tmp_path, "jacobi", "-a", a, "-b", "0,0") == 3
     assert "error: numerical breakdown:" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_jacobi_nonfinite_atom_mass_exit_3_writes_nothing(tmp_path, capsys):
+    # P(z)^2 overflows for a = 1e100: the atom mass comes out NaN, and the
+    # report (once written with "atoms": [] and "total_mass": 0) is refused
+    assert run(tmp_path, "jacobi", "-a", "1e100,1", "-b", "0,0") == 3
+    err = capsys.readouterr().err
+    assert "error: numerical breakdown:" in err and "not finite" in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_report_or_csv_value_exit_3_writes_nothing(tmp_path, capsys,
+                                                              monkeypatch, value):
+    from laxkit import jacobispec as js
+    real = js.toda_flow_jacobi
+
+    def poisoned(*args, **kwargs):
+        diag = real(*args, **kwargs)
+        diag.a_states[-1][0] = value
+        return diag
+
+    monkeypatch.setattr(js, "toda_flow_jacobi", poisoned)
+    assert run(tmp_path, "jacobi", "-a", "1,2", "-b", "0,0",
+               "--toda-t-end", "0.1") == 3
+    assert "CSV row 10, column a1, is not finite" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+    monkeypatch.setattr(js, "toda_flow_jacobi", real)
+    real_measure = js.measure_decompose
+
+    def poisoned_measure(*args, **kwargs):
+        measure = real_measure(*args, **kwargs)
+        measure.atoms.append((0.5, value))
+        return measure
+
+    monkeypatch.setattr(js, "measure_decompose", poisoned_measure)
+    assert run(tmp_path, "jacobi", "-a", "1,2", "-b", "0,0") == 3
+    assert "the report holds a value that is not finite" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at-cap", "above-cap"])
+def test_painleve_order_cap(tmp_path, capsys, monkeypatch, over):
+    from laxkit import painleve as pv
+    monkeypatch.setattr(pv, "MAX_ORDER", 8)
+    order = str(8 + over)
+    code = run(tmp_path, "painleve", "--builtin", "henon-heiles", "--order", order)
+    if over:
+        assert code == 1
+        assert "MAX_ORDER = 8" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+    else:
+        assert code == 0
+        assert os.listdir(tmp_path) == ["painleve_henon-heiles.json"]

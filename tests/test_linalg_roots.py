@@ -2,12 +2,14 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from laxkit.exactalg import (MultiPoly, charpoly_exact, count_roots_between,
-                             rational_roots, real_roots, solve_square_exact,
-                             solve_with_pins, sturm_chain)
+                             fraction_free_echelon, mat_mul, rational_roots,
+                             real_roots, solve_square_exact, solve_with_pins,
+                             sturm_chain)
 from laxkit.exactalg.linalg import (InconsistentSystemError,
+                                    _back_substitute, _pivot_choice,
                                     adjugate_kernel_column,
                                     kernel_free_columns)
 
@@ -381,3 +383,137 @@ def test_rref_extend_matches_one_shot_gauss_jordan(system, data):
     k = data.draw(st.integers(0, len(aug)))
     head = rref_extend({}, aug[:k])
     assert (None if head is None else rref_extend(head, aug[k:])) == one_shot
+
+
+# -- the integer kernel against the MultiPoly sums it replaced -----------------
+#
+# Bareiss updates, matrix products and back substitution hand whole sums of
+# products to `sum_products`.  These are the loops as first written, one
+# MultiPoly operation at a time; rows, pivots and solutions must agree term
+# by term, dict order included.
+
+def reference_fraction_free_echelon(rows_in):
+    rows = [[MultiPoly.coerce(x) for x in r] for r in rows_in]
+    nrow = len(rows)
+    ncol = len(rows[0]) if nrow else 0
+    pivots = []
+    prev = MultiPoly.const(1)
+    r = 0
+    for c in range(ncol):
+        if r >= nrow:
+            break
+        p = _pivot_choice(rows, c, r)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, nrow):
+            if all(rows[i][j].is_zero for j in range(c, ncol)):
+                continue
+            fi = rows[i][c]
+            for j in range(c, ncol):
+                num = piv * rows[i][j] - fi * rows[r][j]
+                rows[i][j] = num.exact_div(prev)
+        prev = piv
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def reference_mat_mul(A, B):
+    out = []
+    for i in range(len(A)):
+        row = []
+        for j in range(len(B[0])):
+            s = MultiPoly.zero()
+            for t in range(len(B)):
+                s = s + A[i][t] * B[t][j]
+            row.append(s)
+        out.append(row)
+    return out
+
+
+def reference_back_substitute(ech, pivots, m):
+    x = [MultiPoly.zero()] * m
+    for i in range(m - 1, -1, -1):
+        s = ech[i][m]
+        for j in range(i + 1, m):
+            s = s - ech[i][pivots[j]] * x[pivots[j]]
+        x[pivots[i]] = s.exact_div(ech[i][pivots[i]])
+    return x
+
+
+def _items(M):
+    return [[list(x.terms.items()) for x in row] for row in M]
+
+
+_SYM_KEYS = [(), (("a", 1),), (("b", 1),), (("a", 1), ("b", 1)), (("a", 2),)]
+_entry_coeffs = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3, 4]))
+# constants (often, so constant pivots occur) and small polynomials in a, b
+_entries = (_entry_coeffs.map(MultiPoly.const) |
+            st.dictionaries(st.sampled_from(_SYM_KEYS), _entry_coeffs,
+                            max_size=3).map(MultiPoly))
+
+
+@st.composite
+def poly_matrices(draw, entries=_entries):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    return [[draw(entries) for _ in range(m)] for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_matrices())
+@example([[MultiPoly.var("a"), MultiPoly.const(1), MultiPoly.const(F(1, 2))],
+          [MultiPoly.var("b"), MultiPoly.var("a"), MultiPoly.const(F(-1, 3))],
+          [MultiPoly.const(2), MultiPoly.var("b"), MultiPoly.var("a")]])
+def test_fraction_free_echelon_matches_reference(M):
+    got, got_piv = fraction_free_echelon(M)
+    want, want_piv = reference_fraction_free_echelon(M)
+    assert got_piv == want_piv
+    assert _items(got) == _items(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_matrices(), st.data())
+def test_mat_mul_and_charpoly_match_reference(A, data):
+    B = data.draw(st.lists(st.lists(_entries, min_size=2, max_size=2),
+                           min_size=len(A[0]), max_size=len(A[0])))
+    assert _items(mat_mul(A, B)) == _items(reference_mat_mul(A, B))
+    S = [row[:len(A)] for row in A]
+    if len(S[0]) == len(S):
+        assert [list(c.terms.items()) for c in charpoly_exact(S)] == \
+            [list(c.terms.items()) for c in charpoly_exact_reference(S)]
+
+
+def charpoly_exact_reference(M):
+    n = len(M)
+    coeffs = [MultiPoly.zero()] * (n + 1)
+    coeffs[n] = MultiPoly.const(1)
+    Mk = [[MultiPoly.const(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        Mk = reference_mat_mul(M, Mk)
+        c = sum((Mk[i][i] for i in range(n)), MultiPoly.zero()) * F(-1, k)
+        coeffs[n - k] = c
+        for i in range(n):
+            Mk[i][i] = Mk[i][i] + c
+    return coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_back_substitution_matches_reference(n, data):
+    sq = [[data.draw(_entries) for _ in range(n)] + [data.draw(_entries)]
+          for _ in range(n)]
+    ech, pivots = fraction_free_echelon(sq)
+    assume(pivots == list(range(n)))
+    try:
+        want = reference_back_substitute(ech, pivots, n)
+    except ValueError:
+        # a symbolic pivot that does not divide: the kernel raises as well
+        with pytest.raises(ValueError):
+            _back_substitute(ech, pivots, n)
+        return
+    got = _back_substitute(ech, pivots, n)
+    assert [list(x.terms.items()) for x in got] == \
+        [list(x.terms.items()) for x in want]

@@ -593,3 +593,11 @@ def test_weight_search_keeps_weights_of_non_closed_patterns():
     assert [w.weights for w in detect_weights(sys_)] == want
     assert _search_outcome(detect_weights, sys_) == \
         _search_outcome(reference_detect_weights, sys_)
+
+
+def test_propagate_refuses_order_above_cap(monkeypatch):
+    system = builtin_system("henon-heiles")
+    bal = pv.indicial_solve(system, pv.detect_weights(system)[0])[0]
+    monkeypatch.setattr(pv, "MAX_ORDER", 5)
+    with pytest.raises(ValueError, match="MAX_ORDER = 5"):
+        pv.propagate(system, bal, order=6)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from laxkit.exactalg import MultiPoly
+from laxkit.exactalg.poly import scaled, sum_products
 
 x = MultiPoly.var("x")
 y = MultiPoly.var("y")
@@ -324,3 +325,46 @@ def test_public_constructor_still_cleans_and_coerces():
     half = MultiPoly({k: 0.5}).terms[k]
     assert type(half) is F and half == F(1, 2)
     assert MultiPoly({k: "3/4"}).terms[k] == F(3, 4)
+
+
+# -- sum_products against the pairwise Fraction sum it replaces ----------------
+
+def reference_sum_products(pairs, scale=None):
+    """acc = acc + a * b over the pairs, one Fraction term at a time."""
+    acc = MultiPoly.zero()
+    for a, b in pairs:
+        acc = reference_add(acc, reference_mul(a, b))
+    if scale is None:
+        return acc
+    return MultiPoly({k: c * scale for k, c in acc.terms.items()})
+
+
+def kernel_sum(pairs, scale=None):
+    return sum_products([(scaled(a), scaled(b)) for a, b in pairs], scale)
+
+
+_X, _Y = MultiPoly.var("x"), MultiPoly.var("y")
+_ONE = MultiPoly.const(1)
+_operands = _mixed | st.just(MultiPoly.zero()) | _monos.map(lambda m: m * F(1, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_operands, _operands), max_size=6),
+       st.none() | st.just(F(0)) | _coeffs)
+# x cancels after the third pair and comes back last, at the end of the dict
+@example([(_ONE, _X), (_ONE, _Y), (-_ONE, _X), (_ONE, _X)], None)
+# inside (1 + x)(1 - x) the x sum cancels to zero: the pair's product has no
+# x term, so the running sum keeps its x where it was
+@example([(_ONE, _X + _Y), (_ONE + _X, _ONE - _X)], F(-3, 2))
+# denominators 2 and 3 in different pairs: one common denominator 6
+@example([(_X * F(1, 2), _Y + _ONE), (_Y * F(1, 3), _X - _ONE * F(1, 4))], F(2))
+def test_sum_products_matches_pairwise_reference(pairs, scale):
+    assert items(kernel_sum(pairs, scale)) == items(reference_sum_products(pairs, scale))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed, _mixed, _mixed, _mixed)
+def test_sum_products_matches_sympy(sp, a, b, c, d):
+    got = kernel_sum([(a, b), (c, d)], F(-2, 3))
+    assert same(sp, got, sp.Rational(-2, 3) * (to_sympy(sp, a) * to_sympy(sp, b)
+                                                + to_sympy(sp, c) * to_sympy(sp, d)))

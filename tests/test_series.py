@@ -138,3 +138,25 @@ def test_series_mul_matches_reference(a, b):
     # same terms in the same dict order, so nothing downstream can tell
     assert [list(c.terms.items()) for c in got.coeffs] == \
         [list(c.terms.items()) for c in want.coeffs]
+
+
+# several symbols, keys that meet from different factor pairs, and mixed
+# denominators, so index sums cancel and re-insert keys more often
+_KEYS3 = _KEYS + [(("z", 1),), (("x", 1), ("z", 1)), (("y", 1), ("z", 2)),
+                  (("w", 1), ("x", 1)), (("w", 2),)]
+_polys3 = st.dictionaries(st.sampled_from(_KEYS3),
+                          st.builds(F, st.sampled_from([-2, -1, 1, 2]),
+                                    st.sampled_from([1, 2, 3, 5])),
+                          max_size=5).map(MultiPoly)
+_series3 = st.builds(lambda ell, k0, cs, extra: PuiseuxSeries(ell, k0, cs, k0 + len(cs) + extra),
+                     st.integers(1, 2), st.integers(-2, 2),
+                     st.lists(_polys3, max_size=7), st.integers(-2, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series3, _series3)
+def test_series_mul_matches_reference_several_symbols(a, b):
+    got, want = a * b, reference_mul(a, b)
+    assert (got.ell, got.k0, got.valid) == (want.ell, want.k0, want.valid)
+    assert [list(c.terms.items()) for c in got.coeffs] == \
+        [list(c.terms.items()) for c in want.coeffs]
