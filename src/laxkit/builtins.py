@@ -8,10 +8,14 @@ The B contract: B(P) takes a pencil on the h-window of the pencil it was
 returned with and gives a new MatrixPencil, built with
 MatrixPencil.from_blocks on B's own fixed window (which may be narrower
 than P's, as for the rank-2 pencils); it reads P's blocks as
-P.blocks[k - P.lo] and never writes to them.  integrate_lax calls B four
-times per step, so everything that does not depend on P (the constant
-blocks, the metric ratios, the triangular masks) is computed once, when
-the pair is built.
+P.blocks[k - P.lo] and never writes to them.  Each call fills one fresh
+(K, n, n) block array with out= ufuncs and hands it over: no buffer is
+reused across calls, so a caller may keep each result (rk4 keeps all
+four stages of a step when it integrates dA/dt = B(A) itself, as the
+non-commutator control does).  integrate_lax calls B four times per
+step, so everything that does not depend on P (the constant blocks, the
+metric ratios, the triangular masks) is computed once, when the pair is
+built.
 
 painleve_meta() carries the conventions that pin each built-in family to
 its customary normalization: which weight vector is the principal one,
@@ -160,13 +164,18 @@ def toda_periodic_coeffs(a: Sequence, b: Sequence) -> Dict[int, list]:
     return {-1: Am, 0: A0, 1: Ap}
 
 
-def _upper_minus_lower(n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """M -> np.triu(M, 1) - np.tril(M, -1) on n x n blocks, selecting with
-    the same masks and zeros as np.triu and np.tril, built once."""
+def _upper_minus_lower(n: int) -> Callable[[np.ndarray, np.ndarray], None]:
+    """(M, dst): writes np.triu(M, 1) - np.tril(M, -1) of an n x n block
+    into dst, selecting with the same masks and zeros as np.triu and
+    np.tril, built once."""
     keep_upper = ~np.tri(n, n, 0, dtype=bool)
     keep_lower = np.tri(n, n, -1, dtype=bool)
     zero = np.zeros(1)
-    return lambda M: np.where(keep_upper, M, zero) - np.where(keep_lower, M, zero)
+
+    def split(M: np.ndarray, dst: np.ndarray) -> None:
+        np.subtract(np.where(keep_upper, M, zero), np.where(keep_lower, M, zero),
+                    out=dst)
+    return split
 
 
 def toda_periodic_pencil(a: Sequence, b: Sequence
@@ -175,13 +184,18 @@ def toda_periodic_pencil(a: Sequence, b: Sequence
     B(h), its antisymmetrized counterpart; the flow dA/dt = [B(A), A] is
     the lattice ȧ_j = a_j(b_{j+1}-b_j), ḃ_j = 2(a_j^2 - a_{j-1}^2)."""
     pencil = MatrixPencil(toda_periodic_coeffs(a, b))
-    split = _upper_minus_lower(pencil.dim)
+    n = pencil.dim
+    split = _upper_minus_lower(n)
 
     def B(P: MatrixPencil) -> MatrixPencil:
         # upper-minus-lower splitting of the doubly infinite matrix: the
         # h^-1 corner block sits below the diagonal there, h^+1 above
         Am, A0, Ap = P.blocks
-        return MatrixPencil.from_blocks(-1, np.stack((-Am, split(A0), Ap)))
+        out = np.empty((3, n, n))
+        np.negative(Am, out=out[0])
+        split(A0, out[1])
+        out[2] = Ap
+        return MatrixPencil.from_blocks(-1, out)
 
     return pencil, B
 
@@ -200,7 +214,9 @@ def toda_open_pencil(a, b):
     split = _upper_minus_lower(n)
 
     def B(P: MatrixPencil) -> MatrixPencil:
-        return MatrixPencil.from_blocks(0, split(P.blocks[0])[None])
+        out = np.empty((1, n, n))
+        split(P.blocks[0], out[0])
+        return MatrixPencil.from_blocks(0, out)
 
     return pencil, B
 
@@ -230,6 +246,29 @@ def random_skew(n: int, seed: int = 0, scale: float = 1.0) -> np.ndarray:
     return (M - M.T) / 2
 
 
+def _metric_b(al: np.ndarray, be: np.ndarray, k: int
+              ) -> Callable[[MatrixPencil], MatrixPencil]:
+    """The B factory P -> -(ratio * P_k) - diag(beta) h, where ratio_ij =
+    (beta_i - beta_j)/(alpha_i - alpha_j) off the diagonal and 0 on it:
+    the B of the Euler-Arnold (k = 0) and rank-2 (k = 1) pencils."""
+    n = len(al)
+    ratio = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                ratio[i, j] = (be[i] - be[j]) / (al[i] - al[j])
+    B1 = -np.diag(be)
+
+    def B(P: MatrixPencil) -> MatrixPencil:
+        out = np.empty((2, n, n))
+        np.multiply(ratio, P.blocks[k - P.lo], out=out[0])
+        np.negative(out[0], out=out[0])
+        out[1] = B1
+        return MatrixPencil.from_blocks(0, out)
+
+    return B
+
+
 def euler_arnold_pencil(alphas: Sequence[float], betas: Sequence[float],
                         X0: np.ndarray
                         ) -> Tuple[MatrixPencil, Callable[[MatrixPencil], MatrixPencil]]:
@@ -244,19 +283,7 @@ def euler_arnold_pencil(alphas: Sequence[float], betas: Sequence[float],
     X0 = np.asarray(X0, dtype=float)
     if X0.shape != (n, n) or np.max(np.abs(X0 + X0.T)) > 1e-12:
         raise ValueError("X0 must be skew-symmetric n x n")
-    lam = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                lam[i, j] = (be[i] - be[j]) / (al[i] - al[j])
-    pencil = MatrixPencil({0: X0, 1: np.diag(al)})
-    B1 = -np.diag(be)
-
-    def B(P: MatrixPencil) -> MatrixPencil:
-        X = P.blocks[0]
-        return MatrixPencil.from_blocks(0, np.stack((-(lam * X), B1)))
-
-    return pencil, B
+    return MatrixPencil({0: X0, 1: np.diag(al)}), _metric_b(al, be, 0)
 
 
 def manakov_pencil(j_diag: Sequence[float], omega: np.ndarray
@@ -264,6 +291,7 @@ def manakov_pencil(j_diag: Sequence[float], omega: np.ndarray
     """Rigid-body pencil A = M + J^2 h with M = Omega J + J Omega; the
     B pencil is -(Omega + J h) so that [B(A), A] gives dM/dt = [M, Omega]."""
     J = np.diag(np.asarray(j_diag, dtype=float))
+    n = len(J)
     Om = np.asarray(omega, dtype=float)
     if np.max(np.abs(Om + Om.T)) > 1e-12:
         raise ValueError("omega must be skew-symmetric")
@@ -274,9 +302,12 @@ def manakov_pencil(j_diag: Sequence[float], omega: np.ndarray
     B1 = -J
 
     def B(P: MatrixPencil) -> MatrixPencil:
-        Omt = P.blocks[0] / denom
-        np.fill_diagonal(Omt, 0.0)
-        return MatrixPencil.from_blocks(0, np.stack((-Omt, B1)))
+        out = np.empty((2, n, n))
+        np.divide(P.blocks[0], denom, out=out[0])
+        np.fill_diagonal(out[0], 0.0)
+        np.negative(out[0], out=out[0])
+        out[1] = B1
+        return MatrixPencil.from_blocks(0, out)
 
     return pencil, B
 
@@ -296,28 +327,14 @@ def rank2_pencil(alphas: Sequence[float], x: np.ndarray, y: np.ndarray,
     diag(alpha)); B(A) = ad_beta ad_alpha^{-1}(y^x) + diag(beta) h, with
     the sign arranged for the dA/dt = [B(A), A] convention."""
     al = np.asarray(alphas, dtype=float)
-    n = len(al)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     A2 = np.diag(al)
     A1 = -_wedge(x, y)
     A0 = -np.outer(y, y)
     pencil = MatrixPencil({0: A0, 1: A1, 2: A2})
-    be = np.asarray(betas, dtype=float)
-    ratio = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                ratio[i, j] = (be[i] - be[j]) / (al[i] - al[j])
-
-    B1 = -np.diag(be)
-
-    def B(P: MatrixPencil) -> MatrixPencil:
-        # A1 = -x^y, so ad_beta ad_alpha^{-1}(y^x) = ratio * A1
-        A1t = P.blocks[1 - P.lo]
-        return MatrixPencil.from_blocks(0, np.stack((-(ratio * A1t), B1)))
-
-    return pencil, B
+    # A1 = -x^y, so ad_beta ad_alpha^{-1}(y^x) = ratio * A1
+    return pencil, _metric_b(al, np.asarray(betas, dtype=float), 1)
 
 
 def neumann_pencil(alphas, x, y):

@@ -26,6 +26,9 @@ command exits 1.
 `painleve --order` must be a positive integer no larger than
 painleve.MAX_ORDER (30), or the command exits 1 before any work; without
 it a builtin runs at its own default order, 6 otherwise.
+`--tol` of flow, jacobi and check must be a positive finite float, or the
+command exits 1 before any work: inf would pass any drift, and nan or a
+value <= 0 none.
 """
 from __future__ import annotations
 
@@ -97,6 +100,18 @@ def _write_files(out_dir: str, files) -> None:
                 os.remove(tmp)
             raise
         print(path)
+
+
+def _tol(text: str) -> float:
+    """argparse type of --tol: a positive finite float."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, not {text!r}")
+    return x
 
 
 def _parse_bindings(items):
@@ -417,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "neumann, >= 3 for euler-arnold; kvm takes none")
     p.add_argument("--t-end", type=float, default=1.0)
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tol, default=1e-8)
     p.add_argument("--gnuplot", action="store_true")
     p.set_defaults(fn=cmd_flow)
 
@@ -430,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a0", default=None)
     p.add_argument("--check-stieltjes", action="store_true")
     p.add_argument("--depth", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tol, default=1e-6)
     p.add_argument("--toda-t-end", type=float, default=0.0)
     p.add_argument("--dt", type=float, default=1e-3)
     p.set_defaults(fn=cmd_jacobi)
@@ -440,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted like the other commands; check writes no file")
     p.add_argument("--only", default=None,
                    choices=[None, "painleve", "flow", "jacobi", "dims"])
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_tol, default=None,
                    help="override the float tolerance of the battery")
     p.set_defaults(fn=cmd_check)
     return ap

@@ -215,7 +215,9 @@ def poly_on_series(p: MultiPoly, env: Mapping[str, PuiseuxSeries],
                    ell: int, const_valid: int) -> PuiseuxSeries:
     """Substitute series for symbols of p; unmapped symbols stay symbolic
     inside the coefficients.  Constant terms get the window [0, const_valid).
-    Each power env[name]**e is computed once per call.
+    Each power env[name]**e is computed once per call, from the power
+    below it: s**e is the left-to-right product (s**(e-1)) * s, as
+    PuiseuxSeries.__pow__ forms it, so the values are the same.
     """
     total = PuiseuxSeries.zero(ell, const_valid)
     powers: Dict[Tuple[str, int], PuiseuxSeries] = {}
@@ -226,7 +228,15 @@ def poly_on_series(p: MultiPoly, env: Mapping[str, PuiseuxSeries],
             if name in env:
                 s = powers.get((name, e))
                 if s is None:
-                    s = powers[(name, e)] = env[name].rescale(ell) ** e
+                    base = powers.get((name, 1))
+                    if base is None:
+                        base = powers[(name, 1)] = env[name].rescale(ell)
+                    s = base
+                    for k in range(2, e + 1):    # key exponents are >= 1
+                        up = powers.get((name, k))
+                        if up is None:
+                            up = powers[(name, k)] = s * base
+                        s = up
                 factor = s if factor is None else factor * s
             else:
                 scalar = scalar * MultiPoly.var(name, e)

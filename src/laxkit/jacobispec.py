@@ -157,10 +157,13 @@ class SpectralData:
         the lower sheet)."""
         al = float(self.alpha)
         Pz = _poly_eval(self.P, z)
-        disc = Pz * Pz - 4 * al * al
-        sq = np.sqrt(complex(disc))
-        r1 = (Pz + sq) / (2 * al)
-        r2 = (Pz - sq) / (2 * al)
+        # where P(z)^2 overflows, inf - inf makes the roots NaN without a
+        # warning: the caller tests what it gets for finiteness
+        with np.errstate(invalid="ignore"):
+            disc = Pz * Pz - 4 * al * al
+            sq = np.sqrt(complex(disc))
+            r1 = (Pz + sq) / (2 * al)
+            r2 = (Pz - sq) / (2 * al)
         roots = sorted([r1, r2], key=abs)
         return roots[0] if sheet < 0 else roots[1]
 
@@ -429,12 +432,14 @@ def measure_decompose(m: PeriodicJacobi, a0,
     for j, s in enumerate(aux):
         h = data.h_of_z(s, sheet=-1)
         lam = _poly_eval(interior, float(s))
-        num = alpha * h + ((-1) ** N) * (aN ** 2) * lam
-        den = 1.0
-        for l, s2 in enumerate(aux):
-            if l != j:
-                den *= (s - s2)
-        mass = scale * num / den
+        # a NaN h makes a NaN mass quietly; the test below reports it
+        with np.errstate(invalid="ignore"):
+            num = alpha * h + ((-1) ** N) * (aN ** 2) * lam
+            den = 1.0
+            for l, s2 in enumerate(aux):
+                if l != j:
+                    den *= (s - s2)
+            mass = scale * num / den
         if not np.isfinite(mass):
             # P(z)^2 overflowed a float (say a = 1e100): no atom to report
             raise OverflowError(f"atom mass at sigma={s} is not finite: {mass}")

@@ -14,11 +14,15 @@ h-window in one (K, n, n) array.  Exact spectral curves come from plain
 {k: matrix of Fractions} dicts, which pencil_charpoly evaluates exactly.
 
 The commutator is the hot path of every Lax flow (one per RK4 stage).  It
-forms all block commutators [A_i, B_j] in one stacked matmul, then adds
-them into each h-degree in order of increasing i, starting from zeros, so
-every entry rounds as in a plain double loop over the block pairs.  Pairs
-whose degree falls outside the requested window are not dropped silently:
-each must vanish up to roundoff, or ValueError reports a malformed B.
+forms all block commutators [A_i, B_j] in one stacked matmul and one
+in-place subtraction, then adds them into each h-degree in order of
+increasing i, starting from zeros, so every entry rounds as in a plain
+double loop over the block pairs.  Pairs whose degree falls outside the
+requested window are not dropped silently: each must vanish up to
+roundoff, or ValueError reports a malformed B.  Everything that depends
+only on the block counts and the window (the slice-adds, the outside
+pairs and their indices) is computed once per flow and cached, so a
+stage spends its numpy calls on the blocks alone.
 """
 from __future__ import annotations
 
@@ -52,10 +56,11 @@ def _pair_layout(ka: int, kb: int, base: int, width: int):
     of `width` degrees, pair (i, j) going to index base + i + j.
 
     Returns the slice-adds (i, window slice, j slice) of the pairs inside,
-    one per i in increasing order; the (ka, kb) mask of the pairs outside,
-    or None if there are none; and the index of each outside pair, in
-    (i, j) order.  Cached, and so read-only: a flow asks for the same
-    layout at every stage."""
+    one per i in increasing order; the integer indices (i's, j's) of the
+    pairs outside, in (i, j) order, which is the order that indexing by
+    their mask gives; and the degree index of each outside pair in that
+    order.  Cached, and so read-only: a flow asks for the same layout at
+    every stage."""
     adds = []
     for i in range(ka):
         j0, j1 = max(0, -base - i), min(kb, width - base - i)
@@ -63,9 +68,11 @@ def _pair_layout(ka: int, kb: int, base: int, width: int):
             adds.append((i, slice(base + i + j0, base + i + j1), slice(j0, j1)))
     pos = base + np.add.outer(np.arange(ka), np.arange(kb))
     outside = (pos < 0) | (pos >= width)
-    spill_pos = pos[outside]
-    outside.flags.writeable = spill_pos.flags.writeable = False
-    return tuple(adds), (outside if outside.any() else None), spill_pos
+    spill_ij = np.nonzero(outside)
+    spill_pos = pos[spill_ij]
+    for arr in (spill_pos, *spill_ij):
+        arr.flags.writeable = False
+    return tuple(adds), spill_ij, spill_pos
 
 
 class MatrixPencil:
@@ -135,24 +142,24 @@ class MatrixPencil:
         degree of the first such pair in (i, j) order."""
         A, B = self.blocks, other.blocks
         wlo, whi = window or (self.lo + other.lo, self.h_range[1] + other.h_range[1])
-        out = np.zeros((whi - wlo + 1, self.dim, self.dim))
-        C = A[:, None] @ B[None, :] - B[None, :] @ A[:, None]
-        adds, outside, spill_pos = _pair_layout(
-            len(A), len(B), self.lo + other.lo - wlo, len(out))
+        width = whi - wlo + 1
+        adds, (oi, oj), spill_pos = _pair_layout(
+            len(A), len(B), self.lo + other.lo - wlo, width)
+        out = np.zeros((width,) + A.shape[1:])
+        C = A[:, None] @ B[None, :]
+        C -= B[None, :] @ A[:, None]
         for i, dst, src in adds:
             out[dst] += C[i, src]
-        if outside is not None:
-            spill_blocks = np.abs(C[outside])
-            # no pair can fail while every entry is within 1e-10
-            if np.max(spill_blocks) > 1e-10:
-                spill = np.max(spill_blocks, axis=(1, 2))
-                scale = np.outer(np.max(np.abs(A), axis=(1, 2)),
-                                 np.max(np.abs(B), axis=(1, 2)))[outside]
-                bad = (spill > 1e-10) & (spill > 1e-10 * (1 + scale))
-                if bad.any():
-                    k = wlo + int(spill_pos[np.argmax(bad)])
-                    raise ValueError(
-                        f"commutator spills h^{k} outside the declared window")
+        # no pair can fail while every outside entry is within 1e-10
+        if len(oi) and np.abs(C[oi, oj]).max() > 1e-10:
+            spill = np.max(np.abs(C[oi, oj]), axis=(1, 2))
+            scale = np.outer(np.max(np.abs(A), axis=(1, 2)),
+                             np.max(np.abs(B), axis=(1, 2)))[oi, oj]
+            bad = (spill > 1e-10) & (spill > 1e-10 * (1 + scale))
+            if bad.any():
+                k = wlo + int(spill_pos[np.argmax(bad)])
+                raise ValueError(
+                    f"commutator spills h^{k} outside the declared window")
         return MatrixPencil.from_blocks(wlo, out)
 
     def axpy(self, c: float, other: "MatrixPencil") -> "MatrixPencil":

@@ -404,12 +404,16 @@ FLOW_GOLDEN = [
     (["neumann", "-N", "4"],
      "c9cd9160ace333bc611e81c011a185e09303f4d0683dc9def43220b9fc345c7b",
      "bf465d4c2d0795e35a5afccc23d557595a74a391bdaf5561cd0b9492fca1ed6f"),
+    # the vector-field path: integrate_system on MultiPoly.eval_num
+    (["kvm"],
+     "77144868029976237cf10156bb49616be21c3d69c88f0d4b5761f68f2406de49",
+     "bac481303d602e4ba77ddcbdf69ccdd479f647b590b609937c05134f15420833"),
 ]
 
 
 @pytest.mark.parametrize("argv,csv_digest,json_digest", FLOW_GOLDEN,
                          ids=["toda-periodic", "euler-arnold",
-                              "toda-periodic-N6", "neumann-N4"])
+                              "toda-periodic-N6", "neumann-N4", "kvm"])
 def test_flow_golden_digest(tmp_path, argv, csv_digest, json_digest):
     import hashlib
     assert run(tmp_path, "flow", "--builtin", *argv, "--t-end", "0.5") == 0
@@ -506,6 +510,37 @@ def test_jacobi_nonfinite_atom_mass_exit_3_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: numerical breakdown:" in err and "not finite" in err
     assert os.listdir(tmp_path) == []
+
+
+def test_jacobi_nonfinite_atom_mass_prints_only_the_error(tmp_path, capsys):
+    # the NaN that P(z)^2 = inf makes is reported once, as the error line,
+    # without numpy's "invalid value encountered" warnings before it
+    import warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(tmp_path, "jacobi", "-a", "1e100,1", "-b", "0,0") == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical breakdown:")
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--builtin", "toda-periodic", "--t-end", "0.01"],
+    ["jacobi", "-a", "1,2", "-b", "0,0", "--check-stieltjes"],
+    ["check", "--only", "dims"],
+], ids=["flow", "jacobi", "check"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0", "-inf", "x"])
+def test_tol_must_be_positive_finite_exit_1_writes_nothing(tmp_path, capsys,
+                                                          argv, tol):
+    # inf would pass any drift vacuously; nan and tol <= 0 could never pass
+    out = tmp_path / "out"
+    assert main([*argv, f"--tol={tol}", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "--tol: must be a positive finite number" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

@@ -282,6 +282,24 @@ def test_b_factories_match_dict_built_b(case):
         assert_same_pencil(B(P), reference(P))
 
 
+@pytest.mark.parametrize("case", list(_b_cases()), ids=lambda c: c[0])
+def test_b_factories_return_fresh_blocks(case):
+    # rk4 keeps all four stages of a step when it integrates dA/dt = B(A)
+    # itself (the non-commutator control): a B that reused one buffer
+    # across calls, or handed back a view of P's blocks, would corrupt them
+    _, (pencil, B), _ = case
+    P = pencil
+    Q = lf.MatrixPencil.from_blocks(P.lo, P.blocks * 1.5)
+    first, second, third = B(P), B(P), B(Q)
+    blocks = [first.blocks, second.blocks, third.blocks]
+    for i, X in enumerate(blocks):
+        assert not np.shares_memory(X, P.blocks)
+        assert not np.shares_memory(X, Q.blocks)
+        for Y in blocks[i + 1:]:
+            assert not np.shares_memory(X, Y)
+    assert_same_pencil(first, second)
+
+
 def test_integrate_frozen_when_b_zero():
     pencil, _ = bi.toda_periodic_pencil([1.0, 1.2, 0.8], [0.1, -0.2, 0.3])
 

@@ -160,3 +160,51 @@ def test_series_mul_matches_reference_several_symbols(a, b):
     assert (got.ell, got.k0, got.valid) == (want.ell, want.k0, want.valid)
     assert [list(c.terms.items()) for c in got.coeffs] == \
         [list(c.terms.items()) for c in want.coeffs]
+
+
+# -- poly_on_series against a power per monomial ------------------------------
+
+def reference_poly_on_series(p, env, ell, const_valid):
+    """poly_on_series with each env[name] ** e taken from scratch by
+    PuiseuxSeries.__pow__."""
+    total = PuiseuxSeries.zero(ell, const_valid)
+    for key, c in p.terms.items():
+        scalar = MultiPoly.const(c)
+        factor = None
+        for name, e in key:
+            if name in env:
+                s = env[name].rescale(ell) ** e
+                factor = s if factor is None else factor * s
+            else:
+                scalar = scalar * MultiPoly.var(name, e)
+        if factor is None:
+            factor = PuiseuxSeries.constant(scalar, ell, valid=const_valid)
+        else:
+            factor = factor * scalar
+        total = total + factor
+    return total
+
+
+# powers up to 4 of x and y, shared between terms so the cache is reused and
+# climbed from different heights, and a symbol z that stays symbolic
+_POW_KEYS = [(), (("x", 1),), (("x", 3),), (("x", 2), ("y", 1)),
+             (("x", 4), ("z", 1)), (("y", 2),), (("y", 4),),
+             (("x", 1), ("y", 3), ("z", 2))]
+_pow_polys = st.dictionaries(st.sampled_from(_POW_KEYS),
+                             st.builds(F, st.sampled_from([-3, -1, 1, 2]),
+                                       st.sampled_from([1, 2, 5])),
+                             min_size=1, max_size=6).map(MultiPoly)
+_env_series = st.builds(lambda ell, k0, cs: PuiseuxSeries(ell, k0, cs, k0 + len(cs) + 4),
+                        st.integers(1, 2), st.integers(-2, 1),
+                        st.lists(_polys3, min_size=1, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pow_polys, _env_series, _env_series, st.integers(0, 4))
+def test_poly_on_series_matches_power_per_monomial(p, sx, sy, const_valid):
+    env = {"x": sx, "y": sy}
+    got = poly_on_series(p, env, 2, const_valid)
+    want = reference_poly_on_series(p, env, 2, const_valid)
+    assert (got.ell, got.k0, got.valid) == (want.ell, want.k0, want.valid)
+    assert [list(c.terms.items()) for c in got.coeffs] == \
+        [list(c.terms.items()) for c in want.coeffs]
