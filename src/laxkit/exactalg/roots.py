@@ -12,18 +12,21 @@ d^deg p(n/d); no Fraction arithmetic runs inside the evaluations.
 Rational roots are read off the isolating intervals.  A rational root of
 f is k/lc(f) for an integer k, so once an interval is narrower than
 1/lc(f) it holds at most one candidate, and one exact evaluation decides
-it.  An irrational root is bisected further on the same interval to the
-requested tolerance and polished by Newton's method in floats.
+it.  An irrational root is bisected further on the same interval until
+its ends round to the same or to adjacent doubles, and is rounded to the
+nearest double by the sign of f at their midpoint: every float root is
+correctly rounded, whatever the polynomial's conditioning.
 
 Cost: one pseudo-remainder chain per factor, then about
-log2(cauchy_bound * lc(f)) + log2(1/tol) bisection steps per root, each a
-few integer Horner steps.  That is polynomial in the bit size of the
+log2(cauchy_bound * lc(f)) bisection steps per rational test and about
+log2(cauchy_bound / ulp(x)) more per irrational root x, each a few
+integer Horner steps.  That is polynomial in the bit size of the
 coefficients; the trial division of the constant term used before was
 exponential in it (x10 time per two digits, and a period-3 Jacobi
 discriminant never finished).  Both loops are capped by this count: a
-bisection that has not settled after (largest coefficient bit length + 3
-+ log2(1/tol)) halvings, or a midpoint still a root after deg f nudges,
-raises RuntimeError naming the cap.
+bisection that has not settled after (B + 2) + min(B + 54, 1074) + 2
+halvings, B the largest coefficient bit length, or a midpoint still a
+root after deg f nudges, raises RuntimeError naming the cap.
 
 Every coefficient is coerced with Q, so a float coefficient is read as
 the rational it stores; there is no floating-point root finder.  Float
@@ -35,10 +38,8 @@ Polynomials are dense ascending coefficient lists.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, gcd, lcm, log2
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from math import ceil, gcd, inf, lcm, nextafter
+from typing import List, Sequence, Tuple
 
 from .poly import Q
 
@@ -200,15 +201,16 @@ def _nudge_cap(f: List[int]) -> int:
     return len(f) - 1
 
 
-def _bisection_cap(f: List[int], eps: Optional[float]) -> int:
-    """Halvings that take an isolating interval of f below 1/lc(f) and below
-    eps.  Such an interval lies in the Cauchy bound (-b, b), and with B the
-    largest coefficient bit length both 2b and 2b |lc| are below 2^(B+2);
-    one more step covers the float rounding of the width test."""
-    cap = max(abs(c).bit_length() for c in f) + 3
-    if eps is not None:
-        cap += max(0, ceil(-log2(eps)))
-    return cap
+def _bisection_cap(f: List[int]) -> int:
+    """Halvings that take an isolating interval of f, f(0) != 0, to ends
+    that round to the same or to adjacent doubles.  With B the largest
+    coefficient bit length, the Cauchy bounds put every root x at
+    2^-(B+1) < |x| < 2^(B+1), so the interval is narrower than 2^(B+2), and
+    doubles near x lie at least 2^-(B+54) apart, never closer than 2^-1074;
+    two more steps leave room at the binade edges.  The same count covers
+    the 1/lc(f) of the rational test, which needs only B + 2."""
+    bits = max(abs(c).bit_length() for c in f)
+    return (bits + 2) + min(bits + 54, 1074) + 2
 
 
 def _isolate(f: List[int], chain: List[List[int]]) -> List[Tuple[Fraction, Fraction]]:
@@ -247,25 +249,12 @@ def _isolate(f: List[int], chain: List[List[int]]) -> List[Tuple[Fraction, Fract
     return out
 
 
-def _settle(f: List[int], lo: Fraction, hi: Fraction, eps: Optional[float]):
-    """The root of f isolated in (lo, hi): a Fraction when it is rational;
-    otherwise the first bisection bracket no wider than eps (None when eps
-    is None)."""
-    lc = abs(f[-1])
+def _bisect(f: List[int], lo: Fraction, hi: Fraction, done):
+    """Halve the bracket (lo, hi) of the one root of f in it until
+    done(lo, hi); a midpoint that is the root comes back as (mid, mid)."""
     s_lo = _sign_at(f, lo)
-    tested, bracket = False, None
-    cap, halvings = _bisection_cap(f, eps), 0
-    while True:
-        w = hi - lo
-        if not tested and w * lc < 1:
-            tested = True
-            x = Fraction(ceil(lo * lc), lc)
-            if x < hi and _sign_at(f, x) == 0:
-                return x
-        if bracket is None and eps is not None and float(w) <= eps:
-            bracket = (lo, hi)
-        if tested and (eps is None or bracket is not None):
-            return bracket
+    cap, halvings = _bisection_cap(f), 0
+    while not done(lo, hi):
         if halvings == cap:
             raise RuntimeError(f"root refinement: no root settled within {cap} "
                                f"bisection steps")
@@ -273,16 +262,40 @@ def _settle(f: List[int], lo: Fraction, hi: Fraction, eps: Optional[float]):
         mid = (lo + hi) / 2
         s = _sign_at(f, mid)
         if s == 0:
-            return mid
+            return mid, mid
         if s == s_lo:
             lo = mid
         else:
             hi = mid
+    return lo, hi
 
 
-def _split(f: Sequence[int], eps: Optional[float]):
+def _settle(f: List[int], lo: Fraction, hi: Fraction):
+    """The root of f isolated in (lo, hi): a Fraction when it is rational,
+    otherwise its bracket halved to a width below 1/lc(f)."""
+    lc = abs(f[-1])
+    lo, hi = _bisect(f, lo, hi, lambda lo, hi: (hi - lo) * lc < 1)
+    x = Fraction(ceil(lo * lc), lc)
+    if x <= hi and _sign_at(f, x) == 0:
+        return x
+    return lo, hi
+
+
+def _nearest_double(f: List[int], lo: Fraction, hi: Fraction) -> float:
+    """The double nearest the irrational root of f in (lo, hi).  The bracket
+    is halved until its ends round to the same or to adjacent doubles a <= b;
+    the root then rounds to b exactly when it lies above their midpoint,
+    which, dyadic, is never the root."""
+    lo, hi = _bisect(f, lo, hi,
+                     lambda lo, hi: nextafter(float(lo), inf) >= float(hi))
+    a, b = float(lo), float(hi)
+    mid = (Fraction(a) + Fraction(b)) / 2
+    return b if _sign_at(f, mid) == _sign_at(f, lo) else a
+
+
+def _split(f: Sequence[int]):
     """Distinct rational roots of the integer polynomial f (sorted), and a
-    bracket no wider than eps around each irrational real root."""
+    bracket narrower than 1/lc(f) around each irrational real root."""
     f = _primitive(f)
     if len(f) < 2:
         return [], []
@@ -292,7 +305,7 @@ def _split(f: Sequence[int], eps: Optional[float]):
         chain = _chain(f)
     rational, brackets = [], []
     for lo, hi in _isolate(f, chain):
-        r = _settle(f, lo, hi, eps)
+        r = _settle(f, lo, hi)
         if isinstance(r, Fraction):
             rational.append(r)
         else:
@@ -318,47 +331,15 @@ def _leading_zeros(cs: List[Fraction]) -> int:
     return m
 
 
-def _polish(pf: List[float], lo: Fraction, hi: Fraction) -> float:
-    """Newton polishing in floats from the midpoint of the bracket."""
-    x = float((lo + hi) / 2)
-    dpf = [i * c for i, c in enumerate(pf)][1:]
-    for _ in range(8):
-        fx = np.polyval(pf[::-1], x)
-        dfx = np.polyval(dpf[::-1], x)
-        if dfx == 0:
-            break
-        step = fx / dfx
-        if not np.isfinite(step):
-            break
-        x -= step
-        if abs(step) < 1e-16 * max(1.0, abs(x)):
-            break
-    if float(lo) - 1e-9 <= x <= float(hi) + 1e-9:
-        return x
-    return float((lo + hi) / 2)
-
-
-def _factor_roots(factor: List[Fraction], tol: float) -> List[object]:
+def _factor_roots(factor: List[Fraction]) -> List[object]:
     """Real roots of a square-free factor: Fractions for the rational ones,
-    floats bracketed to tol for the rest."""
+    the nearest doubles for the rest."""
     cs = _strip(factor)
     m = _leading_zeros(cs)
-    ints = _cleared(cs[m:])
-    eps = max(tol, 1e-14)
-    rational, brackets = _split(ints, eps)
-    cof = [Fraction(c) for c in ints]
-    for r in rational:
-        cof, _ = _deflate(cof, r)
-    if rational and brackets:
-        # Newton's last digit depends on the polynomial and the bracket it
-        # starts from.  Polishing on the rational-root-free cofactor, from
-        # brackets of its own isolation, keeps the floats of every report
-        # stable; from the factor's brackets about one mixed factor in five
-        # moves in the last digit.
-        brackets = _split(_cleared(cof), eps)[1]
-    pf = [float(c) for c in cof]
+    f = _primitive(_cleared(cs[m:]))
+    rational, brackets = _split(f)
     return ([Fraction(0)] * m + rational +
-            [_polish(pf, lo, hi) for lo, hi in brackets])
+            [_nearest_double(f, lo, hi) for lo, hi in brackets])
 
 
 # -- public API -----------------------------------------------------------------
@@ -386,7 +367,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> Tuple[List[Tuple[Fraction, int
     ints = _cleared(cs[m:])
     roots: List[Tuple[Fraction, int]] = [(Fraction(0), m)] if m else []
     work = [Fraction(c) for c in ints]
-    for r in _split(ints, None)[0]:
+    for r in _split(ints)[0]:
         mult = 0
         while len(work) > 1:
             q, rem = _deflate(work, r)
@@ -398,16 +379,15 @@ def rational_roots(coeffs: Sequence[Fraction]) -> Tuple[List[Tuple[Fraction, int
     return roots, work
 
 
-def real_roots(coeffs, tol: float = 1e-12) -> List[Tuple[object, int]]:
+def real_roots(coeffs) -> List[Tuple[object, int]]:
     """Sorted real roots, with multiplicities, of a polynomial given by
     ascending coefficients, each coerced with Q (floats exactly): rational
-    roots come back as Fraction, irrational ones as floats bracketed to
-    tol and polished."""
+    roots come back as Fraction, irrational ones as the nearest double."""
     p = [Q(c) for c in coeffs]
     if not any(p):
         raise ValueError("zero polynomial has no well-defined roots")
     results: List[Tuple[object, int]] = []
     for factor, mult in square_free_decomposition(p):
-        results.extend((x, mult) for x in _factor_roots(factor, tol))
+        results.extend((x, mult) for x in _factor_roots(factor))
     results.sort(key=lambda rm: float(rm[0]))
     return results

@@ -179,11 +179,12 @@ def _interlaces(aux: Sequence[float], gaps: Sequence[Tuple[float, float]],
         lo - tol <= s <= hi + tol for s, (lo, hi) in zip(aux, gaps))
 
 
-def spectral_data(m: PeriodicJacobi, tol: float = 1e-12) -> SpectralData:
+def spectral_data(m: PeriodicJacobi) -> SpectralData:
     """Bands, gaps and auxiliary spectrum of a periodic Jacobi matrix.
 
     Rational data takes exact Sturm isolation of P^2 - 4 alpha^2 and of
-    the cofactor, with multiplicities.  Float data takes the symmetric
+    the cofactor, with multiplicities; each root is the double nearest
+    the exact algebraic number.  Float data takes the symmetric
     eigenvalue route of _float_spectrum, each branch point listed once.
     An interlacing violation raises (it would mean the root ordering
     itself is broken)."""
@@ -199,8 +200,8 @@ def spectral_data(m: PeriodicJacobi, tol: float = 1e-12) -> SpectralData:
             for j, cj in enumerate(P):
                 sq[i + j] += ci * cj
         sq[0] -= 4 * (alpha * alpha)
-        branch = [(float(r), mult) for r, mult in real_roots(sq, tol=tol)]
-        aux = sorted(float(r) for r, _ in real_roots(cof, tol=tol))
+        branch = [(float(r), mult) for r, mult in real_roots(sq)]
+        aux = sorted(float(r) for r, _ in real_roots(cof))
     else:
         _, edges, sigma = _float_spectrum(m.a, m.b)
         branch = [(x, 1) for x in edges.tolist()]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -109,7 +110,7 @@ def test_painleve_solver_branch_budget_exits_1_no_output(tmp_path, capsys,
 
 def test_jacobi_bisection_cap_exits_1_no_output(tmp_path, capsys, monkeypatch):
     from laxkit.exactalg import roots
-    monkeypatch.setattr(roots, "_bisection_cap", lambda f, eps: 2)
+    monkeypatch.setattr(roots, "_bisection_cap", lambda f: 2)
     out = tmp_path / "out"
     assert main(["jacobi", "-a", "1,2,3", "-b", "1/2,-1/2,0",
                  "--out", str(out)]) == 1
@@ -350,7 +351,7 @@ JACOBI_GOLDEN = [
     (["-a=1,1,1", "-b=0,0,1/2", "--check-stieltjes", "--toda-t-end", "0.5"],
      "1b790e9b5ef2cb17bec2726f20d718355605af7f3934532238ab594f7d158cd6"),
     (["-a=2/3,5/3,4/3,4/3,5/3", "-b=1/3,2/3,2/3,1/3,2/3", "--check-stieltjes"],
-     "8adf41e3cedd5e7995b2e8c314025ec8fd9c418064d138dc4a45e346a574152c"),
+     "1270704cb7f35fd2518175c1f30d7b8f981b5ec5fa9804455ef358e49822a058"),
 ]
 
 
@@ -523,6 +524,35 @@ def test_jacobi_nonfinite_atom_mass_prints_only_the_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: numerical breakdown:")
     assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("a,b", [("1e-200,1", "0,0"), ("1,1", "1e200,0")],
+                         ids=["tiny-a", "huge-b"])
+def test_jacobi_extreme_exact_data_finishes_with_finite_report(tmp_path, a, b):
+    # exact data whose polynomial coefficients span hundreds of decades:
+    # each root is rounded from its exact isolating interval, with no float
+    # evaluation of the polynomial
+    assert run(tmp_path, "jacobi", "-a", a, "-b", b) == 0
+    # NaN and Infinity are the only JSON tokens for a non-finite float
+    payload = json.loads((tmp_path / "jacobi_report.json").read_text(),
+                         parse_constant=pytest.fail)
+    edges = payload["branch_points"]
+    assert sum(mult for _, mult in edges) == 4
+    assert all(math.isfinite(x) for x, _ in edges)
+
+
+def test_jacobi_huge_a_exit_3_prints_only_the_error(tmp_path, capsys):
+    # the exact roots of P^2 - 4 alpha^2 for a = 1e60 are found without a
+    # float evaluation of the polynomial, so no overflow warning precedes
+    # the breakdown of the float measure
+    import warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(tmp_path, "jacobi", "-a", "1e60,1,1,1", "-b", "0,0,0,0") == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert os.listdir(tmp_path) == []
 
 

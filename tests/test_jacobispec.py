@@ -363,6 +363,51 @@ def test_float_route_matches_exact_route(N, data):
     assert len(flt.branch_points) == 2 * N
 
 
+def _mp_eigenvalues(rows):
+    """Sorted eigenvalues, to 50 digits, of a symmetric matrix of Fractions."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        A = mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator for x in row]
+                           for row in rows])
+        return sorted(mpmath.eigsy(A, eigvals_only=True))
+
+
+def _exact_periodic_matrix(a, b, h):
+    """A(h) for h = +-1, the periodic (h = 1) or antiperiodic Jacobi matrix."""
+    n = len(a)
+    A = [[F(0)] * n for _ in range(n)]
+    for j in range(n):
+        A[j][j] = b[j]
+    for j in range(n - 1):
+        A[j][j + 1] = A[j + 1][j] = a[j]
+    A[0][n - 1] += a[-1] * h
+    A[n - 1][0] += a[-1] * h
+    return A
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 7), st.data())
+def test_exact_route_roots_are_correctly_rounded(N, data):
+    # the branch points are the eigenvalues of A(1) and A(-1), the auxiliary
+    # spectrum those of the leading (N-1) x (N-1) block; at 50 digits each
+    # rounds to one double, which the exact route must return.  A root that
+    # is exactly 0 comes back as 0.0 while its 50-digit eigenvalue is only
+    # tiny, so a zero is checked on the exact polynomial instead.
+    a = [F(data.draw(_nonzero), data.draw(st.integers(1, 9))) for _ in range(N)]
+    b = [F(data.draw(st.integers(-16, 16)), data.draw(st.integers(1, 9)))
+         for _ in range(N)]
+    d = js.spectral_data(js.PeriodicJacobi(a, b))
+    alpha = math.prod(a)
+    edges = sorted(_mp_eigenvalues(_exact_periodic_matrix(a, b, 1)) +
+                   _mp_eigenvalues(_exact_periodic_matrix(a, b, -1)))
+    block = [row[: N - 1] for row in _exact_periodic_matrix(a, b, 1)[: N - 1]]
+    aux = _mp_eigenvalues(block)
+    for got, want in zip(_edges(d).tolist(), edges, strict=True):
+        assert got == float(want) or (got == 0.0 and d.P[0] ** 2 == 4 * alpha ** 2)
+    for got, want in zip(d.aux_spectrum, aux, strict=True):
+        assert got == float(want) or (got == 0.0 and d.cofactor[0] == 0)
+
+
 @pytest.mark.parametrize("shift,ok", [(5e-7, True), (2e-6, False)],
                          ids=["inside-tolerance", "outside-tolerance"])
 def test_toda_interlacing_can_fail(monkeypatch, shift, ok):
