@@ -117,15 +117,10 @@ def cofactor_nn_polynomial(m: PeriodicJacobi) -> List:
     return _tridiag_charpoly(m.b[: N - 1], m.a[: N - 2], m.is_exact)
 
 
-def _poly_eval(coeffs: Sequence, x):
-    if isinstance(x, (float, complex)):
-        v = 0.0
-        for c in reversed(list(coeffs)):
-            v = v * x + float(c)
-        return v
-    v = Q(0)
-    for c in reversed(list(coeffs)):
-        v = v * Q(x) + Q(c)
+def _poly_eval(coeffs: Sequence, x: float) -> float:
+    v = 0.0
+    for c in reversed(coeffs):
+        v = v * x + float(c)
     return v
 
 
@@ -145,27 +140,6 @@ class SpectralData:
     @property
     def genus(self) -> int:
         return self.matrix.period - 1
-
-    def F(self, h, z):
-        N = self.matrix.period
-        return ((-1) ** (N + 1)) * (float(self.alpha) * (h + 1.0 / h) -
-                                    _poly_eval(self.P, z))
-
-    def h_of_z(self, z, sheet: int = -1):
-        """Solutions of alpha h^2 - P(z) h + alpha = 0; sheet -1 picks the
-        root inside the unit circle (the one meromorphic at z=infinity on
-        the lower sheet)."""
-        al = float(self.alpha)
-        Pz = _poly_eval(self.P, z)
-        # where P(z)^2 overflows, inf - inf makes the roots NaN without a
-        # warning: the caller tests what it gets for finiteness
-        with np.errstate(invalid="ignore"):
-            disc = Pz * Pz - 4 * al * al
-            sq = np.sqrt(complex(disc))
-            r1 = (Pz + sq) / (2 * al)
-            r2 = (Pz - sq) / (2 * al)
-        roots = sorted([r1, r2], key=abs)
-        return roots[0] if sheet < 0 else roots[1]
 
     def interlacing_ok(self, tol: float = 1e-9) -> bool:
         return _interlaces(self.aux_spectrum, self.gaps, tol)
@@ -360,23 +334,28 @@ def pade_series(a: Sequence, b: Sequence, a0, k: int, terms: int) -> List[Fracti
 
 # -- Stieltjes measure --------------------------------------------------------
 
+# closed-gap atoms weigh at most ZERO_MASS_TOL; the quadrature puts QUAD_NODES
+# nodes on each band and skips a band narrower than NARROW_BAND
+ZERO_MASS_TOL = 1e-11
+QUAD_NODES = 160
+NARROW_BAND = 1e-13
+
+
 @dataclass
 class StieltjesMeasure:
     atoms: List[Tuple[float, float]]
     bands: List[Tuple[float, float]]
     density: Callable[[float], float]
-    a0: float
-    nodes: int = 160
 
     @cached_property
     def quadrature(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per band (nodes xs, weights, density at xs) of Gauss-Legendre
         with the sine substitution x = mid + rad sin(theta), which absorbs
         the square-root edges.  Built once; the weights are w_q * jacobian."""
-        tq, wq = np.polynomial.legendre.leggauss(self.nodes)
+        tq, wq = np.polynomial.legendre.leggauss(QUAD_NODES)
         table = []
         for lo, hi in self.bands:
-            if hi - lo < 1e-13:
+            if hi - lo < NARROW_BAND:
                 continue
             mid, rad = (lo + hi) / 2, (hi - lo) / 2
             theta = (np.pi / 2) * tq
@@ -403,27 +382,33 @@ class StieltjesMeasure:
 
 
 def measure_decompose(m: PeriodicJacobi, a0,
-                      data: Optional[SpectralData] = None,
-                      zero_mass_tol: float = 1e-11,
-                      nodes: int = 160) -> StieltjesMeasure:
+                      data: Optional[SpectralData] = None) -> StieltjesMeasure:
     """Atoms-plus-density decomposition of the spectral measure.
 
-    Atom at the j-th auxiliary eigenvalue sigma_j, evaluated on the
-    |h| < 1 sheet:
+    Atoms sit at the auxiliary eigenvalues sigma_j.  There the monodromy
+    matrix is triangular, so the roots of alpha h^2 - P(sigma_j) h + alpha
+    are c_j and 1/c_j, c_j = (-1)^(N+1) aN^2 Lambda(sigma_j) / alpha with
+    Lambda the interior (N-2)-determinant (empty = 1 for N = 2): the
+    Dirichlet identity (G. Teschl, Jacobi Operators and Completely
+    Integrable Nonlinear Lattices, AMS 2000, ch. 7-8).  The residue is
+    taken on the |h| < 1 sheet, so mass_j = 0 if |c_j| <= 1 and otherwise
 
-        mass_j = s * (alpha h(sigma_j) + (-1)^N aN^2 Lambda(sigma_j))
+        mass_j = s * (alpha / c_j + (-1)^N aN^2 Lambda(sigma_j))
                  / prod_{l != j} (sigma_j - sigma_l),
 
-    with Lambda the interior (N-2)-determinant (empty = 1 for N = 2) and
-    s = (a0/a_N)^2 the half-line rescaling.  Closed-gap atoms come out
-    with zero mass and are dropped.  The continuous part is
-    s/(2 pi) * sqrt(4 alpha^2 - P^2)/|cofactor| on each stable band, with
-    the branch fixed by positivity (asserted)."""
+    with s = (a0/a_N)^2 the half-line rescaling: real arithmetic, no square
+    root.  Masses up to ZERO_MASS_TOL (closed gaps) are dropped.  The
+    continuous part is s/(2 pi) * sqrt(4 alpha^2 - P^2)/|cofactor| on each
+    stable band, with the branch fixed by positivity (asserted).  The
+    quadrature skips bands narrower than NARROW_BAND, so where one occurs
+    the atoms must carry a0^2 to 1e-8 relative, or OverflowError names the
+    missing mass."""
     if data is None:
         data = spectral_data(m)
     N = m.period
     aux = data.aux_spectrum
-    if len(set(np.round(aux, 9))) != len(aux):
+    # aux is sorted; a difference of floats overflows to inf, never a warning
+    if any(t - s < 1e-9 for s, t in zip(aux, aux[1:])):
         raise DegenerateSpectrumError("coincident auxiliary eigenvalues")
     aN = float(m.a[-1])
     scale = (float(a0) / aN) ** 2
@@ -431,30 +416,25 @@ def measure_decompose(m: PeriodicJacobi, a0,
     interior = _tridiag_charpoly(m.b[1: N - 1], m.a[1: N - 2], False)
     atoms: List[Tuple[float, float]] = []
     for j, s in enumerate(aux):
-        h = data.h_of_z(s, sheet=-1)
-        lam = _poly_eval(interior, float(s))
-        # a NaN h makes a NaN mass quietly; the test below reports it
-        with np.errstate(invalid="ignore"):
-            num = alpha * h + ((-1) ** N) * (aN ** 2) * lam
-            den = 1.0
-            for l, s2 in enumerate(aux):
-                if l != j:
-                    den *= (s - s2)
-            mass = scale * num / den
-        if not np.isfinite(mass):
-            # P(z)^2 overflowed a float (say a = 1e100): no atom to report
+        alpha_c = (-1) ** (N + 1) * aN ** 2 * _poly_eval(interior, s)
+        c = alpha_c / alpha
+        if abs(c) <= 1:
+            continue
+        den = math.prod(s - s2 for l, s2 in enumerate(aux) if l != j)
+        mass = scale * (alpha / c - alpha_c) / den
+        if not math.isfinite(mass):
             raise OverflowError(f"atom mass at sigma={s} is not finite: {mass}")
-        if abs(mass.imag if isinstance(mass, complex) else 0.0) > 1e-8:
-            raise DegenerateSpectrumError(
-                f"atom mass at sigma={s} is not real: {mass}")
-        mass = float(mass.real if isinstance(mass, complex) else mass)
         if mass < -1e-8:
             raise DegenerateSpectrumError(
                 f"negative atom mass {mass} at sigma={s}")
-        if mass > zero_mass_tol:
-            atoms.append((float(s), mass))
+        if mass > ZERO_MASS_TOL:
+            atoms.append((s, mass))
 
-    Pc = [float(c) for c in data.P]
+    try:
+        Pc = [float(c) for c in data.P]
+    except OverflowError:
+        raise OverflowError(
+            "a coefficient of P lies outside the double range") from None
     cof = [float(c) for c in data.cofactor]
     dcof = [i * c for i, c in enumerate(cof)][1:]
 
@@ -488,9 +468,16 @@ def measure_decompose(m: PeriodicJacobi, a0,
             merged[-1] = (merged[-1][0], hi)
         else:
             merged.append((lo, hi))
+    if any(hi - lo < NARROW_BAND for lo, hi in merged):
+        want = float(a0) ** 2
+        held = sum(mass for _x, mass in atoms)
+        if abs(held - want) > 1e-8 * want:
+            raise OverflowError(
+                f"a band is too narrow for a double to integrate, and the "
+                f"atoms carry {held:.6g} of the total mass a0^2 = {want:.6g}: "
+                f"{want - held:.6g} is missing")
 
-    return StieltjesMeasure(atoms=atoms, bands=merged,
-                            density=density, a0=float(a0), nodes=nodes)
+    return StieltjesMeasure(atoms=atoms, bands=merged, density=density)
 
 
 def orthogonality_check(m: PeriodicJacobi, a0, k_max: int,

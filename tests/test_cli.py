@@ -347,11 +347,14 @@ def test_jacobi_vanishing_fraction_denominator_exit_3(tmp_path, capsys,
 # digest was re-recorded when float lattice spectra moved from polynomial
 # roots to symmetric eigenvalues: its one changed field is the roundoff-level
 # toda.band_edge_drift (8.193445921733655e-14 -> 8.215650382226158e-14).
+# The period-5 digest was re-recorded when atom masses moved to the
+# Dirichlet identity: atoms[0] and atoms[1] move by -1.1e-16 and 5.6e-16,
+# and stieltjes_check.max_error by 4.07e-15 -> 3.59e-15.
 JACOBI_GOLDEN = [
     (["-a=1,1,1", "-b=0,0,1/2", "--check-stieltjes", "--toda-t-end", "0.5"],
      "1b790e9b5ef2cb17bec2726f20d718355605af7f3934532238ab594f7d158cd6"),
     (["-a=2/3,5/3,4/3,4/3,5/3", "-b=1/3,2/3,2/3,1/3,2/3", "--check-stieltjes"],
-     "1270704cb7f35fd2518175c1f30d7b8f981b5ec5fa9804455ef358e49822a058"),
+     "9569ffe7e6e5403504afc20d8821016cf0bc173d420edea198fc2d90f4b343df"),
 ]
 
 
@@ -499,23 +502,29 @@ def test_jacobi_huge_entry_exit_3_writes_nothing(tmp_path, capsys, a):
     # 1e400 does not fit a float at all, 1e300 overflows once multiplied:
     # either is a numerical breakdown, not a traceback
     assert run(tmp_path, "jacobi", "-a", a, "-b", "0,0") == 3
-    assert "error: numerical breakdown:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: numerical breakdown:" in err
+    if a == "1e300,1":   # P's constant term is -(1e600 + 1)
+        assert "a coefficient of P lies outside the double range" in err
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# For a = 1e100 every band is narrower than a double resolves, and its one
+# atom has mass 0: the report (once written with "atoms": [] and
+# "total_mass": 0) is refused, because its atoms do not hold a0^2.
+MISSING_MASS = "the atoms carry 0 of the total mass a0^2 = 1: 1 is missing"
+
+
 def test_jacobi_nonfinite_atom_mass_exit_3_writes_nothing(tmp_path, capsys):
-    # P(z)^2 overflows for a = 1e100: the atom mass comes out NaN, and the
-    # report (once written with "atoms": [] and "total_mass": 0) is refused
     assert run(tmp_path, "jacobi", "-a", "1e100,1", "-b", "0,0") == 3
     err = capsys.readouterr().err
-    assert "error: numerical breakdown:" in err and "not finite" in err
+    assert "error: numerical breakdown:" in err and MISSING_MASS in err
     assert os.listdir(tmp_path) == []
 
 
 def test_jacobi_nonfinite_atom_mass_prints_only_the_error(tmp_path, capsys):
-    # the NaN that P(z)^2 = inf makes is reported once, as the error line,
-    # without numpy's "invalid value encountered" warnings before it
+    # the missing mass is reported once, as the error line, with no numpy
+    # warning before it
     import warnings
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -527,33 +536,66 @@ def test_jacobi_nonfinite_atom_mass_prints_only_the_error(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("a,b", [("1e-200,1", "0,0"), ("1,1", "1e200,0")],
+@pytest.mark.parametrize("a,b,code", [("1e-200,1", "0,0", 0),
+                                      ("1,1", "1e200,0", 3)],
                          ids=["tiny-a", "huge-b"])
-def test_jacobi_extreme_exact_data_finishes_with_finite_report(tmp_path, a, b):
+def test_jacobi_extreme_exact_data_finishes_with_finite_report(tmp_path, a, b,
+                                                               code):
     # exact data whose polynomial coefficients span hundreds of decades:
     # each root is rounded from its exact isolating interval, with no float
-    # evaluation of the polynomial
-    assert run(tmp_path, "jacobi", "-a", a, "-b", b) == 0
+    # evaluation of the polynomial.  Both measures sit on bands too narrow
+    # for a double.  For a1 = 1e-200 the atom at 0 carries the whole mass
+    # a0^2; for b1 = 1e200 the mass lies on the band at 1e200 and no atom
+    # holds it, so that report (once "total_mass": 0) is refused
+    assert run(tmp_path, "jacobi", "-a", a, "-b", b) == code
+    if code == 3:
+        assert os.listdir(tmp_path) == []
+        return
     # NaN and Infinity are the only JSON tokens for a non-finite float
     payload = json.loads((tmp_path / "jacobi_report.json").read_text(),
                          parse_constant=pytest.fail)
     edges = payload["branch_points"]
     assert sum(mult for _, mult in edges) == 4
     assert all(math.isfinite(x) for x, _ in edges)
+    assert payload["total_mass"] == pytest.approx(1.0, rel=1e-8)
 
 
-def test_jacobi_huge_a_exit_3_prints_only_the_error(tmp_path, capsys):
-    # the exact roots of P^2 - 4 alpha^2 for a = 1e60 are found without a
-    # float evaluation of the polynomial, so no overflow warning precedes
-    # the breakdown of the float measure
+def test_jacobi_huge_b_coincidence_test_exit_3_prints_only_the_error(tmp_path,
+                                                                     capsys):
+    # sigma = 1e308: the coincident-eigenvalue test compares neighbours by
+    # their difference, which cannot overflow into a warning; the mass sits
+    # on a band too narrow for a double, so the command exits 3
     import warnings
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert run(tmp_path, "jacobi", "-a", "1e60,1,1,1", "-b", "0,0,0,0") == 3
+        assert run(tmp_path, "jacobi", "-a", "1,1", "-b", "1e308,0") == 3
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: numerical breakdown:") and MISSING_MASS in err
+    assert err.count("\n") == 1
     assert os.listdir(tmp_path) == []
+
+
+def test_jacobi_huge_a_dimer_atoms_carry_the_mass(tmp_path, capsys):
+    # a1 = 1e60 binds sites 1 and 2 into a dimer: atoms at +-1e60 of mass 1/2
+    # each, found without a warning.  The atoms hold a0^2 and match the
+    # exact moments 0-2 of the half-line operator (1, 0, 1e120)
+    from fractions import Fraction
+    from laxkit import jacobispec as js
+    import warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(tmp_path, "jacobi", "-a", "1e60,1,1,1", "-b", "0,0,0,0") == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    payload = json.loads((tmp_path / "jacobi_report.json").read_text())
+    assert payload["total_mass"] == pytest.approx(1.0, rel=1e-8)
+    a = [Fraction(10) ** 60, 1, 1, 1]
+    want = [float(c) for c in js.moments(a, [0] * 4, 1, 3)]
+    got = [sum(mass * x ** k for x, mass in payload["atoms"]) for k in range(3)]
+    assert got[0] == pytest.approx(want[0], rel=1e-8)
+    assert got[1] == pytest.approx(want[1], abs=1e-8 * 1e60)
+    assert got[2] == pytest.approx(want[2], rel=1e-8)
 
 
 @pytest.mark.parametrize("argv", [

@@ -38,17 +38,24 @@ def test_n2_open_gap():
     assert d.interlacing_ok()
 
 
-def test_h_of_z_satisfies_curve():
+def test_dirichlet_roots_satisfy_curve():
+    # at each auxiliary eigenvalue both c = (-1)^(N+1) aN^2 Lambda(sigma)/alpha
+    # and 1/c solve alpha h^2 - P(sigma) h + alpha = 0, the identity behind
+    # the atom masses; Lambda is taken here as a numpy determinant of the
+    # interior block (det of a 0 x 0 block is 1)
     rng = np.random.default_rng(1)
-    for N in (2, 3, 4):
-        m = js.PeriodicJacobi(list(rng.uniform(0.5, 2.0, N)),
-                              list(rng.uniform(-0.5, 0.5, N)))
+    for N in (2, 3, 4, 5, 6):
+        a = (rng.uniform(0.5, 2.0, N) * rng.choice([-1.0, 1.0], N)).tolist()
+        m = js.PeriodicJacobi(a, rng.uniform(-0.5, 0.5, N).tolist())
         d = js.spectral_data(m)
-        for _ in range(100):
-            z = complex(rng.uniform(-3, 3), rng.uniform(0.3, 2.0))
-            for sheet in (-1, 1):
-                h = d.h_of_z(z, sheet)
-                assert abs(d.F(h, z)) < 1e-9
+        A = js._periodic_matrix(m.a, m.b, 1.0)
+        for s in d.aux_spectrum:
+            lam = np.linalg.det(A[1:-1, 1:-1] - s * np.eye(N - 2))
+            c = (-1) ** (N + 1) * m.a[-1] ** 2 * lam / d.alpha
+            Ps = js._poly_eval(d.P, s)
+            for h in (c, 1 / c):
+                scale = abs(d.alpha * h * h) + abs(Ps * h) + abs(d.alpha)
+                assert abs(d.alpha * h * h - Ps * h + d.alpha) < 1e-10 * scale
 
 
 def test_pencil_consistency_F_vs_determinant():
@@ -56,14 +63,16 @@ def test_pencil_consistency_F_vs_determinant():
     for N in (2, 3, 4, 5):
         m = js.PeriodicJacobi(list(rng.uniform(0.5, 2.0, N)),
                               list(rng.uniform(-0.5, 0.5, N)))
-        d = js.spectral_data(m)
+        P = js.floquet_polynomial(m)
+        alpha = float(m.alpha())
         for _ in range(20):
             h = rng.uniform(0.3, 2.0) * (1 if rng.random() < 0.5 else -1)
             z = rng.uniform(-3, 3)
             A = js._periodic_matrix([float(x) for x in m.a],
                                     [float(x) for x in m.b], h)
             det = np.linalg.det(A - z * np.eye(N))
-            assert abs(det - d.F(h, z)) < 1e-10 * max(1.0, abs(det))
+            curve = (-1) ** (N + 1) * (alpha * (h + 1 / h) - js._poly_eval(P, z))
+            assert abs(det - curve) < 1e-10 * max(1.0, abs(det))
 
 
 def test_gamma_fraction_depth_one():
@@ -260,6 +269,75 @@ def test_atom_mass_dichotomy():
                     denom *= (x - s)
             want = _math.sqrt(max(disc, 0.0)) / abs(denom)
             assert abs(mass - want) < 1e-7 * max(1.0, want)
+
+
+def _square_root_mass(d, a0, j):
+    """The j-th atom mass as it was computed before the Dirichlet identity,
+    and an estimate of that value's own relative roundoff.
+
+    h(sigma_j) is the root of alpha h^2 - P h + alpha inside the unit
+    circle, taken with a complex square root of the discriminant
+    P^2 - 4 alpha^2.  Horner's P(sigma) carries an error of about
+    eps * sum |p_i| |sigma|^i, which the square root magnifies by
+    |P| / disc: near 1e-8 at a closed gap, where disc is 0 up to roundoff,
+    and 1e-10 already on some open gaps of height-16 data."""
+    m, N, s = d.matrix, d.matrix.period, d.aux_spectrum[j]
+    Ps = js._poly_eval(d.P, s)
+    disc = Ps * Ps - 4 * d.alpha ** 2
+    sq = np.sqrt(complex(disc))
+    h = min((Ps + sq) / (2 * d.alpha), (Ps - sq) / (2 * d.alpha), key=abs)
+    aN = float(m.a[-1])
+    lam = js._poly_eval(js._tridiag_charpoly(m.b[1: N - 1], m.a[1: N - 2], False), s)
+    den = math.prod(s - t for l, t in enumerate(d.aux_spectrum) if l != j)
+    mass = (float(a0) / aN) ** 2 * (d.alpha * h + (-1) ** N * aN ** 2 * lam) / den
+    p_abs = js._poly_eval([abs(c) for c in d.P], abs(s))
+    roundoff = 2.2e-16 * p_abs * abs(Ps) / abs(disc) if disc else math.inf
+    return mass, roundoff
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7), st.data())
+def test_atom_masses_match_square_root_reference(N, data):
+    # the old formula is the reference wherever it is itself accurate: real,
+    # and with its own roundoff (see _square_root_mass) below 1e-11
+    a = [F(data.draw(_nonzero), data.draw(st.integers(1, 9))) for _ in range(N)]
+    b = [F(data.draw(st.integers(-16, 16)), data.draw(st.integers(1, 9)))
+         for _ in range(N)]
+    a0 = F(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))
+    m = js.PeriodicJacobi(a, b)
+    d = js.spectral_data(m)
+    atoms = dict(js.measure_decompose(m, a0, data=d).atoms)
+    for j, s in enumerate(d.aux_spectrum):
+        want, roundoff = _square_root_mass(d, a0, j)
+        if abs(want.imag) >= 1e-12 or roundoff > 1e-11:
+            continue
+        if s in atoms:
+            assert abs(atoms[s] - want.real) <= 1e-10 * abs(want.real)
+        else:   # a zero mass, which the reference gets only to roundoff
+            assert want.real <= js.ZERO_MASS_TOL
+
+
+@pytest.mark.parametrize("N", range(2, 21))
+def test_free_lattice_measure_has_no_atoms(N):
+    # every gap of the free lattice is closed: no atom, and the bands carry
+    # the whole mass a0^2 (to jacobi's default --tol)
+    m = js.PeriodicJacobi([F(1)] * N, [F(0)] * N)
+    d = js.spectral_data(m)
+    for a0 in (F(1), F(3, 2)):
+        mu = js.measure_decompose(m, a0, data=d)
+        assert mu.atoms == []
+        assert mu.total_mass() == pytest.approx(float(a0) ** 2, rel=1e-6)
+
+
+@pytest.mark.parametrize("N", range(2, 21))
+def test_free_lattice_cli_exit_0_no_atoms(tmp_path, N):
+    from laxkit.cli import main
+    import json
+    assert main(["jacobi", "-a=" + ",".join(["1"] * N),
+                 "-b=" + ",".join(["0"] * N), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "jacobi_report.json").read_text())
+    assert payload["atoms"] == []
+    assert payload["total_mass"] == pytest.approx(1.0, rel=1e-6)
 
 
 # the period-3 input whose discriminant once hung exact root finding: its
