@@ -8,7 +8,8 @@ continued-fraction denominator of the Stieltjes check vanished, or a
 number overflowed a float, as Jacobi entries such as -a 1e300,1 do).
 A report or CSV that would hold a NaN or an infinity is never written:
 the command exits 3.  So does a Jacobi measure with a band too narrow
-to integrate whose atoms do not carry a0^2, as for jacobi -a 1e100,1.
+to integrate whose atoms and other bands do not carry a0^2, as for
+jacobi -a 1e100,1.
 A computation that runs past one of its budgets (the polynomial
 solver's branch budget, the Sturm loops' nudge and bisection caps, the
 flows' 10**6 steps, laxflow.MAX_STEPS) exits 1 with its message.

@@ -22,6 +22,7 @@ carries that factor so its transform always matches the fraction.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -351,7 +352,10 @@ class StieltjesMeasure:
     def quadrature(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per band (nodes xs, weights, density at xs) of Gauss-Legendre
         with the sine substitution x = mid + rad sin(theta), which absorbs
-        the square-root edges.  Built once; the weights are w_q * jacobian."""
+        the square-root edges.  Built once; the weights are w_q * jacobian,
+        the jacobian rad cos(theta) taken as sqrt((x - lo)(hi - x)) at the
+        rounded node x, so that it matches the density's own edge factors
+        where a node lies a few ulps from an edge."""
         tq, wq = np.polynomial.legendre.leggauss(QUAD_NODES)
         table = []
         for lo, hi in self.bands:
@@ -360,7 +364,7 @@ class StieltjesMeasure:
             mid, rad = (lo + hi) / 2, (hi - lo) / 2
             theta = (np.pi / 2) * tq
             xs = mid + rad * np.sin(theta)
-            jac = (np.pi / 2) * rad * np.cos(theta)
+            jac = (np.pi / 2) * np.sqrt(xs - lo) * np.sqrt(hi - xs)
             table.append((xs, wq * jac, np.array([self.density(x) for x in xs])))
         return table
 
@@ -399,10 +403,10 @@ def measure_decompose(m: PeriodicJacobi, a0,
     with s = (a0/a_N)^2 the half-line rescaling: real arithmetic, no square
     root.  Masses up to ZERO_MASS_TOL (closed gaps) are dropped.  The
     continuous part is s/(2 pi) * sqrt(4 alpha^2 - P^2)/|cofactor| on each
-    stable band, with the branch fixed by positivity (asserted).  The
-    quadrature skips bands narrower than NARROW_BAND, so where one occurs
-    the atoms must carry a0^2 to 1e-8 relative, or OverflowError names the
-    missing mass."""
+    stable band, evaluated as a product over the branch points and the
+    sigma_j.  The quadrature skips bands narrower than NARROW_BAND, so
+    where one occurs the atoms and the other bands must carry a0^2 to 1e-8
+    relative, or OverflowError names the missing mass."""
     if data is None:
         data = spectral_data(m)
     N = m.period
@@ -430,54 +434,48 @@ def measure_decompose(m: PeriodicJacobi, a0,
         if mass > ZERO_MASS_TOL:
             atoms.append((s, mass))
 
-    try:
-        Pc = [float(c) for c in data.P]
-    except OverflowError:
-        raise OverflowError(
-            "a coefficient of P lies outside the double range") from None
-    cof = [float(c) for c in data.cofactor]
-    dcof = [i * c for i, c in enumerate(cof)][1:]
-
-    ddPc = [i * (i - 1) * c for i, c in enumerate(Pc)][2:]
+    # P is monic and the cofactor monic up to sign, so 4 alpha^2 - P^2 =
+    # -prod_k (x - E_k) over the 2N branch points and |cofactor| =
+    # prod_j |x - sigma_j|: each factor of the density is exact near its
+    # own root, where Horner's P^2 cancels.  The j-th gap's two edges pair
+    # with sigma_j, which keeps every factor near 1 in size and makes a
+    # closed gap's pair identically 1.
+    edges = [x for x, mult in data.branch_points for _ in range(mult)]
+    pairs = list(zip(edges[1:-1:2], edges[2:-1:2], aux))
 
     def density(x: float) -> float:
-        Px = _poly_eval(Pc, x)
-        disc = 4 * alpha * alpha - Px * Px
-        d = _poly_eval(cof, x)
-        if abs(d) < 1e-12 * (1 + abs(x)) ** (len(cof) - 1):
-            # closed-gap point: P = +-2 alpha with P' = 0, and the cofactor
-            # zero cancels the double branch point.  Analytic limit:
-            # sqrt(disc) ~ |x-s| sqrt(-P P''), |cof| ~ |cof'||x-s|.
-            num = math.sqrt(max(-Px * _poly_eval(ddPc, x), 0.0))
-            den = abs(_poly_eval(dcof, x))
-            return scale * num / (2 * math.pi * den) if den else 0.0
-        if disc <= 0:
-            return 0.0
-        rho = scale * math.sqrt(disc) / (2 * math.pi * abs(d))
-        assert rho >= 0.0
+        if bisect_right(edges, x) % 2 == 0:
+            return 0.0          # in a gap or outside the spectrum
+        rho = (scale / (2 * math.pi) * math.sqrt(x - edges[0])
+               * math.sqrt(edges[-1] - x))
+        for lo, hi, s in pairs:
+            if x == s:
+                if lo != hi:
+                    return 0.0  # sigma on an open edge: 1/sqrt blow-up
+                continue        # closed gap
+            rho *= math.sqrt(abs(x - lo)) * math.sqrt(abs(hi - x)) / abs(x - s)
         return rho
 
     # merge bands across closed gaps: the density continues analytically
-    # through them (the cofactor zero cancels the double branch point), and
-    # quadrature is spectrally accurate only on intervals with pure
-    # square-root edge behavior
-    span = max(abs(x) for x, _m2 in data.branch_points) + 1.0
+    # through them, and quadrature is spectrally accurate only on
+    # intervals with pure square-root edge behavior
+    span = max(abs(x) for x in edges) + 1.0
     merged: List[Tuple[float, float]] = []
     for lo, hi in data.stable_bands:
         if merged and abs(lo - merged[-1][1]) < 1e-10 * span:
             merged[-1] = (merged[-1][0], hi)
         else:
             merged.append((lo, hi))
+    measure = StieltjesMeasure(atoms=atoms, bands=merged, density=density)
     if any(hi - lo < NARROW_BAND for lo, hi in merged):
         want = float(a0) ** 2
-        held = sum(mass for _x, mass in atoms)
-        if abs(held - want) > 1e-8 * want:
+        held = measure.total_mass()
+        if not abs(held - want) <= 1e-8 * want:   # NaN fails too
             raise OverflowError(
                 f"a band is too narrow for a double to integrate, and the "
-                f"atoms carry {held:.6g} of the total mass a0^2 = {want:.6g}: "
-                f"{want - held:.6g} is missing")
-
-    return StieltjesMeasure(atoms=atoms, bands=merged, density=density)
+                f"atoms and the other bands carry {held:.6g} of the total "
+                f"mass a0^2 = {want:.6g}: {want - held:.6g} is missing")
+    return measure
 
 
 def orthogonality_check(m: PeriodicJacobi, a0, k_max: int,

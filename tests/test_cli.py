@@ -349,12 +349,18 @@ def test_jacobi_vanishing_fraction_denominator_exit_3(tmp_path, capsys,
 # toda.band_edge_drift (8.193445921733655e-14 -> 8.215650382226158e-14).
 # The period-5 digest was re-recorded when atom masses moved to the
 # Dirichlet identity: atoms[0] and atoms[1] move by -1.1e-16 and 5.6e-16,
-# and stieltjes_check.max_error by 4.07e-15 -> 3.59e-15.
+# and stieltjes_check.max_error by 4.07e-15 -> 3.59e-15.  Both digests were
+# re-recorded when the band density became a product over the branch points
+# and the auxiliary eigenvalues, with the quadrature jacobian taken at the
+# rounded node; only total_mass and stieltjes_check.max_error moved:
+# period 3, 0.9999999999987537 -> 0.9999999999999986 and 7.03e-13 ->
+# 9.35e-16; period 5, 2.7777777777777732 -> 2.7777777777777737 (25/9 =
+# 2.7777777777777777) and 3.59e-15 -> 3.15e-15.
 JACOBI_GOLDEN = [
     (["-a=1,1,1", "-b=0,0,1/2", "--check-stieltjes", "--toda-t-end", "0.5"],
-     "1b790e9b5ef2cb17bec2726f20d718355605af7f3934532238ab594f7d158cd6"),
+     "fbffdbd1246cd31a2acedbe922870639ebe0b180acf6ab6d8e099268c4d86312"),
     (["-a=2/3,5/3,4/3,4/3,5/3", "-b=1/3,2/3,2/3,1/3,2/3", "--check-stieltjes"],
-     "9569ffe7e6e5403504afc20d8821016cf0bc173d420edea198fc2d90f4b343df"),
+     "9528a6803ac2412db6db1a4ba13cc7e4c7e3912dea02ccfacbb5726940b09e3e"),
 ]
 
 
@@ -499,20 +505,22 @@ def test_step_budget_exit_1_writes_nothing(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("a", ["1e400,1", "1e300,1"], ids=["1e400", "1e300"])
 def test_jacobi_huge_entry_exit_3_writes_nothing(tmp_path, capsys, a):
-    # 1e400 does not fit a float at all, 1e300 overflows once multiplied:
-    # either is a numerical breakdown, not a traceback
+    # 1e400 does not fit a float at all; for 1e300 the whole mass sits on
+    # two bands at +-1e300 too narrow for a double: either is a numerical
+    # breakdown, not a traceback
     assert run(tmp_path, "jacobi", "-a", a, "-b", "0,0") == 3
     err = capsys.readouterr().err
     assert "error: numerical breakdown:" in err
-    if a == "1e300,1":   # P's constant term is -(1e600 + 1)
-        assert "a coefficient of P lies outside the double range" in err
+    if a == "1e300,1":
+        assert MISSING_MASS in err
     assert os.listdir(tmp_path) == []
 
 
 # For a = 1e100 every band is narrower than a double resolves, and its one
 # atom has mass 0: the report (once written with "atoms": [] and
-# "total_mass": 0) is refused, because its atoms do not hold a0^2.
-MISSING_MASS = "the atoms carry 0 of the total mass a0^2 = 1: 1 is missing"
+# "total_mass": 0) is refused, because the measure does not hold a0^2.
+MISSING_MASS = ("the atoms and the other bands carry 0 of the total mass "
+                "a0^2 = 1: 1 is missing")
 
 
 def test_jacobi_nonfinite_atom_mass_exit_3_writes_nothing(tmp_path, capsys):
@@ -557,6 +565,15 @@ def test_jacobi_extreme_exact_data_finishes_with_finite_report(tmp_path, a, b,
     edges = payload["branch_points"]
     assert sum(mult for _, mult in edges) == 4
     assert all(math.isfinite(x) for x, _ in edges)
+    assert payload["total_mass"] == pytest.approx(1.0, rel=1e-8)
+
+
+def test_jacobi_skipped_band_beside_integrated_bands_exit_0(tmp_path):
+    # only the band at 1e7 is too narrow to integrate; the bands near +-1
+    # are integrated, so the report holds a0^2 and is written
+    assert run(tmp_path, "jacobi", "-a", "1,1,1", "-b", "0,0,10000000") == 0
+    payload = json.loads((tmp_path / "jacobi_report.json").read_text())
+    assert payload["atoms"] == []
     assert payload["total_mass"] == pytest.approx(1.0, rel=1e-8)
 
 

@@ -317,6 +317,44 @@ def test_atom_masses_match_square_root_reference(N, data):
             assert want.real <= js.ZERO_MASS_TOL
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_density_matches_exact_discriminant(N, data):
+    # the product over branch points and sigma_j against
+    # s/(2 pi) sqrt(4 alpha^2 - P^2)/|cofactor| with P and the cofactor
+    # evaluated exactly at rational points inside each band
+    a = [F(data.draw(_nonzero), data.draw(st.integers(1, 9))) for _ in range(N)]
+    b = [F(data.draw(st.integers(-16, 16)), data.draw(st.integers(1, 9)))
+         for _ in range(N)]
+    m = js.PeriodicJacobi(a, b)
+    d = js.spectral_data(m)
+    mu = js.measure_decompose(m, 1, data=d)
+    scale = 1 / float(a[-1]) ** 2
+    alpha2 = m.alpha() ** 2
+    for lo, hi in d.stable_bands:
+        for t in (F(1, 10), F(1, 3), F(1, 2), F(7, 9)):
+            x = F(lo) + t * (F(hi) - F(lo))
+            disc = 4 * alpha2 - js._poly_eval(d.P, x) ** 2
+            cof = js._poly_eval(d.cofactor, x)
+            if cof == 0:
+                continue
+            want = scale * math.sqrt(disc) / (2 * math.pi * abs(float(cof)))
+            assert mu.density(float(x)) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("b", [[0, 0, 10 ** 7], [0, 0, 0, 10 ** 7]],
+                         ids=["N3", "N4"])
+def test_skipped_band_beside_integrated_bands_holds_the_mass(b):
+    # b_N = 1e7 splits off a band about 4e-14 wide that the quadrature
+    # skips; the bands near +-1 are about 1e-7 wide and carry nearly all
+    # the mass, with sigma_j on an edge of each (the density grows like
+    # 1/sqrt(|x - sigma_j|) there).  Atoms plus integrated bands hold a0^2
+    m = js.PeriodicJacobi([F(1)] * len(b), [F(x) for x in b])
+    mu = js.measure_decompose(m, F(3, 2))
+    assert any(hi - lo < js.NARROW_BAND for lo, hi in mu.bands)
+    assert mu.total_mass() == pytest.approx(9 / 4, rel=1e-8)
+
+
 @pytest.mark.parametrize("N", range(2, 21))
 def test_free_lattice_measure_has_no_atoms(N):
     # every gap of the free lattice is closed: no atom, and the bands carry
