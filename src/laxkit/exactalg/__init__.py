@@ -9,9 +9,8 @@ do not wrap them.
 from .poly import MultiPoly, Q, eliminate_linear
 from .series import PuiseuxSeries, TruncationError, poly_on_series
 from .linalg import (InconsistentSystemError, SingularMatrixError,
-                     charpoly_exact, det_exact, fraction_free_echelon,
-                     kernel_free_columns, left_kernel_vector, mat_identity,
-                     mat_mul, rational_roots, solve_square_exact,
+                     charpoly_exact, fraction_free_echelon, mat_identity,
+                     mat_mul, nullspace, rational_roots, solve_square_exact,
                      solve_with_pins, trace)
 from .roots import real_roots, sturm_chain, count_roots_between
 
@@ -19,8 +18,8 @@ __all__ = [
     "MultiPoly", "Q", "eliminate_linear",
     "PuiseuxSeries", "TruncationError", "poly_on_series",
     "InconsistentSystemError", "SingularMatrixError", "charpoly_exact",
-    "det_exact", "fraction_free_echelon", "kernel_free_columns",
-    "left_kernel_vector", "mat_identity", "mat_mul", "rational_roots",
-    "solve_square_exact", "solve_with_pins", "trace", "real_roots",
+    "fraction_free_echelon", "mat_identity", "mat_mul", "nullspace",
+    "rational_roots", "solve_square_exact", "solve_with_pins", "trace",
+    "real_roots",
     "sturm_chain", "count_roots_between",
 ]

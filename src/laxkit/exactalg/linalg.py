@@ -80,13 +80,6 @@ def charpoly_exact(M) -> List[MultiPoly]:
     return coeffs
 
 
-def det_exact(M) -> MultiPoly:
-    cp = charpoly_exact(M)
-    n = len(M)
-    d = cp[0]
-    return d if n % 2 == 0 else -d
-
-
 def rref_extend(rref: Dict[int, List[Fraction]], rows):
     """Reduce augmented rows [a | b] over Q into a reduced row-echelon form
     {pivot column: row}, leaving `rref` as it was; None once inconsistent.
@@ -178,14 +171,15 @@ def fraction_free_echelon(rows_in: Mat) -> Tuple[Mat, List[int]]:
 
 
 def _back_substitute(ech: Mat, pivots: List[int], m: int) -> List[MultiPoly]:
-    """Solve an echelon system of m unknowns with one pivot per unknown
-    (pivot i at ech[i][pivots[i]]) and the right-hand side in column m."""
+    """Solve an echelon system of m unknowns (pivot i at ech[i][pivots[i]])
+    with the right-hand side in column m; unknowns off the pivots are 0."""
+    r = len(pivots)
     x: List[MultiPoly] = [MultiPoly.zero()] * m
     sx: List[Scaled] = [(1, [])] * m
-    for i in range(m - 1, -1, -1):
+    for i in range(r - 1, -1, -1):
         pairs = [(scaled(ech[i][m]), SCALED_ONE)]
         pairs += [(_neg(scaled(ech[i][pivots[j]])), sx[pivots[j]])
-                  for j in range(i + 1, m)]
+                  for j in range(i + 1, r)]
         d = ech[i][pivots[i]]
         inv = _const_inverse(d)
         s = sum_products(pairs, inv)
@@ -253,42 +247,24 @@ def solve_with_pins(M, rhs, pins) -> List[MultiPoly]:
     return out
 
 
-def kernel_free_columns(M) -> List[int]:
-    """Columns of M not used as pivots (kernel directions live there)."""
-    ech, pivots = fraction_free_echelon(_coerce_matrix(M))
-    return [c for c in range(len(M[0])) if c not in pivots]
+def nullspace(M) -> Tuple[List[int], List[List[MultiPoly]]]:
+    """(free columns, kernel basis) of M from one Bareiss echelon.
 
-
-def _minor_det(A: Mat, drop_row: int, drop_col: int) -> MultiPoly:
-    sub = [[A[i][j] for j in range(len(A)) if j != drop_col]
-           for i in range(len(A)) if i != drop_row]
-    if not sub:
-        return MultiPoly.const(1)
-    return det_exact(sub)
-
-
-def adjugate_kernel_column(M) -> List[MultiPoly] | None:
-    """A nonzero adjugate column of a singular M: a polynomial kernel
-    vector whenever rank(M) = n-1.  Returns None if the adjugate is zero
-    (which means the kernel has dimension >= 2)."""
-    A = _coerce_matrix(M)
-    n = len(A)
-    for j in range(n):
-        col = [(_minor_det(A, j, i) * ((-1) ** (i + j))) for i in range(n)]
-        if any(not x.is_zero for x in col):
-            return col
-    return None
-
-
-def left_kernel_vector(M) -> List[MultiPoly] | None:
-    """One left null vector of M (w such that w M = 0), or None."""
-    Mt = [[MultiPoly.coerce(M[i][j]) for i in range(len(M))]
-          for j in range(len(M[0]))]
-    free = kernel_free_columns(Mt)
-    if not free:
-        return None
-    zero = [MultiPoly.zero()] * len(Mt)
-    try:
-        return solve_with_pins(Mt, zero, {free[0]: MultiPoly.const(1)})
-    except (SingularMatrixError, InconsistentSystemError):
-        return None
+    The free columns are the non-pivot ones, in order.  The basis vector
+    of free column f is d at f and 0 at the other free columns, with d the
+    echelon's last pivot (the rank minor, 1 for M = 0); the pivot unknowns
+    solve the echelon rows with right-hand side -d * (column f).  By
+    Cramer's rule d clears every denominator, so each vector is polynomial
+    and no division is inexact; callers normalize with exact_div.
+    """
+    ech, pivots = fraction_free_echelon(M)
+    ncol = len(ech[0]) if ech else 0
+    d = ech[len(pivots) - 1][pivots[-1]] if pivots else MultiPoly.const(1)
+    free = [c for c in range(ncol) if c not in pivots]
+    basis = []
+    for f in free:
+        rows = [row + [-d * row[f]] for row in ech[:len(pivots)]]
+        v = _back_substitute(rows, pivots, ncol)
+        v[f] = d
+        basis.append(v)
+    return free, basis

@@ -192,7 +192,11 @@ def spectral_data(m: PeriodicJacobi) -> SpectralData:
             f"expected {N-1} auxiliary eigenvalues, found {len(aux)}")
     bands = [(flat[2 * j], flat[2 * j + 1]) for j in range(N)]
     gaps = [(flat[2 * j + 1], flat[2 * j + 2]) for j in range(N - 1)]
-    data = SpectralData(matrix=m, P=P, alpha=float(alpha),
+    try:
+        alpha = float(alpha)
+    except OverflowError:
+        raise OverflowError("alpha = a_1 a_2 ... a_N overflows a double") from None
+    data = SpectralData(matrix=m, P=P, alpha=alpha,
                         branch_points=branch, stable_bands=bands, gaps=gaps,
                         aux_spectrum=aux, cofactor=cof)
     if not data.interlacing_ok(tol=1e-7):
@@ -415,9 +419,16 @@ def measure_decompose(m: PeriodicJacobi, a0,
     if any(t - s < 1e-9 for s, t in zip(aux, aux[1:])):
         raise DegenerateSpectrumError("coincident auxiliary eigenvalues")
     aN = float(m.a[-1])
-    scale = (float(a0) / aN) ** 2
+    try:
+        scale = (float(a0) / aN) ** 2
+    except OverflowError:
+        raise OverflowError("(a0/a_N)^2 overflows a double") from None
     alpha = data.alpha
-    interior = _tridiag_charpoly(m.b[1: N - 1], m.a[1: N - 2], False)
+    try:
+        interior = _tridiag_charpoly(m.b[1: N - 1], m.a[1: N - 2], False)
+    except OverflowError:
+        raise OverflowError("an a_j^2 (2 <= j <= N-2) in the interior "
+                            "determinant Lambda overflows a double") from None
     atoms: List[Tuple[float, float]] = []
     for j, s in enumerate(aux):
         alpha_c = (-1) ** (N + 1) * aN ** 2 * _poly_eval(interior, s)

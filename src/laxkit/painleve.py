@@ -18,18 +18,16 @@ weight deficit dictates; nothing is ever dropped.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exactalg import (InconsistentSystemError, MultiPoly, PuiseuxSeries,
                        Q, SingularMatrixError, charpoly_exact,
-                       eliminate_linear, kernel_free_columns,
-                       left_kernel_vector, poly_on_series, rational_roots,
-                       solve_square_exact, solve_with_pins)
-from .exactalg.linalg import (adjugate_kernel_column, rref_extend,
-                               rref_solution)
+                       eliminate_linear, nullspace, poly_on_series,
+                       rational_roots, solve_square_exact, solve_with_pins)
+from .exactalg.linalg import rref_extend, rref_solution
 from .exactalg.poly import SCALED_ONE, Scaled, scaled, sum_products
 from .sysdsl import VectorFieldSystem
 
@@ -446,7 +444,6 @@ class KowalewskiData:
     charpoly: List[Fraction]                     # ascending, monic
     rational_eigs: List[Tuple[Fraction, int]]
     nonrational_factor: List[Fraction]           # ascending; [] if fully rational
-    kernels: Dict[Fraction, List[List[MultiPoly]]] = field(default_factory=dict)
 
     def rational_spectrum(self) -> List[Fraction]:
         return sorted(r for r, _ in self.rational_eigs)
@@ -469,24 +466,8 @@ def kowalewski(sys: VectorFieldSystem, bal: Balance) -> KowalewskiData:
                 "symbol; resonance analysis needs a generic-value split")
         consts.append(c.const_value())
     rats, cof = rational_roots(consts)
-    data = KowalewskiData(matrix=L, charpoly=consts, rational_eigs=rats,
+    return KowalewskiData(matrix=L, charpoly=consts, rational_eigs=rats,
                           nonrational_factor=cof)
-    for r, _m in rats:
-        M = [[MultiPoly.const(r if i == j else 0) - L[i][j] for j in range(n)]
-             for i in range(n)]
-        free = kernel_free_columns(M)
-        vecs = []
-        for col in free:
-            pins = {c: MultiPoly.const(1 if c == col else 0) for c in free}
-            try:
-                vecs.append(solve_with_pins(M, [MultiPoly.zero()] * n, pins))
-            except (SingularMatrixError, InconsistentSystemError, ValueError):
-                if len(free) == 1:
-                    v = adjugate_kernel_column(M)
-                    if v is not None:
-                        vecs.append(v)
-        data.kernels[r] = vecs
-    return data
 
 
 def invariant_weight(sys: VectorFieldSystem, name: str, w: WeightVector):
@@ -701,28 +682,26 @@ def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
             except ValueError as exc:
                 raise FamilyNotPolynomial(j, ell) from exc
         else:
+            # each kernel vector is normalized to 1 at its free column and 0
+            # at the others, or to `scale` at the slot column when the kernel
+            # is one-dimensional and nonzero there
+            free, basis = nullspace(M)
             slot_spec = (resonance_slots or {}).get(j)
-            pin_cols = None
-            scales = None
-            if slot_spec is not None:
-                var, scale = slot_spec
-                col = sys.variables.index(var)
-                try:
-                    solve_with_pins(M, [MultiPoly.zero()] * n, {col: MultiPoly.zero()})
-                    pin_cols = [col]
-                    scales = {col: scale}
-                except (SingularMatrixError, InconsistentSystemError):
-                    pin_cols = None
-            if pin_cols is None:
-                pin_cols = kernel_free_columns(M) or [0]
-                scales = {cc: 1 for cc in pin_cols}
-            zeros = {cc: MultiPoly.zero() for cc in pin_cols}
+            slot = sys.variables.index(slot_spec[0]) if slot_spec else None
+            if (slot is not None and len(basis) == 1
+                    and not basis[0][slot].is_zero):
+                pins = {slot: MultiPoly.coerce(slot_spec[1])}
+            else:
+                pins = {f: MultiPoly.const(1) for f in free}
             try:
-                part = solve_with_pins(M, psi, zeros)
+                part = solve_with_pins(M, psi, {f: MultiPoly.zero() for f in pins})
             except InconsistentSystemError:
-                wvec = left_kernel_vector(M)
-                pairing = None
-                if wvec is not None:
+                # certificate: the left null vector, 1 at its first free
+                # column, when the left kernel is one-dimensional
+                lfree, lbasis = nullspace(list(zip(*M)))
+                wvec = pairing = None
+                if len(lbasis) == 1:
+                    wvec = [x.exact_div(lbasis[0][lfree[0]]) for x in lbasis[0]]
                     pairing = sum((wvec[i] * psi[i] for i in range(n)),
                                   MultiPoly.zero())
                 raise PainleveObstruction(j, ell, certificate=wvec,
@@ -730,19 +709,11 @@ def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
             except (SingularMatrixError, ValueError) as exc:
                 raise FamilyNotPolynomial(j, ell) from exc
             zj = list(part)
-            for cc in pin_cols:
-                pins = {c2: MultiPoly.coerce(scales[cc] if c2 == cc else 0)
-                        for c2 in pin_cols}
+            for (f, scale), v in zip(pins.items(), basis):
                 try:
-                    kvec = solve_with_pins(M, [MultiPoly.zero()] * n, pins)
-                except ValueError:
-                    if len(pin_cols) != 1:
-                        raise
-                    v = adjugate_kernel_column(M)
-                    if v is None or v[cc].is_zero:
-                        raise
-                    sc = MultiPoly.coerce(scales[cc])
-                    kvec = [(x * sc).exact_div(v[cc]) for x in v]
+                    kvec = [(x * scale).exact_div(v[f]) for x in v]
+                except ValueError as exc:
+                    raise FamilyNotPolynomial(j, ell) from exc
                 name = next(names_iter, None) or fresh_name()
                 taken.add(name)
                 s = MultiPoly.var(name)

@@ -516,6 +516,21 @@ def test_jacobi_huge_entry_exit_3_writes_nothing(tmp_path, capsys, a):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv,what", [
+    (["-a", "1,1e200,1,1", "-b", "0,0,0,0"],
+     "an a_j^2 (2 <= j <= N-2) in the interior determinant Lambda"),
+    (["-a", "1,1", "-b", "0,0", "--a0", "1e200"], "(a0/a_N)^2"),
+    (["-a", "1e160,1e160", "-b", "0,0"], "alpha = a_1 a_2 ... a_N"),
+], ids=["interior-a2", "a0-over-aN", "alpha"])
+def test_jacobi_overflow_names_the_quantity(tmp_path, capsys, argv, what):
+    # each input is exact and finite, but one float the measure needs does
+    # not fit a double: the one error line says which
+    assert run(tmp_path, "jacobi", *argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: numerical breakdown: {what} overflows a double\n"
+    assert os.listdir(tmp_path) == []
+
+
 # For a = 1e100 every band is narrower than a double resolves, and its one
 # atom has mass 0: the report (once written with "atoms": [] and
 # "total_mass": 0) is refused, because the measure does not hold a0^2.

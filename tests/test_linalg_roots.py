@@ -5,13 +5,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from laxkit.exactalg import (MultiPoly, charpoly_exact, count_roots_between,
-                             fraction_free_echelon, mat_mul, rational_roots,
-                             real_roots, solve_square_exact, solve_with_pins,
-                             sturm_chain)
+                             fraction_free_echelon, mat_mul, nullspace,
+                             rational_roots, real_roots, solve_square_exact,
+                             solve_with_pins, sturm_chain)
 from laxkit.exactalg.linalg import (InconsistentSystemError,
-                                    _back_substitute, _pivot_choice,
-                                    adjugate_kernel_column,
-                                    kernel_free_columns)
+                                    _back_substitute, _pivot_choice)
 
 
 def test_charpoly_matches_numpy():
@@ -39,18 +37,33 @@ def test_solve_with_symbolic_entries():
 
 
 def test_pinned_inconsistency_certificate():
-    # rank-1 matrix with incompatible rhs
+    # rank-1 matrix with incompatible rhs: pinning its one free column leaves
+    # an inconsistent system, and the left null vector pairs nonzero with rhs
     M = [[F(4), F(-1)], [F(-12), F(3)]]
-    free = kernel_free_columns(M)
+    rhs = [F(1), F(0)]
+    free, basis = nullspace(M)
+    assert free == [1] and len(basis) == 1
     with pytest.raises(InconsistentSystemError):
-        solve_with_pins(M, [F(1), F(0)], {free[0]: F(0)})
+        solve_with_pins(M, rhs, {free[0]: F(0)})
+    lfree, lbasis = nullspace(list(zip(*M)))
+    assert lfree == [1] and len(lbasis) == 1
+    w = lbasis[0]
+    assert all((w[0] * M[0][j] + w[1] * M[1][j]).is_zero for j in range(2))
+    assert not (w[0] * rhs[0] + w[1] * rhs[1]).is_zero
 
 
 def test_adjugate_kernel():
+    # rank n-1: the one kernel vector is parallel to every adjugate column
+    sympy = pytest.importorskip("sympy")
     M = [[F(4), F(-1)], [F(-12), F(3)]]
-    v = adjugate_kernel_column(M)
-    assert v is not None
+    free, basis = nullspace(M)
+    assert len(basis) == 1
+    v = basis[0]
     assert all((M[i][0] * v[0] + M[i][1] * v[1]).is_zero for i in range(2))
+    adj = _sympy_matrix(sympy, M).adjugate()
+    for j in range(2):
+        assert any(x != 0 for x in adj[:, j])
+        assert (v[0] * F(int(adj[1, j])) - v[1] * F(int(adj[0, j]))).is_zero
 
 
 def test_rational_roots_with_multiplicity():
@@ -289,6 +302,81 @@ def test_solve_square_exact_matches_sympy(M, rhs):
     want = A.LUsolve(_sympy_matrix(sympy, [[c] for c in rhs]))
     got = solve_square_exact(M, rhs)
     assert [c.const_value() for c in got] == [F(int(c.p), int(c.q)) for c in want]
+
+
+# -- nullspace against the pinned solve it replaced, and sympy ------------------
+
+def _check_nullspace(M):
+    """Each basis vector v of free column f lies in ker M, is nonzero at f
+    and 0 at the other free columns, and normalized to 1 at f it is the
+    solution of M x = 0 with the free columns pinned (1 at f, 0 elsewhere);
+    where that solution is not polynomial both routes raise ValueError."""
+    free, basis = nullspace(M)
+    assert len(basis) == len(free)
+    zero = [MultiPoly.zero()] * len(M)
+    for f, v in zip(free, basis):
+        for row in M:
+            assert sum((MultiPoly.coerce(a) * x for a, x in zip(row, v)),
+                       MultiPoly.zero()).is_zero
+        assert not v[f].is_zero
+        assert all(v[g].is_zero for g in free if g != f)
+        pins = {g: MultiPoly.const(int(g == f)) for g in free}
+        try:
+            want = solve_with_pins(M, zero, pins)
+        except ValueError:
+            with pytest.raises(ValueError):
+                [x.exact_div(v[f]) for x in v]
+            continue
+        assert [x.exact_div(v[f]) for x in v] == want
+    return free
+
+
+@st.composite
+def deficient_matrices(draw):
+    """n x n products A B through k = n-1 or n-2 inner columns (rank <= k)."""
+    n = draw(st.integers(2, 5))
+    k = n - draw(st.integers(1, min(2, n - 1)))
+    A = [[draw(rational_entries) for _ in range(k)] for _ in range(n)]
+    B = [[draw(rational_entries) for _ in range(n)] for _ in range(k)]
+    return [[sum((A[i][t] * B[t][j] for t in range(k)), F(0))
+             for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(deficient_matrices())
+@example([[F(0), F(0)], [F(0), F(0)]])
+def test_nullspace_matches_pinned_solve_and_sympy(M):
+    sympy = pytest.importorskip("sympy")
+    free = _check_nullspace(M)
+    assert len(free) == len(_sympy_matrix(sympy, M).nullspace())
+
+
+def _sympy_poly(sympy, p):
+    return sum((sympy.Rational(c.numerator, c.denominator) *
+                sympy.Mul(*[sympy.Symbol(nm) ** e for nm, e in key])
+                for key, c in p.terms.items()), sympy.Integer(0))
+
+
+_a, _b, _one, _zero = (MultiPoly.var("a"), MultiPoly.var("b"),
+                       MultiPoly.const(1), MultiPoly.zero())
+
+
+@pytest.mark.parametrize("A, B", [
+    # rank 1 and 2 of 3 over Q(a, b); every normalized vector is polynomial
+    ([[_a], [_one], [_a + _b]], [[_one, _a, _zero]]),
+    ([[_a, _one], [_one, _b], [_a + _b, MultiPoly.const(2)]],
+     [[_one, _a, _zero], [_zero, _one, _b]]),
+    # rank 1 of 2: the kernel is (-b, a), so normalized to 1 at column 1 it
+    # is (-b/a, 1), not polynomial
+    ([[_one], [MultiPoly.const(2)]], [[_a, _b]]),
+], ids=["rank1of3", "rank2of3", "not-polynomial"])
+def test_nullspace_symbolic_product(A, B):
+    sympy = pytest.importorskip("sympy")
+    M = [[sum((A[i][t] * B[t][j] for t in range(len(B))), MultiPoly.zero())
+          for j in range(len(B[0]))] for i in range(len(A))]
+    free = _check_nullspace(M)
+    want = sympy.Matrix([[_sympy_poly(sympy, x) for x in row] for row in M])
+    assert len(free) == len(want.nullspace()) == len(M) - len(B)
 
 
 # -- the incremental reduced row-echelon form ----------------------------------
