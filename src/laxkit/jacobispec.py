@@ -429,9 +429,13 @@ def measure_decompose(m: PeriodicJacobi, a0,
     except OverflowError:
         raise OverflowError("an a_j^2 (2 <= j <= N-2) in the interior "
                             "determinant Lambda overflows a double") from None
+    try:
+        aN2 = aN ** 2
+    except OverflowError:
+        raise OverflowError("a_N^2 overflows a double") from None
     atoms: List[Tuple[float, float]] = []
     for j, s in enumerate(aux):
-        alpha_c = (-1) ** (N + 1) * aN ** 2 * _poly_eval(interior, s)
+        alpha_c = (-1) ** (N + 1) * aN2 * _poly_eval(interior, s)
         c = alpha_c / alpha
         if abs(c) <= 1:
             continue

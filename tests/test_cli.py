@@ -521,7 +521,8 @@ def test_jacobi_huge_entry_exit_3_writes_nothing(tmp_path, capsys, a):
      "an a_j^2 (2 <= j <= N-2) in the interior determinant Lambda"),
     (["-a", "1,1", "-b", "0,0", "--a0", "1e200"], "(a0/a_N)^2"),
     (["-a", "1e160,1e160", "-b", "0,0"], "alpha = a_1 a_2 ... a_N"),
-], ids=["interior-a2", "a0-over-aN", "alpha"])
+    (["-a", "1,1e200", "-b", "0,0"], "a_N^2"),
+], ids=["interior-a2", "a0-over-aN", "alpha", "aN2"])
 def test_jacobi_overflow_names_the_quantity(tmp_path, capsys, argv, what):
     # each input is exact and finite, but one float the measure needs does
     # not fit a double: the one error line says which
