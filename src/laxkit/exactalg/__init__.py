@@ -12,7 +12,7 @@ from .linalg import (InconsistentSystemError, SingularMatrixError,
                      charpoly_exact, fraction_free_echelon, mat_identity,
                      mat_mul, nullspace, rational_roots, solve_square_exact,
                      solve_with_pins, trace)
-from .roots import real_roots, sturm_chain, count_roots_between
+from .roots import nearest_roots, real_roots
 
 __all__ = [
     "MultiPoly", "Q", "eliminate_linear",
@@ -20,6 +20,5 @@ __all__ = [
     "InconsistentSystemError", "SingularMatrixError", "charpoly_exact",
     "fraction_free_echelon", "mat_identity", "mat_mul", "nullspace",
     "rational_roots", "solve_square_exact", "solve_with_pins", "trace",
-    "real_roots",
-    "sturm_chain", "count_roots_between",
+    "nearest_roots", "real_roots",
 ]

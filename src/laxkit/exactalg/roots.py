@@ -1,13 +1,14 @@
 """Real and rational roots of univariate polynomials.
 
-Every input takes one route, in exact arithmetic.  Yun's square-free
-decomposition gives the multiplicities.  Each square-free factor is
-cleared to an integer polynomial f, and its real roots are isolated
-once, by bisection on a Sturm chain whose members are primitive integer
-polynomials (each a positive multiple of the classical chain f, f',
--rem, ..., so every sign count is the same).  Signs are taken at
-rational points n/d with a homogenised integer Horner step, the sign of
-d^deg p(n/d); no Fraction arithmetic runs inside the evaluations.
+Two routes, both exact.  The Sturm route (real_roots, rational_roots)
+takes any polynomial.  Yun's square-free decomposition gives the
+multiplicities.  Each square-free factor is cleared to an integer
+polynomial f, and its real roots are isolated once, by bisection on a
+Sturm chain whose members are primitive integer polynomials (each a
+positive multiple of the classical chain f, f', -rem, ..., so every
+sign count is the same).  Signs are taken at rational points n/d with a
+homogenised integer Horner step, the sign of d^deg p(n/d); no Fraction
+arithmetic runs inside the evaluations.
 
 Rational roots are read off the isolating intervals.  A rational root of
 f is k/lc(f) for an integer k, so once an interval is narrower than
@@ -28,17 +29,36 @@ bisection that has not settled after (B + 2) + min(B + 54, 1074) + 2
 halvings, B the largest coefficient bit length, or a midpoint still a
 root after deg f nudges, raises RuntimeError naming the cap.
 
+The seeded route (nearest_roots) takes a polynomial together with one
+double near each root, as the float eigenvalues of a matrix give for its
+characteristic polynomial, and returns exactly what real_roots would,
+each root as a double.  It works on the whole primitive integer
+polynomial f of degree d, before any square-free decomposition, and on
+doubles only, in their integer order (adjacent doubles one apart).
+From each seed it steps out by 1, 2, 4, ... doubles until f changes
+sign, or is 0, taking each sign exactly at a double with the same Horner
+step; it halves that bracket on the order of the doubles down to two
+adjacent doubles, and the sign of f at their midpoint picks the nearer.
+The certificate (S. M. Rump, Acta Numerica 19, 2010): d disjoint
+brackets, each a sign change or a zero, hold d roots, so every root of
+f is real and simple and each bracket holds exactly one.  Anything else
+-- a seed count that is not d, a seed that is not finite, a walk that
+has not changed sign within 64 doublings (which span every finite
+double), brackets that overlap (a double root, a cluster within
+roundoff) or a midpoint that is a root -- sends that polynomial down the
+Sturm route instead.  The cost is about log2 of each seed's distance
+from its root in doubles, plus 64 halvings at most, per root: no Sturm
+chain, no Fraction midpoints, no square-free decomposition.
+
 Every coefficient is coerced with Q, so a float coefficient is read as
-the rational it stores; there is no floating-point root finder.  Float
-spectra of periodic Jacobi matrices are symmetric eigenvalue problems
-and are solved as such in jacobispec.
+the rational it stores; there is no floating-point root finder.
 
 Polynomials are dense ascending coefficient lists.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, gcd, inf, lcm, nextafter
+from math import ceil, frexp, gcd, inf, isfinite, lcm, ldexp, nextafter
 from typing import List, Sequence, Tuple
 
 from .poly import Q
@@ -342,18 +362,107 @@ def _factor_roots(factor: List[Fraction]) -> List[object]:
             [_nearest_double(f, lo, hi) for lo, hi in brackets])
 
 
+# -- seeded roots ----------------------------------------------------------------
+
+# A double's order: its place among all doubles, adjacent doubles one apart
+# and +-0.0 at 0 (the IEEE bit pattern, sign and magnitude folded into one
+# integer).  A walk of _WALK_STEPS doublings covers 2^64 places, more than
+# the 2 * _MAX_ORDER + 1 finite doubles, so longer walks never close.
+_MAX_ORDER = (2046 << 52) | ((1 << 52) - 1)
+_WALK_STEPS = 64
+
+
+def _order(x: float) -> int:
+    ax = abs(x)
+    if ax < 2.0 ** -1021:
+        k = int(ldexp(ax, 1074))
+    else:
+        m, e = frexp(ax)
+        k = int(ldexp(m, 53)) + ((e + 1021) << 52)
+    return k if x > 0 else -k
+
+
+def _double(k: int) -> float:
+    ak = abs(k)
+    if ak < 1 << 53:
+        x = ldexp(ak, -1074)
+    else:
+        x = ldexp(ak & ((1 << 52) - 1) | 1 << 52, (ak >> 52) - 1075)
+    return x if k >= 0 else -x
+
+
+def _sign_order(f: List[int], k: int) -> int:
+    n, d = _double(k).as_integer_ratio()
+    return _sign(f, n, _powers(d, len(f) - 1))
+
+
+def _walk(f: List[int], k: int):
+    """Orders (lo, hi) around a root of f, stepping out from order k by 1, 2,
+    4, ... places on each side: f changes sign from lo to hi, or lo == hi
+    and f is 0 there.  None if no sign change shows among the finite
+    doubles within _WALK_STEPS steps."""
+    s = _sign_order(f, k)
+    if s == 0:
+        return k, k
+    lo = hi = k
+    for i in range(_WALK_STEPS):
+        for end in (k + (1 << i), k - (1 << i)):
+            if abs(end) > _MAX_ORDER:
+                return None
+            t = _sign_order(f, end)
+            if t == 0:
+                return end, end
+            if t != s:
+                return (hi, end) if end > k else (end, lo)
+        lo, hi = k - (1 << i), k + (1 << i)
+    return None
+
+
+def _rounded(f: List[int], lo: int, hi: int):
+    """The double nearest the one root of f in the order bracket (lo, hi):
+    halve on orders to adjacent doubles a < b, then take b exactly when the
+    root lies above their midpoint.  None if that midpoint is the root."""
+    if lo == hi:
+        return _double(lo)
+    s = _sign_order(f, lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        t = _sign_order(f, mid)
+        if t == 0:
+            return _double(mid)
+        if t == s:
+            lo = mid
+        else:
+            hi = mid
+    a, b = _double(lo), _double(hi)
+    t = _sign_at(f, (Fraction(a) + Fraction(b)) / 2)
+    if t == 0:
+        return None
+    return b if t == s else a
+
+
+def _seeded(f: List[int], near: Sequence[float]):
+    """The real roots of the primitive integer f, each the nearest double,
+    when one walk per seed certifies deg f simple real roots: deg f disjoint
+    brackets, each a sign change (an odd number of roots) or a zero, leave
+    room for one simple root in each and no other.  None otherwise."""
+    near = [float(x) for x in near]
+    if len(near) != len(f) - 1 or not all(map(isfinite, near)):
+        return None
+    brackets = []
+    for x in near:
+        b = _walk(f, _order(x))
+        if b is None:
+            return None
+        brackets.append(b)
+    brackets.sort()
+    if any(hi >= lo for (_, hi), (lo, _) in zip(brackets, brackets[1:])):
+        return None
+    roots = [_rounded(f, lo, hi) for lo, hi in brackets]
+    return None if None in roots else roots
+
+
 # -- public API -----------------------------------------------------------------
-
-def sturm_chain(p: Sequence) -> List[List[int]]:
-    """Sturm chain of a rational polynomial, as primitive integer
-    polynomials (positive multiples of p, p', -rem(p, p'), ...)."""
-    return _chain(_primitive(_cleared(_strip([Q(c) for c in p]))))
-
-
-def count_roots_between(chain, lo, hi) -> int:
-    """Distinct roots in (lo, hi] of the first member of a Sturm chain."""
-    return _variations(chain, Q(lo)) - _variations(chain, Q(hi))
-
 
 def rational_roots(coeffs: Sequence[Fraction]) -> Tuple[List[Tuple[Fraction, int]], List[Fraction]]:
     """All rational roots (with multiplicity) of a univariate polynomial
@@ -391,3 +500,15 @@ def real_roots(coeffs) -> List[Tuple[object, int]]:
         results.extend((x, mult) for x in _factor_roots(factor))
     results.sort(key=lambda rm: float(rm[0]))
     return results
+
+
+def nearest_roots(coeffs, near: Sequence[float]) -> List[Tuple[float, int]]:
+    """[(float(r), m) for r, m in real_roots(coeffs)], found from `near`, one
+    double near each root (as eigenvalues of a matrix whose characteristic
+    polynomial this is).  The seeds are certified on the whole polynomial;
+    when they do not certify it, real_roots runs instead."""
+    cs = _strip([Q(c) for c in coeffs])
+    roots = _seeded(_primitive(_cleared(cs)), near) if len(cs) > 1 else None
+    if roots is None:
+        return [(float(r), m) for r, m in real_roots(coeffs)]
+    return [(x, 1) for x in roots]

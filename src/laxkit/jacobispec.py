@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exactalg import Q, real_roots
+from .exactalg import Q, nearest_roots
 from .laxflow import rk4, steps_for
 
 
@@ -48,7 +48,7 @@ class PeriodicJacobi:
             raise ValueError("a and b must have the same period")
         if len(self.a) < 2:
             raise ValueError("period must be at least 2")
-        if any(float(x) == 0.0 for x in self.a):
+        if any(x == 0 for x in self.a):
             raise ValueError("all off-diagonal entries a_j must be nonzero "
                              "(alpha = prod a_j != 0)")
 
@@ -157,26 +157,34 @@ def _interlaces(aux: Sequence[float], gaps: Sequence[Tuple[float, float]],
 def spectral_data(m: PeriodicJacobi) -> SpectralData:
     """Bands, gaps and auxiliary spectrum of a periodic Jacobi matrix.
 
-    Rational data takes exact Sturm isolation of P^2 - 4 alpha^2 and of
-    the cofactor, with multiplicities; each root is the double nearest
-    the exact algebraic number.  Float data takes the symmetric
-    eigenvalue route of _float_spectrum, each branch point listed once.
-    An interlacing violation raises (it would mean the root ordering
-    itself is broken)."""
+    Rational data takes exact roots, each the double nearest the exact
+    algebraic number, with multiplicities.  The branch points, the roots
+    of P^2 - 4 alpha^2, are found as the roots of its two factors P - 2
+    alpha and P + 2 alpha, which share none since alpha != 0; the
+    auxiliary spectrum is the roots of the cofactor.  The float
+    eigenvalues of A(1), A(-1) and A(1)'s leading block (_seeds) seed
+    them: exactalg.nearest_roots certifies each seed by exact sign
+    changes and rounds it, and a polynomial its seeds do not certify (a
+    closed gap's double root, a cluster within roundoff) takes exact Sturm
+    isolation instead.  An entry that does not fit a double raises
+    OverflowError naming it.  Float data takes the symmetric eigenvalue
+    route of _float_spectrum, each branch point listed once.  An
+    interlacing violation raises (it would mean the root ordering itself
+    is broken)."""
     N = m.period
     P = floquet_polynomial(m)
     alpha = m.alpha()
     cof = cofactor_nn_polynomial(m)
     if m.is_exact:
-        # P^2 - 4 alpha^2
-        n = len(P)
-        sq = [Q(0)] * (2 * n - 1)
-        for i, ci in enumerate(P):
-            for j, cj in enumerate(P):
-                sq[i + j] += ci * cj
-        sq[0] -= 4 * (alpha * alpha)
-        branch = [(float(r), mult) for r, mult in real_roots(sq)]
-        aux = sorted(float(r) for r, _ in real_roots(cof))
+        plus, minus, sigma = _seeds(m)
+        two_alpha = 2 * alpha
+        try:
+            branch = sorted(nearest_roots([P[0] - two_alpha] + P[1:], plus) +
+                            nearest_roots([P[0] + two_alpha] + P[1:], minus))
+        except OverflowError:
+            raise OverflowError("a branch point overflows a double") from None
+        # each sigma_j lies in a gap, so it fits a double when the edges do
+        aux = [x for x, _ in nearest_roots(cof, sigma)]
     else:
         _, edges, sigma = _float_spectrum(m.a, m.b)
         branch = [(x, 1) for x in edges.tolist()]
@@ -207,7 +215,13 @@ def spectral_data(m: PeriodicJacobi) -> SpectralData:
 
 
 def _float_spectrum(a, b) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A(1), band edges, auxiliary spectrum) of float period-N data.
+    """(A(1), band edges, auxiliary spectrum) of float period-N data."""
+    A, plus, minus, sigma = _floquet_eigenvalues(a, b)
+    return A, np.sort(np.concatenate([plus, minus])), sigma
+
+
+def _floquet_eigenvalues(a, b):
+    """(A(1), eigenvalues of A(1), of A(-1) and of A(1)'s leading block).
 
     By Floquet theory the 2N roots of P^2 - 4 alpha^2 are the eigenvalues
     of the periodic matrix A(1) (P = 2 alpha) and of the antiperiodic one
@@ -216,9 +230,30 @@ def _float_spectrum(a, b) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     a symmetric eigenproblem, backward stable at a closed gap's double
     edge as anywhere else (van Moerbeke, Invent. Math. 37, 1976)."""
     A = _periodic_matrix(a, b, 1.0)
-    edges = np.sort(np.concatenate(
-        [np.linalg.eigvalsh(A), np.linalg.eigvalsh(_periodic_matrix(a, b, -1.0))]))
-    return A, edges, np.linalg.eigvalsh(A[:-1, :-1])
+    return (A, np.linalg.eigvalsh(A),
+            np.linalg.eigvalsh(_periodic_matrix(a, b, -1.0)),
+            np.linalg.eigvalsh(A[:-1, :-1]))
+
+
+def _seeds(m: PeriodicJacobi):
+    """The float eigenvalues of A(1), A(-1) and A(1)'s leading block for
+    exact data: seeds of the roots of P - 2 alpha, P + 2 alpha and the
+    cofactor; empty lists when a corner sum of A(+-1) overflows.  An
+    entry that does not fit a double raises OverflowError naming it: the
+    spectrum reaches as far as the entry, so a branch point would not fit
+    either."""
+    entries = []
+    for name, xs in (("a", m.a), ("b", m.b)):
+        for j, x in enumerate(xs, 1):
+            try:
+                entries.append(float(x))
+            except OverflowError:
+                raise OverflowError(f"{name}_{j} overflows a double") from None
+    try:
+        with np.errstate(over="raise"):
+            return _floquet_eigenvalues(entries[:m.period], entries[m.period:])[1:]
+    except FloatingPointError:
+        return [], [], []
 
 
 # -- continued fraction / Padé ----------------------------------------------
@@ -421,6 +456,8 @@ def measure_decompose(m: PeriodicJacobi, a0,
     aN = float(m.a[-1])
     try:
         scale = (float(a0) / aN) ** 2
+        if not math.isfinite(scale):    # the division returns inf, no raise
+            raise OverflowError
     except OverflowError:
         raise OverflowError("(a0/a_N)^2 overflows a double") from None
     alpha = data.alpha

@@ -112,11 +112,27 @@ def test_jacobi_bisection_cap_exits_1_no_output(tmp_path, capsys, monkeypatch):
     from laxkit.exactalg import roots
     monkeypatch.setattr(roots, "_bisection_cap", lambda f: 2)
     out = tmp_path / "out"
-    assert main(["jacobi", "-a", "1,2,3", "-b", "1/2,-1/2,0",
+    # a free lattice: its closed gaps are double roots, which no seed
+    # certifies, so they take the Sturm route and meet its cap
+    assert main(["jacobi", "-a", "1,1,1", "-b", "0,0,0",
                  "--out", str(out)]) == 1
     assert "error: root refinement: no root settled within 2 bisection steps" \
         in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_jacobi_seed_walk_that_does_not_close_falls_back(tmp_path, monkeypatch):
+    from laxkit.exactalg import roots
+    argv = ["jacobi", "-a", "1,2,3", "-b", "1/2,-1/2,0"]
+    assert run(tmp_path / "seeded", *argv) == 0
+    # no walk step at all: only a seed that is itself a root is certified
+    monkeypatch.setattr(roots, "_WALK_STEPS", 0)
+    calls, real = [], roots.real_roots
+    monkeypatch.setattr(roots, "real_roots", lambda p: calls.append(p) or real(p))
+    assert run(tmp_path / "sturm", *argv) == 0
+    assert len(calls) == 3
+    assert (tmp_path / "sturm" / "jacobi_report.json").read_bytes() == \
+        (tmp_path / "seeded" / "jacobi_report.json").read_bytes()
 
 
 def test_painleve_obstruction_exit_code(tmp_path):
@@ -504,13 +520,16 @@ def test_step_budget_exit_1_writes_nothing(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("a", ["1e400,1", "1e300,1"], ids=["1e400", "1e300"])
-def test_jacobi_huge_entry_exit_3_writes_nothing(tmp_path, capsys, a):
+def test_jacobi_huge_entry_exit_3_writes_nothing(tmp_path, capsys, time_limit, a):
     # 1e400 does not fit a float at all; for 1e300 the whole mass sits on
     # two bands at +-1e300 too narrow for a double: either is a numerical
     # breakdown, not a traceback
-    assert run(tmp_path, "jacobi", "-a", a, "-b", "0,0") == 3
+    with time_limit(2):
+        assert run(tmp_path, "jacobi", "-a", a, "-b", "0,0") == 3
     err = capsys.readouterr().err
     assert "error: numerical breakdown:" in err
+    if a == "1e400,1":
+        assert err == "error: numerical breakdown: a_1 overflows a double\n"
     if a == "1e300,1":
         assert MISSING_MASS in err
     assert os.listdir(tmp_path) == []
@@ -522,11 +541,16 @@ def test_jacobi_huge_entry_exit_3_writes_nothing(tmp_path, capsys, a):
     (["-a", "1,1", "-b", "0,0", "--a0", "1e200"], "(a0/a_N)^2"),
     (["-a", "1e160,1e160", "-b", "0,0"], "alpha = a_1 a_2 ... a_N"),
     (["-a", "1,1e200", "-b", "0,0"], "a_N^2"),
-], ids=["interior-a2", "a0-over-aN", "alpha", "aN2"])
-def test_jacobi_overflow_names_the_quantity(tmp_path, capsys, argv, what):
+    (["-a", "1,1e-200", "-b", "0,0", "--a0", "1e200"], "(a0/a_N)^2"),
+    (["-a", "1e308,1e308", "-b", "0,0"], "a branch point"),
+], ids=["interior-a2", "a0-over-aN", "alpha", "aN2", "a0-over-tiny-aN",
+        "branch-point"])
+def test_jacobi_overflow_names_the_quantity(tmp_path, capsys, time_limit, argv,
+                                            what):
     # each input is exact and finite, but one float the measure needs does
     # not fit a double: the one error line says which
-    assert run(tmp_path, "jacobi", *argv) == 3
+    with time_limit(2):
+        assert run(tmp_path, "jacobi", *argv) == 3
     err = capsys.readouterr().err
     assert err == f"error: numerical breakdown: {what} overflows a double\n"
     assert os.listdir(tmp_path) == []

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from laxkit import builtins as bi
 from laxkit import jacobispec as js
+from laxkit.exactalg import nearest_roots, real_roots
 
 
 def test_matrix_validation():
@@ -522,6 +523,52 @@ def test_exact_route_roots_are_correctly_rounded(N, data):
         assert got == float(want) or (got == 0.0 and d.P[0] ** 2 == 4 * alpha ** 2)
     for got, want in zip(d.aux_spectrum, aux, strict=True):
         assert got == float(want) or (got == 0.0 and d.cofactor[0] == 0)
+
+
+def _seed_cases(draw, seeds):
+    """The eigenvalue seeds as given, shuffled, moved by a few ulps or by a
+    lot, or with one made non-finite."""
+    seeds = [float(x) for x in seeds]
+    how = draw(st.sampled_from(["as-is", "shuffled", "ulps", "far", "non-finite"]))
+    if how == "shuffled":
+        return draw(st.permutations(seeds))
+    if how == "ulps":
+        return [x + draw(st.integers(-64, 64)) * math.ulp(x) for x in seeds]
+    if how == "far":
+        return [x + draw(st.sampled_from([-1.0, 1e-3, 0.5])) for x in seeds]
+    if how == "non-finite" and seeds:
+        seeds[draw(st.integers(0, len(seeds) - 1))] = draw(
+            st.sampled_from([math.inf, -math.inf, math.nan]))
+    return seeds
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_nearest_roots_matches_sturm_route(N, data):
+    # the seeded route returns exactly what exact Sturm isolation does, on
+    # the two Floquet factors and the cofactor: random data (dyadic b give
+    # roots that are doubles), free lattices (closed gaps, double roots)
+    # and free lattices opened by 1e-12 (roots within roundoff of each
+    # other), each with seeds as given or spoiled
+    kind = data.draw(st.sampled_from(["random", "free", "narrow"]))
+    if kind == "random":
+        a = [F(data.draw(_nonzero), data.draw(st.integers(1, 9))) for _ in range(N)]
+        b = [F(data.draw(st.integers(-16, 16)), data.draw(st.sampled_from([1, 3, 4, 8])))
+             for _ in range(N)]
+    else:
+        a = [F(data.draw(_nonzero))] * N
+        b = [F(data.draw(st.integers(-4, 4)))] * N
+        if kind == "narrow":
+            b[data.draw(st.integers(0, N - 1))] += F(1, 10 ** 12)
+    m = js.PeriodicJacobi(a, b)
+    P, two_alpha = js.floquet_polynomial(m), 2 * m.alpha()
+    _, plus, minus, sigma = js._floquet_eigenvalues([float(x) for x in a],
+                                                    [float(x) for x in b])
+    for p, seeds in (([P[0] - two_alpha] + P[1:], plus),
+                     ([P[0] + two_alpha] + P[1:], minus),
+                     (js.cofactor_nn_polynomial(m), sigma)):
+        want = [(float(r), mult) for r, mult in real_roots(p)]
+        assert nearest_roots(p, _seed_cases(data.draw, seeds)) == want
 
 
 @pytest.mark.parametrize("shift,ok", [(5e-7, True), (2e-6, False)],

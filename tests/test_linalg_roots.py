@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from laxkit.exactalg import (MultiPoly, charpoly_exact, count_roots_between,
-                             fraction_free_echelon, mat_mul, nullspace,
-                             rational_roots, real_roots, solve_square_exact,
-                             solve_with_pins, sturm_chain)
+from laxkit.exactalg import (MultiPoly, charpoly_exact, fraction_free_echelon,
+                             mat_mul, nearest_roots, nullspace, rational_roots,
+                             real_roots, solve_square_exact, solve_with_pins)
 from laxkit.exactalg.linalg import (InconsistentSystemError,
                                     _back_substitute, _pivot_choice)
 
@@ -135,11 +134,17 @@ def test_sturm_loops_stop_at_their_caps(monkeypatch):
 
 
 def test_sturm_count_cross_check():
-    # roots of (x-1)(x-2)(x-3)
-    p = [F(-6), F(11), F(-6), F(1)]
-    chain = sturm_chain(p)
-    assert count_roots_between(chain, F(0), F(4)) == 3
-    assert count_roots_between(chain, F(0), F(5, 2)) == 2
+    from laxkit.exactalg import roots
+    # roots of (x-1)(x-2)(x-3): the drop in sign variations of the chain
+    # from lo to hi counts the distinct roots in (lo, hi]
+    chain = roots._chain([-6, 11, -6, 1])
+
+    def count(lo, hi):
+        return roots._variations(chain, lo) - roots._variations(chain, hi)
+
+    assert count(F(0), F(4)) == 3
+    assert count(F(0), F(5, 2)) == 2
+    assert count(F(1), F(3)) == 2
 
 
 @settings(max_examples=30, deadline=None)
@@ -155,6 +160,61 @@ def test_planted_rational_roots_recovered(roots):
     assert total == len(roots)
     for r in set(roots):
         assert any(rr == r for rr, _ in found)
+
+
+# -- seeded roots: nearest_roots against real_roots ----------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_order_counts_the_doubles(x):
+    from math import inf, nextafter
+    from laxkit.exactalg import roots
+    k = roots._order(x)
+    assert roots._double(k) == x and abs(k) <= roots._MAX_ORDER
+    if k < roots._MAX_ORDER:
+        assert roots._order(nextafter(x, inf)) == k + 1
+    assert roots._order(-x) == -k
+
+
+def _sturm_floats(p):
+    return [(float(r), m) for r, m in real_roots(p)]
+
+
+def _fallbacks(monkeypatch):
+    """The list of polynomials that nearest_roots hands to real_roots."""
+    from laxkit.exactalg import roots
+    calls, real = [], roots.real_roots
+    monkeypatch.setattr(roots, "real_roots", lambda p: calls.append(p) or real(p))
+    return calls
+
+
+R2 = 2 ** 0.5
+# 2^53 x - (2^53 + 1): the root 1 + 2^-53 is the midpoint of 1 and the next
+# double, so rounding is a tie that real_roots settles (to even, 1.0)
+TIE = [-(2 ** 53 + 1), 2 ** 53]
+
+
+@pytest.mark.parametrize("p,near,fallback", [
+    ([-2, 0, 1], [-R2, R2], False),
+    ([-2, 0, 1], [1.4, -1.5], False),                 # shuffled, perturbed
+    ([F(-3, 8), 1], [0.375], False),                  # the root is a double
+    ([F(-3, 8), 1], [0.5], False),                    # ... met by the walk
+    ([0, -2, 0, 1], [-R2, 1e-300, R2], False),        # a root at 0, seed off it
+    ([1, -2, 1], [1.0, 1.0], True),                   # double root: one bracket
+    ([-1, 0, 0, 1], [-0.5, 0.5, 1.0], True),          # complex roots
+    ([1, 0, 1], [-1.0, 1.0], True),                   # no real root: no sign change
+    ([-2, 0, 1], [R2, float("inf")], True),
+    ([-2, 0, 1], [R2, float("nan")], True),
+    ([-2, 0, 1], [R2], True),                         # one seed short
+    (TIE, [1.0], True),                               # the midpoint is the root
+], ids=["certified", "shuffled", "double-root-seed", "double-root-walk",
+        "zero-root", "repeated-root", "complex-roots", "no-real-root",
+        "inf-seed", "nan-seed", "missing-seed", "midpoint-root"])
+def test_nearest_roots_falls_back_only_when_uncertified(monkeypatch, p, near,
+                                                        fallback):
+    calls = _fallbacks(monkeypatch)
+    assert nearest_roots(p, near) == _sturm_floats(p)
+    assert len(calls) == fallback
 
 
 # -- bounded time on coefficients of large height ----------------------------
