@@ -169,10 +169,6 @@ def cmd_painleve(args) -> Result:
             meta = dict(bi.painleve_meta(name))
         except KeyError:
             meta = {}
-    if meta.get("principal"):
-        meta.setdefault("balance_filter", meta["principal"])
-    if meta.get("sheet"):
-        meta.setdefault("label_fn", meta["sheet"])
     order = meta.get("order", 6) if args.order is None else args.order
     report = pv.analyze(system, order, builtin_meta=meta)
     payload = {"laxkit_report": REPORT_VERSION, "command": "painleve",

@@ -114,14 +114,6 @@ def rref_solution(rref: Dict[int, List[Fraction]], n: int):
     return part, basis
 
 
-def solve_linear_fractions(rows: List[List[Fraction]], rhs: List[Fraction]):
-    """Gaussian elimination over Q; returns (particular, nullspace basis)
-    or None when inconsistent."""
-    n = len(rows[0]) if rows else 0
-    rref = rref_extend({}, [list(r) + [b] for r, b in zip(rows, rhs)])
-    return None if rref is None else rref_solution(rref, n)
-
-
 def _pivot_choice(rows: Mat, col: int, start: int):
     """Row index of the preferred pivot in a column, or None."""
     best = None

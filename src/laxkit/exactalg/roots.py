@@ -1,64 +1,58 @@
 """Real and rational roots of univariate polynomials.
 
-Two routes, both exact.  The Sturm route (real_roots, rational_roots)
-takes any polynomial.  Yun's square-free decomposition gives the
-multiplicities.  Each square-free factor is cleared to an integer
-polynomial f, and its real roots are isolated once, by bisection on a
-Sturm chain whose members are primitive integer polynomials (each a
-positive multiple of the classical chain f, f', -rem, ..., so every
-sign count is the same).  Signs are taken at rational points n/d with a
-homogenised integer Horner step, the sign of d^deg p(n/d); no Fraction
-arithmetic runs inside the evaluations.
+One integer kernel, two ways to bracket a root, one rounding.  Every
+coefficient is coerced with Q (a float is the rational it stores) and the
+polynomial is cleared to a primitive integer f; there is no floating-point
+root finder.  Signs are taken at rational points n/d with a homogenised
+integer Horner step, the sign of d^deg p(n/d).
 
-Rational roots are read off the isolating intervals.  A rational root of
-f is k/lc(f) for an integer k, so once an interval is narrower than
-1/lc(f) it holds at most one candidate, and one exact evaluation decides
-it.  An irrational root is bisected further on the same interval until
-its ends round to the same or to adjacent doubles, and is rounded to the
-nearest double by the sign of f at their midpoint: every float root is
-correctly rounded, whatever the polynomial's conditioning.
+Square-free decomposition (real_roots).  The Sturm chain of f holds
+primitive integer polynomials, each a positive multiple of the classical
+chain f, f', -rem, ..., so every sign count is the same; it ends at
++-gcd(f, f').  Yun's loop (D. Y. Y. Yun, SYMSAC 1976) starts there and
+takes integer gcds by primitive pseudo-remainders; the factors come out
+in increasing multiplicity, and a square-free f keeps its one chain.
 
-Cost: one pseudo-remainder chain per factor, then about
-log2(cauchy_bound * lc(f)) bisection steps per rational test and about
-log2(cauchy_bound / ulp(x)) more per irrational root x, each a few
-integer Horner steps.  That is polynomial in the bit size of the
-coefficients; the trial division of the constant term used before was
-exponential in it (x10 time per two digits, and a period-3 Jacobi
-discriminant never finished).  Both loops are capped by this count: a
-bisection that has not settled after (B + 2) + min(B + 54, 1074) + 2
-halvings, B the largest coefficient bit length, or a midpoint still a
-root after deg f nudges, raises RuntimeError naming the cap.
+Sturm isolation (real_roots, rational_roots).  The real roots of each
+square-free factor are isolated by bisection of its Cauchy bound.  A
+rational root of f is k/lc(f) for an integer k, so once an interval is
+narrower than 1/lc(f) it holds at most one candidate, and one exact
+evaluation decides it.
 
-The seeded route (nearest_roots) takes a polynomial together with one
-double near each root, as the float eigenvalues of a matrix give for its
-characteristic polynomial, and returns exactly what real_roots would,
-each root as a double.  It works on the whole primitive integer
-polynomial f of degree d, before any square-free decomposition, and on
-doubles only, in their integer order (adjacent doubles one apart).
-From each seed it steps out by 1, 2, 4, ... doubles until f changes
-sign, or is 0, taking each sign exactly at a double with the same Horner
-step; it halves that bracket on the order of the doubles down to two
-adjacent doubles, and the sign of f at their midpoint picks the nearer.
-The certificate (S. M. Rump, Acta Numerica 19, 2010): d disjoint
-brackets, each a sign change or a zero, hold d roots, so every root of
-f is real and simple and each bracket holds exactly one.  Anything else
--- a seed count that is not d, a seed that is not finite, a walk that
-has not changed sign within 64 doublings (which span every finite
-double), brackets that overlap (a double root, a cluster within
-roundoff) or a midpoint that is a root -- sends that polynomial down the
-Sturm route instead.  The cost is about log2 of each seed's distance
-from its root in doubles, plus 64 halvings at most, per root: no Sturm
-chain, no Fraction midpoints, no square-free decomposition.
+Seeded walks (nearest_roots).  Given one double near each root, as the
+float eigenvalues of a matrix give for its characteristic polynomial,
+the walk from each seed steps out by 1, 2, 4, ... doubles until the
+whole f of degree d changes sign, or is 0.  The certificate (S. M. Rump,
+Acta Numerica 19, 2010): d disjoint brackets, each a sign change or a
+zero, hold d roots, so every root is real and simple and each bracket
+holds exactly one.  Anything else -- a seed count that is not d, a seed
+that is not finite, a walk that has not changed sign within 64 doublings
+(which span every finite double), brackets that overlap (a double root,
+a cluster within roundoff) or a midpoint that is a root -- sends f down
+the Sturm route, so nearest_roots returns exactly what real_roots would.
 
-Every coefficient is coerced with Q, so a float coefficient is read as
-the rational it stores; there is no floating-point root finder.
+Rounding on orders (both routes).  A double's order is its place among
+all doubles, adjacent doubles one apart.  A bracket -- a seeded walk, or
+a Sturm interval widened to the doubles just outside it -- is halved on
+orders down to two adjacent doubles, every halving point inside the
+bracket, and the sign of f at their midpoint picks the nearer: every
+irrational root is correctly rounded, whatever the conditioning.
+
+Cost: one pseudo-remainder chain and a few gcds per polynomial, about
+log2(cauchy_bound * lc(f)) halvings per rational test, and at most 64
+per irrational root (the finite doubles span fewer than 2^64 orders),
+each a few integer Horner steps; a seeded root adds about log2 of its
+seed's distance in doubles.  That is polynomial in the bit size of the
+coefficients.  A rational test that has not settled after (B + 2) + 2
+halvings, B the largest coefficient bit length, or an isolation midpoint
+still a root after deg f nudges, raises RuntimeError naming the cap.
 
 Polynomials are dense ascending coefficient lists.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, frexp, gcd, inf, isfinite, lcm, ldexp, nextafter
+from math import ceil, frexp, gcd, isfinite, lcm, ldexp
 from typing import List, Sequence, Tuple
 
 from .poly import Q
@@ -69,63 +63,6 @@ def _strip(p: List) -> List:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-# -- Fraction polynomials: square-free decomposition --------------------------
-
-def poly_deriv_frac(p: Sequence[Fraction]) -> List[Fraction]:
-    return [c * i for i, c in enumerate(p)][1:]
-
-
-def _divmod_frac(a: Sequence[Fraction], b: Sequence[Fraction]):
-    a = _strip(list(a))
-    b = _strip(list(b))
-    if not b:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b) and _strip(r):
-        r = _strip(r)
-        if len(r) < len(b):
-            break
-        k = len(r) - len(b)
-        c = r[-1] / b[-1]
-        q[k] = c
-        for i, bc in enumerate(b):
-            r[i + k] -= c * bc
-        r = r[:-1]
-    return _strip(q), _strip(r)
-
-
-def _gcd_frac(a, b):
-    a, b = _strip(a), _strip(b)
-    while b:
-        _, r = _divmod_frac(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def square_free_decomposition(p: Sequence[Fraction]) -> List[Tuple[List[Fraction], int]]:
-    """Yun-style decomposition: [(factor, multiplicity), ...]."""
-    p = _strip([Q(c) for c in p])
-    if len(p) <= 1:
-        return []
-    out = []
-    g = _gcd_frac(p, poly_deriv_frac(p))
-    w, _ = _divmod_frac(p, g)
-    m = 1
-    while len(w) > 1:
-        y = _gcd_frac(w, g)
-        f, _ = _divmod_frac(w, y)
-        if len(f) > 1:
-            out.append((f, m))
-        w = y
-        g, _ = _divmod_frac(g, y)
-        m += 1
-    return out
 
 
 # -- integer kernel -------------------------------------------------------------
@@ -183,6 +120,34 @@ def _chain(f: List[int]) -> List[List[int]]:
     return chain
 
 
+def _gcd(a: List[int], b: List[int]) -> List[int]:
+    """+-gcd(a, b) of integer polynomials, primitive, by primitive
+    pseudo-remainders."""
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return _primitive(a)
+
+
+def _square_free(f: List[int]):
+    """Yun's square-free decomposition of the primitive integer f:
+    [(factor, multiplicity, Sturm chain of factor)], each factor primitive
+    and of positive degree, in increasing multiplicity.  It starts from the
+    last member of f's chain, +-gcd(f, f'); a square-free f comes back
+    whole, with that one chain."""
+    chain = _chain(f)
+    g = chain[-1]
+    if len(g) == 1:
+        return [(f, 1, chain)]
+    w, out, m = _quo(f, g), [], 1
+    while len(w) > 1:
+        y = _gcd(w, g)
+        z = _quo(w, y)
+        if len(z) > 1:
+            out.append((z, m, _chain(z)))
+        w, g, m = y, _quo(g, y), m + 1
+    return out
+
+
 def _powers(d: int, k: int) -> List[int]:
     pw = [1]
     for _ in range(k):
@@ -222,15 +187,13 @@ def _nudge_cap(f: List[int]) -> int:
 
 
 def _bisection_cap(f: List[int]) -> int:
-    """Halvings that take an isolating interval of f, f(0) != 0, to ends
-    that round to the same or to adjacent doubles.  With B the largest
-    coefficient bit length, the Cauchy bounds put every root x at
-    2^-(B+1) < |x| < 2^(B+1), so the interval is narrower than 2^(B+2), and
-    doubles near x lie at least 2^-(B+54) apart, never closer than 2^-1074;
-    two more steps leave room at the binade edges.  The same count covers
-    the 1/lc(f) of the rational test, which needs only B + 2."""
+    """Halvings that take an isolating interval of f to a width below
+    1/lc(f), for the rational test.  With B the largest coefficient bit
+    length, the interval lies within the Cauchy bound (-b, b),
+    b = 1 + max|c| / |lc|, so width * |lc| < 2 (|lc| + max|c|) < 2^(B+2):
+    B + 2 halvings, and two more leave room."""
     bits = max(abs(c).bit_length() for c in f)
-    return (bits + 2) + min(bits + 54, 1074) + 2
+    return (bits + 2) + 2
 
 
 def _isolate(f: List[int], chain: List[List[int]]) -> List[Tuple[Fraction, Fraction]]:
@@ -269,12 +232,13 @@ def _isolate(f: List[int], chain: List[List[int]]) -> List[Tuple[Fraction, Fract
     return out
 
 
-def _bisect(f: List[int], lo: Fraction, hi: Fraction, done):
-    """Halve the bracket (lo, hi) of the one root of f in it until
-    done(lo, hi); a midpoint that is the root comes back as (mid, mid)."""
+def _settle(f: List[int], lo: Fraction, hi: Fraction):
+    """The root of f isolated in (lo, hi): a Fraction when it is rational,
+    otherwise its bracket halved to a width below 1/lc(f)."""
+    lc = abs(f[-1])
     s_lo = _sign_at(f, lo)
     cap, halvings = _bisection_cap(f), 0
-    while not done(lo, hi):
+    while (hi - lo) * lc >= 1:
         if halvings == cap:
             raise RuntimeError(f"root refinement: no root settled within {cap} "
                                f"bisection steps")
@@ -282,48 +246,24 @@ def _bisect(f: List[int], lo: Fraction, hi: Fraction, done):
         mid = (lo + hi) / 2
         s = _sign_at(f, mid)
         if s == 0:
-            return mid, mid
+            return mid
         if s == s_lo:
             lo = mid
         else:
             hi = mid
-    return lo, hi
-
-
-def _settle(f: List[int], lo: Fraction, hi: Fraction):
-    """The root of f isolated in (lo, hi): a Fraction when it is rational,
-    otherwise its bracket halved to a width below 1/lc(f)."""
-    lc = abs(f[-1])
-    lo, hi = _bisect(f, lo, hi, lambda lo, hi: (hi - lo) * lc < 1)
     x = Fraction(ceil(lo * lc), lc)
     if x <= hi and _sign_at(f, x) == 0:
         return x
     return lo, hi
 
 
-def _nearest_double(f: List[int], lo: Fraction, hi: Fraction) -> float:
-    """The double nearest the irrational root of f in (lo, hi).  The bracket
-    is halved until its ends round to the same or to adjacent doubles a <= b;
-    the root then rounds to b exactly when it lies above their midpoint,
-    which, dyadic, is never the root."""
-    lo, hi = _bisect(f, lo, hi,
-                     lambda lo, hi: nextafter(float(lo), inf) >= float(hi))
-    a, b = float(lo), float(hi)
-    mid = (Fraction(a) + Fraction(b)) / 2
-    return b if _sign_at(f, mid) == _sign_at(f, lo) else a
-
-
-def _split(f: Sequence[int]):
-    """Distinct rational roots of the integer polynomial f (sorted), and a
-    bracket narrower than 1/lc(f) around each irrational real root."""
-    f = _primitive(f)
-    if len(f) < 2:
-        return [], []
-    chain = _chain(f)
-    if len(chain[-1]) > 1:
-        f = _quo(f, chain[-1])
-        chain = _chain(f)
+def _split(f: List[int], chain: List[List[int]]):
+    """Distinct rational roots of the square-free primitive integer f (sorted),
+    given its Sturm chain, and a bracket narrower than 1/lc(f) around each
+    irrational real root."""
     rational, brackets = [], []
+    if len(f) < 2:
+        return rational, brackets
     for lo, hi in _isolate(f, chain):
         r = _settle(f, lo, hi)
         if isinstance(r, Fraction):
@@ -351,18 +291,7 @@ def _leading_zeros(cs: List[Fraction]) -> int:
     return m
 
 
-def _factor_roots(factor: List[Fraction]) -> List[object]:
-    """Real roots of a square-free factor: Fractions for the rational ones,
-    the nearest doubles for the rest."""
-    cs = _strip(factor)
-    m = _leading_zeros(cs)
-    f = _primitive(_cleared(cs[m:]))
-    rational, brackets = _split(f)
-    return ([Fraction(0)] * m + rational +
-            [_nearest_double(f, lo, hi) for lo, hi in brackets])
-
-
-# -- seeded roots ----------------------------------------------------------------
+# -- doubles in their integer order ---------------------------------------------
 
 # A double's order: its place among all doubles, adjacent doubles one apart
 # and +-0.0 at 0 (the IEEE bit pattern, sign and magnitude folded into one
@@ -396,6 +325,46 @@ def _sign_order(f: List[int], k: int) -> int:
     return _sign(f, n, _powers(d, len(f) - 1))
 
 
+def _outside(lo: Fraction, hi: Fraction) -> Tuple[int, int]:
+    """Orders of the largest double <= lo and of the smallest double >= hi."""
+    a, b = float(lo), float(hi)
+    return _order(a) - (a > lo), _order(b) + (b < hi)
+
+
+def _rounded(f: List[int], a: int, b: int, lo=None, hi=None):
+    """The double nearest the one root of f between the doubles of orders
+    a <= b, halved on orders to adjacent doubles: the upper one exactly when
+    the root lies above their midpoint; None if the midpoint is the root.
+    Given a Sturm bracket (lo, hi), a and b are the orders just outside it
+    (another root may share those doubles): signs are compared with f(lo),
+    and a midpoint at or below lo lies below the root, at or above hi above."""
+    if a == b:
+        return _double(a)
+    s = _sign_order(f, a) if lo is None else _sign_at(f, lo)
+    while b - a > 1:
+        mid = (a + b) // 2
+        t = _sign_order(f, mid)
+        if t == 0:
+            return _double(mid)
+        if t == s:
+            a = mid
+        else:
+            b = mid
+    # order 0 is +-0.0, and a root just below it rounds to -0.0
+    x, y = _double(a), _double(b) if b else -0.0
+    mid = (Fraction(x) + Fraction(y)) / 2
+    if lo is not None and mid <= lo:
+        return y
+    if hi is not None and mid >= hi:
+        return x
+    t = _sign_at(f, mid)
+    if t == 0:
+        return None
+    return y if t == s else x
+
+
+# -- seeded roots ----------------------------------------------------------------
+
 def _walk(f: List[int], k: int):
     """Orders (lo, hi) around a root of f, stepping out from order k by 1, 2,
     4, ... places on each side: f changes sign from lo to hi, or lo == hi
@@ -416,29 +385,6 @@ def _walk(f: List[int], k: int):
                 return (hi, end) if end > k else (end, lo)
         lo, hi = k - (1 << i), k + (1 << i)
     return None
-
-
-def _rounded(f: List[int], lo: int, hi: int):
-    """The double nearest the one root of f in the order bracket (lo, hi):
-    halve on orders to adjacent doubles a < b, then take b exactly when the
-    root lies above their midpoint.  None if that midpoint is the root."""
-    if lo == hi:
-        return _double(lo)
-    s = _sign_order(f, lo)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        t = _sign_order(f, mid)
-        if t == 0:
-            return _double(mid)
-        if t == s:
-            lo = mid
-        else:
-            hi = mid
-    a, b = _double(lo), _double(hi)
-    t = _sign_at(f, (Fraction(a) + Fraction(b)) / 2)
-    if t == 0:
-        return None
-    return b if t == s else a
 
 
 def _seeded(f: List[int], near: Sequence[float]):
@@ -476,7 +422,12 @@ def rational_roots(coeffs: Sequence[Fraction]) -> Tuple[List[Tuple[Fraction, int
     ints = _cleared(cs[m:])
     roots: List[Tuple[Fraction, int]] = [(Fraction(0), m)] if m else []
     work = [Fraction(c) for c in ints]
-    for r in _split(ints)[0]:
+    f = _primitive(ints)
+    chain = _chain(f)
+    if len(chain[-1]) > 1:
+        f = _quo(f, chain[-1])
+        chain = _chain(f)
+    for r in _split(f, chain)[0]:
         mult = 0
         while len(work) > 1:
             q, rem = _deflate(work, r)
@@ -492,13 +443,18 @@ def real_roots(coeffs) -> List[Tuple[object, int]]:
     """Sorted real roots, with multiplicities, of a polynomial given by
     ascending coefficients, each coerced with Q (floats exactly): rational
     roots come back as Fraction, irrational ones as the nearest double."""
-    p = [Q(c) for c in coeffs]
-    if not any(p):
+    cs = _strip([Q(c) for c in coeffs])
+    if not cs:
         raise ValueError("zero polynomial has no well-defined roots")
-    results: List[Tuple[object, int]] = []
-    for factor, mult in square_free_decomposition(p):
-        results.extend((x, mult) for x in _factor_roots(factor))
-    results.sort(key=lambda rm: float(rm[0]))
+    m = _leading_zeros(cs)
+    results: List[Tuple[object, int]] = [(Fraction(0), m)] if m else []
+    for f, mult, chain in _square_free(_primitive(_cleared(cs[m:]))):
+        rational, brackets = _split(f, chain)
+        results += [(x, mult) for x in rational]
+        results += [(_rounded(f, *_outside(lo, hi), lo, hi), mult)
+                    for lo, hi in brackets]
+    # ties in value keep the multiplicity order, 0 first among its own
+    results.sort(key=lambda rm: (float(rm[0]), rm[1]))
     return results
 
 

@@ -35,8 +35,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from .exactalg import MultiPoly, Q, charpoly_exact
-from .exactalg.linalg import solve_linear_fractions
+from .exactalg import MultiPoly, Q, charpoly_exact, solve_square_exact
 from .sysdsl import VectorFieldSystem, gradient
 
 
@@ -249,7 +248,7 @@ def pencil_charpoly(p: Union[MatrixPencil, Mapping[int, Sequence[Sequence]]]
         if exact:
             V = [[nodes[r] ** (wlo + c) for c in range(m)] for r in range(m)]
             rhs = [rows[r][k] for r in range(m)]
-            sol, _ = solve_linear_fractions(V, rhs)
+            sol = [x.const_value() for x in solve_square_exact(V, rhs)]
         else:
             V = np.array([[float(nodes[r]) ** (wlo + c) for c in range(m)]
                           for r in range(m)])

@@ -927,7 +927,7 @@ def analyze(sys: VectorFieldSystem, order: int,
         if target_w is not None and tuple(wv.weights) != tuple(target_w):
             continue
         for bal in indicial_solve(sys, wv):
-            if meta.get("balance_filter") and not meta["balance_filter"](bal):
+            if meta.get("principal") and not meta["principal"](bal):
                 continue
             if meta.get("rename"):
                 bal = bal.rename_free(meta["rename"])
@@ -935,7 +935,7 @@ def analyze(sys: VectorFieldSystem, order: int,
                 "weights": [str(x) for x in wv.weights],
                 "leading": {v: z.to_str(sym_order + list(bal.free_symbols))
                             for v, z in zip(sys.variables, bal.leading)},
-                "label": meta.get("label_fn", lambda b: b.label)(bal),
+                "label": meta.get("sheet", lambda b: b.label)(bal),
             }
             specialized = {}
             try:

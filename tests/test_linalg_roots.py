@@ -124,13 +124,17 @@ def test_sturm_loops_stop_at_their_caps(monkeypatch):
     cubic = [6, 11, 6, 1]
     assert real_roots(cubic) == [(F(-3), 1), (F(-2), 1), (F(-1), 1)]
     assert roots._nudge_cap(cubic) == 3
-    assert roots._bisection_cap([-2, 0, 1]) == (2 + 2) + (2 + 54) + 2
+    # the rational test only: (B + 2) + 2 halvings, B = 10 bits for 1000;
+    # the irrational refinement halves on orders, which end within 64
+    assert roots._bisection_cap([-2, 0, 1000]) == (10 + 2) + 2
     monkeypatch.setattr(roots, "_nudge_cap", lambda f: 0)
     with pytest.raises(RuntimeError, match="after 0 nudges"):
         real_roots(cubic)
+    # 1000 x^2 - 2: isolation splits (-1.002, 1.002) at 0, and each half
+    # needs ten halvings to narrow below 1/1000
     monkeypatch.setattr(roots, "_bisection_cap", lambda f: 2)
     with pytest.raises(RuntimeError, match="within 2 bisection steps"):
-        real_roots([-2, 0, 1])
+        real_roots([-2, 0, 1000])
 
 
 def test_sturm_count_cross_check():
@@ -215,6 +219,18 @@ def test_nearest_roots_falls_back_only_when_uncertified(monkeypatch, p, near,
     calls = _fallbacks(monkeypatch)
     assert nearest_roots(p, near) == _sturm_floats(p)
     assert len(calls) == fallback
+
+
+def test_a_root_that_rounds_to_zero_keeps_its_sign(monkeypatch):
+    # x^2 - x - 2 10^-400: one root just below 0, which rounds to -0.0 as
+    # float() rounds it, on the Sturm route and on the certified seeded one
+    from math import copysign
+    p = [F(-2, 10 ** 400), F(-1), F(1)]
+    calls = _fallbacks(monkeypatch)
+    for rts in (_sturm_floats(p), nearest_roots(p, [-5e-324, 1.0])):
+        assert rts == [(0.0, 1), (1.0, 1)]
+        assert copysign(1.0, rts[0][0]) == -1.0
+    assert not calls
 
 
 # -- bounded time on coefficients of large height ----------------------------
@@ -328,7 +344,52 @@ def test_roots_match_sympy_oracle():
             assert abs(r - t) <= 1e-12 * max(1.0, abs(t))
 
 
-rational_entries = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+# The seeded and Sturm routes round through one routine, so neither checks
+# the other's rounding: sympy checks the integer kernel directly.
+
+@st.composite
+def factored_polys(draw):
+    """x^z times random rational factors of degree 1-3, each to a power
+    1-3, and half the time (x^2 - c)(x^2 - c - 10^-k): roots 10^-k / (4
+    sqrt c) apart, within one double of each other for large k."""
+    small = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(1, 3))
+        fac = draw(st.lists(small, min_size=deg, max_size=deg))
+        factors += [fac + [draw(small.filter(bool))]] * draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        c = draw(st.fractions(min_value=1, max_value=9, max_denominator=4))
+        eps = F(1, 10 ** draw(st.integers(1, 39)))
+        factors += [[-c, F(0), F(1)], [-c - eps, F(0), F(1)]]
+    return [F(0)] * draw(st.integers(0, 3)) + _expand(factors)
+
+
+@settings(max_examples=25, deadline=None)
+@given(factored_polys())
+def test_integer_kernel_matches_sympy(poly):
+    sympy = pytest.importorskip("sympy")
+    from laxkit.exactalg import roots
+    x = sympy.Symbol("x")
+    P = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                    for c in reversed(poly)], x, domain="QQ")
+    # Yun from the Sturm chain: sympy's factors up to content and sign
+    f = roots._primitive(roots._cleared(poly))
+    mine = [(sympy.Poly(z[::-1], x, domain="QQ").monic(), m)
+            for z, m, _ in roots._square_free(f)]
+    assert mine == [(g.monic(), m) for g, m in P.sqf_list()[1]]
+    found = real_roots(poly)
+    rational = {F(int(r.p), int(r.q)): m
+                for r, m in sympy.roots(P, filter="Q").items()}
+    assert {r: m for r, m in found if isinstance(r, F)} == rational
+    # every other real root is the double nearest sympy's, to 60 digits
+    irrational = sorted((float(F(str(r.evalf(60)))), m)
+                        for r, m in P.real_roots(multiple=False)
+                        if not r.is_Rational)
+    assert sorted((r, m) for r, m in found if not isinstance(r, F)) == irrational
+
+
+rational_entries =st.fractions(min_value=-6, max_value=6, max_denominator=5)
 
 
 def rational_matrices(min_size=1, max_size=4):
@@ -441,8 +502,8 @@ def test_nullspace_symbolic_product(A, B):
 
 # -- the incremental reduced row-echelon form ----------------------------------
 #
-# solve_linear_fractions as it was first written: one Gauss-Jordan pass over
-# all rows, pivoting on the first nonzero entry of each column.
+# Gaussian elimination over Q as it was first written: one Gauss-Jordan pass
+# over all rows, pivoting on the first nonzero entry of each column.
 
 def reference_solve_linear_fractions(rows, rhs):
     m = len(rows)
@@ -508,12 +569,10 @@ def augmented_systems(draw):
 @settings(max_examples=200, deadline=None)
 @given(augmented_systems(), st.data())
 def test_rref_extend_matches_one_shot_gauss_jordan(system, data):
-    from laxkit.exactalg.linalg import (rref_extend, rref_solution,
-                                        solve_linear_fractions)
+    from laxkit.exactalg.linalg import rref_extend, rref_solution
     n, aug = system
     rows, rhs = [r[:n] for r in aug], [r[n] for r in aug]
     want = reference_solve_linear_fractions(rows, rhs)
-    assert solve_linear_fractions(rows, rhs) == want
     one_shot = rref_extend({}, aug)
     assert (one_shot is None) == (want is None)
     if one_shot is not None:

@@ -241,9 +241,7 @@ def test_solver_branch_labels():
 
 def test_analyze_report_shape():
     sys_ = builtin_system("rdg")
-    meta = dict(painleve_meta("rdg"))
-    meta["balance_filter"] = meta["principal"]
-    rep = analyze(sys_, 6, builtin_meta=meta)
+    rep = analyze(sys_, 6, builtin_meta=painleve_meta("rdg"))
     assert rep["system"] == "rdg"
     assert len(rep["balances"]) == 2
     for entry in rep["balances"]:
@@ -468,7 +466,7 @@ def test_constraint_order_too_low_matches_full_window():
 
 def reference_detect_weights(sys_, max_patterns=200000):
     import itertools
-    from laxkit.exactalg.linalg import solve_linear_fractions
+    from laxkit.exactalg.linalg import rref_extend, rref_solution
     nvar = len(sys_.variables)
     vidx = {v: i for i, v in enumerate(sys_.variables)}
     eq_keys = [sorted(f.terms.keys()) for f in sys_.equations]
@@ -487,20 +485,19 @@ def reference_detect_weights(sys_, max_patterns=200000):
 
     found = {}
     for pattern in itertools.product(*[list(subsets(ks)) for ks in eq_keys]):
-        rows, rhs = [], []
+        aug = []
         for i, subset in enumerate(pattern):
             for key in subset:
-                row = [F(0)] * nvar
+                row = [F(0)] * nvar + [F(1)]
                 for n, e in key:
                     if n in vidx:
                         row[vidx[n]] += e
                 row[i] -= 1
-                rows.append(row)
-                rhs.append(F(1))
-        sol = solve_linear_fractions(rows, rhs)
-        if sol is None:
+                aug.append(row)
+        rref = rref_extend({}, aug)
+        if rref is None:
             continue
-        part, basis = sol
+        part, basis = rref_solution(rref, nvar)
         if not basis:
             candidates = [tuple(part)]
         else:
