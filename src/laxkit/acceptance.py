@@ -89,20 +89,26 @@ def _expr(text: str, extra=()) -> MultiPoly:
     return parse_expression(text, syms)
 
 
-def _principal_families(name: str, order: Optional[int] = None):
-    """(balance, family) pairs for a builtin's principal balances, with the
-    customary parameter names and normalizations applied."""
+def _principal_balances(name: str):
+    """A builtin's principal weight vector and renamed principal balances."""
     system = bi.builtin_system(name)
     meta = bi.painleve_meta(name)
     wvs = [w for w in pv.detect_weights(system)
            if tuple(w.weights) == tuple(meta["weights"])]
     if not wvs:
         raise AssertionError(f"{name}: principal weight vector not found")
+    bals = [b.rename_free(meta.get("rename", {}))
+            for b in pv.indicial_solve(system, wvs[0]) if meta["principal"](b)]
+    return system, wvs[0], bals
+
+
+def _principal_families(name: str, order: Optional[int] = None):
+    """(balance, family) pairs for a builtin's principal balances, with the
+    customary parameter names and normalizations applied."""
+    system, _, bals = _principal_balances(name)
+    meta = bi.painleve_meta(name)
     out = []
-    for bal in pv.indicial_solve(system, wvs[0]):
-        if not meta["principal"](bal):
-            continue
-        bal = bal.rename_free(meta.get("rename", {}))
+    for bal in bals:
         if meta.get("specialize"):
             bal = bal.specialize(meta["specialize"])
         fam = pv.propagate(system, bal, order or meta["order"],
@@ -212,15 +218,6 @@ def check_4_parameter_counts(float_tol=None):
     ok = not errs and dt < 10.0
     return ok, ("kvm 4 = m-1 with t0; henon-heiles/rdg 3 explicit + t0 "
                 f"({dt:.1f}s)" if not errs else "; ".join(errs[:2]))
-
-
-def _principal_balances(name: str):
-    system = bi.builtin_system(name)
-    meta = bi.painleve_meta(name)
-    wv = [w for w in pv.detect_weights(system)
-          if tuple(w.weights) == tuple(meta["weights"])][0]
-    bals = [b for b in pv.indicial_solve(system, wv) if meta["principal"](b)]
-    return system, wv, bals
 
 
 def check_5_weight_eigenvalues(float_tol=None):

@@ -401,8 +401,10 @@ def _seeded(f: List[int], near: Sequence[float]):
         if b is None:
             return None
         brackets.append(b)
+    # sign-change brackets that share an end order are disjoint (f is not
+    # 0 there); zero brackets (e, e) on the same order are not
     brackets.sort()
-    if any(hi >= lo for (_, hi), (lo, _) in zip(brackets, brackets[1:])):
+    if any(p == q or p[1] > q[0] for p, q in zip(brackets, brackets[1:])):
         return None
     roots = [_rounded(f, lo, hi) for lo, hi in brackets]
     return None if None in roots else roots

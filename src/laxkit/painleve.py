@@ -221,14 +221,35 @@ def solve_poly_system(eqs: Sequence[MultiPoly], unknowns: Sequence[str],
     need irrational algebraic numbers are dropped -- this toolkit's exact
     ring is Q plus free symbols -- but each dropped branch appends its
     (variable, defining polynomial coefficients) to `algebraic_out` when a
-    list is supplied, so callers can report what was left behind.  Every
-    returned branch is verified against the original equations.
+    list is supplied, so callers can report what was left behind.
+
+    Each branch takes the first of four steps that applies: 1. an unknown
+    linear with a constant coefficient is solved for; 2. a univariate
+    equation splits on its rational roots; 3. a monomial factor x^k splits
+    into x = 0 and its cofactor; 4. an unknown x of C*x + D, C a
+    polynomial, splits into C = D = 0 and C != 0, where x is eliminated
+    from the other equations and left pending until none is left, then
+    back-substituted innermost first as x = -D/C (Cox, Little and O'Shea,
+    "Ideals, Varieties, and Algorithms", ch. 3).  `max_branches` bounds
+    the recursion calls of the whole solve.  Every returned branch is
+    verified against the original equations.
     """
     unknowns = list(unknowns)
     results = []
     counter = [0]
 
-    def recurse(cur_eqs, sol, choices):
+    def bind(sol, x, val):
+        # the one place a value is bound: x = val enters every earlier value
+        out = {k: v.subs({x: val}) for k, v in sol.items()}
+        out[x] = val
+        return out
+
+    def assign(cur_eqs, idx, sol, x, val, choices, pending):
+        # cur_eqs[idx] gives x = val: substitute it everywhere and recurse
+        rest = [q.subs({x: val}) for k, q in enumerate(cur_eqs) if k != idx]
+        recurse(rest, bind(sol, x, val), choices, pending)
+
+    def recurse(cur_eqs, sol, choices, pending):
         counter[0] += 1
         if counter[0] > max_branches:
             raise RuntimeError("polynomial system solver branch budget exceeded")
@@ -237,25 +258,28 @@ def solve_poly_system(eqs: Sequence[MultiPoly], unknowns: Sequence[str],
             if e.is_constant:
                 return  # inconsistent
         if not cur_eqs:
+            for x, C, D in reversed(pending):
+                try:  # a zero C or an inexact division drops the branch
+                    val = (-D.subs(sol)).exact_div(C.subs(sol))
+                except (ValueError, ZeroDivisionError):
+                    return
+                sol = bind(sol, x, val)
             results.append((dict(sol), list(choices)))
             return
 
+        # a pending unknown occurs in no equation, so no step picks it
         present = [u for u in unknowns if u not in sol]
 
-        # 1. a variable appearing linearly with a nonzero constant
-        # coefficient; later unknowns are eliminated first so that leading
-        # unknowns (positions rather than momenta) stay free; an unknown
-        # absent from e is skipped (coeffs_in gives {0: e}, as in step 4)
+        # 1. a linear unknown with a constant coefficient, later unknowns
+        # first so that leading ones (positions rather than momenta) stay
+        # free; an unknown absent from e is skipped (coeffs_in gives {0: e})
         for idx, e in enumerate(cur_eqs):
             evs = e.variables()
             for x in [u for u in reversed(present) if u in evs]:
                 cfs = e.coeffs_in(x)
                 if set(cfs) <= {0, 1} and 1 in cfs and cfs[1].is_constant:
                     val = -cfs.get(0, MultiPoly.zero()) / cfs[1].const_value()
-                    rest = [q.subs({x: val}) for k, q in enumerate(cur_eqs) if k != idx]
-                    sol2 = {k: v.subs({x: val}) for k, v in sol.items()}
-                    sol2[x] = val
-                    recurse(rest, sol2, choices)
+                    assign(cur_eqs, idx, sol, x, val, choices, pending)
                     return
 
         # 2. univariate equation with rational coefficients
@@ -275,11 +299,8 @@ def solve_poly_system(eqs: Sequence[MultiPoly], unknowns: Sequence[str],
                 algebraic_out.append((x, cof))
             many = len(roots) > 1
             for r, _m in roots:
-                val = MultiPoly.const(r)
-                rest = [q.subs({x: val}) for k, q in enumerate(cur_eqs) if k != idx]
-                sol2 = {k: v.subs({x: val}) for k, v in sol.items()}
-                sol2[x] = val
-                recurse(rest, sol2, choices + ([(x, r)] if many else []))
+                assign(cur_eqs, idx, sol, x, MultiPoly.const(r),
+                       choices + ([(x, r)] if many else []), pending)
             return
 
         # 3. an equation with a common variable factor: split x=0 / cofactor=0
@@ -288,14 +309,10 @@ def solve_poly_system(eqs: Sequence[MultiPoly], unknowns: Sequence[str],
             fx = next((u for u in present if mg.get(u, 0) > 0), None)
             if fx is None:
                 continue
-            zero = MultiPoly.zero()
-            rest0 = [q.subs({fx: zero}) for k, q in enumerate(cur_eqs) if k != idx]
-            sol0 = {k: v.subs({fx: zero}) for k, v in sol.items()}
-            sol0[fx] = zero
-            recurse(rest0, sol0, choices)
+            assign(cur_eqs, idx, sol, fx, MultiPoly.zero(), choices, pending)
             cofactor = e.exact_div(MultiPoly.var(fx, mg[fx]))
             recurse([cofactor] + [q for k, q in enumerate(cur_eqs) if k != idx],
-                    sol, choices)
+                    sol, choices, pending)
             return
 
         # 4. last resort: eliminate a variable appearing linearly with a
@@ -307,34 +324,18 @@ def solve_poly_system(eqs: Sequence[MultiPoly], unknowns: Sequence[str],
                 if set(cfs) <= {0, 1} and 1 in cfs:
                     C = cfs[1]
                     D = cfs.get(0, MultiPoly.zero())
+                    others = [q for k, q in enumerate(cur_eqs) if k != idx]
                     # branch C = 0 (then D must also vanish)
-                    recurse([C, D] + [q for k, q in enumerate(cur_eqs) if k != idx],
-                            sol, choices)
+                    recurse([C, D] + others, sol, choices, pending)
                     # branch C != 0: clear denominators in the others
-                    others = [eliminate_linear(q, x, C, D)
-                              for k, q in enumerate(cur_eqs) if k != idx]
-                    for sub_sol, sub_choices in solve_poly_system(
-                            others, [u for u in present if u != x],
-                            max_branches=max_branches,
-                            algebraic_out=algebraic_out):
-                        Cv = C.subs(sub_sol)
-                        Dv = D.subs(sub_sol)
-                        if Cv.is_zero:
-                            continue
-                        try:
-                            xval = (-Dv).exact_div(Cv)
-                        except (ValueError, ZeroDivisionError):
-                            continue
-                        sol2 = {k: v.subs(sub_sol) for k, v in sol.items()}
-                        sol2.update(sub_sol)
-                        sol2[x] = xval
-                        results.append((sol2, choices + sub_choices))
+                    recurse([eliminate_linear(q, x, C, D) for q in others],
+                            sol, choices, pending + [(x, C, D)])
                     return
         # nothing applicable: give up on this branch (not solvable by
         # substitution over Q)
         return
 
-    recurse(list(eqs), {}, [])
+    recurse(list(eqs), {}, [], [])
 
     # verify and dedupe
     verified = []
@@ -606,8 +607,8 @@ MAX_ORDER = 30
 
 def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
               resonance_names: Optional[Sequence[str]] = None,
-              resonance_slots: Optional[Mapping[int, Tuple[str, object]]] = None,
-              verify: bool = True) -> LaurentFamily:
+              resonance_slots: Optional[Mapping[int, Tuple[str, object]]] = None
+              ) -> LaurentFamily:
     """Compute the Laurent family seeded by a balance, exactly.
 
     `order` counts whole powers of t beyond the leading exponents and
@@ -626,7 +627,7 @@ def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
     extends every product by its index-j coefficient.  With J = order*ell
     steps this costs O(J^2) coefficient products, where substituting the
     truncated series into every equation at every step cost O(J^3).
-    `verify` re-checks the finished family independently: `family_residual`
+    The finished family is re-checked independently: `family_residual`
     substitutes the full series through `poly_on_series`.  An order above
     MAX_ORDER raises ValueError.
     """
@@ -729,10 +730,9 @@ def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
     fam = LaurentFamily(system=sys, balance=bal, ell=ell, series=series,
                         free_parameters=tuple(params),
                         resonances=tuple(resonances), kowalewski=kd)
-    if verify:
-        bad = family_residual(fam)
-        if bad:
-            raise AssertionError(f"nonzero residual coefficients: {bad[:3]}")
+    bad = family_residual(fam)
+    if bad:
+        raise AssertionError(f"nonzero residual coefficients: {bad[:3]}")
     return fam
 
 

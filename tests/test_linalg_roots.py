@@ -233,6 +233,19 @@ def test_a_root_that_rounds_to_zero_keeps_its_sign(monkeypatch):
     assert not calls
 
 
+def test_brackets_sharing_an_end_where_f_is_nonzero_certify(monkeypatch):
+    # x^2 - 2 10^-800: the roots +-1.4e-400 round to -0.0 and 0.0; the walks
+    # end on the brackets (-1, 0) and (0, 1) of orders, which share the order
+    # of 0.0, where f is not 0, and so are disjoint
+    from math import copysign
+    p = [F(-2, 10 ** 800), F(0), F(1)]
+    calls = _fallbacks(monkeypatch)
+    for rts in (_sturm_floats(p), nearest_roots(p, [-5e-324, 5e-324])):
+        assert rts == [(-0.0, 1), (0.0, 1)]
+        assert [copysign(1.0, x) for x, _ in rts] == [-1.0, 1.0]
+    assert not calls
+
+
 # -- bounded time on coefficients of large height ----------------------------
 
 def _expand(factors):

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -299,6 +300,34 @@ def test_solver_polynomial_coefficient_elimination():
     assert "y" not in sol
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_solver_back_substitutes_into_values_bound_earlier(swap):
+    # y = x binds first; (x - 1)(z + 1) then leaves x linear with the
+    # polynomial coefficient z + 1, and on z + 1 != 0 its value x = 1 must
+    # reach y too, in either equation order
+    x, y, z = (MultiPoly.var(n) for n in "xyz")
+    eqs = [y - x, (x - 1) * (z + 1)]
+    sols = solve_poly_system(eqs[::-1] if swap else eqs, ["x", "y", "z"])
+    got = [{k: str(v) for k, v in sol.items()} for sol, _ in sols]
+    assert len(got) == 2
+    assert {"x": "1", "y": "1"} in got and {"y": "x", "z": "-1"} in got
+
+
+def test_kvm5_file_balances_closed_under_cyclic_shift():
+    # kvm5.ivf is invariant under the cyclic shift of x1..x5, and so is its
+    # set of balances at weight (1,...,1): the 5 rotations each of
+    # (-1, 1, 0, 0, 0) and (-2, 1, -1, 2, 0)
+    sys_ = parse_system(resources.files("laxkit.systems")
+                        .joinpath(_SYSTEM_FILES["kvm"]).read_text())
+    wv, = [w for w in detect_weights(sys_) if w.weights == (F(1),) * 5]
+    bals = indicial_solve(sys_, wv)
+    leads = {tuple(z.const_value() for z in b.leading) for b in bals}
+    assert len(bals) == 10
+    want = {tuple(v[i:] + v[:i]) for v in ((-1, 1, 0, 0, 0), (-2, 1, -1, 2, 0))
+            for i in range(5)}
+    assert leads == want
+
+
 def test_solver_records_algebraic_branches():
     x, y = MultiPoly.var("x"), MultiPoly.var("y")
     dropped = []
@@ -354,22 +383,21 @@ class FullSeriesRhs:
             c.append(z)
 
 
-def _outcome(sys_, bal, order, meta, verify):
+def _outcome(sys_, bal, order, meta):
     try:
         fam = propagate(sys_, bal, order,
                         resonance_names=meta.get("resonance_names"),
-                        resonance_slots=meta.get("resonance_slots"),
-                        verify=verify)
+                        resonance_slots=meta.get("resonance_slots"))
     except (PainleveObstruction, FamilyNotPolynomial) as exc:
         return type(exc), exc.step, getattr(exc, "pairing", None)
     return fam.series, fam.free_parameters, fam.resonances
 
 
 def _assert_same_as_reference(monkeypatch, sys_, bal, order, meta):
-    got = _outcome(sys_, bal, order, meta, verify=True)
+    got = _outcome(sys_, bal, order, meta)
     with monkeypatch.context() as mp:
         mp.setattr(pv, "_RelaxedSystem", FullSeriesRhs)
-        want = _outcome(sys_, bal, order, meta, verify=False)
+        want = _outcome(sys_, bal, order, meta)
     assert got == want
 
 
