@@ -8,7 +8,6 @@ dt = 1e-3; halving dt shows the scheme's order on the state error.
 import numpy as np
 
 from laxkit import laxflow as lf
-from laxkit.builtins import toda_periodic_pencil
 
 rng = np.random.default_rng(42)
 N = 3
@@ -17,7 +16,7 @@ b = list(rng.uniform(-0.5, 0.5, N))
 print(f"periodic lattice, N = {N}")
 print("a =", np.round(a, 4), " b =", np.round(b, 4))
 
-pencil, B = toda_periodic_pencil(a, b)
+pencil, B = lf.toda_periodic_pencil(a, b)
 curve0 = lf.pencil_charpoly(pencil).drop_small()
 print("\nspectral curve det(A(h) - zI): coefficients of z^i h^j")
 for (i, j), v in sorted(curve0.coeffs.items()):

@@ -268,7 +268,7 @@ def check_7_isospectral(float_tol=None):
     rng = np.random.default_rng(7)
     a = list(rng.uniform(0.6, 1.4, 3))
     b = list(rng.uniform(-0.5, 0.5, 3))
-    pencil, B = bi.toda_periodic_pencil(a, b)
+    pencil, B = lf.toda_periodic_pencil(a, b)
     traj = lf.integrate_lax(pencil, B, 1.0, 1e-3, sample_every=200)
     d_toda = lf.isospectral_drift(traj, [1.0, -1.0, 0.5], 3)
     if d_toda >= tol:
@@ -368,7 +368,7 @@ def check_10_negative_controls(float_tol=None):
     rng = np.random.default_rng(10)
     a = list(rng.uniform(0.6, 1.4, 3))
     b = list(rng.uniform(-0.5, 0.5, 3))
-    pencil, B = bi.toda_periodic_pencil(a, b)
+    pencil, B = lf.toda_periodic_pencil(a, b)
     # deliberately non-Lax flow dA/dt = B(A): spectra must drift
     lo = pencil.lo
     _, states = lf.rk4(lambda y: B(lf.MatrixPencil.from_blocks(lo, y)).blocks,

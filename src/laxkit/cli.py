@@ -2,10 +2,15 @@
 
 Reports are JSON with insertion-ordered keys and canonical polynomial
 strings, so identical configurations produce byte-identical files.
+Only flow, jacobi and check load numpy (and laxflow, jacobispec): each
+imports them when it runs, so `import laxkit.cli`, the parser and every
+painleve run stay on the exact modules and start without numpy.
 Exit codes: 0 success, 1 usage or input error, 2 Painlevé obstruction,
 3 numerical breakdown (a flow or the Jacobi lattice blew up, a
 continued-fraction denominator of the Stieltjes check vanished, or a
-number overflowed a float, as Jacobi entries such as -a 1e300,1 do).
+number overflowed a float, as Jacobi entries such as -a 1e300,1 do, or
+the measure's scale (a0/a_N)^2 underflowed to 0).  jacobi --a0 0 exits
+1: its measure is zero, which no Stieltjes check may pass.
 A report or CSV that would hold a NaN or an infinity is never written:
 the command exits 3.  So does a Jacobi measure with a band too narrow
 to integrate whose atoms and other bands do not carry a0^2, as for
@@ -40,12 +45,8 @@ import os
 import sys
 from typing import List, Tuple
 
-import numpy as np
-
 from .exactalg import Q
 from . import builtins as bi
-from . import jacobispec as js
-from . import laxflow as lf
 from . import painleve as pv
 from .sysdsl import ParseError, parse_system_file
 
@@ -190,6 +191,8 @@ FLOW_MIN_N = {"toda-periodic": 2, "euler-arnold": 3, "neumann": 2}
 
 
 def cmd_flow(args) -> Result:
+    import numpy as np
+    from . import laxflow as lf
     if args.builtin == "kvm" and args.N is not None:
         raise UsageError("flow --builtin kvm takes no -N")
     N = 3 if args.N is None else args.N
@@ -206,70 +209,73 @@ def cmd_flow(args) -> Result:
                "builtin": name, "t_end": args.t_end, "dt": args.dt}
     rows = []
     header = []
-    if name == "toda-periodic":
-        n = N
-        rng = np.random.default_rng(args.seed)
-        a = list(rng.uniform(0.6, 1.4, n))
-        b = list(rng.uniform(-0.5, 0.5, n))
-        pencil, B = bi.toda_periodic_pencil(a, b)
-        traj = lf.integrate_lax(pencil, B, args.t_end, args.dt,
-                                sample_every=stride)
-        drift = lf.isospectral_drift(traj, [1.0, -1.0, 0.5, 2.0], n)
-        summary["trace_drift"] = drift
-        summary["curve_drift"] = lf.curve_drift(traj)
-        summary["pass"] = bool(drift < args.tol)
-        header = ["t"] + [f"a{j+1}" for j in range(n)] + [f"b{j+1}" for j in range(n)]
-        for t, P in zip(traj.times, traj.pencils):
-            A0 = P.coeffs[0]
-            arow = [float(A0[j, (j + 1) % n]) if j < n - 1 else float(P.coeffs[1][n - 1, 0])
-                    for j in range(n)]
-            brow = [float(A0[j, j]) for j in range(n)]
-            rows.append([t] + arow + brow)
-    elif name == "kvm":
-        system = bi.builtin_system("kvm")
-        rng = np.random.default_rng(args.seed)
-        z0 = rng.uniform(0.3, 1.2, system.dim)
-        times, states = lf.integrate_system(system, z0, args.t_end, args.dt)
-        drifts = lf.invariant_drift(system, times, states)
-        summary["invariant_drift"] = drifts
-        summary["pass"] = bool(max(drifts.values()) < args.tol)
-        header = ["t"] + list(system.variables) + list(system.invariants)
-        for t, z in zip(times, states):
-            env = dict(zip(system.variables, z))
-            rows.append([t] + list(map(float, z)) +
-                        [H.eval_num(env) for H in system.invariants.values()])
-    elif name == "euler-arnold":
-        pencil, B = bi.builtin("euler-arnold", n=N, seed=args.seed)
-        traj = lf.integrate_lax(pencil, B, args.t_end, args.dt,
-                                sample_every=stride)
-        drift = lf.isospectral_drift(traj, [1.0, -1.0, 0.5], N)
-        summary["trace_drift"] = drift
-        summary["pass"] = bool(drift < args.tol)
-        header = ["t", "tr_X2"]
-        for t, P in zip(traj.times, traj.pencils):
-            X = P.coeffs[0]
-            rows.append([t, float(np.trace(X @ X))])
-    elif name == "neumann":
-        rng = np.random.default_rng(args.seed)
-        n = N
-        x = rng.normal(size=n)
-        x = x / np.linalg.norm(x)
-        y = rng.normal(size=n)
-        y -= (y @ x) * x
-        alphas = list(range(1, n + 1))
-        pencil, B = bi.neumann_pencil(alphas, x, y)
-        traj = lf.integrate_lax(pencil, B, args.t_end, args.dt,
-                                sample_every=stride)
-        drift = lf.isospectral_drift(traj, [1.0, -1.0, 2.0], n)
-        summary["trace_drift"] = drift
-        summary["branch_points"] = list(map(float, bi.neumann_branch_points(alphas, x, y)))
-        summary["branch_count_with_infinity"] = 2 * n
-        summary["pass"] = bool(drift < args.tol)
-        header = ["t", "norm"]
-        for t, P in zip(traj.times, traj.pencils):
-            rows.append([t, P.norm()])
-    else:
-        raise UsageError(f"unknown flow builtin '{name}'")
+    try:
+        if name == "toda-periodic":
+            n = N
+            rng = np.random.default_rng(args.seed)
+            a = list(rng.uniform(0.6, 1.4, n))
+            b = list(rng.uniform(-0.5, 0.5, n))
+            pencil, B = lf.toda_periodic_pencil(a, b)
+            traj = lf.integrate_lax(pencil, B, args.t_end, args.dt,
+                                    sample_every=stride)
+            drift = lf.isospectral_drift(traj, [1.0, -1.0, 0.5, 2.0], n)
+            summary["trace_drift"] = drift
+            summary["curve_drift"] = lf.curve_drift(traj)
+            summary["pass"] = bool(drift < args.tol)
+            header = ["t"] + [f"a{j+1}" for j in range(n)] + [f"b{j+1}" for j in range(n)]
+            for t, P in zip(traj.times, traj.pencils):
+                A0 = P.coeffs[0]
+                arow = [float(A0[j, (j + 1) % n]) if j < n - 1 else float(P.coeffs[1][n - 1, 0])
+                        for j in range(n)]
+                brow = [float(A0[j, j]) for j in range(n)]
+                rows.append([t] + arow + brow)
+        elif name == "kvm":
+            system = bi.builtin_system("kvm")
+            rng = np.random.default_rng(args.seed)
+            z0 = rng.uniform(0.3, 1.2, system.dim)
+            times, states = lf.integrate_system(system, z0, args.t_end, args.dt)
+            drifts = lf.invariant_drift(system, times, states)
+            summary["invariant_drift"] = drifts
+            summary["pass"] = bool(max(drifts.values()) < args.tol)
+            header = ["t"] + list(system.variables) + list(system.invariants)
+            for t, z in zip(times, states):
+                env = dict(zip(system.variables, z))
+                rows.append([t] + list(map(float, z)) +
+                            [H.eval_num(env) for H in system.invariants.values()])
+        elif name == "euler-arnold":
+            pencil, B = bi.builtin("euler-arnold", n=N, seed=args.seed)
+            traj = lf.integrate_lax(pencil, B, args.t_end, args.dt,
+                                    sample_every=stride)
+            drift = lf.isospectral_drift(traj, [1.0, -1.0, 0.5], N)
+            summary["trace_drift"] = drift
+            summary["pass"] = bool(drift < args.tol)
+            header = ["t", "tr_X2"]
+            for t, P in zip(traj.times, traj.pencils):
+                X = P.coeffs[0]
+                rows.append([t, float(np.trace(X @ X))])
+        elif name == "neumann":
+            rng = np.random.default_rng(args.seed)
+            n = N
+            x = rng.normal(size=n)
+            x = x / np.linalg.norm(x)
+            y = rng.normal(size=n)
+            y -= (y @ x) * x
+            alphas = list(range(1, n + 1))
+            pencil, B = lf.neumann_pencil(alphas, x, y)
+            traj = lf.integrate_lax(pencil, B, args.t_end, args.dt,
+                                    sample_every=stride)
+            drift = lf.isospectral_drift(traj, [1.0, -1.0, 2.0], n)
+            summary["trace_drift"] = drift
+            summary["branch_points"] = list(map(float, lf.neumann_branch_points(alphas, x, y)))
+            summary["branch_count_with_infinity"] = 2 * n
+            summary["pass"] = bool(drift < args.tol)
+            header = ["t", "norm"]
+            for t, P in zip(traj.times, traj.pencils):
+                rows.append([t, P.norm()])
+        else:
+            raise UsageError(f"unknown flow builtin '{name}'")
+    except lf.BlowUpError as exc:
+        raise BreakdownError(str(exc)) from exc
 
     csv_name = f"flow_{name}.csv"
     files = [(csv_name, _csv_text(header, rows)),
@@ -294,6 +300,8 @@ def _parse_seq(text: str):
 
 
 def cmd_jacobi(args) -> Result:
+    from . import jacobispec as js
+    from .laxflow import BlowUpError
     a = _parse_seq(args.a)
     b = _parse_seq(args.b)
     try:
@@ -341,7 +349,10 @@ def cmd_jacobi(args) -> Result:
         rows.sort(key=lambda r: r[1])
         files.append(("jacobi_bands.csv", _csv_text(["kind", "lo", "hi"], rows)))
     if args.toda_t_end:
-        diag = js.toda_flow_jacobi(m, args.toda_t_end, args.dt)
+        try:
+            diag = js.toda_flow_jacobi(m, args.toda_t_end, args.dt)
+        except BlowUpError as exc:
+            raise BreakdownError(str(exc)) from exc
         payload["toda"] = {
             "band_edge_drift": diag.band_edge_drift,
             "trace_sum_drift": diag.trace_sum_drift,
@@ -471,7 +482,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BreakdownError, lf.BlowUpError, OverflowError) as exc:
+    except (BreakdownError, OverflowError) as exc:
         print(f"error: numerical breakdown: {exc}", file=sys.stderr)
         return 3
     except (ParseError, ValueError, KeyError, RuntimeError) as exc:

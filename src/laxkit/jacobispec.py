@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exactalg import Q, nearest_roots
-from .laxflow import rk4, steps_for
+from .laxflow import rk4, steps_for, toda_scalar_rhs
 
 
 class DegenerateSpectrumError(ValueError):
@@ -440,10 +440,12 @@ def measure_decompose(m: PeriodicJacobi, a0,
                  / prod_{l != j} (sigma_j - sigma_l),
 
     with s = (a0/a_N)^2 the half-line rescaling: real arithmetic, no square
-    root.  Masses up to ZERO_MASS_TOL (closed gaps) are dropped.  The
-    continuous part is s/(2 pi) * sqrt(4 alpha^2 - P^2)/|cofactor| on each
-    stable band, evaluated as a product over the branch points and the
-    sigma_j.  The quadrature skips bands narrower than NARROW_BAND, so
+    root.  a0 must be nonzero (ValueError), and s must be a positive
+    finite double (OverflowError naming it, when it overflows or
+    underflows to 0).  Masses up to ZERO_MASS_TOL (closed gaps) are
+    dropped.  The continuous part is s/(2 pi) * sqrt(4 alpha^2 - P^2) /
+    |cofactor| on each stable band, evaluated as a product over the branch
+    points and the sigma_j.  The quadrature skips bands narrower than NARROW_BAND, so
     where one occurs the atoms and the other bands must carry a0^2 to 1e-8
     relative, or OverflowError names the missing mass."""
     if data is None:
@@ -453,6 +455,8 @@ def measure_decompose(m: PeriodicJacobi, a0,
     # aux is sorted; a difference of floats overflows to inf, never a warning
     if any(t - s < 1e-9 for s, t in zip(aux, aux[1:])):
         raise DegenerateSpectrumError("coincident auxiliary eigenvalues")
+    if a0 == 0:
+        raise ValueError("a0 must be nonzero: a0 = 0 gives the zero measure")
     aN = float(m.a[-1])
     try:
         scale = (float(a0) / aN) ** 2
@@ -460,6 +464,8 @@ def measure_decompose(m: PeriodicJacobi, a0,
             raise OverflowError
     except OverflowError:
         raise OverflowError("(a0/a_N)^2 overflows a double") from None
+    if scale == 0.0:                    # a0 != 0: the square underflowed
+        raise OverflowError("(a0/a_N)^2 underflows a double")
     alpha = data.alpha
     try:
         interior = _tridiag_charpoly(m.b[1: N - 1], m.a[1: N - 2], False)
@@ -583,7 +589,6 @@ def toda_flow_jacobi(m: PeriodicJacobi, t_end: float, dt: float,
     the state as Python floats.  Raises BlowUpError when the state stops
     being finite or a_j ** 2 overflows, and ValueError unless dt divides
     t_end (laxflow.steps_for)."""
-    from .builtins import toda_scalar_rhs
     n = m.period
 
     def rhs(y):

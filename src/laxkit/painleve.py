@@ -373,6 +373,15 @@ def solve_poly_system(eqs: Sequence[MultiPoly], unknowns: Sequence[str],
 
 @dataclass(frozen=True)
 class Balance:
+    """A dominant balance: the leading coefficients z^(0) of a Laurent
+    family with weights `weight_vector`.
+
+    `label` joins the `choices` of the solve that found it, the (name,
+    root) picks solve_poly_system made at multi-root steps, as
+    "x2=1,...".  It records the solver's path, not a property of the
+    balance: of the five cyclic rotations of one kvm5.ivf balance, one is
+    labelled "x2=1" and the other four "".  Only builtin metadata turns a
+    label into a sheet name."""
     weight_vector: WeightVector
     leading: Tuple[MultiPoly, ...]          # z^(0), entries over free symbols
     free_symbols: Tuple[str, ...]
@@ -411,10 +420,14 @@ def indicial_solve(sys: VectorFieldSystem, w: WeightVector,
                    algebraic_out=None) -> List[Balance]:
     """Nonzero solutions of k_i z_i + f_i(z) = 0 over the dominant part.
 
-    Solutions may carry free symbols (named after their variable); sign
-    branches are recorded in `choices` and the label.  Balances living in
-    algebraic extensions of Q are not representable here; pass
-    `algebraic_out` (a list) to collect their defining polynomials.
+    Solutions may carry free symbols (named after their variable).  Each
+    balance's `choices` (and the label joined from them) are the picks the
+    solver made at multi-root steps on its way to that solution: a record
+    of the solve, so balances related by a symmetry of the system may carry
+    different labels, and sorting by label orders them by solve path.
+    Balances living in algebraic extensions of Q are not representable
+    here; pass `algebraic_out` (a list) to collect their defining
+    polynomials.
     """
     fdom = dominant_part(sys, w)
     eqs = [MultiPoly.const(w.weights[i]) * MultiPoly.var(sys.variables[i]) + fdom[i]

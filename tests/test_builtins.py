@@ -19,7 +19,7 @@ def test_flaschka_consistency_with_particle_flow():
     n = 4
     x = rng.uniform(-1, 1, n)
     y = rng.uniform(-1, 1, n)
-    a, b = bi.flaschka(x, y)
+    a, b = lf.flaschka(x, y)
     # particle equations: x' = y, y'_j = -e^(x_j - x_{j+1}) + e^(x_{j-1}-x_j)
     xd = y.copy()
     yd = np.array([-np.exp(x[j] - x[(j + 1) % n]) +
@@ -27,7 +27,7 @@ def test_flaschka_consistency_with_particle_flow():
     # chain rule through the map
     ad = np.array([a[j] * (xd[j] - xd[(j + 1) % n]) / 2 for j in range(n)])
     bd = -0.5 * yd
-    da, db = bi.toda_scalar_rhs(a, b)
+    da, db = lf.toda_scalar_rhs(a, b)
     assert np.allclose(ad, da, atol=1e-12)
     assert np.allclose(bd, db, atol=1e-12)
 
@@ -36,9 +36,9 @@ def test_toda_pencil_matches_scalar_flow():
     rng = np.random.default_rng(1)
     a = rng.uniform(0.5, 1.5, 3)
     b = rng.uniform(-0.5, 0.5, 3)
-    P, B = bi.toda_periodic_pencil(list(a), list(b))
+    P, B = lf.toda_periodic_pencil(list(a), list(b))
     C = B(P).commutator(P)
-    da, db = bi.toda_scalar_rhs(a, b)
+    da, db = lf.toda_scalar_rhs(a, b)
     assert np.allclose(np.diag(C.coeffs[0]), db)
     assert np.allclose([C.coeffs[0][0, 1], C.coeffs[0][1, 2]], da[:2])
     assert np.allclose(C.coeffs[-1][0, 2], da[2])
@@ -46,7 +46,7 @@ def test_toda_pencil_matches_scalar_flow():
 
 
 def test_toda_b_pencil_structure():
-    P, B = bi.toda_periodic_pencil([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+    P, B = lf.toda_periodic_pencil([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
     Bp = B(P)
     # corner of the h^-1 block carries a minus, the h^+1 block a plus
     assert Bp.coeffs[-1][0, 2] == -3.0
@@ -58,19 +58,19 @@ def test_toda_b_pencil_structure():
 
 def test_toda_pencil_rejects_zero_offdiagonal():
     with pytest.raises(ValueError):
-        bi.toda_periodic_pencil([1.0, 0.0, 1.0], [0.0, 0.0, 0.0])
+        lf.toda_periodic_pencil([1.0, 0.0, 1.0], [0.0, 0.0, 0.0])
 
 
 def test_open_toda_isospectral():
-    pencil, B = bi.toda_open_pencil([1.0, 0.7], [0.3, -0.2, 0.1])
+    pencil, B = lf.toda_open_pencil([1.0, 0.7], [0.3, -0.2, 0.1])
     traj = lf.integrate_lax(pencil, B, 1.0, 1e-3, sample_every=250)
     assert lf.isospectral_drift(traj, [1.0], 3) < 1e-9
 
 
 def test_manakov_consistency():
     J = [1.0, 2.0, 3.0, 4.0]
-    Om = bi.random_skew(4, seed=3)
-    pencil, B = bi.manakov_pencil(J, Om)
+    Om = lf.random_skew(4, seed=3)
+    pencil, B = lf.manakov_pencil(J, Om)
     # dA/dt at t=0: h-part must vanish, h^0 part equals [M, Omega]
     rhs = B(pencil).commutator(pencil)
     M = pencil.coeffs[0]
@@ -90,9 +90,9 @@ def test_euler_arnold_conserves_energy_and_traces():
 
 def test_euler_arnold_input_validation():
     with pytest.raises(ValueError, match="distinct"):
-        bi.euler_arnold_pencil([1, 1, 2], [1, 2, 3], np.zeros((3, 3)))
+        lf.euler_arnold_pencil([1, 1, 2], [1, 2, 3], np.zeros((3, 3)))
     with pytest.raises(ValueError, match="skew"):
-        bi.euler_arnold_pencil([1, 2, 3], [1, 2, 3], np.eye(3))
+        lf.euler_arnold_pencil([1, 2, 3], [1, 2, 3], np.eye(3))
 
 
 def test_painleve_meta_covers_builtins():
@@ -108,7 +108,7 @@ def test_toda_builtin_accepts_particle_coordinates():
     x = rng.uniform(-1, 1, 3)
     y = rng.uniform(-1, 1, 3)
     pencil, B = bi.builtin("toda-periodic", x=list(x), y=list(y))
-    a, b = bi.flaschka(x, y)
+    a, b = lf.flaschka(x, y)
     assert np.allclose(np.diag(pencil.coeffs[0]), b)
     assert np.allclose(pencil.coeffs[0][0, 1], a[0])
     assert np.allclose(pencil.coeffs[-1][0, 2], a[2])
@@ -119,7 +119,7 @@ def test_toda_builtin_accepts_particle_coordinates():
 def test_neumann_pencil_structure():
     x = np.array([1.0, 0.0, 0.0])
     y = np.array([0.0, 2.0, 0.0])
-    pencil, _ = bi.neumann_pencil([1.0, 2.0, 3.0], x, y)
+    pencil, _ = lf.neumann_pencil([1.0, 2.0, 3.0], x, y)
     assert np.allclose(pencil.coeffs[2], np.diag([1.0, 2.0, 3.0]))
     wedge = np.outer(x, y) - np.outer(y, x)
     assert np.allclose(pencil.coeffs[1], -wedge)

@@ -716,3 +716,72 @@ def test_painleve_order_cap(tmp_path, capsys, monkeypatch, over):
     else:
         assert code == 0
         assert os.listdir(tmp_path) == ["painleve_henon-heiles.json"]
+
+
+def test_jacobi_zero_a0_exit_1_writes_nothing(tmp_path, capsys):
+    # a0 = 0 is the zero measure, against which every Stieltjes check
+    # would pass with max_error 0
+    code = run(tmp_path, "jacobi", "-a", "1,1", "-b", "0,0", "--a0", "0",
+               "--check-stieltjes")
+    assert code == 1
+    assert "a0 must be nonzero" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("a0", ["1e-170", "1e-400"])
+def test_jacobi_underflowing_a0_names_the_quantity(tmp_path, capsys, a0):
+    # (a0/a_N)^2 is 0.0 in doubles: the measure would be zero, as for a0 = 0
+    code = run(tmp_path, "jacobi", "-a", "1,1", "-b", "0,0", "--a0", a0,
+               "--check-stieltjes")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "error: numerical breakdown: (a0/a_N)^2 underflows a double\n"
+    assert os.listdir(tmp_path) == []
+
+
+FLOAT_MODULES = ("numpy", "laxkit.laxflow", "laxkit.jacobispec")
+
+
+def test_exact_commands_load_no_float_modules(tmp_path):
+    """The parser and painleve runs import neither numpy nor the float
+    modules, each checked in a fresh interpreter; laxkit.<name> still
+    imports a submodule on first use."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import laxkit
+    src = Path(laxkit.__file__).resolve().parents[1]
+    ivf = Path(laxkit.__file__).resolve().parent / "systems" / "kvm5.ivf"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def loaded_after(code):
+        probe = (f"import sys\n{code}\n"
+                 f"print(sorted(set({FLOAT_MODULES!r}) & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip().splitlines()[-1]
+
+    out = str(tmp_path)
+    assert loaded_after("import laxkit, laxkit.cli\n"
+                        "laxkit.cli.build_parser()") == "[]"
+    assert loaded_after(
+        "from laxkit.cli import main\n"
+        f"assert main(['painleve', '--builtin', 'kvm', '--out', {out!r}]) == 0"
+    ) == "[]"
+    assert loaded_after(
+        "from laxkit.cli import main\n"
+        f"assert main(['painleve', '--file', {str(ivf)!r}, '--order', '6', "
+        f"'--out', {out!r}]) == 0"
+    ) == "[]"
+    assert loaded_after(
+        "import laxkit\n"
+        "assert callable(laxkit.jacobispec.spectral_data)\n"
+        "try:\n"
+        "    laxkit.no_such_module\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('laxkit.no_such_module resolved')"
+    ) == str(sorted(FLOAT_MODULES))

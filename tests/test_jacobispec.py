@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laxkit import builtins as bi
+from laxkit import laxflow as lf
 from laxkit import jacobispec as js
 from laxkit.exactalg import nearest_roots, real_roots
 
@@ -632,7 +632,7 @@ def _assert_lattice_flow_matches_reference(m, t_end, dt):
         return _numpy_scalar_toda_rhs(a, b)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bi, "toda_scalar_rhs", reference)
+        mp.setattr(js, "toda_scalar_rhs", reference)
         want = js.toda_flow_jacobi(m, t_end, dt)
     assert len(calls) == 4 * round(t_end / dt)
     assert got.times == want.times
@@ -649,7 +649,7 @@ def test_toda_rhs_matches_numpy_scalar_reference():
             b = rng.choice([0.0, -0.0, 1.5, -2.25], n).tolist()
             if rng.random() < 0.5:
                 b = rng.uniform(-3, 3, n).tolist()
-            got = bi.toda_scalar_rhs(a, b)
+            got = lf.toda_scalar_rhs(a, b)
             want = _numpy_scalar_toda_rhs(a, b)
             assert all(type(x) is float for x in got[0] + got[1])
             assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])

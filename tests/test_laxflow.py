@@ -30,7 +30,7 @@ def test_charpoly_toda_structure_matches_floquet():
     from laxkit.jacobispec import PeriodicJacobi, floquet_polynomial
     a = [F(1), F(1, 2), F(3, 2)]
     b = [F(0), F(1, 3), F(-1, 3)]
-    pencil = bi.toda_periodic_coeffs(a, b)
+    pencil = lf.toda_periodic_coeffs(a, b)
     curve = lf.pencil_charpoly(pencil)
     N = 3
     alpha = F(1) * a[0] * a[1] * a[2]
@@ -45,7 +45,7 @@ def test_charpoly_toda_structure_matches_floquet():
 
 def test_charpoly_toda_h_inversion_symmetry():
     rng = np.random.default_rng(2)
-    pencil, _ = bi.toda_periodic_pencil(list(rng.uniform(0.5, 1.5, 4)),
+    pencil, _ = lf.toda_periodic_pencil(list(rng.uniform(0.5, 1.5, 4)),
                                         list(rng.uniform(-0.5, 0.5, 4)))
     curve = lf.pencil_charpoly(pencil).drop_small()
     for (i, j), v in curve.coeffs.items():
@@ -53,7 +53,7 @@ def test_charpoly_toda_h_inversion_symmetry():
 
 
 def test_charpoly_manakov_parity():
-    pencil, _ = bi.manakov_pencil([1, 2, 3, 4], bi.random_skew(4, seed=1))
+    pencil, _ = lf.manakov_pencil([1, 2, 3, 4], lf.random_skew(4, seed=1))
     curve = lf.pencil_charpoly(pencil).drop_small()
     n = pencil.dim
     # P(z,h) = (-1)^n P(-z,-h): only monomials with i+j even survive
@@ -62,11 +62,11 @@ def test_charpoly_manakov_parity():
 
 
 def test_commutator_window_violation_signals_malformed_b():
-    A = lf.MatrixPencil({0: bi.random_skew(3, seed=0)})
+    A = lf.MatrixPencil({0: lf.random_skew(3, seed=0)})
 
     def bad_B(P):
         return lf.MatrixPencil({2: np.diag([1.0, 2.0, 3.0]),
-                                0: bi.random_skew(3, seed=1)})
+                                0: lf.random_skew(3, seed=1)})
     with pytest.raises(ValueError, match="window"):
         bad_B(A).commutator(A, window=A.h_range)
 
@@ -146,7 +146,7 @@ def test_commutator_matches_block_pair_loop(data):
 def test_commutator_spill_names_first_pair_in_order():
     # pairs (0, 0) -> h^0 and (1, 1) -> h^2 both spill out of window (1, 1);
     # the loop met h^0 first
-    X, Y = bi.random_skew(3, seed=1), bi.random_skew(3, seed=2)
+    X, Y = lf.random_skew(3, seed=1), lf.random_skew(3, seed=2)
     P = lf.MatrixPencil({0: X, 1: Y})
     Q = lf.MatrixPencil({0: Y, 1: X})
     with pytest.raises(ValueError, match=r"h\^0 outside"):
@@ -253,21 +253,21 @@ def _b_cases():
     rng = np.random.default_rng(12)
     for n in (2, 3, 6):
         a, b = list(rng.uniform(0.6, 1.4, n)), list(rng.uniform(-0.5, 0.5, n))
-        yield f"toda-periodic-{n}", bi.toda_periodic_pencil(a, b), _dict_b_toda_periodic
-    yield ("toda-open", bi.toda_open_pencil([1.0, 0.7, 1.3], [0.1, -0.2, 0.3, 0.0]),
+        yield f"toda-periodic-{n}", lf.toda_periodic_pencil(a, b), _dict_b_toda_periodic
+    yield ("toda-open", lf.toda_open_pencil([1.0, 0.7, 1.3], [0.1, -0.2, 0.3, 0.0]),
            _dict_b_toda_open)
     for n in (3, 4):
         al = list(range(1, n + 1))
         yield (f"euler-arnold-{n}", bi.builtin("euler-arnold", n=n, seed=n),
                _dict_b_euler_arnold(al, [v ** 2 for v in al]))
-    yield ("manakov", bi.manakov_pencil([1, 2, 3, 4], bi.random_skew(4, seed=3)),
+    yield ("manakov", lf.manakov_pencil([1, 2, 3, 4], lf.random_skew(4, seed=3)),
            _dict_b_manakov([1, 2, 3, 4]))
     x, y = _sphere_point(4, 5)
-    yield ("neumann", bi.neumann_pencil([1.0, 2.0, 3.0, 4.0], x, y),
+    yield ("neumann", lf.neumann_pencil([1.0, 2.0, 3.0, 4.0], x, y),
            _dict_b_rank2([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]))
     x, y = _sphere_point(3, 6)
     al = np.array([1.0, 2.0, 3.5])
-    yield ("jacobi-geodesic", bi.jacobi_geodesic_pencil(al, x, y),
+    yield ("jacobi-geodesic", lf.jacobi_geodesic_pencil(al, x, y),
            _dict_b_rank2(al, 1.0 / al))
 
 
@@ -301,7 +301,7 @@ def test_b_factories_return_fresh_blocks(case):
 
 
 def test_integrate_frozen_when_b_zero():
-    pencil, _ = bi.toda_periodic_pencil([1.0, 1.2, 0.8], [0.1, -0.2, 0.3])
+    pencil, _ = lf.toda_periodic_pencil([1.0, 1.2, 0.8], [0.1, -0.2, 0.3])
 
     def B0(P):
         return lf.MatrixPencil({0: np.zeros((3, 3))})
@@ -312,7 +312,7 @@ def test_integrate_frozen_when_b_zero():
 
 
 def test_integrate_rejects_bad_step():
-    pencil, B = bi.toda_periodic_pencil([1.0, 1.0], [0.0, 0.0])
+    pencil, B = lf.toda_periodic_pencil([1.0, 1.0], [0.0, 0.0])
     with pytest.raises(ValueError):
         lf.integrate_lax(pencil, B, 1.0, 0.0)
 
@@ -409,7 +409,7 @@ def test_steps_for_budget():
 
 
 def test_integrate_lax_rejects_malformed_b():
-    pencil, _ = bi.toda_periodic_pencil([1.0, 1.2, 0.8], [0.1, -0.2, 0.3])
+    pencil, _ = lf.toda_periodic_pencil([1.0, 1.2, 0.8], [0.1, -0.2, 0.3])
 
     def bad_B(P):
         return lf.MatrixPencil({2: np.diag([1.0, 2.0, 3.0])})
@@ -439,7 +439,7 @@ def test_blowup_detection():
 
 def test_curve_constancy_along_flow():
     rng = np.random.default_rng(4)
-    pencil, B = bi.toda_periodic_pencil(list(rng.uniform(0.6, 1.4, 3)),
+    pencil, B = lf.toda_periodic_pencil(list(rng.uniform(0.6, 1.4, 3)),
                                         list(rng.uniform(-0.4, 0.4, 3)))
     traj = lf.integrate_lax(pencil, B, 1.0, 1e-3, sample_every=500)
     assert lf.curve_drift(traj) < 1e-8
@@ -499,8 +499,8 @@ def test_euler_arnold_flow_is_metric_flow():
     # dX/dt from the pencil bracket equals [X, lam*X] directly
     al = [1.0, 2.0, 3.0, 4.0]
     be = [1.0, 4.0, 9.0, 16.0]
-    X = bi.random_skew(4, seed=5)
-    pencil, B = bi.euler_arnold_pencil(al, be, X)
+    X = lf.random_skew(4, seed=5)
+    pencil, B = lf.euler_arnold_pencil(al, be, X)
     rhs = B(pencil).commutator(pencil)
     lam = np.zeros((4, 4))
     for i in range(4):
@@ -518,7 +518,7 @@ def test_neumann_structure_preserved():
     x /= np.linalg.norm(x)
     y = rng.normal(size=3)
     y -= (y @ x) * x
-    pencil, B = bi.neumann_pencil([1.0, 2.0, 3.0], x, y)
+    pencil, B = lf.neumann_pencil([1.0, 2.0, 3.0], x, y)
     traj = lf.integrate_lax(pencil, B, 0.5, 1e-3, sample_every=100)
     # h^2 coefficient (the diagonal alpha) must stay exactly in place
     for P in traj.pencils:
@@ -528,7 +528,7 @@ def test_neumann_structure_preserved():
 
 def test_neumann_constraints():
     with pytest.raises(ValueError, match=r"\|x\| = 1"):
-        bi.neumann_pencil([1.0, 2.0, 3.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+        lf.neumann_pencil([1.0, 2.0, 3.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0])
 
 
 def test_neumann_branch_point_count():
@@ -538,7 +538,7 @@ def test_neumann_branch_point_count():
     x /= np.linalg.norm(x)
     y = rng.normal(size=n)
     y -= (y @ x) * x
-    pts = bi.neumann_branch_points(list(range(1, n + 1)), x, y)
+    pts = lf.neumann_branch_points(list(range(1, n + 1)), x, y)
     assert len(pts) == 2 * n - 1  # plus the point at infinity makes 2n
 
 
@@ -564,7 +564,7 @@ def _symes(L0, t):
 
 
 def test_open_toda_matches_symes_qr_formula():
-    pencil, B = bi.toda_open_pencil([1.0, 0.7, 1.3], [0.1, -0.2, 0.3, 0.0])
+    pencil, B = lf.toda_open_pencil([1.0, 0.7, 1.3], [0.1, -0.2, 0.3, 0.0])
     L0 = pencil.blocks[0]
     traj = lf.integrate_lax(pencil, B, 1.0, 1e-3)
     assert traj.times[-1] == pytest.approx(1.0)

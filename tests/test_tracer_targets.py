@@ -24,6 +24,10 @@ def _resolve(modname, attr):
 
 
 def test_every_tracer_target_resolves_and_is_restored():
+    # install() binds targets in the laxkit modules already loaded, and
+    # laxkit.cli alone loads no float module: load them all first, as
+    # perfbench/run.py does before it installs the tracer
+    import laxkit.acceptance  # noqa: F401
     tracer = _load_tracer()
     t = tracer.Tracer()
     t.install()
