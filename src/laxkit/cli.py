@@ -32,6 +32,8 @@ command exits 1.
 `painleve --order` must be a positive integer no larger than
 painleve.MAX_ORDER (30), or the command exits 1 before any work; without
 it a builtin runs at its own default order, 6 otherwise.
+`jacobi --depth` must be no larger than jacobispec.MAX_DEPTH (10**5), or
+the command exits 1 before any work.
 `--tol` of flow, jacobi and check must be a positive finite float, or the
 command exits 1 before any work: inf would pass any drift, and nan or a
 value <= 0 none.
@@ -302,6 +304,9 @@ def _parse_seq(text: str):
 def cmd_jacobi(args) -> Result:
     from . import jacobispec as js
     from .laxflow import BlowUpError
+    if args.depth > js.MAX_DEPTH:
+        raise UsageError(f"--depth {args.depth} is above the cap "
+                         f"jacobispec.MAX_DEPTH = {js.MAX_DEPTH}")
     a = _parse_seq(args.a)
     b = _parse_seq(args.b)
     try:
@@ -452,7 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-b", required=True, help="comma list of diagonals")
     p.add_argument("--a0", default=None)
     p.add_argument("--check-stieltjes", action="store_true")
-    p.add_argument("--depth", type=int, default=200)
+    p.add_argument("--depth", type=int, default=200,
+                   help="levels of the Stieltjes check's continued fraction "
+                        "(1 to jacobispec.MAX_DEPTH)")
     p.add_argument("--tol", type=_tol, default=1e-6)
     p.add_argument("--toda-t-end", type=float, default=0.0)
     p.add_argument("--dt", type=float, default=1e-3)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -258,28 +258,41 @@ def _seeds(m: PeriodicJacobi):
 
 # -- continued fraction / Padé ----------------------------------------------
 
+# the deepest continued fraction gamma_fraction evaluates: its time grows
+# linearly with the depth (the 20-point Stieltjes check of a period-7 matrix
+# takes about 1.4 s at depth 10**5 on a 2-vCPU x86-64 host, where the
+# default 200 levels already converge), so a deeper one is refused at once
+MAX_DEPTH = 10 ** 5
+
+
 def gamma_fraction(a: Sequence, b: Sequence, a0, z, depth: int,
                    safety: float = 1e-280):
     """Bottom-up evaluation of the depth-truncated fraction
     a0^2/(z - b_1 - a_1^2/(z - b_2 - ... - a_{depth-1}^2/(z - b_depth))).
 
     For period-N input (len(a) == len(b) == N) the sequences are extended
-    periodically.  Raises ZeroDivisionError naming the level if a partial
-    denominator collapses below the safety threshold."""
+    periodically: level j reads entry (j - 1) mod N, so no depth-long list
+    is built.  Raises ValueError unless 1 <= depth <= MAX_DEPTH, and
+    ZeroDivisionError naming the level if a partial denominator collapses
+    below the safety threshold."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if depth > MAX_DEPTH:
+        raise ValueError(f"depth {depth} is above the cap "
+                         f"jacobispec.MAX_DEPTH = {MAX_DEPTH}")
     n = len(a)
-    aa = [float(a[i % n]) for i in range(depth)]
-    bb = [float(b[i % n]) for i in range(depth)]
+    # each period entry floated once, and squared once if a level reads it
+    bb = [float(x) for x in b[:depth]]
+    aa2 = [float(x) ** 2 for x in a[:depth - 1]]
     w = 0.0
     for lev in range(depth, 0, -1):
-        den = z - bb[lev - 1] - w
+        den = z - bb[(lev - 1) % n] - w
         if abs(den) < safety:
             raise ZeroDivisionError(
                 f"continued fraction denominator vanished at level {lev}")
         if lev == 1:
             return (float(a0) ** 2) / den
-        w = (aa[lev - 2] ** 2) / den
+        w = aa2[(lev - 2) % n] / den
     raise AssertionError("unreachable")
 
 
@@ -381,6 +394,19 @@ QUAD_NODES = 160
 NARROW_BAND = 1e-13
 
 
+@cache
+def _sine_gauss_legendre(count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """sin((pi/2) t_q) and the weights w_q of the count-node Gauss-Legendre
+    rule, read-only.  Every band of every measure uses the same ones, and
+    leggauss solves a count x count eigenproblem (about 4 ms at 160 nodes),
+    so they are computed once per process."""
+    tq, wq = np.polynomial.legendre.leggauss(count)
+    sin_t = np.sin((np.pi / 2) * tq)
+    for arr in (sin_t, wq):
+        arr.flags.writeable = False
+    return sin_t, wq
+
+
 @dataclass
 class StieltjesMeasure:
     atoms: List[Tuple[float, float]]
@@ -394,24 +420,28 @@ class StieltjesMeasure:
         the square-root edges.  Built once; the weights are w_q * jacobian,
         the jacobian rad cos(theta) taken as sqrt((x - lo)(hi - x)) at the
         rounded node x, so that it matches the density's own edge factors
-        where a node lies a few ulps from an edge."""
-        tq, wq = np.polynomial.legendre.leggauss(QUAD_NODES)
+        where a node lies a few ulps from an edge.  The density is called
+        on the nodes as Python floats (xs.tolist()): its scalar math then
+        does no numpy-scalar arithmetic, and rounds the same."""
+        sin_t, wq = _sine_gauss_legendre(QUAD_NODES)
         table = []
         for lo, hi in self.bands:
             if hi - lo < NARROW_BAND:
                 continue
             mid, rad = (lo + hi) / 2, (hi - lo) / 2
-            theta = (np.pi / 2) * tq
-            xs = mid + rad * np.sin(theta)
+            xs = mid + rad * sin_t
             jac = (np.pi / 2) * np.sqrt(xs - lo) * np.sqrt(hi - xs)
-            table.append((xs, wq * jac, np.array([self.density(x) for x in xs])))
+            dens = [self.density(x) for x in xs.tolist()]
+            table.append((xs, wq * jac, np.array(dens)))
         return table
 
     def integrate(self, f: Callable[[float], float]) -> float:
-        """Atom sum plus the per-band quadrature of density * f."""
+        """Atom sum plus the per-band quadrature of density * f, with f
+        and the products taken on Python floats."""
         total = sum(mass * f(x) for x, mass in self.atoms)
         for xs, w, dens in self.quadrature:
-            total += float(np.sum(w * np.array([d * f(x) for d, x in zip(dens, xs)])))
+            vals = [d * f(x) for d, x in zip(dens.tolist(), xs.tolist())]
+            total += float(np.sum(w * np.array(vals)))
         return total
 
     def total_mass(self) -> float:
@@ -585,19 +615,19 @@ def toda_flow_jacobi(m: PeriodicJacobi, t_end: float, dt: float,
     spectral data: band edges frozen, auxiliary spectrum interlacing at
     every sample, sum b_j exactly conserved, a_j never vanishing.  Each
     sample builds A(1) once: _float_spectrum reads its spectrum from it and
-    the power traces tr A^k are taken of it.  The right-hand side reads
-    the state as Python floats.  Raises BlowUpError when the state stops
-    being finite or a_j ** 2 overflows, and ValueError unless dt divides
-    t_end (laxflow.steps_for)."""
+    the power traces tr A^k are taken of it.  The state is rk4's list of
+    2N Python floats (a_1..a_N, b_1..b_N), which the right-hand side
+    toda_scalar_rhs reads and returns with no numpy conversion.  Raises
+    BlowUpError when the state stops being finite or a_j ** 2 overflows,
+    and ValueError unless dt divides t_end (laxflow.steps_for)."""
     n = m.period
 
-    def rhs(y):
-        v = y.tolist()
-        da, db = toda_scalar_rhs(v[:n], v[n:])
-        return np.array(da + db)
+    def rhs(y: List[float]) -> List[float]:
+        da, db = toda_scalar_rhs(y[:n], y[n:])
+        return da + db
 
     stride = max(1, steps_for(t_end, dt) // samples)
-    y0 = np.array([float(x) for x in list(m.a) + list(m.b)])
+    y0 = [float(x) for x in list(m.a) + list(m.b)]
     times, states = rk4(rhs, y0, t_end, dt, stride, np.inf)
     a_states = [y[:n] for y in states]
     b_states = [y[n:] for y in states]

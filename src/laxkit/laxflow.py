@@ -7,7 +7,10 @@ commutator taken per h-degree, [A, B]_k = sum_{i+j=k} [A_i, B_j].  Every
 flow of the package (Lax pencils, polynomial vector fields, the Jacobi
 lattice) steps through the one classical fixed-step fourth-order kernel
 `rk4`, so conservation errors have a reproducible dt^4 baseline.  Its
-step dt must divide the horizon t_end into whole steps.
+step dt must divide the horizon t_end into whole steps.  Its state is an
+ndarray for a Lax pencil's blocks and a list of Python floats for the
+lattice and the vector fields, whose few entries and scalar right-hand
+sides cost less without numpy; both kinds round alike, bit for bit.
 
 Pencils are float: a MatrixPencil holds the blocks A_lo..A_hi of its
 h-window in one (K, n, n) array.  Exact spectral curves come from plain
@@ -551,10 +554,41 @@ def steps_for(t_end: float, dt: float) -> int:
     return steps
 
 
-def rk4(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, t_end: float,
-        dt: float, sample_every: int, blowup: float
-        ) -> Tuple[List[float], List[np.ndarray]]:
+# an rk4 state, and each kind's two combinations of the stages
+State = Union[np.ndarray, List[float]]
+
+
+def _stage_array(y: np.ndarray, c: float, k: np.ndarray) -> np.ndarray:
+    return y + c * k
+
+
+def _step_array(y: np.ndarray, c: float, k1: np.ndarray, k2: np.ndarray,
+                k3: np.ndarray, k4: np.ndarray) -> np.ndarray:
+    return y + c * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _stage_list(y: List[float], c: float, k: List[float]) -> List[float]:
+    return [u + c * v for u, v in zip(y, k)]
+
+
+def _step_list(y: List[float], c: float, k1: List[float], k2: List[float],
+               k3: List[float], k4: List[float]) -> List[float]:
+    return [u + c * (v1 + 2 * v2 + 2 * v3 + v4)
+            for u, v1, v2, v3, v4 in zip(y, k1, k2, k3, k4)]
+
+
+def rk4(rhs: Callable[[State], State], y0: State, t_end: float, dt: float,
+        sample_every: int, blowup: float) -> Tuple[List[float], List[State]]:
     """Classical fixed-step fourth-order integration of y' = rhs(y).
+
+    The state is an ndarray or a list of Python floats, and rhs returns
+    the kind it is given.  A list suits a few floats with a scalar rhs
+    (the Jacobi lattice, a polynomial vector field), where numpy's
+    per-call cost exceeds the arithmetic.  Only the two combinations of
+    the stages, y + c k and y + c (k1 + 2 k2 + 2 k3 + k4), are chosen by
+    kind; each is elementwise in the same order, and Python floats round
+    as numpy float64 does, so a list steps to the bits of the equal
+    ndarray.
 
     Returns the sample times and states: t = 0 (y0 itself), every
     `sample_every`-th step and the last step, each at t = step * dt.
@@ -564,18 +598,20 @@ def rk4(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, t_end: float,
     t_end (steps_for).
     """
     steps = steps_for(t_end, dt)
+    stage, advance = ((_stage_list, _step_list) if isinstance(y0, list)
+                      else (_stage_array, _step_array))
     y = y0
     times = [0.0]
     states = [y]
     for s in range(steps):
         try:
             k1 = rhs(y)
-            k2 = rhs(y + dt / 2 * k1)
-            k3 = rhs(y + dt / 2 * k2)
-            k4 = rhs(y + dt * k3)
+            k2 = rhs(stage(y, dt / 2, k1))
+            k3 = rhs(stage(y, dt / 2, k2))
+            k4 = rhs(stage(y, dt, k3))
         except OverflowError as exc:
             raise BlowUpError((s + 1) * dt) from exc
-        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = advance(y, dt / 6, k1, k2, k3, k4)
         # one reduction: a NaN anywhere makes the max NaN
         top = np.abs(y).max()
         if not math.isfinite(top) or top > blowup:
@@ -664,14 +700,14 @@ def integrate_system(sys: VectorFieldSystem, z0: Sequence[float], t_end: float,
     fns = list(sys.equations)
     names = list(sys.variables)
 
-    def rhs(z):
-        # Python floats, so eval_num does no numpy-scalar arithmetic
-        env = dict(zip(names, z.tolist()))
+    def rhs(z: List[float]) -> List[float]:
+        env = dict(zip(names, z))
         env.update(consts)
-        return np.array([f.eval_num(env) for f in fns])
+        return [f.eval_num(env) for f in fns]
 
-    times, states = rk4(rhs, np.array(z0, dtype=float), t_end, dt,
-                        sample_every, blowup)
+    # a list state: eval_num works on Python floats, with no numpy scalar
+    times, states = rk4(rhs, [float(x) for x in z0], t_end, dt, sample_every,
+                        blowup)
     return times, np.array(states)
 
 

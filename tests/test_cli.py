@@ -389,6 +389,65 @@ def test_jacobi_report_golden_digest(tmp_path, argv, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+# sha256 of the Jacobi outputs JACOBI_GOLDEN does not cover: the lattice
+# CSV of its period-3 argv, and the report and lattice CSV of an exact
+# period-7 input with the Stieltjes check and a unit-time flow.  Recorded
+# before the lattice flow, the band quadrature and gamma_fraction moved from
+# numpy scalars to Python floats, so they guard those bit for bit.
+JACOBI_LATTICE_GOLDEN = [
+    (JACOBI_GOLDEN[0][0],
+     {"jacobi_toda.csv":
+      "2a6e41c82347ddb67c20d02483b49d0fc3b088a058f5a6244190c4a5b7be91f1"}),
+    (["-a=1,3/2,1,2,1/2,1,4/3", "-b=0,1/2,-1,1/3,0,1,-1/2", "--check-stieltjes",
+      "--toda-t-end", "1"],
+     {"jacobi_report.json":
+      "db7d24adbc488369069ad32dce5a320f7e764b2f2c26e4d7dfedbc03a52c72fe",
+      "jacobi_toda.csv":
+      "f2e5f38136c3e9dae9abbe72c4a54f7acc1f6651a59bcc7641076f542ac55f60"}),
+]
+
+
+@pytest.mark.parametrize("argv,digests", JACOBI_LATTICE_GOLDEN,
+                         ids=["period3", "period7"])
+def test_jacobi_lattice_golden_digest(tmp_path, argv, digests):
+    import hashlib
+    assert run(tmp_path, "jacobi", *argv) == 0
+    for name, digest in digests.items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at-cap", "above-cap"])
+def test_jacobi_depth_cap(tmp_path, capsys, monkeypatch, over):
+    from laxkit import jacobispec as js
+    monkeypatch.setattr(js, "MAX_DEPTH", 8)
+    code = run(tmp_path, "jacobi", "-a", "1,2", "-b", "0,0", "--check-stieltjes",
+               "--depth", str(8 + over))
+    if over:
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --depth 9 is above the cap jacobispec.MAX_DEPTH = 8\n")
+        assert os.listdir(tmp_path) == []
+    else:
+        assert code == 0
+        report = json.loads((tmp_path / "jacobi_report.json").read_text())
+        assert report["stieltjes_check"]["depth"] == 8
+
+
+@pytest.mark.parametrize("depth", ["100001", "1000000000"])
+def test_jacobi_depth_above_max_depth_exit_1_writes_nothing(tmp_path, capsys,
+                                                            time_limit, depth):
+    # refused before any work: a depth of 10**9 would run for hours
+    from laxkit import jacobispec as js
+    assert js.MAX_DEPTH == 10 ** 5
+    with time_limit(2):
+        code = run(tmp_path, "jacobi", "-a", "1,2", "-b", "0,0",
+                   "--check-stieltjes", "--depth", depth)
+    assert code == 1
+    assert "MAX_DEPTH = 100000" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_flow_blowup_exit_3_writes_nothing(tmp_path, capsys):
     code = run(tmp_path, "flow", "--builtin", "toda-periodic", "--t-end", "20",
                "--dt", "4")

@@ -91,6 +91,33 @@ def test_gamma_fraction_division_guard():
         js.gamma_fraction([1, 1], [0, 0], 1, 0.0, 1)
     with pytest.raises(ValueError):
         js.gamma_fraction([1, 1], [0, 0], 1, 3.0, 0)
+    with pytest.raises(ValueError, match="MAX_DEPTH"):
+        js.gamma_fraction([1, 1], [0, 0], 1, 3.0, js.MAX_DEPTH + 1)
+
+
+def _gamma_reference(a, b, a0, z, depth):
+    """gamma_fraction as it read the fraction from two depth-long lists of
+    floats, squaring a_j at every level: the reference for bit identity."""
+    n = len(a)
+    aa = [float(a[i % n]) for i in range(depth)]
+    bb = [float(b[i % n]) for i in range(depth)]
+    w = 0.0
+    for lev in range(depth, 1, -1):
+        w = (aa[lev - 2] ** 2) / (z - bb[lev - 1] - w)
+    return (float(a0) ** 2) / (z - bb[0] - w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7), st.integers(1, 30), st.data())
+def test_gamma_fraction_matches_level_list_reference(N, depth, data):
+    # depths below, at and above the period: the period is indexed directly
+    a = [F(data.draw(_nonzero), data.draw(st.integers(1, 9))) for _ in range(N)]
+    b = [F(data.draw(st.integers(-16, 16)), data.draw(st.integers(1, 9)))
+         for _ in range(N)]
+    z = complex(data.draw(st.floats(-20, 20)), data.draw(st.floats(1, 20)))
+    got = js.gamma_fraction(a, b, a[-1], z, depth)
+    want = _gamma_reference(a, b, a[-1], z, depth)
+    assert _same_bits([got.real, got.imag], [want.real, want.imag])
 
 
 def test_pade_k1():
@@ -424,6 +451,15 @@ def test_measure_quadrature_table_is_shared():
     assert len(table) == len(mu.bands)
     xs, w, dens = table[0]
     assert dens.tolist() == [mu.density(x) for x in xs]
+    # integrate walks Python floats; on numpy scalars it summed the same bits
+
+    def f(x):
+        return x * x - x / 3
+
+    want = sum(mass * f(x) for x, mass in mu.atoms)
+    for xs, w, dens in table:
+        want += float(np.sum(w * np.array([d * f(x) for d, x in zip(dens, xs)])))
+    assert mu.integrate(f) == want
 
 
 # -- the float route: symmetric eigenvalues of A(1), A(-1) and the leading block

@@ -351,53 +351,104 @@ def test_rk4_rejects_step_that_misses_horizon(t_end, dt):
         lf.rk4(f, np.zeros(2), t_end, dt, 1, 1e8)
 
 
-def test_rk4_blowup_on_norm_and_on_nonfinite_state():
+def _state(kind, values):
+    """values as an rk4 state of the given kind"""
+    if kind == "array":
+        return np.array(values, dtype=float)
+    return [float(v) for v in values]
+
+
+KINDS = ["array", "list"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rk4_blowup_on_norm_and_on_nonfinite_state(kind):
     with pytest.raises(lf.BlowUpError) as exc:
-        lf.rk4(lambda y: y, np.ones(1), 10.0, 0.5, 1, 100.0)
+        lf.rk4(lambda y: y, _state(kind, [1.0]), 10.0, 0.5, 1, 100.0)
     assert exc.value.time == 5.0  # e^t passes 100 during the tenth step
     with pytest.raises(lf.BlowUpError):
-        lf.rk4(lambda y: y * np.inf, np.ones(1), 1.0, 0.5, 1, np.inf)
+        lf.rk4(lambda y: _state(kind, [v * np.inf for v in y]),
+               _state(kind, [1.0]), 1.0, 0.5, 1, np.inf)
 
 
-def test_rk4_blowup_test_nan_inf_and_bound():
+@pytest.mark.parametrize("kind", KINDS)
+def test_rk4_blowup_test_nan_inf_and_bound(kind):
     def const(v):
-        return lambda y: np.array(v)
+        return lambda y: _state(kind, v)
     # a NaN state raises, however loose the bound
     with pytest.raises(lf.BlowUpError) as exc:
-        lf.rk4(const([0.0, np.nan]), np.zeros(2), 1.0, 0.25, 1, np.inf)
+        lf.rk4(const([0.0, np.nan]), _state(kind, [0.0, 0.0]), 1.0, 0.25, 1,
+               np.inf)
     assert exc.value.time == 0.25
     # so does an infinite one of either sign with blowup = inf
     for v in (np.inf, -np.inf):
         with pytest.raises(lf.BlowUpError):
-            lf.rk4(const([v, 0.0]), np.zeros(2), 1.0, 0.25, 1, np.inf)
+            lf.rk4(const([v, 0.0]), _state(kind, [0.0, 0.0]), 1.0, 0.25, 1,
+                   np.inf)
     # a max-norm equal to the bound is not above it; the next float is
-    y0 = np.array([-4.0, 1.0])
+    y0 = _state(kind, [-4.0, 1.0])
     times, states = lf.rk4(const([0.0, 0.0]), y0, 1.0, 0.25, 1, 4.0)
     assert times[-1] == 1.0 and np.array_equal(states[-1], y0)
+    assert type(states[-1]) is type(y0)
     with pytest.raises(lf.BlowUpError) as exc:
-        lf.rk4(const([0.0, 0.0]), np.array([np.nextafter(-4.0, -5.0), 1.0]),
+        lf.rk4(const([0.0, 0.0]), _state(kind, [np.nextafter(-4.0, -5.0), 1.0]),
                1.0, 0.25, 1, 4.0)
     assert exc.value.time == 0.25
 
 
-def test_rk4_overflow_in_rhs_is_a_blowup_at_that_step():
+@pytest.mark.parametrize("kind", KINDS)
+def test_rk4_overflow_in_rhs_is_a_blowup_at_that_step(kind):
     calls = []
 
     def rhs(y):
         calls.append(None)
         if len(calls) == 10:  # second stage of the third step
             raise OverflowError("(34, 'Numerical result out of range')")
-        return np.zeros_like(y)
+        return _state(kind, [0.0] * len(y))
 
     with pytest.raises(lf.BlowUpError) as exc:
-        lf.rk4(rhs, np.ones(2), 1.0, 0.125, 1, np.inf)
+        lf.rk4(rhs, _state(kind, [1.0, 1.0]), 1.0, 0.125, 1, np.inf)
     assert exc.value.time == 3 * 0.125
     assert isinstance(exc.value.__cause__, OverflowError)
     # Python float ** raises on overflow where numpy returns inf
     with pytest.raises(lf.BlowUpError) as exc:
-        lf.rk4(lambda y: np.array([x ** 2 for x in y.tolist()]),
-               np.array([1e200]), 1.0, 0.5, 1, np.inf)
+        lf.rk4(lambda y: _state(kind, [float(x) ** 2 for x in y]),
+               _state(kind, [1e200]), 1.0, 0.5, 1, np.inf)
     assert exc.value.time == 0.5
+
+
+def _same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.shape == y.shape and np.array_equal(x, y)
+            and np.array_equal(np.signbit(x), np.signbit(y)))
+
+
+_entry = st.one_of(st.floats(-2, 2), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 14), st.sampled_from([1e-3, 0.01, 0.05, 0.1 / 3]),
+       st.integers(1, 12), st.data())
+def test_rk4_list_state_steps_to_the_bits_of_the_array_state(dim, dt, steps,
+                                                              data):
+    # one nonlinear rhs on Python floats, fed a list directly and an ndarray
+    # through tolist, as the lattice rhs was before it took lists
+    y0 = data.draw(st.lists(_entry, min_size=dim, max_size=dim))
+    c = data.draw(st.lists(_entry, min_size=dim, max_size=dim))
+
+    def f(y):
+        return [0.25 * (y[(j + 1) % dim] * y[j] - y[j - 1] ** 2) + c[j] * y[j]
+                for j in range(dim)]
+
+    t_end = steps * dt
+    every = data.draw(st.integers(1, 4))
+    got_t, got = lf.rk4(f, list(y0), t_end, dt, every, 1e8)
+    want_t, want = lf.rk4(lambda y: np.array(f(y.tolist())), np.array(y0),
+                          t_end, dt, every, 1e8)
+    assert got_t == want_t
+    assert all(type(y) is list and all(type(v) is float for v in y)
+               for y in got[1:])
+    assert _same_bits(got, want)
 
 
 def test_steps_for_budget():
