@@ -199,7 +199,7 @@ class PuiseuxSeries:
         parts = []
         for e, c in self.terms():
             cs = str(c)
-            if not c.is_constant or len(c.terms) > 1:
+            if not c.is_constant or len(c.nums) > 1:
                 cs = f"({cs})"
             if e == 0:
                 parts.append(cs)
@@ -221,8 +221,8 @@ def poly_on_series(p: MultiPoly, env: Mapping[str, PuiseuxSeries],
     """
     total = PuiseuxSeries.zero(ell, const_valid)
     powers: Dict[Tuple[str, int], PuiseuxSeries] = {}
-    for key, c in p.terms.items():
-        scalar = MultiPoly.const(c)
+    for key, c in p.nums.items():
+        symbols = []
         factor: PuiseuxSeries | None = None
         for name, e in key:
             if name in env:
@@ -239,7 +239,8 @@ def poly_on_series(p: MultiPoly, env: Mapping[str, PuiseuxSeries],
                         s = up
                 factor = s if factor is None else factor * s
             else:
-                scalar = scalar * MultiPoly.var(name, e)
+                symbols.append((name, e))
+        scalar = MultiPoly.from_ints(p.den, {tuple(symbols): c})
         if factor is None:
             factor = PuiseuxSeries.constant(scalar, ell, valid=const_valid)
         else:

@@ -577,6 +577,18 @@ def _step_list(y: List[float], c: float, k1: List[float], k2: List[float],
             for u, v1, v2, v3, v4 in zip(y, k1, k2, k3, k4)]
 
 
+def _top_array(y: np.ndarray) -> float:
+    # one reduction: a NaN anywhere makes the max NaN
+    return np.abs(y).max()
+
+
+def _top_list(y: List[float]) -> float:
+    # a finite sum rules out NaN and inf, which Python's max could pass over
+    if math.isfinite(sum(y)):
+        return max(map(abs, y))
+    return _top_array(y)
+
+
 def rk4(rhs: Callable[[State], State], y0: State, t_end: float, dt: float,
         sample_every: int, blowup: float) -> Tuple[List[float], List[State]]:
     """Classical fixed-step fourth-order integration of y' = rhs(y).
@@ -585,10 +597,11 @@ def rk4(rhs: Callable[[State], State], y0: State, t_end: float, dt: float,
     the kind it is given.  A list suits a few floats with a scalar rhs
     (the Jacobi lattice, a polynomial vector field), where numpy's
     per-call cost exceeds the arithmetic.  Only the two combinations of
-    the stages, y + c k and y + c (k1 + 2 k2 + 2 k3 + k4), are chosen by
-    kind; each is elementwise in the same order, and Python floats round
-    as numpy float64 does, so a list steps to the bits of the equal
-    ndarray.
+    the stages, y + c k and y + c (k1 + 2 k2 + 2 k3 + k4), and the
+    max-norm of the blow-up test are chosen by kind.  The combinations
+    are elementwise in the same order, and Python floats round as numpy
+    float64 does, so a list steps to the bits of the equal ndarray; a
+    max of absolute values is exact either way.
 
     Returns the sample times and states: t = 0 (y0 itself), every
     `sample_every`-th step and the last step, each at t = step * dt.
@@ -598,8 +611,9 @@ def rk4(rhs: Callable[[State], State], y0: State, t_end: float, dt: float,
     t_end (steps_for).
     """
     steps = steps_for(t_end, dt)
-    stage, advance = ((_stage_list, _step_list) if isinstance(y0, list)
-                      else (_stage_array, _step_array))
+    stage, advance, top_abs = ((_stage_list, _step_list, _top_list)
+                               if isinstance(y0, list)
+                               else (_stage_array, _step_array, _top_array))
     y = y0
     times = [0.0]
     states = [y]
@@ -612,8 +626,7 @@ def rk4(rhs: Callable[[State], State], y0: State, t_end: float, dt: float,
         except OverflowError as exc:
             raise BlowUpError((s + 1) * dt) from exc
         y = advance(y, dt / 6, k1, k2, k3, k4)
-        # one reduction: a NaN anywhere makes the max NaN
-        top = np.abs(y).max()
+        top = top_abs(y)
         if not math.isfinite(top) or top > blowup:
             raise BlowUpError((s + 1) * dt)
         if (s + 1) % sample_every == 0 or s == steps - 1:

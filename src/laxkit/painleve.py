@@ -92,7 +92,7 @@ def _canonical_support(sys: VectorFieldSystem, weights: Sequence[Fraction]):
     for i, f in enumerate(sys.equations):
         target = weights[i] + 1
         dom, low = [], []
-        for key in f.terms:
+        for key in f.nums:
             w = _mono_weight(key, wmap)
             if w == target:
                 dom.append(key)
@@ -117,7 +117,7 @@ def detect_weights(sys: VectorFieldSystem, max_patterns: int = 200000
     rationals) are dropped.
     """
     nvar = len(sys.variables)
-    eq_keys = [sorted(f.terms.keys()) for f in sys.equations]
+    eq_keys = [sorted(f.nums) for f in sys.equations]
     if any(not ks for ks in eq_keys):
         return []
     total = 1
@@ -184,7 +184,8 @@ def _resolve_weight_family(sys, pattern, part, basis) -> List[Tuple[Fraction, ..
         kexprs.append(e)
     eqs = []
     for i, subset in enumerate(pattern):
-        fdom = MultiPoly({key: sys.equations[i].terms[key] for key in subset})
+        f = sys.equations[i]
+        fdom = MultiPoly.from_ints(f.den, {key: f.nums[key] for key in subset})
         eqs.append(kexprs[i] * MultiPoly.var(sys.variables[i]) + fdom)
     sols = solve_poly_system(eqs, list(sys.variables) + svars)
     out = []
@@ -412,8 +413,8 @@ class Balance:
 
 
 def dominant_part(sys: VectorFieldSystem, w: WeightVector) -> List[MultiPoly]:
-    return [MultiPoly({k: sys.equations[i].terms[k] for k in w.dominant_support[i]})
-            for i in range(sys.dim)]
+    return [MultiPoly.from_ints(f.den, {k: f.nums[k] for k in keys})
+            for f, keys in zip(sys.equations, w.dominant_support)]
 
 
 def indicial_solve(sys: VectorFieldSystem, w: WeightVector,
@@ -488,7 +489,7 @@ def invariant_weight(sys: VectorFieldSystem, name: str, w: WeightVector):
     """Weight of a declared invariant if weight-homogeneous, else None."""
     wmap = dict(zip(sys.variables, w.weights))
     H = sys.invariants[name]
-    ws = {_mono_weight(k, wmap) for k in H.terms}
+    ws = {_mono_weight(k, wmap) for k in H.nums}
     return ws.pop() if len(ws) == 1 else None
 
 
@@ -544,16 +545,16 @@ class _RelaxedSystem:
         prefixes = set()
         for i, f in enumerate(sys.equations):
             compiled = []
-            for key, c in f.terms.items():
-                scalar = MultiPoly.const(c)
-                factors = []
+            for key, c in f.nums.items():
+                factors, symbols = [], []
                 for name, e in key:
                     if name in index:
                         factors += [index[name]] * e
                     else:
-                        scalar = scalar * MultiPoly.var(name, e)
+                        symbols.append((name, e))
                 factors = tuple(sorted(factors))
                 shift = m[i] + ell - sum(m[k] for k in factors)
+                scalar = MultiPoly.from_ints(f.den, {tuple(symbols): c})
                 compiled.append((scaled(scalar), factors, shift))
                 prefixes.update(factors[:r] for r in range(2, len(factors) + 1))
             self.terms.append(compiled)
@@ -652,7 +653,7 @@ def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
     m = [int(w.weights[i] * ell) for i in range(n)]
     wmap = dict(zip(sys.variables, w.weights))
     for i, f in enumerate(sys.equations):
-        for key in f.terms:
+        for key in f.nums:
             if _mono_weight(key, wmap) > w.weights[i] + 1:
                 raise ValueError(
                     f"monomial in equation for {sys.variables[i]} exceeds the "
@@ -800,7 +801,7 @@ def _invariant_t0_window(fam: LaurentFamily, name: str) -> PuiseuxSeries:
     the same values."""
     H = fam.system.invariants[name]
     P = max([0] + [-sum(e * fam.series[v].k0 for v, e in key if v in fam.series)
-                   for key in H.terms])
+                   for key in H.nums])
     env = {v: s.truncate(s.k0 + P + 1) for v, s in fam.series.items()}
     lowest = min(s.valid for s in fam.series.values())
     return poly_on_series(H, env, fam.ell, const_valid=min(lowest, P + 1))
@@ -845,7 +846,7 @@ def constraint_curve(sys: VectorFieldSystem, fam: LaurentFamily,
             if r.degree_in(p) != 1:
                 continue
             C = r.coeffs_in(p)[1]
-            rank = (0 if C.is_constant else 1, C.total_degree(), len(C.terms))
+            rank = (0 if C.is_constant else 1, C.total_degree(), len(C.nums))
             if best is None or rank < best:
                 best = rank
                 pivot_idx = idx
@@ -859,7 +860,7 @@ def constraint_curve(sys: VectorFieldSystem, fam: LaurentFamily,
     if len(work) == 1:
         curve = work[0].primitive()
     elif work:
-        curve = sorted(work, key=lambda q: (q.total_degree(), len(q.terms)))[0].primitive()
+        curve = sorted(work, key=lambda q: (q.total_degree(), len(q.nums)))[0].primitive()
     return ConstraintVariety(relations=relations, value_names=list(value_names),
                              eliminated=list(eliminate), curve=curve)
 

@@ -385,6 +385,14 @@ def test_rk4_blowup_test_nan_inf_and_bound(kind):
         with pytest.raises(lf.BlowUpError):
             lf.rk4(const([v, 0.0]), _state(kind, [0.0, 0.0]), 1.0, 0.25, 1,
                    np.inf)
+    # a NaN after a larger entry raises too, and finite entries whose sum
+    # overflows are no blow-up under blowup = inf
+    with pytest.raises(lf.BlowUpError):
+        lf.rk4(const([0.0, 0.0, 0.0]), _state(kind, [-5.0, np.nan, 1.0]), 1.0, 0.25, 1,
+               np.inf)
+    big = _state(kind, [1e308, 1e308, -1e308])
+    times, states = lf.rk4(const([0.0, 0.0, 0.0]), big, 1.0, 0.25, 1, np.inf)
+    assert times[-1] == 1.0 and np.array_equal(states[-1], big)
     # a max-norm equal to the bound is not above it; the next float is
     y0 = _state(kind, [-4.0, 1.0])
     times, states = lf.rk4(const([0.0, 0.0]), y0, 1.0, 0.25, 1, 4.0)

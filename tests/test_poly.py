@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -368,3 +369,240 @@ def test_sum_products_matches_sympy(sp, a, b, c, d):
     got = kernel_sum([(a, b), (c, d)], F(-2, 3))
     assert same(sp, got, sp.Rational(-2, 3) * (to_sympy(sp, a) * to_sympy(sp, b)
                                                 + to_sympy(sp, c) * to_sympy(sp, d)))
+
+
+# -- the integer form against a {key: Fraction} model --------------------------
+#
+# A MultiPoly is (den, nums): integer numerators over the lcm of the
+# coefficient denominators, with gcd(den, *nums) == 1.  The model below is a
+# plain {key: Fraction} dict with the arithmetic as first written, one
+# normalising Fraction operation per term.  Each kernel must give the
+# model's values, in the model's dict order, and a result in normal form.
+
+def model_merge(out, k, c):
+    s = out.get(k, F(0)) + c
+    if s:
+        out[k] = s
+    else:
+        out.pop(k, None)
+
+
+def model_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        model_merge(out, k, c)
+    return out
+
+
+def model_mul(a, b):
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            e = dict(k1)
+            for n, d in k2:
+                e[n] = e.get(n, 0) + d
+            model_merge(out, tuple(sorted(e.items())), c1 * c2)
+    return out
+
+
+def model_pow(a, n):
+    out, base = {(): F(1)}, a
+    while n:
+        if n & 1:
+            out = model_mul(out, base)
+        base = model_mul(base, base) if n > 1 else base
+        n >>= 1
+    return out
+
+
+def model_subs(a, mapping):
+    """Each term c times its unmapped symbols, times the mapped powers in
+    key order, added term by term; a value is a model dict."""
+    out = {}
+    for k, c in a.items():
+        term = {tuple(p for p in k if p[0] not in mapping): c}
+        for name, e in k:
+            if name in mapping:
+                term = model_mul(term, model_pow(mapping[name], e))
+        out = model_add(out, term)
+    return out
+
+
+def model_diff(a, name):
+    out = {}
+    for k, c in a.items():
+        e = dict(k)
+        d = e.get(name, 0)
+        if d:
+            e[name] = d - 1
+            model_merge(out, tuple(sorted((n, v) for n, v in e.items() if v)), c * d)
+    return out
+
+
+def model_coeffs_in(a, name):
+    out = {}
+    for k, c in a.items():
+        e = dict(k)
+        d = e.pop(name, 0)
+        out.setdefault(d, {})[tuple(sorted(e.items()))] = c
+    return out
+
+
+def model_exact_div(a, d):
+    """Division by graded-lex leading terms, one Fraction per step; None
+    when a is not a multiple of d."""
+    def grlex(k):
+        return (-sum(e for _, e in k), tuple((n, -e) for n, e in k))
+    dk = min(d, key=grlex)
+    rem, quot = dict(a), {}
+    while rem:
+        rk = min(rem, key=grlex)
+        mk = dict(rk)
+        for n, e in dk:
+            mk[n] = mk.get(n, 0) - e
+        if any(e < 0 for e in mk.values()):
+            return None
+        mk = tuple(sorted((n, e) for n, e in mk.items() if e))
+        mc = rem[rk] / d[dk]
+        model_merge(quot, mk, mc)
+        for k2, c2 in model_mul({mk: mc}, d).items():
+            model_merge(rem, k2, -c2)
+    return quot
+
+
+def assert_is(p, model):
+    """p has the model's values in its order, and (den, nums) is normal."""
+    assert list(p.terms.items()) == list(model.items())
+    assert p.den > 0 and all(p.nums.values())
+    assert p.den == lcm(*[c.denominator for c in model.values()])
+    assert gcd(p.den, *p.nums.values()) == 1
+    assert p == MultiPoly(model)
+
+
+# denominators whose lcm is large and whose numerators share factors with
+# the other terms' denominators, so content cancels often
+_qcoeffs = st.builds(F, st.integers(-12, 12).filter(bool),
+                     st.sampled_from([1, 2, 3, 4, 6, 9, 2 ** 61 - 1]))
+_qpolys = st.dictionaries(st.sampled_from(_KEYS), _qcoeffs, max_size=6)
+_values = st.just(F(0)) | _qcoeffs
+_HALF_X = {(("x", 1),): F(1, 2)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_qpolys, _qpolys, _qpolys)
+@example(_HALF_X, _HALF_X, {})
+@example(_HALF_X, {(("x", 1),): F(-1, 2), (): F(1, 3)}, {(): F(-1, 3)})
+def test_add_sub_normal_form_through_cancellation(a, b, c):
+    p, q, r = MultiPoly(a), MultiPoly(b), MultiPoly(c)
+    assert_is(p + q, model_add(a, b))
+    assert_is(p - q, model_add(a, {k: -v for k, v in b.items()}))
+    # content that cancels the denominator: 1/2 x + 1/2 x = x over 1
+    assert_is((p + q) + r, model_add(model_add(a, b), c))
+    assert_is(p - p, {})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_qpolys, _values)
+def test_scalar_mul_normal_form(a, c):
+    p = MultiPoly(a)
+    want = {k: v * c for k, v in a.items()} if c else {}
+    assert_is(p * c, want)
+    assert_is(c * p, want)
+    assert_is(p * MultiPoly.const(c), want)
+    assert_is(MultiPoly.const(c) * p, want)
+    if c.denominator == 1:
+        assert_is(p * int(c), want)
+    if c:
+        quot = {k: v / c for k, v in a.items()}
+        assert_is(p / c, quot)
+        assert_is(p / MultiPoly.const(c), quot)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            p / MultiPoly.zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_qpolys, _values, _values, _values)
+@example(_HALF_X, F(0), F(1), F(1))
+# at x = y = 1 the constant cancels after the second term and comes back
+# after the z term, at the end of the dict
+@example({(("x", 1),): F(1), (("y", 1),): F(-1), (("x", 1), ("z", 1)): F(1),
+          (("x", 1), ("y", 1)): F(2)}, F(1), F(1), F(3))
+@example({(("x", 2),): F(1, 2), (("y", 1),): F(-1, 8)}, F(1, 2), F(1, 2), F(0))
+def test_subs_at_rational_points(a, u, v, w):
+    p = MultiPoly(a)
+    for mapping in ({"x": u}, {"x": u, "y": v}, {"x": u, "y": v, "z": w},
+                    {"y": MultiPoly.const(v), "w": w}):
+        model = {n: {(): F(val) if not isinstance(val, MultiPoly) else val.const_value()}
+                 if val else {} for n, val in mapping.items()}
+        assert_is(p.subs(mapping), model_subs(a, model))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_qpolys, _qpolys, _qpolys, _values)
+def test_subs_with_mixed_mappings(a, b, c, v):
+    p = MultiPoly(a)
+    for mapping in ({"x": b, "y": v}, {"y": b, "z": v}, {"x": b, "y": c}):
+        model = {n: (val if isinstance(val, dict) else ({(): val} if val else {}))
+                 for n, val in mapping.items()}
+        got = p.subs({n: MultiPoly(val) if isinstance(val, dict) else val
+                      for n, val in mapping.items()})
+        assert_is(got, model_subs(a, model))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_qpolys, st.sampled_from(["x", "y", "z", "w"]))
+def test_diff_and_coeffs_in_normal_form(a, name):
+    p = MultiPoly(a)
+    assert_is(p.diff(name), model_diff(a, name))
+    got = p.coeffs_in(name)
+    want = model_coeffs_in(a, name)
+    assert list(got) == list(want)
+    for e in want:
+        assert_is(got[e], want[e])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_qpolys, _qpolys.filter(bool), _qpolys)
+def test_exact_div_normal_form(a, d, b):
+    p, q = MultiPoly(a), MultiPoly(d)
+    for num in (MultiPoly(model_mul(model_add(a, b), d)), p):
+        want = model_exact_div(dict(num.terms), d) if not q.is_constant else \
+            {k: v / q.const_value() for k, v in num.terms.items()}
+        if want is None:
+            with pytest.raises(ValueError, match="not exactly divisible"):
+                num.exact_div(q)
+        else:
+            assert_is(num.exact_div(q), want)
+
+
+def test_monomial_product_is_one_term():
+    m = MultiPoly.monomial(F(3, 2), x=1, y=2)
+    assert_is(m * x, {(("x", 2), ("y", 2)): F(3, 2)})
+    assert_is(m * (x * F(2, 3)), {(("x", 2), ("y", 2)): F(1)})
+    assert_is(m * MultiPoly.monomial(F(-4, 9), y=1), {(("x", 1), ("y", 3)): F(-2, 3)})
+
+
+def test_eval_num_reads_each_reduced_coefficient_above_2_53():
+    # numerators and denominators past 2**53 round when converted to float,
+    # so the float of each coefficient depends on its reduced form, not
+    # on its numerator over the common denominator
+    big = 2 ** 61 - 1
+    terms = {(("x", 2),): F(3 ** 40, big), (("x", 1), ("y", 1)): F(2 ** 70 + 3, 5 ** 30),
+             (("y", 1),): F(-(big + 2), 3 ** 35 * 7), (): F(10 ** 17 + 1, 3)}
+    p = MultiPoly(terms)
+    env = {"x": 1.5, "y": -0.75}
+    want = 0.0
+    for k, c in terms.items():
+        v = float(c.numerator) / float(c.denominator)
+        for n, e in k:
+            v *= env[n] ** e
+        want += v
+    assert p.eval_num(env) == want
+    assert p.eval_num(env) == want          # the cached floats: same bits
+    # the test bites: over the common denominator some coefficient rounds
+    # to another float
+    assert [float(n) / float(p.den) for n in p.nums.values()] != \
+        [float(c.numerator) / float(c.denominator) for c in terms.values()]
+    with pytest.raises(KeyError, match="y"):
+        p.eval_num({"x": 1.0})
