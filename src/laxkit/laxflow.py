@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from .exactalg import MultiPoly, Q, charpoly_exact, solve_square_exact
+from .exactalg import MultiPoly, Q
 from .sysdsl import VectorFieldSystem, gradient
 
 
@@ -484,6 +484,7 @@ def pencil_charpoly(p: Union[MatrixPencil, Mapping[int, Sequence[Sequence]]]
     """
     exact = not isinstance(p, MatrixPencil)
     if exact:
+        from .exactalg import charpoly_exact, solve_square_exact
         blocks = {k: [[Q(x) for x in row] for row in M] for k, M in p.items()}
         n = len(next(iter(blocks.values())))
         lo, hi = min(blocks), max(blocks)

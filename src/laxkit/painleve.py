@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .builtins import MAX_ORDER
 from .exactalg import (InconsistentSystemError, MultiPoly, PuiseuxSeries,
                        Q, SingularMatrixError, charpoly_exact,
                        eliminate_linear, nullspace, poly_on_series,
@@ -611,12 +612,6 @@ class _RelaxedSystem:
                               (dh, self.scoef[last][0])])
             delta[T] = scaled(d)
             self.prods[T].append(scaled(self._prov[T] + d))
-
-
-# the largest order `propagate` takes: the cost grows steeply with it (rdg5,
-# the slowest builtin, takes about 8 s at order 30 and 48 s at order 40 on
-# a 2-vCPU x86-64 host), so a larger order is refused at once
-MAX_ORDER = 30
 
 
 def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,

@@ -34,6 +34,41 @@ def test_painleve_bind_constant(tmp_path):
     assert y2["2"] == "-2/5"
 
 
+@pytest.mark.parametrize("builtin, constants", [("rdg", []),
+                                                 ("henon-heiles", ["A"])])
+def test_painleve_bind_of_no_constant_exits_1(tmp_path, capsys, builtin,
+                                              constants):
+    code = run(tmp_path, "painleve", "--builtin", builtin, "--bind", "zzz=1")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: --bind zzz: {builtin} has no symbolic constant 'zzz' "
+        f"(its constants: {constants})\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_painleve_unknown_builtin_message(tmp_path, capsys):
+    assert run(tmp_path, "painleve", "--builtin", "nope") == 1
+    assert capsys.readouterr().err == (
+        "error: unknown builtin system 'nope' (have ['harmonic', "
+        "'henon-heiles', 'hh5', 'kvm', 'rdg', 'rdg5'])\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["painleve", "--builtin", "rdg", "--bind", "A=1/0"], "--bind A"),
+    (["jacobi", "-a", "1/0,1", "-b", "0,0"], "-a"),
+    (["jacobi", "-a", "1,1", "-b", "0,1/0"], "-b"),
+    (["jacobi", "-a", "1,1", "-b", "0,0", "--a0", "1/0"], "--a0"),
+], ids=["bind", "a", "b", "a0"])
+def test_zero_denominator_exits_1_naming_the_option(tmp_path, capsys, argv,
+                                                    option):
+    assert run(tmp_path, *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option}: '1/0' has a zero denominator\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_painleve_missing_file_exits_1_no_output(tmp_path):
     code = run(tmp_path, "painleve", "--file", str(tmp_path / "absent.ivf"))
     assert code == 1
@@ -798,13 +833,21 @@ def test_jacobi_underflowing_a0_names_the_quantity(tmp_path, capsys, a0):
     assert os.listdir(tmp_path) == []
 
 
-FLOAT_MODULES = ("numpy", "laxkit.laxflow", "laxkit.jacobispec")
+FLOAT_MODULES = {"numpy", "laxkit.laxflow", "laxkit.jacobispec"}
+# what `import laxkit.cli`, parsing the shipped .ivf files and building the
+# parser load: perfbench/run.py's set-up path
+SETUP_MODULES = {"laxkit", "laxkit.cli", "laxkit.builtins", "laxkit.sysdsl",
+                 "laxkit.exactalg", "laxkit.exactalg.poly"}
+PAINLEVE_MODULES = {"laxkit.painleve", "laxkit.exactalg.series",
+                    "laxkit.exactalg.linalg", "laxkit.exactalg.roots"}
 
 
 def test_exact_commands_load_no_float_modules(tmp_path):
-    """The parser and painleve runs import neither numpy nor the float
-    modules, each checked in a fresh interpreter; laxkit.<name> still
-    imports a submodule on first use."""
+    """Each command loads only the modules it runs, each checked in a fresh
+    interpreter: the parser and painleve runs import neither numpy nor the
+    float modules, flow and jacobi skip painleve and the exactalg
+    submodules they do not call, and laxkit.<name> and every name of
+    exactalg.__all__ still resolve on first use."""
     import subprocess
     import sys
     from pathlib import Path
@@ -813,27 +856,41 @@ def test_exact_commands_load_no_float_modules(tmp_path):
     src = Path(laxkit.__file__).resolve().parents[1]
     ivf = Path(laxkit.__file__).resolve().parent / "systems" / "kvm5.ivf"
     env = dict(os.environ, PYTHONPATH=str(src))
+    out = str(tmp_path)
 
     def loaded_after(code):
+        # the code modules loaded: laxkit.systems holds only .ivf files
         probe = (f"import sys\n{code}\n"
-                 f"print(sorted(set({FLOAT_MODULES!r}) & set(sys.modules)))")
+                 "print(*sorted(m for m in sys.modules if m == 'numpy' or "
+                 "m.startswith('laxkit') and m != 'laxkit.systems'))")
         done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        return done.stdout.strip().splitlines()[-1]
+        return set(done.stdout.strip().splitlines()[-1].split())
 
-    out = str(tmp_path)
-    assert loaded_after("import laxkit, laxkit.cli\n"
-                        "laxkit.cli.build_parser()") == "[]"
+    def command(*argv):
+        return ("from laxkit.cli import main\n"
+                f"assert main({[*argv, '--out', out]!r}) == 0")
+
     assert loaded_after(
-        "from laxkit.cli import main\n"
-        f"assert main(['painleve', '--builtin', 'kvm', '--out', {out!r}]) == 0"
-    ) == "[]"
-    assert loaded_after(
-        "from laxkit.cli import main\n"
-        f"assert main(['painleve', '--file', {str(ivf)!r}, '--order', '6', "
-        f"'--out', {out!r}]) == 0"
-    ) == "[]"
+        "import laxkit, laxkit.cli\n"
+        "from importlib import resources\n"
+        "from laxkit.sysdsl import parse_system\n"
+        "for f in resources.files('laxkit.systems').iterdir():\n"
+        "    if f.name.endswith('.ivf'):\n"
+        "        parse_system(f.read_text())\n"
+        "laxkit.cli.build_parser()") == SETUP_MODULES
+    for argv in (("painleve", "--builtin", "kvm"),
+                 ("painleve", "--file", str(ivf), "--order", "6")):
+        loaded = loaded_after(command(*argv))
+        assert PAINLEVE_MODULES <= loaded and not loaded & FLOAT_MODULES, argv
+    for argv in (("flow", "--builtin", "kvm", "--t-end", "0.01"),
+                 ("flow", "--builtin", "toda-periodic", "--t-end", "0.01")):
+        loaded = loaded_after(command(*argv))
+        assert "laxkit.laxflow" in loaded and not loaded & PAINLEVE_MODULES, argv
+    loaded = loaded_after(command("jacobi", "-a", "1,2", "-b", "0,0"))
+    assert "laxkit.jacobispec" in loaded
+    assert loaded & PAINLEVE_MODULES == {"laxkit.exactalg.roots"}
     assert loaded_after(
         "import laxkit\n"
         "assert callable(laxkit.jacobispec.spectral_data)\n"
@@ -843,4 +900,19 @@ def test_exact_commands_load_no_float_modules(tmp_path):
         "    pass\n"
         "else:\n"
         "    raise AssertionError('laxkit.no_such_module resolved')"
-    ) == str(sorted(FLOAT_MODULES))
+    ) >= FLOAT_MODULES
+    loaded_after(
+        "from laxkit import exactalg\n"
+        "from laxkit.exactalg import *\n"
+        "from laxkit.exactalg import linalg, roots, series\n"
+        "for name in exactalg.__all__:\n"
+        "    value = getattr(exactalg, name)\n"
+        "    assert value is globals()[name], name\n"
+        "    assert any(getattr(m, name, None) is value\n"
+        "               for m in (exactalg.poly, linalg, roots, series)), name\n"
+        "try:\n"
+        "    exactalg.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('exactalg.no_such_name resolved')")
