@@ -5,28 +5,28 @@ and exact propagation of the Laurent family in t^(1/2).
 Everything below is computed in exact rational arithmetic; the free
 parameters alpha, beta, gamma and the coupling A stay symbolic.
 """
-from laxkit.builtins import builtin_system, painleve_meta
-from laxkit.painleve import (detect_weights, indicial_solve, kowalewski,
-                             propagate)
+from laxkit.builtins import PAINLEVE, builtin_system
+from laxkit.painleve import (detect_weights, kowalewski, principal_balances,
+                             principal_family)
 
 system = builtin_system("henon-heiles")
-meta = painleve_meta("henon-heiles")
+conv = PAINLEVE["henon-heiles"]
 
 print("system:", system.name)
 for i, (v, f) in enumerate(zip(system.variables, system.equations)):
     print(f"  {v}' = {f.to_str(list(system.variables) + ['A'])}")
 
 print("\nadmissible weight vectors (positive, rational):")
-for wv in detect_weights(system):
+wvs = detect_weights(system)
+for wv in wvs:
     lower = sum(len(t) for t in wv.lower_terms)
     print(f"  {wv}   branching index {wv.ell}, {lower} lower-order monomials")
 
-wv = [w for w in detect_weights(system) if tuple(w.weights) == meta["weights"]][0]
+# the principal balance: the one with y1's leading coefficient free,
+# renamed alpha
+principal = principal_balances(system, conv, wvs)[0]
+wv = principal.weight_vector
 print(f"\nusing {wv}: the half-integer exponents force series in t^(1/2)")
-
-balances = indicial_solve(system, wv)
-principal = [b for b in balances if "y1" in b.free_symbols][0]
-principal = principal.rename_free({"y1": "alpha"})
 print("principal balance (leading coefficients):")
 for v, z in zip(system.variables, principal.leading):
     print(f"  {v}(0) = {z.to_str(['alpha'])}")
@@ -36,9 +36,7 @@ print("\nKowalewski spectrum:", [str(r) for r, m in kd.rational_eigs
                                  for _ in range(m)])
 print("(eigenvalues 0, 2, 6 sit at half-steps 0, 4, 12: one free parameter each)")
 
-fam = propagate(system, principal, 8,
-                resonance_names=meta["resonance_names"],
-                resonance_slots=meta["resonance_slots"])
+fam, _ = principal_family(system, principal, conv, 8)
 print("\nLaurent family (free parameters", ", ".join(fam.free_parameters),
       "+ movable origin t0):")
 for v in system.variables:

@@ -6,14 +6,16 @@ For the quartic five-variable system the engine reproduces the known
 genus-7 curve relation exactly; for Henon-Heiles the exact relation is
 printed together with the intermediate t^0 values of the invariants.
 """
-from laxkit.acceptance import _principal_families
-from laxkit.painleve import constraint_curve, invariant_series
+from laxkit.builtins import PAINLEVE, builtin_system
+from laxkit.painleve import (constraint_curve, invariant_series,
+                             principal_balances, principal_family)
 
 print("== quartic five-variable system ==")
-system, meta, fams = _principal_families("rdg5")
-for bal, fam in fams:
-    cv = constraint_curve(system, fam, ["F1", "F2", "F3"],
-                          value_names=["c1", "c2", "c3"])
+system, conv = builtin_system("rdg5"), PAINLEVE["rdg5"]
+for bal in principal_balances(system, conv):
+    fam, _ = principal_family(system, bal, conv)
+    cv = constraint_curve(system, fam, conv.curve_invariants,
+                          value_names=conv.value_names)
     order = ["alpha", "beta", "gamma", "theta", "c1", "c2", "c3"]
     print(f"sheet {bal.label}:")
     for nm, rel in zip(("F1", "F2", "F3"), cv.relations):
@@ -22,8 +24,8 @@ for bal, fam in fams:
     print("  curve:", cv.curve.to_str(["alpha", "beta", "c1", "c2", "c3"]), "= 0")
 
 print("\n== generalized Henon-Heiles ==")
-system, meta, fams = _principal_families("henon-heiles")
-bal, fam = fams[0]
+system, conv = builtin_system("henon-heiles"), PAINLEVE["henon-heiles"]
+fam, _ = principal_family(system, principal_balances(system, conv)[0], conv)
 for nm in ("H1", "H2"):
     S = invariant_series(fam, nm)
     polar = [(e, c) for e, c in S.terms() if e < 0 and not c.is_zero]

@@ -8,10 +8,10 @@ of that claim exactly:
   (b) composing the morphism with the half-integer Laurent family kills
       every fractional power.
 """
-from laxkit.acceptance import _principal_families
-from laxkit.builtins import builtin_system
+from laxkit.builtins import PAINLEVE, builtin_system
 from laxkit.exactalg import MultiPoly
-from laxkit.painleve import restoring_morphism_check
+from laxkit.painleve import (principal_balances, principal_family,
+                             restoring_morphism_check)
 from laxkit.sysdsl import parse_expression
 
 
@@ -29,8 +29,8 @@ for src_name, dst_name, exprs in [
     src = builtin_system(src_name)
     dst = builtin_system(dst_name)
     phi = morphism(src, exprs)
-    _, _, fams = _principal_families(src_name)
-    bal, fam = fams[0]
+    conv = PAINLEVE[src_name]
+    fam, _ = principal_family(src, principal_balances(src, conv)[0], conv)
     rep = restoring_morphism_check(src, dst, phi, family=fam)
     print(f"{src_name} -> {dst_name}")
     for v, e in zip(dst.variables, exprs):

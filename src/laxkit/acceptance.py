@@ -82,42 +82,23 @@ GOLDEN_CURVE_RDG = ("45*u^16 - 672*u^11*v - 1536*u^8*b1 - 1024*u^6*v^2 "
                     "+ 16384*u^3*v*b1 + 32768*u*v^3 + 2048*b2")
 
 
-def _expr(text: str, extra=()) -> MultiPoly:
+def golden_poly(text: str, extra=()) -> MultiPoly:
+    """A golden coefficient or curve string as a MultiPoly."""
     names = ["alpha", "beta", "gamma", "theta", "u", "v", "w", "A",
              "b1", "b2", "c1", "c2", "c3", "eps"] + list(extra)
     syms = {n: MultiPoly.var(n) for n in names}
     return parse_expression(text, syms)
 
 
-def _principal_balances(name: str):
-    """A builtin's principal weight vector and renamed principal balances."""
-    system = bi.builtin_system(name)
-    meta = bi.painleve_meta(name)
-    wvs = [w for w in pv.detect_weights(system)
-           if tuple(w.weights) == tuple(meta["weights"])]
-    if not wvs:
-        raise AssertionError(f"{name}: principal weight vector not found")
-    bals = [b.rename_free(meta.get("rename", {}))
-            for b in pv.indicial_solve(system, wvs[0]) if meta["principal"](b)]
-    return system, wvs[0], bals
-
-
-def _principal_families(name: str, order: Optional[int] = None):
-    """(balance, family) pairs for a builtin's principal balances, with the
-    customary parameter names and normalizations applied."""
-    system, _, bals = _principal_balances(name)
-    meta = bi.painleve_meta(name)
-    out = []
-    for bal in bals:
-        if meta.get("specialize"):
-            bal = bal.specialize(meta["specialize"])
-        fam = pv.propagate(system, bal, order or meta["order"],
-                           resonance_names=meta.get("resonance_names"),
-                           resonance_slots=meta.get("resonance_slots"))
-        out.append((bal, fam))
+def _principal_families(name: str):
+    """A builtin's system, conventions and (balance, family) pairs for its
+    principal balances."""
+    system, conv = bi.builtin_system(name), bi.PAINLEVE[name]
+    out = [(bal, pv.principal_family(system, bal, conv)[0])
+           for bal in pv.principal_balances(system, conv)]
     if not out:
         raise AssertionError(f"{name}: no principal balance found")
-    return system, meta, out
+    return system, conv, out
 
 
 def _check_series(fam, golden: Dict[str, Dict[str, str]], eps=None) -> List[str]:
@@ -125,20 +106,11 @@ def _check_series(fam, golden: Dict[str, Dict[str, str]], eps=None) -> List[str]
     sub = {} if eps is None else {"eps": MultiPoly.const(Q(eps))}
     for var, table in golden.items():
         for etxt, ctxt in table.items():
-            want = _expr(ctxt).subs(sub)
+            want = golden_poly(ctxt).subs(sub)
             got = fam.series[var].coeff(Q(etxt))
             if got != want:
                 errs.append(f"{var}@t^{etxt}: got {got}, want {want}")
     return errs
-
-
-def _sheet_sign(bal) -> int:
-    for var, val in bal.choices:
-        if val == F(1, 2):
-            return 1
-        if val == F(-1, 2):
-            return -1
-    raise AssertionError("balance has no half-integer sheet choice")
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +133,13 @@ def check_1_hh_series(float_tol=None):
 def check_2_rdg_series(float_tol=None):
     t0 = time.perf_counter()
     errs = []
-    _, _, fams = _principal_families("rdg")
-    if len(fams) != 2:
-        errs.append(f"expected 2 sheets, got {len(fams)}")
-    for bal, fam in fams:
-        errs += _check_series(fam, GOLDEN_RDG, eps=_sheet_sign(bal))
-    _, _, fams5 = _principal_families("rdg5")
-    if len(fams5) != 2:
-        errs.append(f"expected 2 sheets for the 5-variable system, got {len(fams5)}")
-    for bal, fam in fams5:
-        errs += _check_series(fam, GOLDEN_RDG5, eps=_sheet_sign(bal))
+    for name, golden in (("rdg", GOLDEN_RDG), ("rdg5", GOLDEN_RDG5)):
+        _, conv, fams = _principal_families(name)
+        if len(fams) != 2:
+            errs.append(f"{name}: expected 2 sheets, got {len(fams)}")
+        for bal, fam in fams:
+            eps = int(conv.sheets[bal.label].removeprefix("eps="))
+            errs += _check_series(fam, golden, eps=eps)
     dt = time.perf_counter() - t0
     ok = not errs and dt < 30.0
     n = (sum(len(t) for t in GOLDEN_RDG.values()) +
@@ -185,11 +154,11 @@ def check_3_constraint_curves(float_tol=None):
     for name, golden in (("henon-heiles", GOLDEN_CURVE_HH),
                          ("rdg", GOLDEN_CURVE_RDG),
                          ("rdg5", GOLDEN_CURVE_RDG5)):
-        system, meta, fams = _principal_families(name)
+        system, conv, fams = _principal_families(name)
         for _, fam in fams:
-            cv = pv.constraint_curve(system, fam, meta["curve_invariants"],
-                                     value_names=meta["value_names"])
-            want = _expr(golden).primitive()
+            cv = pv.constraint_curve(system, fam, conv.curve_invariants,
+                                     value_names=conv.value_names)
+            want = golden_poly(golden).primitive()
             if cv.curve != want:
                 errs.append(f"{name}: curve mismatch")
     dt = time.perf_counter() - t0
@@ -201,15 +170,10 @@ def check_3_constraint_curves(float_tol=None):
 def check_4_parameter_counts(float_tol=None):
     t0 = time.perf_counter()
     errs = []
-    _, _, fams = _principal_families("kvm")
-    if len(fams) != 5:
-        errs.append(f"kvm: expected 5 principal families, got {len(fams)}")
-    for _, fam in fams:
-        exp, tot = fam.count_free_parameters()
-        if (exp, tot) != (3, 4):
-            errs.append(f"kvm: counts {(exp, tot)} != (3, 4)")
-    for name in ("henon-heiles", "rdg"):
+    for name in ("kvm", "henon-heiles", "rdg"):
         _, _, fams = _principal_families(name)
+        if name == "kvm" and len(fams) != 5:
+            errs.append(f"kvm: expected 5 principal families, got {len(fams)}")
         for _, fam in fams:
             exp, tot = fam.count_free_parameters()
             if (exp, tot) != (3, 4):
@@ -222,18 +186,24 @@ def check_4_parameter_counts(float_tol=None):
 
 def check_5_weight_eigenvalues(float_tol=None):
     errs = []
-    system, wv, bals = _principal_balances("kvm")
+    system = bi.builtin_system("kvm")
+    bals = pv.principal_balances(system, bi.PAINLEVE["kvm"])
+    if len(bals) != 5:
+        errs.append(f"kvm: expected 5 principal balances, got {len(bals)}")
     for bal in bals:
         spec = set(pv.kowalewski(system, bal).rational_spectrum())
-        weights = {pv.invariant_weight(system, nm, wv)
+        weights = {pv.invariant_weight(system, nm, bal.weight_vector)
                    for nm in system.invariants}
         if weights != {F(1), F(2), F(5)}:
             errs.append(f"kvm invariant weights {weights}")
         if not weights <= spec:
             errs.append(f"kvm: weights {weights} not in spectrum {spec}")
-    system, wv, bals = _principal_balances("rdg")
+    system = bi.builtin_system("rdg")
+    bals = pv.principal_balances(system, bi.PAINLEVE["rdg"])
+    if len(bals) != 2:
+        errs.append(f"rdg: expected 2 principal balances, got {len(bals)}")
     for bal in bals:
-        ell = wv.ell
+        ell = bal.weight_vector.ell
         scaled = {r * ell for r in pv.kowalewski(system, bal).rational_spectrum()}
         if not {F(4), F(8)} <= scaled:
             errs.append(f"rdg: {{4,8}} not in tau-scaled spectrum {scaled}")

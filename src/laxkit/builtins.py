@@ -5,15 +5,18 @@ parsed on demand.  This module needs no numpy: the float pencil
 factories live in laxflow, next to MatrixPencil, and builtin() imports
 them only when asked for a pencil.
 
-painleve_meta() carries the conventions that pin each built-in family to
-its customary normalization: which weight vector is the principal one,
-which balance symbol gets which name, and at which variable slot (and
-with which scale) each resonance parameter enters.
+PAINLEVE holds the conventions that pin each built-in family to its
+customary normalization: which weight vector and balances are principal,
+which balance symbol gets which name, at which variable slot (and with
+which scale) each resonance parameter enters, and which solver label
+names which sheet.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from typing import Callable, Mapping, Optional, Tuple
 
 from .sysdsl import VectorFieldSystem, parse_system
 
@@ -48,67 +51,71 @@ def builtin_system(name: str) -> VectorFieldSystem:
 MAX_ORDER = 30
 
 
-def painleve_meta(name: str) -> dict:
-    """Normalization metadata consumed by painleve.analyze and the tests."""
-    F = Fraction
-    if name in ("henon-heiles",):
-        return {
-            "weights": (F(1, 2), F(2), F(3, 2), F(3)),
-            "principal": lambda bal: "y1" in bal.free_symbols,
-            "rename": {"y1": "alpha"},
-            "resonance_names": ["beta", "gamma"],
-            "resonance_slots": {4: ("y1", 1), 12: ("y2", -1)},
-            "curve_invariants": ["H1", "H2"],
-            "value_names": ["b1", "b2"],
-            "order": 9,
-        }
-    if name in ("rdg",):
-        return {
-            "weights": (F(1, 2), F(1), F(3, 2), F(2)),
-            "principal": lambda bal: "q1" in bal.free_symbols,
-            "rename": {"q1": "u"},
-            "resonance_names": ["v", "w"],
-            "resonance_slots": {4: ("q1", 1), 8: ("q2", 1)},
-            "curve_invariants": ["H1", "H2"],
-            "value_names": ["b1", "b2"],
-            "order": 7,
-            "sheet": lambda bal: {"q2=1/2": "eps=+1",
-                                  "q2=-1/2": "eps=-1"}.get(bal.label, bal.label),
-        }
-    if name in ("rdg5",):
-        return {
-            "weights": (F(2), F(1), F(2), F(3), F(4)),
-            "principal": lambda bal: bal.label in ("z2=1/2", "z2=-1/2"),
-            "rename": {},
-            "resonance_names": ["alpha", "beta", "theta", "gamma"],
-            "resonance_slots": {1: ("z1", 1), 3: ("z1", 1), 4: ("z2", 1),
-                                5: ("z1", 1)},
-            "curve_invariants": ["F1", "F2", "F3"],
-            "value_names": ["c1", "c2", "c3"],
-            "order": 9,
-            "sheet": lambda bal: {"z2=1/2": "eps=+1",
-                                  "z2=-1/2": "eps=-1"}.get(bal.label, bal.label),
-        }
-    if name in ("hh5",):
-        return {
-            "weights": (F(1), F(2), F(3), F(2), F(3)),
-            "principal": lambda bal: "z1" in bal.free_symbols,
-            "rename": {"z1": "alpha"},
-            # series coefficients are rational in alpha; propagate a
-            # generic specialization instead
-            "specialize": {"alpha": 1},
-            "order": 8,
-        }
-    if name == "kvm":
-        return {
-            "weights": (F(1),) * 5,
-            "principal": lambda bal: sum(1 for z in bal.leading if z.is_zero) == 1,
-            "rename": {},
-            "order": 7,
-        }
-    if name == "harmonic":
-        return {"order": 4}
-    raise KeyError(f"no painleve metadata for '{name}'")
+# eq=False: a record of lambdas and dicts has no useful value equality (or
+# hash), and the class builds faster on every start
+@dataclass(frozen=True, eq=False)
+class PainleveConventions:
+    """How painleve.analyze picks and names a system's Laurent families:
+    the principal weight vector, a test on a painleve.Balance that keeps
+    the principal balances, balance symbol -> parameter name, the
+    resonance parameters' names in step order and their slots (step j ->
+    (variable, scale): the parameter enters that variable's step-j
+    coefficient as scale*name), the values at which a family that is not
+    polynomial is propagated, the invariants whose t^0 terms cut out the
+    constraint curve and the names of their values, and solver label ->
+    sheet name.  The defaults are what `painleve --file` reports: every
+    weight vector and balance, solver labels, order 6, every free symbol
+    at 1 and values b1, b2, ..."""
+    order: int = 6
+    weights: Optional[Tuple[Fraction, ...]] = None
+    principal: Optional[Callable[..., bool]] = None
+    rename: Mapping[str, str] = field(default_factory=dict)
+    resonance_names: Optional[Tuple[str, ...]] = None
+    resonance_slots: Optional[Mapping[int, Tuple[str, object]]] = None
+    specialize: Optional[Mapping[str, object]] = None
+    curve_invariants: Tuple[str, ...] = ()
+    value_names: Optional[Tuple[str, ...]] = None
+    sheets: Mapping[str, str] = field(default_factory=dict)
+
+
+F = Fraction
+
+PAINLEVE = {
+    "kvm": PainleveConventions(
+        order=7, weights=(F(1),) * 5,
+        principal=lambda bal: sum(1 for z in bal.leading if z.is_zero) == 1),
+    "henon-heiles": PainleveConventions(
+        order=9, weights=(F(1, 2), F(2), F(3, 2), F(3)),
+        principal=lambda bal: "y1" in bal.free_symbols,
+        rename={"y1": "alpha"},
+        resonance_names=("beta", "gamma"),
+        resonance_slots={4: ("y1", 1), 12: ("y2", -1)},
+        curve_invariants=("H1", "H2")),
+    "hh5": PainleveConventions(
+        order=8, weights=(F(1), F(2), F(3), F(2), F(3)),
+        principal=lambda bal: "z1" in bal.free_symbols,
+        rename={"z1": "alpha"},
+        # the series are rational in alpha: propagate at a generic value
+        specialize={"alpha": 1}),
+    "rdg": PainleveConventions(
+        order=7, weights=(F(1, 2), F(1), F(3, 2), F(2)),
+        principal=lambda bal: "q1" in bal.free_symbols,
+        rename={"q1": "u"},
+        resonance_names=("v", "w"),
+        resonance_slots={4: ("q1", 1), 8: ("q2", 1)},
+        curve_invariants=("H1", "H2"),
+        sheets={"q2=1/2": "eps=+1", "q2=-1/2": "eps=-1"}),
+    "rdg5": PainleveConventions(
+        order=9, weights=(F(2), F(1), F(2), F(3), F(4)),
+        principal=lambda bal: bal.label in ("z2=1/2", "z2=-1/2"),
+        resonance_names=("alpha", "beta", "theta", "gamma"),
+        resonance_slots={1: ("z1", 1), 3: ("z1", 1), 4: ("z2", 1),
+                         5: ("z1", 1)},
+        curve_invariants=("F1", "F2", "F3"),
+        value_names=("c1", "c2", "c3"),
+        sheets={"z2=1/2": "eps=+1", "z2=-1/2": "eps=-1"}),
+    "harmonic": PainleveConventions(order=4),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,9 @@ exits 1; without it they run at N = 3.  kvm takes no -N: given one, the
 command exits 1.
 `painleve --order` must be a positive integer no larger than
 builtins.MAX_ORDER (30), or the command exits 1 before any work; without
-it a builtin runs at its own default order, 6 otherwise.
+it a builtin runs at its own default order, 6 otherwise.  `painleve
+--file` must name a readable regular file, and `--bind` binds each
+constant at most once, or the command exits 1.
 `jacobi --depth` must be no larger than jacobispec.MAX_DEPTH (10**5), or
 the command exits 1 before any work.
 `--tol` of flow, jacobi and check must be a positive finite float, or the
@@ -133,12 +135,14 @@ def _rational(label: str, text: str):
 
 def _parse_bindings(items, system):
     """--bind NAME=VALUE pairs; each NAME must be a symbolic constant of
-    the system."""
+    the system, bound once."""
     out = {}
     for item in items or []:
         if "=" not in item:
             raise UsageError(f"binding '{item}' must look like NAME=VALUE")
         k, v = (part.strip() for part in item.split("=", 1))
+        if k in out:
+            raise UsageError(f"--bind {k}: given more than once")
         out[k] = _rational(f"--bind {k}", v)
         if k not in system.constants:
             raise UsageError(f"--bind {k}: {system.name} has no symbolic constant "
@@ -158,7 +162,12 @@ def _load_system(args):
         raise UsageError("supply --builtin NAME or --file PATH")
     if not os.path.exists(path):
         raise UsageError(f"no such file: {path}")
-    return parse_system_file(path), None
+    if not os.path.isfile(path):
+        raise UsageError(f"not a regular file: {path}")
+    try:
+        return parse_system_file(path), None
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +192,9 @@ def cmd_painleve(args) -> Result:
             constants=tuple(c for c in system.constants if c not in sub),
             poisson=None if system.poisson is None else
             [[p.subs(sub) for p in row] for row in system.poisson])
-    meta = {}
-    if name:
-        try:
-            meta = dict(bi.painleve_meta(name))
-        except KeyError:
-            meta = {}
-    order = meta.get("order", 6) if args.order is None else args.order
-    report = pv.analyze(system, order, builtin_meta=meta)
+    conv = bi.PAINLEVE[name] if name else bi.PainleveConventions()
+    order = conv.order if args.order is None else args.order
+    report = pv.analyze(system, order, conv)
     payload = {"laxkit_report": REPORT_VERSION, "command": "painleve",
                "order": order}
     payload.update(report)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .builtins import MAX_ORDER
+from .builtins import MAX_ORDER, PainleveConventions
 from .exactalg import (InconsistentSystemError, MultiPoly, PuiseuxSeries,
                        Q, SingularMatrixError, charpoly_exact,
                        eliminate_linear, nullspace, poly_on_series,
@@ -382,8 +382,8 @@ class Balance:
     root) picks solve_poly_system made at multi-root steps, as
     "x2=1,...".  It records the solver's path, not a property of the
     balance: of the five cyclic rotations of one kvm5.ivf balance, one is
-    labelled "x2=1" and the other four "".  Only builtin metadata turns a
-    label into a sheet name."""
+    labelled "x2=1" and the other four "".  Only a builtin's
+    PainleveConventions.sheets turns a label into a sheet name."""
     weight_vector: WeightVector
     leading: Tuple[MultiPoly, ...]          # z^(0), entries over free symbols
     free_symbols: Tuple[str, ...]
@@ -915,11 +915,44 @@ def series_dict(s: PuiseuxSeries, order: Sequence[str]) -> Dict[str, str]:
     return {str(e): c.to_str(order) for e, c in s.terms()}
 
 
+def principal_balances(sys: VectorFieldSystem, conv: PainleveConventions,
+                       wvs: Optional[Sequence[WeightVector]] = None
+                       ) -> List[Balance]:
+    """The balances on conv.weights (on every one of `wvs`, by default
+    detect_weights(sys), when None) that conv.principal keeps (all when
+    None), renamed by conv.rename."""
+    if wvs is None:
+        wvs = detect_weights(sys)
+    return [bal.rename_free(conv.rename)
+            for wv in wvs
+            if conv.weights is None or wv.weights == conv.weights
+            for bal in indicial_solve(sys, wv)
+            if conv.principal is None or conv.principal(bal)]
+
+
+def principal_family(sys: VectorFieldSystem, bal: Balance,
+                     conv: PainleveConventions, order: Optional[int] = None
+                     ) -> Tuple[LaurentFamily, Dict[str, object]]:
+    """(family, specialization): the family of `bal` at `order` (conv.order
+    by default) with conv's resonance names and slots.  A family that is
+    not polynomial in the balance symbols is propagated again at
+    conv.specialize, or with every free symbol at 1, and those values are
+    returned; otherwise the specialization is {}."""
+    names, slots = conv.resonance_names, conv.resonance_slots
+    order = conv.order if order is None else order
+    try:
+        return propagate(sys, bal, order, names, slots), {}
+    except FamilyNotPolynomial:
+        values = dict(conv.specialize or {s: 1 for s in bal.free_symbols})
+        return propagate(sys, bal.specialize(values), order, names, slots), values
+
+
 def analyze(sys: VectorFieldSystem, order: int,
-            builtin_meta: Optional[dict] = None) -> dict:
-    """Full Painlevé report for a system: weights, balances, resonances,
+            conventions: Optional[PainleveConventions] = None) -> dict:
+    """Full Painlevé report for a system: weights, the principal balances
+    of `conventions` (the defaults keep every balance), resonances,
     series, parameter counts, constraint relations."""
-    meta = builtin_meta or {}
+    conv = conventions or PainleveConventions()
     sym_order = list(sys.variables) + list(sys.constants)
     report: dict = {"system": sys.name, "variables": list(sys.variables),
                     "weights": [], "balances": []}
@@ -931,74 +964,54 @@ def analyze(sys: VectorFieldSystem, order: int,
             "dominant_counts": [len(s) for s in wv.dominant_support],
             "lower_counts": [len(s) for s in wv.lower_terms],
         })
-    target_w = meta.get("weights")
-    for wv in wvs:
-        if target_w is not None and tuple(wv.weights) != tuple(target_w):
-            continue
-        for bal in indicial_solve(sys, wv):
-            if meta.get("principal") and not meta["principal"](bal):
-                continue
-            if meta.get("rename"):
-                bal = bal.rename_free(meta["rename"])
-            entry = {
-                "weights": [str(x) for x in wv.weights],
-                "leading": {v: z.to_str(sym_order + list(bal.free_symbols))
-                            for v, z in zip(sys.variables, bal.leading)},
-                "label": meta.get("sheet", lambda b: b.label)(bal),
+    for bal in principal_balances(sys, conv, wvs):
+        entry = {
+            "weights": [str(x) for x in bal.weight_vector.weights],
+            "leading": {v: z.to_str(sym_order + list(bal.free_symbols))
+                        for v, z in zip(sys.variables, bal.leading)},
+            "label": conv.sheets.get(bal.label, bal.label),
+        }
+        report["balances"].append(entry)
+        try:
+            fam, specialized = principal_family(sys, bal, conv, order)
+        except PainleveObstruction as exc:
+            entry["obstruction"] = {
+                "level": str(Fraction(exc.step, exc.ell)),
+                "pairing": str(exc.pairing) if exc.pairing is not None else None,
             }
-            specialized = {}
+            continue
+        except (ValueError, RuntimeError) as exc:
+            entry["error"] = str(exc)
+            continue
+        if specialized:
+            entry["specialized"] = {k: str(v) for k, v in specialized.items()}
+        kd = fam.kowalewski
+        porder = list(sym_order) + list(fam.free_parameters)
+        explicit, with_t0 = fam.count_free_parameters()
+        explicit += len(specialized)
+        with_t0 += len(specialized)
+        entry.update({
+            "branching_index": fam.ell,
+            "kowalewski_spectrum": [str(r) for r, _m in kd.rational_eigs
+                                    for _ in range(_m)],
+            "resonance_steps": [[j, nm] for j, nm in fam.resonances],
+            "free_parameters": list(fam.free_parameters),
+            "parameter_count": {"explicit": explicit,
+                                "with_time_origin": with_t0},
+            "series": {v: series_dict(s, porder)
+                       for v, s in fam.series.items()},
+        })
+        if conv.curve_invariants:
             try:
-                try:
-                    fam = propagate(sys, bal, order,
-                                    resonance_names=meta.get("resonance_names"),
-                                    resonance_slots=meta.get("resonance_slots"))
-                except FamilyNotPolynomial:
-                    specialized = dict(meta.get("specialize") or
-                                       {s: 1 for s in bal.free_symbols})
-                    fam = propagate(sys, bal.specialize(specialized), order,
-                                    resonance_names=meta.get("resonance_names"),
-                                    resonance_slots=meta.get("resonance_slots"))
-                    entry["specialized"] = {k: str(v) for k, v in specialized.items()}
-            except PainleveObstruction as exc:
-                entry["obstruction"] = {
-                    "level": str(Fraction(exc.step, exc.ell)),
-                    "pairing": str(exc.pairing) if exc.pairing is not None else None,
+                cv = constraint_curve(sys, fam, conv.curve_invariants,
+                                      value_names=conv.value_names)
+                entry["constraint"] = {
+                    "relations": [r.to_str(porder + cv.value_names)
+                                  for r in cv.relations],
+                    "eliminated": cv.eliminated,
+                    "curve": cv.curve.to_str(porder + cv.value_names)
+                    if cv.curve is not None else None,
                 }
-                report["balances"].append(entry)
-                continue
-            except (ValueError, RuntimeError) as exc:
-                entry["error"] = str(exc)
-                report["balances"].append(entry)
-                continue
-            kd = fam.kowalewski
-            porder = list(sym_order) + list(fam.free_parameters)
-            explicit, with_t0 = fam.count_free_parameters()
-            explicit += len(specialized)
-            with_t0 += len(specialized)
-            entry.update({
-                "branching_index": fam.ell,
-                "kowalewski_spectrum": [str(r) for r, _m in kd.rational_eigs
-                                        for _ in range(_m)],
-                "resonance_steps": [[j, nm] for j, nm in fam.resonances],
-                "free_parameters": list(fam.free_parameters),
-                "parameter_count": {"explicit": explicit,
-                                    "with_time_origin": with_t0},
-                "series": {v: series_dict(s, porder)
-                           for v, s in fam.series.items()},
-            })
-            inv_names = meta.get("curve_invariants")
-            if inv_names:
-                try:
-                    cv = constraint_curve(sys, fam, inv_names,
-                                          value_names=meta.get("value_names"))
-                    entry["constraint"] = {
-                        "relations": [r.to_str(porder + cv.value_names)
-                                      for r in cv.relations],
-                        "eliminated": cv.eliminated,
-                        "curve": cv.curve.to_str(porder + cv.value_names)
-                        if cv.curve is not None else None,
-                    }
-                except (PolarPartError, ValueError) as exc:
-                    entry["constraint"] = {"error": str(exc)}
-            report["balances"].append(entry)
+            except (PolarPartError, ValueError) as exc:
+                entry["constraint"] = {"error": str(exc)}
     return report

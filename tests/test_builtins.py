@@ -95,12 +95,22 @@ def test_euler_arnold_input_validation():
         lf.euler_arnold_pencil([1, 2, 3], [1, 2, 3], np.eye(3))
 
 
-def test_painleve_meta_covers_builtins():
-    for name in ("kvm", "henon-heiles", "rdg", "rdg5", "hh5", "harmonic"):
-        meta = bi.painleve_meta(name)
-        assert "order" in meta
-    with pytest.raises(KeyError):
-        bi.painleve_meta("nope")
+def test_painleve_conventions_cover_builtins():
+    assert set(bi.PAINLEVE) == set(bi._SYSTEM_FILES)
+
+
+@pytest.mark.parametrize("name", sorted(bi._SYSTEM_FILES))
+def test_principal_balances_lie_on_the_principal_weights(name):
+    # a builtin with a principal weight vector has principal balances, all
+    # on that vector; harmonic has no weight vector and no balance
+    from laxkit import painleve as pv
+    conv = bi.PAINLEVE[name]
+    bals = pv.principal_balances(bi.builtin_system(name), conv)
+    if conv.weights is None:
+        assert name == "harmonic" and bals == []
+    else:
+        assert bals
+        assert all(b.weight_vector.weights == conv.weights for b in bals)
 
 
 def test_toda_builtin_accepts_particle_coordinates():

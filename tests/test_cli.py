@@ -75,6 +75,40 @@ def test_painleve_missing_file_exits_1_no_output(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_painleve_file_directory_exits_1_no_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["painleve", "--file", str(tmp_path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: not a regular file: {tmp_path}\n"
+    assert not out.exists()
+
+
+def test_painleve_unreadable_file_exits_1_no_output(tmp_path, capsys,
+                                                    monkeypatch):
+    # an OSError on reading (here a refused open) is a usage error
+    import laxkit.cli as cli
+    src = tmp_path / "sys.ivf"
+    src.write_text("system s\nvars z\neq z = z^2\n")
+
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(cli, "parse_system_file", refuse)
+    out = tmp_path / "out"
+    assert main(["painleve", "--file", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read {src}: Permission denied\n")
+    assert not out.exists()
+
+
+def test_painleve_bind_twice_exits_1_naming_the_constant(tmp_path, capsys):
+    code = run(tmp_path, "painleve", "--builtin", "henon-heiles",
+               "--bind", "A=1", "--bind", "A=2")
+    assert code == 1
+    assert capsys.readouterr().err == "error: --bind A: given more than once\n"
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("order", ["0", "-2"])
 def test_painleve_nonpositive_order_exits_1_no_output(tmp_path, order):
     code = run(tmp_path, "painleve", "--builtin", "henon-heiles",

@@ -3,36 +3,44 @@ from fractions import Fraction as F
 import pytest
 
 from laxkit.acceptance import (GOLDEN_CURVE_HH, GOLDEN_CURVE_RDG,
-                               GOLDEN_CURVE_RDG5, _expr, _principal_families)
-from laxkit.builtins import builtin_system
+                               GOLDEN_CURVE_RDG5, golden_poly)
+from laxkit.builtins import PAINLEVE, builtin_system
 from laxkit.exactalg import MultiPoly
 from laxkit.painleve import (constraint_curve, invariant_series,
+                             principal_balances, principal_family,
                              restoring_morphism_check)
 from laxkit.sysdsl import parse_expression
 
 
+def principal_families(name):
+    """The system of a builtin and the families of its principal balances."""
+    system, conv = builtin_system(name), PAINLEVE[name]
+    return system, [principal_family(system, bal, conv)[0]
+                    for bal in principal_balances(system, conv)]
+
+
 def test_henon_heiles_t0_relations():
-    system, meta, fams = _principal_families("henon-heiles")
-    _, fam = fams[0]
+    system, fams = principal_families("henon-heiles")
+    fam = fams[0]
     S1 = invariant_series(fam, "H1")
     # exact constant term of the Hamiltonian along the family
-    want = _expr("5/32*alpha^4 + 4/3*A^3 - 21/4*gamma")
+    want = golden_poly("5/32*alpha^4 + 4/3*A^3 - 21/4*gamma")
     assert S1.coeff(0) == want
 
 
 def test_henon_heiles_curve_golden():
-    system, meta, fams = _principal_families("henon-heiles")
-    _, fam = fams[0]
+    system, fams = principal_families("henon-heiles")
+    fam = fams[0]
     cv = constraint_curve(system, fam, ["H1", "H2"], value_names=["b1", "b2"])
     assert cv.eliminated == ["gamma"]
-    assert cv.curve == _expr(GOLDEN_CURVE_HH).primitive()
+    assert cv.curve == golden_poly(GOLDEN_CURVE_HH).primitive()
 
 
 def test_rdg5_curve_matches_both_sheets():
-    system, meta, fams = _principal_families("rdg5")
+    system, fams = principal_families("rdg5")
     assert len(fams) == 2
-    want = _expr(GOLDEN_CURVE_RDG5).primitive()
-    for _, fam in fams:
+    want = golden_poly(GOLDEN_CURVE_RDG5).primitive()
+    for fam in fams:
         cv = constraint_curve(system, fam, ["F1", "F2", "F3"],
                               value_names=["c1", "c2", "c3"])
         assert sorted(cv.eliminated) == ["gamma", "theta"]
@@ -40,9 +48,9 @@ def test_rdg5_curve_matches_both_sheets():
 
 
 def test_rdg_curve_golden():
-    system, meta, fams = _principal_families("rdg")
-    want = _expr(GOLDEN_CURVE_RDG).primitive()
-    for _, fam in fams:
+    system, fams = principal_families("rdg")
+    want = golden_poly(GOLDEN_CURVE_RDG).primitive()
+    for fam in fams:
         cv = constraint_curve(system, fam, ["H1", "H2"],
                               value_names=["b1", "b2"])
         assert cv.eliminated == ["w"]
@@ -51,7 +59,7 @@ def test_rdg_curve_golden():
 
 def test_curve_scaling_invariance():
     # the canonical form is stable under rescaling a relation
-    p = _expr(GOLDEN_CURVE_RDG5)
+    p = golden_poly(GOLDEN_CURVE_RDG5)
     assert (p * F(7, 3)).primitive() == p.primitive()
     assert (-p).primitive() == p.primitive()
 
@@ -71,8 +79,8 @@ def test_morphism_henon_heiles_to_five_variables():
     dst = builtin_system("hh5")
     phi = _morphism(dst.variables,
                     ["y1^2", "y2", "x2", "y1*x1", "3*x1^2 + 2*y1^2*y2"], src)
-    _, _, fams = _principal_families("henon-heiles")
-    rep = restoring_morphism_check(src, dst, phi, family=fams[0][1])
+    _, fams = principal_families("henon-heiles")
+    rep = restoring_morphism_check(src, dst, phi, family=fams[0])
     assert rep.chain_rule_ok, rep.failures
     assert rep.fractional_restored is True
     # composed leading behavior: z1 = alpha^2/t
@@ -85,8 +93,8 @@ def test_morphism_rdg_to_five_variables():
     dst = builtin_system("rdg5")
     phi = _morphism(dst.variables,
                     ["q1^2", "q2", "p2", "q1*p1", "p1^2 - q1^2*q2^2"], src)
-    _, _, fams = _principal_families("rdg")
-    for _, fam in fams:
+    _, fams = principal_families("rdg")
+    for fam in fams:
         rep = restoring_morphism_check(src, dst, phi, family=fam)
         assert rep.chain_rule_ok, rep.failures
         assert rep.fractional_restored is True
@@ -112,8 +120,8 @@ def test_broken_morphism_pinpoints_component():
 def test_fractional_powers_survive_without_morphism():
     # directly composing an odd power of y1 keeps half-integer exponents
     src = builtin_system("henon-heiles")
-    _, _, fams = _principal_families("henon-heiles")
-    fam = fams[0][1]
+    _, fams = principal_families("henon-heiles")
+    fam = fams[0]
     from laxkit.exactalg import poly_on_series
     S = poly_on_series(MultiPoly.var("y1"), fam.series, fam.ell,
                        const_valid=10)
@@ -134,8 +142,8 @@ def test_composed_family_solves_target_system_exactly():
         src = builtin_system(src_name)
         dst = builtin_system(dst_name)
         phi = _morphism(dst.variables, exprs, src)
-        _, _, fams = _principal_families(src_name)
-        _, fam = fams[0]
+        _, fams = principal_families(src_name)
+        fam = fams[0]
         rep = restoring_morphism_check(src, dst, phi, family=fam)
         series = rep.composed
         lowest_valid = min(s.valid for s in series.values())

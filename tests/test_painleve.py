@@ -6,20 +6,28 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from laxkit import painleve as pv
-from laxkit.acceptance import _principal_families
-from laxkit.builtins import _SYSTEM_FILES, builtin_system, painleve_meta
+from laxkit.builtins import (PAINLEVE, _SYSTEM_FILES, PainleveConventions,
+                             builtin_system)
 from laxkit.exactalg import MultiPoly, PuiseuxSeries, nullspace, poly_on_series
 from laxkit.painleve import (Balance, FamilyNotPolynomial,
                              PainleveObstruction, PolarPartError, analyze,
                              constraint_curve, detect_weights,
                              dominant_part, family_residual, indicial_solve,
                              invariant_series, invariant_weight, kowalewski,
-                             propagate, solve_poly_system)
+                             principal_balances, principal_family, propagate,
+                             solve_poly_system)
 from laxkit.sysdsl import VectorFieldSystem, parse_system
 
 
 def weights_of(sys_):
     return {tuple(w.weights) for w in detect_weights(sys_)}
+
+
+def principal_families(name):
+    """The system of a builtin and the families of its principal balances."""
+    system, conv = builtin_system(name), PAINLEVE[name]
+    return system, [principal_family(system, bal, conv)[0]
+                    for bal in principal_balances(system, conv)]
 
 
 def test_weights_kvm_all_one():
@@ -59,27 +67,21 @@ def test_weights_harmonic_none():
 
 def test_indicial_henon_heiles_leading_values():
     sys_ = builtin_system("henon-heiles")
-    meta = painleve_meta("henon-heiles")
-    wv = [w for w in detect_weights(sys_)
-          if tuple(w.weights) == meta["weights"]][0]
-    bals = indicial_solve(sys_, wv)
-    principal = [b for b in bals if "y1" in b.free_symbols]
+    principal = principal_balances(sys_, PAINLEVE["henon-heiles"])
     assert len(principal) == 1
     b = principal[0]
+    assert b.free_symbols == ("alpha",)          # y1 renamed
     lead = dict(zip(sys_.variables, b.leading))
     assert lead["y2"] == MultiPoly.const(F(-3, 8))
     assert lead["x2"] == MultiPoly.const(F(3, 4))
-    assert lead["x1"] == MultiPoly.var("y1") * F(-1, 2)
+    assert lead["x1"] == MultiPoly.var("alpha") * F(-1, 2)
 
 
 def test_indicial_rdg_sheets():
     sys_ = builtin_system("rdg")
-    meta = painleve_meta("rdg")
-    wv = [w for w in detect_weights(sys_)
-          if tuple(w.weights) == meta["weights"]][0]
-    bals = [b for b in indicial_solve(sys_, wv) if "q1" in b.free_symbols]
+    bals = principal_balances(sys_, PAINLEVE["rdg"])
     labels = {b.label for b in bals}
-    assert labels == {"q2=1/2", "q2=-1/2"}
+    assert labels == {"q2=1/2", "q2=-1/2"} == set(PAINLEVE["rdg"].sheets)
     for b in bals:
         lead = dict(zip(sys_.variables, b.leading))
         assert lead["q2"].const_value() in (F(1, 2), F(-1, 2))
@@ -134,10 +136,7 @@ def test_invariant_weight_matches_spectrum():
 
 def test_rdg_resonances_match_parameter_count():
     sys_ = builtin_system("rdg")
-    meta = painleve_meta("rdg")
-    wv = [w for w in detect_weights(sys_)
-          if tuple(w.weights) == meta["weights"]][0]
-    bal = [b for b in indicial_solve(sys_, wv) if meta["principal"](b)][0]
+    bal = principal_balances(sys_, PAINLEVE["rdg"])[0]
     kd = kowalewski(sys_, bal)
     nonneg = [r for r, _ in kd.rational_eigs if r >= 0 and r.denominator <= 2]
     assert sorted(nonneg) == [F(0), F(2), F(4)]
@@ -158,15 +157,8 @@ def test_invariants_exactly_constant_along_families():
     # a genuine Laurent solution is constant, so EVERY nonzero-exponent
     # coefficient must vanish identically through the validity window
     for name in ("kvm", "henon-heiles", "rdg", "rdg5"):
-        sys_ = builtin_system(name)
-        meta = painleve_meta(name)
-        wv = [w for w in detect_weights(sys_)
-              if tuple(w.weights) == meta["weights"]][0]
-        bal = [b for b in indicial_solve(sys_, wv) if meta["principal"](b)][0]
-        bal = bal.rename_free(meta.get("rename", {}))
-        fam = propagate(sys_, bal, meta["order"],
-                        resonance_names=meta.get("resonance_names"),
-                        resonance_slots=meta.get("resonance_slots"))
+        sys_, conv = builtin_system(name), PAINLEVE[name]
+        fam, _ = principal_family(sys_, principal_balances(sys_, conv)[0], conv)
         for nm in sys_.invariants:
             S = invariant_series(fam, nm)
             assert S.valid > 0
@@ -218,18 +210,34 @@ eq z2 = 6*z1^2 + z1
 
 def test_family_not_polynomial_raised_then_specialization_works():
     sys_ = builtin_system("hh5")
-    meta = painleve_meta("hh5")
-    wv = [w for w in detect_weights(sys_)
-          if tuple(w.weights) == meta["weights"]][0]
-    bal = [b for b in indicial_solve(sys_, wv) if meta["principal"](b)][0]
-    bal = bal.rename_free(meta["rename"])
+    conv = PAINLEVE["hh5"]
+    bal = principal_balances(sys_, conv)[0]
     with pytest.raises(FamilyNotPolynomial):
         propagate(sys_, bal, 8)
-    fam = propagate(sys_, bal.specialize(meta["specialize"]), 8)
+    fam, values = principal_family(sys_, bal, conv, 8)
+    assert values == {"alpha": 1}
     explicit, with_t0 = fam.count_free_parameters()
     # 3 resonance parameters + the specialized balance symbol = m - 1
-    assert explicit + len(meta["specialize"]) == 4
+    assert explicit + len(values) == 4
     assert [j for j, _ in fam.resonances] == [2, 4, 6]
+    # the default specialization puts every free symbol at 1
+    assert principal_family(sys_, bal, PainleveConventions(), 8)[1] == values
+
+
+def test_principal_family_specializes_only_on_failure():
+    # alpha stays symbolic in a family that is polynomial in it
+    sys_ = builtin_system("henon-heiles")
+    bal = principal_balances(sys_, PAINLEVE["henon-heiles"])[0]
+    fam, values = principal_family(sys_, bal, PainleveConventions(), 8)
+    assert values == {}
+    assert "alpha" in fam.free_parameters
+
+
+def test_default_conventions_keep_every_balance():
+    sys_ = builtin_system("rdg")
+    want = [b for wv in detect_weights(sys_) for b in indicial_solve(sys_, wv)]
+    assert len(want) > 2
+    assert principal_balances(sys_, PainleveConventions()) == want
 
 
 def test_solver_branch_labels():
@@ -242,9 +250,10 @@ def test_solver_branch_labels():
 
 def test_analyze_report_shape():
     sys_ = builtin_system("rdg")
-    rep = analyze(sys_, 6, builtin_meta=painleve_meta("rdg"))
+    rep = analyze(sys_, 6, PAINLEVE["rdg"])
     assert rep["system"] == "rdg"
     assert len(rep["balances"]) == 2
+    assert {entry["label"] for entry in rep["balances"]} == {"eps=+1", "eps=-1"}
     for entry in rep["balances"]:
         assert entry["parameter_count"]["explicit"] == 3
         assert entry["parameter_count"]["with_time_origin"] == 4
@@ -268,16 +277,11 @@ def test_weight_homogeneous_invariants_with_nonzero_gradient_hit_spectrum():
     # invariant's gradient must not vanish at the balance
     for name in ("kvm", "rdg", "rdg5"):
         sys_ = builtin_system(name)
-        meta = painleve_meta(name)
-        wv = [w for w in detect_weights(sys_)
-              if tuple(w.weights) == meta["weights"]][0]
-        for bal in indicial_solve(sys_, wv):
-            if not meta["principal"](bal):
-                continue
+        for bal in principal_balances(sys_, PAINLEVE[name]):
             spec = set(kowalewski(sys_, bal).rational_spectrum())
             env = dict(zip(sys_.variables, bal.leading))
             for nm, H in sys_.invariants.items():
-                k = invariant_weight(sys_, nm, wv)
+                k = invariant_weight(sys_, nm, bal.weight_vector)
                 if k is None:
                     continue
                 grad = [H.diff(v).subs(env) for v in sys_.variables]
@@ -383,34 +387,32 @@ class FullSeriesRhs:
             c.append(z)
 
 
-def _outcome(sys_, bal, order, meta):
+def _outcome(sys_, bal, order, conv):
     try:
         fam = propagate(sys_, bal, order,
-                        resonance_names=meta.get("resonance_names"),
-                        resonance_slots=meta.get("resonance_slots"))
+                        resonance_names=conv.resonance_names,
+                        resonance_slots=conv.resonance_slots)
     except (PainleveObstruction, FamilyNotPolynomial) as exc:
         return type(exc), exc.step, getattr(exc, "pairing", None)
     return fam.series, fam.free_parameters, fam.resonances
 
 
-def _assert_same_as_reference(monkeypatch, sys_, bal, order, meta):
-    got = _outcome(sys_, bal, order, meta)
+def _assert_same_as_reference(monkeypatch, sys_, bal, order, conv):
+    got = _outcome(sys_, bal, order, conv)
     with monkeypatch.context() as mp:
         mp.setattr(pv, "_RelaxedSystem", FullSeriesRhs)
-        want = _outcome(sys_, bal, order, meta)
+        want = _outcome(sys_, bal, order, conv)
     assert got == want
 
 
 def _balances(name):
-    sys_ = builtin_system(name)
-    meta = painleve_meta(name)
-    wv = [w for w in detect_weights(sys_)
-          if tuple(w.weights) == meta["weights"]][0]
-    for bal in indicial_solve(sys_, wv):
-        bal = bal.rename_free(meta.get("rename", {}))
-        yield sys_, meta, bal
-        if meta.get("specialize"):
-            yield sys_, meta, bal.specialize(meta["specialize"])
+    """Every balance of a builtin's principal weight vector, renamed, and
+    each one specialized too where the builtin names a specialization."""
+    sys_, conv = builtin_system(name), PAINLEVE[name]
+    for bal in principal_balances(sys_, replace(conv, principal=None)):
+        yield sys_, conv, bal
+        if conv.specialize:
+            yield sys_, conv, bal.specialize(conv.specialize)
 
 
 @pytest.mark.parametrize("name", sorted(n for n in _SYSTEM_FILES
@@ -418,14 +420,14 @@ def _balances(name):
 def test_relaxed_propagation_matches_full_series(monkeypatch, name):
     # every balance of the principal weight vector (both rdg5 sheets, hh5
     # before and after its specialization) at the builtin's default order
-    for sys_, meta, bal in _balances(name):
-        _assert_same_as_reference(monkeypatch, sys_, bal, meta["order"], meta)
+    for sys_, conv, bal in _balances(name):
+        _assert_same_as_reference(monkeypatch, sys_, bal, conv.order, conv)
 
 
 def test_relaxed_propagation_matches_full_series_deep(monkeypatch):
     # henon-heiles steps in t^(1/2): order 16 is 32 steps
-    for sys_, meta, bal in _balances("henon-heiles"):
-        _assert_same_as_reference(monkeypatch, sys_, bal, 16, meta)
+    for sys_, conv, bal in _balances("henon-heiles"):
+        _assert_same_as_reference(monkeypatch, sys_, bal, 16, conv)
 
 
 def test_relaxed_propagation_matches_full_series_obstruction(monkeypatch):
@@ -436,7 +438,7 @@ eq z1 = z2
 eq z2 = 6*z1^2 + z2
 """)
     bal = indicial_solve(sys_, detect_weights(sys_)[0])[0]
-    _assert_same_as_reference(monkeypatch, sys_, bal, 8, {})
+    _assert_same_as_reference(monkeypatch, sys_, bal, 8, PainleveConventions())
 
 
 # ---------------------------------------------------------------------------
@@ -444,15 +446,15 @@ eq z2 = 6*z1^2 + z2
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(
-    n for n in _SYSTEM_FILES
-    if n != "harmonic" and painleve_meta(n).get("curve_invariants")))
+    n for n, conv in PAINLEVE.items() if conv.curve_invariants))
 def test_constraint_relations_are_t0_of_invariant_series(name):
-    system, meta, fams = _principal_families(name)
-    for _, fam in fams:
-        cv = constraint_curve(system, fam, meta["curve_invariants"],
-                              value_names=meta["value_names"])
+    system, fams = principal_families(name)
+    conv = PAINLEVE[name]
+    for fam in fams:
+        cv = constraint_curve(system, fam, conv.curve_invariants,
+                              value_names=conv.value_names)
         want = [invariant_series(fam, nm).coeff(0) - MultiPoly.var(b)
-                for nm, b in zip(meta["curve_invariants"], meta["value_names"])]
+                for nm, b in zip(conv.curve_invariants, cv.value_names)]
         assert cv.relations == want
 
 
@@ -460,8 +462,8 @@ def test_constraint_order_too_low_matches_full_window():
     # cut every series c steps past its first term: where the full
     # invariant series no longer reaches t^0 the "order too low" error
     # fires, and everywhere else the relation is its t^0 coefficient
-    system, meta, fams = _principal_families("henon-heiles")
-    _, fam = fams[0]
+    system, fams = principal_families("henon-heiles")
+    fam = fams[0]
     seen = set()
     for c in range(1, 20):
         cut = replace(fam, series={v: s.truncate(s.k0 + c)
