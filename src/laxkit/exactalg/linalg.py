@@ -13,6 +13,7 @@ genericity cannot go unnoticed.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Tuple
 
 from .poly import SCALED_ONE, MultiPoly, Scaled, scaled, sum_products
@@ -80,36 +81,63 @@ def charpoly_exact(M) -> List[MultiPoly]:
     return coeffs
 
 
-def rref_extend(rref: Dict[int, List[Fraction]], rows):
+def _primitive(row: List[int], c: int) -> List[int]:
+    """row over the gcd of its entries, signed so that row[c] > 0."""
+    g = gcd(*row)
+    if row[c] < 0:
+        g = -g
+    return [x // g for x in row] if g != 1 else row
+
+
+def _int_row(row) -> List[int]:
+    """A rational row scaled by the lcm of its denominators."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    L = lcm(*[x.denominator for x in row])
+    return [int(x * L) for x in row]
+
+
+def rref_extend(rref: Dict[int, List[int]], rows):
     """Reduce augmented rows [a | b] over Q into a reduced row-echelon form
     {pivot column: row}, leaving `rref` as it was; None once inconsistent.
+
+    The rows may be rational; each is scaled to integers on entry.  A
+    stored row r is a primitive integer row with r[c] > 0 at its pivot
+    column c and stands for the row r / r[c] of the rational form, so the
+    form is integer throughout: a row x is reduced by a stored row y as
+    y[c]*x - x[c]*y, and its content is divided out once it is reduced.
     A consistent system has one such form however its rows are split."""
     out = dict(rref)
     for row in rows:
+        row = _int_row(row)
         for c, prow in out.items():
             f = row[c]
             if f:
-                row = [x - f * y for x, y in zip(row, prow)]
+                p = prow[c]
+                row = [p * x - f * y for x, y in zip(row, prow)]
         c = next((j for j, x in enumerate(row[:-1]) if x), None)
         if c is None:
             if row[-1]:
                 return None
             continue
+        row = _primitive(row, c)
         pv = row[c]
-        row = [x / pv for x in row]
         for k, prow in out.items():
             f = prow[c]
             if f:
-                out[k] = [x - f * y for x, y in zip(prow, row)]
+                out[k] = _primitive([pv * x - f * y for x, y in zip(prow, row)], k)
         out[c] = row
     return out
 
 
-def rref_solution(rref: Dict[int, List[Fraction]], n: int):
-    """(particular, nullspace basis) read off the form of a consistent
-    system in n unknowns; each free unknown is 0 in the particular one."""
-    part = [rref[c][n] if c in rref else Fraction(0) for c in range(n)]
-    basis = [[-rref[c][f] if c in rref else Fraction(c == f) for c in range(n)]
+def rref_solution(rref: Dict[int, List[int]], n: int):
+    """(particular, nullspace basis) of a consistent system in n unknowns,
+    as Fractions, read off its integer form (rref_extend); each free
+    unknown is 0 in the particular solution."""
+    part = [Fraction(rref[c][n], rref[c][c]) if c in rref else Fraction(0)
+            for c in range(n)]
+    basis = [[Fraction(-rref[c][f], rref[c][c]) if c in rref else Fraction(c == f)
+              for c in range(n)]
              for f in range(n) if f not in rref]
     return part, basis
 

@@ -80,21 +80,29 @@ class WeightVector:
         return "(" + ", ".join(str(w) for w in self.weights) + ")"
 
 
-def _mono_weight(key: Key, wmap: Mapping[str, Fraction]) -> Fraction:
-    return sum((Fraction(e) * wmap[n] for n, e in key if n in wmap),
-               Fraction(0))
+def _int_weights(names: Sequence[str], weights: Sequence[Fraction]
+                 ) -> Tuple[int, Dict[str, int]]:
+    """(L, {name: L*weight}) with L the lcm of the weights' denominators."""
+    L = lcm(*[w.denominator for w in weights])
+    return L, {n: w.numerator * (L // w.denominator)
+               for n, w in zip(names, weights)}
+
+
+def _mono_weight(key: Key, wint: Mapping[str, int]) -> int:
+    # L times the monomial's weight; a constant symbol carries none
+    return sum(e * wint[n] for n, e in key if n in wint)
 
 
 def _canonical_support(sys: VectorFieldSystem, weights: Sequence[Fraction]):
     """Split every equation's monomials into dominant / lower for the given
     weights; None if some monomial overshoots (inconsistent ansatz)."""
-    wmap = dict(zip(sys.variables, weights))
+    L, wint = _int_weights(sys.variables, weights)
     support, lower = [], []
-    for i, f in enumerate(sys.equations):
-        target = weights[i] + 1
+    for v, f in zip(sys.variables, sys.equations):
+        target = wint[v] + L
         dom, low = [], []
         for key in f.nums:
-            w = _mono_weight(key, wmap)
+            w = _mono_weight(key, wint)
             if w == target:
                 dom.append(key)
             elif w < target:
@@ -135,12 +143,13 @@ def detect_weights(sys: VectorFieldSystem, max_patterns: int = 200000
     def aug_row(i, key):
         # [exponents - e_i | 1]; a constant symbol carries no weight
         exps = dict(key)
-        return [Fraction(exps.get(v, 0) - (j == i))
-                for j, v in enumerate(sys.variables)] + [Fraction(1)]
+        return [exps.get(v, 0) - (j == i)
+                for j, v in enumerate(sys.variables)] + [1]
 
     levels = [[(s, [aug_row(i, key) for key in s]) for s in subsets(ks)]
               for i, ks in enumerate(eq_keys)]
     found: Dict[Tuple[Fraction, ...], WeightVector] = {}
+    checked = set()   # positive candidates whose support has been split
 
     def walk(pattern, rref):
         # patterns in itertools.product order; a prefix whose rows are
@@ -158,12 +167,11 @@ def detect_weights(sys: VectorFieldSystem, max_patterns: int = 200000
         else:
             candidates = _resolve_weight_family(sys, pattern, part, basis)
         for w in candidates:
-            if any(x <= 0 for x in w):
+            if w in checked or any(x <= 0 for x in w):
                 continue
+            checked.add(w)
             cs = _canonical_support(sys, w)
-            if cs is None:
-                continue
-            if w not in found:
+            if cs is not None:
                 found[w] = WeightVector(weights=tuple(w),
                                         dominant_support=cs[0],
                                         lower_terms=cs[1])
@@ -488,10 +496,10 @@ def kowalewski(sys: VectorFieldSystem, bal: Balance) -> KowalewskiData:
 
 def invariant_weight(sys: VectorFieldSystem, name: str, w: WeightVector):
     """Weight of a declared invariant if weight-homogeneous, else None."""
-    wmap = dict(zip(sys.variables, w.weights))
+    L, wint = _int_weights(sys.variables, w.weights)
     H = sys.invariants[name]
-    ws = {_mono_weight(k, wmap) for k in H.nums}
-    return ws.pop() if len(ws) == 1 else None
+    ws = {_mono_weight(k, wint) for k in H.nums}
+    return Fraction(ws.pop(), L) if len(ws) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -641,15 +649,14 @@ def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
     MAX_ORDER raises ValueError.
     """
     w = bal.weight_vector
-    ell = w.ell
     n = sys.dim
     kd = kowalewski(sys, bal)
     rational_eigs = {r for r, _ in kd.rational_eigs}
-    m = [int(w.weights[i] * ell) for i in range(n)]
-    wmap = dict(zip(sys.variables, w.weights))
+    ell, wint = _int_weights(sys.variables, w.weights)
+    m = [wint[v] for v in sys.variables]
     for i, f in enumerate(sys.equations):
         for key in f.nums:
-            if _mono_weight(key, wmap) > w.weights[i] + 1:
+            if _mono_weight(key, wint) > m[i] + ell:
                 raise ValueError(
                     f"monomial in equation for {sys.variables[i]} exceeds the "
                     "dominant weight; weight vector inconsistent")

@@ -606,6 +606,35 @@ def test_rref_extend_matches_one_shot_gauss_jordan(system, data):
     assert (None if head is None else rref_extend(head, aug[k:])) == one_shot
 
 
+@settings(max_examples=100, deadline=None)
+@given(augmented_systems(), st.data())
+def test_rref_extend_keeps_primitive_integer_rows(system, data):
+    from math import gcd, lcm
+    from laxkit.exactalg.linalg import rref_extend
+    n, aug = system
+    form = rref_extend({}, aug)
+    # row r at pivot c: integers of gcd 1, r[c] > 0 its first nonzero
+    # entry, 0 at every other pivot
+    for c, row in (form or {}).items():
+        assert all(type(x) is int for x in row)
+        assert gcd(*row) == 1
+        assert row[c] > 0 and not any(row[:c])
+        assert not any(row[k] for k in form if k != c)
+    # rows scaled by nonzero rationals, or to integers, give the same form,
+    # split anywhere
+    scales = data.draw(st.lists(
+        st.fractions(min_value=-4, max_value=4, max_denominator=5)
+        .filter(bool), min_size=len(aug), max_size=len(aug)))
+    scaled = [[s * x for x in row] for s, row in zip(scales, aug)]
+    ints = [[int(x * lcm(*[y.denominator for y in row])) for x in row]
+            for row in aug]
+    assert rref_extend({}, scaled) == form
+    assert rref_extend({}, ints) == form
+    k = data.draw(st.integers(0, len(aug)))
+    head = rref_extend({}, scaled[:k])
+    assert (None if head is None else rref_extend(head, ints[k:])) == form
+
+
 # -- the integer kernel against the MultiPoly sums it replaced -----------------
 #
 # Bareiss updates, matrix products and back substitution hand whole sums of

@@ -490,9 +490,10 @@ def test_constraint_order_too_low_matches_full_window():
 # -- the weight search against the brute-force pattern loop --------------------
 #
 # detect_weights walks the dominant-support patterns depth-first and drops a
-# prefix whose weight equations are inconsistent with all its extensions.
-# This is the search as it was first written: every pattern of
-# itertools.product, each solved from scratch.
+# prefix whose weight equations are inconsistent with all its extensions,
+# and splits the support of each positive candidate once.  This is the
+# search as it was first written: every pattern of itertools.product, each
+# solved from scratch, every candidate's support split.
 
 def reference_detect_weights(sys_, max_patterns=200000):
     import itertools
@@ -569,6 +570,18 @@ def _search_outcome(search, sys_, **kw):
     return got, calls
 
 
+def assert_search_matches_reference(sys_, **kw):
+    """detect_weights returns what the reference does, resolves the same
+    families in the same order, and splits the support of each candidate
+    the reference splits once, at its first split."""
+    got, calls = _search_outcome(detect_weights, sys_, **kw)
+    want, ref_calls = _search_outcome(reference_detect_weights, sys_, **kw)
+    seen = set()
+    first = [c for c in ref_calls
+             if c[0] == "resolve" or not (c in seen or seen.add(c))]
+    assert (got, calls) == (want, first)
+
+
 def _weight_system(eqs):
     names = tuple(f"x{i + 1}" for i in range(len(eqs)))
     return VectorFieldSystem(name="s", variables=names, constants=("c",),
@@ -604,9 +617,7 @@ def small_vector_fields(draw):
 @settings(max_examples=100, deadline=None)
 @given(small_vector_fields(), st.integers(20, 400))
 def test_weight_search_matches_brute_force(sys_, max_patterns):
-    kw = {"max_patterns": max_patterns}
-    assert _search_outcome(detect_weights, sys_, **kw) == \
-        _search_outcome(reference_detect_weights, sys_, **kw)
+    assert_search_matches_reference(sys_, max_patterns=max_patterns)
 
 
 def test_weight_search_keeps_weights_of_non_closed_patterns():
@@ -618,8 +629,59 @@ def test_weight_search_keeps_weights_of_non_closed_patterns():
                     -x2 ** 3 + x1 ** 2 - 3 * x1 * x3 - 3 * x2 * x3])
     want = [(F(1), F(1, 3), F(1)), (F(1), F(2, 3), F(1))]
     assert [w.weights for w in detect_weights(sys_)] == want
-    assert _search_outcome(detect_weights, sys_) == \
-        _search_outcome(reference_detect_weights, sys_)
+    assert_search_matches_reference(sys_)
+
+
+DENSE_SYSTEM = """system mid
+vars x y z w
+eq x = x*y + y*z + z*w + w^2
+eq y = x*y + y*z + z^2 + w*x
+eq z = x*y + y^2 + z*w + w*x
+eq w = x^2 + y*z + z*w + w*x
+"""
+
+
+def test_weight_search_on_a_dense_file(tmp_path, monkeypatch):
+    # 15^4 = 50,625 dominant-support patterns, which share few candidates:
+    # the support of each positive one is split once.  Every monomial has
+    # weight 2 at (1, 1, 1, 1), and no balance of it is rational
+    import json
+    from laxkit.cli import main
+    candidates, splits = [], []
+    solution, resolve = pv.rref_solution, pv._resolve_weight_family
+    support = pv._canonical_support
+
+    def rref_solution(rref, n):
+        part, basis = solution(rref, n)
+        if not basis:
+            candidates.append(tuple(part))
+        return part, basis
+
+    def resolve_family(*args):
+        out = resolve(*args)
+        candidates.extend(out)
+        return out
+
+    def canonical_support(sys_, w):
+        splits.append(w)
+        return support(sys_, w)
+
+    monkeypatch.setattr(pv, "rref_solution", rref_solution)
+    monkeypatch.setattr(pv, "_resolve_weight_family", resolve_family)
+    monkeypatch.setattr(pv, "_canonical_support", canonical_support)
+    src, out = tmp_path / "mid.ivf", tmp_path / "out"
+    src.write_text(DENSE_SYSTEM)
+    assert main(["painleve", "--file", str(src), "--order", "4",
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "painleve_mid.json").read_text())
+    assert report["weights"] == [{"weights": ["1", "1", "1", "1"],
+                                  "branching_index": 1,
+                                  "dominant_counts": [4, 4, 4, 4],
+                                  "lower_counts": [0, 0, 0, 0]}]
+    assert report["balances"] == []
+    positive = [w for w in candidates if all(x > 0 for x in w)]
+    assert splits == list(dict.fromkeys(positive))
+    assert len(splits) < len(positive)
 
 
 def test_propagate_refuses_order_above_cap(monkeypatch):
