@@ -10,9 +10,11 @@ laxflow, jacobispec and exactalg.roots; check loads every module.  So
 the parser and every painleve run start without numpy.
 Exit codes: 0 success, 1 usage or input error, 2 Painlevé obstruction,
 3 numerical breakdown (a flow or the Jacobi lattice blew up, a
-continued-fraction denominator of the Stieltjes check vanished, or a
-number overflowed a float, as Jacobi entries such as -a 1e300,1 do, or
-the measure's scale (a0/a_N)^2 underflowed to 0).  jacobi --a0 0 exits
+continued-fraction denominator of the Stieltjes check vanished, a
+number overflowed a float, as Jacobi entries such as -a 1e300,1 do, an
+exponent passed exactalg.poly.LIMIT, the largest a monomial key holds,
+as x^40000 in an .ivf does, or the measure's scale (a0/a_N)^2
+underflowed to 0).  jacobi --a0 0 exits
 1: its measure is zero, which no Stieltjes check may pass.
 A report or CSV that would hold a NaN or an infinity is never written:
 the command exits 3.  So does a Jacobi measure with a band too narrow

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .poly import MultiPoly, Q, scaled, sum_products
+from .poly import LIMIT, MultiPoly, Q, scaled, shift, sum_products
 
 
 class TruncationError(ValueError):
@@ -221,26 +221,27 @@ def poly_on_series(p: MultiPoly, env: Mapping[str, PuiseuxSeries],
     """
     total = PuiseuxSeries.zero(ell, const_valid)
     powers: Dict[Tuple[str, int], PuiseuxSeries] = {}
+    mapped = sorted((name, shift(name)) for name in env)
     for key, c in p.nums.items():
-        symbols = []
         factor: PuiseuxSeries | None = None
-        for name, e in key:
-            if name in env:
-                s = powers.get((name, e))
-                if s is None:
-                    base = powers.get((name, 1))
-                    if base is None:
-                        base = powers[(name, 1)] = env[name].rescale(ell)
-                    s = base
-                    for k in range(2, e + 1):    # key exponents are >= 1
-                        up = powers.get((name, k))
-                        if up is None:
-                            up = powers[(name, k)] = s * base
-                        s = up
-                factor = s if factor is None else factor * s
-            else:
-                symbols.append((name, e))
-        scalar = MultiPoly.from_ints(p.den, {tuple(symbols): c})
+        for name, sh in mapped:
+            e = (key >> sh) & LIMIT
+            if not e:
+                continue
+            key -= e << sh
+            s = powers.get((name, e))
+            if s is None:
+                base = powers.get((name, 1))
+                if base is None:
+                    base = powers[(name, 1)] = env[name].rescale(ell)
+                s = base
+                for k in range(2, e + 1):
+                    up = powers.get((name, k))
+                    if up is None:
+                        up = powers[(name, k)] = s * base
+                    s = up
+            factor = s if factor is None else factor * s
+        scalar = MultiPoly.from_ints(p.den, {key: c})
         if factor is None:
             factor = PuiseuxSeries.constant(scalar, ell, valid=const_valid)
         else:

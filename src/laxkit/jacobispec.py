@@ -66,12 +66,6 @@ class PeriodicJacobi:
             out = out * (Q(x) if self.is_exact else float(x))
         return out
 
-    def sequences(self, length: int) -> Tuple[List, List]:
-        """Periodic extensions a_1..a_length, b_1..b_length."""
-        n = self.period
-        return ([self.a[i % n] for i in range(length)],
-                [self.b[i % n] for i in range(length)])
-
 
 # -- characteristic polynomials --------------------------------------------
 

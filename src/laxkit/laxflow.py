@@ -447,9 +447,6 @@ class SpectralCurve:
     coeffs: Dict[Tuple[int, int], object]
     dim: int
 
-    def evaluate(self, z, h):
-        return sum(c * (z ** i) * (h ** j) for (i, j), c in self.coeffs.items())
-
     def drop_small(self, tol: float = 1e-9) -> "SpectralCurve":
         return SpectralCurve({k: v for k, v in self.coeffs.items()
                               if abs(float(v)) > tol}, self.dim)

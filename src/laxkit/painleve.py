@@ -29,7 +29,8 @@ from .exactalg import (InconsistentSystemError, MultiPoly, PuiseuxSeries,
                        eliminate_linear, nullspace, poly_on_series,
                        rational_roots, solve_square_exact, solve_with_pins)
 from .exactalg.linalg import rref_extend, rref_solution
-from .exactalg.poly import SCALED_ONE, Scaled, scaled, sum_products
+from .exactalg.poly import (LIMIT, SCALED_ONE, Scaled, pack, scaled, shift,
+                             sum_products, unpack)
 from .sysdsl import VectorFieldSystem
 
 Key = Tuple[Tuple[str, int], ...]
@@ -81,16 +82,17 @@ class WeightVector:
 
 
 def _int_weights(names: Sequence[str], weights: Sequence[Fraction]
-                 ) -> Tuple[int, Dict[str, int]]:
-    """(L, {name: L*weight}) with L the lcm of the weights' denominators."""
+                 ) -> Tuple[int, List[Tuple[int, int]]]:
+    """(L, [(shift(name), L*weight)]) with L the lcm of the weights'
+    denominators."""
     L = lcm(*[w.denominator for w in weights])
-    return L, {n: w.numerator * (L // w.denominator)
-               for n, w in zip(names, weights)}
+    return L, [(shift(n), w.numerator * (L // w.denominator))
+               for n, w in zip(names, weights)]
 
 
-def _mono_weight(key: Key, wint: Mapping[str, int]) -> int:
+def _mono_weight(key: int, wint: Sequence[Tuple[int, int]]) -> int:
     # L times the monomial's weight; a constant symbol carries none
-    return sum(e * wint[n] for n, e in key if n in wint)
+    return sum(((key >> s) & LIMIT) * w for s, w in wint)
 
 
 def _canonical_support(sys: VectorFieldSystem, weights: Sequence[Fraction]):
@@ -98,8 +100,8 @@ def _canonical_support(sys: VectorFieldSystem, weights: Sequence[Fraction]):
     weights; None if some monomial overshoots (inconsistent ansatz)."""
     L, wint = _int_weights(sys.variables, weights)
     support, lower = [], []
-    for v, f in zip(sys.variables, sys.equations):
-        target = wint[v] + L
+    for (_, wv), f in zip(wint, sys.equations):
+        target = wv + L
         dom, low = [], []
         for key in f.nums:
             w = _mono_weight(key, wint)
@@ -111,8 +113,8 @@ def _canonical_support(sys: VectorFieldSystem, weights: Sequence[Fraction]):
                 return None
         if not dom:
             return None
-        support.append(tuple(sorted(dom)))
-        lower.append(tuple(sorted(low)))
+        support.append(tuple(sorted(map(unpack, dom))))
+        lower.append(tuple(sorted(map(unpack, low))))
     return tuple(support), tuple(lower)
 
 
@@ -126,7 +128,7 @@ def detect_weights(sys: VectorFieldSystem, max_patterns: int = 200000
     rationals) are dropped.
     """
     nvar = len(sys.variables)
-    eq_keys = [sorted(f.nums) for f in sys.equations]
+    eq_keys = [sorted(map(unpack, f.nums)) for f in sys.equations]
     if any(not ks for ks in eq_keys):
         return []
     total = 1
@@ -194,7 +196,7 @@ def _resolve_weight_family(sys, pattern, part, basis) -> List[Tuple[Fraction, ..
     eqs = []
     for i, subset in enumerate(pattern):
         f = sys.equations[i]
-        fdom = MultiPoly.from_ints(f.den, {key: f.nums[key] for key in subset})
+        fdom = MultiPoly.from_ints(f.den, {k: f.nums[k] for k in map(pack, subset)})
         eqs.append(kexprs[i] * MultiPoly.var(sys.variables[i]) + fdom)
     sols = solve_poly_system(eqs, list(sys.variables) + svars)
     out = []
@@ -245,6 +247,7 @@ def solve_poly_system(eqs: Sequence[MultiPoly], unknowns: Sequence[str],
     verified against the original equations.
     """
     unknowns = list(unknowns)
+    shifts = {u: shift(u) for u in unknowns}
     results = []
     counter = [0]
 
@@ -277,24 +280,30 @@ def solve_poly_system(eqs: Sequence[MultiPoly], unknowns: Sequence[str],
             results.append((dict(sol), list(choices)))
             return
 
-        # a pending unknown occurs in no equation, so no step picks it
+        # a pending unknown occurs in no equation, so no step picks it;
+        # occurs[idx]: the unknowns left that occur in cur_eqs[idx]
         present = [u for u in unknowns if u not in sol]
+        occurs = []
+        for e in cur_eqs:
+            m = e.support_mask()
+            occurs.append([u for u in present if (m >> shifts[u]) & LIMIT])
 
         # 1. a linear unknown with a constant coefficient, later unknowns
         # first so that leading ones (positions rather than momenta) stay
-        # free; an unknown absent from e is skipped (coeffs_in gives {0: e})
+        # free: x occurs only in the term c*x of e = c*x + rest
         for idx, e in enumerate(cur_eqs):
-            evs = e.variables()
-            for x in [u for u in reversed(present) if u in evs]:
-                cfs = e.coeffs_in(x)
-                if set(cfs) <= {0, 1} and 1 in cfs and cfs[1].is_constant:
-                    val = -cfs.get(0, MultiPoly.zero()) / cfs[1].const_value()
+            for x in reversed(occurs[idx]):
+                xk = 1 << shifts[x]
+                if all(k == xk for k in e.nums if (k >> shifts[x]) & LIMIT):
+                    rest = MultiPoly.from_ints(e.den, {k: n for k, n in e.nums.items()
+                                                       if k != xk})
+                    val = -rest / Fraction(e.nums[xk], e.den)
                     assign(cur_eqs, idx, sol, x, val, choices, pending)
                     return
 
         # 2. univariate equation with rational coefficients
         for idx, e in enumerate(cur_eqs):
-            evars = [u for u in present if e.degree_in(u) > 0]
+            evars = occurs[idx]
             if len(evars) != 1:
                 continue
             x = evars[0]
@@ -328,10 +337,9 @@ def solve_poly_system(eqs: Sequence[MultiPoly], unknowns: Sequence[str],
         # 4. last resort: eliminate a variable appearing linearly with a
         # polynomial coefficient C, on the branch C != 0
         for idx, e in enumerate(cur_eqs):
-            evs = e.variables()
-            for x in [u for u in present if u in evs]:
-                cfs = e.coeffs_in(x)
-                if set(cfs) <= {0, 1} and 1 in cfs:
+            for x in occurs[idx]:
+                if all((k >> shifts[x]) & LIMIT < 2 for k in e.nums):
+                    cfs = e.coeffs_in(x)
                     C = cfs[1]
                     D = cfs.get(0, MultiPoly.zero())
                     others = [q for k, q in enumerate(cur_eqs) if k != idx]
@@ -422,7 +430,7 @@ class Balance:
 
 
 def dominant_part(sys: VectorFieldSystem, w: WeightVector) -> List[MultiPoly]:
-    return [MultiPoly.from_ints(f.den, {k: f.nums[k] for k in keys})
+    return [MultiPoly.from_ints(f.den, {k: f.nums[k] for k in map(pack, keys)})
             for f, keys in zip(sys.equations, w.dominant_support)]
 
 
@@ -529,11 +537,11 @@ class _RelaxedSystem:
     """Relaxed (online) evaluation of a system's right-hand sides along a
     Laurent ansatz z_i = sum_k coef[i][k] t^((k - m_i)/ell).
 
-    Each equation is compiled once into terms (scalar, factors, shift):
+    Each equation is compiled once into terms (scalar, factors, lag):
     `scalar` keeps the coefficient and every symbol that is not a
     variable, `factors` is the sorted tuple of variable indices of the
-    monomial (with multiplicity) and `shift` = m_i + ell - sum(m_factors)
-    places the term's contribution to psi_j at index j - shift of the
+    monomial (with multiplicity) and `lag` = m_i + ell - sum(m_factors)
+    places the term's contribution to psi_j at index j - lag of the
     factor product.  The coefficient list of every prefix product
     factors[:r] (r >= 2) is running state, one list shared by all terms
     and equations.  Step j reads psi_j with the step-j coefficients held
@@ -547,7 +555,7 @@ class _RelaxedSystem:
 
     def __init__(self, sys: VectorFieldSystem, m: Sequence[int], ell: int,
                  leading: Sequence[MultiPoly]):
-        index = {v: i for i, v in enumerate(sys.variables)}
+        shifts = [shift(v) for v in sys.variables]
         self.coef: List[List[MultiPoly]] = [[z] for z in leading]
         self.scoef: List[List[Scaled]] = [[scaled(z)] for z in leading]
         self.terms = []
@@ -555,16 +563,15 @@ class _RelaxedSystem:
         for i, f in enumerate(sys.equations):
             compiled = []
             for key, c in f.nums.items():
-                factors, symbols = [], []
-                for name, e in key:
-                    if name in index:
-                        factors += [index[name]] * e
-                    else:
-                        symbols.append((name, e))
-                factors = tuple(sorted(factors))
-                shift = m[i] + ell - sum(m[k] for k in factors)
-                scalar = MultiPoly.from_ints(f.den, {tuple(symbols): c})
-                compiled.append((scaled(scalar), factors, shift))
+                factors = []
+                for k, s in enumerate(shifts):
+                    e = (key >> s) & LIMIT
+                    factors += [k] * e
+                    key -= e << s
+                factors = tuple(factors)
+                lag = m[i] + ell - sum(m[k] for k in factors)
+                scalar = MultiPoly.from_ints(f.den, {key: c})
+                compiled.append((scaled(scalar), factors, lag))
                 prefixes.update(factors[:r] for r in range(2, len(factors) + 1))
             self.terms.append(compiled)
         self.prefixes = sorted(prefixes, key=lambda T: (len(T), T))
@@ -591,8 +598,8 @@ class _RelaxedSystem:
         psi = []
         for compiled in self.terms:
             pairs = []
-            for scalar, factors, shift in compiled:
-                k = j - shift
+            for scalar, factors, lag in compiled:
+                k = j - lag
                 if k < 0:
                     continue
                 if not factors:
@@ -653,7 +660,7 @@ def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
     kd = kowalewski(sys, bal)
     rational_eigs = {r for r, _ in kd.rational_eigs}
     ell, wint = _int_weights(sys.variables, w.weights)
-    m = [wint[v] for v in sys.variables]
+    m = [wv for _, wv in wint]
     for i, f in enumerate(sys.equations):
         for key in f.nums:
             if _mono_weight(key, wint) > m[i] + ell:
@@ -802,7 +809,8 @@ def _invariant_t0_window(fam: LaurentFamily, name: str) -> PuiseuxSeries:
     the polar part, the t^0 coefficient and the too-low-order test read
     the same values."""
     H = fam.system.invariants[name]
-    P = max([0] + [-sum(e * fam.series[v].k0 for v, e in key if v in fam.series)
+    k0s = [(shift(v), s.k0) for v, s in fam.series.items()]
+    P = max([0] + [-sum(((key >> sh) & LIMIT) * k0 for sh, k0 in k0s)
                    for key in H.nums])
     env = {v: s.truncate(s.k0 + P + 1) for v, s in fam.series.items()}
     lowest = min(s.valid for s in fam.series.values())

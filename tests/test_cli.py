@@ -164,6 +164,19 @@ def test_painleve_pattern_budget_exits_1_no_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_painleve_exponent_over_the_key_field_exits_3_no_output(tmp_path, capsys):
+    # x^40000 squares x^16384 into x^32768, one past the largest exponent a
+    # monomial key's field holds (exactalg.poly.LIMIT)
+    src = tmp_path / "steep.ivf"
+    src.write_text("system steep\nvars x y\neq x = y\neq y = x^40000\n")
+    out = tmp_path / "out"
+    assert main(["painleve", "--file", str(src), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("error: numerical breakdown: exponent 32768 of 'x' is over "
+                   "the limit 32767 of a monomial key field\n")
+    assert not out.exists()
+
+
 def test_painleve_solver_branch_budget_exits_1_no_output(tmp_path, capsys,
                                                          monkeypatch):
     from laxkit import painleve as pv

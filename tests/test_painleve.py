@@ -632,6 +632,44 @@ def test_weight_search_keeps_weights_of_non_closed_patterns():
     assert_search_matches_reference(sys_)
 
 
+def _model_support(sys_, weights):
+    """The dominant / lower split of each equation on tuple keys, each part
+    sorted; None if a monomial overshoots or no monomial is dominant."""
+    w = dict(zip(sys_.variables, weights))
+    support, lower = [], []
+    for v, f in zip(sys_.variables, sys_.equations):
+        parts = {True: [], False: []}
+        for key in f.terms:
+            kw = sum(e * w.get(n, 0) for n, e in key)
+            if kw > w[v] + 1:
+                return None
+            parts[kw == w[v] + 1].append(key)
+        if not parts[True]:
+            return None
+        support.append(tuple(sorted(parts[True])))
+        lower.append(tuple(sorted(parts[False])))
+    return tuple(support), tuple(lower)
+
+
+def test_weight_search_with_a_reverse_symbol_table():
+    # the constant's field comes first and the variables' in reverse
+    # alphabetical order, so int keys sort the other way round: the search,
+    # its patterns and its support splits are still those of tuple keys
+    from laxkit.exactalg.poly import shift
+    for name in ("rw_c", "rw_z", "rw_y", "rw_x"):
+        shift(name)
+    x, y, z, c = (MultiPoly.var(n) for n in ("rw_x", "rw_y", "rw_z", "rw_c"))
+    sys_ = VectorFieldSystem(
+        name="s", variables=("rw_x", "rw_y", "rw_z"), constants=("rw_c",),
+        equations=(x * z + c * y, -x * y, -y ** 3 + x ** 2 - 3 * x * z - 3 * y * z),
+        invariants={})
+    assert_search_matches_reference(sys_)
+    wvs = detect_weights(sys_)
+    assert [w.weights for w in wvs] == [(F(1), F(1, 3), F(1)), (F(1), F(2, 3), F(1))]
+    for w in [wv.weights for wv in wvs] + [(F(1), F(1), F(1)), (F(2), F(1), F(1))]:
+        assert pv._canonical_support(sys_, w) == _model_support(sys_, w)
+
+
 DENSE_SYSTEM = """system mid
 vars x y z w
 eq x = x*y + y*z + z*w + w^2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from laxkit.exactalg import MultiPoly
-from laxkit.exactalg.poly import scaled, sum_products
+from laxkit.exactalg.poly import LIMIT, scaled, shift, sum_products
 
 x = MultiPoly.var("x")
 y = MultiPoly.var("y")
@@ -606,3 +606,116 @@ def test_eval_num_reads_each_reduced_coefficient_above_2_53():
         [float(c.numerator) / float(c.denominator) for c in terms.values()]
     with pytest.raises(KeyError, match="y"):
         p.eval_num({"x": 1.0})
+
+
+# -- packed keys: a symbol table out of alphabetical order, and the field limit
+
+# fresh symbols, given their fields in reverse alphabetical order: as ints
+# their keys sort the other way round from the tuple keys
+_REV = ("rv_c", "rv_b", "rv_a")
+for _name in _REV:
+    shift(_name)
+_RA, _RB, _RC = sorted(_REV)
+_RKEYS = [(), ((_RA, 1),), ((_RC, 1),), ((_RA, 1), (_RC, 1)), ((_RB, 2),),
+          ((_RA, 1), (_RB, 1)), ((_RC, 2),)]
+_rpolys = st.dictionaries(st.sampled_from(_RKEYS), _qcoeffs, max_size=6)
+
+
+def model_div(num, d):
+    # by a constant, each coefficient; otherwise graded-lex division
+    if set(d) <= {()}:
+        return {k: v / d[()] for k, v in num.items()}
+    return model_exact_div(num, d)
+
+
+def model_grlex(k):
+    return (-sum(e for _, e in k), tuple((n, -e) for n, e in k))
+
+
+def model_lead(a):
+    k = min(a, key=model_grlex)
+    return k, a[k]
+
+
+def model_str(a):
+    """to_str without an order: the terms by graded lex on tuple keys."""
+    s = ""
+    for k in sorted(a, key=model_grlex):
+        c, mono = a[k], "*".join(n if e == 1 else f"{n}^{e}" for n, e in k)
+        s += (" - " if c < 0 else " + ") if s else ("-" if c < 0 else "")
+        s += (mono if abs(c) == 1 else f"{abs(c)}*{mono}") if mono else str(abs(c))
+    return s or "0"
+
+
+@settings(max_examples=30, deadline=None)
+@given(_rpolys, _rpolys.filter(bool), _rpolys)
+def test_reverse_registered_symbols_match_tuple_keys(a, d, b):
+    assert shift(_RC) < shift(_RB) < shift(_RA)
+    p, q = MultiPoly(a), MultiPoly(d)
+    assert_is(p, a)
+    assert_is(p * q, model_mul(a, d))
+    assert q.lead() == model_lead(d)
+    assert q.variables() == tuple(sorted({n for k in d for n, _ in k}))
+    num = model_mul(model_add(a, b), d)
+    assert_is(MultiPoly(num).exact_div(q), model_div(num, d))
+    # mapped powers multiply in key order, whatever the mapping's order
+    assert_is(p.subs({_RC: q, _RA: MultiPoly(b)}), model_subs(a, {_RC: d, _RA: b}))
+    assert p.to_str() == model_str(a)
+
+
+_NEAR = st.sampled_from([1, 2, 3, LIMIT // 2, LIMIT // 2 + 1, LIMIT - 1, LIMIT])
+_bkeys = st.lists(st.tuples(st.sampled_from(["lf_s", "lf_t"]), _NEAR), max_size=2).map(
+    lambda pairs: tuple(sorted(dict(pairs).items())))
+_bpolys = st.dictionaries(_bkeys, _qcoeffs, min_size=1, max_size=3)
+
+
+def _top(model):
+    return max((e for k in model for _, e in k), default=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_bpolys, _bpolys, st.sampled_from(["lf_s", "lf_t", "lf_u"]),
+       st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-2, 3)]), st.sampled_from([0, 1, 2]))
+def test_exponents_up_to_the_field_limit_match_the_model(a, d, name, v, j):
+    # each kernel agrees with the Fraction model while every exponent fits
+    # its field, and raises OverflowError as soon as one would not
+    p, q = MultiPoly(a), MultiPoly(d)
+    prod = model_mul(a, d)
+    if _top(prod) > LIMIT:
+        with pytest.raises(OverflowError, match=f"over the limit {LIMIT}"):
+            p * q
+    else:
+        assert_is(p * q, prod)
+        assert_is(MultiPoly(prod).exact_div(q), model_div(prod, d))
+    assert_is(p.diff(name), model_diff(a, name))
+    assert_is(p.subs({name: v}), model_subs(a, {name: {(): v} if v else {}}))
+    # a one-term value moves the exponents of lf_s onto lf_u, j per unit
+    mono = {(("lf_u", j),) if j else (): F(2, 3)}
+    subbed = model_subs(a, {"lf_s": mono})
+    if _top(subbed) > LIMIT:
+        with pytest.raises(OverflowError, match="'lf_u'"):
+            p.subs({"lf_s": MultiPoly(mono)})
+    else:
+        assert_is(p.subs({"lf_s": MultiPoly(mono)}), subbed)
+
+
+def test_first_exponent_over_the_limit_raises_naming_symbol_and_limit():
+    s, t = MultiPoly.var("lf_s"), MultiPoly.var("lf_t")
+    top = MultiPoly.var("lf_s", LIMIT)
+    assert top.terms == {(("lf_s", LIMIT),): 1}
+    msg = f"exponent {LIMIT + 1} of 'lf_s' is over the limit {LIMIT}"
+    for make in (lambda: top * s, lambda: s * top, lambda: (s + t) * top,
+                 lambda: s ** (LIMIT + 1), lambda: MultiPoly.var("lf_s", LIMIT + 1),
+                 lambda: MultiPoly({(("lf_s", LIMIT + 1),): 1}),
+                 lambda: MultiPoly({(("lf_s", LIMIT), ("lf_s", 1)): 1}),
+                 lambda: MultiPoly.monomial(1, lf_s=LIMIT + 1)):
+        with pytest.raises(OverflowError, match=msg):
+            make()
+    # a term past the limit that cancels in the sum was never wrong
+    assert sum_products([(scaled(top), scaled(s)), (scaled(-top), scaled(s))]).is_zero
+    below = MultiPoly.var("lf_s", LIMIT - 1)
+    assert (below * (s + t)).exact_div(s + t) == below
+    # t^LIMIT s^3 / (s^3 + t^2) would leave t^(LIMIT+2) in the remainder: an
+    # exact quotient never does, so it is not divisible
+    with pytest.raises(ValueError, match="not exactly divisible"):
+        (MultiPoly.var("lf_t", LIMIT) * s ** 3).exact_div(s ** 3 + t ** 2)
