@@ -124,7 +124,8 @@ PAINLEVE = {
 
 def builtin(name: str, **params):
     """Named constructor: vector-field systems return a
-    VectorFieldSystem; Lax systems return (MatrixPencil, B factory)."""
+    VectorFieldSystem; the Lax systems toda-periodic and euler-arnold
+    return (MatrixPencil, B factory)."""
     if name in _SYSTEM_FILES:
         return builtin_system(name)
     from . import laxflow as lf
@@ -134,8 +135,6 @@ def builtin(name: str, **params):
         else:
             a, b = params["a"], params["b"]
         return lf.toda_periodic_pencil(a, b)
-    if name == "toda-open":
-        return lf.toda_open_pencil(params["a"], params["b"])
     if name == "euler-arnold":
         n = params.get("n", 4)
         al = params.get("alphas", list(range(1, n + 1)))
@@ -144,15 +143,4 @@ def builtin(name: str, **params):
         if X0 is None:
             X0 = lf.random_skew(n, seed=params.get("seed", 0))
         return lf.euler_arnold_pencil(al, be, X0)
-    if name == "manakov":
-        n = params.get("n", 4)
-        j_diag = params.get("j_diag", list(range(1, n + 1)))
-        om = params.get("omega")
-        if om is None:
-            om = lf.random_skew(n, seed=params.get("seed", 0))
-        return lf.manakov_pencil(j_diag, om)
-    if name == "neumann":
-        return lf.neumann_pencil(params["alphas"], params["x"], params["y"])
-    if name == "jacobi-geodesic":
-        return lf.jacobi_geodesic_pencil(params["alphas"], params["x"], params["y"])
     raise KeyError(f"unknown builtin '{name}'")

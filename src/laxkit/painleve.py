@@ -18,7 +18,7 @@ weight deficit dictates; nothing is ever dropped.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -152,6 +152,7 @@ def detect_weights(sys: VectorFieldSystem, max_patterns: int = 200000
               for i, ks in enumerate(eq_keys)]
     found: Dict[Tuple[Fraction, ...], WeightVector] = {}
     checked = set()   # positive candidates whose support has been split
+    memo = SolverMemo()   # the family solves share their sub-systems
 
     def walk(pattern, rref):
         # patterns in itertools.product order; a prefix whose rows are
@@ -167,7 +168,7 @@ def detect_weights(sys: VectorFieldSystem, max_patterns: int = 200000
         if not basis:
             candidates = [tuple(part)]
         else:
-            candidates = _resolve_weight_family(sys, pattern, part, basis)
+            candidates = _resolve_weight_family(sys, pattern, part, basis, memo=memo)
         for w in candidates:
             if w in checked or any(x <= 0 for x in w):
                 continue
@@ -179,40 +180,35 @@ def detect_weights(sys: VectorFieldSystem, max_patterns: int = 200000
                                         lower_terms=cs[1])
 
     walk((), {})
-    out = sorted(found.values(), key=lambda wv: (sorted(wv.weights), wv.weights))
-    return out
+    return sorted(found.values(), key=lambda wv: (sorted(wv.weights), wv.weights))
 
 
-def _resolve_weight_family(sys, pattern, part, basis) -> List[Tuple[Fraction, ...]]:
+def _resolve_weight_family(sys, pattern, part, basis, memo=None) -> List[Tuple[Fraction, ...]]:
     """Pin an underdetermined weight family by solving the indicial system
-    jointly in (balance, family parameters)."""
+    jointly in (balance, family parameters); `memo` as solve_poly_system's."""
     svars = [f"_w{k}" for k in range(len(basis))]
-    kexprs = []
-    for i in range(len(sys.variables)):
-        e = MultiPoly.const(part[i])
-        for k, b in enumerate(basis):
-            e = e + MultiPoly.var(svars[k]) * b[i]
-        kexprs.append(e)
-    eqs = []
-    for i, subset in enumerate(pattern):
-        f = sys.equations[i]
-        fdom = MultiPoly.from_ints(f.den, {k: f.nums[k] for k in map(pack, subset)})
-        eqs.append(kexprs[i] * MultiPoly.var(sys.variables[i]) + fdom)
-    sols = solve_poly_system(eqs, list(sys.variables) + svars)
+    kexprs = [MultiPoly({(): part[i], **{((s, 1),): b[i] for s, b in zip(svars, basis)}})
+              for i in range(len(sys.variables))]
+    eqs = [kexprs[i] * MultiPoly.var(sys.variables[i])
+           + MultiPoly.from_ints(f.den, {k: f.nums[k] for k in map(pack, subset)})
+           for i, (subset, f) in enumerate(zip(pattern, sys.equations))]
+    sols = solve_poly_system(eqs, list(sys.variables) + svars, memo=memo)
     out = []
     for sol, _ in sols:
-        vals = []
-        ok = True
-        for i in range(len(sys.variables)):
-            v = kexprs[i].subs({s: sol[s] for s in svars if s in sol})
-            if not v.is_constant:
-                ok = False
-                break
-            vals.append(v.const_value())
-        if not ok:
-            continue
-        if all(MultiPoly.coerce(sol.get(v, MultiPoly.var(v))).is_zero
-               for v in sys.variables):
+        cs = [sol.get(s) for s in svars]
+        if all(c is not None and c.is_constant for c in cs):
+            # every parameter a constant: part_i + sum_k b_ki c_k
+            cs = [c.const_value() for c in cs]
+            vals = [p + sum(b[i] * c for b, c in zip(basis, cs) if b[i])
+                    for i, p in enumerate(part)]
+        else:
+            # a polynomial value may cancel in the sum
+            vals = [kexprs[i].subs({s: sol[s] for s in svars if s in sol})
+                    for i in range(len(sys.variables))]
+            if not all(v.is_constant for v in vals):
+                continue
+            vals = [v.const_value() for v in vals]
+        if all(v in sol and sol[v].is_zero for v in sys.variables):
             continue
         out.append(tuple(vals))
     return out
@@ -222,8 +218,122 @@ def _resolve_weight_family(sys, pattern, part, basis) -> List[Tuple[Fraction, ..
 # small exact polynomial-system solver (substitution + case splitting)
 # ---------------------------------------------------------------------------
 
+# past this many nodes a SolverMemo starts afresh, which bounds its memory
+# (a node takes about 0.75 KiB on a dense 5-variable system)
+MEMO_NODES = 10000
+
+
+class _Node:
+    """A solver state, its nonzero equations, their support masks and the
+    (name, shift) of the unknowns in them, until the walk expands it into
+    `alg`, a dropped irrational factor or None, and `edges`: per branch
+    (x, shift, value, choice, pending, child), x = value bound on the way."""
+    __slots__ = ("eqs", "masks", "unk", "alg", "edges")
+
+    def __init__(self, eqs, masks, unk, edges=None):
+        self.eqs, self.masks, self.unk, self.alg, self.edges = eqs, masks, unk, None, edges
+
+
+_LEAF, _DEAD = _Node((), (), ()), _Node((), (), (), [])   # no equation; a nonzero constant
+
+
+class SolverMemo:
+    """The nodes of the solves that share it, keyed by their unknowns and
+    equations in order, each interned to an int (an equation by its den
+    and terms in dict order); past MEMO_NODES nodes it starts afresh."""
+
+    def __init__(self):
+        self.ids: Dict[tuple, int] = {}
+        self.nodes: Dict[tuple, _Node] = {}
+
+    def node(self, eqs: List[MultiPoly], unk) -> _Node:
+        eqs = [e for e in eqs if e.nums]
+        if not eqs or any(e.is_constant for e in eqs):
+            return _DEAD if eqs else _LEAF
+        masks = [e.support_mask() for e in eqs]
+        if len(self.nodes) > MEMO_NODES:
+            self.ids, self.nodes = {}, {}
+        ids = self.ids
+        unk = tuple(us for us in unk if any((m >> us[1]) & LIMIT for m in masks))
+        key = (ids.setdefault(unk, len(ids)), *[ids.setdefault(
+            (e.den, *itertools.chain.from_iterable(e.nums.items())), len(ids)) for e in eqs])
+        return self.nodes.get(key) or self.nodes.setdefault(key, _Node(eqs, masks, unk))
+
+
+def _subs_one(p: MultiPoly, x: str, s: int, val: MultiPoly) -> MultiPoly:
+    # p.subs({x: val}) for an x of p, a constant val straight on the rational kernel
+    return (p._subs_rational([(s, val.nums.get(0, 0), val.den)]) if val.is_constant
+            else p.subs({x: val}))
+
+
+def _expand(eqs, masks, unk, memo: SolverMemo):
+    """(alg, edges) of a node: the first of solve_poly_system's four steps
+    that applies, with the values it binds and its children."""
+    occurs = [[us for us in unk if (m >> us[1]) & LIMIT] for m in masks]
+
+    def assign(idx, x, s, val, choice=None):
+        # eqs[idx] gives x = val: substitute it into the others
+        rest = [_subs_one(q, x, s, val) if (masks[k] >> s) & LIMIT else q
+                for k, q in enumerate(eqs) if k != idx]
+        return (x, s, val, choice, None, memo.node(rest, unk))
+
+    # 1. a linear unknown with a constant coefficient, later unknowns
+    # first so that leading ones (positions rather than momenta) stay
+    # free: x occurs only in the term c*x of e = c*x + rest
+    for idx, e in enumerate(eqs):
+        for x, s in reversed(occurs[idx]):
+            xk = 1 << s
+            if all(k == xk for k in e.nums if (k >> s) & LIMIT):
+                rest = MultiPoly.from_ints(e.den, {k: n for k, n in e.nums.items()
+                                                   if k != xk})
+                return None, [assign(idx, x, s, -rest / Fraction(e.nums[xk], e.den))]
+
+    # 2. univariate equation with rational coefficients
+    for idx, e in enumerate(eqs):
+        if len(occurs[idx]) != 1:
+            continue
+        (x, s), = occurs[idx]
+        cfs = e.coeffs_in(x)
+        if not all(c.is_constant for c in cfs.values()):
+            continue
+        roots, cof = rational_roots([cfs.get(k, MultiPoly.zero()).const_value()
+                                     for k in range(max(cfs) + 1)])
+        return ((x, cof) if len(cof) > 1 else None,
+                [assign(idx, x, s, MultiPoly.const(r), (x, r) if len(roots) > 1 else None)
+                 for r, _m in roots])
+
+    # 3. an equation with a common variable factor: split x=0 / cofactor=0
+    for idx, e in enumerate(eqs):
+        mg = dict(e.monomial_gcd())
+        fx = next((us for us in unk if mg.get(us[0], 0) > 0), None)
+        if fx is not None:
+            x, s = fx
+            cofactor = e.exact_div(MultiPoly.var(x, mg[x]))
+            others = [q for k, q in enumerate(eqs) if k != idx]
+            return None, [assign(idx, x, s, MultiPoly.zero()),
+                          (None, 0, None, None, None, memo.node([cofactor] + others, unk))]
+
+    # 4. last resort: eliminate a variable appearing linearly with a
+    # polynomial coefficient C: branch C = 0 (then D must also vanish),
+    # and branch C != 0 with denominators cleared in the others
+    for idx, e in enumerate(eqs):
+        for x, s in occurs[idx]:
+            if all((k >> s) & LIMIT < 2 for k in e.nums):
+                cfs = e.coeffs_in(x)
+                C, D = cfs[1], cfs.get(0, MultiPoly.zero())
+                others = [q for k, q in enumerate(eqs) if k != idx]
+                return None, [
+                    (None, 0, None, None, None, memo.node([C, D] + others, unk)),
+                    (None, 0, None, None, (x, s, C, D),
+                     memo.node([eliminate_linear(q, x, C, D) for q in others], unk))]
+    # nothing applicable: give up on this branch (not solvable by
+    # substitution over Q)
+    return None, []
+
+
 def solve_poly_system(eqs: Sequence[MultiPoly], unknowns: Sequence[str],
-                      max_branches: int = 4000, algebraic_out=None):
+                      max_branches: int = 4000, algebraic_out=None,
+                      memo: Optional[SolverMemo] = None):
     """All solution branches of a small polynomial system over Q.
 
     Returns a list of (solution, choices): `solution` maps a subset of the
@@ -242,147 +352,76 @@ def solve_poly_system(eqs: Sequence[MultiPoly], unknowns: Sequence[str],
     polynomial, splits into C = D = 0 and C != 0, where x is eliminated
     from the other equations and left pending until none is left, then
     back-substituted innermost first as x = -D/C (Cox, Little and O'Shea,
-    "Ideals, Varieties, and Algorithms", ch. 3).  `max_branches` bounds
-    the recursion calls of the whole solve.  Every returned branch is
-    verified against the original equations.
+    "Ideals, Varieties, and Algorithms", ch. 3).  The step a node takes
+    depends only on its equations and the unknowns in them (a bound or
+    pending one is in none), so a node is expanded once (`_expand`) and
+    shared: a walk binds the values along each path and back-substitutes
+    the pending unknowns at each leaf.  The solves of one weight search
+    share a `memo` of nodes (by default a solve has its own); `max_branches`
+    bounds the nodes this solve's walk visits, shared or not.  Every
+    returned branch is verified against the original equations.
     """
-    unknowns = list(unknowns)
-    shifts = {u: shift(u) for u in unknowns}
-    results = []
-    counter = [0]
+    memo = SolverMemo() if memo is None else memo
+    results, counter = [], [0]
 
-    def bind(sol, x, val):
+    def bind(sol, x, s, val):
         # the one place a value is bound: x = val enters every earlier value
-        out = {k: v.subs({x: val}) for k, v in sol.items()}
+        out = {k: _subs_one(v, x, s, val) if (v.support_mask() >> s) & LIMIT else v
+               for k, v in sol.items()}
         out[x] = val
         return out
 
-    def assign(cur_eqs, idx, sol, x, val, choices, pending):
-        # cur_eqs[idx] gives x = val: substitute it everywhere and recurse
-        rest = [q.subs({x: val}) for k, q in enumerate(cur_eqs) if k != idx]
-        recurse(rest, bind(sol, x, val), choices, pending)
-
-    def recurse(cur_eqs, sol, choices, pending):
+    def walk(node, sol, choices, pending):
         counter[0] += 1
         if counter[0] > max_branches:
             raise RuntimeError("polynomial system solver branch budget exceeded")
-        cur_eqs = [e for e in cur_eqs if not e.is_zero]
-        for e in cur_eqs:
-            if e.is_constant:
-                return  # inconsistent
-        if not cur_eqs:
-            for x, C, D in reversed(pending):
+        if node is _LEAF:
+            for x, s, C, D in reversed(pending):
                 try:  # a zero C or an inexact division drops the branch
                     val = (-D.subs(sol)).exact_div(C.subs(sol))
                 except (ValueError, ZeroDivisionError):
                     return
-                sol = bind(sol, x, val)
+                sol = bind(sol, x, s, val)
             results.append((dict(sol), list(choices)))
             return
+        if node.edges is None:
+            node.alg, node.edges = _expand(node.eqs, node.masks, node.unk, memo)
+            node.eqs = node.masks = node.unk = None   # the edges are all it needs
+        if node.alg is not None and algebraic_out is not None:
+            algebraic_out.append(node.alg)
+        for x, s, val, choice, pend, child in node.edges:
+            walk(child, sol if x is None else bind(sol, x, s, val),
+                 choices if choice is None else choices + [choice],
+                 pending if pend is None else pending + [pend])
 
-        # a pending unknown occurs in no equation, so no step picks it;
-        # occurs[idx]: the unknowns left that occur in cur_eqs[idx]
-        present = [u for u in unknowns if u not in sol]
-        occurs = []
-        for e in cur_eqs:
-            m = e.support_mask()
-            occurs.append([u for u in present if (m >> shifts[u]) & LIMIT])
+    unk = [(u, shift(u)) for u in unknowns]
+    walk(memo.node(list(eqs), unk), {}, [], [])
 
-        # 1. a linear unknown with a constant coefficient, later unknowns
-        # first so that leading ones (positions rather than momenta) stay
-        # free: x occurs only in the term c*x of e = c*x + rest
-        for idx, e in enumerate(cur_eqs):
-            for x in reversed(occurs[idx]):
-                xk = 1 << shifts[x]
-                if all(k == xk for k in e.nums if (k >> shifts[x]) & LIMIT):
-                    rest = MultiPoly.from_ints(e.den, {k: n for k, n in e.nums.items()
-                                                       if k != xk})
-                    val = -rest / Fraction(e.nums[xk], e.den)
-                    assign(cur_eqs, idx, sol, x, val, choices, pending)
-                    return
-
-        # 2. univariate equation with rational coefficients
-        for idx, e in enumerate(cur_eqs):
-            evars = occurs[idx]
-            if len(evars) != 1:
-                continue
-            x = evars[0]
-            cfs = e.coeffs_in(x)
-            if not all(c.is_constant for c in cfs.values()):
-                continue
-            deg = max(cfs)
-            coeffs = [cfs.get(k, MultiPoly.zero()).const_value()
-                      for k in range(deg + 1)]
-            roots, cof = rational_roots(coeffs)
-            if len(cof) > 1 and algebraic_out is not None:
-                algebraic_out.append((x, cof))
-            many = len(roots) > 1
-            for r, _m in roots:
-                assign(cur_eqs, idx, sol, x, MultiPoly.const(r),
-                       choices + ([(x, r)] if many else []), pending)
-            return
-
-        # 3. an equation with a common variable factor: split x=0 / cofactor=0
-        for idx, e in enumerate(cur_eqs):
-            mg = dict(e.monomial_gcd())
-            fx = next((u for u in present if mg.get(u, 0) > 0), None)
-            if fx is None:
-                continue
-            assign(cur_eqs, idx, sol, fx, MultiPoly.zero(), choices, pending)
-            cofactor = e.exact_div(MultiPoly.var(fx, mg[fx]))
-            recurse([cofactor] + [q for k, q in enumerate(cur_eqs) if k != idx],
-                    sol, choices, pending)
-            return
-
-        # 4. last resort: eliminate a variable appearing linearly with a
-        # polynomial coefficient C, on the branch C != 0
-        for idx, e in enumerate(cur_eqs):
-            for x in occurs[idx]:
-                if all((k >> shifts[x]) & LIMIT < 2 for k in e.nums):
-                    cfs = e.coeffs_in(x)
-                    C = cfs[1]
-                    D = cfs.get(0, MultiPoly.zero())
-                    others = [q for k, q in enumerate(cur_eqs) if k != idx]
-                    # branch C = 0 (then D must also vanish)
-                    recurse([C, D] + others, sol, choices, pending)
-                    # branch C != 0: clear denominators in the others
-                    recurse([eliminate_linear(q, x, C, D) for q in others],
-                            sol, choices, pending + [(x, C, D)])
-                    return
-        # nothing applicable: give up on this branch (not solvable by
-        # substitution over Q)
-        return
-
-    recurse(list(eqs), {}, [], [])
-
-    # verify and dedupe
-    verified = []
-    seen = set()
+    # verify (at one rational point when every value is constant) and dedupe
+    shifts, verified, seen = dict(unk), [], set()
     for sol, choices in results:
-        ok = all(e.subs(sol).is_zero for e in eqs)
-        if not ok:
+        if all(v.is_constant for v in sol.values()):
+            point = [(shifts[k], v.nums.get(0, 0), v.den) for k, v in sol.items()]
+            if any(e.nums and e._subs_rational(point).nums for e in eqs):
+                continue
+        elif not all(e.subs(sol).is_zero for e in eqs):
             continue
         sig = tuple(sorted((k, v) for k, v in sol.items()))
-        if sig in seen:
-            continue
-        seen.add(sig)
-        verified.append((sol, choices))
+        if sig not in seen:
+            seen.add(sig)
+            verified.append((sol, choices))
 
     def subsumes(big, small):
         # `small` is a specialization of `big`: assigning some of big's
         # free unknowns reproduces every one of big's values
-        if not set(big) <= set(small) or set(big) == set(small):
-            return False
         sigma = {v: small[v] for v in small if v not in big}
         return all(big[v].subs(sigma) == small[v] for v in big)
 
-    pruned = []
-    for i, (sol, choices) in enumerate(verified):
-        if any(subsumes(other, sol) for j, (other, _c) in enumerate(verified)
-               if j != i):
-            continue
-        pruned.append((sol, choices))
-    return pruned
+    # a solution is dropped when it specializes another, which binds fewer
+    bound = [set(sol) for sol, _ in verified]
+    return [(sol, choices) for i, (sol, choices) in enumerate(verified)
+            if not any(bound[j] < bound[i] and subsumes(other, sol)
+                       for j, (other, _c) in enumerate(verified))]
 
 
 # ---------------------------------------------------------------------------
@@ -412,21 +451,15 @@ class Balance:
 
     def rename_free(self, mapping: Mapping[str, str]) -> "Balance":
         sub = {old: MultiPoly.var(new) for old, new in mapping.items()}
-        return Balance(
-            weight_vector=self.weight_vector,
-            leading=tuple(z.subs(sub) for z in self.leading),
-            free_symbols=tuple(mapping.get(s, s) for s in self.free_symbols),
-            label=self.label, choices=self.choices)
+        return replace(self, leading=tuple(z.subs(sub) for z in self.leading),
+                       free_symbols=tuple(mapping.get(s, s) for s in self.free_symbols))
 
     def specialize(self, values: Mapping[str, object]) -> "Balance":
         """Evaluate free symbols at rational points (generic members of the
         balance family); they stop being symbols of the propagated series."""
         sub = {k: MultiPoly.const(Q(v)) for k, v in values.items()}
-        return Balance(
-            weight_vector=self.weight_vector,
-            leading=tuple(z.subs(sub) for z in self.leading),
-            free_symbols=tuple(s for s in self.free_symbols if s not in values),
-            label=self.label, choices=self.choices)
+        return replace(self, leading=tuple(z.subs(sub) for z in self.leading),
+                       free_symbols=tuple(s for s in self.free_symbols if s not in values))
 
 
 def dominant_part(sys: VectorFieldSystem, w: WeightVector) -> List[MultiPoly]:
@@ -490,13 +523,11 @@ def kowalewski(sys: VectorFieldSystem, bal: Balance) -> KowalewskiData:
           (MultiPoly.const(w.weights[i]) if i == j else MultiPoly.zero())
           for j in range(n)] for i in range(n)]
     cp = charpoly_exact(L)
-    consts = []
-    for c in cp:
-        if not c.is_constant:
-            raise ValueError(
-                "Kowalewski characteristic polynomial depends on a free "
-                "symbol; resonance analysis needs a generic-value split")
-        consts.append(c.const_value())
+    if not all(c.is_constant for c in cp):
+        raise ValueError(
+            "Kowalewski characteristic polynomial depends on a free "
+            "symbol; resonance analysis needs a generic-value split")
+    consts = [c.const_value() for c in cp]
     rats, cof = rational_roots(consts)
     return KowalewskiData(matrix=L, charpoly=consts, rational_eigs=rats,
                           nonrational_factor=cof)
@@ -682,18 +713,11 @@ def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
     rhs = _RelaxedSystem(sys, m, ell, bal.leading)
     L = kd.matrix
     names_iter = iter(resonance_names or [])
-    auto_idx = [0]
     params: List[str] = list(bal.free_symbols)
     resonances: List[Tuple[int, str]] = []
-
     taken = set(params) | set(sys.variables) | set(sys.constants)
-
-    def fresh_name():
-        while True:
-            auto_idx[0] += 1
-            nm = f"c{auto_idx[0]}"
-            if nm not in taken:
-                return nm
+    # c1, c2, ..., skipping a name taken when it comes up
+    fresh = (nm for nm in (f"c{i}" for i in itertools.count(1)) if nm not in taken)
 
     for j in range(1, J + 1):
         psi = rhs.provisional(j)
@@ -738,7 +762,7 @@ def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
                     kvec = [(x * scale).exact_div(v[f]) for x in v]
                 except ValueError as exc:
                     raise FamilyNotPolynomial(j, ell) from exc
-                name = next(names_iter, None) or fresh_name()
+                name = next(names_iter, None) or next(fresh)
                 taken.add(name)
                 s = MultiPoly.var(name)
                 zj = [zj[i] + s * kvec[i] for i in range(n)]
@@ -844,33 +868,22 @@ def constraint_curve(sys: VectorFieldSystem, fam: LaurentFamily,
         relations.append(S.coeff(0) - MultiPoly.var(val))
 
     if eliminate is None:
-        cand = [p for p in fam.free_parameters
-                if any(r.degree_in(p) > 0 for r in relations)
-                and all(r.degree_in(p) <= 1 for r in relations)]
-        eliminate = sorted(cand)
+        eliminate = sorted(p for p in fam.free_parameters
+                           if any(r.degree_in(p) > 0 for r in relations)
+                           and all(r.degree_in(p) <= 1 for r in relations))
+    def rank(C):
+        return (0 if C.is_constant else 1, C.total_degree(), len(C.nums))
+
     work = list(relations)
     for p in list(eliminate):
-        pivot_idx = None
-        best = None
-        for idx, r in enumerate(work):
-            if r.degree_in(p) != 1:
-                continue
-            C = r.coeffs_in(p)[1]
-            rank = (0 if C.is_constant else 1, C.total_degree(), len(C.nums))
-            if best is None or rank < best:
-                best = rank
-                pivot_idx = idx
-        if pivot_idx is None:
+        # the pivot: the first relation linear in p with the simplest coefficient
+        pivots = [idx for idx, r in enumerate(work) if r.degree_in(p) == 1]
+        if not pivots:
             continue
-        r = work.pop(pivot_idx)
-        C = r.coeffs_in(p)[1]
-        D = r.coeffs_in(p).get(0, MultiPoly.zero())
-        work = [eliminate_linear(s, p, C, D) for s in work]
-    curve = None
-    if len(work) == 1:
-        curve = work[0].primitive()
-    elif work:
-        curve = sorted(work, key=lambda q: (q.total_degree(), len(q.nums)))[0].primitive()
+        cfs = work.pop(min(pivots, key=lambda idx: rank(work[idx].coeffs_in(p)[1]))).coeffs_in(p)
+        work = [eliminate_linear(s, p, cfs[1], cfs.get(0, MultiPoly.zero())) for s in work]
+    # the canonical relation: the first of least degree and fewest terms
+    curve = min(work, key=lambda q: (q.total_degree(), len(q.nums))).primitive() if work else None
     return ConstraintVariety(relations=relations, value_names=list(value_names),
                              eliminated=list(eliminate), curve=curve)
 
@@ -899,9 +912,8 @@ def restoring_morphism_check(sys_src: VectorFieldSystem,
     failures = []
     subs_map = dict(zip(sys_dst.variables, morphism))
     for k, phi in enumerate(morphism):
-        dphi = MultiPoly.zero()
-        for i, v in enumerate(sys_src.variables):
-            dphi = dphi + phi.diff(v) * sys_src.equations[i]
+        dphi = sum((phi.diff(v) * f for v, f in zip(sys_src.variables, sys_src.equations)),
+                   MultiPoly.zero())
         target = sys_dst.equations[k].subs(subs_map)
         if dphi != target:
             failures.append(sys_dst.variables[k])

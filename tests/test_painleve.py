@@ -553,9 +553,10 @@ def _search_outcome(search, sys_, **kw):
     resolve, support = pv._resolve_weight_family, pv._canonical_support
 
     def recorded(name, fn):
-        def call(sys_arg, *args):
+        # the solver memo detect_weights passes is not part of the record
+        def call(sys_arg, *args, **kw):
             calls.append((name, args))
-            return fn(sys_arg, *args)
+            return fn(sys_arg, *args, **kw)
         return call
 
     pv._resolve_weight_family = recorded("resolve", resolve)
@@ -695,8 +696,8 @@ def test_weight_search_on_a_dense_file(tmp_path, monkeypatch):
             candidates.append(tuple(part))
         return part, basis
 
-    def resolve_family(*args):
-        out = resolve(*args)
+    def resolve_family(*args, **kw):
+        out = resolve(*args, **kw)
         candidates.extend(out)
         return out
 
@@ -720,6 +721,250 @@ def test_weight_search_on_a_dense_file(tmp_path, monkeypatch):
     positive = [w for w in candidates if all(x > 0 for x in w)]
     assert splits == list(dict.fromkeys(positive))
     assert len(splits) < len(positive)
+
+
+# -- the solver against its recursion ------------------------------------------
+#
+# solve_poly_system expands each distinct node once and walks the shared
+# tree.  This is the solver as it was first written: one recursion that
+# substitutes every binding into every equation and value on its way down.
+
+def reference_solve_poly_system(eqs, unknowns, max_branches=4000,
+                                algebraic_out=None):
+    from laxkit.exactalg import eliminate_linear, rational_roots
+    from laxkit.exactalg.poly import LIMIT, shift
+    unknowns = list(unknowns)
+    shifts = {u: shift(u) for u in unknowns}
+    results = []
+    counter = [0]
+
+    def bind(sol, x, val):
+        out = {k: v.subs({x: val}) for k, v in sol.items()}
+        out[x] = val
+        return out
+
+    def assign(cur_eqs, idx, sol, x, val, choices, pending):
+        rest = [q.subs({x: val}) for k, q in enumerate(cur_eqs) if k != idx]
+        recurse(rest, bind(sol, x, val), choices, pending)
+
+    def recurse(cur_eqs, sol, choices, pending):
+        counter[0] += 1
+        if counter[0] > max_branches:
+            raise RuntimeError("polynomial system solver branch budget exceeded")
+        cur_eqs = [e for e in cur_eqs if not e.is_zero]
+        if any(e.is_constant for e in cur_eqs):
+            return
+        if not cur_eqs:
+            for x, C, D in reversed(pending):
+                try:
+                    val = (-D.subs(sol)).exact_div(C.subs(sol))
+                except (ValueError, ZeroDivisionError):
+                    return
+                sol = bind(sol, x, val)
+            results.append((dict(sol), list(choices)))
+            return
+        present = [u for u in unknowns if u not in sol]
+        occurs = []
+        for e in cur_eqs:
+            m = e.support_mask()
+            occurs.append([u for u in present if (m >> shifts[u]) & LIMIT])
+        for idx, e in enumerate(cur_eqs):                       # 1
+            for x in reversed(occurs[idx]):
+                xk = 1 << shifts[x]
+                if all(k == xk for k in e.nums if (k >> shifts[x]) & LIMIT):
+                    rest = MultiPoly.from_ints(e.den, {k: n for k, n in e.nums.items()
+                                                       if k != xk})
+                    val = -rest / F(e.nums[xk], e.den)
+                    assign(cur_eqs, idx, sol, x, val, choices, pending)
+                    return
+        for idx, e in enumerate(cur_eqs):                       # 2
+            if len(occurs[idx]) != 1:
+                continue
+            x = occurs[idx][0]
+            cfs = e.coeffs_in(x)
+            if not all(c.is_constant for c in cfs.values()):
+                continue
+            coeffs = [cfs.get(k, MultiPoly.zero()).const_value()
+                      for k in range(max(cfs) + 1)]
+            roots, cof = rational_roots(coeffs)
+            if len(cof) > 1 and algebraic_out is not None:
+                algebraic_out.append((x, cof))
+            many = len(roots) > 1
+            for r, _m in roots:
+                assign(cur_eqs, idx, sol, x, MultiPoly.const(r),
+                       choices + ([(x, r)] if many else []), pending)
+            return
+        for idx, e in enumerate(cur_eqs):                       # 3
+            mg = dict(e.monomial_gcd())
+            fx = next((u for u in present if mg.get(u, 0) > 0), None)
+            if fx is None:
+                continue
+            assign(cur_eqs, idx, sol, fx, MultiPoly.zero(), choices, pending)
+            cofactor = e.exact_div(MultiPoly.var(fx, mg[fx]))
+            recurse([cofactor] + [q for k, q in enumerate(cur_eqs) if k != idx],
+                    sol, choices, pending)
+            return
+        for idx, e in enumerate(cur_eqs):                       # 4
+            for x in occurs[idx]:
+                if all((k >> shifts[x]) & LIMIT < 2 for k in e.nums):
+                    cfs = e.coeffs_in(x)
+                    C, D = cfs[1], cfs.get(0, MultiPoly.zero())
+                    others = [q for k, q in enumerate(cur_eqs) if k != idx]
+                    recurse([C, D] + others, sol, choices, pending)
+                    recurse([eliminate_linear(q, x, C, D) for q in others],
+                            sol, choices, pending + [(x, C, D)])
+                    return
+
+    recurse(list(eqs), {}, [], [])
+    verified, seen = [], set()
+    for sol, choices in results:
+        if not all(e.subs(sol).is_zero for e in eqs):
+            continue
+        sig = tuple(sorted((k, v) for k, v in sol.items()))
+        if sig not in seen:
+            seen.add(sig)
+            verified.append((sol, choices))
+
+    def subsumes(big, small):
+        if not set(big) <= set(small) or set(big) == set(small):
+            return False
+        sigma = {v: small[v] for v in small if v not in big}
+        return all(big[v].subs(sigma) == small[v] for v in big)
+
+    return [(sol, choices) for i, (sol, choices) in enumerate(verified)
+            if not any(subsumes(other, sol)
+                       for j, (other, _c) in enumerate(verified) if j != i)]
+
+
+def _solve_outcome(solve, eqs, unknowns, **kw):
+    """What a solve returns, value by value with every term in dict order,
+    or the error it raises; and what it appended to algebraic_out."""
+    dropped = []
+    try:
+        got = [([(k, list(v.terms.items())) for k, v in sol.items()], choices)
+               for sol, choices in solve(eqs, unknowns, algebraic_out=dropped, **kw)]
+    except RuntimeError as exc:
+        got = str(exc)
+    return got, dropped
+
+
+def _family_systems(sys_):
+    """The (equations, unknowns) of every family solve of detect_weights."""
+    systems, solve = [], pv.solve_poly_system
+
+    def record(eqs, unknowns, **kw):
+        systems.append((list(eqs), list(unknowns)))
+        return solve(eqs, unknowns, **kw)
+    pv.solve_poly_system = record
+    try:
+        detect_weights(sys_, max_patterns=400)
+    except (ValueError, RuntimeError):
+        pass
+    finally:
+        pv.solve_poly_system = solve
+    return systems
+
+
+@st.composite
+def solver_systems(draw):
+    """The indicial system k_i x_i + f_i = 0 of a small vector field of the
+    weight-search recipe (k_i a small rational), then the family systems
+    of its weight search (about a third of the fields have some)."""
+    sys_ = draw(small_vector_fields())
+    ks = [draw(st.sampled_from([F(1), F(-1), F(1, 2), F(2), F(-3, 2)]))
+          for _ in sys_.variables]
+    indicial = [k * MultiPoly.var(v) + f
+                for k, v, f in zip(ks, sys_.variables, sys_.equations)]
+    return [(indicial, list(sys_.variables))] + _family_systems(sys_)
+
+
+@settings(max_examples=40, deadline=None)
+@given(solver_systems(), st.integers(1, 60))
+def test_solver_matches_reference_recursion(systems, budget):
+    # the same branches, values term for term, choices and algebraic_out,
+    # at the default budget and at a small one
+    for eqs, unknowns in systems:
+        for kw in ({}, {"max_branches": budget}):
+            assert (_solve_outcome(solve_poly_system, eqs, unknowns, **kw)
+                    == _solve_outcome(reference_solve_poly_system, eqs,
+                                      unknowns, **kw))
+
+
+@settings(max_examples=40, deadline=None)
+@given(solver_systems(), st.integers(1, 60))
+def test_shared_memo_matches_solving_alone(systems, budget):
+    # a sequence of solves through one memo, then the same systems again at
+    # a small budget, which trips inside subtrees the memo already holds;
+    # each system also with its unknowns reversed and with its last unknown
+    # a parameter, so equal equations meet other unknowns
+    systems = [(eqs, u) for eqs, unknowns in systems
+               for u in (unknowns, unknowns[::-1], unknowns[:-1])]
+    memo = pv.SolverMemo()
+    for kw in ({}, {"max_branches": budget}):
+        for eqs, unknowns in systems:
+            assert (_solve_outcome(solve_poly_system, eqs, unknowns, memo=memo, **kw)
+                    == _solve_outcome(solve_poly_system, eqs, unknowns, **kw))
+
+
+def reference_resolve_weight_family(sys_, pattern, part, basis):
+    # each weight as a substitution into part_i + sum_k b_ki _wk, and the
+    # system solved by the reference recursion
+    svars = [f"_w{k}" for k in range(len(basis))]
+    kexprs = []
+    for i in range(len(sys_.variables)):
+        e = MultiPoly.const(part[i])
+        for k, b in enumerate(basis):
+            e = e + MultiPoly.var(svars[k]) * b[i]
+        kexprs.append(e)
+    eqs = [kexprs[i] * MultiPoly.var(v) + MultiPoly({key: terms[key] for key in subset})
+           for i, (v, terms, subset) in enumerate(zip(
+               sys_.variables, (f.terms for f in sys_.equations), pattern))]
+    out = []
+    for sol, _ in reference_solve_poly_system(eqs, list(sys_.variables) + svars):
+        vals = [kexprs[i].subs({s: sol[s] for s in svars if s in sol})
+                for i in range(len(sys_.variables))]
+        if not all(v.is_constant for v in vals):
+            continue
+        if all(MultiPoly.coerce(sol.get(v, MultiPoly.var(v))).is_zero
+               for v in sys_.variables):
+            continue
+        out.append(tuple(v.const_value() for v in vals))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_vector_fields())
+def test_family_candidates_match_reference(sys_):
+    # every family of a weight search gives the reference's candidates, in
+    # order, whether its weights are read as sums or substituted
+    calls, resolve = [], pv._resolve_weight_family
+
+    def record(sys_arg, *args, **kw):
+        calls.append(args)
+        return resolve(sys_arg, *args, **kw)
+    pv._resolve_weight_family = record
+    try:
+        detect_weights(sys_, max_patterns=400)
+    finally:
+        pv._resolve_weight_family = resolve
+    for args in calls:
+        assert resolve(sys_, *args) == reference_resolve_weight_family(sys_, *args)
+
+
+def test_memo_cleared_at_every_node_gives_the_same_weights(monkeypatch):
+    want = {name: detect_weights(builtin_system(name)) for name in _SYSTEM_FILES}
+    held = []
+
+    class Memo(pv.SolverMemo):
+        def node(self, eqs, unk):
+            out = super().node(eqs, unk)
+            held.append(len(self.nodes))
+            return out
+    monkeypatch.setattr(pv, "SolverMemo", Memo)
+    monkeypatch.setattr(pv, "MEMO_NODES", 1)
+    for name in _SYSTEM_FILES:
+        assert detect_weights(builtin_system(name)) == want[name]
+    assert max(held) == 2   # cleared as soon as it holds more than one node
 
 
 def test_propagate_refuses_order_above_cap(monkeypatch):
