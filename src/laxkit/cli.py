@@ -31,8 +31,11 @@ Flows take fixed steps: the step (--dt) must divide the horizon
 (`flow --t-end`, `jacobi --toda-t-end`) into a positive whole number of
 steps, to 1e-9 relative, or the command exits 1.
 `flow -N` must be at least 2 for toda-periodic and neumann and at least
-3 for euler-arnold (the smallest sizes whose flow moves), or the command
-exits 1; without it they run at N = 3.  kvm takes no -N: given one, the
+3 for euler-arnold (the smallest sizes whose flow moves), and at most
+FLOW_MAX_N (64: toda-periodic ran 6.6 s there and 62 s at 128 at the
+default --t-end and --dt on a 2-CPU host), or the command exits 1 before
+any work; without it they run at N = 3.  kvm takes no -N: given one, the
+command exits 1.  `flow --seed` must be a non-negative integer, or the
 command exits 1.
 `painleve --order` must be a positive integer no larger than
 builtins.MAX_ORDER (30), or the command exits 1 before any work; without
@@ -121,6 +124,19 @@ def _tol(text: str) -> float:
     if not (math.isfinite(x) and x > 0):
         raise argparse.ArgumentTypeError(
             f"must be a positive finite number, not {text!r}")
+    return x
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer, as numpy's
+    random generators take."""
+    try:
+        x = int(text)
+    except ValueError:
+        x = -1
+    if x < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, not {text!r}")
     return x
 
 
@@ -213,6 +229,10 @@ def cmd_painleve(args) -> Result:
 # euler-arnold flow is static ([X, lam*X] = 0 for a 2 x 2 skew X), and so is
 # neumann for N = 1 (a point of S^0)
 FLOW_MIN_N = {"toda-periodic": 2, "euler-arnold": 3, "neumann": 2}
+# largest -N of a sized flow builtin: at the default --t-end and --dt,
+# toda-periodic took 6.6 s at N = 64 and 62 s at N = 128 on a 2-CPU x86_64
+# host, and neumann's trace powers tr A^k, k <= N, overflowed at N = 128
+FLOW_MAX_N = 64
 
 
 def cmd_flow(args) -> Result:
@@ -224,6 +244,8 @@ def cmd_flow(args) -> Result:
     min_n = FLOW_MIN_N.get(args.builtin)
     if min_n is not None and N < min_n:
         raise UsageError(f"flow --builtin {args.builtin} needs -N >= {min_n}")
+    if N > FLOW_MAX_N:
+        raise UsageError(f"-N {N} is above the cap cli.FLOW_MAX_N = {FLOW_MAX_N}")
     if args.dt <= 0:
         raise UsageError("--dt must be positive")
     if args.t_end <= 0:
@@ -458,12 +480,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="integrate a Lax or vector-field builtin")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="seed of the random initial state")
     p.add_argument("--builtin", required=True)
     p.add_argument("-N", type=int, default=None,
                    help="size (default 3): >= 2 for toda-periodic and "
-                        "neumann, >= 3 for euler-arnold; kvm takes none")
+                        "neumann, >= 3 for euler-arnold, at most "
+                        f"{FLOW_MAX_N}; kvm takes none")
     p.add_argument("--t-end", type=float, default=1.0)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--tol", type=_tol, default=1e-8)

@@ -20,15 +20,15 @@ Neumann, Jacobi geodesics) are built here too, by factories that return
 a pencil and its B.
 
 The commutator is the hot path of every Lax flow (one per RK4 stage).  It
-forms all block commutators [A_i, B_j] in one stacked matmul and one
-in-place subtraction, then adds them into each h-degree in order of
-increasing i, starting from zeros, so every entry rounds as in a plain
-double loop over the block pairs.  Pairs whose degree falls outside the
-requested window are not dropped silently: each must vanish up to
-roundoff, or ValueError reports a malformed B.  Everything that depends
-only on the block counts and the window (the slice-adds, the outside
-pairs and their indices) is computed once per flow and cached, so a
-stage spends its numpy calls on the blocks alone.
+forms all block commutators [A_i, B_j] in two stacked matmuls and one
+subtraction, then adds them into each h-degree in order of increasing i,
+starting from zeros, so every entry rounds as in a plain double loop over
+the block pairs.  Pairs whose degree falls outside the requested window
+are not dropped silently: each must vanish up to roundoff, or ValueError
+reports a malformed B.  integrate_lax builds one kernel per block layout
+of B's pencils (_commutator_plan) that owns its buffers, slice views and
+outside entries, so a stage spends its numpy calls on the blocks alone;
+MatrixPencil.commutator runs the same kernel, built for the one call.
 """
 from __future__ import annotations
 
@@ -55,29 +55,51 @@ class BlowUpError(RuntimeError):
 # pencils
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=256)
-def _pair_layout(ka: int, kb: int, base: int, width: int):
-    """Where the block pairs (i, j) of a ka x kb commutator land in a window
-    of `width` degrees, pair (i, j) going to index base + i + j.
-
-    Returns the slice-adds (i, window slice, j slice) of the pairs inside,
-    one per i in increasing order; the integer indices (i's, j's) of the
-    pairs outside, in (i, j) order, which is the order that indexing by
-    their mask gives; and the degree index of each outside pair in that
-    order.  Cached, and so read-only: a flow asks for the same layout at
-    every stage."""
+def _commutator_plan(ka: int, kb: int, lo: int, window: Tuple[int, int], n: int
+                     ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The kernel (A, B) -> fresh blocks of [A, B] on the h-window
+    `window` for ka and kb blocks of n x n, pair (i, j) of degree lo + i + j.
+    What does not depend on the blocks is laid out once and owned by the
+    kernel: the product buffers, the views that add each block's pairs
+    into the degree sums (one per i, in increasing i, into a buffer zeroed
+    per call) and the entries of the pairs outside the window."""
+    wlo, whi = window
+    base = lo - wlo
+    prod, swap = np.empty((2, ka, kb, n, n))
+    acc = np.empty((whi - wlo + 1, n, n))
     adds = []
     for i in range(ka):
-        j0, j1 = max(0, -base - i), min(kb, width - base - i)
+        j0, j1 = max(0, -base - i), min(kb, len(acc) - base - i)
         if j0 < j1:
-            adds.append((i, slice(base + i + j0, base + i + j1), slice(j0, j1)))
-    pos = base + np.add.outer(np.arange(ka), np.arange(kb))
-    outside = (pos < 0) | (pos >= width)
-    spill_ij = np.nonzero(outside)
-    spill_pos = pos[spill_ij]
-    for arr in (spill_pos, *spill_ij):
-        arr.flags.writeable = False
-    return tuple(adds), spill_ij, spill_pos
+            adds.append((acc[base + i + j0:base + i + j1], prod[i, j0:j1]))
+    deg = lo + np.add.outer(np.arange(ka), np.arange(kb))
+    oi, oj = np.nonzero((deg < wlo) | (deg > whi))
+    entries = ((oi * kb + oj)[:, None] * (n * n) + np.arange(n * n)).ravel()
+    flat = prod.reshape(-1)
+
+    def kernel(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        Ai = A[:, None]
+        np.matmul(Ai, B, out=prod)
+        np.matmul(B, Ai, out=swap)
+        np.subtract(prod, swap, out=prod)
+        acc.fill(0.0)
+        for dst, src in adds:
+            dst += src
+        # no pair can fail while every outside entry is within 1e-10: a sum
+        # of squares <= 5e-21 bounds each by 7.1e-11, with room for its
+        # rounding (a NaN skips the test, as it skipped the max it replaces)
+        spill = flat[entries]
+        if spill @ spill > 5e-21:
+            worst = np.max(np.abs(prod[oi, oj]), axis=(1, 2))
+            scale = np.outer(np.max(np.abs(A), axis=(1, 2)),
+                             np.max(np.abs(B), axis=(1, 2)))[oi, oj]
+            bad = (worst > 1e-10) & (worst > 1e-10 * (1 + scale))
+            if bad.any():
+                k = int(deg[oi, oj][np.argmax(bad)])
+                raise ValueError(
+                    f"commutator spills h^{k} outside the declared window")
+        return acc.copy()
+    return kernel
 
 
 class MatrixPencil:
@@ -136,36 +158,19 @@ class MatrixPencil:
     def commutator(self, other: "MatrixPencil",
                    window: Optional[Tuple[int, int]] = None) -> "MatrixPencil":
         """[self, other] per h-degree over `window` (default: every degree
-        the product reaches).
+        the product reaches), by the flows' kernel, built for this call.
 
-        One stacked matmul forms every block commutator
+        Two stacked matmuls form every block commutator
         C[i, j] = [A_(lo+i), B_(other.lo+j)] at once.  Degree k of the
         result is then the sum of its C[i, j] in order of increasing i,
         starting from zeros: one slice-add per block of `self`.  A pair
         whose degree falls outside the window must vanish up to roundoff,
         max|C| <= 1e-10 * (1 + max|A| * max|B|), or ValueError names the
         degree of the first such pair in (i, j) order."""
-        A, B = self.blocks, other.blocks
-        wlo, whi = window or (self.lo + other.lo, self.h_range[1] + other.h_range[1])
-        width = whi - wlo + 1
-        adds, (oi, oj), spill_pos = _pair_layout(
-            len(A), len(B), self.lo + other.lo - wlo, width)
-        out = np.zeros((width,) + A.shape[1:])
-        C = A[:, None] @ B[None, :]
-        C -= B[None, :] @ A[:, None]
-        for i, dst, src in adds:
-            out[dst] += C[i, src]
-        # no pair can fail while every outside entry is within 1e-10
-        if len(oi) and np.abs(C[oi, oj]).max() > 1e-10:
-            spill = np.max(np.abs(C[oi, oj]), axis=(1, 2))
-            scale = np.outer(np.max(np.abs(A), axis=(1, 2)),
-                             np.max(np.abs(B), axis=(1, 2)))[oi, oj]
-            bad = (spill > 1e-10) & (spill > 1e-10 * (1 + scale))
-            if bad.any():
-                k = wlo + int(spill_pos[np.argmax(bad)])
-                raise ValueError(
-                    f"commutator spills h^{k} outside the declared window")
-        return MatrixPencil.from_blocks(wlo, out)
+        window = window or (self.lo + other.lo, self.h_range[1] + other.h_range[1])
+        kernel = _commutator_plan(len(self.blocks), len(other.blocks),
+                                  self.lo + other.lo, window, self.dim)
+        return MatrixPencil.from_blocks(window[0], kernel(self.blocks, other.blocks))
 
     def axpy(self, c: float, other: "MatrixPencil") -> "MatrixPencil":
         """self + c * other, for two pencils on the same h-window."""
@@ -187,13 +192,15 @@ class MatrixPencil:
 # built with MatrixPencil.from_blocks on B's own fixed window (which may be
 # narrower than P's, as for the rank-2 pencils); it reads P's blocks as
 # P.blocks[k - P.lo] and never writes to them.  Each call fills one fresh
-# (K, n, n) block array with out= ufuncs and hands it over: no buffer is
-# reused across calls, so a caller may keep each result (rk4 keeps all
-# four stages of a step when it integrates dA/dt = B(A) itself, as the
-# non-commutator control does).  integrate_lax calls B four times per
-# step, so everything that does not depend on P (the constant blocks, the
-# metric ratios, the triangular masks) is computed once, when the pair is
-# built.
+# (K, n, n) block array with out= ufuncs (zero-filled first where where=
+# ufuncs write only part of it, as the Toda B's do) and hands it over: no
+# buffer is reused across calls, so a caller may keep each result (rk4
+# keeps all four stages of a step when it integrates dA/dt = B(A) itself,
+# as the non-commutator control does).  integrate_lax calls B four times
+# per step and builds one commutator kernel per (lo, block count) of its
+# results, so everything that does not depend on P (the constant blocks,
+# the metric ratios, the triangular masks) is computed once, when the
+# pair is built.
 
 # Toda lattice pencils (Flaschka form)
 
@@ -236,18 +243,26 @@ def toda_periodic_coeffs(a: Sequence, b: Sequence) -> Dict[int, list]:
     return {-1: Am, 0: A0, 1: Ap}
 
 
-def _upper_minus_lower(n: int) -> Callable[[np.ndarray, np.ndarray], None]:
-    """(M, dst): writes np.triu(M, 1) - np.tril(M, -1) of an n x n block
-    into dst, selecting with the same masks and zeros as np.triu and
-    np.tril, built once."""
-    keep_upper = ~np.tri(n, n, 0, dtype=bool)
-    keep_lower = np.tri(n, n, -1, dtype=bool)
-    zero = np.zeros(1)
+def _toda_b(lo: int, K: int, n: int) -> Callable[[MatrixPencil], MatrixPencil]:
+    """The Toda B of a pencil with K blocks of n x n from h^lo on: -A_k
+    for k < 0, np.triu(A_0, 1) - np.tril(A_0, -1), and A_k for k > 0 (the
+    upper-minus-lower splitting of the doubly infinite matrix, where the
+    h^-1 corner block sits below the diagonal and h^+1 above).  where=
+    ufuncs write it into a zero-filled block array, so each entry rounds
+    as that expression does, zeros' signs included: 0 - x below A_0's
+    diagonal (+0.0 for a zero of either sign), +0.0 on it."""
+    deg = np.arange(lo, lo + K)[:, None, None]
+    negate = deg < 0
+    keep = (deg > 0) | ((deg == 0) & ~np.tri(n, n, 0, dtype=bool))
+    flip = (deg == 0) & np.tri(n, n, -1, dtype=bool)
 
-    def split(M: np.ndarray, dst: np.ndarray) -> None:
-        np.subtract(np.where(keep_upper, M, zero), np.where(keep_lower, M, zero),
-                    out=dst)
-    return split
+    def B(P: MatrixPencil) -> MatrixPencil:
+        out = np.zeros((K, n, n))
+        np.negative(P.blocks, out=out, where=negate)
+        np.copyto(out, P.blocks, where=keep)
+        np.subtract(0.0, P.blocks, out=out, where=flip)
+        return MatrixPencil.from_blocks(lo, out)
+    return B
 
 
 def toda_periodic_pencil(a: Sequence, b: Sequence
@@ -256,20 +271,7 @@ def toda_periodic_pencil(a: Sequence, b: Sequence
     B(h), its antisymmetrized counterpart; the flow dA/dt = [B(A), A] is
     the lattice ȧ_j = a_j(b_{j+1}-b_j), ḃ_j = 2(a_j^2 - a_{j-1}^2)."""
     pencil = MatrixPencil(toda_periodic_coeffs(a, b))
-    n = pencil.dim
-    split = _upper_minus_lower(n)
-
-    def B(P: MatrixPencil) -> MatrixPencil:
-        # upper-minus-lower splitting of the doubly infinite matrix: the
-        # h^-1 corner block sits below the diagonal there, h^+1 above
-        Am, A0, Ap = P.blocks
-        out = np.empty((3, n, n))
-        np.negative(Am, out=out[0])
-        split(A0, out[1])
-        out[2] = Ap
-        return MatrixPencil.from_blocks(-1, out)
-
-    return pencil, B
+    return pencil, _toda_b(-1, 3, pencil.dim)
 
 
 def toda_open_pencil(a, b):
@@ -282,15 +284,7 @@ def toda_open_pencil(a, b):
     A0 = np.diag(np.asarray(b, dtype=float))
     for j in range(n - 1):
         A0[j, j + 1] = A0[j + 1, j] = float(a[j])
-    pencil = MatrixPencil({0: A0})
-    split = _upper_minus_lower(n)
-
-    def B(P: MatrixPencil) -> MatrixPencil:
-        out = np.empty((1, n, n))
-        split(P.blocks[0], out[0])
-        return MatrixPencil.from_blocks(0, out)
-
-    return pencil, B
+    return MatrixPencil({0: A0}), _toda_b(0, 1, n)
 
 
 def toda_scalar_rhs(a: Sequence[float], b: Sequence[float]
@@ -327,12 +321,13 @@ def _metric_b(al: np.ndarray, be: np.ndarray, k: int
         for j in range(n):
             if i != j:
                 ratio[i, j] = (be[i] - be[j]) / (al[i] - al[j])
+    # (-ratio) * x rounds as -(ratio * x), the sign of every zero included
+    neg_ratio = -ratio
     B1 = -np.diag(be)
 
     def B(P: MatrixPencil) -> MatrixPencil:
         out = np.empty((2, n, n))
-        np.multiply(ratio, P.blocks[k - P.lo], out=out[0])
-        np.negative(out[0], out=out[0])
+        np.multiply(neg_ratio, P.blocks[k - P.lo], out=out[0])
         out[1] = B1
         return MatrixPencil.from_blocks(0, out)
 
@@ -479,49 +474,65 @@ def pencil_charpoly(p: Union[MatrixPencil, Mapping[int, Sequence[Sequence]]]
     interpolation over Q.  The h-degree window for the z^k coefficient is
     (n-k)*[min(l,0), max(m,0)].
     """
-    exact = not isinstance(p, MatrixPencil)
-    if exact:
-        from .exactalg import charpoly_exact, solve_square_exact
-        blocks = {k: [[Q(x) for x in row] for row in M] for k, M in p.items()}
-        n = len(next(iter(blocks.values())))
-        lo, hi = min(blocks), max(blocks)
-    else:
-        n = p.dim
-        lo, hi = p.h_range
-    lo, hi = min(lo, 0), max(hi, 0)
-    width = n * (hi - lo) + 1
-    nodes = _h_nodes(width)
+    if isinstance(p, MatrixPencil):
+        return _float_charpoly(p)
+    from .exactalg import charpoly_exact, solve_square_exact
+    blocks = {k: [[Q(x) for x in row] for row in M] for k, M in p.items()}
+    n = len(next(iter(blocks.values())))
+    lo, hi = min(min(blocks), 0), max(max(blocks), 0)
+    nodes = _h_nodes(n * (hi - lo) + 1)
+    sign = Fraction(-1) ** n   # det(A - zI) = (-1)^n * charpoly(z)
     rows = []
     for h0 in nodes:
-        if exact:
-            A = [[sum((M[i][j] * h0 ** k for k, M in blocks.items()), Fraction(0))
-                  for j in range(n)] for i in range(n)]
-            cp = charpoly_exact([[MultiPoly.const(x) for x in row] for row in A])
-            # det(A - zI) = (-1)^n * charpoly(z)
-            sign = Fraction(-1) ** n
-            rows.append([sign * c.const_value() for c in cp])
-        else:
-            cp = np.poly(p.evaluate(float(h0)))[::-1]  # ascending in z of det(zI - A)
-            sign = (-1.0) ** n
-            rows.append([sign * c for c in cp])
-
+        A = [[sum((M[i][j] * h0 ** k for k, M in blocks.items()), Fraction(0))
+              for j in range(n)] for i in range(n)]
+        cp = charpoly_exact([[MultiPoly.const(x) for x in row] for row in A])
+        rows.append([sign * c.const_value() for c in cp])
     coeffs: Dict[Tuple[int, int], object] = {}
     for k in range(n + 1):
-        wlo, whi = (n - k) * lo, (n - k) * hi
-        m = whi - wlo + 1
-        if exact:
-            V = [[nodes[r] ** (wlo + c) for c in range(m)] for r in range(m)]
-            rhs = [rows[r][k] for r in range(m)]
-            sol = [x.const_value() for x in solve_square_exact(V, rhs)]
-        else:
-            V = np.array([[float(nodes[r]) ** (wlo + c) for c in range(m)]
-                          for r in range(m)])
-            rhs = np.array([rows[r][k] for r in range(m)], dtype=float)
-            sol = np.linalg.solve(V, rhs)
+        wlo, m = (n - k) * lo, (n - k) * (hi - lo) + 1
+        V = [[nodes[r] ** (wlo + c) for c in range(m)] for r in range(m)]
+        sol = solve_square_exact(V, [rows[r][k] for r in range(m)])
         for c in range(m):
-            v = sol[c]
-            if (exact and v != 0) or (not exact and abs(v) > 1e-9):
+            v = sol[c].const_value()
+            if v != 0:
                 coeffs[(k, wlo + c)] = v
+    return SpectralCurve(coeffs, n)
+
+
+@functools.lru_cache(maxsize=32)
+def _float_samples(n: int, plo: int, phi: int):
+    """The float curve's node powers h0 ** k (a row per degree k of an n x n
+    pencil on plo..phi, as MatrixPencil.evaluate takes them) and, per
+    z-degree, its window's lowest h-degree and Vandermonde matrix; read-only."""
+    lo, hi = min(plo, 0), max(phi, 0)
+    nodes = [float(h) for h in _h_nodes(n * (hi - lo) + 1)]
+    powers = np.array([[h ** k for h in nodes] for k in range(plo, phi + 1)])
+    powers.flags.writeable = False
+    vander = []
+    for k in range(n + 1):
+        wlo, m = (n - k) * lo, (n - k) * (hi - lo) + 1
+        V = np.array([[h ** (wlo + c) for c in range(m)] for h in nodes[:m]])
+        V.flags.writeable = False
+        vander.append((wlo, V))
+    return powers, tuple(vander)
+
+
+def _float_charpoly(p: MatrixPencil) -> SpectralCurve:
+    n = p.dim
+    powers, vander = _float_samples(n, *p.h_range)
+    # A(h) at all nodes at once, summed over k from zeros as evaluate sums
+    X = np.zeros((powers.shape[1], n, n))
+    for A, hk in zip(p.blocks, powers):
+        X += A * hk[:, None, None]
+    # one eigvals call for all nodes; ascending in z of det(zI - A)
+    rows = [(-1.0) ** n * np.poly(z)[::-1] for z in np.linalg.eigvals(X)]
+    coeffs: Dict[Tuple[int, int], object] = {}
+    for k, (wlo, V) in enumerate(vander):
+        sol = np.linalg.solve(V, np.array([row[k] for row in rows[:len(V)]], dtype=float))
+        for c, v in enumerate(sol, wlo):
+            if abs(v) > 1e-9:
+                coeffs[(k, c)] = v
     return SpectralCurve(coeffs, n)
 
 
@@ -576,8 +587,8 @@ def _step_list(y: List[float], c: float, k1: List[float], k2: List[float],
 
 
 def _top_array(y: np.ndarray) -> float:
-    # one reduction: a NaN anywhere makes the max NaN
-    return np.abs(y).max()
+    # one reduction over every axis: a NaN anywhere makes the max NaN
+    return np.maximum.reduce(np.abs(y), axis=None)
 
 
 def _top_list(y: List[float]) -> float:
@@ -653,12 +664,17 @@ def integrate_lax(p0: MatrixPencil, B: Callable[[MatrixPencil], MatrixPencil],
     max-norm of the state exceeds `blowup`, and with ValueError when the
     commutator spills outside the window (a malformed B).
     """
-    lo = p0.lo
-    window = p0.h_range
+    lo, window = p0.lo, p0.h_range
+    kb, n = p0.blocks.shape[:2]
+    plans = {}   # one commutator kernel per (lo, block count) of B's pencils
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        P = MatrixPencil.from_blocks(lo, y)
-        return B(P).commutator(P, window=window).blocks
+        Q = B(MatrixPencil.from_blocks(lo, y))
+        key = (Q.lo, len(Q.blocks))
+        kernel = plans.get(key)
+        if kernel is None:
+            kernel = plans[key] = _commutator_plan(key[1], kb, Q.lo + lo, window, n)
+        return kernel(Q.blocks, y)
 
     times, states = rk4(rhs, p0.blocks, t_end, dt, sample_every, blowup)
     return LaxTrajectory(times=times, dt=dt,

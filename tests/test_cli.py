@@ -606,6 +606,52 @@ def test_flow_rejects_small_n_exit_1_writes_nothing(tmp_path, capsys, builtin,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("over", [0, 1], ids=["at-cap", "above-cap"])
+def test_flow_n_cap(tmp_path, capsys, monkeypatch, over):
+    from laxkit import cli
+    monkeypatch.setattr(cli, "FLOW_MAX_N", 4)
+    code = run(tmp_path, "flow", "--builtin", "toda-periodic", "-N", str(4 + over),
+               "--t-end", "0.01")
+    if over:
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: -N 5 is above the cap cli.FLOW_MAX_N = 4\n")
+        assert os.listdir(tmp_path) == []
+    else:
+        assert code == 0
+        header = (tmp_path / "flow_toda-periodic.csv").read_text().splitlines()[0]
+        assert header.endswith(",b4")
+
+
+@pytest.mark.parametrize("builtin", ["toda-periodic", "euler-arnold", "neumann"])
+def test_flow_n_above_max_n_exit_1_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                 time_limit, builtin):
+    # refused before any allocation: N = 10**8 would allocate gigabytes and
+    # run without end, so drawing the initial state fails the test instead
+    import numpy as np
+    from laxkit import cli
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("an initial state was drawn")
+    monkeypatch.setattr(np.random, "default_rng", no_state)
+    assert cli.FLOW_MAX_N == 64
+    with time_limit(2):
+        code = run(tmp_path, "flow", "--builtin", builtin, "-N", "100000000")
+    assert code == 1
+    assert "-N 100000000 is above the cap cli.FLOW_MAX_N = 64" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("seed", ["-1", "x", "1.5", ""])
+def test_flow_seed_must_be_non_negative_integer(tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    assert main(["flow", "--builtin", "toda-periodic", f"--seed={seed}",
+                 "--out", str(out)]) == 1
+    assert (f"argument --seed: must be a non-negative integer, not {seed!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("builtin,n", [
     ("euler-arnold", 3), ("neumann", 2), ("toda-periodic", 2)])
 def test_flow_accepts_smallest_n(tmp_path, builtin, n):

@@ -6,10 +6,11 @@ from laxkit.acceptance import (GOLDEN_CURVE_HH, GOLDEN_CURVE_RDG,
                                GOLDEN_CURVE_RDG5, golden_poly)
 from laxkit.builtins import PAINLEVE, builtin_system
 from laxkit.exactalg import MultiPoly
-from laxkit.painleve import (constraint_curve, invariant_series,
+from laxkit.exactalg.series import PuiseuxSeries
+from laxkit.painleve import (LaurentFamily, constraint_curve, invariant_series,
                              principal_balances, principal_family,
                              restoring_morphism_check)
-from laxkit.sysdsl import parse_expression
+from laxkit.sysdsl import parse_expression, parse_system
 
 
 def principal_families(name):
@@ -45,6 +46,26 @@ def test_rdg5_curve_matches_both_sheets():
                               value_names=["c1", "c2", "c3"])
         assert sorted(cv.eliminated) == ["gamma", "theta"]
         assert cv.curve == want
+
+
+def test_curve_takes_simplest_pivot_and_least_relation():
+    # x, y, z are the constants p, q, r along the family, so the relations
+    # are H_i(p, q, r) - b_i.  All three are linear in p, and q and r are
+    # each squared in one, so only p is eliminated.  The pivot is the first whose p-coefficient is simplest
+    # (2, not q), and the curve the remaining relation of least degree
+    # (2, not 3); either choice made the other way gives another curve.
+    system = parse_system("system pick\nvars x y z\n"
+                          "eq x = 0\neq y = 0\neq z = 0\n"
+                          "invariant H1 = 2*x + y^2\n"
+                          "invariant H2 = x*y + z\n"
+                          "invariant H3 = x + z^2\n")
+    series = {v: PuiseuxSeries.constant(MultiPoly.var(p))
+              for v, p in zip("xyz", "pqr")}
+    fam = LaurentFamily(system, None, 1, series, ("p", "q", "r"), (), None)
+    cv = constraint_curve(system, fam, ["H1", "H2", "H3"])
+    assert cv.eliminated == ["p"]
+    assert cv.curve == golden_poly("q^2 - 2*r^2 - b1 + 2*b3",
+                                   extra=["q", "r", "b3"]).primitive()
 
 
 def test_rdg_curve_golden():

@@ -300,6 +300,108 @@ def test_b_factories_return_fresh_blocks(case):
     assert_same_pencil(first, second)
 
 
+def _negative_zeros(P):
+    return lf.MatrixPencil.from_blocks(P.lo, np.where(P.blocks == 0, -0.0, P.blocks))
+
+
+def _recorded_stages(monkeypatch, pencil, B, t_end, dt):
+    """integrate_lax's trajectory and every (state, right-hand side) pair
+    its rk4 evaluated."""
+    stages = []
+    rk4 = lf.rk4
+
+    def recording_rk4(rhs, y0, *args):
+        def rec(y):
+            k = rhs(y)
+            stages.append((y, k))
+            return k
+        return rk4(rec, y0, *args)
+    monkeypatch.setattr(lf, "rk4", recording_rk4)
+    traj = lf.integrate_lax(pencil, B, t_end, dt, sample_every=2)
+    monkeypatch.undo()
+    return traj, stages
+
+
+@pytest.mark.parametrize("case", list(_b_cases()), ids=lambda c: c[0])
+def test_integrate_lax_stages_match_reference_commutator(case, monkeypatch):
+    # the flow's kernel, with its buffers reused from stage to stage, gives
+    # what the block-pair loop gives on each stage's state, zeros' signs
+    # included (from the pencil as built and with its zeros made -0.0)
+    _, (pencil, B), _ = case
+    for p0 in (pencil, _negative_zeros(pencil)):
+        _, stages = _recorded_stages(monkeypatch, p0, B, 0.05, 0.01)
+        assert len(stages) == 20
+        for y, k in stages:
+            P = lf.MatrixPencil.from_blocks(p0.lo, y)
+            assert_same_pencil(lf.MatrixPencil.from_blocks(p0.lo, k),
+                               reference_commutator(B(P), P, p0.h_range))
+
+
+@pytest.mark.parametrize("block,degree", [(0, -2), (2, 2), (3, 2)],
+                         ids=["h^-1-block", "h^1-block", "new-h^2-block"])
+def test_integrate_lax_spill_after_some_steps(block, degree):
+    # a B that turns malformed at its tenth call (the second stage of the
+    # third step): a wrong h^-1 or h^1 block keeps its layout and so the
+    # flow's kernel, a new h^2 block needs another one
+    pencil, B = lf.toda_periodic_pencil([1.0, 1.2, 0.8], [0.1, -0.2, 0.3])
+    calls = []
+
+    def late_B(P):
+        calls.append(P)
+        Q = B(P)
+        if len(calls) < 10:
+            return Q
+        blocks = np.concatenate([Q.blocks, np.zeros((1, 3, 3))])
+        blocks[block] += lf.random_skew(3, seed=4)
+        return lf.MatrixPencil.from_blocks(Q.lo, blocks[:max(block + 1, 3)])
+    with pytest.raises(ValueError) as got:
+        lf.integrate_lax(pencil, late_B, 1.0, 0.01)
+    assert len(calls) == 10
+    P = calls[-1]
+    with pytest.raises(ValueError) as want:
+        late_B(P).commutator(P, window=pencil.h_range)
+    assert str(got.value) == str(want.value) == (
+        f"commutator spills h^{degree} outside the declared window")
+    with pytest.raises(ValueError, match=str(want.value).replace("^", r"\^")):
+        reference_commutator(late_B(P), P, pencil.h_range)
+
+
+def reference_float_charpoly(P):
+    """The per-node loop that the float pencil_charpoly replaced: the
+    oracle for its coefficients, their order and their bits."""
+    n = P.dim
+    lo, hi = P.h_range
+    lo, hi = min(lo, 0), max(hi, 0)
+    nodes = lf._h_nodes(n * (hi - lo) + 1)
+    rows = []
+    for h0 in nodes:
+        cp = np.poly(P.evaluate(float(h0)))[::-1]
+        rows.append([(-1.0) ** n * c for c in cp])
+    coeffs = {}
+    for k in range(n + 1):
+        wlo, whi = (n - k) * lo, (n - k) * hi
+        m = whi - wlo + 1
+        V = np.array([[float(nodes[r]) ** (wlo + c) for c in range(m)]
+                      for r in range(m)])
+        sol = np.linalg.solve(V, np.array([rows[r][k] for r in range(m)], dtype=float))
+        for c in range(m):
+            if abs(sol[c]) > 1e-9:
+                coeffs[(k, wlo + c)] = sol[c]
+    return coeffs
+
+
+@pytest.mark.parametrize("case", list(_b_cases()), ids=lambda c: c[0])
+def test_float_charpoly_matches_per_node_loop(case):
+    # one eigvals call on all nodes is complex if any node's eigenvalues
+    # are: every case but toda-open has nodes with real eigenvalues in a
+    # complex stack, which np.poly must still turn into the same reals
+    _, (pencil, B), _ = case
+    for P in lf.integrate_lax(pencil, B, 0.2, 0.01, sample_every=5).pencils:
+        got, want = lf.pencil_charpoly(P).coeffs, reference_float_charpoly(P)
+        assert list(got) == list(want)
+        assert all(_same_bits(got[k], want[k]) for k in want)
+
+
 def test_integrate_frozen_when_b_zero():
     pencil, _ = lf.toda_periodic_pencil([1.0, 1.2, 0.8], [0.1, -0.2, 0.3])
 
@@ -401,6 +503,20 @@ def test_rk4_blowup_test_nan_inf_and_bound(kind):
     with pytest.raises(lf.BlowUpError) as exc:
         lf.rk4(const([0.0, 0.0]), _state(kind, [np.nextafter(-4.0, -5.0), 1.0]),
                1.0, 0.25, 1, 4.0)
+    assert exc.value.time == 0.25
+
+
+def test_rk4_blowup_on_nan_inside_a_block_state():
+    # a pencil's (K, n, n) state: the max-norm reduces over every axis
+    y0 = np.zeros((3, 2, 2))
+    y0[0, 0, 0] = -5.0
+
+    def rhs(y):
+        k = np.zeros_like(y)
+        k[1, 1, 0] = np.nan
+        return k
+    with pytest.raises(lf.BlowUpError) as exc:
+        lf.rk4(rhs, y0, 1.0, 0.25, 1, np.inf)
     assert exc.value.time == 0.25
 
 
