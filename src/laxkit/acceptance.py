@@ -235,15 +235,12 @@ def check_7_isospectral(float_tol=None):
     tol = float_tol if float_tol is not None else 1e-8
     t0 = time.perf_counter()
     errs = []
-    rng = np.random.default_rng(7)
-    a = list(rng.uniform(0.6, 1.4, 3))
-    b = list(rng.uniform(-0.5, 0.5, 3))
-    pencil, B = lf.toda_periodic_pencil(a, b)
+    pencil, B, _ = lf.LAX_FLOWS["toda-periodic"].start(3, 7)
     traj = lf.integrate_lax(pencil, B, 1.0, 1e-3, sample_every=200)
     d_toda = lf.isospectral_drift(traj, [1.0, -1.0, 0.5], 3)
     if d_toda >= tol:
         errs.append(f"toda drift {d_toda:.2e} >= {tol}")
-    pe, Be = bi.builtin("euler-arnold", n=4, seed=7)
+    pe, Be, _ = lf.LAX_FLOWS["euler-arnold"].start(4, 7)
     traj_e = lf.integrate_lax(pe, Be, 1.0, 1e-3, sample_every=200)
     d_ea = lf.isospectral_drift(traj_e, [1.0, -1.0, 0.5], 4)
     if d_ea >= tol:

@@ -1,9 +1,9 @@
 """Built-in systems.
 
 Vector-field systems ship as .ivf sources under laxkit/systems/ and are
-parsed on demand.  This module needs no numpy: the float pencil
-factories live in laxflow, next to MatrixPencil, and builtin() imports
-them only when asked for a pencil.
+parsed on demand by builtin_system.  This module needs no numpy: the Lax
+pairs live in laxflow, next to MatrixPencil (its pencil factories, and
+LAX_FLOWS, the table of the Lax flows that `laxkit flow` runs).
 
 PAINLEVE holds the conventions that pin each built-in family to its
 customary normalization: which weight vector and balances are principal,
@@ -117,30 +117,3 @@ PAINLEVE = {
     "harmonic": PainleveConventions(order=4),
 }
 
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def builtin(name: str, **params):
-    """Named constructor: vector-field systems return a
-    VectorFieldSystem; the Lax systems toda-periodic and euler-arnold
-    return (MatrixPencil, B factory)."""
-    if name in _SYSTEM_FILES:
-        return builtin_system(name)
-    from . import laxflow as lf
-    if name == "toda-periodic":
-        if "x" in params:
-            a, b = lf.flaschka(params["x"], params["y"])
-        else:
-            a, b = params["a"], params["b"]
-        return lf.toda_periodic_pencil(a, b)
-    if name == "euler-arnold":
-        n = params.get("n", 4)
-        al = params.get("alphas", list(range(1, n + 1)))
-        be = params.get("betas", [v ** 2 for v in al])
-        X0 = params.get("X0")
-        if X0 is None:
-            X0 = lf.random_skew(n, seed=params.get("seed", 0))
-        return lf.euler_arnold_pencil(al, be, X0)
-    raise KeyError(f"unknown builtin '{name}'")

@@ -30,9 +30,11 @@ temp file in that directory, so no file is ever seen half-written.
 Flows take fixed steps: the step (--dt) must divide the horizon
 (`flow --t-end`, `jacobi --toda-t-end`) into a positive whole number of
 steps, to 1e-9 relative, or the command exits 1.
-`flow -N` must be at least 2 for toda-periodic and neumann and at least
-3 for euler-arnold (the smallest sizes whose flow moves), and at most
-FLOW_MAX_N (64: toda-periodic ran 6.6 s there and 62 s at 128 at the
+`flow --builtin` names a row of laxflow.LAX_FLOWS (toda-periodic,
+euler-arnold, neumann) or kvm, or the command exits 1 naming them.
+`flow -N` must be at least the row's min_n (2 for toda-periodic and
+neumann, 3 for euler-arnold: the smallest sizes whose flow moves), and at
+most FLOW_MAX_N (64: toda-periodic ran 6.6 s there and 62 s at 128 at the
 default --t-end and --dt on a 2-CPU host), or the command exits 1 before
 any work; without it they run at N = 3.  kvm takes no -N: given one, the
 command exits 1.  `flow --seed` must be a non-negative integer, or the
@@ -225,10 +227,6 @@ def cmd_painleve(args) -> Result:
 # flow
 # ---------------------------------------------------------------------------
 
-# smallest -N at which each sized flow builtin moves: for N = 2 the
-# euler-arnold flow is static ([X, lam*X] = 0 for a 2 x 2 skew X), and so is
-# neumann for N = 1 (a point of S^0)
-FLOW_MIN_N = {"toda-periodic": 2, "euler-arnold": 3, "neumann": 2}
 # largest -N of a sized flow builtin: at the default --t-end and --dt,
 # toda-periodic took 6.6 s at N = 64 and 62 s at N = 128 on a 2-CPU x86_64
 # host, and neumann's trace powers tr A^k, k <= N, overflowed at N = 128
@@ -236,14 +234,17 @@ FLOW_MAX_N = 64
 
 
 def cmd_flow(args) -> Result:
-    import numpy as np
     from . import laxflow as lf
-    if args.builtin == "kvm" and args.N is not None:
+    name = args.builtin
+    flow = lf.LAX_FLOWS.get(name)   # None for kvm, the vector-field builtin
+    if flow is None and name != "kvm":
+        have = ", ".join(sorted([*lf.LAX_FLOWS, "kvm"]))
+        raise UsageError(f"unknown flow builtin '{name}' (have {have})")
+    if flow is None and args.N is not None:
         raise UsageError("flow --builtin kvm takes no -N")
     N = 3 if args.N is None else args.N
-    min_n = FLOW_MIN_N.get(args.builtin)
-    if min_n is not None and N < min_n:
-        raise UsageError(f"flow --builtin {args.builtin} needs -N >= {min_n}")
+    if flow is not None and N < flow.min_n:
+        raise UsageError(f"flow --builtin {name} needs -N >= {flow.min_n}")
     if N > FLOW_MAX_N:
         raise UsageError(f"-N {N} is above the cap cli.FLOW_MAX_N = {FLOW_MAX_N}")
     if args.dt <= 0:
@@ -251,76 +252,35 @@ def cmd_flow(args) -> Result:
     if args.t_end <= 0:
         raise UsageError("--t-end must be positive")
     stride = max(1, lf.steps_for(args.t_end, args.dt) // 20)
-    name = args.builtin
     summary = {"laxkit_report": REPORT_VERSION, "command": "flow",
                "builtin": name, "t_end": args.t_end, "dt": args.dt}
-    rows = []
-    header = []
     try:
-        if name == "toda-periodic":
-            n = N
-            rng = np.random.default_rng(args.seed)
-            a = list(rng.uniform(0.6, 1.4, n))
-            b = list(rng.uniform(-0.5, 0.5, n))
-            pencil, B = lf.toda_periodic_pencil(a, b)
-            traj = lf.integrate_lax(pencil, B, args.t_end, args.dt,
-                                    sample_every=stride)
-            drift = lf.isospectral_drift(traj, [1.0, -1.0, 0.5, 2.0], n)
-            summary["trace_drift"] = drift
-            summary["curve_drift"] = lf.curve_drift(traj)
-            summary["pass"] = bool(drift < args.tol)
-            header = ["t"] + [f"a{j+1}" for j in range(n)] + [f"b{j+1}" for j in range(n)]
-            for t, P in zip(traj.times, traj.pencils):
-                A0 = P.coeffs[0]
-                arow = [float(A0[j, (j + 1) % n]) if j < n - 1 else float(P.coeffs[1][n - 1, 0])
-                        for j in range(n)]
-                brow = [float(A0[j, j]) for j in range(n)]
-                rows.append([t] + arow + brow)
-        elif name == "kvm":
+        if flow is None:
+            import numpy as np
             system = bi.builtin_system("kvm")
-            rng = np.random.default_rng(args.seed)
-            z0 = rng.uniform(0.3, 1.2, system.dim)
+            z0 = np.random.default_rng(args.seed).uniform(0.3, 1.2, system.dim)
             times, states = lf.integrate_system(system, z0, args.t_end, args.dt)
             drifts = lf.invariant_drift(system, times, states)
             summary["invariant_drift"] = drifts
             summary["pass"] = bool(max(drifts.values()) < args.tol)
             header = ["t"] + list(system.variables) + list(system.invariants)
+            rows = []
             for t, z in zip(times, states):
                 env = dict(zip(system.variables, z))
                 rows.append([t] + list(map(float, z)) +
                             [H.eval_num(env) for H in system.invariants.values()])
-        elif name == "euler-arnold":
-            pencil, B = bi.builtin("euler-arnold", n=N, seed=args.seed)
-            traj = lf.integrate_lax(pencil, B, args.t_end, args.dt,
-                                    sample_every=stride)
-            drift = lf.isospectral_drift(traj, [1.0, -1.0, 0.5], N)
-            summary["trace_drift"] = drift
-            summary["pass"] = bool(drift < args.tol)
-            header = ["t", "tr_X2"]
-            for t, P in zip(traj.times, traj.pencils):
-                X = P.coeffs[0]
-                rows.append([t, float(np.trace(X @ X))])
-        elif name == "neumann":
-            rng = np.random.default_rng(args.seed)
-            n = N
-            x = rng.normal(size=n)
-            x = x / np.linalg.norm(x)
-            y = rng.normal(size=n)
-            y -= (y @ x) * x
-            alphas = list(range(1, n + 1))
-            pencil, B = lf.neumann_pencil(alphas, x, y)
-            traj = lf.integrate_lax(pencil, B, args.t_end, args.dt,
-                                    sample_every=stride)
-            drift = lf.isospectral_drift(traj, [1.0, -1.0, 2.0], n)
-            summary["trace_drift"] = drift
-            summary["branch_points"] = list(map(float, lf.neumann_branch_points(alphas, x, y)))
-            summary["branch_count_with_infinity"] = 2 * n
-            summary["pass"] = bool(drift < args.tol)
-            header = ["t", "norm"]
-            for t, P in zip(traj.times, traj.pencils):
-                rows.append([t, P.norm()])
         else:
-            raise UsageError(f"unknown flow builtin '{name}'")
+            pencil, B, start_fields = flow.start(N, args.seed)
+            traj = lf.integrate_lax(pencil, B, args.t_end, args.dt,
+                                    sample_every=stride)
+            drift = lf.isospectral_drift(traj, flow.h_samples, N)
+            summary["trace_drift"] = drift
+            if flow.reports_curve:
+                summary["curve_drift"] = lf.curve_drift(traj)
+            summary.update(start_fields)
+            summary["pass"] = bool(drift < args.tol)
+            header = ["t"] + flow.columns(N)
+            rows = [[t] + flow.row(P) for t, P in zip(traj.times, traj.pencils)]
     except lf.BlowUpError as exc:
         raise BreakdownError(str(exc)) from exc
 

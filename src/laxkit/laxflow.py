@@ -17,7 +17,10 @@ h-window in one (K, n, n) array.  Exact spectral curves come from plain
 {k: matrix of Fractions} dicts, which pencil_charpoly evaluates exactly.
 The built-in Lax pairs (periodic and open Toda, Euler-Arnold, Manakov,
 Neumann, Jacobi geodesics) are built here too, by factories that return
-a pencil and its B.
+a pencil and its B.  LAX_FLOWS is the one table of the Lax flows that
+`laxkit flow` runs (toda-periodic, euler-arnold, neumann): a LaxFlow row
+per builtin holds its smallest moving N, its seeded start, its drift
+h-samples and its CSV columns.
 
 The commutator is the hot path of every Lax flow (one per RK4 stage).  It
 forms all block commutators [A_i, B_j] in two stacked matmuls and one
@@ -432,6 +435,71 @@ def neumann_branch_points(alphas, x, y) -> np.ndarray:
     return np.sort(np.concatenate([al, lam]))
 
 
+# the Lax flows of `laxkit flow`
+
+@dataclass(frozen=True, eq=False)
+class LaxFlow:
+    """A Lax builtin of `laxkit flow`: its smallest moving N; its start
+    (N, seed) -> (pencil, B, report fields), drawn from default_rng(seed);
+    the h of its drift's tr A(h)^k, k <= N; its CSV columns after t and
+    their values at a pencil; whether it reports the curve's drift.  It
+    holds no function perfbench's tracer rebinds: cmd_flow calls those."""
+    min_n: int
+    start: Callable[[int, int], Tuple[MatrixPencil, Callable, Dict[str, object]]]
+    h_samples: Tuple[float, ...]
+    columns: Callable[[int], List[str]]
+    row: Callable[[MatrixPencil], List[float]]
+    reports_curve: bool = False
+
+
+def _toda_start(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    a = list(rng.uniform(0.6, 1.4, n))
+    b = list(rng.uniform(-0.5, 0.5, n))
+    return (*toda_periodic_pencil(a, b), {})
+
+
+def _toda_row(P: MatrixPencil) -> List[float]:
+    """a_1..a_N (a_N from the h^+1 corner), then b_1..b_N."""
+    A0, n = P.coeffs[0], P.dim
+    return ([float(A0[j, j + 1]) for j in range(n - 1)] + [float(P.coeffs[1][n - 1, 0])]
+            + [float(A0[j, j]) for j in range(n)])
+
+
+def _euler_arnold_start(n: int, seed: int):
+    al = list(range(1, n + 1))
+    return (*euler_arnold_pencil(al, [v ** 2 for v in al], random_skew(n, seed=seed)), {})
+
+
+def _neumann_start(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    x = x / np.linalg.norm(x)
+    y = rng.normal(size=n)
+    y -= (y @ x) * x
+    alphas = list(range(1, n + 1))
+    return (*neumann_pencil(alphas, x, y),
+            {"branch_points": list(map(float, neumann_branch_points(alphas, x, y))),
+             "branch_count_with_infinity": 2 * n})
+
+
+# min_n: for N = 2 the euler-arnold flow is static ([X, lam*X] = 0 for a
+# 2 x 2 skew X), and so is neumann for N = 1 (a point of S^0)
+LAX_FLOWS: Dict[str, LaxFlow] = {
+    "toda-periodic": LaxFlow(
+        min_n=2, start=_toda_start, h_samples=(1.0, -1.0, 0.5, 2.0),
+        columns=lambda n: [f"a{j + 1}" for j in range(n)] + [f"b{j + 1}" for j in range(n)],
+        row=_toda_row, reports_curve=True),
+    "euler-arnold": LaxFlow(
+        min_n=3, start=_euler_arnold_start, h_samples=(1.0, -1.0, 0.5),
+        columns=lambda n: ["tr_X2"],
+        row=lambda P: [float(np.trace(P.coeffs[0] @ P.coeffs[0]))]),
+    "neumann": LaxFlow(
+        min_n=2, start=_neumann_start, h_samples=(1.0, -1.0, 2.0),
+        columns=lambda n: ["norm"], row=lambda P: [P.norm()]),
+}
+
+
 # ---------------------------------------------------------------------------
 # spectral curves
 # ---------------------------------------------------------------------------
@@ -448,8 +516,13 @@ class SpectralCurve:
 
     def max_coeff_difference(self, other: "SpectralCurve") -> float:
         keys = set(self.coeffs) | set(other.coeffs)
-        return max((abs(float(self.coeffs.get(k, 0)) - float(other.coeffs.get(k, 0)))
-                    for k in keys), default=0.0)
+        return _max_of([abs(float(self.coeffs.get(k, 0)) - float(other.coeffs.get(k, 0)))
+                        for k in keys])
+
+
+def _max_of(values: List[float]) -> float:
+    """max(values, default=0.0), NaN if one is NaN (Python's max skips it)."""
+    return float(np.max(values, initial=0.0))
 
 
 def _h_nodes(count: int) -> List[Fraction]:
@@ -543,6 +616,9 @@ def _float_charpoly(p: MatrixPencil) -> SpectralCurve:
 # the most steps one flow may take: a step far below its horizon (say
 # --dt 1e-300) is refused at once instead of running without end
 MAX_STEPS = 10 ** 6
+# the max-norm past which integrate_lax and integrate_system call a state
+# blown up
+BLOWUP = 1e8
 
 
 def steps_for(t_end: float, dt: float) -> int:
@@ -649,19 +725,17 @@ class LaxTrajectory:
     times: List[float]
     pencils: List[MatrixPencil]
     dt: float
-    method_order: int = 4
 
     def final(self) -> MatrixPencil:
         return self.pencils[-1]
 
 
 def integrate_lax(p0: MatrixPencil, B: Callable[[MatrixPencil], MatrixPencil],
-                  t_end: float, dt: float, sample_every: int = 10,
-                  blowup: float = 1e8) -> LaxTrajectory:
+                  t_end: float, dt: float, sample_every: int = 10) -> LaxTrajectory:
     """rk4 on dA/dt = [B(A), A] over the h-window of p0.
 
     Deterministic for a given (p0, dt); aborts with BlowUpError when the
-    max-norm of the state exceeds `blowup`, and with ValueError when the
+    max-norm of the state exceeds BLOWUP, and with ValueError when the
     commutator spills outside the window (a malformed B).
     """
     lo, window = p0.lo, p0.h_range
@@ -676,7 +750,7 @@ def integrate_lax(p0: MatrixPencil, B: Callable[[MatrixPencil], MatrixPencil],
             kernel = plans[key] = _commutator_plan(key[1], kb, Q.lo + lo, window, n)
         return kernel(Q.blocks, y)
 
-    times, states = rk4(rhs, p0.blocks, t_end, dt, sample_every, blowup)
+    times, states = rk4(rhs, p0.blocks, t_end, dt, sample_every, BLOWUP)
     return LaxTrajectory(times=times, dt=dt,
                          pencils=[MatrixPencil.from_blocks(lo, y) for y in states])
 
@@ -697,22 +771,15 @@ def isospectral_drift(traj: LaxTrajectory, h_samples: Sequence[float],
     if not traj.pencils:
         raise ValueError("empty trajectory")
     base = {h: trace_powers(traj.pencils[0], h, k_max) for h in h_samples}
-    drift = 0.0
-    for P in traj.pencils[1:]:
-        for h in h_samples:
-            now = trace_powers(P, h, k_max)
-            for a, b in zip(now, base[h]):
-                drift = max(drift, abs(a - b))
-    return drift
+    return _max_of([abs(a - b) for P in traj.pencils[1:] for h in h_samples
+                    for a, b in zip(trace_powers(P, h, k_max), base[h])])
 
 
 def curve_drift(traj: LaxTrajectory) -> float:
     """Max coefficient drift of the interpolated spectral curve."""
     base = pencil_charpoly(traj.pencils[0])
-    worst = 0.0
-    for P in traj.pencils[1:]:
-        worst = max(worst, base.max_coeff_difference(pencil_charpoly(P)))
-    return worst
+    return _max_of([base.max_coeff_difference(pencil_charpoly(P))
+                    for P in traj.pencils[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -720,34 +787,25 @@ def curve_drift(traj: LaxTrajectory) -> float:
 # ---------------------------------------------------------------------------
 
 def integrate_system(sys: VectorFieldSystem, z0: Sequence[float], t_end: float,
-                     dt: float, constants: Optional[Dict[str, float]] = None,
-                     sample_every: int = 50, blowup: float = 1e8):
+                     dt: float, sample_every: int = 50):
     """rk4 on z' = f(z); returns (times, states ndarray)."""
-    consts = dict(constants or {})
     fns = list(sys.equations)
     names = list(sys.variables)
 
     def rhs(z: List[float]) -> List[float]:
         env = dict(zip(names, z))
-        env.update(consts)
         return [f.eval_num(env) for f in fns]
 
     # a list state: eval_num works on Python floats, with no numpy scalar
     times, states = rk4(rhs, [float(x) for x in z0], t_end, dt, sample_every,
-                        blowup)
+                        BLOWUP)
     return times, np.array(states)
 
 
-def invariant_drift(sys: VectorFieldSystem, times, states,
-                    constants: Optional[Dict[str, float]] = None) -> Dict[str, float]:
-    consts = dict(constants or {})
+def invariant_drift(sys: VectorFieldSystem, times, states) -> Dict[str, float]:
     out = {}
     for nm, H in sys.invariants.items():
-        vals = []
-        for z in states:
-            env = dict(zip(sys.variables, z))
-            env.update(consts)
-            vals.append(H.eval_num(env))
+        vals = [H.eval_num(dict(zip(sys.variables, z))) for z in states]
         out[nm] = float(np.max(np.abs(np.array(vals) - vals[0])))
     return out
 

@@ -6,9 +6,7 @@ from laxkit import laxflow as lf
 
 
 def test_unknown_builtin():
-    with pytest.raises(KeyError):
-        bi.builtin("nope")
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown builtin system 'nope'"):
         bi.builtin_system("nope")
 
 
@@ -80,7 +78,7 @@ def test_manakov_consistency():
 
 
 def test_euler_arnold_conserves_energy_and_traces():
-    pencil, B = bi.builtin("euler-arnold", n=4, seed=2)
+    pencil, B, _ = lf.LAX_FLOWS["euler-arnold"].start(4, 2)
     traj = lf.integrate_lax(pencil, B, 1.0, 1e-3, sample_every=250)
     X0 = traj.pencils[0].coeffs[0]
     X1 = traj.pencils[-1].coeffs[0]
@@ -117,7 +115,7 @@ def test_toda_builtin_accepts_particle_coordinates():
     rng = np.random.default_rng(4)
     x = rng.uniform(-1, 1, 3)
     y = rng.uniform(-1, 1, 3)
-    pencil, B = bi.builtin("toda-periodic", x=list(x), y=list(y))
+    pencil, B = lf.toda_periodic_pencil(*lf.flaschka(list(x), list(y)))
     a, b = lf.flaschka(x, y)
     assert np.allclose(np.diag(pencil.coeffs[0]), b)
     assert np.allclose(pencil.coeffs[0][0, 1], a[0])

@@ -411,8 +411,22 @@ def test_flow_neumann(tmp_path):
     assert len(payload["branch_points"]) == 5
 
 
-def test_unknown_flow_builtin(tmp_path):
+def test_unknown_flow_builtin(tmp_path, capsys):
     assert run(tmp_path, "flow", "--builtin", "wat") == 1
+    assert capsys.readouterr().err == (
+        "error: unknown flow builtin 'wat' "
+        "(have euler-arnold, kvm, neumann, toda-periodic)\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_flow_nan_drift_exit_3_writes_nothing(tmp_path, capsys, monkeypatch):
+    # trace powers that overflow at every sample give inf - inf = NaN: the
+    # drift is NaN, and the report that would hold it is refused
+    from laxkit import laxflow as lf
+    monkeypatch.setattr(lf, "trace_powers", lambda P, h, k_max: [math.inf] * k_max)
+    assert run(tmp_path, "flow", "--builtin", "euler-arnold", "--t-end", "0.01") == 3
+    assert "is not finite" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_jacobi_lattice_blowup_exit_3_writes_nothing(tmp_path, capsys):
@@ -553,39 +567,62 @@ def test_step_must_divide_horizon_exit_1_writes_nothing(tmp_path, capsys, argv):
     assert os.listdir(tmp_path) == []
 
 
-# sha256 of flow_<builtin>.csv and .json.  The first two were recorded
-# before the flows moved on to the one rk4 kernel and the array-backed
-# MatrixPencil, the last two before the stacked commutator and the
-# pencil-free B factories: N = 6 runs a larger stacked matmul, and the
-# rank-2 B of neumann has a narrower h-window than its pencil.
+# sha256 of flow_<builtin>.csv and .json (and .gp).  The first two were
+# recorded before the flows moved on to the one rk4 kernel and the
+# array-backed MatrixPencil, the next two before the stacked commutator and
+# the pencil-free B factories: N = 6 runs a larger stacked matmul, and the
+# rank-2 B of neumann has a narrower h-window than its pencil.  The --seed 7
+# entries were recorded before the Lax builtins moved into one table
+# (laxflow.LAX_FLOWS): they pin each builtin's seeded start, which the
+# benchmark draws at random seeds, at another N, and the gnuplot script.
 FLOW_GOLDEN = [
     (["toda-periodic", "-N", "3"],
-     "07219e71c5b77d9f1f2b743ce2cf0123a7de335e29cd07367e1760ac29c499f5",
-     "4bce2534f67d8bb9d925b608d4d9d825fda33b0ccc90ed91a7f75ae0d7ffbd7a"),
+     {"csv": "07219e71c5b77d9f1f2b743ce2cf0123a7de335e29cd07367e1760ac29c499f5",
+      "json": "4bce2534f67d8bb9d925b608d4d9d825fda33b0ccc90ed91a7f75ae0d7ffbd7a"}),
     (["euler-arnold", "-N", "4"],
-     "e41e23344248246428fc524b78c84006707c269335fd668cc4d5fbb09bdecbc4",
-     "44d829694b82af28c91fb5de64ea4343d778d540897a8733c20c1d6c9148c414"),
+     {"csv": "e41e23344248246428fc524b78c84006707c269335fd668cc4d5fbb09bdecbc4",
+      "json": "44d829694b82af28c91fb5de64ea4343d778d540897a8733c20c1d6c9148c414"}),
     (["toda-periodic", "-N", "6"],
-     "eeacb9468ded2eba46349a87c89782a36a5e190b8ea6c4e1659cad69354969b7",
-     "2d68bf7e6e08461f010e0a97c05a641645a75561c5f7349a0f8f04b29629e79e"),
+     {"csv": "eeacb9468ded2eba46349a87c89782a36a5e190b8ea6c4e1659cad69354969b7",
+      "json": "2d68bf7e6e08461f010e0a97c05a641645a75561c5f7349a0f8f04b29629e79e"}),
     (["neumann", "-N", "4"],
-     "c9cd9160ace333bc611e81c011a185e09303f4d0683dc9def43220b9fc345c7b",
-     "bf465d4c2d0795e35a5afccc23d557595a74a391bdaf5561cd0b9492fca1ed6f"),
+     {"csv": "c9cd9160ace333bc611e81c011a185e09303f4d0683dc9def43220b9fc345c7b",
+      "json": "bf465d4c2d0795e35a5afccc23d557595a74a391bdaf5561cd0b9492fca1ed6f"}),
     # the vector-field path: integrate_system on MultiPoly.eval_num
     (["kvm"],
-     "77144868029976237cf10156bb49616be21c3d69c88f0d4b5761f68f2406de49",
-     "bac481303d602e4ba77ddcbdf69ccdd479f647b590b609937c05134f15420833"),
+     {"csv": "77144868029976237cf10156bb49616be21c3d69c88f0d4b5761f68f2406de49",
+      "json": "bac481303d602e4ba77ddcbdf69ccdd479f647b590b609937c05134f15420833"}),
+    (["toda-periodic", "-N", "5", "--seed", "7"],
+     {"csv": "8d27af7b1204e6705304a65ffb698bbc9cd0ba601f9e41972320ecbe423c4de6",
+      "json": "30148fd06c186ec575844ea3b000c94fec2cd390bd0bcb77c63bed7c9f7cae7b"}),
+    (["euler-arnold", "-N", "3", "--seed", "7"],
+     {"csv": "73a7c2aa251cb716d8aac89f69330e2a801321c4ffbe825b171fb18ac7325c84",
+      "json": "37e002d29b681a025f7ccb2a571cd2b8328b10a57aa808ff92c5aa4f49a6f61d"}),
+    (["neumann", "-N", "3", "--seed", "7"],
+     {"csv": "f4d18421d93ef0ff327fc90bb927361fcfff18cc21be6012d32e1df87a0cc128",
+      "json": "6a3163f57f762e3162b3f99344e803f1c3e6fcc4447f972929c91744b6e70efb"}),
+    (["kvm", "--seed", "7"],
+     {"csv": "0cedc250f97dae88a087be7bf503bc0bc0fb0186c87953c5e9f2746ef42326a4",
+      "json": "025a006c11b00c89ec89a9d945ca6941de93fdaf27b6e4324fdd1b4931ca77c3"}),
+    (["toda-periodic", "-N", "4", "--seed", "7", "--gnuplot"],
+     {"gp": "8ed353443a34a9b6a7ce711c726818041e4fb7bc951faddf0a29a5285b36b52d",
+      "csv": "a3be78c30f52249cd1a6b2abfafcac01bf1fbd91a7beb805253c9cdaae563a3a",
+      "json": "801b94b4b816dc2dd9ecc54b682b64877958070785111a5ffa98595ca397bb8c"}),
 ]
 
 
-@pytest.mark.parametrize("argv,csv_digest,json_digest", FLOW_GOLDEN,
+@pytest.mark.parametrize("argv,digests", FLOW_GOLDEN,
                          ids=["toda-periodic", "euler-arnold",
-                              "toda-periodic-N6", "neumann-N4", "kvm"])
-def test_flow_golden_digest(tmp_path, argv, csv_digest, json_digest):
+                              "toda-periodic-N6", "neumann-N4", "kvm",
+                              "toda-periodic-N5-seed7", "euler-arnold-N3-seed7",
+                              "neumann-N3-seed7", "kvm-seed7",
+                              "toda-periodic-N4-seed7-gnuplot"])
+def test_flow_golden_digest(tmp_path, argv, digests):
     import hashlib
     assert run(tmp_path, "flow", "--builtin", *argv, "--t-end", "0.5") == 0
     name = argv[0]
-    for ext, digest in (("csv", csv_digest), ("json", json_digest)):
+    assert sorted(os.listdir(tmp_path)) == sorted(f"flow_{name}.{ext}" for ext in digests)
+    for ext, digest in digests.items():
         data = (tmp_path / f"flow_{name}.{ext}").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, ext
 

@@ -258,7 +258,7 @@ def _b_cases():
            _dict_b_toda_open)
     for n in (3, 4):
         al = list(range(1, n + 1))
-        yield (f"euler-arnold-{n}", bi.builtin("euler-arnold", n=n, seed=n),
+        yield (f"euler-arnold-{n}", lf.LAX_FLOWS["euler-arnold"].start(n, n)[:2],
                _dict_b_euler_arnold(al, [v ** 2 for v in al]))
     yield ("manakov", lf.manakov_pencil([1, 2, 3, 4], lf.random_skew(4, seed=3)),
            _dict_b_manakov([1, 2, 3, 4]))
@@ -618,6 +618,31 @@ def test_curve_constancy_along_flow():
                                         list(rng.uniform(-0.4, 0.4, 3)))
     traj = lf.integrate_lax(pencil, B, 1.0, 1e-3, sample_every=500)
     assert lf.curve_drift(traj) < 1e-8
+
+
+def test_isospectral_drift_propagates_nan():
+    # tr A^2 overflows to inf at both samples, and inf - inf is NaN: the
+    # drift is NaN, not the 0.0 of the power that stays finite
+    traj = lf.LaxTrajectory(times=[0.0, 1.0], dt=1.0, pencils=[
+        lf.MatrixPencil({0: np.diag([1e200, 2.0])}),
+        lf.MatrixPencil({0: np.diag([1e200, 3.0])})])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(lf.isospectral_drift(traj, [1.0], 2))
+        assert lf.isospectral_drift(traj, [1.0], 1) == 0.0
+
+
+def test_curve_drifts_propagate_nan(monkeypatch):
+    # one NaN coefficient difference among finite ones, wherever the set of
+    # keys puts it, and one NaN sample before a finite one
+    base = lf.SpectralCurve({(k, 0): float(k) for k in range(12)}, 2)
+    bad = lf.SpectralCurve({**base.coeffs, (5, 0): np.nan, (7, 0): 9.0}, 2)
+    assert np.isnan(base.max_coeff_difference(bad))
+    assert base.max_coeff_difference(base) == 0.0
+    curves = iter([base, bad, lf.SpectralCurve({(0, 0): 1.0}, 2)])
+    monkeypatch.setattr(lf, "pencil_charpoly", lambda P: next(curves))
+    traj = lf.LaxTrajectory(times=[0.0, 1.0, 2.0], dt=1.0,
+                            pencils=[lf.MatrixPencil({0: np.eye(2)})] * 3)
+    assert np.isnan(lf.curve_drift(traj))
 
 
 def test_kvm_direct_integration_conserves_invariants():
