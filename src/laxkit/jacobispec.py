@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exactalg import Q, nearest_roots
-from .laxflow import rk4, steps_for, toda_scalar_rhs
+from .laxflow import lattice_rhs, rk4, steps_for
 
 
 class DegenerateSpectrumError(ValueError):
@@ -610,19 +610,14 @@ def toda_flow_jacobi(m: PeriodicJacobi, t_end: float, dt: float,
     every sample, sum b_j exactly conserved, a_j never vanishing.  Each
     sample builds A(1) once: _float_spectrum reads its spectrum from it and
     the power traces tr A^k are taken of it.  The state is rk4's list of
-    2N Python floats (a_1..a_N, b_1..b_N), which the right-hand side
-    toda_scalar_rhs reads and returns with no numpy conversion.  Raises
-    BlowUpError when the state stops being finite or a_j ** 2 overflows,
-    and ValueError unless dt divides t_end (laxflow.steps_for)."""
+    2N Python floats (a_1..a_N, b_1..b_N), which lattice_rhs(N) reads and
+    returns with no numpy conversion.  Raises BlowUpError when the state
+    stops being finite or a_j ** 2 overflows, and ValueError unless dt
+    divides t_end (laxflow.steps_for)."""
     n = m.period
-
-    def rhs(y: List[float]) -> List[float]:
-        da, db = toda_scalar_rhs(y[:n], y[n:])
-        return da + db
-
     stride = max(1, steps_for(t_end, dt) // samples)
     y0 = [float(x) for x in list(m.a) + list(m.b)]
-    times, states = rk4(rhs, y0, t_end, dt, stride, np.inf)
+    times, states = rk4(lattice_rhs(n), y0, t_end, dt, stride, np.inf)
     a_states = [y[:n] for y in states]
     b_states = [y[n:] for y in states]
 

@@ -9,8 +9,9 @@ lattice) steps through the one classical fixed-step fourth-order kernel
 `rk4`, so conservation errors have a reproducible dt^4 baseline.  Its
 step dt must divide the horizon t_end into whole steps.  Its state is an
 ndarray for a Lax pencil's blocks and a list of Python floats for the
-lattice and the vector fields, whose few entries and scalar right-hand
-sides cost less without numpy; both kinds round alike, bit for bit.
+lattice and the vector fields, whose few entries cost less without numpy
+in generated straight-line code (lattice_rhs, one per period, and the
+list combinations, one pair per length); both kinds round alike, bit for bit.
 
 Pencils are float: a MatrixPencil holds the blocks A_lo..A_hi of its
 h-window in one (K, n, n) array.  Exact spectral curves come from plain
@@ -290,19 +291,23 @@ def toda_open_pencil(a, b):
     return MatrixPencil({0: A0}), _toda_b(0, 1, n)
 
 
-def toda_scalar_rhs(a: Sequence[float], b: Sequence[float]
-                    ) -> Tuple[List[float], List[float]]:
-    """Periodic lattice ODE in Flaschka variables (index mod N), as the
-    lists (da, db)."""
-    # Scalar loops on the Python floats the lattice flow passes in: on 2-7
-    # sites numpy-scalar arithmetic costs more than the sums.  b[j + 1 - n]
-    # is b[(j + 1) mod n].  `** 2` stays for bit identity with the golden
-    # reports: Python's x ** 2 rounds as numpy's scalar x ** 2 does, where
-    # x * x and numpy's array a ** 2 differ in the last bit on some inputs.
-    n = len(a)
-    da = [a[j] * (b[j + 1 - n] - b[j]) for j in range(n)]
-    db = [2 * (a[j] ** 2 - a[j - 1] ** 2) for j in range(n)]
-    return da, db
+def _straight_line(params: str, entries: List[str]) -> Callable:
+    """`lambda params: [entries]`, compiled.  Callers build each entry from
+    integer indices alone, so no data enters eval."""
+    return eval(f"lambda {params}: [{', '.join(entries)}]")
+
+
+@functools.lru_cache(maxsize=32)
+def lattice_rhs(n: int) -> Callable[[List[float]], List[float]]:
+    """The periodic lattice ODE in Flaschka variables (index mod n), one
+    straight-line function per period of the list state (a_1..a_n, b_1..b_n)
+    to [a_j (b_(j+1) - b_j) for j] + [2 (a_j^2 - a_(j-1)^2) for j]."""
+    # `** 2` and the int 2 stay for bit identity with the golden reports:
+    # Python's x ** 2 rounds as numpy's scalar x ** 2 does, where x * x and
+    # numpy's array a ** 2 differ in the last bit on some inputs
+    da = [f"y[{j}] * (y[{n + (j + 1) % n}] - y[{n + j}])" for j in range(n)]
+    db = [f"2 * (y[{j}] ** 2 - y[{(j - 1) % n}] ** 2)" for j in range(n)]
+    return _straight_line("y", da + db)
 
 
 # geodesic flow on SO(n) and the Manakov pencil
@@ -639,7 +644,8 @@ def steps_for(t_end: float, dt: float) -> int:
     return steps
 
 
-# an rk4 state, and each kind's two combinations of the stages
+# an rk4 state, and each kind's two combinations of the stages (a list's
+# are generated per length)
 State = Union[np.ndarray, List[float]]
 
 
@@ -652,14 +658,13 @@ def _step_array(y: np.ndarray, c: float, k1: np.ndarray, k2: np.ndarray,
     return y + c * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _stage_list(y: List[float], c: float, k: List[float]) -> List[float]:
-    return [u + c * v for u, v in zip(y, k)]
-
-
-def _step_list(y: List[float], c: float, k1: List[float], k2: List[float],
-               k3: List[float], k4: List[float]) -> List[float]:
-    return [u + c * (v1 + 2 * v2 + 2 * v3 + v4)
-            for u, v1, v2, v3, v4 in zip(y, k1, k2, k3, k4)]
+@functools.lru_cache(maxsize=32)
+def _list_kernels(m: int) -> Tuple[Callable, Callable]:
+    """The two combinations for a list state of m floats, as straight-line
+    functions: each entry is the ndarray expression on entry i."""
+    step = "y[{0}] + c * (k1[{0}] + 2 * k2[{0}] + 2 * k3[{0}] + k4[{0}])"
+    return (_straight_line("y, c, k", [f"y[{i}] + c * k[{i}]" for i in range(m)]),
+            _straight_line("y, c, k1, k2, k3, k4", [step.format(i) for i in range(m)]))
 
 
 def _top_array(y: np.ndarray) -> float:
@@ -683,10 +688,11 @@ def rk4(rhs: Callable[[State], State], y0: State, t_end: float, dt: float,
     (the Jacobi lattice, a polynomial vector field), where numpy's
     per-call cost exceeds the arithmetic.  Only the two combinations of
     the stages, y + c k and y + c (k1 + 2 k2 + 2 k3 + k4), and the
-    max-norm of the blow-up test are chosen by kind.  The combinations
-    are elementwise in the same order, and Python floats round as numpy
-    float64 does, so a list steps to the bits of the equal ndarray; a
-    max of absolute values is exact either way.
+    max-norm of the blow-up test are chosen by kind (for a list, the
+    straight-line pair _list_kernels(len(y0))).  They are elementwise in
+    the same order, and Python floats round as numpy float64 does, so a
+    list steps to the bits of the equal ndarray; a max of absolute values
+    is exact either way.
 
     Returns the sample times and states: t = 0 (y0 itself), every
     `sample_every`-th step and the last step, each at t = step * dt.
@@ -696,7 +702,7 @@ def rk4(rhs: Callable[[State], State], y0: State, t_end: float, dt: float,
     t_end (steps_for).
     """
     steps = steps_for(t_end, dt)
-    stage, advance, top_abs = ((_stage_list, _step_list, _top_list)
+    stage, advance, top_abs = ((*_list_kernels(len(y0)), _top_list)
                                if isinstance(y0, list)
                                else (_stage_array, _step_array, _top_array))
     y = y0
@@ -724,7 +730,6 @@ def rk4(rhs: Callable[[State], State], y0: State, t_end: float, dt: float,
 class LaxTrajectory:
     times: List[float]
     pencils: List[MatrixPencil]
-    dt: float
 
     def final(self) -> MatrixPencil:
         return self.pencils[-1]
@@ -751,7 +756,7 @@ def integrate_lax(p0: MatrixPencil, B: Callable[[MatrixPencil], MatrixPencil],
         return kernel(Q.blocks, y)
 
     times, states = rk4(rhs, p0.blocks, t_end, dt, sample_every, BLOWUP)
-    return LaxTrajectory(times=times, dt=dt,
+    return LaxTrajectory(times=times,
                          pencils=[MatrixPencil.from_blocks(lo, y) for y in states])
 
 

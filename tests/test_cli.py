@@ -660,6 +660,25 @@ def test_flow_n_cap(tmp_path, capsys, monkeypatch, over):
         assert header.endswith(",b4")
 
 
+def test_flow_n_help_agrees_with_the_flow_table():
+    # the parser does not import laxflow, so its -N help spells out each
+    # row's min_n: "... >= 2 for toda-periodic and neumann, >= 3 for ..."
+    import argparse
+    import re
+
+    from laxkit import cli
+    from laxkit.laxflow import LAX_FLOWS
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    text = next(a.help for a in commands.choices["flow"]._actions
+                if "-N" in a.option_strings)
+    stated = {name: int(least)
+              for least, names in re.findall(r">= (\d+) for ([a-z -]+?)(?=[,;]|$)", text)
+              for name in names.split(" and ")}
+    assert stated == {name: row.min_n for name, row in LAX_FLOWS.items()}
+    assert f"at most {cli.FLOW_MAX_N};" in text
+
+
 @pytest.mark.parametrize("builtin", ["toda-periodic", "euler-arnold", "neumann"])
 def test_flow_n_above_max_n_exit_1_writes_nothing(tmp_path, capsys, monkeypatch,
                                                  time_limit, builtin):

@@ -663,12 +663,15 @@ def _assert_lattice_flow_matches_reference(m, t_end, dt):
     got = js.toda_flow_jacobi(m, t_end, dt)
     calls = []
 
-    def reference(a, b):
-        calls.append(None)
-        return _numpy_scalar_toda_rhs(a, b)
+    def reference_rhs(n):
+        def rhs(y):
+            calls.append(None)
+            da, db = _numpy_scalar_toda_rhs(y[:n], y[n:])
+            return da + db
+        return rhs
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(js, "toda_scalar_rhs", reference)
+        mp.setattr(js, "lattice_rhs", reference_rhs)
         want = js.toda_flow_jacobi(m, t_end, dt)
     assert len(calls) == 4 * round(t_end / dt)
     assert got.times == want.times
@@ -679,16 +682,17 @@ def _assert_lattice_flow_matches_reference(m, t_end, dt):
 def test_toda_rhs_matches_numpy_scalar_reference():
     # Python float ** 2 rounds as numpy's scalar ** 2; signed zeros included
     rng = np.random.default_rng(11)
-    for n in range(2, 8):
+    for n in [*range(2, 8), 16, 64]:
+        rhs = lf.lattice_rhs(n)
         for _ in range(300):
             a = (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)).tolist()
             b = rng.choice([0.0, -0.0, 1.5, -2.25], n).tolist()
             if rng.random() < 0.5:
                 b = rng.uniform(-3, 3, n).tolist()
-            got = lf.toda_scalar_rhs(a, b)
+            got = rhs(a + b)
             want = _numpy_scalar_toda_rhs(a, b)
-            assert all(type(x) is float for x in got[0] + got[1])
-            assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+            assert all(type(x) is float for x in got)
+            assert _same_bits(got[:n], want[0]) and _same_bits(got[n:], want[1])
 
 
 @settings(max_examples=25, deadline=None)

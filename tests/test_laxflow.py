@@ -551,12 +551,13 @@ _entry = st.one_of(st.floats(-2, 2), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 14), st.sampled_from([1e-3, 0.01, 0.05, 0.1 / 3]),
+@given(st.integers(1, 48), st.sampled_from([1e-3, 0.01, 0.05, 0.1 / 3]),
        st.integers(1, 12), st.data())
 def test_rk4_list_state_steps_to_the_bits_of_the_array_state(dim, dt, steps,
                                                               data):
     # one nonlinear rhs on Python floats, fed a list directly and an ndarray
-    # through tolist, as the lattice rhs was before it took lists
+    # through tolist, as the lattice rhs was before it took lists: the list
+    # steps through the generated combinations of its length
     y0 = data.draw(st.lists(_entry, min_size=dim, max_size=dim))
     c = data.draw(st.lists(_entry, min_size=dim, max_size=dim))
 
@@ -573,6 +574,13 @@ def test_rk4_list_state_steps_to_the_bits_of_the_array_state(dim, dt, steps,
     assert all(type(y) is list and all(type(v) is float for v in y)
                for y in got[1:])
     assert _same_bits(got, want)
+
+
+def test_generated_kernels_are_built_once_per_size():
+    assert lf._list_kernels(9) is lf._list_kernels(9)
+    assert lf.lattice_rhs(5) is lf.lattice_rhs(5)
+    assert lf._list_kernels(9) is not lf._list_kernels(10)
+    assert lf.lattice_rhs(5) is not lf.lattice_rhs(6)
 
 
 def test_steps_for_budget():
@@ -623,7 +631,7 @@ def test_curve_constancy_along_flow():
 def test_isospectral_drift_propagates_nan():
     # tr A^2 overflows to inf at both samples, and inf - inf is NaN: the
     # drift is NaN, not the 0.0 of the power that stays finite
-    traj = lf.LaxTrajectory(times=[0.0, 1.0], dt=1.0, pencils=[
+    traj = lf.LaxTrajectory(times=[0.0, 1.0], pencils=[
         lf.MatrixPencil({0: np.diag([1e200, 2.0])}),
         lf.MatrixPencil({0: np.diag([1e200, 3.0])})])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -640,7 +648,7 @@ def test_curve_drifts_propagate_nan(monkeypatch):
     assert base.max_coeff_difference(base) == 0.0
     curves = iter([base, bad, lf.SpectralCurve({(0, 0): 1.0}, 2)])
     monkeypatch.setattr(lf, "pencil_charpoly", lambda P: next(curves))
-    traj = lf.LaxTrajectory(times=[0.0, 1.0, 2.0], dt=1.0,
+    traj = lf.LaxTrajectory(times=[0.0, 1.0, 2.0],
                             pencils=[lf.MatrixPencil({0: np.eye(2)})] * 3)
     assert np.isnan(lf.curve_drift(traj))
 
