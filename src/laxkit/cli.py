@@ -13,8 +13,9 @@ Exit codes: 0 success, 1 usage or input error, 2 Painlevé obstruction,
 continued-fraction denominator of the Stieltjes check vanished, a
 number overflowed a float, as Jacobi entries such as -a 1e300,1 do, an
 exponent passed exactalg.poly.LIMIT, the largest a monomial key holds,
-as x^40000 in an .ivf does, or the measure's scale (a0/a_N)^2
-underflowed to 0).  jacobi --a0 0 exits
+as x^40000 in an .ivf does, the measure's scale (a0/a_N)^2
+underflowed to 0, or an atom mass of the Jacobi measure came out below
+-1e-8).  jacobi --a0 0 exits
 1: its measure is zero, which no Stieltjes check may pass.
 A report or CSV that would hold a NaN or an infinity is never written:
 the command exits 3.  So does a Jacobi measure with a band too narrow
@@ -44,8 +45,9 @@ builtins.MAX_ORDER (30), or the command exits 1 before any work; without
 it a builtin runs at its own default order, 6 otherwise.  `painleve
 --file` must name a readable regular file, and `--bind` binds each
 constant at most once, or the command exits 1.
-`jacobi --depth` must be no larger than jacobispec.MAX_DEPTH (10**5), or
-the command exits 1 before any work.
+`jacobi --depth` must be no larger than jacobispec.MAX_DEPTH (10**5),
+and the period no larger than JACOBI_MAX_PERIOD (128), or the command
+exits 1 before any work.
 `--tol` of flow, jacobi and check must be a positive finite float, or the
 command exits 1 before any work: inf would pass any drift, and nan or a
 value <= 0 none.
@@ -304,6 +306,12 @@ def _parse_seq(option: str, text: str):
             for x in text.replace("−", "-").split(",") if x != ""]
 
 
+# largest jacobi period: with --check-stieltjes --toda-t-end 1 the data
+# a_j = (1 + 7j mod 5)/(2 + j mod 3), b_j = ((5j mod 7) - 3)/(1 + j mod 4)
+# took 4.7 s at 128, 9.5 s at 160 and 60 s at 256 on a 2-CPU x86_64 host
+JACOBI_MAX_PERIOD = 128
+
+
 def cmd_jacobi(args) -> Result:
     from . import jacobispec as js
     from .laxflow import BlowUpError
@@ -312,6 +320,9 @@ def cmd_jacobi(args) -> Result:
                          f"jacobispec.MAX_DEPTH = {js.MAX_DEPTH}")
     a = _parse_seq("-a", args.a)
     b = _parse_seq("-b", args.b)
+    if len(a) > JACOBI_MAX_PERIOD:
+        raise UsageError(f"period {len(a)} is above the cap "
+                         f"cli.JACOBI_MAX_PERIOD = {JACOBI_MAX_PERIOD}")
     try:
         m = js.PeriodicJacobi(a, b)
     except ValueError as exc:
@@ -493,7 +504,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BreakdownError, OverflowError) as exc:
+    except (BreakdownError, OverflowError, FloatingPointError) as exc:
         print(f"error: numerical breakdown: {exc}", file=sys.stderr)
         return 3
     except (ParseError, ValueError, KeyError, RuntimeError) as exc:

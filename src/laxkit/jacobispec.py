@@ -8,11 +8,12 @@ corner entries a_N h^{+-1}; its determinant is
 
     F(h, 1/h, z) = det(A(h) - zI) = (-1)^(N+1) (alpha (h + 1/h) - P(z)),
 
-with alpha the product of the a_j and P monic of degree N, computed here
-by the two-determinant formula (full tridiagonal determinant minus a_N^2
-times the interior one, normalized by (-1)^N).  Branch points are the 2N
-roots of P^2 - 4 alpha^2; the auxiliary spectrum consists of the N-1
-zeros of the (N,N) cofactor, one per gap.
+with alpha the product of the a_j and P monic of degree N: det(zI - T)
+of the full tridiagonal block minus a_N^2 times that of its interior
+block (sites 2..N-1).  Every such determinant comes from one recurrence,
+expanded into coefficients by _monic or run at a point by _monic_at.
+Branch points are the 2N roots of P^2 - 4 alpha^2; the auxiliary
+spectrum consists of the N-1 zeros of the (N,N) cofactor, one per gap.
 
 The spectral measure of the half-line operator attached to the fraction
 a0^2/(z - b1 - a1^2/(z - b2 - ...)) scales as (a0/a_N)^2 times the one
@@ -60,63 +61,65 @@ class PeriodicJacobi:
     def is_exact(self) -> bool:
         return all(isinstance(x, (int, Fraction)) for x in list(self.a) + list(self.b))
 
+    def numbers(self) -> Tuple[List, List]:
+        """a and b as Fractions for exact data, else as floats."""
+        num = Q if self.is_exact else float
+        return [num(x) for x in self.a], [num(x) for x in self.b]
+
     def alpha(self):
-        out = Q(1) if self.is_exact else 1.0
-        for x in self.a:
-            out = out * (Q(x) if self.is_exact else float(x))
-        return out
+        return math.prod(self.numbers()[0])
 
 
 # -- characteristic polynomials --------------------------------------------
 
-def _tridiag_charpoly(diag: Sequence, off: Sequence, exact: bool) -> List:
-    """Ascending coefficients of det(tridiag(diag, off) - z I)."""
-    zero = Q(0) if exact else 0.0
-    one = Q(1) if exact else 1.0
-    Dprev: List = [one]            # empty determinant
-    D: List = [Q(diag[0]) if exact else float(diag[0]), -one] if diag else [one]
-    for k in range(1, len(diag)):
-        bk = Q(diag[k]) if exact else float(diag[k])
-        ak2 = (Q(off[k - 1]) if exact else float(off[k - 1])) ** 2
-        # D_k = (b_k - z) D_{k-1} - a_{k-1}^2 D_{k-2}
-        nxt = [zero] * (len(D) + 1)
-        for i, c in enumerate(D):
-            nxt[i] += bk * c
-            nxt[i + 1] -= c
-        for i, c in enumerate(Dprev):
-            nxt[i] -= ak2 * c
-        Dprev, D = D, nxt
-    return D if diag else [one]
+def _monic(diag: Sequence, off: Sequence) -> List:
+    """Ascending coefficients of det(zI - T), T symmetric tridiagonal with
+    diagonal diag and off-diagonal off, in the arithmetic of the entries:
+    y_k = (z - d_k) y_(k-1) - o_(k-1)^2 y_(k-2), y_0 = 1, y_(-1) = 0."""
+    prev, cur = [], [diag[0] ** 0 if diag else 1]   # 1 in that arithmetic
+    for k, d in enumerate(diag):
+        nxt = [0] + cur                 # z y_(k-1); nxt[0] is set below
+        for i, c in enumerate(cur):
+            nxt[i] -= d * c
+        if k:
+            o2 = off[k - 1] ** 2
+            for i, c in enumerate(prev):
+                nxt[i] -= o2 * c
+        prev, cur = cur, nxt
+    return cur
+
+
+def _monic_at(diag: Sequence[float], off: Sequence[float], x: float) -> List[float]:
+    """y_0..y_k of _monic's recurrence run in floats at x: stable there,
+    where Horner's rule on the expanded coefficients is not (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 7; Higham, Accuracy and Stability of
+    Numerical Algorithms, 5.1).  An o_j^2 that overflows raises."""
+    ys = [1.0]
+    for k, d in enumerate(diag):
+        y = (x - d) * ys[-1]
+        if k:
+            y -= off[k - 1] ** 2 * ys[-2]
+        ys.append(y)
+    return ys
 
 
 def floquet_polynomial(m: PeriodicJacobi) -> List:
     """Monic P(z) with det(A(h)-zI) = (-1)^(N+1)(alpha(h+1/h) - P(z));
     ascending coefficients."""
     N = m.period
-    exact = m.is_exact
-    full = _tridiag_charpoly(m.b, m.a[: N - 1], exact)
-    interior = _tridiag_charpoly(m.b[1: N - 1], m.a[1: N - 2], exact)
-    aN2 = (Q(m.a[-1]) if exact else float(m.a[-1])) ** 2
-    n = max(len(full), len(interior))
-    P = [(full[i] if i < len(full) else (Q(0) if exact else 0.0)) -
-         aN2 * (interior[i] if i < len(interior) else (Q(0) if exact else 0.0))
-         for i in range(n)]
-    sign = (-1) ** N
-    return [sign * c for c in P]
+    a, b = m.numbers()
+    interior = _monic(b[1: N - 1], a[1: N - 2])
+    aN2 = a[-1] ** 2
+    return [c - aN2 * (interior[i] if i < len(interior) else 0)
+            for i, c in enumerate(_monic(b, a[: N - 1]))]
 
 
 def cofactor_nn_polynomial(m: PeriodicJacobi) -> List:
     """The (N,N) cofactor of A(h)-zI: the degree-(N-1) characteristic
     determinant of the truncated tridiagonal block (h-independent)."""
     N = m.period
-    return _tridiag_charpoly(m.b[: N - 1], m.a[: N - 2], m.is_exact)
-
-
-def _poly_eval(coeffs: Sequence, x: float) -> float:
-    v = 0.0
-    for c in reversed(coeffs):
-        v = v * x + float(c)
-    return v
+    a, b = m.numbers()
+    return [(-1) ** (N - 1) * c for c in _monic(b[: N - 1], a[: N - 2])]
 
 
 # -- spectral data -----------------------------------------------------------
@@ -294,40 +297,16 @@ def pade(a: Sequence, b: Sequence, a0, k: int) -> Tuple[List[Fraction], List[Fra
     """Numerator/denominator (A_k, B_k) of the k-th convergent, ascending
     exact coefficients: deg A_k = k-1, deg B_k = k, B_k monic.
 
-    Both satisfy y_j = (z - b_j) y_{j-1} - a_{j-1}^2 y_{j-2} with seeds
-    B_0 = 1, B_{-1} = 0 and A_1 = a0^2, A_0 = 0."""
+    B_k = det(zI - J_k), J_k the leading k x k block, and A_k is a0^2 times
+    the same determinant of J_k without its first row and column."""
     if k < 1:
         raise ValueError("k must be >= 1")
     n = len(a)
     aa = [Q(a[i % n]) for i in range(k)]          # aa[0] = a_1
     bb = [Q(b[i % n]) for i in range(k)]          # bb[0] = b_1
-    Bprev2, Bprev = [Fraction(0)], [Fraction(1)]  # B_{-1}, B_0
-    Aprev2, Aprev = [Fraction(0)], [Fraction(0)]  # placeholder, A_0
-    Acur, Bcur = Aprev, Bprev
-    for j in range(1, k + 1):
-        c = aa[j - 2] ** 2 if j >= 2 else Fraction(0)
-        Bcur = _poly_linear_combo(bb[j - 1], Bprev, c, Bprev2)
-        if j == 1:
-            Acur = [Q(a0) ** 2]
-        else:
-            Acur = _poly_linear_combo(bb[j - 1], Aprev, c, Aprev2)
-        Bprev2, Bprev = Bprev, Bcur
-        Aprev2, Aprev = Aprev, Acur
-    return Acur, Bcur
-
-
-def _poly_linear_combo(bj: Fraction, y1: List[Fraction], c: Fraction,
-                       y2: List[Fraction]) -> List[Fraction]:
-    """(z - bj) * y1 - c * y2, ascending coefficients."""
-    out = [Fraction(0)] * (len(y1) + 1)
-    for i, v in enumerate(y1):
-        out[i] -= bj * v
-        out[i + 1] += v
-    for i, v in enumerate(y2):
-        out[i] -= c * v
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+    a02 = Q(a0) ** 2
+    return ([a02 * c for c in _monic(bb[1:], aa[1: k - 1])],
+            _monic(bb, aa[: k - 1]))
 
 
 def moments(a: Sequence, b: Sequence, a0, count: int) -> List[Fraction]:
@@ -454,20 +433,22 @@ def measure_decompose(m: PeriodicJacobi, a0,
 
     Atoms sit at the auxiliary eigenvalues sigma_j.  There the monodromy
     matrix is triangular, so the roots of alpha h^2 - P(sigma_j) h + alpha
-    are c_j and 1/c_j, c_j = (-1)^(N+1) aN^2 Lambda(sigma_j) / alpha with
-    Lambda the interior (N-2)-determinant (empty = 1 for N = 2): the
-    Dirichlet identity (G. Teschl, Jacobi Operators and Completely
-    Integrable Nonlinear Lattices, AMS 2000, ch. 7-8).  The residue is
-    taken on the |h| < 1 sheet, so mass_j = 0 if |c_j| <= 1 and otherwise
+    are c_j and 1/c_j, c_j = -aN^2 Lambda(sigma_j) / alpha with Lambda(z) =
+    det(zI - T') for T' the interior block of sites 2..N-1 (empty = 1 for
+    N = 2): the Dirichlet identity (G. Teschl, Jacobi Operators and
+    Completely Integrable Nonlinear Lattices, AMS 2000, ch. 7-8).  The
+    residue is taken on the |h| < 1 sheet, so mass_j = 0 if |c_j| <= 1 and
+    otherwise
 
-        mass_j = s * (alpha / c_j + (-1)^N aN^2 Lambda(sigma_j))
+        mass_j = s * (alpha / c_j + aN^2 Lambda(sigma_j))
                  / prod_{l != j} (sigma_j - sigma_l),
 
     with s = (a0/a_N)^2 the half-line rescaling: real arithmetic, no square
     root.  a0 must be nonzero (ValueError), and s must be a positive
     finite double (OverflowError naming it, when it overflows or
     underflows to 0).  Masses up to ZERO_MASS_TOL (closed gaps) are
-    dropped.  The continuous part is s/(2 pi) * sqrt(4 alpha^2 - P^2) /
+    dropped; one below -1e-8 raises FloatingPointError.  The continuous
+    part is s/(2 pi) * sqrt(4 alpha^2 - P^2) /
     |cofactor| on each stable band, evaluated as a product over the branch
     points and the sigma_j.  The quadrature skips bands narrower than NARROW_BAND, so
     where one occurs the atoms and the other bands must carry a0^2 to 1e-8
@@ -491,8 +472,10 @@ def measure_decompose(m: PeriodicJacobi, a0,
     if scale == 0.0:                    # a0 != 0: the square underflowed
         raise OverflowError("(a0/a_N)^2 underflows a double")
     alpha = data.alpha
+    diag = [float(x) for x in m.b[1: N - 1]]
+    off = [float(x) for x in m.a[1: N - 2]]
     try:
-        interior = _tridiag_charpoly(m.b[1: N - 1], m.a[1: N - 2], False)
+        lams = [_monic_at(diag, off, s)[-1] for s in aux]
     except OverflowError:
         raise OverflowError("an a_j^2 (2 <= j <= N-2) in the interior "
                             "determinant Lambda overflows a double") from None
@@ -501,18 +484,16 @@ def measure_decompose(m: PeriodicJacobi, a0,
     except OverflowError:
         raise OverflowError("a_N^2 overflows a double") from None
     atoms: List[Tuple[float, float]] = []
-    for j, s in enumerate(aux):
-        alpha_c = (-1) ** (N + 1) * aN2 * _poly_eval(interior, s)
-        c = alpha_c / alpha
+    for j, (s, lam) in enumerate(zip(aux, lams)):
+        c = -aN2 * lam / alpha
         if abs(c) <= 1:
             continue
         den = math.prod(s - s2 for l, s2 in enumerate(aux) if l != j)
-        mass = scale * (alpha / c - alpha_c) / den
+        mass = scale * (alpha / c + aN2 * lam) / den
         if not math.isfinite(mass):
             raise OverflowError(f"atom mass at sigma={s} is not finite: {mass}")
         if mass < -1e-8:
-            raise DegenerateSpectrumError(
-                f"negative atom mass {mass} at sigma={s}")
+            raise FloatingPointError(f"negative atom mass {mass} at sigma={s}")
         if mass > ZERO_MASS_TOL:
             atoms.append((s, mass))
 
@@ -569,14 +550,16 @@ def orthogonality_check(m: PeriodicJacobi, a0, k_max: int,
     if measure is None:
         measure = measure_decompose(m, a0)
     n = m.period
-    polys = [[Fraction(1)]] + [pade(m.a, m.b, a0, k)[1] for k in range(1, k_max + 1)]
+    bb = [float(m.b[i % n]) for i in range(k_max)]
+    aa = [float(m.a[i % n]) for i in range(k_max - 1)]
     worst_off = 0.0
     worst_diag = 0.0
     for i in range(k_max + 1):
         for j in range(i, k_max + 1):
-            pi = [float(c) for c in polys[i]]
-            pj = [float(c) for c in polys[j]]
-            val = measure.integrate(lambda x: _poly_eval(pi, x) * _poly_eval(pj, x))
+            def f(x):
+                ys = _monic_at(bb, aa, x)       # B_0(x) .. B_k_max(x)
+                return ys[i] * ys[j]
+            val = measure.integrate(f)
             if i != j:
                 worst_off = max(worst_off, abs(val))
             else:

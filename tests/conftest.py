@@ -2,6 +2,13 @@ import contextlib
 import signal
 
 import pytest
+from hypothesis import settings
+
+# every run draws afresh: no example database, so a failure found once is
+# not replayed by every later run in the checkout; a failing example prints
+# the @reproduce_failure line that replays it instead
+settings.register_profile("laxkit", database=None, print_blob=True)
+settings.load_profile("laxkit")
 
 
 @pytest.fixture

@@ -467,12 +467,17 @@ def test_jacobi_vanishing_fraction_denominator_exit_3(tmp_path, capsys,
 # rounded node; only total_mass and stieltjes_check.max_error moved:
 # period 3, 0.9999999999987537 -> 0.9999999999999986 and 7.03e-13 ->
 # 9.35e-16; period 5, 2.7777777777777732 -> 2.7777777777777737 (25/9 =
-# 2.7777777777777777) and 3.59e-15 -> 3.15e-15.
+# 2.7777777777777777) and 3.59e-15 -> 3.15e-15.  The period-5 digest was
+# re-recorded when the interior determinant Lambda(sigma_j) of the atom
+# masses moved from Horner's rule on its float coefficients to the
+# three-term recurrence at the point: atoms[0] and atoms[1] move by
+# -4.4e-16 and 3.3e-16, and stieltjes_check.max_error by 3.15e-15 ->
+# 3.13e-15.
 JACOBI_GOLDEN = [
     (["-a=1,1,1", "-b=0,0,1/2", "--check-stieltjes", "--toda-t-end", "0.5"],
      "fbffdbd1246cd31a2acedbe922870639ebe0b180acf6ab6d8e099268c4d86312"),
     (["-a=2/3,5/3,4/3,4/3,5/3", "-b=1/3,2/3,2/3,1/3,2/3", "--check-stieltjes"],
-     "9528a6803ac2412db6db1a4ba13cc7e4c7e3912dea02ccfacbb5726940b09e3e"),
+     "0cb5d50bb6a0bdbd44c4c67bd92555f69c7fc53eb58262631680ec3deed73f83"),
 ]
 
 
@@ -489,7 +494,11 @@ def test_jacobi_report_golden_digest(tmp_path, argv, digest):
 # CSV of its period-3 argv, and the report and lattice CSV of an exact
 # period-7 input with the Stieltjes check and a unit-time flow.  Recorded
 # before the lattice flow, the band quadrature and gamma_fraction moved from
-# numpy scalars to Python floats, so they guard those bit for bit.
+# numpy scalars to Python floats, so they guard those bit for bit.  The
+# period-7 report was re-recorded when Lambda(sigma_j) moved to the
+# recurrence at the point: the atom masses move by at most 3.9e-16
+# (atoms[3]), total_mass 1.7777777777777763 -> 1.7777777777777766 and
+# stieltjes_check.max_error 8.88e-16 -> 7.22e-16; its CSV did not move.
 JACOBI_LATTICE_GOLDEN = [
     (JACOBI_GOLDEN[0][0],
      {"jacobi_toda.csv":
@@ -497,7 +506,7 @@ JACOBI_LATTICE_GOLDEN = [
     (["-a=1,3/2,1,2,1/2,1,4/3", "-b=0,1/2,-1,1/3,0,1,-1/2", "--check-stieltjes",
       "--toda-t-end", "1"],
      {"jacobi_report.json":
-      "db7d24adbc488369069ad32dce5a320f7e764b2f2c26e4d7dfedbc03a52c72fe",
+      "75dd5089b22f83e9ad2067231a5c17cef28e537531f779db479a7c3c9df49787",
       "jacobi_toda.csv":
       "f2e5f38136c3e9dae9abbe72c4a54f7acc1f6651a59bcc7641076f542ac55f60"}),
 ]
@@ -541,6 +550,38 @@ def test_jacobi_depth_above_max_depth_exit_1_writes_nothing(tmp_path, capsys,
                    "--check-stieltjes", "--depth", depth)
     assert code == 1
     assert "MAX_DEPTH = 100000" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_jacobi_period_above_cap_exit_1_writes_nothing(tmp_path, capsys,
+                                                      time_limit):
+    # refused before any work: period 256 takes about a minute
+    from laxkit import cli
+    assert cli.JACOBI_MAX_PERIOD == 128
+    n = cli.JACOBI_MAX_PERIOD + 1
+    with time_limit(2):
+        code = run(tmp_path, "jacobi", "-a=" + ",".join(["1"] * n),
+                   "-b=" + ",".join(["0"] * n), "--check-stieltjes",
+                   "--toda-t-end", "1")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: period 129 is above the cap cli.JACOBI_MAX_PERIOD = 128\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_jacobi_negative_atom_mass_exit_3_writes_nothing(tmp_path, capsys,
+                                                        monkeypatch):
+    # a negated interior determinant turns the one atom of -a 1,2 (mass 3)
+    # negative: a float breakdown of the measure, not an input error
+    from laxkit import jacobispec as js
+    real = js._monic_at
+    monkeypatch.setattr(js, "_monic_at",
+                        lambda diag, off, x: [-y for y in real(diag, off, x)])
+    code = run(tmp_path, "jacobi", "-a", "1,2", "-b", "0,0")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical breakdown: negative atom mass -")
+    assert err.endswith(" at sigma=0.0\n")
     assert os.listdir(tmp_path) == []
 
 

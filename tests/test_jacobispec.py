@@ -10,6 +10,30 @@ from laxkit import jacobispec as js
 from laxkit.exactalg import nearest_roots, real_roots
 
 
+def _horner(coeffs, x):
+    """sum coeffs[i] x^i by Horner's rule on floats: the test's own
+    evaluation of an ascending coefficient list."""
+    v = 0.0
+    for c in reversed(coeffs):
+        v = v * x + float(c)
+    return v
+
+
+def _sympy_charpoly(diag, off):
+    """Ascending coefficients of det(z I - T), T symmetric tridiagonal with
+    the given diagonal and off-diagonal: sympy's characteristic polynomial,
+    not laxkit's recurrence."""
+    sympy = pytest.importorskip("sympy")
+    k = len(diag)
+    T = sympy.zeros(k, k)
+    for i in range(k):
+        T[i, i] = sympy.Rational(diag[i])
+        if i + 1 < k:
+            T[i, i + 1] = T[i + 1, i] = sympy.Rational(off[i])
+    return [F(int(c.p), int(c.q))
+            for c in T.charpoly(sympy.Symbol("z")).all_coeffs()[::-1]]
+
+
 def test_matrix_validation():
     with pytest.raises(ValueError, match="nonzero"):
         js.PeriodicJacobi([1, 0], [0, 0])
@@ -53,7 +77,7 @@ def test_dirichlet_roots_satisfy_curve():
         for s in d.aux_spectrum:
             lam = np.linalg.det(A[1:-1, 1:-1] - s * np.eye(N - 2))
             c = (-1) ** (N + 1) * m.a[-1] ** 2 * lam / d.alpha
-            Ps = js._poly_eval(d.P, s)
+            Ps = _horner(d.P, s)
             for h in (c, 1 / c):
                 scale = abs(d.alpha * h * h) + abs(Ps * h) + abs(d.alpha)
                 assert abs(d.alpha * h * h - Ps * h + d.alpha) < 1e-10 * scale
@@ -72,7 +96,7 @@ def test_pencil_consistency_F_vs_determinant():
             A = js._periodic_matrix([float(x) for x in m.a],
                                     [float(x) for x in m.b], h)
             det = np.linalg.det(A - z * np.eye(N))
-            curve = (-1) ** (N + 1) * (alpha * (h + 1 / h) - js._poly_eval(P, z))
+            curve = (-1) ** (N + 1) * (alpha * (h + 1 / h) - _horner(P, z))
             assert abs(det - curve) < 1e-10 * max(1.0, abs(det))
 
 
@@ -165,12 +189,13 @@ def test_wronskian_identity():
 
 
 def test_b_k_is_truncated_characteristic_polynomial():
+    # B_k = det(z I - J_k), J_k the leading k x k block of the periodically
+    # extended Jacobi matrix
     aseq, bseq = [F(1), F(2), F(3)], [F(1, 2), F(-1, 2), F(0)]
     for k in range(1, 6):
         _, B = js.pade(aseq, bseq, 1, k)
-        det = js._tridiag_charpoly([bseq[i % 3] for i in range(k)],
-                                   [aseq[i % 3] for i in range(k - 1)], True)
-        assert B == [c * (-1) ** k for c in det]
+        assert B == _sympy_charpoly([bseq[i % 3] for i in range(k)],
+                                    [aseq[i % 3] for i in range(k - 1)])
 
 
 def test_moments():
@@ -289,7 +314,7 @@ def test_atom_mass_dichotomy():
         mu = js.measure_decompose(m, a[-1], data=data)
         import math as _math
         for x, mass in mu.atoms:
-            Px = js._poly_eval([float(c) for c in data.P], x)
+            Px = _horner([float(c) for c in data.P], x)
             disc = Px * Px - 4 * data.alpha ** 2
             denom = 1.0
             for s in data.aux_spectrum:
@@ -310,15 +335,15 @@ def _square_root_mass(d, a0, j):
     |P| / disc: near 1e-8 at a closed gap, where disc is 0 up to roundoff,
     and 1e-10 already on some open gaps of height-16 data."""
     m, N, s = d.matrix, d.matrix.period, d.aux_spectrum[j]
-    Ps = js._poly_eval(d.P, s)
+    Ps = _horner(d.P, s)
     disc = Ps * Ps - 4 * d.alpha ** 2
     sq = np.sqrt(complex(disc))
     h = min((Ps + sq) / (2 * d.alpha), (Ps - sq) / (2 * d.alpha), key=abs)
     aN = float(m.a[-1])
-    lam = js._poly_eval(js._tridiag_charpoly(m.b[1: N - 1], m.a[1: N - 2], False), s)
+    lam = _horner(_sympy_charpoly(m.b[1: N - 1], m.a[1: N - 2]), s)
     den = math.prod(s - t for l, t in enumerate(d.aux_spectrum) if l != j)
-    mass = (float(a0) / aN) ** 2 * (d.alpha * h + (-1) ** N * aN ** 2 * lam) / den
-    p_abs = js._poly_eval([abs(c) for c in d.P], abs(s))
+    mass = (float(a0) / aN) ** 2 * (d.alpha * h + aN ** 2 * lam) / den
+    p_abs = _horner([abs(c) for c in d.P], abs(s))
     roundoff = 2.2e-16 * p_abs * abs(Ps) / abs(disc) if disc else math.inf
     return mass, roundoff
 
@@ -362,12 +387,93 @@ def test_density_matches_exact_discriminant(N, data):
     for lo, hi in d.stable_bands:
         for t in (F(1, 10), F(1, 3), F(1, 2), F(7, 9)):
             x = F(lo) + t * (F(hi) - F(lo))
-            disc = 4 * alpha2 - js._poly_eval(d.P, x) ** 2
-            cof = js._poly_eval(d.cofactor, x)
+            disc = 4 * alpha2 - _horner(d.P, x) ** 2
+            cof = _horner(d.cofactor, x)
             if cof == 0:
                 continue
             want = scale * math.sqrt(disc) / (2 * math.pi * abs(float(cof)))
             assert mu.density(float(x)) == pytest.approx(want, rel=1e-9)
+
+
+def _exact_atom_masses(a, b, a0, aux):
+    """The atom mass at each sigma_j of aux, computed in Fractions at
+    sigma_j as the double it is: c = -a_N^2 Lambda(sigma)/alpha, with
+    Lambda(z) = det(z I - T') for T' the interior block of sites 2..N-1, and
+    mass = (a0/a_N)^2 (alpha/c + a_N^2 Lambda)/prod_(l != j)(sigma_j - sigma_l)
+    where |c| > 1, else 0."""
+    N = len(a)
+    a, b = [F(x) for x in a], [F(x) for x in b]
+    alpha, aN2 = math.prod(a), a[-1] ** 2
+    scale = (F(a0) / a[-1]) ** 2
+    sig = [F(s) for s in aux]
+    out = []
+    for j, s in enumerate(sig):
+        prev, lam = F(0), F(1)
+        for k in range(1, N - 1):
+            prev, lam = lam, (s - b[k]) * lam - a[k - 1] ** 2 * prev
+        c = -aN2 * lam / alpha
+        if abs(c) <= 1:
+            out.append(F(0))
+            continue
+        den = math.prod(s - t for l, t in enumerate(sig) if l != j)
+        out.append(scale * (alpha / c + aN2 * lam) / den)
+    return out
+
+
+def _assert_atom_masses_exact(a, b, a0, aux, atoms):
+    """Each reported mass within 1e-12 a0^2 of its exact value at the
+    reported sigma_j; a dropped atom's exact mass at most ZERO_MASS_TOL."""
+    bound = 1e-12 * float(a0) ** 2
+    for s, want in zip(aux, _exact_atom_masses(a, b, a0, aux), strict=True):
+        if s in atoms:
+            assert abs(atoms[s] - float(want)) <= bound, s
+        else:
+            assert float(want) <= js.ZERO_MASS_TOL + bound, s
+
+
+def _long_period_data(N):
+    """The exact period-N data of ROADMAP item 13, valid at every period:
+    a_j = (1 + (7j mod 5))/(2 + (j mod 3)), b_j = ((5j mod 7) - 3)/(1 + (j mod 4)),
+    j = 0..N-1.  Horner's rule on the interior determinant's coefficients
+    made period 48 exit 1 with a negative atom mass."""
+    return ([F(1 + 7 * j % 5, 2 + j % 3) for j in range(N)],
+            [F(5 * j % 7 - 3, 1 + j % 4) for j in range(N)])
+
+
+@pytest.mark.parametrize("N", [24, 48, 96])
+def test_long_period_cli_exit_0_with_exact_atom_masses(tmp_path, N):
+    from laxkit.cli import main
+    import json
+    a, b = _long_period_data(N)
+    assert main(["jacobi", "-a=" + ",".join(map(str, a)),
+                 "-b=" + ",".join(map(str, b)), "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "jacobi_report.json").read_text())
+    _assert_atom_masses_exact(a, b, a[-1], rep["auxiliary_spectrum"],
+                              dict(map(tuple, rep["atoms"])))
+    assert rep["total_mass"] == pytest.approx(float(a[-1]) ** 2, rel=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 32), st.data())
+def test_atom_masses_match_exact_reference_at_every_period(N, data):
+    # entries of the size of _long_period_data's; the bound is 1e-12 a0^2
+    a = [F(data.draw(st.integers(1, 5).flatmap(lambda k: st.sampled_from([k, -k]))),
+           data.draw(st.integers(1, 4))) for _ in range(N)]
+    b = [F(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 4)))
+         for _ in range(N)]
+    a0 = F(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))
+    m = js.PeriodicJacobi(a, b)
+    d = js.spectral_data(m)
+    try:
+        atoms = dict(js.measure_decompose(m, a0, data=d).atoms)
+    except OverflowError as exc:
+        # a skipped band narrower than NARROW_BAND whose mass the other bands
+        # cannot make up is refused loudly (ROADMAP item 1's absolute
+        # tolerances, as for a = (5/2, 1, 1/2, 1/2, 3/4, ...) of period 30),
+        # before any atom mass is returned
+        assert "too narrow" in str(exc)
+        return
+    _assert_atom_masses_exact(a, b, a0, d.aux_spectrum, atoms)
 
 
 @pytest.mark.parametrize("b", [[0, 0, 10 ** 7], [0, 0, 0, 10 ** 7]],
