@@ -14,8 +14,9 @@ continued-fraction denominator of the Stieltjes check vanished, a
 number overflowed a float, as Jacobi entries such as -a 1e300,1 do, an
 exponent passed exactalg.poly.LIMIT, the largest a monomial key holds,
 as x^40000 in an .ivf does, the measure's scale (a0/a_N)^2
-underflowed to 0, or an atom mass of the Jacobi measure came out below
--1e-8).  jacobi --a0 0 exits
+underflowed to 0, an atom mass of the Jacobi measure came out below
+-1e-8, or two auxiliary eigenvalues sigma_j, simple for a Jacobi block,
+rounded to one double).  jacobi --a0 0 exits
 1: its measure is zero, which no Stieltjes check may pass.
 A report or CSV that would hold a NaN or an infinity is never written:
 the command exits 3.  So does a Jacobi measure with a band too narrow

@@ -14,6 +14,10 @@ block (sites 2..N-1).  Every such determinant comes from one recurrence,
 expanded into coefficients by _monic or run at a point by _monic_at.
 Branch points are the 2N roots of P^2 - 4 alpha^2; the auxiliary
 spectrum consists of the N-1 zeros of the (N,N) cofactor, one per gap.
+A float entry is the rational it stores, so every matrix takes one exact
+route, each root rounded once, and the measure reads closed gaps and
+coincident sigma_j off those facts, not off thresholds; only the float
+lattice states of toda_flow_jacobi take the eigenvalue route.
 
 The spectral measure of the half-line operator attached to the fraction
 a0^2/(z - b1 - a1^2/(z - b2 - ...)) scales as (a0/a_N)^2 times the one
@@ -49,6 +53,10 @@ class PeriodicJacobi:
             raise ValueError("a and b must have the same period")
         if len(self.a) < 2:
             raise ValueError("period must be at least 2")
+        for name, xs in (("a", self.a), ("b", self.b)):
+            for j, x in enumerate(xs, 1):
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise ValueError(f"{name}_{j} is not finite")
         if any(x == 0 for x in self.a):
             raise ValueError("all off-diagonal entries a_j must be nonzero "
                              "(alpha = prod a_j != 0)")
@@ -57,14 +65,9 @@ class PeriodicJacobi:
     def period(self) -> int:
         return len(self.a)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(x, (int, Fraction)) for x in list(self.a) + list(self.b))
-
-    def numbers(self) -> Tuple[List, List]:
-        """a and b as Fractions for exact data, else as floats."""
-        num = Q if self.is_exact else float
-        return [num(x) for x in self.a], [num(x) for x in self.b]
+    def numbers(self) -> Tuple[List[Fraction], List[Fraction]]:
+        """a and b as Fractions: a float is the rational it stores."""
+        return [Q(x) for x in self.a], [Q(x) for x in self.b]
 
     def alpha(self):
         return math.prod(self.numbers()[0])
@@ -72,11 +75,11 @@ class PeriodicJacobi:
 
 # -- characteristic polynomials --------------------------------------------
 
-def _monic(diag: Sequence, off: Sequence) -> List:
-    """Ascending coefficients of det(zI - T), T symmetric tridiagonal with
-    diagonal diag and off-diagonal off, in the arithmetic of the entries:
+def _monic(diag: Sequence[Fraction], off: Sequence[Fraction]) -> List[Fraction]:
+    """Exact ascending coefficients of det(zI - T), T symmetric tridiagonal
+    with diagonal diag and off-diagonal off:
     y_k = (z - d_k) y_(k-1) - o_(k-1)^2 y_(k-2), y_0 = 1, y_(-1) = 0."""
-    prev, cur = [], [diag[0] ** 0 if diag else 1]   # 1 in that arithmetic
+    prev, cur = [], [Fraction(1)]
     for k, d in enumerate(diag):
         nxt = [0] + cur                 # z y_(k-1); nxt[0] is set below
         for i, c in enumerate(cur):
@@ -139,8 +142,9 @@ class SpectralData:
     def genus(self) -> int:
         return self.matrix.period - 1
 
-    def interlacing_ok(self, tol: float = 1e-9) -> bool:
-        return _interlaces(self.aux_spectrum, self.gaps, tol)
+    def interlacing_ok(self) -> bool:
+        """Correctly rounded roots interlace exactly: rounding is monotone."""
+        return _interlaces(self.aux_spectrum, self.gaps, 0.0)
 
 
 def _interlaces(aux: Sequence[float], gaps: Sequence[Tuple[float, float]],
@@ -154,8 +158,8 @@ def _interlaces(aux: Sequence[float], gaps: Sequence[Tuple[float, float]],
 def spectral_data(m: PeriodicJacobi) -> SpectralData:
     """Bands, gaps and auxiliary spectrum of a periodic Jacobi matrix.
 
-    Rational data takes exact roots, each the double nearest the exact
-    algebraic number, with multiplicities.  The branch points, the roots
+    Each root is the double nearest the exact algebraic number, with its
+    multiplicity, for float entries too.  The branch points, the roots
     of P^2 - 4 alpha^2, are found as the roots of its two factors P - 2
     alpha and P + 2 alpha, which share none since alpha != 0; the
     auxiliary spectrum is the roots of the cofactor.  The float
@@ -164,31 +168,23 @@ def spectral_data(m: PeriodicJacobi) -> SpectralData:
     changes and rounds it, and a polynomial its seeds do not certify (a
     closed gap's double root, a cluster within roundoff) takes exact Sturm
     isolation instead.  An entry that does not fit a double raises
-    OverflowError naming it.  Float data takes the symmetric eigenvalue
-    route of _float_spectrum, each branch point listed once.  An
-    interlacing violation raises (it would mean the root ordering itself
-    is broken)."""
+    OverflowError naming it.  A closed gap is a double root, listed once
+    with multiplicity 2.  Interlacing is checked with no tolerance, and a
+    violation raises (it would mean the root ordering itself is broken)."""
     N = m.period
     P = floquet_polynomial(m)
     alpha = m.alpha()
     cof = cofactor_nn_polynomial(m)
-    if m.is_exact:
-        plus, minus, sigma = _seeds(m)
-        two_alpha = 2 * alpha
-        try:
-            branch = sorted(nearest_roots([P[0] - two_alpha] + P[1:], plus) +
-                            nearest_roots([P[0] + two_alpha] + P[1:], minus))
-        except OverflowError:
-            raise OverflowError("a branch point overflows a double") from None
-        # each sigma_j lies in a gap, so it fits a double when the edges do
-        aux = [x for x, _ in nearest_roots(cof, sigma)]
-    else:
-        _, edges, sigma = _float_spectrum(m.a, m.b)
-        branch = [(x, 1) for x in edges.tolist()]
-        aux = sigma.tolist()
-    flat: List[float] = []
-    for r, mult in branch:
-        flat.extend([r] * mult)
+    plus, minus, sigma = _seeds(m)
+    two_alpha = 2 * alpha
+    try:
+        branch = sorted(nearest_roots([P[0] - two_alpha] + P[1:], plus) +
+                        nearest_roots([P[0] + two_alpha] + P[1:], minus))
+    except OverflowError:
+        raise OverflowError("a branch point overflows a double") from None
+    # each sigma_j lies in a gap, so it fits a double when the edges do
+    aux = [x for x, _ in nearest_roots(cof, sigma)]
+    flat = [r for r, mult in branch for _ in range(mult)]
     if len(flat) != 2 * N:
         raise DegenerateSpectrumError(
             f"expected {2*N} real branch points, found {len(flat)}")
@@ -204,7 +200,7 @@ def spectral_data(m: PeriodicJacobi) -> SpectralData:
     data = SpectralData(matrix=m, P=P, alpha=alpha,
                         branch_points=branch, stable_bands=bands, gaps=gaps,
                         aux_spectrum=aux, cofactor=cof)
-    if not data.interlacing_ok(tol=1e-7):
+    if not data.interlacing_ok():
         raise DegenerateSpectrumError(
             "auxiliary spectrum fails to interlace the gaps; "
             "root ordering is inconsistent")
@@ -233,8 +229,8 @@ def _floquet_eigenvalues(a, b):
 
 
 def _seeds(m: PeriodicJacobi):
-    """The float eigenvalues of A(1), A(-1) and A(1)'s leading block for
-    exact data: seeds of the roots of P - 2 alpha, P + 2 alpha and the
+    """The float eigenvalues of A(1), A(-1) and A(1)'s leading block:
+    seeds of the roots of P - 2 alpha, P + 2 alpha and the
     cofactor; empty lists when a corner sum of A(+-1) overflows.  An
     entry that does not fit a double raises OverflowError naming it: the
     spectrum reaches as far as the entry, so a branch point would not fit
@@ -360,9 +356,8 @@ def pade_series(a: Sequence, b: Sequence, a0, k: int, terms: int) -> List[Fracti
 
 # -- Stieltjes measure --------------------------------------------------------
 
-# closed-gap atoms weigh at most ZERO_MASS_TOL; the quadrature puts QUAD_NODES
-# nodes on each band and skips a band narrower than NARROW_BAND
-ZERO_MASS_TOL = 1e-11
+# the quadrature puts QUAD_NODES nodes on each band and skips a band
+# narrower than NARROW_BAND
 QUAD_NODES = 160
 NARROW_BAND = 1e-13
 
@@ -431,14 +426,17 @@ def measure_decompose(m: PeriodicJacobi, a0,
                       data: Optional[SpectralData] = None) -> StieltjesMeasure:
     """Atoms-plus-density decomposition of the spectral measure.
 
-    Atoms sit at the auxiliary eigenvalues sigma_j.  There the monodromy
-    matrix is triangular, so the roots of alpha h^2 - P(sigma_j) h + alpha
-    are c_j and 1/c_j, c_j = -aN^2 Lambda(sigma_j) / alpha with Lambda(z) =
-    det(zI - T') for T' the interior block of sites 2..N-1 (empty = 1 for
-    N = 2): the Dirichlet identity (G. Teschl, Jacobi Operators and
+    Atoms sit at the auxiliary eigenvalues sigma_j, which a Jacobi block
+    has simple: two that round to one double raise FloatingPointError
+    naming them.  There the monodromy matrix is triangular, so the roots
+    of alpha h^2 - P(sigma_j) h + alpha are c_j and 1/c_j, c_j = -aN^2
+    Lambda(sigma_j) / alpha with Lambda(z) = det(zI - T') for T' the
+    interior block of sites 2..N-1 (empty = 1 for N = 2): the Dirichlet
+    identity (G. Teschl, Jacobi Operators and
     Completely Integrable Nonlinear Lattices, AMS 2000, ch. 7-8).  The
-    residue is taken on the |h| < 1 sheet, so mass_j = 0 if |c_j| <= 1 and
-    otherwise
+    residue is taken on the |h| < 1 sheet, so mass_j = 0 if |c_j| <= 1 or
+    if sigma_j equals a double branch point (a closed gap: both are one
+    algebraic number rounded once), and otherwise
 
         mass_j = s * (alpha / c_j + aN^2 Lambda(sigma_j))
                  / prod_{l != j} (sigma_j - sigma_l),
@@ -446,20 +444,22 @@ def measure_decompose(m: PeriodicJacobi, a0,
     with s = (a0/a_N)^2 the half-line rescaling: real arithmetic, no square
     root.  a0 must be nonzero (ValueError), and s must be a positive
     finite double (OverflowError naming it, when it overflows or
-    underflows to 0).  Masses up to ZERO_MASS_TOL (closed gaps) are
-    dropped; one below -1e-8 raises FloatingPointError.  The continuous
-    part is s/(2 pi) * sqrt(4 alpha^2 - P^2) /
-    |cofactor| on each stable band, evaluated as a product over the branch
-    points and the sigma_j.  The quadrature skips bands narrower than NARROW_BAND, so
-    where one occurs the atoms and the other bands must carry a0^2 to 1e-8
-    relative, or OverflowError names the missing mass."""
+    underflows to 0).  A mass up to 0 carries no atom; one below -1e-8
+    raises FloatingPointError.  The continuous part is s/(2 pi) *
+    sqrt(4 alpha^2 - P^2) / |cofactor| on each stable band, a product over
+    the branch points and the sigma_j, and each band is integrated as it
+    is: the sine substitution makes a closed-gap edge as smooth as an open
+    one.  The quadrature skips bands narrower than NARROW_BAND; where one
+    occurs the atoms and the other bands must carry a0^2 to 1e-8 relative,
+    or OverflowError names the missing mass."""
     if data is None:
         data = spectral_data(m)
     N = m.period
     aux = data.aux_spectrum
-    # aux is sorted; a difference of floats overflows to inf, never a warning
-    if any(t - s < 1e-9 for s, t in zip(aux, aux[1:])):
-        raise DegenerateSpectrumError("coincident auxiliary eigenvalues")
+    for j, (s, t) in enumerate(zip(aux, aux[1:]), 1):
+        if s == t:
+            raise FloatingPointError(
+                f"sigma_{j} and sigma_{j + 1} round to one double {s}")
     if a0 == 0:
         raise ValueError("a0 must be nonzero: a0 = 0 gives the zero measure")
     aN = float(m.a[-1])
@@ -483,10 +483,11 @@ def measure_decompose(m: PeriodicJacobi, a0,
         aN2 = aN ** 2
     except OverflowError:
         raise OverflowError("a_N^2 overflows a double") from None
+    closed = {x for x, mult in data.branch_points if mult > 1}
     atoms: List[Tuple[float, float]] = []
     for j, (s, lam) in enumerate(zip(aux, lams)):
         c = -aN2 * lam / alpha
-        if abs(c) <= 1:
+        if s in closed or abs(c) <= 1:
             continue
         den = math.prod(s - s2 for l, s2 in enumerate(aux) if l != j)
         mass = scale * (alpha / c + aN2 * lam) / den
@@ -494,7 +495,7 @@ def measure_decompose(m: PeriodicJacobi, a0,
             raise OverflowError(f"atom mass at sigma={s} is not finite: {mass}")
         if mass < -1e-8:
             raise FloatingPointError(f"negative atom mass {mass} at sigma={s}")
-        if mass > ZERO_MASS_TOL:
+        if mass > 0:
             atoms.append((s, mass))
 
     # P is monic and the cofactor monic up to sign, so 4 alpha^2 - P^2 =
@@ -519,18 +520,9 @@ def measure_decompose(m: PeriodicJacobi, a0,
             rho *= math.sqrt(abs(x - lo)) * math.sqrt(abs(hi - x)) / abs(x - s)
         return rho
 
-    # merge bands across closed gaps: the density continues analytically
-    # through them, and quadrature is spectrally accurate only on
-    # intervals with pure square-root edge behavior
-    span = max(abs(x) for x in edges) + 1.0
-    merged: List[Tuple[float, float]] = []
-    for lo, hi in data.stable_bands:
-        if merged and abs(lo - merged[-1][1]) < 1e-10 * span:
-            merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    measure = StieltjesMeasure(atoms=atoms, bands=merged, density=density)
-    if any(hi - lo < NARROW_BAND for lo, hi in merged):
+    measure = StieltjesMeasure(atoms=atoms, bands=data.stable_bands,
+                               density=density)
+    if any(hi - lo < NARROW_BAND for lo, hi in measure.bands):
         want = float(a0) ** 2
         held = measure.total_mass()
         if not abs(held - want) <= 1e-8 * want:   # NaN fails too

@@ -904,8 +904,8 @@ def test_jacobi_skipped_band_beside_integrated_bands_exit_0(tmp_path):
 def test_jacobi_huge_b_coincidence_test_exit_3_prints_only_the_error(tmp_path,
                                                                      capsys):
     # sigma = 1e308: the coincident-eigenvalue test compares neighbours by
-    # their difference, which cannot overflow into a warning; the mass sits
-    # on a band too narrow for a double, so the command exits 3
+    # equality, which cannot overflow into a warning; the mass sits on a
+    # band too narrow for a double, so the command exits 3
     import warnings
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
