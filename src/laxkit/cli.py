@@ -309,7 +309,8 @@ def _parse_seq(option: str, text: str):
 
 # largest jacobi period: with --check-stieltjes --toda-t-end 1 the data
 # a_j = (1 + 7j mod 5)/(2 + j mod 3), b_j = ((5j mod 7) - 3)/(1 + j mod 4)
-# took 4.7 s at 128, 9.5 s at 160 and 60 s at 256 on a 2-CPU x86_64 host
+# took 3.2 s at 128, 5.8 s at 160, 10.7 s at 192 and 33 s at 256 on a 2-CPU
+# x86_64 host, most of it the exact root isolation of spectral_data
 JACOBI_MAX_PERIOD = 128
 
 

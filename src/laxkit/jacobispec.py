@@ -12,6 +12,10 @@ with alpha the product of the a_j and P monic of degree N: det(zI - T)
 of the full tridiagonal block minus a_N^2 times that of its interior
 block (sites 2..N-1).  Every such determinant comes from one recurrence,
 expanded into coefficients by _monic or run at a point by _monic_at.
+The exact recurrences (_monic, moments, pade_series) run on integer
+numerators over one common denominator D, the lcm of the entries'
+denominators, and build one Fraction per output: the powers and
+determinants of the integer matrix D T, read back at z' = D z.
 Branch points are the 2N roots of P^2 - 4 alpha^2; the auxiliary
 spectrum consists of the N-1 zeros of the (N,N) cofactor, one per gap.
 A float entry is the rational it stores, so every matrix takes one exact
@@ -27,7 +31,6 @@ carries that factor so its transform always matches the fraction.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
@@ -75,21 +78,39 @@ class PeriodicJacobi:
 
 # -- characteristic polynomials --------------------------------------------
 
+def _cleared(xs: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """(D, [D x for x in xs]) with D the lcm of the denominators of xs."""
+    D = math.lcm(*(x.denominator for x in xs))
+    return D, [x.numerator * (D // x.denominator) for x in xs]
+
+
+def _int_monic(diag: Sequence[int], off: Sequence[int]) -> List[int]:
+    """Ascending integer coefficients of det(zI - T) for T symmetric
+    tridiagonal with integer diagonal diag and off-diagonal off, by the
+    recurrence of _monic."""
+    prev, cur = [], [1]
+    for k, d in enumerate(diag):
+        o2 = off[k - 1] ** 2 if k else 0
+        # z y_(k-1) - d y_(k-1) - o2 y_(k-2), each list padded with zeros
+        nxt = [s - d * c - o2 * p
+               for s, c, p in zip([0] + cur, cur + [0], prev + [0, 0])]
+        prev, cur = cur, nxt
+    return cur
+
+
 def _monic(diag: Sequence[Fraction], off: Sequence[Fraction]) -> List[Fraction]:
     """Exact ascending coefficients of det(zI - T), T symmetric tridiagonal
     with diagonal diag and off-diagonal off:
-    y_k = (z - d_k) y_(k-1) - o_(k-1)^2 y_(k-2), y_0 = 1, y_(-1) = 0."""
-    prev, cur = [], [Fraction(1)]
-    for k, d in enumerate(diag):
-        nxt = [0] + cur                 # z y_(k-1); nxt[0] is set below
-        for i, c in enumerate(cur):
-            nxt[i] -= d * c
-        if k:
-            o2 = off[k - 1] ** 2
-            for i, c in enumerate(prev):
-                nxt[i] -= o2 * c
-        prev, cur = cur, nxt
-    return cur
+    y_k = (z - d_k) y_(k-1) - o_(k-1)^2 y_(k-2), y_0 = 1, y_(-1) = 0.
+
+    Run on integers over one common denominator D: the scaled matrix D T
+    has integer entries and, at z' = D z, the integer monic determinant
+    Y_k(z') = D^k y_k(z), so the coefficient of z^m in y_k is one
+    Fraction(Y_k[m], D^(k-m))."""
+    D, ints = _cleared([*diag, *off])
+    k = len(diag)
+    Y = _int_monic(ints[:k], ints[k:])
+    return [Fraction(c, D ** (k - m)) for m, c in enumerate(Y)]
 
 
 def _monic_at(diag: Sequence[float], off: Sequence[float], x: float) -> List[float]:
@@ -305,53 +326,63 @@ def pade(a: Sequence, b: Sequence, a0, k: int) -> Tuple[List[Fraction], List[Fra
             _monic(bb, aa[: k - 1]))
 
 
+def _scaled_period(a: Sequence, b: Sequence, size: int
+                   ) -> Tuple[int, List[int], List[int]]:
+    """(D, D a_i, D b_i for i < size) over the periodic extension of a
+    and b (entry i reads a[i mod N], N = len(a)), with D the lcm of the
+    denominators of those entries."""
+    n = len(a)
+    D, ints = _cleared([Q(xs[i % n]) for xs in (a, b) for i in range(size)])
+    return D, ints[:size], ints[size:]
+
+
 def moments(a: Sequence, b: Sequence, a0, count: int) -> List[Fraction]:
     """c_j = a0^2 <T^j e0, e0> for the half-line operator with the
-    periodically extended entries; exact."""
+    periodically extended entries; exact.  The powers are taken of the
+    integer matrix D T (D the lcm of the entries' denominators), so
+    c_j = a0^2 <(D T)^j e0, e0> / D^j is one Fraction per moment."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    n = len(a)
     size = count + 2
-    aa = [Q(a[i % n]) for i in range(size)]
-    bb = [Q(b[i % n]) for i in range(size)]
-    v = [Fraction(0)] * size
-    v[0] = Fraction(1)
-    out = [Q(a0) ** 2]
-    for _ in range(count - 1):
-        w = [Fraction(0)] * size
-        for i in range(size):
-            if v[i] == 0:
-                continue
-            w[i] += bb[i] * v[i]
-            if i + 1 < size:
-                w[i + 1] += aa[i] * v[i]
-            if i > 0:
-                w[i - 1] += aa[i - 1] * v[i]
+    D, aa, bb = _scaled_period(a, b, size)
+    a02 = Q(a0) ** 2
+    num, den = a02.numerator, a02.denominator
+    v = [1] + [0] * (size - 1)
+    out = [a02]
+    for j in range(1, count):
+        # (D T v)_i = a_(i-1) v_(i-1) + b_i v_i + a_i v_(i+1), truncated
+        w = [bb[i] * x for i, x in enumerate(v)]
+        for i in range(size - 1):
+            w[i + 1] += aa[i] * v[i]
+            w[i] += aa[i] * v[i + 1]
         v = w
-        out.append((Q(a0) ** 2) * v[0])
+        out.append(Fraction(num * v[0], den * D ** j))
     return out
 
 
 def pade_series(a: Sequence, b: Sequence, a0, k: int, terms: int) -> List[Fraction]:
     """Expansion of A_k/B_k at z = infinity: coefficients d_j of
-    sum d_j / z^(j+1), exact."""
-    A, B = pade(a, b, a0, k)
-    # A(z)/B(z) = (1/z) * Arev(u)/Brev(u) with u = 1/z
-    Arev = [Fraction(0)] * (k) ;
-    for i, c in enumerate(A):
-        Arev[(k - 1) - i] = c
-    Brev = [Fraction(0)] * (k + 1)
-    for i, c in enumerate(B):
-        Brev[k - i] = c
-    out = []
-    rem = Arev + [Fraction(0)] * terms
+    sum d_j / z^(j+1), exact.
+
+    With D the lcm of the entries' denominators and z' = D z, A_k/B_k =
+    a0^2 D Y_A(z') / Y_B(z') for the integer determinants of pade's two
+    blocks of D T, and Y_B is monic, so the expansion of Y_A / Y_B in
+    1/z' has integer coefficients f_j and d_j = a0^2 f_j / D^j."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    D, aa, bb = _scaled_period(a, b, k)
+    Arev = _int_monic(bb[1:], aa[1: k - 1])[::-1]      # degree k - 1
+    Brev = _int_monic(bb, aa[: k - 1])[::-1]            # degree k, Brev[0] = 1
+    rem = Arev + [0] * terms
+    f = []
     for j in range(terms):
-        d = rem[j] / Brev[0]
-        out.append(d)
-        for i in range(len(Brev)):
-            if j + i < len(rem):
-                rem[j + i] -= d * Brev[i]
-    return out
+        d = rem[j]
+        f.append(d)
+        for i in range(1, min(len(Brev), len(rem) - j)):
+            rem[j + i] -= d * Brev[i]
+    a02 = Q(a0) ** 2
+    return [Fraction(a02.numerator * d, a02.denominator * D ** j)
+            for j, d in enumerate(f)]
 
 
 # -- Stieltjes measure --------------------------------------------------------
@@ -379,7 +410,11 @@ def _sine_gauss_legendre(count: int) -> Tuple[np.ndarray, np.ndarray]:
 class StieltjesMeasure:
     atoms: List[Tuple[float, float]]
     bands: List[Tuple[float, float]]
-    density: Callable[[float], float]
+    band_density: Callable[[np.ndarray], np.ndarray]   # elementwise, on nodes
+
+    def density(self, x: float) -> float:
+        """The density at one point: band_density on a one-node array."""
+        return float(self.band_density(np.array([x], dtype=float))[0])
 
     @cached_property
     def quadrature(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -388,9 +423,8 @@ class StieltjesMeasure:
         the square-root edges.  Built once; the weights are w_q * jacobian,
         the jacobian rad cos(theta) taken as sqrt((x - lo)(hi - x)) at the
         rounded node x, so that it matches the density's own edge factors
-        where a node lies a few ulps from an edge.  The density is called
-        on the nodes as Python floats (xs.tolist()): its scalar math then
-        does no numpy-scalar arithmetic, and rounds the same."""
+        where a node lies a few ulps from an edge.  The density is taken
+        once per band, on the whole node array."""
         sin_t, wq = _sine_gauss_legendre(QUAD_NODES)
         table = []
         for lo, hi in self.bands:
@@ -399,8 +433,7 @@ class StieltjesMeasure:
             mid, rad = (lo + hi) / 2, (hi - lo) / 2
             xs = mid + rad * sin_t
             jac = (np.pi / 2) * np.sqrt(xs - lo) * np.sqrt(hi - xs)
-            dens = [self.density(x) for x in xs.tolist()]
-            table.append((xs, wq * jac, np.array(dens)))
+            table.append((xs, wq * jac, self.band_density(xs)))
         return table
 
     def integrate(self, f: Callable[[float], float]) -> float:
@@ -447,11 +480,12 @@ def measure_decompose(m: PeriodicJacobi, a0,
     underflows to 0).  A mass up to 0 carries no atom; one below -1e-8
     raises FloatingPointError.  The continuous part is s/(2 pi) *
     sqrt(4 alpha^2 - P^2) / |cofactor| on each stable band, a product over
-    the branch points and the sigma_j, and each band is integrated as it
-    is: the sine substitution makes a closed-gap edge as smooth as an open
-    one.  The quadrature skips bands narrower than NARROW_BAND; where one
-    occurs the atoms and the other bands must carry a0^2 to 1e-8 relative,
-    or OverflowError names the missing mass."""
+    the branch points and the sigma_j (_band_density, one array kernel
+    that the quadrature runs once per band on its nodes), and each band
+    is integrated as it is: the sine substitution makes a closed-gap edge
+    as smooth as an open one.  The quadrature skips bands narrower than
+    NARROW_BAND; where one occurs the atoms and the other bands must carry
+    a0^2 to 1e-8 relative, or OverflowError names the missing mass."""
     if data is None:
         data = spectral_data(m)
     N = m.period
@@ -498,30 +532,9 @@ def measure_decompose(m: PeriodicJacobi, a0,
         if mass > 0:
             atoms.append((s, mass))
 
-    # P is monic and the cofactor monic up to sign, so 4 alpha^2 - P^2 =
-    # -prod_k (x - E_k) over the 2N branch points and |cofactor| =
-    # prod_j |x - sigma_j|: each factor of the density is exact near its
-    # own root, where Horner's P^2 cancels.  The j-th gap's two edges pair
-    # with sigma_j, which keeps every factor near 1 in size and makes a
-    # closed gap's pair identically 1.
     edges = [x for x, mult in data.branch_points for _ in range(mult)]
-    pairs = list(zip(edges[1:-1:2], edges[2:-1:2], aux))
-
-    def density(x: float) -> float:
-        if bisect_right(edges, x) % 2 == 0:
-            return 0.0          # in a gap or outside the spectrum
-        rho = (scale / (2 * math.pi) * math.sqrt(x - edges[0])
-               * math.sqrt(edges[-1] - x))
-        for lo, hi, s in pairs:
-            if x == s:
-                if lo != hi:
-                    return 0.0  # sigma on an open edge: 1/sqrt blow-up
-                continue        # closed gap
-            rho *= math.sqrt(abs(x - lo)) * math.sqrt(abs(hi - x)) / abs(x - s)
-        return rho
-
     measure = StieltjesMeasure(atoms=atoms, bands=data.stable_bands,
-                               density=density)
+                               band_density=_band_density(scale, edges, aux))
     if any(hi - lo < NARROW_BAND for lo, hi in measure.bands):
         want = float(a0) ** 2
         held = measure.total_mass()
@@ -533,23 +546,67 @@ def measure_decompose(m: PeriodicJacobi, a0,
     return measure
 
 
+def _band_density(scale: float, edges: Sequence[float], aux: Sequence[float]
+                  ) -> Callable[[np.ndarray], np.ndarray]:
+    """The kernel xs -> the continuous part's density at each x of xs,
+    s/(2 pi) sqrt(4 alpha^2 - P^2) / |cofactor| as a product over the 2N
+    sorted branch points `edges` (with multiplicity) and the sigma_j `aux`,
+    0 in a gap or outside the spectrum.
+
+    P is monic and the cofactor monic up to sign, so 4 alpha^2 - P^2 =
+    -prod_k (x - E_k) and |cofactor| = prod_j |x - sigma_j|: each factor
+    of the density is exact near its own root, where Horner's P^2
+    cancels.  The j-th gap's two edges pair with sigma_j, which keeps
+    every factor near 1 in size and makes a closed gap's pair identically
+    1.  At x = sigma_j the pair's factor is skipped on a closed gap, and on
+    an open edge the density is 0 (its 1/sqrt blow-up).  Each entry is
+    the product taken by correctly rounded operations in a fixed order, so
+    it has the bits of the same product taken in Python floats; an x
+    outside the bands may compute NaN or inf, silently, before it is set
+    to 0."""
+    bounds = np.array(edges, dtype=float)
+    first, last = edges[0], edges[-1]
+    lead = scale / (2 * math.pi)
+    pairs = list(zip(edges[1:-1:2], edges[2:-1:2], aux))
+
+    def density(xs: np.ndarray) -> np.ndarray:
+        # an odd count of edges <= x: inside a band, short of its top edge
+        dead = np.searchsorted(bounds, xs, side="right") % 2 == 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rho = lead * np.sqrt(xs - first) * np.sqrt(last - xs)
+            for lo, hi, s in pairs:
+                on = xs == s
+                if lo != hi:
+                    dead |= on
+                factor = (np.sqrt(np.abs(xs - lo)) * np.sqrt(np.abs(hi - xs))
+                          / np.abs(xs - s))
+                np.multiply(rho, factor, out=rho, where=~on)
+        rho[dead] = 0.0
+        return rho
+    return density
+
+
 def orthogonality_check(m: PeriodicJacobi, a0, k_max: int,
                         measure: Optional[StieltjesMeasure] = None) -> Dict[str, float]:
     """Gram matrix of the denominator polynomials against the measure.
 
     Returns the worst off-diagonal entry and the worst relative diagonal
-    error against the exact norms a0^2 prod_{i<=k} a_i^2."""
+    error against the exact norms a0^2 prod_{i<=k} a_i^2.  The recurrence
+    runs once per atom and node; each entry reuses its B_0(x)..B_k_max(x)."""
     if measure is None:
         measure = measure_decompose(m, a0)
     n = m.period
     bb = [float(m.b[i % n]) for i in range(k_max)]
     aa = [float(m.a[i % n]) for i in range(k_max - 1)]
+    # keyed by value: at x = -0.0 and 0.0 the B_i differ at most in the
+    # signs of zeros, which no integral keeps (each sum starts from +0)
+    basis = cache(lambda x: _monic_at(bb, aa, x))
     worst_off = 0.0
     worst_diag = 0.0
     for i in range(k_max + 1):
         for j in range(i, k_max + 1):
             def f(x):
-                ys = _monic_at(bb, aa, x)       # B_0(x) .. B_k_max(x)
+                ys = basis(x)
                 return ys[i] * ys[j]
             val = measure.integrate(f)
             if i != j:
@@ -585,10 +642,11 @@ def toda_flow_jacobi(m: PeriodicJacobi, t_end: float, dt: float,
     every sample, sum b_j exactly conserved, a_j never vanishing.  Each
     sample builds A(1) once: _float_spectrum reads its spectrum from it and
     the power traces tr A^k are taken of it.  The state is rk4's list of
-    2N Python floats (a_1..a_N, b_1..b_N), which lattice_rhs(N) reads and
-    returns with no numpy conversion.  Raises BlowUpError when the state
-    stops being finite or a_j ** 2 overflows, and ValueError unless dt
-    divides t_end (laxflow.steps_for)."""
+    2N Python floats (a_1..a_N, b_1..b_N), which rk4 advances by the
+    generated step of lattice_rhs(N), one call a step, with no numpy
+    conversion.  Raises BlowUpError when the state stops being finite or
+    a_j ** 2 overflows, and ValueError unless dt divides t_end
+    (laxflow.steps_for)."""
     n = m.period
     stride = max(1, steps_for(t_end, dt) // samples)
     y0 = [float(x) for x in list(m.a) + list(m.b)]

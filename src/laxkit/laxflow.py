@@ -10,8 +10,12 @@ lattice) steps through the one classical fixed-step fourth-order kernel
 step dt must divide the horizon t_end into whole steps.  Its state is an
 ndarray for a Lax pencil's blocks and a list of Python floats for the
 lattice and the vector fields, whose few entries cost less without numpy
-in generated straight-line code (lattice_rhs, one per period, and the
-list combinations, one pair per length); both kinds round alike, bit for bit.
+in generated straight-line code: the list combinations, one pair per
+length, and for the lattice one whole RK4 step per period
+(_lattice_step, the `rk4_step` of lattice_rhs(n)), with its four
+right-hand sides and three stages inline.  Each step is one call of one
+step function; both state kinds round alike, bit for bit, and so do the
+lattice step and the four-stage composition it replaces.
 
 Pencils are float: a MatrixPencil holds the blocks A_lo..A_hi of its
 h-window in one (K, n, n) array.  Exact spectral curves come from plain
@@ -297,17 +301,65 @@ def _straight_line(params: str, entries: List[str]) -> Callable:
     return eval(f"lambda {params}: [{', '.join(entries)}]")
 
 
+def _lattice_entries(n: int, y: Sequence[str], sq: Sequence[str]) -> List[str]:
+    """The 2n entries of the lattice right-hand side at the state whose
+    entries are the expressions y (a_1..a_n, b_1..b_n), with sq[j] the
+    expression of a_j ** 2."""
+    # `** 2` and the int 2 stay for bit identity with the golden reports:
+    # Python's x ** 2 rounds as numpy's scalar x ** 2 does, where x * x and
+    # numpy's array a ** 2 differ in the last bit on some inputs
+    return ([f"{y[j]} * ({y[n + (j + 1) % n]} - {y[n + j]})" for j in range(n)]
+            + [f"2 * ({sq[j]} - {sq[(j - 1) % n]})" for j in range(n)])
+
+
 @functools.lru_cache(maxsize=32)
 def lattice_rhs(n: int) -> Callable[[List[float]], List[float]]:
     """The periodic lattice ODE in Flaschka variables (index mod n), one
     straight-line function per period of the list state (a_1..a_n, b_1..b_n)
-    to [a_j (b_(j+1) - b_j) for j] + [2 (a_j^2 - a_(j-1)^2) for j]."""
-    # `** 2` and the int 2 stay for bit identity with the golden reports:
-    # Python's x ** 2 rounds as numpy's scalar x ** 2 does, where x * x and
-    # numpy's array a ** 2 differ in the last bit on some inputs
-    da = [f"y[{j}] * (y[{n + (j + 1) % n}] - y[{n + j}])" for j in range(n)]
-    db = [f"2 * (y[{j}] ** 2 - y[{(j - 1) % n}] ** 2)" for j in range(n)]
-    return _straight_line("y", da + db)
+    to [a_j (b_(j+1) - b_j) for j] + [2 (a_j^2 - a_(j-1)^2) for j].  Its
+    `rk4_step` is _lattice_step(n), the whole RK4 step that rk4 takes for it."""
+    y = [f"y[{i}]" for i in range(2 * n)]
+    rhs = _straight_line("y", _lattice_entries(n, y, [f"{v} ** 2" for v in y[:n]]))
+    rhs.rk4_step = _lattice_step(n)
+    return rhs
+
+
+def _stage_entry(y: str, c: str, k: str) -> str:
+    return f"{y} + {c} * {k}"
+
+
+def _advance_entry(y: str, c: str, k1: str, k2: str, k3: str, k4: str) -> str:
+    return f"{y} + {c} * ({k1} + 2 * {k2} + 2 * {k3} + {k4})"
+
+
+@functools.lru_cache(maxsize=32)
+def _lattice_step(n: int) -> Callable[[float, float, float], Callable]:
+    """make(h, dt, c) -> step: one generated function per period for a
+    whole RK4 step of lattice_rhs(n) at h = dt/2 and c = dt/6.  The step
+    unpacks the list state into locals, runs the four right-hand sides
+    and three stages inline and returns the advanced list.  Each stage's
+    a_j ** 2 is computed once and read by both entries that use it; every
+    other operation is the one lattice_rhs and _list_kernels perform, in
+    their order, so the step rounds as the four-stage composition does."""
+    y = [f"y{i}" for i in range(2 * n)]
+    lines = [f"{', '.join(y)}, = y"]
+    ks = []
+    x = y                                   # the state of the current stage
+    for r, c in enumerate(("h", "h", "dt", None), 1):
+        sq = [f"s{r}_{j}" for j in range(n)]
+        lines += [f"{v} = {a} ** 2" for v, a in zip(sq, x)]
+        k = [f"k{r}_{i}" for i in range(2 * n)]
+        lines += [f"{v} = {e}" for v, e in zip(k, _lattice_entries(n, x, sq))]
+        ks.append(k)
+        if c is not None:
+            x = [f"x{r + 1}_{i}" for i in range(2 * n)]
+            lines += [f"{v} = {_stage_entry(y0, c, kv)}" for v, y0, kv in zip(x, y, k)]
+    out = ", ".join(_advance_entry(y0, "c", *kv) for y0, *kv in zip(y, *ks))
+    body = "\n".join(f"        {line}" for line in lines + [f"return [{out}]"])
+    scope: Dict[str, object] = {}
+    # built from integer indices alone: no data enters exec
+    exec(f"def make(h, dt, c):\n    def step(y):\n{body}\n    return step", scope)
+    return scope["make"]
 
 
 # geodesic flow on SO(n) and the Manakov pencil
@@ -662,9 +714,11 @@ def _step_array(y: np.ndarray, c: float, k1: np.ndarray, k2: np.ndarray,
 def _list_kernels(m: int) -> Tuple[Callable, Callable]:
     """The two combinations for a list state of m floats, as straight-line
     functions: each entry is the ndarray expression on entry i."""
-    step = "y[{0}] + c * (k1[{0}] + 2 * k2[{0}] + 2 * k3[{0}] + k4[{0}])"
-    return (_straight_line("y, c, k", [f"y[{i}] + c * k[{i}]" for i in range(m)]),
-            _straight_line("y, c, k1, k2, k3, k4", [step.format(i) for i in range(m)]))
+    stage = [_stage_entry(f"y[{i}]", "c", f"k[{i}]") for i in range(m)]
+    advance = [_advance_entry(f"y[{i}]", "c", *(f"k{r}[{i}]" for r in range(1, 5)))
+               for i in range(m)]
+    return (_straight_line("y, c, k", stage),
+            _straight_line("y, c, k1, k2, k3, k4", advance))
 
 
 def _top_array(y: np.ndarray) -> float:
@@ -679,6 +733,21 @@ def _top_list(y: List[float]) -> float:
     return _top_array(y)
 
 
+def _four_stages(rhs: Callable[[State], State], stage: Callable, advance: Callable,
+                 dt: float) -> Callable[[State], State]:
+    """The RK4 step y -> y + dt/6 (k1 + 2 k2 + 2 k3 + k4) composed of rhs
+    and a state kind's two combinations."""
+    h, c = dt / 2, dt / 6
+
+    def step(y: State) -> State:
+        k1 = rhs(y)
+        k2 = rhs(stage(y, h, k1))
+        k3 = rhs(stage(y, h, k2))
+        k4 = rhs(stage(y, dt, k3))
+        return advance(y, c, k1, k2, k3, k4)
+    return step
+
+
 def rk4(rhs: Callable[[State], State], y0: State, t_end: float, dt: float,
         sample_every: int, blowup: float) -> Tuple[List[float], List[State]]:
     """Classical fixed-step fourth-order integration of y' = rhs(y).
@@ -686,37 +755,41 @@ def rk4(rhs: Callable[[State], State], y0: State, t_end: float, dt: float,
     The state is an ndarray or a list of Python floats, and rhs returns
     the kind it is given.  A list suits a few floats with a scalar rhs
     (the Jacobi lattice, a polynomial vector field), where numpy's
-    per-call cost exceeds the arithmetic.  Only the two combinations of
-    the stages, y + c k and y + c (k1 + 2 k2 + 2 k3 + k4), and the
-    max-norm of the blow-up test are chosen by kind (for a list, the
-    straight-line pair _list_kernels(len(y0))).  They are elementwise in
-    the same order, and Python floats round as numpy float64 does, so a
-    list steps to the bits of the equal ndarray; a max of absolute values
-    is exact either way.
+    per-call cost exceeds the arithmetic.  Each step is one call of one
+    step function, chosen once: for a generated lattice rhs (one with an
+    `rk4_step`, lattice_rhs) its straight-line step, and otherwise the
+    four-stage composition of rhs with the state kind's two combinations
+    of the stages, y + c k and y + c (k1 + 2 k2 + 2 k3 + k4) (for a list,
+    the straight-line pair _list_kernels(len(y0))).  The max-norm of the
+    blow-up test is chosen by kind too.  Every combination is elementwise
+    in the same order, and Python floats round as numpy float64 does, so
+    a list steps to the bits of the equal ndarray, and the lattice step
+    to the bits of the composition; a max of absolute values is exact
+    either way.
 
     Returns the sample times and states: t = 0 (y0 itself), every
     `sample_every`-th step and the last step, each at t = step * dt.
     Raises BlowUpError when the state stops being finite or its max-norm
-    exceeds `blowup`, or when rhs raises OverflowError (Python float `**`
-    raises where numpy returns inf), and ValueError unless dt divides
+    exceeds `blowup`, or when the step raises OverflowError (Python float
+    `**` raises where numpy returns inf), and ValueError unless dt divides
     t_end (steps_for).
     """
     steps = steps_for(t_end, dt)
-    stage, advance, top_abs = ((*_list_kernels(len(y0)), _top_list)
-                               if isinstance(y0, list)
-                               else (_stage_array, _step_array, _top_array))
+    listed = isinstance(y0, list)
+    if hasattr(rhs, "rk4_step"):
+        step = rhs.rk4_step(dt / 2, dt, dt / 6)
+    else:
+        step = _four_stages(rhs, *(_list_kernels(len(y0)) if listed
+                                   else (_stage_array, _step_array)), dt)
+    top_abs = _top_list if listed else _top_array
     y = y0
     times = [0.0]
     states = [y]
     for s in range(steps):
         try:
-            k1 = rhs(y)
-            k2 = rhs(stage(y, dt / 2, k1))
-            k3 = rhs(stage(y, dt / 2, k2))
-            k4 = rhs(stage(y, dt, k3))
+            y = step(y)
         except OverflowError as exc:
             raise BlowUpError((s + 1) * dt) from exc
-        y = advance(y, dt / 6, k1, k2, k3, k4)
         top = top_abs(y)
         if not math.isfinite(top) or top > blowup:
             raise BlowUpError((s + 1) * dt)

@@ -221,6 +221,95 @@ def test_moments():
         assert js.pade_series(aseq, bseq, a0, k, 2 * k) == c[:2 * k]
 
 
+# -- Fraction references of the integer recurrences ---------------------------
+
+def _fraction_monic(diag, off):
+    """det(zI - T) by the three-term recurrence on Fractions, each operation
+    reduced by its own gcd: jacobispec._monic before it ran on integers."""
+    prev, cur = [], [F(1)]
+    for k, d in enumerate(diag):
+        nxt = [0] + cur
+        for i, c in enumerate(cur):
+            nxt[i] -= d * c
+        if k:
+            o2 = off[k - 1] ** 2
+            for i, c in enumerate(prev):
+                nxt[i] -= o2 * c
+        prev, cur = cur, nxt
+    return cur
+
+
+def _fraction_moments(a, b, a0, count):
+    """c_j = a0^2 <T^j e0, e0> by Fraction matrix-vector products."""
+    n, size = len(a), count + 2
+    aa = [F(a[i % n]) for i in range(size)]
+    bb = [F(b[i % n]) for i in range(size)]
+    v = [F(0)] * size
+    v[0] = F(1)
+    out = [F(a0) ** 2]
+    for _ in range(count - 1):
+        w = [F(0)] * size
+        for i in range(size):
+            w[i] += bb[i] * v[i]
+            if i + 1 < size:
+                w[i + 1] += aa[i] * v[i]
+            if i > 0:
+                w[i - 1] += aa[i - 1] * v[i]
+        v = w
+        out.append(F(a0) ** 2 * v[0])
+    return out
+
+
+def _fraction_pade_series(a, b, a0, k, terms):
+    """The expansion of A_k/B_k at infinity by Fraction long division of
+    the reversed convergent polynomials."""
+    n = len(a)
+    aa = [F(a[i % n]) for i in range(k)]
+    bb = [F(b[i % n]) for i in range(k)]
+    A = [F(a0) ** 2 * c for c in _fraction_monic(bb[1:], aa[1: k - 1])]
+    B = _fraction_monic(bb, aa[: k - 1])
+    rem, Brev, out = A[::-1] + [F(0)] * terms, B[::-1], []
+    for j in range(terms):
+        d = rem[j] / Brev[0]
+        out.append(d)
+        for i in range(len(Brev)):
+            if j + i < len(rem):
+                rem[j + i] -= d * Brev[i]
+    return out
+
+
+def _assert_same_fractions(got, want):
+    assert [type(x) for x in got] == [type(x) for x in want]
+    assert got == want and list(map(str, got)) == list(map(str, want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 32), st.integers(1, 12), st.data())
+def test_integer_recurrences_match_fraction_references(N, k, data):
+    a = [F(data.draw(_nonzero), data.draw(st.integers(1, 12))) for _ in range(N)]
+    b = [F(data.draw(st.integers(-16, 16)), data.draw(st.integers(1, 12)))
+         for _ in range(N)]
+    a0 = F(data.draw(_nonzero), data.draw(st.integers(1, 9)))
+    _assert_same_fractions(js._monic(b, a[:-1]), _fraction_monic(b, a[:-1]))
+    _assert_same_fractions(js._monic(b[1:-1], a[1:-2]), _fraction_monic(b[1:-1], a[1:-2]))
+    _assert_same_fractions(js.moments(a, b, a0, 2 * k), _fraction_moments(a, b, a0, 2 * k))
+    _assert_same_fractions(js.pade_series(a, b, a0, k, 2 * k),
+                           _fraction_pade_series(a, b, a0, k, 2 * k))
+
+
+def test_integer_recurrences_on_float_and_int_entries():
+    a, b = [1.5, 2, 0.1], [0, 1, -0.3]
+    _assert_same_fractions(js.moments(a, b, 3, 10), _fraction_moments(a, b, 3, 10))
+    _assert_same_fractions(js.pade_series(a, b, 0.7, 5, 10),
+                           _fraction_pade_series(a, b, 0.7, 5, 10))
+    _assert_same_fractions(js._monic([], []), [F(1)])
+
+
+def test_monic_at_period_128_matches_sympy():
+    a, b = _long_period_data(128)
+    assert js._monic(b, a[:-1]) == _sympy_charpoly(b, a[:-1])
+
+
 def test_measure_closed_gap_pure_continuous():
     # sigma = 0 is the closed gap's double branch point: no atom there, and
     # each band is integrated as it is, the closed-gap edge like an open one
@@ -643,6 +732,93 @@ def test_large_height_period_three_cli(tmp_path, time_limit):
     assert payload["toda"]["interlacing_ok"] is True
 
 
+def _scalar_density(scale, edges, aux):
+    """The band density one x at a time in Python floats, as
+    measure_decompose built it before it took whole node arrays: the
+    reference for bit identity."""
+    from bisect import bisect_right
+    pairs = list(zip(edges[1:-1:2], edges[2:-1:2], aux))
+
+    def density(x):
+        if bisect_right(edges, x) % 2 == 0:
+            return 0.0
+        rho = (scale / (2 * math.pi) * math.sqrt(x - edges[0])
+               * math.sqrt(edges[-1] - x))
+        for lo, hi, s in pairs:
+            if x == s:
+                if lo != hi:
+                    return 0.0
+                continue
+            rho *= math.sqrt(abs(x - lo)) * math.sqrt(abs(hi - x)) / abs(x - s)
+        return rho
+    return density
+
+
+def _measure_density_reference(m, a0, d):
+    """_scalar_density on the scale, edges and sigma_j measure_decompose
+    reads from m, a0 and its SpectralData d."""
+    return _scalar_density((float(a0) / float(m.a[-1])) ** 2, _edges(d).tolist(),
+                           d.aux_spectrum)
+
+
+def _probe_points(edges, aux):
+    """x = sigma_j; each edge, the doubles beside it and two ulps off; a
+    point in each gap, and points outside the spectrum."""
+    pts = list(aux) + [edges[0] - 1.0, edges[-1] + 1.0]
+    for e in edges:
+        pts += [e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+                np.nextafter(np.nextafter(e, np.inf), np.inf)]
+    pts += [(lo + hi) / 2 for lo, hi in zip(edges[1:-1:2], edges[2:-1:2])]
+    return [float(x) for x in pts]
+
+
+def _assert_density_matches_reference(kernel, ref, xs):
+    xs = np.asarray(xs, dtype=float)
+    assert _same_bits(kernel(xs), [ref(x) for x in xs.tolist()])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 2), st.data())
+def test_band_density_matches_scalar_reference(N, q, data):
+    # every node of every band, and the probe points, bit for bit with
+    # signed zeros; repeating the data (q = 2) closes gaps, with a sigma_j
+    # on each closed gap
+    a = [F(data.draw(_nonzero), data.draw(st.integers(1, 9))) for _ in range(N)]
+    b = [F(data.draw(st.integers(-16, 16)), data.draw(st.integers(1, 9)))
+         for _ in range(N)]
+    a0 = F(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))
+    m = js.PeriodicJacobi(a * q, b * q)
+    d = js.spectral_data(m)
+    mu = js.measure_decompose(m, a0, data=d)
+    ref = _measure_density_reference(m, a0, d)
+    for xs, _, dens in mu.quadrature:
+        assert _same_bits(dens, [ref(x) for x in xs.tolist()])
+    _assert_density_matches_reference(mu.band_density, ref,
+                                      _probe_points(_edges(d).tolist(), d.aux_spectrum))
+    assert all(_same_bits(mu.density(x), ref(x)) for x in d.aux_spectrum)
+
+
+def test_band_density_at_sigma_on_an_open_edge_and_a_closed_gap():
+    # gap 1 closed at -1 with sigma_1 there (its factor is skipped), gap 2
+    # open with sigma_2 on its upper edge 2, the lower edge of the last band
+    # (the density is 0 there); that band is 8 ulps wide, so its nodes round
+    # onto its edges
+    top = 2.0 + 8 * np.spacing(2.0)
+    edges, aux = [-3.0, -1.0, -1.0, 1.0, 2.0, top], [-1.0, 2.0]
+    kernel, ref = js._band_density(0.5, edges, aux), _scalar_density(0.5, edges, aux)
+    _assert_density_matches_reference(kernel, ref, _probe_points(edges, aux)
+                                      + np.linspace(-4, 5, 91).tolist())
+    assert kernel(np.array([2.0]))[0] == 0.0 and kernel(np.array([-1.0]))[0] > 0
+    # each band's nodes, and the same nodes stepped one double outwards
+    sin_t, _ = js._sine_gauss_legendre(js.QUAD_NODES)
+    for lo, hi in [(-3.0, -1.0), (-1.0, 1.0), (2.0, top)]:
+        mid = (lo + hi) / 2
+        xs = mid + (hi - lo) / 2 * sin_t
+        assert {lo, hi} <= set(xs.tolist()) or hi - lo > 1
+        for nodes in (xs, np.nextafter(xs, np.where(xs < mid, -np.inf, np.inf))):
+            _assert_density_matches_reference(kernel, ref, nodes)
+
+
 def test_measure_quadrature_table_is_shared():
     m = js.PeriodicJacobi([F(1), F(2), F(3, 2)], [F(1, 2), F(-1, 2), F(0)])
     mu = js.measure_decompose(m, F(3, 2))
@@ -653,6 +829,8 @@ def test_measure_quadrature_table_is_shared():
     assert len(table) == len(mu.bands)
     xs, w, dens = table[0]
     assert dens.tolist() == [mu.density(x) for x in xs]
+    ref = _measure_density_reference(m, F(3, 2), js.spectral_data(m))
+    assert _same_bits(dens, [ref(x) for x in xs.tolist()])
     # integrate walks Python floats; on numpy scalars it summed the same bits
 
     def f(x):
@@ -893,6 +1071,9 @@ def _same_bits(x, y) -> bool:
 
 
 def _assert_lattice_flow_matches_reference(m, t_end, dt):
+    # the reference rhs has no generated step, so rk4 composes it with the
+    # list combinations (four calls a step): the flow's generated step is
+    # compared with that composition over the numpy-scalar lattice
     got = js.toda_flow_jacobi(m, t_end, dt)
     calls = []
 

@@ -576,11 +576,65 @@ def test_rk4_list_state_steps_to_the_bits_of_the_array_state(dim, dt, steps,
     assert _same_bits(got, want)
 
 
+def _composed(rhs):
+    """rhs without its generated step: rk4 composes it with the list
+    combinations, four rhs calls a step"""
+    return lambda y: rhs(y)
+
+
+def _lattice_run(rhs, y0, t_end, dt):
+    """rk4's samples, or (time, cause type) of its BlowUpError"""
+    try:
+        return lf.rk4(rhs, list(y0), t_end, dt, 1, np.inf)
+    except lf.BlowUpError as exc:
+        return exc.time, type(exc.__cause__)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.sampled_from([1e-3, 0.01, 0.1, 1.0]),
+       st.integers(1, 8), st.sampled_from([1.0, 1e-100, 1e100, 1e153, 1e154]), st.data())
+def test_lattice_step_matches_the_four_stage_composition(n, dt, steps, scale, data):
+    # the generated step against rk4's composition of lattice_rhs(n) with
+    # the list combinations: the same samples bit for bit, signed zeros
+    # included, or a blow-up (an a_j ** 2 overflow among them) at the same
+    # step with the same cause
+    y0 = [scale * v for v in data.draw(st.lists(_entry, min_size=2 * n, max_size=2 * n))]
+    rhs = lf.lattice_rhs(n)
+    got = _lattice_run(rhs, y0, steps * dt, dt)
+    want = _lattice_run(_composed(rhs), y0, steps * dt, dt)
+    assert got[0] == want[0]
+    if isinstance(want[1], list):
+        assert all(type(y) is list for y in got[1])
+        assert _same_bits(got[1], want[1])
+    else:
+        assert got[1] is want[1]
+
+
+@pytest.mark.parametrize("n,a1,beta,step", [(2, 1e151, 2.0, 14), (3, 1e150, 2.0, 29),
+                                            (3, 1e150, 4.0, 3)])
+def test_lattice_square_overflow_is_a_blowup_at_the_composed_step(n, a1, beta, step):
+    # a_1 grows from a1 past sqrt(max double) while every entry stays
+    # finite, so an a_j ** 2 of a stage raises OverflowError inside the
+    # generated step: BlowUpError at the step where the composition raises
+    lam = 1e153
+    y0 = [a1] + [lam * 1e-3] * (n - 1) + [0.0] * (n - 1) + [beta * lam]
+    dt = 1 / lam
+    assert hasattr(lf.lattice_rhs(n), "rk4_step")
+    for rhs in (lf.lattice_rhs(n), _composed(lf.lattice_rhs(n))):
+        with pytest.raises(lf.BlowUpError) as exc:
+            lf.rk4(rhs, y0, 50 * dt, dt, 1, np.inf)
+        assert isinstance(exc.value.__cause__, OverflowError)
+        assert exc.value.time == step * dt
+
+
 def test_generated_kernels_are_built_once_per_size():
     assert lf._list_kernels(9) is lf._list_kernels(9)
     assert lf.lattice_rhs(5) is lf.lattice_rhs(5)
+    assert lf._lattice_step(5) is lf._lattice_step(5)
+    assert lf.lattice_rhs(5).rk4_step is lf._lattice_step(5)
     assert lf._list_kernels(9) is not lf._list_kernels(10)
     assert lf.lattice_rhs(5) is not lf.lattice_rhs(6)
+    assert lf._lattice_step(5) is not lf._lattice_step(6)
 
 
 def test_steps_for_budget():
