@@ -9,12 +9,13 @@ series, linalg and roots; flow adds numpy and laxflow; jacobi adds numpy,
 laxflow, jacobispec and exactalg.roots; check loads every module.  So
 the parser and every painleve run start without numpy.
 Exit codes: 0 success, 1 usage or input error, 2 Painlevé obstruction,
-3 numerical breakdown (a flow or the Jacobi lattice blew up, a
-continued-fraction denominator of the Stieltjes check vanished, a
-number overflowed a float, as Jacobi entries such as -a 1e300,1 do, an
-exponent passed exactalg.poly.LIMIT, the largest a monomial key holds,
-as x^40000 in an .ivf does, the measure's scale (a0/a_N)^2
-underflowed to 0, an atom mass of the Jacobi measure came out below
+3 numerical breakdown (a flow or the Jacobi lattice blew up, a Lax
+flow's commutator spilled outside its h-window, as euler-arnold's does
+at --dt 1, a continued-fraction denominator of the Stieltjes check
+vanished, a number overflowed a float, as Jacobi entries such as
+-a 1e300,1 do, an exponent passed exactalg.poly.LIMIT, the largest a
+monomial key holds, as x^40000 in an .ivf does, the measure's scale
+(a0/a_N)^2 underflowed to 0, an atom mass of the Jacobi measure came out below
 -1e-8, or two auxiliary eigenvalues sigma_j, simple for a Jacobi block,
 rounded to one double).  jacobi --a0 0 exits
 1: its measure is zero, which no Stieltjes check may pass.
@@ -257,9 +258,9 @@ def cmd_flow(args) -> Result:
     stride = max(1, lf.steps_for(args.t_end, args.dt) // 20)
     summary = {"laxkit_report": REPORT_VERSION, "command": "flow",
                "builtin": name, "t_end": args.t_end, "dt": args.dt}
+    import numpy as np
     try:
         if flow is None:
-            import numpy as np
             system = bi.builtin_system("kvm")
             z0 = np.random.default_rng(args.seed).uniform(0.3, 1.2, system.dim)
             times, states = lf.integrate_system(system, z0, args.t_end, args.dt)
@@ -274,8 +275,11 @@ def cmd_flow(args) -> Result:
                             [H.eval_num(env) for H in system.invariants.values()])
         else:
             pencil, B, start_fields = flow.start(N, args.seed)
-            traj = lf.integrate_lax(pencil, B, args.t_end, args.dt,
-                                    sample_every=stride)
+            # a flow driven past float range stops with BlowUpError or
+            # SpillError: numpy's overflow warnings on the way add nothing
+            with np.errstate(over="ignore", invalid="ignore"):
+                traj = lf.integrate_lax(pencil, B, args.t_end, args.dt,
+                                        sample_every=stride)
             drift = lf.isospectral_drift(traj, flow.h_samples, N)
             summary["trace_drift"] = drift
             if flow.reports_curve:
@@ -284,7 +288,7 @@ def cmd_flow(args) -> Result:
             summary["pass"] = bool(drift < args.tol)
             header = ["t"] + flow.columns(N)
             rows = [[t] + flow.row(P) for t, P in zip(traj.times, traj.pencils)]
-    except lf.BlowUpError as exc:
+    except (lf.BlowUpError, lf.SpillError) as exc:
         raise BreakdownError(str(exc)) from exc
 
     csv_name = f"flow_{name}.csv"

@@ -13,9 +13,11 @@ lattice and the vector fields, whose few entries cost less without numpy
 in generated straight-line code: the list combinations, one pair per
 length, and for the lattice one whole RK4 step per period
 (_lattice_step, the `rk4_step` of lattice_rhs(n)), with its four
-right-hand sides and three stages inline.  Each step is one call of one
-step function; both state kinds round alike, bit for bit, and so do the
-lattice step and the four-stage composition it replaces.
+right-hand sides and three stages inline.  A Lax flow's `rk4_step` is
+integrate_lax's buffered step: the four-stage composition with every
+stage written into a buffer the run owns.  Each step is one call of one
+step function; both state kinds round alike, bit for bit, and so does
+each hook's step with the four-stage composition of fresh states.
 
 Pencils are float: a MatrixPencil holds the blocks A_lo..A_hi of its
 h-window in one (K, n, n) array.  Exact spectral curves come from plain
@@ -32,11 +34,15 @@ forms all block commutators [A_i, B_j] in two stacked matmuls and one
 subtraction, then adds them into each h-degree in order of increasing i,
 starting from zeros, so every entry rounds as in a plain double loop over
 the block pairs.  Pairs whose degree falls outside the requested window
-are not dropped silently: each must vanish up to roundoff, or ValueError
-reports a malformed B.  integrate_lax builds one kernel per block layout
-of B's pencils (_commutator_plan) that owns its buffers, slice views and
-outside entries, so a stage spends its numpy calls on the blocks alone;
-MatrixPencil.commutator runs the same kernel, built for the one call.
+are not dropped silently: each must vanish up to roundoff, or SpillError
+(a ValueError) reports a malformed B or a flow off its window.
+integrate_lax builds one kernel per block layout of B's pencils
+(_commutator_plan) that owns its product buffers and outside entries and
+sums each stage straight into that stage's k buffer, so a stage spends
+its numpy calls on the blocks alone; MatrixPencil.commutator runs the
+same kernel, built for the one call, into a fresh array.  A factory's B
+is declared as data (_AffineB), which integrate_lax writes into one
+buffer per run instead of calling B.
 """
 from __future__ import annotations
 
@@ -63,35 +69,51 @@ class BlowUpError(RuntimeError):
 # pencils
 # ---------------------------------------------------------------------------
 
+class SpillError(ValueError):
+    """[B(A), A] reaches an h-degree outside A's window by more than
+    roundoff: B is malformed, or the flow has drifted off its window (a
+    step so large that roundoff moves a block B reads).  `laxkit flow`
+    reports it as a numerical breakdown."""
+
+
 def _commutator_plan(ka: int, kb: int, lo: int, window: Tuple[int, int], n: int
-                     ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The kernel (A, B) -> fresh blocks of [A, B] on the h-window
-    `window` for ka and kb blocks of n x n, pair (i, j) of degree lo + i + j.
-    What does not depend on the blocks is laid out once and owned by the
-    kernel: the product buffers, the views that add each block's pairs
-    into the degree sums (one per i, in increasing i, into a buffer zeroed
-    per call) and the entries of the pairs outside the window."""
+                     ) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """The kernel (A, B, out) -> out, which sums the blocks of [A, B] on
+    the h-window `window` into `out` for ka and kb blocks of n x n, pair
+    (i, j) of degree lo + i + j.  What does not depend on the blocks is
+    laid out once and owned by the kernel: the product buffers, the views
+    that add each block's pairs into the degree sums (one per i, in
+    increasing i, onto `out` zeroed per call; sliced once per output
+    buffer, which the kernel keeps) and the entries of the pairs outside
+    the window.  integrate_lax hands each stage its own k buffer,
+    MatrixPencil.commutator a fresh array."""
     wlo, whi = window
     base = lo - wlo
+    size = whi - wlo + 1
     prod, swap = np.empty((2, ka, kb, n, n))
-    acc = np.empty((whi - wlo + 1, n, n))
     adds = []
     for i in range(ka):
-        j0, j1 = max(0, -base - i), min(kb, len(acc) - base - i)
+        j0, j1 = max(0, -base - i), min(kb, size - base - i)
         if j0 < j1:
-            adds.append((acc[base + i + j0:base + i + j1], prod[i, j0:j1]))
+            adds.append((base + i + j0, base + i + j1, prod[i, j0:j1]))
     deg = lo + np.add.outer(np.arange(ka), np.arange(kb))
     oi, oj = np.nonzero((deg < wlo) | (deg > whi))
     entries = ((oi * kb + oj)[:, None] * (n * n) + np.arange(n * n)).ravel()
     flat = prod.reshape(-1)
+    # id(out) -> (out, [(slice of out, pairs)] per add): holding out keeps
+    # its id from being reused while its views are stored
+    bound = {}
 
-    def kernel(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    def kernel(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> np.ndarray:
         Ai = A[:, None]
         np.matmul(Ai, B, out=prod)
         np.matmul(B, Ai, out=swap)
         np.subtract(prod, swap, out=prod)
-        acc.fill(0.0)
-        for dst, src in adds:
+        views = bound.get(id(out))
+        if views is None:
+            views = bound[id(out)] = (out, [(out[d0:d1], src) for d0, d1, src in adds])
+        out.fill(0.0)
+        for dst, src in views[1]:
             dst += src
         # no pair can fail while every outside entry is within 1e-10: a sum
         # of squares <= 5e-21 bounds each by 7.1e-11, with room for its
@@ -104,9 +126,9 @@ def _commutator_plan(ka: int, kb: int, lo: int, window: Tuple[int, int], n: int
             bad = (worst > 1e-10) & (worst > 1e-10 * (1 + scale))
             if bad.any():
                 k = int(deg[oi, oj][np.argmax(bad)])
-                raise ValueError(
+                raise SpillError(
                     f"commutator spills h^{k} outside the declared window")
-        return acc.copy()
+        return out
     return kernel
 
 
@@ -173,12 +195,13 @@ class MatrixPencil:
         result is then the sum of its C[i, j] in order of increasing i,
         starting from zeros: one slice-add per block of `self`.  A pair
         whose degree falls outside the window must vanish up to roundoff,
-        max|C| <= 1e-10 * (1 + max|A| * max|B|), or ValueError names the
-        degree of the first such pair in (i, j) order."""
-        window = window or (self.lo + other.lo, self.h_range[1] + other.h_range[1])
+        max|C| <= 1e-10 * (1 + max|A| * max|B|), or SpillError (a
+        ValueError) names the degree of the first such pair in (i, j) order."""
+        wlo, whi = window or (self.lo + other.lo, self.h_range[1] + other.h_range[1])
         kernel = _commutator_plan(len(self.blocks), len(other.blocks),
-                                  self.lo + other.lo, window, self.dim)
-        return MatrixPencil.from_blocks(window[0], kernel(self.blocks, other.blocks))
+                                  self.lo + other.lo, (wlo, whi), self.dim)
+        out = np.empty((whi - wlo + 1, self.dim, self.dim))
+        return MatrixPencil.from_blocks(wlo, kernel(self.blocks, other.blocks, out))
 
     def axpy(self, c: float, other: "MatrixPencil") -> "MatrixPencil":
         """self + c * other, for two pencils on the same h-window."""
@@ -199,16 +222,50 @@ class MatrixPencil:
 # h-window of the pencil it was returned with and gives a new MatrixPencil,
 # built with MatrixPencil.from_blocks on B's own fixed window (which may be
 # narrower than P's, as for the rank-2 pencils); it reads P's blocks as
-# P.blocks[k - P.lo] and never writes to them.  Each call fills one fresh
-# (K, n, n) block array with out= ufuncs (zero-filled first where where=
-# ufuncs write only part of it, as the Toda B's do) and hands it over: no
-# buffer is reused across calls, so a caller may keep each result (rk4
-# keeps all four stages of a step when it integrates dA/dt = B(A) itself,
-# as the non-commutator control does).  integrate_lax calls B four times
-# per step and builds one commutator kernel per (lo, block count) of its
-# results, so everything that does not depend on P (the constant blocks,
-# the metric ratios, the triangular masks) is computed once, when the
-# pair is built.
+# P.blocks[k - P.lo] and never writes to them (integrate_lax hands it a
+# read-only view of a stage buffer, so a P kept past the call shows later
+# stages).  Each call fills one fresh (K, n, n) block array and hands it
+# over: no buffer is reused across calls, so a caller may keep each
+# result (rk4 keeps all four stages of a step when it integrates
+# dA/dt = B(A) itself, as the non-commutator control does).  Everything
+# that does not depend on P (the constant blocks, the metric ratios, the
+# triangular masks) is computed once, when the pair is built.  The
+# factories' Bs (_toda_b, _metric_b) are declared as data, an _AffineB:
+# entrywise W * x + Z on a range of P's blocks and constant blocks
+# elsewhere.  B(P) evaluates that into a fresh array, and integrate_lax
+# writes it into its run's one B buffer at every stage, constant blocks
+# once per run; any other B (manakov_pencil's divides) is called per
+# stage.
+
+
+class _AffineB:
+    """B(P) = the pencil on h^lo.. whose blocks are `const` except for
+    blocks[part] = W * P.blocks[src] + Z, entrywise.  Z pins the sign of
+    each zero: -0.0 (x + -0.0 is x, zeros included) where B copies or
+    negates an entry, +0.0 where it writes 0 - x or a zero; None where
+    W * x alone has B's bits.  The arrays (W of the part's shape, so no
+    broadcast) are read-only and shared by B(P) and integrate_lax's
+    in-place write, so both round alike."""
+
+    def __init__(self, lo: int, const: np.ndarray, part: slice, src: slice,
+                 W: np.ndarray, Z: Optional[np.ndarray]):
+        for arr in (const, W, Z):
+            if arr is not None:
+                arr.flags.writeable = False
+        self.lo, self.const, self.part, self.src = lo, const, part, src
+        self.W, self.Z = W, Z
+
+    def write(self, blocks: np.ndarray, dst: np.ndarray) -> None:
+        """dst = W * blocks[src] + Z, dst being out[part] of B's blocks."""
+        np.multiply(blocks[self.src], self.W, out=dst)
+        if self.Z is not None:
+            np.add(dst, self.Z, out=dst)
+
+    def __call__(self, P: MatrixPencil) -> MatrixPencil:
+        out = self.const.copy()
+        self.write(P.blocks, out[self.part])
+        return MatrixPencil.from_blocks(self.lo, out)
+
 
 # Toda lattice pencils (Flaschka form)
 
@@ -251,26 +308,22 @@ def toda_periodic_coeffs(a: Sequence, b: Sequence) -> Dict[int, list]:
     return {-1: Am, 0: A0, 1: Ap}
 
 
-def _toda_b(lo: int, K: int, n: int) -> Callable[[MatrixPencil], MatrixPencil]:
+def _toda_b(lo: int, K: int, n: int) -> _AffineB:
     """The Toda B of a pencil with K blocks of n x n from h^lo on: -A_k
     for k < 0, np.triu(A_0, 1) - np.tril(A_0, -1), and A_k for k > 0 (the
     upper-minus-lower splitting of the doubly infinite matrix, where the
-    h^-1 corner block sits below the diagonal and h^+1 above).  where=
-    ufuncs write it into a zero-filled block array, so each entry rounds
-    as that expression does, zeros' signs included: 0 - x below A_0's
-    diagonal (+0.0 for a zero of either sign), +0.0 on it."""
+    h^-1 corner block sits below the diagonal and h^+1 above).  As one
+    multiply and one add on every block: W = -1 and Z = -0.0 for k < 0;
+    W = 1 and Z = -0.0 for k > 0 and above A_0's diagonal; W = 0 and
+    Z = +0.0 on it (+0.0 for a finite entry of either sign); W = -1 and
+    Z = +0.0 below it, which rounds as 0 - x (+0.0 for a zero of either
+    sign)."""
     deg = np.arange(lo, lo + K)[:, None, None]
-    negate = deg < 0
-    keep = (deg > 0) | ((deg == 0) & ~np.tri(n, n, 0, dtype=bool))
-    flip = (deg == 0) & np.tri(n, n, -1, dtype=bool)
-
-    def B(P: MatrixPencil) -> MatrixPencil:
-        out = np.zeros((K, n, n))
-        np.negative(P.blocks, out=out, where=negate)
-        np.copyto(out, P.blocks, where=keep)
-        np.subtract(0.0, P.blocks, out=out, where=flip)
-        return MatrixPencil.from_blocks(lo, out)
-    return B
+    below = np.tri(n, n, -1)
+    above = 1.0 - np.tri(n, n, 0)
+    W = np.where(deg < 0, -1.0, np.where(deg > 0, 1.0, above - below))
+    Z = np.where((deg == 0) & (above == 0), 0.0, -0.0)
+    return _AffineB(lo, np.zeros((K, n, n)), slice(0, K), slice(0, K), W, Z)
 
 
 def toda_periodic_pencil(a: Sequence, b: Sequence
@@ -370,28 +423,21 @@ def random_skew(n: int, seed: int = 0, scale: float = 1.0) -> np.ndarray:
     return (M - M.T) / 2
 
 
-def _metric_b(al: np.ndarray, be: np.ndarray, k: int
-              ) -> Callable[[MatrixPencil], MatrixPencil]:
-    """The B factory P -> -(ratio * P_k) - diag(beta) h, where ratio_ij =
-    (beta_i - beta_j)/(alpha_i - alpha_j) off the diagonal and 0 on it:
-    the B of the Euler-Arnold (k = 0) and rank-2 (k = 1) pencils."""
+def _metric_b(al: np.ndarray, be: np.ndarray, k: int) -> _AffineB:
+    """The B of a pencil from h^0 on: -(ratio * P_k) - diag(beta) h, where
+    ratio_ij = (beta_i - beta_j)/(alpha_i - alpha_j) off the diagonal and 0
+    on it, the B of the Euler-Arnold (k = 0) and rank-2 (k = 1) pencils.
+    W = -ratio, since (-ratio) * x rounds as -(ratio * x), the sign of
+    every zero included, so there is no Z; the h^1 block is constant."""
     n = len(al)
     ratio = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             if i != j:
                 ratio[i, j] = (be[i] - be[j]) / (al[i] - al[j])
-    # (-ratio) * x rounds as -(ratio * x), the sign of every zero included
-    neg_ratio = -ratio
-    B1 = -np.diag(be)
-
-    def B(P: MatrixPencil) -> MatrixPencil:
-        out = np.empty((2, n, n))
-        np.multiply(neg_ratio, P.blocks[k - P.lo], out=out[0])
-        out[1] = B1
-        return MatrixPencil.from_blocks(0, out)
-
-    return B
+    const = np.zeros((2, n, n))
+    const[1] = -np.diag(be)
+    return _AffineB(0, const, slice(0, 1), slice(k, k + 1), -ratio[None], None)
 
 
 def euler_arnold_pencil(alphas: Sequence[float], betas: Sequence[float],
@@ -701,13 +747,23 @@ def steps_for(t_end: float, dt: float) -> int:
 State = Union[np.ndarray, List[float]]
 
 
-def _stage_array(y: np.ndarray, c: float, k: np.ndarray) -> np.ndarray:
-    return y + c * k
+def _stage_array(y: np.ndarray, c: float, k: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """y + c k, into `out` (a fresh array when None)."""
+    return np.add(y, np.multiply(c, k, out=out), out=out)
 
 
 def _step_array(y: np.ndarray, c: float, k1: np.ndarray, k2: np.ndarray,
-                k3: np.ndarray, k4: np.ndarray) -> np.ndarray:
-    return y + c * (k1 + 2 * k2 + 2 * k3 + k4)
+                k3: np.ndarray, k4: np.ndarray, t: Optional[np.ndarray] = None,
+                u: Optional[np.ndarray] = None) -> np.ndarray:
+    """y + c (k1 + 2 k2 + 2 k3 + k4), term by term in that order, with the
+    sum in `t` and 2 k3 in `u` (fresh arrays when None); 2 k is formed as
+    k + k, which is exact as 2 * k is.  The result is always a fresh
+    array, since rk4 keeps sampled states."""
+    s = np.add(k1, np.add(k2, k2, out=t), out=t)
+    s = np.add(s, np.add(k3, k3, out=u), out=t)
+    s = np.add(s, k4, out=t)
+    return np.add(y, np.multiply(c, s, out=t))
 
 
 @functools.lru_cache(maxsize=32)
@@ -733,17 +789,20 @@ def _top_list(y: List[float]) -> float:
     return _top_array(y)
 
 
-def _four_stages(rhs: Callable[[State], State], stage: Callable, advance: Callable,
-                 dt: float) -> Callable[[State], State]:
-    """The RK4 step y -> y + dt/6 (k1 + 2 k2 + 2 k3 + k4) composed of rhs
-    and a state kind's two combinations."""
-    h, c = dt / 2, dt / 6
+def _four_stages(rhs: Sequence[Callable[[State], State]], stage: Callable,
+                 advance: Callable, h: float, dt: float, c: float
+                 ) -> Callable[[State], State]:
+    """The RK4 step y -> y + c (k1 + 2 k2 + 2 k3 + k4) at h = dt/2 and
+    c = dt/6, composed of the four stages' right-hand sides rhs[0..3] (one
+    rhs four times, or one per k buffer) and a state kind's two
+    combinations."""
+    rhs1, rhs2, rhs3, rhs4 = rhs
 
     def step(y: State) -> State:
-        k1 = rhs(y)
-        k2 = rhs(stage(y, h, k1))
-        k3 = rhs(stage(y, h, k2))
-        k4 = rhs(stage(y, dt, k3))
+        k1 = rhs1(y)
+        k2 = rhs2(stage(y, h, k1))
+        k3 = rhs3(stage(y, h, k2))
+        k4 = rhs4(stage(y, dt, k3))
         return advance(y, c, k1, k2, k3, k4)
     return step
 
@@ -756,16 +815,17 @@ def rk4(rhs: Callable[[State], State], y0: State, t_end: float, dt: float,
     the kind it is given.  A list suits a few floats with a scalar rhs
     (the Jacobi lattice, a polynomial vector field), where numpy's
     per-call cost exceeds the arithmetic.  Each step is one call of one
-    step function, chosen once: for a generated lattice rhs (one with an
-    `rk4_step`, lattice_rhs) its straight-line step, and otherwise the
+    step function, chosen once.  An rhs with an `rk4_step` hook builds its
+    own from (dt/2, dt, dt/6): lattice_rhs(n)'s straight-line lattice step,
+    and integrate_lax's buffered step.  Otherwise the step is the
     four-stage composition of rhs with the state kind's two combinations
     of the stages, y + c k and y + c (k1 + 2 k2 + 2 k3 + k4) (for a list,
-    the straight-line pair _list_kernels(len(y0))).  The max-norm of the
-    blow-up test is chosen by kind too.  Every combination is elementwise
-    in the same order, and Python floats round as numpy float64 does, so
-    a list steps to the bits of the equal ndarray, and the lattice step
-    to the bits of the composition; a max of absolute values is exact
-    either way.
+    the straight-line pair _list_kernels(len(y0)); for an ndarray, fresh
+    arrays).  The max-norm of the blow-up test is chosen by kind too.
+    Every combination is elementwise in the same order, and Python floats
+    round as numpy float64 does, so a list steps to the bits of the equal
+    ndarray, and each hook's step to the bits of the composition; a max
+    of absolute values is exact either way.
 
     Returns the sample times and states: t = 0 (y0 itself), every
     `sample_every`-th step and the last step, each at t = step * dt.
@@ -779,8 +839,9 @@ def rk4(rhs: Callable[[State], State], y0: State, t_end: float, dt: float,
     if hasattr(rhs, "rk4_step"):
         step = rhs.rk4_step(dt / 2, dt, dt / 6)
     else:
-        step = _four_stages(rhs, *(_list_kernels(len(y0)) if listed
-                                   else (_stage_array, _step_array)), dt)
+        step = _four_stages((rhs,) * 4, *(_list_kernels(len(y0)) if listed
+                                          else (_stage_array, _step_array)),
+                            dt / 2, dt, dt / 6)
     top_abs = _top_list if listed else _top_array
     y = y0
     times = [0.0]
@@ -813,22 +874,57 @@ def integrate_lax(p0: MatrixPencil, B: Callable[[MatrixPencil], MatrixPencil],
     """rk4 on dA/dt = [B(A), A] over the h-window of p0.
 
     Deterministic for a given (p0, dt); aborts with BlowUpError when the
-    max-norm of the state exceeds BLOWUP, and with ValueError when the
-    commutator spills outside the window (a malformed B).
+    max-norm of the state exceeds BLOWUP, and with SpillError (a
+    ValueError) when the commutator spills outside the window (a
+    malformed B, or a flow driven off its window by a step too large).
+
+    One buffered RK4 step, _four_stages' composition, reaches rk4 through
+    its `rk4_step` hook.  The run owns its buffers: one per k (stage j
+    sums its commutator straight into k_j), the stage state, the two
+    temporaries of the advance, and one for B's blocks.  A factory's B
+    (an _AffineB) is written into that buffer, its constant blocks once,
+    under one commutator kernel; any other B is called on a read-only
+    view of the stage's state, its result summed by one kernel per
+    (lo, block count).  Only the advanced state is a fresh array.  Every
+    operation is the one the fresh-array composition performs, in its
+    order, so the flow keeps its bits.
     """
     lo, window = p0.lo, p0.h_range
     kb, n = p0.blocks.shape[:2]
-    plans = {}   # one commutator kernel per (lo, block count) of B's pencils
+    ks = np.empty((4, kb, n, n))
+    s, t, u = np.empty((3, kb, n, n))
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        Q = B(MatrixPencil.from_blocks(lo, y))
-        key = (Q.lo, len(Q.blocks))
-        kernel = plans.get(key)
-        if kernel is None:
-            kernel = plans[key] = _commutator_plan(key[1], kb, Q.lo + lo, window, n)
-        return kernel(Q.blocks, y)
+    if isinstance(B, _AffineB):
+        bb = B.const.copy()
+        dst, write = bb[B.part], B.write
+        kernel = _commutator_plan(len(bb), kb, B.lo + lo, window, n)
 
-    times, states = rk4(rhs, p0.blocks, t_end, dt, sample_every, BLOWUP)
+        def stage_rhs(k):
+            def rhs(y):
+                write(y, dst)
+                return kernel(bb, y, k)
+            return rhs
+    else:
+        plans = {}   # one commutator kernel per (lo, block count) of B's pencils
+
+        def stage_rhs(k):
+            def rhs(y):
+                Q = B(MatrixPencil.from_blocks(lo, y.view()))
+                key = (Q.lo, len(Q.blocks))
+                kernel = plans.get(key)
+                if kernel is None:
+                    kernel = plans[key] = _commutator_plan(key[1], kb, Q.lo + lo,
+                                                           window, n)
+                return kernel(Q.blocks, y, k)
+            return rhs
+
+    rhs = [stage_rhs(k) for k in ks]
+    # rk4 steps only through the hook; h, dt and c become 0-d arrays, which
+    # numpy multiplies by faster than by Python floats, to the same bits
+    rhs[0].rk4_step = lambda h, dt, c: _four_stages(
+        rhs, functools.partial(_stage_array, out=s),
+        functools.partial(_step_array, t=t, u=u), *map(np.array, (h, dt, c)))
+    times, states = rk4(rhs[0], p0.blocks, t_end, dt, sample_every, BLOWUP)
     return LaxTrajectory(times=times,
                          pencils=[MatrixPencil.from_blocks(lo, y) for y in states])
 

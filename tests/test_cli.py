@@ -594,6 +594,22 @@ def test_flow_blowup_exit_3_writes_nothing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["-N", "5", "--t-end", "100", "--dt", "0.5", "--seed", "3"],
+    ["-N", "3", "--t-end", "100", "--dt", "1"],
+    ["-N", "3", "--t-end", "1e300", "--dt", "1e298"],
+])
+def test_flow_spill_off_the_window_exit_3_writes_nothing(tmp_path, capsys, argv):
+    # steps this large move euler-arnold's h^1 block off diag(alpha) by
+    # roundoff, so [-diag(beta), A_1] spills into h^2: a numerical
+    # breakdown of a well-formed builtin, not an input error; overflow on
+    # the way prints no numpy warning
+    assert run(tmp_path, "flow", "--builtin", "euler-arnold", *argv) == 3
+    assert capsys.readouterr().err == ("error: numerical breakdown: commutator "
+                                       "spills h^2 outside the declared window\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
     ["flow", "--builtin", "toda-periodic", "--t-end", "0.01", "--dt", "0.3"],
     ["flow", "--builtin", "toda-periodic", "--t-end", "1", "--dt", "0.3"],
     ["flow", "--builtin", "kvm", "--t-end", "1", "--dt", "0.3"],

@@ -1,8 +1,9 @@
+import contextlib
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from laxkit import builtins as bi
 from laxkit import laxflow as lf
@@ -304,37 +305,244 @@ def _negative_zeros(P):
     return lf.MatrixPencil.from_blocks(P.lo, np.where(P.blocks == 0, -0.0, P.blocks))
 
 
-def _recorded_stages(monkeypatch, pencil, B, t_end, dt):
-    """integrate_lax's trajectory and every (state, right-hand side) pair
-    its rk4 evaluated."""
-    stages = []
-    rk4 = lf.rk4
+# The Lax path as it was before integrate_lax took one buffered step: the
+# oracle for it.  B's pencil was built per stage (the Toda B by where=
+# ufuncs into a zero-filled array), a kernel summed each commutator into
+# its own buffer and handed back a copy, and every stage and advance was a
+# fresh array.
 
-    def recording_rk4(rhs, y0, *args):
-        def rec(y):
-            k = rhs(y)
-            stages.append((y, k))
-            return k
-        return rk4(rec, y0, *args)
-    monkeypatch.setattr(lf, "rk4", recording_rk4)
-    traj = lf.integrate_lax(pencil, B, t_end, dt, sample_every=2)
-    monkeypatch.undo()
-    return traj, stages
+def reference_toda_b(lo, K, n):
+    deg = np.arange(lo, lo + K)[:, None, None]
+    negate = deg < 0
+    keep = (deg > 0) | ((deg == 0) & ~np.tri(n, n, 0, dtype=bool))
+    flip = (deg == 0) & np.tri(n, n, -1, dtype=bool)
+
+    def B(P):
+        out = np.zeros((K, n, n))
+        np.negative(P.blocks, out=out, where=negate)
+        np.copyto(out, P.blocks, where=keep)
+        np.subtract(0.0, P.blocks, out=out, where=flip)
+        return lf.MatrixPencil.from_blocks(lo, out)
+    return B
+
+
+def reference_metric_b(al, be, k):
+    neg_ratio = -_ratio(np.asarray(al, dtype=float), np.asarray(be, dtype=float))
+    B1 = -np.diag(np.asarray(be, dtype=float))
+
+    def B(P):
+        out = np.empty((2, len(B1), len(B1)))
+        np.multiply(neg_ratio, P.blocks[k - P.lo], out=out[0])
+        out[1] = B1
+        return lf.MatrixPencil.from_blocks(0, out)
+    return B
+
+
+def reference_plan(ka, kb, lo, window, n):
+    wlo, whi = window
+    base = lo - wlo
+    prod, swap = np.empty((2, ka, kb, n, n))
+    acc = np.empty((whi - wlo + 1, n, n))
+    adds = []
+    for i in range(ka):
+        j0, j1 = max(0, -base - i), min(kb, len(acc) - base - i)
+        if j0 < j1:
+            adds.append((acc[base + i + j0:base + i + j1], prod[i, j0:j1]))
+    deg = lo + np.add.outer(np.arange(ka), np.arange(kb))
+    oi, oj = np.nonzero((deg < wlo) | (deg > whi))
+    entries = ((oi * kb + oj)[:, None] * (n * n) + np.arange(n * n)).ravel()
+    flat = prod.reshape(-1)
+
+    def kernel(A, B):
+        Ai = A[:, None]
+        np.matmul(Ai, B, out=prod)
+        np.matmul(B, Ai, out=swap)
+        np.subtract(prod, swap, out=prod)
+        acc.fill(0.0)
+        for dst, src in adds:
+            dst += src
+        spill = flat[entries]
+        if spill @ spill > 5e-21:
+            worst = np.max(np.abs(prod[oi, oj]), axis=(1, 2))
+            scale = np.outer(np.max(np.abs(A), axis=(1, 2)),
+                             np.max(np.abs(B), axis=(1, 2)))[oi, oj]
+            bad = (worst > 1e-10) & (worst > 1e-10 * (1 + scale))
+            if bad.any():
+                k = int(deg[oi, oj][np.argmax(bad)])
+                raise ValueError(
+                    f"commutator spills h^{k} outside the declared window")
+        return acc.copy()
+    return kernel
+
+
+def reference_stage(y, c, k):
+    return y + c * k
+
+
+def reference_step(y, c, k1, k2, k3, k4):
+    return y + c * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def reference_integrate_lax(p0, B, t_end, dt, sample_every=10, calls=None):
+    """The composed path through lf.rk4's loop; `calls` counts B's calls."""
+    lo, window = p0.lo, p0.h_range
+    kb, n = p0.blocks.shape[:2]
+    plans = {}
+
+    def rhs(y):
+        if calls is not None:
+            calls.append(None)
+        Q = B(lf.MatrixPencil.from_blocks(lo, y))
+        key = (Q.lo, len(Q.blocks))
+        kernel = plans.get(key)
+        if kernel is None:
+            kernel = plans[key] = reference_plan(key[1], kb, Q.lo + lo, window, n)
+        return kernel(Q.blocks, y)
+
+    def composed(h, dt, c):
+        def step(y):
+            k1 = rhs(y)
+            k2 = rhs(reference_stage(y, h, k1))
+            k3 = rhs(reference_stage(y, h, k2))
+            return reference_step(y, c, k1, k2, k3, rhs(reference_stage(y, dt, k3)))
+        return step
+    rhs.rk4_step = composed
+    times, states = lf.rk4(rhs, p0.blocks, t_end, dt, sample_every, lf.BLOWUP)
+    return lf.LaxTrajectory(times, [lf.MatrixPencil.from_blocks(lo, y) for y in states])
+
+
+def _reference_b(name, pencil, B):
+    """the B a _b_cases or LAX_FLOWS case had before its factory declared it
+    as data (manakov's B is unchanged)"""
+    n = pencil.dim
+    al = np.arange(1.0, n + 1)
+    if name.startswith("toda"):
+        return reference_toda_b(pencil.lo, len(pencil.blocks), n)
+    if name.startswith("euler-arnold"):
+        return reference_metric_b(al, al ** 2, 0)
+    if name == "neumann":
+        return reference_metric_b(al, al, 1)
+    if name == "jacobi-geodesic":
+        al = np.array([1.0, 2.0, 3.5])
+        return reference_metric_b(al, 1.0 / al, 1)
+    return B
+
+
+@contextlib.contextmanager
+def _buffered_stages():
+    """Records every stage of the buffered step that integrate_lax hands
+    rk4 (through _four_stages): a copy of its state and, unless it raised,
+    of its k, and the k buffer itself."""
+    log = []
+    four_stages = lf._four_stages
+
+    def recording(rhs, *rest):
+        def record(f):
+            def stage(y):
+                log.append([y.copy()])
+                k = f(y)
+                log[-1] += [k.copy(), k]
+                return k
+            return stage
+        return four_stages([record(f) for f in rhs], *rest)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lf, "_four_stages", recording)
+        yield log
 
 
 @pytest.mark.parametrize("case", list(_b_cases()), ids=lambda c: c[0])
-def test_integrate_lax_stages_match_reference_commutator(case, monkeypatch):
-    # the flow's kernel, with its buffers reused from stage to stage, gives
-    # what the block-pair loop gives on each stage's state, zeros' signs
-    # included (from the pencil as built and with its zeros made -0.0)
+def test_integrate_lax_stages_match_reference_commutator(case):
+    # the buffered step, one k buffer per stage reused from step to step,
+    # gives what the block-pair loop gives on each stage's state, zeros'
+    # signs included (from the pencil as built and with its zeros made -0.0)
     _, (pencil, B), _ = case
     for p0 in (pencil, _negative_zeros(pencil)):
-        _, stages = _recorded_stages(monkeypatch, p0, B, 0.05, 0.01)
-        assert len(stages) == 20
-        for y, k in stages:
+        with _buffered_stages() as log:
+            lf.integrate_lax(p0, B, 0.05, 0.01, sample_every=2)
+        assert len(log) == 20
+        assert len({id(k) for _, _, k in log}) == 4
+        for y, k, _ in log:
             P = lf.MatrixPencil.from_blocks(p0.lo, y)
             assert_same_pencil(lf.MatrixPencil.from_blocks(p0.lo, k),
                                reference_commutator(B(P), P, p0.h_range))
+
+
+def _lax_outcome(integrate, p0, B, t_end, dt, every):
+    """the samples of a flow, the time of its blow-up, or its spill"""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = integrate(p0, B, t_end, dt, every)
+    except lf.BlowUpError as exc:
+        return "blowup", exc.time
+    except ValueError as exc:
+        return "spill", str(exc)
+    return "samples", traj.times, [P.blocks for P in traj.pencils]
+
+
+def assert_same_flow(p0, B, ref_B, t_end, dt, every):
+    """integrate_lax against the composed reference: the same samples bit
+    for bit, or a blow-up at the same time, or the same spill after as many
+    B evaluations"""
+    calls = []
+    want = _lax_outcome(lambda *a: reference_integrate_lax(*a, calls=calls),
+                        p0, ref_B, t_end, dt, every)
+    with _buffered_stages() as log:
+        got = _lax_outcome(lf.integrate_lax, p0, B, t_end, dt, every)
+    event(want[0])
+    assert got[:2] == want[:2]
+    if want[0] == "samples":
+        assert _same_bits(got[2], want[2])
+    elif want[0] == "spill":
+        assert len(log) == len(calls)
+
+
+_DTS = st.sampled_from([1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 1e150])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(_b_cases())), _DTS, st.integers(1, 60),
+       st.integers(1, 7), st.booleans(), st.booleans())
+def test_integrate_lax_matches_the_composed_reference(case, dt, steps, every,
+                                                      negative, plain):
+    # each case's factory B and, through a plain callable, the same B
+    name, (pencil, B), _ = case
+    ref_B = _reference_b(name, pencil, B)
+    p0 = _negative_zeros(pencil) if negative else pencil
+    if plain:
+        B = (lambda f: lambda P: f(P))(B)
+    assert_same_flow(p0, B, ref_B, steps * dt, dt, every)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(lf.LAX_FLOWS)), st.integers(0, 5), st.integers(0, 2 ** 31),
+       _DTS, st.integers(1, 60), st.booleans())
+def test_lax_flows_match_the_composed_reference(name, extra, seed, dt, steps, negative):
+    flow = lf.LAX_FLOWS[name]
+    pencil, B, _ = flow.start(flow.min_n + extra, seed)
+    p0 = _negative_zeros(pencil) if negative else pencil
+    assert_same_flow(p0, B, _reference_b(name, pencil, B), steps * dt, dt, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2, 1), st.integers(1, 4), st.integers(1, 6), st.data())
+def test_toda_b_matches_the_where_ufunc_b(lo, K, n, data):
+    P = lf.MatrixPencil.from_blocks(lo, np.array(data.draw(
+        st.lists(_entries, min_size=K * n * n, max_size=K * n * n))).reshape(K, n, n))
+    assert_same_pencil(lf._toda_b(lo, K, n)(P), reference_toda_b(lo, K, n)(P))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([0, 1]), st.data())
+def test_metric_b_matches_the_ratio_product_b(n, k, data):
+    # alphas a quarter apart at least, so that every ratio is finite
+    al = [v / 4 for v in data.draw(st.lists(st.integers(-20, 20), min_size=n,
+                                            max_size=n, unique=True))]
+    be = data.draw(st.lists(_entries, min_size=n, max_size=n))
+    K = data.draw(st.integers(k + 1, 3))
+    P = lf.MatrixPencil.from_blocks(0, np.array(data.draw(
+        st.lists(_entries, min_size=K * n * n, max_size=K * n * n))).reshape(K, n, n))
+    assert_same_pencil(lf._metric_b(np.array(al), np.array(be), k)(P),
+                       reference_metric_b(al, be, k)(P))
 
 
 @pytest.mark.parametrize("block,degree", [(0, -2), (2, 2), (3, 2)],
