@@ -32,7 +32,8 @@ one writer then creates --out and moves each file into place from a
 temp file in that directory, so no file is ever seen half-written.
 Flows take fixed steps: the step (--dt) must divide the horizon
 (`flow --t-end`, `jacobi --toda-t-end`) into a positive whole number of
-steps, to 1e-9 relative, or the command exits 1.
+steps, to 1e-9 relative, or the command exits 1.  Every `flow` CSV, kvm's
+too, samples t = 0, each max(1, steps // 20)-th step and the last.
 `flow --builtin` names a row of laxflow.LAX_FLOWS (toda-periodic,
 euler-arnold, neumann) or kvm, or the command exits 1 naming them.
 `flow -N` must be at least the row's min_n (2 for toda-periodic and
@@ -263,7 +264,7 @@ def cmd_flow(args) -> Result:
         if flow is None:
             system = bi.builtin_system("kvm")
             z0 = np.random.default_rng(args.seed).uniform(0.3, 1.2, system.dim)
-            times, states = lf.integrate_system(system, z0, args.t_end, args.dt)
+            times, states = lf.integrate_system(system, z0, args.t_end, args.dt, stride)
             drifts = lf.invariant_drift(system, times, states)
             summary["invariant_drift"] = drifts
             summary["pass"] = bool(max(drifts.values()) < args.tol)

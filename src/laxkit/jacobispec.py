@@ -277,10 +277,10 @@ def _seeds(m: PeriodicJacobi):
 # takes about 1.4 s at depth 10**5 on a 2-vCPU x86-64 host, where the
 # default 200 levels already converge), so a deeper one is refused at once
 MAX_DEPTH = 10 ** 5
+SAFETY = 1e-280     # gamma_fraction's floor on a partial denominator's size
 
 
-def gamma_fraction(a: Sequence, b: Sequence, a0, z, depth: int,
-                   safety: float = 1e-280):
+def gamma_fraction(a: Sequence, b: Sequence, a0, z, depth: int):
     """Bottom-up evaluation of the depth-truncated fraction
     a0^2/(z - b_1 - a_1^2/(z - b_2 - ... - a_{depth-1}^2/(z - b_depth))).
 
@@ -288,7 +288,7 @@ def gamma_fraction(a: Sequence, b: Sequence, a0, z, depth: int,
     periodically: level j reads entry (j - 1) mod N, so no depth-long list
     is built.  Raises ValueError unless 1 <= depth <= MAX_DEPTH, and
     ZeroDivisionError naming the level if a partial denominator collapses
-    below the safety threshold."""
+    below SAFETY."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > MAX_DEPTH:
@@ -301,7 +301,7 @@ def gamma_fraction(a: Sequence, b: Sequence, a0, z, depth: int,
     w = 0.0
     for lev in range(depth, 0, -1):
         den = z - bb[(lev - 1) % n] - w
-        if abs(den) < safety:
+        if abs(den) < SAFETY:
             raise ZeroDivisionError(
                 f"continued fraction denominator vanished at level {lev}")
         if lev == 1:

@@ -10,14 +10,12 @@ lattice) steps through the one classical fixed-step fourth-order kernel
 step dt must divide the horizon t_end into whole steps.  Its state is an
 ndarray for a Lax pencil's blocks and a list of Python floats for the
 lattice and the vector fields, whose few entries cost less without numpy
-in generated straight-line code: the list combinations, one pair per
-length, and for the lattice one whole RK4 step per period
-(_lattice_step, the `rk4_step` of lattice_rhs(n)), with its four
-right-hand sides and three stages inline.  A Lax flow's `rk4_step` is
-integrate_lax's buffered step: the four-stage composition with every
+in generated straight-line code: one generator, _list_step, writes a
+whole RK4 step per lattice period and per vector-field shape, with its
+four right-hand sides and three stages inline.  A Lax flow's step is
+integrate_lax's buffered one: the four-stage composition with every
 stage written into a buffer the run owns.  Each step is one call of one
-step function; both state kinds round alike, bit for bit, and so does
-each hook's step with the four-stage composition of fresh states.
+step function, and keeps the bits of the four-stage composition.
 
 Pencils are float: a MatrixPencil holds the blocks A_lo..A_hi of its
 h-window in one (K, n, n) array.  Exact spectral curves come from plain
@@ -348,12 +346,6 @@ def toda_open_pencil(a, b):
     return MatrixPencil({0: A0}), _toda_b(0, 1, n)
 
 
-def _straight_line(params: str, entries: List[str]) -> Callable:
-    """`lambda params: [entries]`, compiled.  Callers build each entry from
-    integer indices alone, so no data enters eval."""
-    return eval(f"lambda {params}: [{', '.join(entries)}]")
-
-
 def _lattice_entries(n: int, y: Sequence[str], sq: Sequence[str]) -> List[str]:
     """The 2n entries of the lattice right-hand side at the state whose
     entries are the expressions y (a_1..a_n, b_1..b_n), with sq[j] the
@@ -372,47 +364,70 @@ def lattice_rhs(n: int) -> Callable[[List[float]], List[float]]:
     to [a_j (b_(j+1) - b_j) for j] + [2 (a_j^2 - a_(j-1)^2) for j].  Its
     `rk4_step` is _lattice_step(n), the whole RK4 step that rk4 takes for it."""
     y = [f"y[{i}]" for i in range(2 * n)]
-    rhs = _straight_line("y", _lattice_entries(n, y, [f"{v} ** 2" for v in y[:n]]))
+    entries = _lattice_entries(n, y, [f"{v} ** 2" for v in y[:n]])
+    rhs = eval(f"lambda y: [{', '.join(entries)}]")   # indices alone enter eval
     rhs.rk4_step = _lattice_step(n)
     return rhs
 
 
-def _stage_entry(y: str, c: str, k: str) -> str:
-    return f"{y} + {c} * {k}"
-
-
-def _advance_entry(y: str, c: str, k1: str, k2: str, k3: str, k4: str) -> str:
-    return f"{y} + {c} * ({k1} + 2 * {k2} + 2 * {k3} + {k4})"
-
-
-@functools.lru_cache(maxsize=32)
-def _lattice_step(n: int) -> Callable[[float, float, float], Callable]:
-    """make(h, dt, c) -> step: one generated function per period for a
-    whole RK4 step of lattice_rhs(n) at h = dt/2 and c = dt/6.  The step
-    unpacks the list state into locals, runs the four right-hand sides
-    and three stages inline and returns the advanced list.  Each stage's
-    a_j ** 2 is computed once and read by both entries that use it; every
-    other operation is the one lattice_rhs and _list_kernels perform, in
-    their order, so the step rounds as the four-stage composition does."""
-    y = [f"y{i}" for i in range(2 * n)]
+def _list_step(m: int, stage_rhs: Callable[[int, List[str]], Tuple[List[str], List[str]]],
+               params: int = 0) -> Callable:
+    """make(p0, .., p_(params-1), h, dt, c) -> step: the one generator of
+    a list state's whole RK4 step, for m floats at h = dt/2 and c = dt/6.
+    stage_rhs(r, x) gives stage r's prelude lines and m right-hand-side
+    entries at the state expressions x; data (a vector field's
+    coefficients) enters as the parameters p_t, never the source.  The
+    step runs the four stages inline on locals, with the composition's
+    entries y + c k and y + c (k1 + 2 k2 + 2 k3 + k4)."""
+    y = [f"y{i}" for i in range(m)]
     lines = [f"{', '.join(y)}, = y"]
     ks = []
     x = y                                   # the state of the current stage
     for r, c in enumerate(("h", "h", "dt", None), 1):
-        sq = [f"s{r}_{j}" for j in range(n)]
-        lines += [f"{v} = {a} ** 2" for v, a in zip(sq, x)]
-        k = [f"k{r}_{i}" for i in range(2 * n)]
-        lines += [f"{v} = {e}" for v, e in zip(k, _lattice_entries(n, x, sq))]
+        prelude, entries = stage_rhs(r, x)
+        k = [f"k{r}_{i}" for i in range(m)]
+        lines += prelude + [f"{v} = {e}" for v, e in zip(k, entries)]
         ks.append(k)
         if c is not None:
-            x = [f"x{r + 1}_{i}" for i in range(2 * n)]
-            lines += [f"{v} = {_stage_entry(y0, c, kv)}" for v, y0, kv in zip(x, y, k)]
-    out = ", ".join(_advance_entry(y0, "c", *kv) for y0, *kv in zip(y, *ks))
+            x = [f"x{r + 1}_{i}" for i in range(m)]
+            lines += [f"{v} = {y0} + {c} * {kv}" for v, y0, kv in zip(x, y, k)]
+    out = ", ".join(f"{y0} + c * ({k1} + 2 * {k2} + 2 * {k3} + {k4})"
+                    for y0, k1, k2, k3, k4 in zip(y, *ks))
     body = "\n".join(f"        {line}" for line in lines + [f"return [{out}]"])
+    args = "".join(f"p{t}, " for t in range(params))
     scope: Dict[str, object] = {}
-    # built from integer indices alone: no data enters exec
-    exec(f"def make(h, dt, c):\n    def step(y):\n{body}\n    return step", scope)
+    exec(f"def make({args}h, dt, c):\n    def step(y):\n{body}\n    return step", scope)
     return scope["make"]
+
+
+@functools.lru_cache(maxsize=32)
+def _lattice_step(n: int) -> Callable[[float, float, float], Callable]:
+    """make(h, dt, c) -> step: _list_step's RK4 step of lattice_rhs(n), one
+    per period.  Each stage's prelude computes a_j ** 2 once for both
+    entries that read it; every other operation is lattice_rhs's, in its
+    order, so the step rounds as the four-stage composition does."""
+    def stage(r, x):
+        sq = [f"s{r}_{j}" for j in range(n)]
+        return [f"{v} = {a} ** 2" for v, a in zip(sq, x)], _lattice_entries(n, x, sq)
+    return _list_step(2 * n, stage)
+
+
+@functools.lru_cache(maxsize=32)
+def _field_step(shape: Tuple) -> Callable:
+    """make(p0, .., h, dt, c) -> step: _list_step's RK4 step of a vector
+    field, one per shape.  shape[i] is equation i's terms, each the factors
+    (j, e) of z_j ** e in key order, or None: eval_num's own evaluation, a
+    parameter called on the stage's state.  Another entry is eval_num's sum
+    in its order, 0.0 plus each coefficient (the next parameter) times its
+    factors."""
+    p = [f"p{t}" for t in range(sum(1 if ts is None else len(ts) for ts in shape))]
+
+    def stage(r, x):
+        t = iter(p)
+        return [], [f"{next(t)}({', '.join(x)})" if terms is None else " + ".join(
+            ["0.0"] + [" * ".join([next(t)] + [f"{x[j]} ** {e}" for j, e in key])
+                       for key in terms]) for terms in shape]
+    return _list_step(len(shape), stage, len(p))
 
 
 # geodesic flow on SO(n) and the Manakov pencil
@@ -742,8 +757,7 @@ def steps_for(t_end: float, dt: float) -> int:
     return steps
 
 
-# an rk4 state, and each kind's two combinations of the stages (a list's
-# are generated per length)
+# an rk4 state, and an ndarray's two combinations of the stages
 State = Union[np.ndarray, List[float]]
 
 
@@ -766,17 +780,6 @@ def _step_array(y: np.ndarray, c: float, k1: np.ndarray, k2: np.ndarray,
     return np.add(y, np.multiply(c, s, out=t))
 
 
-@functools.lru_cache(maxsize=32)
-def _list_kernels(m: int) -> Tuple[Callable, Callable]:
-    """The two combinations for a list state of m floats, as straight-line
-    functions: each entry is the ndarray expression on entry i."""
-    stage = [_stage_entry(f"y[{i}]", "c", f"k[{i}]") for i in range(m)]
-    advance = [_advance_entry(f"y[{i}]", "c", *(f"k{r}[{i}]" for r in range(1, 5)))
-               for i in range(m)]
-    return (_straight_line("y, c, k", stage),
-            _straight_line("y, c, k1, k2, k3, k4", advance))
-
-
 def _top_array(y: np.ndarray) -> float:
     # one reduction over every axis: a NaN anywhere makes the max NaN
     return np.maximum.reduce(np.abs(y), axis=None)
@@ -793,9 +796,8 @@ def _four_stages(rhs: Sequence[Callable[[State], State]], stage: Callable,
                  advance: Callable, h: float, dt: float, c: float
                  ) -> Callable[[State], State]:
     """The RK4 step y -> y + c (k1 + 2 k2 + 2 k3 + k4) at h = dt/2 and
-    c = dt/6, composed of the four stages' right-hand sides rhs[0..3] (one
-    rhs four times, or one per k buffer) and a state kind's two
-    combinations."""
+    c = dt/6 from the four stages' right-hand sides rhs[0..3] and the
+    ndarray combinations (fresh, or into integrate_lax's buffers)."""
     rhs1, rhs2, rhs3, rhs4 = rhs
 
     def step(y: State) -> State:
@@ -811,21 +813,16 @@ def rk4(rhs: Callable[[State], State], y0: State, t_end: float, dt: float,
         sample_every: int, blowup: float) -> Tuple[List[float], List[State]]:
     """Classical fixed-step fourth-order integration of y' = rhs(y).
 
-    The state is an ndarray or a list of Python floats, and rhs returns
-    the kind it is given.  A list suits a few floats with a scalar rhs
-    (the Jacobi lattice, a polynomial vector field), where numpy's
-    per-call cost exceeds the arithmetic.  Each step is one call of one
-    step function, chosen once.  An rhs with an `rk4_step` hook builds its
-    own from (dt/2, dt, dt/6): lattice_rhs(n)'s straight-line lattice step,
-    and integrate_lax's buffered step.  Otherwise the step is the
-    four-stage composition of rhs with the state kind's two combinations
-    of the stages, y + c k and y + c (k1 + 2 k2 + 2 k3 + k4) (for a list,
-    the straight-line pair _list_kernels(len(y0)); for an ndarray, fresh
-    arrays).  The max-norm of the blow-up test is chosen by kind too.
-    Every combination is elementwise in the same order, and Python floats
-    round as numpy float64 does, so a list steps to the bits of the equal
-    ndarray, and each hook's step to the bits of the composition; a max
-    of absolute values is exact either way.
+    The state is an ndarray, or a list of Python floats for a few floats
+    with a scalar rhs (the Jacobi lattice, a polynomial vector field).
+    Each step is one call of one step function, of two kinds, chosen
+    once.  An rhs with an `rk4_step` hook builds its own from (dt/2, dt,
+    dt/6): a list's generated step (_list_step), integrate_lax's buffered
+    one; a list whose rhs has none raises TypeError.  An ndarray's other
+    rhs is composed with the fresh-array combinations y + c k and
+    y + c (k1 + 2 k2 + 2 k3 + k4), whose bits every hook's step keeps
+    (Python floats round as numpy float64 does).  The blow-up test's
+    max-norm, exact either way, is chosen by kind.
 
     Returns the sample times and states: t = 0 (y0 itself), every
     `sample_every`-th step and the last step, each at t = step * dt.
@@ -838,10 +835,10 @@ def rk4(rhs: Callable[[State], State], y0: State, t_end: float, dt: float,
     listed = isinstance(y0, list)
     if hasattr(rhs, "rk4_step"):
         step = rhs.rk4_step(dt / 2, dt, dt / 6)
+    elif listed:
+        raise TypeError("a list state steps only through its rhs's rk4_step")
     else:
-        step = _four_stages((rhs,) * 4, *(_list_kernels(len(y0)) if listed
-                                          else (_stage_array, _step_array)),
-                            dt / 2, dt, dt / 6)
+        step = _four_stages((rhs,) * 4, _stage_array, _step_array, dt / 2, dt, dt / 6)
     top_abs = _top_list if listed else _top_array
     y = y0
     times = [0.0]
@@ -962,17 +959,28 @@ def curve_drift(traj: LaxTrajectory) -> float:
 
 def integrate_system(sys: VectorFieldSystem, z0: Sequence[float], t_end: float,
                      dt: float, sample_every: int = 50):
-    """rk4 on z' = f(z); returns (times, states ndarray)."""
-    fns = list(sys.equations)
+    """rk4 on z' = f(z) from a list of z0's floats; returns (times, states
+    ndarray).  The step is _field_step's, eval_num's sums written out; an
+    equation with a symbol that is no variable (henon-heiles's A) or a
+    coefficient past float range stays on eval_num, raising as it does."""
     names = list(sys.variables)
+    index = {v: j for j, v in enumerate(names)}
+    shape, params = [], []
+    for f in sys.equations:
+        try:
+            coeffs = [float(c.numerator) / float(c.denominator) for c in f.terms.values()]
+            shape.append(tuple(tuple((index[v], e) for v, e in key) for key in f.terms))
+            params += coeffs
+        except (KeyError, OverflowError):
+            shape.append(None)
+            params.append(lambda *z, f=f: f.eval_num(dict(zip(names, z))))
 
     def rhs(z: List[float]) -> List[float]:
         env = dict(zip(names, z))
-        return [f.eval_num(env) for f in fns]
+        return [f.eval_num(env) for f in sys.equations]
 
-    # a list state: eval_num works on Python floats, with no numpy scalar
-    times, states = rk4(rhs, [float(x) for x in z0], t_end, dt, sample_every,
-                        BLOWUP)
+    rhs.rk4_step = functools.partial(_field_step(tuple(shape)), *params)
+    times, states = rk4(rhs, [float(x) for x in z0], t_end, dt, sample_every, BLOWUP)
     return times, np.array(states)
 
 
@@ -1064,28 +1072,20 @@ def jacobi_identity_check(sys: VectorFieldSystem,
                poisson_bracket_poly(sys, H, poisson_bracket_poly(sys, F, G)))
         if cyc.is_zero:
             continue
-        if exact_mode:
-            # find a rational witness point
-            for _ in range(64):
-                pt = rand_point()
-                env = dict(zip(sys.variables, pt))
-                for c in sys.constants:
-                    env.setdefault(c, Q(1))
-                v = cyc.eval_exact(env)
-                if v != 0:
-                    witnesses.append((label, [str(x) for x in pt], str(v)))
-                    break
-            else:
-                witnesses.append((label, None, "nonzero polynomial"))
+        # exact mode draws up to 64 points to find a rational witness
+        draws = ((rand_point() for _ in range(64)) if exact_mode
+                 else pts or [rand_point() for _ in range(n_points)])
+        for pt in draws:
+            env = dict(zip(sys.variables, pt))
+            for c in sys.constants:
+                env.setdefault(c, Q(1))
+            v = cyc.eval_exact(env)
+            if v != 0:
+                witnesses.append((label, [str(x) for x in pt], str(v)))
+                break
         else:
-            for pt in (pts or [rand_point() for _ in range(n_points)]):
-                env = dict(zip(sys.variables, pt))
-                for c in sys.constants:
-                    env.setdefault(c, Q(1))
-                v = cyc.eval_exact(env)
-                if v != 0:
-                    witnesses.append((label, [str(x) for x in pt], str(v)))
-                    break
+            if exact_mode:
+                witnesses.append((label, None, "nonzero polynomial"))
     return (not witnesses), witnesses
 
 

@@ -560,9 +560,6 @@ class LaurentFamily:
         n = len(self.free_parameters)
         return n, n + 1
 
-    def coefficient(self, var: str, exponent) -> MultiPoly:
-        return self.series[var].coeff(exponent)
-
 
 class _RelaxedSystem:
     """Relaxed (online) evaluation of a system's right-hand sides along a

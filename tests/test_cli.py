@@ -645,9 +645,10 @@ FLOW_GOLDEN = [
     (["neumann", "-N", "4"],
      {"csv": "c9cd9160ace333bc611e81c011a185e09303f4d0683dc9def43220b9fc345c7b",
       "json": "bf465d4c2d0795e35a5afccc23d557595a74a391bdaf5561cd0b9492fca1ed6f"}),
-    # the vector-field path: integrate_system on MultiPoly.eval_num
+    # the vector-field path: integrate_system's generated step, sampled at
+    # the flow's stride as the Lax flows are
     (["kvm"],
-     {"csv": "77144868029976237cf10156bb49616be21c3d69c88f0d4b5761f68f2406de49",
+     {"csv": "d1ea3ebae68044914df1e03c414587e25814de5a1084ff3bd985ba1d9aa2985d",
       "json": "bac481303d602e4ba77ddcbdf69ccdd479f647b590b609937c05134f15420833"}),
     (["toda-periodic", "-N", "5", "--seed", "7"],
      {"csv": "8d27af7b1204e6705304a65ffb698bbc9cd0ba601f9e41972320ecbe423c4de6",
@@ -659,7 +660,7 @@ FLOW_GOLDEN = [
      {"csv": "f4d18421d93ef0ff327fc90bb927361fcfff18cc21be6012d32e1df87a0cc128",
       "json": "6a3163f57f762e3162b3f99344e803f1c3e6fcc4447f972929c91744b6e70efb"}),
     (["kvm", "--seed", "7"],
-     {"csv": "0cedc250f97dae88a087be7bf503bc0bc0fb0186c87953c5e9f2746ef42326a4",
+     {"csv": "ee31d44f1a0f22406175db2e1b8eded949f615300a5b40e66733d75bf53b2c85",
       "json": "025a006c11b00c89ec89a9d945ca6941de93fdaf27b6e4324fdd1b4931ca77c3"}),
     (["toda-periodic", "-N", "4", "--seed", "7", "--gnuplot"],
      {"gp": "8ed353443a34a9b6a7ce711c726818041e4fb7bc951faddf0a29a5285b36b52d",
@@ -682,6 +683,16 @@ def test_flow_golden_digest(tmp_path, argv, digests):
     for ext, digest in digests.items():
         data = (tmp_path / f"flow_{name}.{ext}").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, ext
+
+
+@pytest.mark.parametrize("t_end,rows", [("0.01", 11), ("0.047", 25), ("2.5", 21)])
+def test_flow_samples_kvm_at_the_lax_flows_stride(tmp_path, t_end, rows):
+    # every flow samples t = 0, each max(1, steps // 20)-th step and the last: 10,
+    # 47 and 2500 steps of 1e-3
+    for name in ("kvm", "toda-periodic"):
+        assert run(tmp_path / name, "flow", "--builtin", name, "--t-end", t_end) == 0
+        csv = (tmp_path / name / f"flow_{name}.csv").read_text().splitlines()
+        assert len(csv) - 1 == rows, name
 
 
 @pytest.mark.parametrize("builtin,n,minimum", [

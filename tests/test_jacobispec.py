@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 from fractions import Fraction as F
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from laxkit import laxflow as lf
 from laxkit import jacobispec as js
 from laxkit.exactalg import nearest_roots, real_roots
+from test_laxflow import reference_composed_step
 
 
 def _horner(coeffs, x):
@@ -1071,9 +1073,9 @@ def _same_bits(x, y) -> bool:
 
 
 def _assert_lattice_flow_matches_reference(m, t_end, dt):
-    # the reference rhs has no generated step, so rk4 composes it with the
-    # list combinations (four calls a step): the flow's generated step is
-    # compared with that composition over the numpy-scalar lattice
+    # the reference rhs steps through the reference list composition (four
+    # calls a step): the flow's generated step is compared with that
+    # composition over the numpy-scalar lattice
     got = js.toda_flow_jacobi(m, t_end, dt)
     calls = []
 
@@ -1082,6 +1084,7 @@ def _assert_lattice_flow_matches_reference(m, t_end, dt):
             calls.append(None)
             da, db = _numpy_scalar_toda_rhs(y[:n], y[n:])
             return da + db
+        rhs.rk4_step = functools.partial(reference_composed_step, rhs)
         return rhs
 
     with pytest.MonkeyPatch.context() as mp:

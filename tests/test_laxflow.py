@@ -1,4 +1,5 @@
 import contextlib
+import functools
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import event, given, settings, strategies as st
 from laxkit import builtins as bi
 from laxkit import laxflow as lf
 from laxkit.exactalg import MultiPoly
+from laxkit.sysdsl import VectorFieldSystem
 
 
 def test_pencil_validation():
@@ -668,23 +670,62 @@ def _state(kind, values):
     return [float(v) for v in values]
 
 
+@functools.lru_cache(maxsize=32)
+def reference_list_kernels(m):
+    """The two combinations rk4 composed a list state's rhs with, before
+    every list state stepped through a generated step: straight-line
+    functions whose entries are the ndarray expressions on entry i."""
+    stage = [f"y[{i}] + c * k[{i}]" for i in range(m)]
+    advance = [f"y[{i}] + c * (k1[{i}] + 2 * k2[{i}] + 2 * k3[{i}] + k4[{i}])"
+               for i in range(m)]
+    return (eval(f"lambda y, c, k: [{', '.join(stage)}]"),
+            eval(f"lambda y, c, k1, k2, k3, k4: [{', '.join(advance)}]"))
+
+
+def reference_composed_step(rhs, h, dt, c):
+    """The list composition rk4 ran: four rhs calls a step, combined by
+    reference_list_kernels of the state's length."""
+    def step(y):
+        stage, advance = reference_list_kernels(len(y))
+        k1 = rhs(y)
+        k2 = rhs(stage(y, h, k1))
+        k3 = rhs(stage(y, h, k2))
+        return advance(y, c, k1, k2, k3, rhs(stage(y, dt, k3)))
+    return step
+
+
+def _composed(rhs):
+    """rhs with the reference list composition as its rk4_step, in place of
+    any generated step it has"""
+    def hooked(y):
+        return rhs(y)
+    hooked.rk4_step = functools.partial(reference_composed_step, rhs)
+    return hooked
+
+
+def _rhs(kind, f):
+    """f as an rk4 rhs for a state of the given kind: a list state steps
+    only through an rk4_step, here the reference list composition"""
+    return f if kind == "array" else _composed(f)
+
+
 KINDS = ["array", "list"]
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_rk4_blowup_on_norm_and_on_nonfinite_state(kind):
     with pytest.raises(lf.BlowUpError) as exc:
-        lf.rk4(lambda y: y, _state(kind, [1.0]), 10.0, 0.5, 1, 100.0)
+        lf.rk4(_rhs(kind, lambda y: y), _state(kind, [1.0]), 10.0, 0.5, 1, 100.0)
     assert exc.value.time == 5.0  # e^t passes 100 during the tenth step
     with pytest.raises(lf.BlowUpError):
-        lf.rk4(lambda y: _state(kind, [v * np.inf for v in y]),
+        lf.rk4(_rhs(kind, lambda y: _state(kind, [v * np.inf for v in y])),
                _state(kind, [1.0]), 1.0, 0.5, 1, np.inf)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_rk4_blowup_test_nan_inf_and_bound(kind):
     def const(v):
-        return lambda y: _state(kind, v)
+        return _rhs(kind, lambda y: _state(kind, v))
     # a NaN state raises, however loose the bound
     with pytest.raises(lf.BlowUpError) as exc:
         lf.rk4(const([0.0, np.nan]), _state(kind, [0.0, 0.0]), 1.0, 0.25, 1,
@@ -739,12 +780,12 @@ def test_rk4_overflow_in_rhs_is_a_blowup_at_that_step(kind):
         return _state(kind, [0.0] * len(y))
 
     with pytest.raises(lf.BlowUpError) as exc:
-        lf.rk4(rhs, _state(kind, [1.0, 1.0]), 1.0, 0.125, 1, np.inf)
+        lf.rk4(_rhs(kind, rhs), _state(kind, [1.0, 1.0]), 1.0, 0.125, 1, np.inf)
     assert exc.value.time == 3 * 0.125
     assert isinstance(exc.value.__cause__, OverflowError)
     # Python float ** raises on overflow where numpy returns inf
     with pytest.raises(lf.BlowUpError) as exc:
-        lf.rk4(lambda y: _state(kind, [float(x) ** 2 for x in y]),
+        lf.rk4(_rhs(kind, lambda y: _state(kind, [float(x) ** 2 for x in y])),
                _state(kind, [1e200]), 1.0, 0.5, 1, np.inf)
     assert exc.value.time == 0.5
 
@@ -765,7 +806,8 @@ def test_rk4_list_state_steps_to_the_bits_of_the_array_state(dim, dt, steps,
                                                               data):
     # one nonlinear rhs on Python floats, fed a list directly and an ndarray
     # through tolist, as the lattice rhs was before it took lists: the list
-    # steps through the generated combinations of its length
+    # steps through the reference list composition, which the generated
+    # steps match (the lattice and vector-field properties below)
     y0 = data.draw(st.lists(_entry, min_size=dim, max_size=dim))
     c = data.draw(st.lists(_entry, min_size=dim, max_size=dim))
 
@@ -775,19 +817,13 @@ def test_rk4_list_state_steps_to_the_bits_of_the_array_state(dim, dt, steps,
 
     t_end = steps * dt
     every = data.draw(st.integers(1, 4))
-    got_t, got = lf.rk4(f, list(y0), t_end, dt, every, 1e8)
+    got_t, got = lf.rk4(_composed(f), list(y0), t_end, dt, every, 1e8)
     want_t, want = lf.rk4(lambda y: np.array(f(y.tolist())), np.array(y0),
                           t_end, dt, every, 1e8)
     assert got_t == want_t
     assert all(type(y) is list and all(type(v) is float for v in y)
                for y in got[1:])
     assert _same_bits(got, want)
-
-
-def _composed(rhs):
-    """rhs without its generated step: rk4 composes it with the list
-    combinations, four rhs calls a step"""
-    return lambda y: rhs(y)
 
 
 def _lattice_run(rhs, y0, t_end, dt):
@@ -836,13 +872,106 @@ def test_lattice_square_overflow_is_a_blowup_at_the_composed_step(n, a1, beta, s
 
 
 def test_generated_kernels_are_built_once_per_size():
-    assert lf._list_kernels(9) is lf._list_kernels(9)
+    assert reference_list_kernels(9) is reference_list_kernels(9)
     assert lf.lattice_rhs(5) is lf.lattice_rhs(5)
     assert lf._lattice_step(5) is lf._lattice_step(5)
     assert lf.lattice_rhs(5).rk4_step is lf._lattice_step(5)
-    assert lf._list_kernels(9) is not lf._list_kernels(10)
+    assert reference_list_kernels(9) is not reference_list_kernels(10)
     assert lf.lattice_rhs(5) is not lf.lattice_rhs(6)
     assert lf._lattice_step(5) is not lf._lattice_step(6)
+
+
+def test_list_state_without_a_step_is_refused():
+    # rk4 composes only an ndarray state: a list state's rhs brings its step
+    with pytest.raises(TypeError, match="rk4_step"):
+        lf.rk4(lambda y: y, [1.0], 1.0, 0.5, 1, np.inf)
+
+
+@st.composite
+def float_vector_fields(draw):
+    """small_vector_fields' recipe (tests/test_painleve.py) with float
+    coefficients: 2-5 variables, exponents up to 2, about half the
+    monomials of equation i divisible by x_i, and now and then the constant
+    symbol c, which integrate_system leaves unbound.  A coefficient may be
+    subnormal, whose Fraction's denominator overflows a float."""
+    n = draw(st.integers(2, 5))
+    names = [f"x{i + 1}" for i in range(n)]
+    coeff = st.one_of(st.floats(-3, 3, allow_subnormal=True),
+                      st.sampled_from([-3.0, -1.0, 0.5, 1.0, 2.0, 5e-324, 1e300]))
+    eqs = []
+    for i in range(n):
+        p = MultiPoly.zero()
+        for _ in range(draw(st.integers(0, 3))):
+            exps = {v: draw(st.integers(0, 2)) for v in names}
+            exps[names[i]] = max(exps[names[i]], draw(st.integers(0, 1)))
+            if draw(st.integers(0, 29)) == 0:
+                exps["c"] = 1
+            p = p + MultiPoly.monomial(F(draw(coeff)), **exps)
+        eqs.append(p)
+    return VectorFieldSystem(name="s", variables=tuple(names), constants=("c",),
+                             equations=tuple(eqs), invariants={})
+
+
+def reference_integrate_system(sys_, z0, t_end, dt, sample_every):
+    """integrate_system's flow as rk4 ran it before its generated step: the
+    eval_num rhs under the reference list composition"""
+    def rhs(z):
+        env = dict(zip(sys_.variables, z))
+        return [f.eval_num(env) for f in sys_.equations]
+    times, states = lf.rk4(_composed(rhs), [float(x) for x in z0], t_end, dt,
+                           sample_every, lf.BLOWUP)
+    return times, np.array(states)
+
+
+def _field_outcome(integrate, *args):
+    """the samples, or (time, cause type) of a BlowUpError, or a KeyError's
+    text"""
+    try:
+        return integrate(*args)
+    except lf.BlowUpError as exc:
+        return exc.time, type(exc.__cause__)
+    except KeyError as exc:
+        return "KeyError", str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_vector_fields(), st.sampled_from([1e-3, 0.01, 0.1, 1.0]), st.integers(1, 8),
+       st.integers(1, 4), st.sampled_from([1.0, 0.5, 1e-100, 10.0, 1e154, 1e160]),
+       st.data())
+def test_field_step_matches_the_eval_num_composition(sys_, dt, steps, every, scale,
+                                                     data):
+    # integrate_system's generated step against rk4's composition of the
+    # eval_num rhs with the list combinations: the same samples bit for bit,
+    # signed zeros included, or a blow-up (a Python float ** overflow among
+    # them) at the same step with the same cause, or the same KeyError of an
+    # unbound c, even where an overflow comes first
+    z0 = [scale * v for v in data.draw(st.lists(_entry, min_size=sys_.dim,
+                                                 max_size=sys_.dim))]
+    args = (sys_, z0, steps * dt, dt, every)
+    got = _field_outcome(lf.integrate_system, *args)
+    want = _field_outcome(reference_integrate_system, *args)
+    # the outcome: samples, a blow-up's cause (NoneType for the norm test)
+    # or an unbound symbol
+    event("KeyError" if want[0] == "KeyError" else getattr(want[1], "__name__", "samples"))
+    assert got[0] == want[0]
+    if isinstance(want[1], np.ndarray):
+        assert _same_bits(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+
+
+def test_unbound_symbol_raises_the_key_error_of_eval_num():
+    sys_ = bi.builtin_system("henon-heiles")
+    with pytest.raises(KeyError, match="no value supplied for symbol 'A'"):
+        lf.integrate_system(sys_, [0.1] * sys_.dim, 1.0, 1e-3)
+
+
+def test_field_step_is_built_once_per_shape():
+    sys_ = bi.builtin_system("kvm")
+    lf.integrate_system(sys_, [0.5] * sys_.dim, 0.01, 1e-3)
+    hits = lf._field_step.cache_info().hits
+    lf.integrate_system(sys_, [0.7] * sys_.dim, 0.01, 1e-3)
+    assert lf._field_step.cache_info().hits == hits + 1
 
 
 def test_steps_for_budget():
