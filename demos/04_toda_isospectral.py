@@ -40,8 +40,8 @@ for dt in (0.1, 0.05, 0.025, 0.0125):
     prev = err
 
 print("\nnegative control: integrating dA/dt = B(A) (not a commutator)")
-_, states = lf.rk4(lambda y: B(lf.MatrixPencil.from_blocks(pencil.lo, y)).blocks,
-                   pencil.blocks, 1.0, 1e-3, 1000, np.inf)
+step = lf.composed_step(lambda y: B(lf.MatrixPencil.from_blocks(pencil.lo, y)).blocks)
+_, states = lf.rk4(step, pencil.blocks, 1.0, 1e-3, 1000, np.inf)
 A = lf.MatrixPencil.from_blocks(pencil.lo, states[-1])
 bad = max(abs(x - y) for x, y in zip(lf.trace_powers(A, 1.0, N),
                                      lf.trace_powers(pencil, 1.0, N)))

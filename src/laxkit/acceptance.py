@@ -295,11 +295,7 @@ def check_8_jacobi_suite(float_tol=None):
         mass = measure.total_mass()
         if abs(mass - float(a0) ** 2) >= tol_mass:
             errs.append(f"N={N}: mass error {abs(mass - float(a0)**2):.2e}")
-        from .cli import _stieltjes_grid
-        worst = 0.0
-        for z in _stieltjes_grid(data, count=20, dist=1.0):
-            frac = js.gamma_fraction(a, b, a0, z, 200)
-            worst = max(worst, abs(measure.cauchy_transform(z) - frac))
+        worst = js.stieltjes_error(data, measure, a0, 200)
         if worst >= tol_st:
             errs.append(f"N={N}: stieltjes error {worst:.2e}")
         mom = js.moments(a, b, a0, 10)
@@ -338,8 +334,8 @@ def check_10_negative_controls(float_tol=None):
     pencil, B = lf.toda_periodic_pencil(a, b)
     # deliberately non-Lax flow dA/dt = B(A): spectra must drift
     lo = pencil.lo
-    _, states = lf.rk4(lambda y: B(lf.MatrixPencil.from_blocks(lo, y)).blocks,
-                       pencil.blocks, 1.0, 1e-3, 1000, np.inf)
+    step = lf.composed_step(lambda y: B(lf.MatrixPencil.from_blocks(lo, y)).blocks)
+    _, states = lf.rk4(step, pencil.blocks, 1.0, 1e-3, 1000, np.inf)
     A = lf.MatrixPencil.from_blocks(lo, states[-1])
     drift = max(abs(x - y) for x, y in
                 zip(lf.trace_powers(A, 1.0, 3), lf.trace_powers(pencil, 1.0, 3)))

@@ -60,19 +60,17 @@ class PainleveConventions:
     the principal balances, balance symbol -> parameter name, the
     resonance parameters' names in step order and their slots (step j ->
     (variable, scale): the parameter enters that variable's step-j
-    coefficient as scale*name), the values at which a family that is not
-    polynomial is propagated, the invariants whose t^0 terms cut out the
-    constraint curve and the names of their values, and solver label ->
-    sheet name.  The defaults are what `painleve --file` reports: every
-    weight vector and balance, solver labels, order 6, every free symbol
-    at 1 and values b1, b2, ..."""
+    coefficient as scale*name), the invariants whose t^0 terms cut out
+    the constraint curve and the names of their values, and solver label
+    -> sheet name.  The defaults are what `painleve --file` reports: every
+    weight vector and balance, solver labels, order 6 and values b1, b2,
+    ..."""
     order: int = 6
     weights: Optional[Tuple[Fraction, ...]] = None
     principal: Optional[Callable[..., bool]] = None
     rename: Mapping[str, str] = field(default_factory=dict)
     resonance_names: Optional[Tuple[str, ...]] = None
     resonance_slots: Optional[Mapping[int, Tuple[str, object]]] = None
-    specialize: Optional[Mapping[str, object]] = None
     curve_invariants: Tuple[str, ...] = ()
     value_names: Optional[Tuple[str, ...]] = None
     sheets: Mapping[str, str] = field(default_factory=dict)
@@ -94,9 +92,7 @@ PAINLEVE = {
     "hh5": PainleveConventions(
         order=8, weights=(F(1), F(2), F(3), F(2), F(3)),
         principal=lambda bal: "z1" in bal.free_symbols,
-        rename={"z1": "alpha"},
-        # the series are rational in alpha: propagate at a generic value
-        specialize={"alpha": 1}),
+        rename={"z1": "alpha"}),
     "rdg": PainleveConventions(
         order=7, weights=(F(1, 2), F(1), F(3, 2), F(2)),
         principal=lambda bal: "q1" in bal.free_symbols,

@@ -356,16 +356,8 @@ def cmd_jacobi(args) -> Result:
         "total_mass": measure.total_mass(),
     }
     if args.check_stieltjes:
-        grid = _stieltjes_grid(data)
-        worst = 0.0
-        for z in grid:
-            try:
-                frac = js.gamma_fraction(m.a, m.b, a0, z, args.depth)
-            except ZeroDivisionError as exc:
-                raise BreakdownError(f"Stieltjes check at z = {z}: {exc}")
-            ct = measure.cauchy_transform(z)
-            worst = max(worst, abs(ct - frac))
-        payload["stieltjes_check"] = {"points": len(grid), "depth": args.depth,
+        worst = js.stieltjes_error(data, measure, a0, args.depth)
+        payload["stieltjes_check"] = {"points": js.STIELTJES_POINTS, "depth": args.depth,
                                       "max_error": worst,
                                       "pass": bool(worst < args.tol)}
     files = []
@@ -399,22 +391,6 @@ def cmd_jacobi(args) -> Result:
         files.append(("jacobi_toda.csv", _csv_text(header, rows)))
     files.append(("jacobi_report.json", _json_text(payload)))
     return 0, files
-
-
-def _stieltjes_grid(data, count: int = 20, dist: float = 1.0):
-    lo = data.branch_points[0][0]
-    hi = data.branch_points[-1][0]
-    pts = []
-    k = 0
-    while len(pts) < count:
-        k += 1
-        for z in (complex(lo - dist - 0.37 * k, 0),
-                  complex(hi + dist + 0.41 * k, 0),
-                  complex((lo + hi) / 2 + 0.23 * k, dist + 0.3 * k),
-                  complex((lo + hi) / 2 - 0.31 * k, -(dist + 0.2 * k))):
-            if len(pts) < count:
-                pts.append(z)
-    return pts
 
 
 # ---------------------------------------------------------------------------

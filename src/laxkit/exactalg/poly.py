@@ -491,13 +491,12 @@ class MultiPoly:
     def eval_num(self, assignment: Mapping[str, complex]):
         """Floating-point (or complex) evaluation; symbols must be assigned.
 
-        Each coefficient is float(numerator) / float(denominator) of its
-        reduced Fraction, converted once per polynomial."""
+        Each coefficient is float(c) of its Fraction, rounded once and
+        converted once per polynomial."""
         try:
             floats = self._floats
         except AttributeError:
-            floats = [(k, float(c.numerator) / float(c.denominator))
-                      for k, c in self.terms.items()]
+            floats = [(k, float(c)) for k, c in self.terms.items()]
             object.__setattr__(self, "_floats", floats)
         total = 0.0
         for k, v in floats:

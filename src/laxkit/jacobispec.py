@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exactalg import Q, nearest_roots
-from .laxflow import lattice_rhs, rk4, steps_for
+from .laxflow import _lattice_step, rk4, steps_for
 
 
 class DegenerateSpectrumError(ValueError):
@@ -586,6 +586,37 @@ def _band_density(scale: float, edges: Sequence[float], aux: Sequence[float]
     return density
 
 
+# the Stieltjes check's grid: its size, and its nearest point's distance
+STIELTJES_POINTS, STIELTJES_DIST = 20, 1.0
+
+
+def _stieltjes_grid(data: SpectralData) -> List[complex]:
+    """STIELTJES_POINTS points off the spectrum, in rounds of four farther
+    out each: left of the lowest branch point, right of the highest, above
+    and below their midpoint."""
+    lo, hi = data.branch_points[0][0], data.branch_points[-1][0]
+    mid, d = (lo + hi) / 2, STIELTJES_DIST
+    return [z for k in range(1, STIELTJES_POINTS // 4 + 2)
+            for z in (complex(lo - d - 0.37 * k, 0), complex(hi + d + 0.41 * k, 0),
+                      complex(mid + 0.23 * k, d + 0.3 * k),
+                      complex(mid - 0.31 * k, -(d + 0.2 * k)))][:STIELTJES_POINTS]
+
+
+def stieltjes_error(data: SpectralData, measure: StieltjesMeasure, a0, depth: int) -> float:
+    """max |measure.cauchy_transform(z) - gamma_fraction(a, b, a0, z, depth)|
+    over _stieltjes_grid(data), for data's matrix (a, b); a fraction whose
+    denominator vanishes is a FloatingPointError naming its z and level."""
+    m = data.matrix
+    worst = 0.0
+    for z in _stieltjes_grid(data):
+        try:
+            frac = gamma_fraction(m.a, m.b, a0, z, depth)
+        except ZeroDivisionError as exc:
+            raise FloatingPointError(f"Stieltjes check at z = {z}: {exc}") from exc
+        worst = max(worst, abs(measure.cauchy_transform(z) - frac))
+    return worst
+
+
 def orthogonality_check(m: PeriodicJacobi, a0, k_max: int,
                         measure: Optional[StieltjesMeasure] = None) -> Dict[str, float]:
     """Gram matrix of the denominator polynomials against the measure.
@@ -643,14 +674,14 @@ def toda_flow_jacobi(m: PeriodicJacobi, t_end: float, dt: float,
     sample builds A(1) once: _float_spectrum reads its spectrum from it and
     the power traces tr A^k are taken of it.  The state is rk4's list of
     2N Python floats (a_1..a_N, b_1..b_N), which rk4 advances by the
-    generated step of lattice_rhs(N), one call a step, with no numpy
+    generated step _lattice_step(N) makes, one call a step, with no numpy
     conversion.  Raises BlowUpError when the state stops being finite or
     a_j ** 2 overflows, and ValueError unless dt divides t_end
     (laxflow.steps_for)."""
     n = m.period
     stride = max(1, steps_for(t_end, dt) // samples)
     y0 = [float(x) for x in list(m.a) + list(m.b)]
-    times, states = rk4(lattice_rhs(n), y0, t_end, dt, stride, np.inf)
+    times, states = rk4(_lattice_step(n), y0, t_end, dt, stride, np.inf)
     a_states = [y[:n] for y in states]
     b_states = [y[n:] for y in states]
 

@@ -7,15 +7,16 @@ commutator taken per h-degree, [A, B]_k = sum_{i+j=k} [A_i, B_j].  Every
 flow of the package (Lax pencils, polynomial vector fields, the Jacobi
 lattice) steps through the one classical fixed-step fourth-order kernel
 `rk4`, so conservation errors have a reproducible dt^4 baseline.  Its
-step dt must divide the horizon t_end into whole steps.  Its state is an
-ndarray for a Lax pencil's blocks and a list of Python floats for the
-lattice and the vector fields, whose few entries cost less without numpy
-in generated straight-line code: one generator, _list_step, writes a
-whole RK4 step per lattice period and per vector-field shape, with its
-four right-hand sides and three stages inline.  A Lax flow's step is
-integrate_lax's buffered one: the four-stage composition with every
-stage written into a buffer the run owns.  Each step is one call of one
-step function, and keeps the bits of the four-stage composition.
+caller makes the step, whose size dt must divide the horizon t_end into
+whole steps.  Its state is an ndarray for a Lax pencil's blocks and a
+list of Python floats for the lattice and the vector fields, whose few
+entries cost less without numpy in generated straight-line code: one
+generator, _list_step, writes a whole RK4 step per lattice period and
+per vector-field shape, with its four right-hand sides and three stages
+inline.  A Lax flow's step is integrate_lax's buffered four-stage
+composition, every stage written into a buffer the run owns;
+composed_step composes any other ndarray rhs, and every step keeps that
+composition's bits.
 
 Pencils are float: a MatrixPencil holds the blocks A_lo..A_hi of its
 h-window in one (K, n, n) array.  Exact spectral curves come from plain
@@ -216,24 +217,23 @@ class MatrixPencil:
 # ---------------------------------------------------------------------------
 
 # Each constructor returns a (MatrixPencil, B) pair for integrate_lax's
-# dA/dt = [B(A), A] convention.  The B contract: B(P) takes a pencil on the
-# h-window of the pencil it was returned with and gives a new MatrixPencil,
-# built with MatrixPencil.from_blocks on B's own fixed window (which may be
-# narrower than P's, as for the rank-2 pencils); it reads P's blocks as
-# P.blocks[k - P.lo] and never writes to them (integrate_lax hands it a
-# read-only view of a stage buffer, so a P kept past the call shows later
-# stages).  Each call fills one fresh (K, n, n) block array and hands it
-# over: no buffer is reused across calls, so a caller may keep each
-# result (rk4 keeps all four stages of a step when it integrates
-# dA/dt = B(A) itself, as the non-commutator control does).  Everything
-# that does not depend on P (the constant blocks, the metric ratios, the
-# triangular masks) is computed once, when the pair is built.  The
-# factories' Bs (_toda_b, _metric_b) are declared as data, an _AffineB:
-# entrywise W * x + Z on a range of P's blocks and constant blocks
-# elsewhere.  B(P) evaluates that into a fresh array, and integrate_lax
-# writes it into its run's one B buffer at every stage, constant blocks
-# once per run; any other B (manakov_pencil's divides) is called per
-# stage.
+# dA/dt = [B(A), A] convention.  The B contract: B(P) takes a pencil on
+# the h-window of the pencil it was returned with and gives a new
+# MatrixPencil, built with MatrixPencil.from_blocks on B's own fixed
+# window (which may be narrower than P's, as for the rank-2 pencils); it
+# reads P's blocks as P.blocks[k - P.lo] and never writes to them
+# (integrate_lax hands it a read-only view of a stage buffer, so a P kept
+# past the call shows later stages).  Each call fills one fresh (K, n, n)
+# block array and hands it over: no buffer is reused across calls, so a
+# caller may keep each result (composed_step keeps all four stages of a
+# step of the non-commutator control dA/dt = B(A)).  Everything that does
+# not depend on P (the constant blocks, the metric ratios, the triangular
+# masks) is computed once, when the pair is built.  The factories' Bs
+# (_toda_b, _metric_b) are declared as data, an _AffineB: entrywise
+# W * x + Z on a range of P's blocks and constant blocks elsewhere.  B(P)
+# evaluates that into a fresh array, and integrate_lax writes it into its
+# run's one B buffer at every stage, constant blocks once per run; any
+# other B (manakov_pencil's divides) is called per stage.
 
 
 class _AffineB:
@@ -347,27 +347,15 @@ def toda_open_pencil(a, b):
 
 
 def _lattice_entries(n: int, y: Sequence[str], sq: Sequence[str]) -> List[str]:
-    """The 2n entries of the lattice right-hand side at the state whose
-    entries are the expressions y (a_1..a_n, b_1..b_n), with sq[j] the
-    expression of a_j ** 2."""
+    """The 2n entries a_j (b_(j+1) - b_j), then 2 (a_j^2 - a_(j-1)^2), of
+    the periodic lattice ODE in Flaschka variables (index mod n) at the
+    state whose entries are the expressions y (a_1..a_n, b_1..b_n), with
+    sq[j] the expression of a_j ** 2."""
     # `** 2` and the int 2 stay for bit identity with the golden reports:
     # Python's x ** 2 rounds as numpy's scalar x ** 2 does, where x * x and
     # numpy's array a ** 2 differ in the last bit on some inputs
     return ([f"{y[j]} * ({y[n + (j + 1) % n]} - {y[n + j]})" for j in range(n)]
             + [f"2 * ({sq[j]} - {sq[(j - 1) % n]})" for j in range(n)])
-
-
-@functools.lru_cache(maxsize=32)
-def lattice_rhs(n: int) -> Callable[[List[float]], List[float]]:
-    """The periodic lattice ODE in Flaschka variables (index mod n), one
-    straight-line function per period of the list state (a_1..a_n, b_1..b_n)
-    to [a_j (b_(j+1) - b_j) for j] + [2 (a_j^2 - a_(j-1)^2) for j].  Its
-    `rk4_step` is _lattice_step(n), the whole RK4 step that rk4 takes for it."""
-    y = [f"y[{i}]" for i in range(2 * n)]
-    entries = _lattice_entries(n, y, [f"{v} ** 2" for v in y[:n]])
-    rhs = eval(f"lambda y: [{', '.join(entries)}]")   # indices alone enter eval
-    rhs.rk4_step = _lattice_step(n)
-    return rhs
 
 
 def _list_step(m: int, stage_rhs: Callable[[int, List[str]], Tuple[List[str], List[str]]],
@@ -402,10 +390,10 @@ def _list_step(m: int, stage_rhs: Callable[[int, List[str]], Tuple[List[str], Li
 
 @functools.lru_cache(maxsize=32)
 def _lattice_step(n: int) -> Callable[[float, float, float], Callable]:
-    """make(h, dt, c) -> step: _list_step's RK4 step of lattice_rhs(n), one
+    """make(h, dt, c) -> step: _list_step's RK4 step of the lattice, one
     per period.  Each stage's prelude computes a_j ** 2 once for both
-    entries that read it; every other operation is lattice_rhs's, in its
-    order, so the step rounds as the four-stage composition does."""
+    entries that read it; every other operation is _lattice_entries', in
+    its order, so the step rounds as their four-stage composition does."""
     def stage(r, x):
         sq = [f"s{r}_{j}" for j in range(n)]
         return [f"{v} = {a} ** 2" for v, a in zip(sq, x)], _lattice_entries(n, x, sq)
@@ -792,15 +780,17 @@ def _top_list(y: List[float]) -> float:
     return _top_array(y)
 
 
-def _four_stages(rhs: Sequence[Callable[[State], State]], stage: Callable,
+def _four_stages(rhs: Sequence[Callable[[np.ndarray], np.ndarray]], stage: Callable,
                  advance: Callable, h: float, dt: float, c: float
-                 ) -> Callable[[State], State]:
+                 ) -> Callable[[np.ndarray], np.ndarray]:
     """The RK4 step y -> y + c (k1 + 2 k2 + 2 k3 + k4) at h = dt/2 and
     c = dt/6 from the four stages' right-hand sides rhs[0..3] and the
-    ndarray combinations (fresh, or into integrate_lax's buffers)."""
+    ndarray combinations (fresh, or into integrate_lax's buffers).  h, dt
+    and c enter as 0-d arrays, faster numpy factors than floats, same bits."""
     rhs1, rhs2, rhs3, rhs4 = rhs
+    h, dt, c = map(np.array, (h, dt, c))
 
-    def step(y: State) -> State:
+    def step(y: np.ndarray) -> np.ndarray:
         k1 = rhs1(y)
         k2 = rhs2(stage(y, h, k1))
         k3 = rhs3(stage(y, h, k2))
@@ -809,20 +799,25 @@ def _four_stages(rhs: Sequence[Callable[[State], State]], stage: Callable,
     return step
 
 
-def rk4(rhs: Callable[[State], State], y0: State, t_end: float, dt: float,
-        sample_every: int, blowup: float) -> Tuple[List[float], List[State]]:
-    """Classical fixed-step fourth-order integration of y' = rhs(y).
+def composed_step(rhs: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """make(h, dt, c) -> step: the RK4 step of y' = rhs(y) on an ndarray
+    state, four calls of rhs combined into fresh arrays."""
+    return functools.partial(_four_stages, (rhs,) * 4, _stage_array, _step_array)
 
-    The state is an ndarray, or a list of Python floats for a few floats
-    with a scalar rhs (the Jacobi lattice, a polynomial vector field).
-    Each step is one call of one step function, of two kinds, chosen
-    once.  An rhs with an `rk4_step` hook builds its own from (dt/2, dt,
-    dt/6): a list's generated step (_list_step), integrate_lax's buffered
-    one; a list whose rhs has none raises TypeError.  An ndarray's other
-    rhs is composed with the fresh-array combinations y + c k and
-    y + c (k1 + 2 k2 + 2 k3 + k4), whose bits every hook's step keeps
-    (Python floats round as numpy float64 does).  The blow-up test's
-    max-norm, exact either way, is chosen by kind.
+
+def rk4(make_step: Callable[[float, float, float], Callable[[State], State]],
+        y0: State, t_end: float, dt: float, sample_every: int, blowup: float
+        ) -> Tuple[List[float], List[State]]:
+    """Classical fixed-step fourth-order integration from y0 by the step
+    that make_step(dt/2, dt, dt/6) builds once, taken once per dt.
+
+    A list of Python floats (the Jacobi lattice, a vector field) steps
+    through a step of _list_step, a pencil's blocks through integrate_lax's
+    buffered one, any other ndarray through composed_step(rhs).  Each keeps
+    the bits of the four-stage composition with the fresh-array
+    combinations y + c k and y + c (k1 + 2 k2 + 2 k3 + k4) (Python floats
+    round as numpy float64 does); the blow-up test's max-norm, exact
+    either way, is chosen by the state's kind.
 
     Returns the sample times and states: t = 0 (y0 itself), every
     `sample_every`-th step and the last step, each at t = step * dt.
@@ -832,14 +827,8 @@ def rk4(rhs: Callable[[State], State], y0: State, t_end: float, dt: float,
     t_end (steps_for).
     """
     steps = steps_for(t_end, dt)
-    listed = isinstance(y0, list)
-    if hasattr(rhs, "rk4_step"):
-        step = rhs.rk4_step(dt / 2, dt, dt / 6)
-    elif listed:
-        raise TypeError("a list state steps only through its rhs's rk4_step")
-    else:
-        step = _four_stages((rhs,) * 4, _stage_array, _step_array, dt / 2, dt, dt / 6)
-    top_abs = _top_list if listed else _top_array
+    step = make_step(dt / 2, dt, dt / 6)
+    top_abs = _top_list if isinstance(y0, list) else _top_array
     y = y0
     times = [0.0]
     states = [y]
@@ -875,8 +864,8 @@ def integrate_lax(p0: MatrixPencil, B: Callable[[MatrixPencil], MatrixPencil],
     ValueError) when the commutator spills outside the window (a
     malformed B, or a flow driven off its window by a step too large).
 
-    One buffered RK4 step, _four_stages' composition, reaches rk4 through
-    its `rk4_step` hook.  The run owns its buffers: one per k (stage j
+    rk4 takes one buffered RK4 step, _four_stages' composition, which
+    integrate_lax makes.  The run owns its buffers: one per k (stage j
     sums its commutator straight into k_j), the stage state, the two
     temporaries of the advance, and one for B's blocks.  A factory's B
     (an _AffineB) is written into that buffer, its constant blocks once,
@@ -915,13 +904,10 @@ def integrate_lax(p0: MatrixPencil, B: Callable[[MatrixPencil], MatrixPencil],
                 return kernel(Q.blocks, y, k)
             return rhs
 
-    rhs = [stage_rhs(k) for k in ks]
-    # rk4 steps only through the hook; h, dt and c become 0-d arrays, which
-    # numpy multiplies by faster than by Python floats, to the same bits
-    rhs[0].rk4_step = lambda h, dt, c: _four_stages(
-        rhs, functools.partial(_stage_array, out=s),
-        functools.partial(_step_array, t=t, u=u), *map(np.array, (h, dt, c)))
-    times, states = rk4(rhs[0], p0.blocks, t_end, dt, sample_every, BLOWUP)
+    make_step = functools.partial(_four_stages, [stage_rhs(k) for k in ks],
+                                  functools.partial(_stage_array, out=s),
+                                  functools.partial(_step_array, t=t, u=u))
+    times, states = rk4(make_step, p0.blocks, t_end, dt, sample_every, BLOWUP)
     return LaxTrajectory(times=times,
                          pencils=[MatrixPencil.from_blocks(lo, y) for y in states])
 
@@ -960,27 +946,23 @@ def curve_drift(traj: LaxTrajectory) -> float:
 def integrate_system(sys: VectorFieldSystem, z0: Sequence[float], t_end: float,
                      dt: float, sample_every: int = 50):
     """rk4 on z' = f(z) from a list of z0's floats; returns (times, states
-    ndarray).  The step is _field_step's, eval_num's sums written out; an
-    equation with a symbol that is no variable (henon-heiles's A) or a
-    coefficient past float range stays on eval_num, raising as it does."""
+    ndarray).  The step rk4 takes is _field_step's, eval_num's sums written
+    out; an equation with a symbol that is no variable (henon-heiles's A)
+    or a coefficient past float range stays on eval_num, raising as it does."""
     names = list(sys.variables)
     index = {v: j for j, v in enumerate(names)}
     shape, params = [], []
     for f in sys.equations:
         try:
-            coeffs = [float(c.numerator) / float(c.denominator) for c in f.terms.values()]
+            coeffs = [float(c) for c in f.terms.values()]
             shape.append(tuple(tuple((index[v], e) for v, e in key) for key in f.terms))
             params += coeffs
         except (KeyError, OverflowError):
             shape.append(None)
             params.append(lambda *z, f=f: f.eval_num(dict(zip(names, z))))
 
-    def rhs(z: List[float]) -> List[float]:
-        env = dict(zip(names, z))
-        return [f.eval_num(env) for f in sys.equations]
-
-    rhs.rk4_step = functools.partial(_field_step(tuple(shape)), *params)
-    times, states = rk4(rhs, [float(x) for x in z0], t_end, dt, sample_every, BLOWUP)
+    times, states = rk4(functools.partial(_field_step(tuple(shape)), *params),
+                        [float(x) for x in z0], t_end, dt, sample_every, BLOWUP)
     return times, np.array(states)
 
 

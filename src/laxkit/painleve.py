@@ -959,15 +959,15 @@ def principal_family(sys: VectorFieldSystem, bal: Balance,
                      ) -> Tuple[LaurentFamily, Dict[str, object]]:
     """(family, specialization): the family of `bal` at `order` (conv.order
     by default) with conv's resonance names and slots.  A family that is
-    not polynomial in the balance symbols is propagated again at
-    conv.specialize, or with every free symbol at 1, and those values are
+    not polynomial in the balance symbols (hh5's, rational in alpha) is
+    propagated again with every free symbol at 1, and those values are
     returned; otherwise the specialization is {}."""
     names, slots = conv.resonance_names, conv.resonance_slots
     order = conv.order if order is None else order
     try:
         return propagate(sys, bal, order, names, slots), {}
     except FamilyNotPolynomial:
-        values = dict(conv.specialize or {s: 1 for s in bal.free_symbols})
+        values = {s: 1 for s in bal.free_symbols}
         return propagate(sys, bal.specialize(values), order, names, slots), values
 
 

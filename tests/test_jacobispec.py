@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 from fractions import Fraction as F
 
@@ -7,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laxkit import laxflow as lf
 from laxkit import jacobispec as js
 from laxkit.exactalg import nearest_roots, real_roots
-from test_laxflow import reference_composed_step
+from test_laxflow import reference_composed_step, reference_lattice_rhs
 
 
 def _horner(coeffs, x):
@@ -315,7 +313,6 @@ def test_monic_at_period_128_matches_sympy():
 def test_measure_closed_gap_pure_continuous():
     # sigma = 0 is the closed gap's double branch point: no atom there, and
     # each band is integrated as it is, the closed-gap edge like an open one
-    from laxkit.cli import _stieltjes_grid
     m = js.PeriodicJacobi([F(1), F(1)], [F(0), F(0)])
     data = js.spectral_data(m)
     mu = js.measure_decompose(m, 1, data=data)
@@ -324,9 +321,7 @@ def test_measure_closed_gap_pure_continuous():
     assert abs(mu.total_mass() - 1.0) < 1e-12
     # classical semicircle density at the center
     assert abs(mu.density(0.0) - 1 / math.pi) < 1e-12
-    for z in _stieltjes_grid(data):
-        frac = js.gamma_fraction(m.a, m.b, 1, z, 400)
-        assert abs(mu.cauchy_transform(z) - frac) < 1e-12
+    assert js.stieltjes_error(data, mu, 1, 400) < 1e-12
 
 
 def test_measure_open_gap_atom():
@@ -597,7 +592,6 @@ def test_repeating_the_period_keeps_the_measure(p, q, data):
     # have, each with a sigma_j in it that must carry no atom, and it splits
     # bands at them.  Bounds: masses 1e-11 a0^2, total mass 1e-8 relative,
     # Cauchy transforms 1e-10 a0^2 on the base's Stieltjes grid
-    from laxkit.cli import _stieltjes_grid
     a = [F(data.draw(_nonzero), data.draw(st.integers(1, 9))) for _ in range(p)]
     b = [F(data.draw(st.integers(-16, 16)), data.draw(st.integers(1, 9)))
          for _ in range(p)]
@@ -615,12 +609,10 @@ def test_repeating_the_period_keeps_the_measure(p, q, data):
     # from a sigma_j outside it (ROADMAP item 1).  a = (1, 3/2, 4, 3),
     # b = (1, 5/8, 8/3, 0), a0 = 1 has sigma_1 2.2e-6 below a band edge, and
     # its base transform misses the fraction by 1.8e-9
-    grid = _stieltjes_grid(base_d)
-    if any(abs(base.cauchy_transform(z) - js.gamma_fraction(a, b, a0, z, 400))
-           > 1e-10 * w for z in grid):
+    if js.stieltjes_error(base_d, base, a0, 400) > 1e-10 * w:
         return
     assert mu.total_mass() == pytest.approx(w, rel=1e-8)
-    for z in grid:
+    for z in js._stieltjes_grid(base_d):
         assert abs(mu.cauchy_transform(z) - base.cauchy_transform(z)) <= 1e-10 * w
 
 
@@ -1079,16 +1071,15 @@ def _assert_lattice_flow_matches_reference(m, t_end, dt):
     got = js.toda_flow_jacobi(m, t_end, dt)
     calls = []
 
-    def reference_rhs(n):
+    def reference_step(n):
         def rhs(y):
             calls.append(None)
             da, db = _numpy_scalar_toda_rhs(y[:n], y[n:])
             return da + db
-        rhs.rk4_step = functools.partial(reference_composed_step, rhs)
-        return rhs
+        return reference_composed_step(rhs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(js, "lattice_rhs", reference_rhs)
+        mp.setattr(js, "_lattice_step", reference_step)
         want = js.toda_flow_jacobi(m, t_end, dt)
     assert len(calls) == 4 * round(t_end / dt)
     assert got.times == want.times
@@ -1100,7 +1091,7 @@ def test_toda_rhs_matches_numpy_scalar_reference():
     # Python float ** 2 rounds as numpy's scalar ** 2; signed zeros included
     rng = np.random.default_rng(11)
     for n in [*range(2, 8), 16, 64]:
-        rhs = lf.lattice_rhs(n)
+        rhs = reference_lattice_rhs(n)
         for _ in range(300):
             a = (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)).tolist()
             b = rng.choice([0.0, -0.0, 1.5, -2.25], n).tolist()

@@ -408,8 +408,7 @@ def reference_integrate_lax(p0, B, t_end, dt, sample_every=10, calls=None):
             k3 = rhs(reference_stage(y, h, k2))
             return reference_step(y, c, k1, k2, k3, rhs(reference_stage(y, dt, k3)))
         return step
-    rhs.rk4_step = composed
-    times, states = lf.rk4(rhs, p0.blocks, t_end, dt, sample_every, lf.BLOWUP)
+    times, states = lf.rk4(composed, p0.blocks, t_end, dt, sample_every, lf.BLOWUP)
     return lf.LaxTrajectory(times, [lf.MatrixPencil.from_blocks(lo, y) for y in states])
 
 
@@ -638,7 +637,7 @@ def test_rk4_matches_the_classical_scheme():
 
     y0 = np.array([0.3, -0.2])
     dt = 0.01
-    times, states = lf.rk4(f, y0, 1.0, dt, 30, 1e8)
+    times, states = lf.rk4(lf.composed_step(f), y0, 1.0, dt, 30, 1e8)
     y = y0
     want_t, want_y = [0.0], [y0]
     for s in range(100):
@@ -660,7 +659,7 @@ def test_rk4_rejects_step_that_misses_horizon(t_end, dt):
     def f(y):
         raise AssertionError("no step may be taken")
     with pytest.raises(ValueError):
-        lf.rk4(f, np.zeros(2), t_end, dt, 1, 1e8)
+        lf.rk4(lf.composed_step(f), np.zeros(2), t_end, dt, 1, 1e8)
 
 
 def _state(kind, values):
@@ -682,31 +681,34 @@ def reference_list_kernels(m):
             eval(f"lambda y, c, k1, k2, k3, k4: [{', '.join(advance)}]"))
 
 
-def reference_composed_step(rhs, h, dt, c):
-    """The list composition rk4 ran: four rhs calls a step, combined by
-    reference_list_kernels of the state's length."""
-    def step(y):
-        stage, advance = reference_list_kernels(len(y))
-        k1 = rhs(y)
-        k2 = rhs(stage(y, h, k1))
-        k3 = rhs(stage(y, h, k2))
-        return advance(y, c, k1, k2, k3, rhs(stage(y, dt, k3)))
-    return step
+def reference_composed_step(rhs):
+    """make(h, dt, c) -> step: the list composition rk4 ran, four rhs calls
+    a step combined by reference_list_kernels of the state's length."""
+    def make(h, dt, c):
+        def step(y):
+            stage, advance = reference_list_kernels(len(y))
+            k1 = rhs(y)
+            k2 = rhs(stage(y, h, k1))
+            k3 = rhs(stage(y, h, k2))
+            return advance(y, c, k1, k2, k3, rhs(stage(y, dt, k3)))
+        return step
+    return make
 
 
-def _composed(rhs):
-    """rhs with the reference list composition as its rk4_step, in place of
-    any generated step it has"""
-    def hooked(y):
-        return rhs(y)
-    hooked.rk4_step = functools.partial(reference_composed_step, rhs)
-    return hooked
+@functools.lru_cache(maxsize=32)
+def reference_lattice_rhs(n):
+    """The periodic lattice's right-hand side as one eval'd straight-line
+    function of the list state a_1..a_n, b_1..b_n, from the entries that
+    lf._lattice_step(n) inlines: the rhs whose composition it matches."""
+    y = [f"y[{i}]" for i in range(2 * n)]
+    entries = lf._lattice_entries(n, y, [f"{v} ** 2" for v in y[:n]])
+    return eval(f"lambda y: [{', '.join(entries)}]")
 
 
 def _rhs(kind, f):
-    """f as an rk4 rhs for a state of the given kind: a list state steps
-    only through an rk4_step, here the reference list composition"""
-    return f if kind == "array" else _composed(f)
+    """the step maker of f for a state of the given kind: rk4's ndarray
+    composition, or the reference list composition"""
+    return lf.composed_step(f) if kind == "array" else reference_composed_step(f)
 
 
 KINDS = ["array", "list"]
@@ -765,7 +767,7 @@ def test_rk4_blowup_on_nan_inside_a_block_state():
         k[1, 1, 0] = np.nan
         return k
     with pytest.raises(lf.BlowUpError) as exc:
-        lf.rk4(rhs, y0, 1.0, 0.25, 1, np.inf)
+        lf.rk4(lf.composed_step(rhs), y0, 1.0, 0.25, 1, np.inf)
     assert exc.value.time == 0.25
 
 
@@ -817,19 +819,19 @@ def test_rk4_list_state_steps_to_the_bits_of_the_array_state(dim, dt, steps,
 
     t_end = steps * dt
     every = data.draw(st.integers(1, 4))
-    got_t, got = lf.rk4(_composed(f), list(y0), t_end, dt, every, 1e8)
-    want_t, want = lf.rk4(lambda y: np.array(f(y.tolist())), np.array(y0),
-                          t_end, dt, every, 1e8)
+    got_t, got = lf.rk4(reference_composed_step(f), list(y0), t_end, dt, every, 1e8)
+    want_t, want = lf.rk4(lf.composed_step(lambda y: np.array(f(y.tolist()))),
+                          np.array(y0), t_end, dt, every, 1e8)
     assert got_t == want_t
     assert all(type(y) is list and all(type(v) is float for v in y)
                for y in got[1:])
     assert _same_bits(got, want)
 
 
-def _lattice_run(rhs, y0, t_end, dt):
+def _lattice_run(make_step, y0, t_end, dt):
     """rk4's samples, or (time, cause type) of its BlowUpError"""
     try:
-        return lf.rk4(rhs, list(y0), t_end, dt, 1, np.inf)
+        return lf.rk4(make_step, list(y0), t_end, dt, 1, np.inf)
     except lf.BlowUpError as exc:
         return exc.time, type(exc.__cause__)
 
@@ -838,14 +840,14 @@ def _lattice_run(rhs, y0, t_end, dt):
 @given(st.integers(2, 9), st.sampled_from([1e-3, 0.01, 0.1, 1.0]),
        st.integers(1, 8), st.sampled_from([1.0, 1e-100, 1e100, 1e153, 1e154]), st.data())
 def test_lattice_step_matches_the_four_stage_composition(n, dt, steps, scale, data):
-    # the generated step against rk4's composition of lattice_rhs(n) with
+    # the generated step against the composition of the lattice rhs with
     # the list combinations: the same samples bit for bit, signed zeros
     # included, or a blow-up (an a_j ** 2 overflow among them) at the same
     # step with the same cause
     y0 = [scale * v for v in data.draw(st.lists(_entry, min_size=2 * n, max_size=2 * n))]
-    rhs = lf.lattice_rhs(n)
-    got = _lattice_run(rhs, y0, steps * dt, dt)
-    want = _lattice_run(_composed(rhs), y0, steps * dt, dt)
+    got = _lattice_run(lf._lattice_step(n), y0, steps * dt, dt)
+    want = _lattice_run(reference_composed_step(reference_lattice_rhs(n)), y0,
+                        steps * dt, dt)
     assert got[0] == want[0]
     if isinstance(want[1], list):
         assert all(type(y) is list for y in got[1])
@@ -863,28 +865,18 @@ def test_lattice_square_overflow_is_a_blowup_at_the_composed_step(n, a1, beta, s
     lam = 1e153
     y0 = [a1] + [lam * 1e-3] * (n - 1) + [0.0] * (n - 1) + [beta * lam]
     dt = 1 / lam
-    assert hasattr(lf.lattice_rhs(n), "rk4_step")
-    for rhs in (lf.lattice_rhs(n), _composed(lf.lattice_rhs(n))):
+    for make_step in (lf._lattice_step(n), reference_composed_step(reference_lattice_rhs(n))):
         with pytest.raises(lf.BlowUpError) as exc:
-            lf.rk4(rhs, y0, 50 * dt, dt, 1, np.inf)
+            lf.rk4(make_step, y0, 50 * dt, dt, 1, np.inf)
         assert isinstance(exc.value.__cause__, OverflowError)
         assert exc.value.time == step * dt
 
 
 def test_generated_kernels_are_built_once_per_size():
     assert reference_list_kernels(9) is reference_list_kernels(9)
-    assert lf.lattice_rhs(5) is lf.lattice_rhs(5)
     assert lf._lattice_step(5) is lf._lattice_step(5)
-    assert lf.lattice_rhs(5).rk4_step is lf._lattice_step(5)
     assert reference_list_kernels(9) is not reference_list_kernels(10)
-    assert lf.lattice_rhs(5) is not lf.lattice_rhs(6)
     assert lf._lattice_step(5) is not lf._lattice_step(6)
-
-
-def test_list_state_without_a_step_is_refused():
-    # rk4 composes only an ndarray state: a list state's rhs brings its step
-    with pytest.raises(TypeError, match="rk4_step"):
-        lf.rk4(lambda y: y, [1.0], 1.0, 0.5, 1, np.inf)
 
 
 @st.composite
@@ -918,7 +910,7 @@ def reference_integrate_system(sys_, z0, t_end, dt, sample_every):
     def rhs(z):
         env = dict(zip(sys_.variables, z))
         return [f.eval_num(env) for f in sys_.equations]
-    times, states = lf.rk4(_composed(rhs), [float(x) for x in z0], t_end, dt,
+    times, states = lf.rk4(reference_composed_step(rhs), [float(x) for x in z0], t_end, dt,
                            sample_every, lf.BLOWUP)
     return times, np.array(states)
 
@@ -964,6 +956,25 @@ def test_unbound_symbol_raises_the_key_error_of_eval_num():
     sys_ = bi.builtin_system("henon-heiles")
     with pytest.raises(KeyError, match="no value supplied for symbol 'A'"):
         lf.integrate_system(sys_, [0.1] * sys_.dim, 1.0, 1e-3)
+
+
+@pytest.mark.parametrize("c", [F(5e-324), F(1e-310), F(1, 10 ** 400), F(10 ** 400)],
+                         ids=["5e-324", "1e-310", "1/10**400", "10**400"])
+def test_tiny_coefficients_step_and_huge_ones_stay_on_eval_num(c):
+    # x' = c x y, y' = -x: a coefficient whose denominator overflows a float
+    # is float(c) in the generated step as in eval_num; one past float range
+    # stays on eval_num, whose OverflowError is a blow-up at the first step
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    sys_ = VectorFieldSystem(name="s", variables=("x", "y"), constants=(),
+                             equations=(x * y * c, -x), invariants={})
+    args = (sys_, [0.5, -1.5], 0.01, 1e-3, 3)
+    got = _field_outcome(lf.integrate_system, *args)
+    want = _field_outcome(reference_integrate_system, *args)
+    if c > 1:
+        assert got == want == (1e-3, OverflowError)
+    else:
+        assert got[0] == want[0] == [k * 1e-3 for k in (0, 3, 6, 9, 10)]
+        assert _same_bits(got[1], want[1])
 
 
 def test_field_step_is_built_once_per_shape():

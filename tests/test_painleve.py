@@ -407,12 +407,13 @@ def _assert_same_as_reference(monkeypatch, sys_, bal, order, conv):
 
 def _balances(name):
     """Every balance of a builtin's principal weight vector, renamed, and
-    each one specialized too where the builtin names a specialization."""
+    each of hh5's specialized too at alpha = 1, as principal_family
+    propagates its family, which is rational in alpha."""
     sys_, conv = builtin_system(name), PAINLEVE[name]
     for bal in principal_balances(sys_, replace(conv, principal=None)):
         yield sys_, conv, bal
-        if conv.specialize:
-            yield sys_, conv, bal.specialize(conv.specialize)
+        if name == "hh5":
+            yield sys_, conv, bal.specialize({"alpha": 1})
 
 
 @pytest.mark.parametrize("name", sorted(n for n in _SYSTEM_FILES

@@ -584,9 +584,10 @@ def test_monomial_product_is_one_term():
 
 
 def test_eval_num_reads_each_reduced_coefficient_above_2_53():
-    # numerators and denominators past 2**53 round when converted to float,
-    # so the float of each coefficient depends on its reduced form, not
-    # on its numerator over the common denominator
+    # each coefficient is float(c) of its reduced Fraction, one correctly
+    # rounded quotient, not its numerator over the common denominator, nor
+    # float(numerator) / float(denominator), which rounds three times past
+    # 2**53 (F(2 ** 70 + 3, 5 ** 30) ends ...295 one way, ...293 the other)
     big = 2 ** 61 - 1
     terms = {(("x", 2),): F(3 ** 40, big), (("x", 1), ("y", 1)): F(2 ** 70 + 3, 5 ** 30),
              (("y", 1),): F(-(big + 2), 3 ** 35 * 7), (): F(10 ** 17 + 1, 3)}
@@ -594,7 +595,7 @@ def test_eval_num_reads_each_reduced_coefficient_above_2_53():
     env = {"x": 1.5, "y": -0.75}
     want = 0.0
     for k, c in terms.items():
-        v = float(c.numerator) / float(c.denominator)
+        v = float(c)
         for n, e in k:
             v *= env[n] ** e
         want += v
@@ -603,9 +604,19 @@ def test_eval_num_reads_each_reduced_coefficient_above_2_53():
     # the test bites: over the common denominator some coefficient rounds
     # to another float
     assert [float(n) / float(p.den) for n in p.nums.values()] != \
-        [float(c.numerator) / float(c.denominator) for c in terms.values()]
+        [float(c) for c in terms.values()]
     with pytest.raises(KeyError, match="y"):
         p.eval_num({"x": 1.0})
+
+
+@pytest.mark.parametrize("c", [F(5e-324), F(1e-310), F(1, 10 ** 400)],
+                         ids=["5e-324", "1e-310", "1/10**400"])
+def test_eval_num_takes_coefficients_whose_parts_overflow_a_float(c):
+    # a denominator past float range (2**1074, 10**400) raised OverflowError
+    # while each part was converted on its own; float(c) rounds the quotient
+    assert MultiPoly.monomial(c, x=1).eval_num({"x": 1.0}) == float(c)
+    with pytest.raises(OverflowError):
+        MultiPoly.monomial(1 / c, x=1).eval_num({"x": 1.0})
 
 
 # -- packed keys: a symbol table out of alphabetical order, and the field limit
