@@ -58,8 +58,8 @@ class PainleveConventions:
     """How painleve.analyze picks and names a system's Laurent families:
     the principal weight vector, a test on a painleve.Balance that keeps
     the principal balances, balance symbol -> parameter name, the
-    resonance parameters' names in step order and their slots (step j ->
-    (variable, scale): the parameter enters that variable's step-j
+    resonance parameters (step j -> (name, variable, scale): step j's
+    parameter is called name and enters that variable's step-j
     coefficient as scale*name), the invariants whose t^0 terms cut out
     the constraint curve and the names of their values, and solver label
     -> sheet name.  The defaults are what `painleve --file` reports: every
@@ -69,8 +69,7 @@ class PainleveConventions:
     weights: Optional[Tuple[Fraction, ...]] = None
     principal: Optional[Callable[..., bool]] = None
     rename: Mapping[str, str] = field(default_factory=dict)
-    resonance_names: Optional[Tuple[str, ...]] = None
-    resonance_slots: Optional[Mapping[int, Tuple[str, object]]] = None
+    resonances: Mapping[int, Tuple[str, str, object]] = field(default_factory=dict)
     curve_invariants: Tuple[str, ...] = ()
     value_names: Optional[Tuple[str, ...]] = None
     sheets: Mapping[str, str] = field(default_factory=dict)
@@ -86,8 +85,7 @@ PAINLEVE = {
         order=9, weights=(F(1, 2), F(2), F(3, 2), F(3)),
         principal=lambda bal: "y1" in bal.free_symbols,
         rename={"y1": "alpha"},
-        resonance_names=("beta", "gamma"),
-        resonance_slots={4: ("y1", 1), 12: ("y2", -1)},
+        resonances={4: ("beta", "y1", 1), 12: ("gamma", "y2", -1)},
         curve_invariants=("H1", "H2")),
     "hh5": PainleveConventions(
         order=8, weights=(F(1), F(2), F(3), F(2), F(3)),
@@ -97,16 +95,14 @@ PAINLEVE = {
         order=7, weights=(F(1, 2), F(1), F(3, 2), F(2)),
         principal=lambda bal: "q1" in bal.free_symbols,
         rename={"q1": "u"},
-        resonance_names=("v", "w"),
-        resonance_slots={4: ("q1", 1), 8: ("q2", 1)},
+        resonances={4: ("v", "q1", 1), 8: ("w", "q2", 1)},
         curve_invariants=("H1", "H2"),
         sheets={"q2=1/2": "eps=+1", "q2=-1/2": "eps=-1"}),
     "rdg5": PainleveConventions(
         order=9, weights=(F(2), F(1), F(2), F(3), F(4)),
         principal=lambda bal: bal.label in ("z2=1/2", "z2=-1/2"),
-        resonance_names=("alpha", "beta", "theta", "gamma"),
-        resonance_slots={1: ("z1", 1), 3: ("z1", 1), 4: ("z2", 1),
-                         5: ("z1", 1)},
+        resonances={1: ("alpha", "z1", 1), 3: ("beta", "z1", 1),
+                    4: ("theta", "z2", 1), 5: ("gamma", "z1", 1)},
         curve_invariants=("F1", "F2", "F3"),
         value_names=("c1", "c2", "c3"),
         sheets={"z2=1/2": "eps=+1", "z2=-1/2": "eps=-1"}),

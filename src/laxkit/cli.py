@@ -8,17 +8,17 @@ builtins and exactalg.poly.  painleve adds painleve and exactalg's
 series, linalg and roots; flow adds numpy and laxflow; jacobi adds numpy,
 laxflow, jacobispec and exactalg.roots; check loads every module.  So
 the parser and every painleve run start without numpy.
-Exit codes: 0 success, 1 usage or input error, 2 Painlevé obstruction,
-3 numerical breakdown (a flow or the Jacobi lattice blew up, a Lax
-flow's commutator spilled outside its h-window, as euler-arnold's does
-at --dt 1, a continued-fraction denominator of the Stieltjes check
-vanished, a number overflowed a float, as Jacobi entries such as
+Exit codes: 0 success, 1 usage or input error, 2 Painlevé obstruction, 3
+numerical breakdown (a flow or the Jacobi lattice blew up, a Lax flow's
+commutator spilled outside its h-window, as euler-arnold's does at -N 3
+--t-end 100 --dt 1, a continued-fraction denominator of the Stieltjes
+check vanished, a number overflowed a float, as Jacobi entries such as
 -a 1e300,1 do, an exponent passed exactalg.poly.LIMIT, the largest a
 monomial key holds, as x^40000 in an .ivf does, the measure's scale
-(a0/a_N)^2 underflowed to 0, an atom mass of the Jacobi measure came out below
--1e-8, or two auxiliary eigenvalues sigma_j, simple for a Jacobi block,
-rounded to one double).  jacobi --a0 0 exits
-1: its measure is zero, which no Stieltjes check may pass.
+(a0/a_N)^2 underflowed to 0, an atom mass of the Jacobi measure came out
+below -1e-8, or two auxiliary eigenvalues sigma_j, simple for a Jacobi
+block, rounded to one double).  jacobi --a0 0 exits 1: its measure is
+zero, which no Stieltjes check may pass.
 A report or CSV that would hold a NaN or an infinity is never written:
 the command exits 3.  So does a Jacobi measure with a band too narrow
 to integrate whose atoms and other bands do not carry a0^2, as for
@@ -48,9 +48,10 @@ builtins.MAX_ORDER (30), or the command exits 1 before any work; without
 it a builtin runs at its own default order, 6 otherwise.  `painleve
 --file` must name a readable regular file, and `--bind` binds each
 constant at most once, or the command exits 1.
-`jacobi --depth` must be no larger than jacobispec.MAX_DEPTH (10**5),
-and the period no larger than JACOBI_MAX_PERIOD (128), or the command
-exits 1 before any work.
+`jacobi --depth` must be at least 1 and no larger than
+jacobispec.MAX_DEPTH (10**5), with or without --check-stieltjes, and the
+period no larger than JACOBI_MAX_PERIOD (128), or the command exits 1
+before any work.
 `--tol` of flow, jacobi and check must be a positive finite float, or the
 command exits 1 before any work: inf would pass any drift, and nan or a
 value <= 0 none.
@@ -322,6 +323,8 @@ JACOBI_MAX_PERIOD = 128
 def cmd_jacobi(args) -> Result:
     from . import jacobispec as js
     from .laxflow import BlowUpError
+    if args.depth < 1:
+        raise UsageError(f"--depth {args.depth} is below 1")
     if args.depth > js.MAX_DEPTH:
         raise UsageError(f"--depth {args.depth} is above the cap "
                          f"jacobispec.MAX_DEPTH = {js.MAX_DEPTH}")

@@ -19,14 +19,15 @@ composed_step composes any other ndarray rhs, and every step keeps that
 composition's bits.
 
 Pencils are float: a MatrixPencil holds the blocks A_lo..A_hi of its
-h-window in one (K, n, n) array.  Exact spectral curves come from plain
-{k: matrix of Fractions} dicts, which pencil_charpoly evaluates exactly.
-The built-in Lax pairs (periodic and open Toda, Euler-Arnold, Manakov,
-Neumann, Jacobi geodesics) are built here too, by factories that return
-a pencil and its B.  LAX_FLOWS is the one table of the Lax flows that
-`laxkit flow` runs (toda-periodic, euler-arnold, neumann): a LaxFlow row
-per builtin holds its smallest moving N, its seeded start, its drift
-h-samples and its CSV columns.
+h-window in one (K, n, n) array, and pencil_charpoly interpolates its
+float spectral curve (the exact periodic Toda curve is
+jacobispec.floquet_polynomial).  The built-in Lax pairs (periodic and
+open Toda, Euler-Arnold, Manakov, Neumann, Jacobi geodesics) are built
+here too, by factories that return a pencil and its B, declared as data:
+an AffineB, entrywise affine in the pencil's blocks.  LAX_FLOWS is the
+one table of the Lax flows that `laxkit flow` runs (toda-periodic,
+euler-arnold, neumann): a LaxFlow row per builtin holds its smallest
+moving N, its seeded start, its drift h-samples and its CSV columns.
 
 The commutator is the hot path of every Lax flow (one per RK4 stage).  It
 forms all block commutators [A_i, B_j] in two stacked matmuls and one
@@ -35,13 +36,11 @@ starting from zeros, so every entry rounds as in a plain double loop over
 the block pairs.  Pairs whose degree falls outside the requested window
 are not dropped silently: each must vanish up to roundoff, or SpillError
 (a ValueError) reports a malformed B or a flow off its window.
-integrate_lax builds one kernel per block layout of B's pencils
-(_commutator_plan) that owns its product buffers and outside entries and
-sums each stage straight into that stage's k buffer, so a stage spends
-its numpy calls on the blocks alone; MatrixPencil.commutator runs the
-same kernel, built for the one call, into a fresh array.  A factory's B
-is declared as data (_AffineB), which integrate_lax writes into one
-buffer per run instead of calling B.
+integrate_lax writes B into one buffer per run and builds one kernel for
+it (_commutator_plan) that owns its product buffers and outside entries
+and sums each stage straight into that stage's k buffer, so a stage
+spends its numpy calls on the blocks alone; MatrixPencil.commutator runs
+the same kernel, built for the one call, into a fresh array.
 """
 from __future__ import annotations
 
@@ -176,10 +175,10 @@ class MatrixPencil:
     def coeffs(self) -> Mapping[int, np.ndarray]:
         return MappingProxyType({k: A for k, A in enumerate(self.blocks, self.lo)})
 
-    def evaluate(self, h):
+    def evaluate(self, h: float) -> np.ndarray:
         if self.lo < 0 and h == 0:
             raise ZeroDivisionError("pencil has h^-1 terms; cannot evaluate at 0")
-        out = np.zeros((self.dim, self.dim), dtype=complex if isinstance(h, complex) else float)
+        out = np.zeros((self.dim, self.dim))
         for k, A in enumerate(self.blocks, self.lo):
             out = out + A * (h ** k)
         return out
@@ -216,34 +215,22 @@ class MatrixPencil:
 # built-in pencils
 # ---------------------------------------------------------------------------
 
-# Each constructor returns a (MatrixPencil, B) pair for integrate_lax's
-# dA/dt = [B(A), A] convention.  The B contract: B(P) takes a pencil on
-# the h-window of the pencil it was returned with and gives a new
-# MatrixPencil, built with MatrixPencil.from_blocks on B's own fixed
-# window (which may be narrower than P's, as for the rank-2 pencils); it
-# reads P's blocks as P.blocks[k - P.lo] and never writes to them
-# (integrate_lax hands it a read-only view of a stage buffer, so a P kept
-# past the call shows later stages).  Each call fills one fresh (K, n, n)
-# block array and hands it over: no buffer is reused across calls, so a
-# caller may keep each result (composed_step keeps all four stages of a
-# step of the non-commutator control dA/dt = B(A)).  Everything that does
-# not depend on P (the constant blocks, the metric ratios, the triangular
-# masks) is computed once, when the pair is built.  The factories' Bs
-# (_toda_b, _metric_b) are declared as data, an _AffineB: entrywise
-# W * x + Z on a range of P's blocks and constant blocks elsewhere.  B(P)
-# evaluates that into a fresh array, and integrate_lax writes it into its
-# run's one B buffer at every stage, constant blocks once per run; any
-# other B (manakov_pencil's divides) is called per stage.
+# Each constructor returns a (MatrixPencil, AffineB) pair for integrate_lax's
+# dA/dt = [B(A), A] convention.  Everything that does not depend on the
+# pencil (the constant blocks, the metric ratios, the triangular masks) is
+# computed once, when the pair is built.
 
 
-class _AffineB:
-    """B(P) = the pencil on h^lo.. whose blocks are `const` except for
-    blocks[part] = W * P.blocks[src] + Z, entrywise.  Z pins the sign of
-    each zero: -0.0 (x + -0.0 is x, zeros included) where B copies or
-    negates an entry, +0.0 where it writes 0 - x or a zero; None where
-    W * x alone has B's bits.  The arrays (W of the part's shape, so no
-    broadcast) are read-only and shared by B(P) and integrate_lax's
-    in-place write, so both round alike."""
+class AffineB:
+    """The B of a Lax pair, declared as data: B(P) is the pencil on h^lo..
+    whose blocks are `const` except for blocks[part] = W * P.blocks[src] + Z,
+    entrywise, where P is on the h-window of the pencil B was built with.
+    Z pins the sign of each zero: -0.0 (x + -0.0 is x, zeros included)
+    where B copies or negates an entry, +0.0 where it writes 0 - x or a
+    zero; None where W * x alone has B's bits.  The arrays (W of the part's
+    shape, so no broadcast) are read-only and shared by B(P), which fills
+    a fresh array per call, and integrate_lax's in-place write, so both
+    round alike."""
 
     def __init__(self, lo: int, const: np.ndarray, part: slice, src: slice,
                  W: np.ndarray, Z: Optional[np.ndarray]):
@@ -282,31 +269,7 @@ def flaschka(x: Sequence[float], y: Sequence[float]) -> Tuple[np.ndarray, np.nda
     return a, b
 
 
-def toda_periodic_coeffs(a: Sequence, b: Sequence) -> Dict[int, list]:
-    """Coefficients {-1: A_-1, 0: A_0, 1: A_1} of the periodic Toda pencil
-    A(h): symmetric tridiagonal A_0 with corner entries a_N h^{+-1}.  The
-    entries are the given numbers, so rational data gives the exact
-    pencil that pencil_charpoly turns into the exact spectral curve."""
-    a = list(a)
-    b = list(b)
-    n = len(a)
-    if len(b) != n or n < 2:
-        raise ValueError("need equal-length a, b with N >= 2")
-    if any(float(x) == 0 for x in a):
-        raise ValueError("off-diagonal entries a_j must be nonzero")
-    A0 = [[0] * n for _ in range(n)]
-    for j in range(n):
-        A0[j][j] = b[j]
-    for j in range(n - 1):
-        A0[j][j + 1] = A0[j + 1][j] = a[j]
-    Am = [[0] * n for _ in range(n)]
-    Ap = [[0] * n for _ in range(n)]
-    Am[0][n - 1] = a[n - 1]
-    Ap[n - 1][0] = a[n - 1]
-    return {-1: Am, 0: A0, 1: Ap}
-
-
-def _toda_b(lo: int, K: int, n: int) -> _AffineB:
+def _toda_b(lo: int, K: int, n: int) -> AffineB:
     """The Toda B of a pencil with K blocks of n x n from h^lo on: -A_k
     for k < 0, np.triu(A_0, 1) - np.tril(A_0, -1), and A_k for k > 0 (the
     upper-minus-lower splitting of the doubly infinite matrix, where the
@@ -321,16 +284,26 @@ def _toda_b(lo: int, K: int, n: int) -> _AffineB:
     above = 1.0 - np.tri(n, n, 0)
     W = np.where(deg < 0, -1.0, np.where(deg > 0, 1.0, above - below))
     Z = np.where((deg == 0) & (above == 0), 0.0, -0.0)
-    return _AffineB(lo, np.zeros((K, n, n)), slice(0, K), slice(0, K), W, Z)
+    return AffineB(lo, np.zeros((K, n, n)), slice(0, K), slice(0, K), W, Z)
 
 
-def toda_periodic_pencil(a: Sequence, b: Sequence
-                         ) -> Tuple[MatrixPencil, Callable[[MatrixPencil], MatrixPencil]]:
-    """Periodic Toda Lax pair: the float pencil of toda_periodic_coeffs and
-    B(h), its antisymmetrized counterpart; the flow dA/dt = [B(A), A] is
-    the lattice ȧ_j = a_j(b_{j+1}-b_j), ḃ_j = 2(a_j^2 - a_{j-1}^2)."""
-    pencil = MatrixPencil(toda_periodic_coeffs(a, b))
-    return pencil, _toda_b(-1, 3, pencil.dim)
+def toda_periodic_pencil(a: Sequence, b: Sequence) -> Tuple[MatrixPencil, AffineB]:
+    """Periodic Toda Lax pair: the pencil A(h), symmetric tridiagonal A_0
+    with corner entries a_N h^{+-1}, and B(h), its antisymmetrized
+    counterpart; the flow dA/dt = [B(A), A] is the lattice
+    ȧ_j = a_j(b_{j+1}-b_j), ḃ_j = 2(a_j^2 - a_{j-1}^2)."""
+    a, b = [float(x) for x in a], [float(x) for x in b]
+    n = len(a)
+    if len(b) != n or n < 2:
+        raise ValueError("need equal-length a, b with N >= 2")
+    if 0.0 in a:
+        raise ValueError("off-diagonal entries a_j must be nonzero")
+    blocks = np.zeros((3, n, n))
+    blocks[1] = np.diag(b)
+    for j in range(n - 1):
+        blocks[1, j, j + 1] = blocks[1, j + 1, j] = a[j]
+    blocks[0, 0, n - 1] = blocks[2, n - 1, 0] = a[n - 1]
+    return MatrixPencil.from_blocks(-1, blocks), _toda_b(-1, 3, n)
 
 
 def toda_open_pencil(a, b):
@@ -426,7 +399,7 @@ def random_skew(n: int, seed: int = 0, scale: float = 1.0) -> np.ndarray:
     return (M - M.T) / 2
 
 
-def _metric_b(al: np.ndarray, be: np.ndarray, k: int) -> _AffineB:
+def _metric_b(al: np.ndarray, be: np.ndarray, k: int) -> AffineB:
     """The B of a pencil from h^0 on: -(ratio * P_k) - diag(beta) h, where
     ratio_ij = (beta_i - beta_j)/(alpha_i - alpha_j) off the diagonal and 0
     on it, the B of the Euler-Arnold (k = 0) and rank-2 (k = 1) pencils.
@@ -440,12 +413,11 @@ def _metric_b(al: np.ndarray, be: np.ndarray, k: int) -> _AffineB:
                 ratio[i, j] = (be[i] - be[j]) / (al[i] - al[j])
     const = np.zeros((2, n, n))
     const[1] = -np.diag(be)
-    return _AffineB(0, const, slice(0, 1), slice(k, k + 1), -ratio[None], None)
+    return AffineB(0, const, slice(0, 1), slice(k, k + 1), -ratio[None], None)
 
 
 def euler_arnold_pencil(alphas: Sequence[float], betas: Sequence[float],
-                        X0: np.ndarray
-                        ) -> Tuple[MatrixPencil, Callable[[MatrixPencil], MatrixPencil]]:
+                        X0: np.ndarray) -> Tuple[MatrixPencil, AffineB]:
     """A(h) = X + diag(alpha) h with the metric multiplier
     lambda_ij = (beta_i - beta_j)/(alpha_i - alpha_j); the B returned is
     sign-adjusted so that dA/dt = [B(A), A] reproduces dX/dt = [X, lam*X]."""
@@ -461,29 +433,22 @@ def euler_arnold_pencil(alphas: Sequence[float], betas: Sequence[float],
 
 
 def manakov_pencil(j_diag: Sequence[float], omega: np.ndarray
-                   ) -> Tuple[MatrixPencil, Callable[[MatrixPencil], MatrixPencil]]:
+                   ) -> Tuple[MatrixPencil, AffineB]:
     """Rigid-body pencil A = M + J^2 h with M = Omega J + J Omega; the
-    B pencil is -(Omega + J h) so that [B(A), A] gives dM/dt = [M, Omega]."""
-    J = np.diag(np.asarray(j_diag, dtype=float))
-    n = len(J)
+    B pencil is -(Omega + J h) so that [B(A), A] gives dM/dt = [M, Omega].
+    Omega inverts M entrywise, Omega_ij = M_ij/(J_i+J_j): W = -1/(J_i+J_j)
+    off the diagonal and 0 on it."""
+    j = np.asarray(j_diag, dtype=float)
+    J = np.diag(j)
     Om = np.asarray(omega, dtype=float)
     if np.max(np.abs(Om + Om.T)) > 1e-12:
         raise ValueError("omega must be skew-symmetric")
-    M = Om @ J + J @ Om
-    pencil = MatrixPencil({0: M, 1: J @ J})
-    # invert M = Omega J + J Omega entrywise: Omega_ij = M_ij/(J_i+J_j)
-    denom = np.add.outer(np.diag(J), np.diag(J))
-    B1 = -J
-
-    def B(P: MatrixPencil) -> MatrixPencil:
-        out = np.empty((2, n, n))
-        np.divide(P.blocks[0], denom, out=out[0])
-        np.fill_diagonal(out[0], 0.0)
-        np.negative(out[0], out=out[0])
-        out[1] = B1
-        return MatrixPencil.from_blocks(0, out)
-
-    return pencil, B
+    W = -1.0 / np.add.outer(j, j)
+    np.fill_diagonal(W, 0.0)
+    const = np.zeros((2, len(j), len(j)))
+    const[1] = -J
+    return (MatrixPencil({0: Om @ J + J @ Om, 1: J @ J}),
+            AffineB(0, const, slice(0, 1), slice(0, 1), W[None], None))
 
 
 # rank-2 perturbation pencils (sphere motion / geodesics on the ellipsoid)
@@ -493,8 +458,7 @@ def _wedge(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def rank2_pencil(alphas: Sequence[float], x: np.ndarray, y: np.ndarray,
-                 betas: Sequence[float]
-                 ) -> Tuple[MatrixPencil, Callable[[MatrixPencil], MatrixPencil]]:
+                 betas: Sequence[float]) -> Tuple[MatrixPencil, AffineB]:
     """A(h) = diag(alpha) h^2 - h x^y - y(x)y (a rank-2 perturbation of
     diag(alpha)); B(A) = ad_beta ad_alpha^{-1}(y^x) + diag(beta) h, with
     the sign arranged for the dA/dt = [B(A), A] convention."""
@@ -551,7 +515,7 @@ class LaxFlow:
     their values at a pencil; whether it reports the curve's drift.  It
     holds no function perfbench's tracer rebinds: cmd_flow calls those."""
     min_n: int
-    start: Callable[[int, int], Tuple[MatrixPencil, Callable, Dict[str, object]]]
+    start: Callable[[int, int], Tuple[MatrixPencil, AffineB, Dict[str, object]]]
     h_samples: Tuple[float, ...]
     columns: Callable[[int], List[str]]
     row: Callable[[MatrixPencil], List[float]]
@@ -613,16 +577,16 @@ LAX_FLOWS: Dict[str, LaxFlow] = {
 @dataclass
 class SpectralCurve:
     """det(A(h) - zI) as a dict (z_degree, h_degree) -> coefficient."""
-    coeffs: Dict[Tuple[int, int], object]
+    coeffs: Dict[Tuple[int, int], float]
     dim: int
 
     def drop_small(self, tol: float = 1e-9) -> "SpectralCurve":
         return SpectralCurve({k: v for k, v in self.coeffs.items()
-                              if abs(float(v)) > tol}, self.dim)
+                              if abs(v) > tol}, self.dim)
 
     def max_coeff_difference(self, other: "SpectralCurve") -> float:
         keys = set(self.coeffs) | set(other.coeffs)
-        return _max_of([abs(float(self.coeffs.get(k, 0)) - float(other.coeffs.get(k, 0)))
+        return _max_of([abs(self.coeffs.get(k, 0.0) - other.coeffs.get(k, 0.0))
                         for k in keys])
 
 
@@ -644,41 +608,6 @@ def _h_nodes(count: int) -> List[Fraction]:
     return nodes
 
 
-def pencil_charpoly(p: Union[MatrixPencil, Mapping[int, Sequence[Sequence]]]
-                    ) -> SpectralCurve:
-    """Recover P(z,h) = det(A(h) - zI) by sampling h and interpolating.
-
-    A MatrixPencil gives a float curve.  A dict {k: square matrix of
-    rationals} gives the exact curve: exact determinants and an exact
-    interpolation over Q.  The h-degree window for the z^k coefficient is
-    (n-k)*[min(l,0), max(m,0)].
-    """
-    if isinstance(p, MatrixPencil):
-        return _float_charpoly(p)
-    from .exactalg import charpoly_exact, solve_square_exact
-    blocks = {k: [[Q(x) for x in row] for row in M] for k, M in p.items()}
-    n = len(next(iter(blocks.values())))
-    lo, hi = min(min(blocks), 0), max(max(blocks), 0)
-    nodes = _h_nodes(n * (hi - lo) + 1)
-    sign = Fraction(-1) ** n   # det(A - zI) = (-1)^n * charpoly(z)
-    rows = []
-    for h0 in nodes:
-        A = [[sum((M[i][j] * h0 ** k for k, M in blocks.items()), Fraction(0))
-              for j in range(n)] for i in range(n)]
-        cp = charpoly_exact([[MultiPoly.const(x) for x in row] for row in A])
-        rows.append([sign * c.const_value() for c in cp])
-    coeffs: Dict[Tuple[int, int], object] = {}
-    for k in range(n + 1):
-        wlo, m = (n - k) * lo, (n - k) * (hi - lo) + 1
-        V = [[nodes[r] ** (wlo + c) for c in range(m)] for r in range(m)]
-        sol = solve_square_exact(V, [rows[r][k] for r in range(m)])
-        for c in range(m):
-            v = sol[c].const_value()
-            if v != 0:
-                coeffs[(k, wlo + c)] = v
-    return SpectralCurve(coeffs, n)
-
-
 @functools.lru_cache(maxsize=32)
 def _float_samples(n: int, plo: int, phi: int):
     """The float curve's node powers h0 ** k (a row per degree k of an n x n
@@ -697,7 +626,10 @@ def _float_samples(n: int, plo: int, phi: int):
     return powers, tuple(vander)
 
 
-def _float_charpoly(p: MatrixPencil) -> SpectralCurve:
+def pencil_charpoly(p: MatrixPencil) -> SpectralCurve:
+    """The float curve P(z,h) = det(A(h) - zI), by sampling h and
+    interpolating.  The h-degree window for the z^k coefficient is
+    (n-k)*[min(l,0), max(m,0)]."""
     n = p.dim
     powers, vander = _float_samples(n, *p.h_range)
     # A(h) at all nodes at once, summed over k from zeros as evaluate sums
@@ -706,7 +638,7 @@ def _float_charpoly(p: MatrixPencil) -> SpectralCurve:
         X += A * hk[:, None, None]
     # one eigvals call for all nodes; ascending in z of det(zI - A)
     rows = [(-1.0) ** n * np.poly(z)[::-1] for z in np.linalg.eigvals(X)]
-    coeffs: Dict[Tuple[int, int], object] = {}
+    coeffs: Dict[Tuple[int, int], float] = {}
     for k, (wlo, V) in enumerate(vander):
         sol = np.linalg.solve(V, np.array([row[k] for row in rows[:len(V)]], dtype=float))
         for c, v in enumerate(sol, wlo):
@@ -855,8 +787,8 @@ class LaxTrajectory:
         return self.pencils[-1]
 
 
-def integrate_lax(p0: MatrixPencil, B: Callable[[MatrixPencil], MatrixPencil],
-                  t_end: float, dt: float, sample_every: int = 10) -> LaxTrajectory:
+def integrate_lax(p0: MatrixPencil, B: AffineB, t_end: float, dt: float,
+                  sample_every: int = 10) -> LaxTrajectory:
     """rk4 on dA/dt = [B(A), A] over the h-window of p0.
 
     Deterministic for a given (p0, dt); aborts with BlowUpError when the
@@ -867,42 +799,27 @@ def integrate_lax(p0: MatrixPencil, B: Callable[[MatrixPencil], MatrixPencil],
     rk4 takes one buffered RK4 step, _four_stages' composition, which
     integrate_lax makes.  The run owns its buffers: one per k (stage j
     sums its commutator straight into k_j), the stage state, the two
-    temporaries of the advance, and one for B's blocks.  A factory's B
-    (an _AffineB) is written into that buffer, its constant blocks once,
-    under one commutator kernel; any other B is called on a read-only
-    view of the stage's state, its result summed by one kernel per
-    (lo, block count).  Only the advanced state is a fresh array.  Every
-    operation is the one the fresh-array composition performs, in its
-    order, so the flow keeps its bits.
+    temporaries of the advance, and one for B's blocks, into which B is
+    written, its constant blocks once, under one commutator kernel.  Only
+    the advanced state is a fresh array.  Every operation is the one the
+    fresh-array composition performs, in its order, so the flow keeps its
+    bits.  A B that is no AffineB raises TypeError.
     """
+    if not isinstance(B, AffineB):
+        raise TypeError(f"integrate_lax takes an AffineB, not {type(B).__name__}")
     lo, window = p0.lo, p0.h_range
     kb, n = p0.blocks.shape[:2]
     ks = np.empty((4, kb, n, n))
     s, t, u = np.empty((3, kb, n, n))
+    bb = B.const.copy()
+    dst, write = bb[B.part], B.write
+    kernel = _commutator_plan(len(bb), kb, B.lo + lo, window, n)
 
-    if isinstance(B, _AffineB):
-        bb = B.const.copy()
-        dst, write = bb[B.part], B.write
-        kernel = _commutator_plan(len(bb), kb, B.lo + lo, window, n)
-
-        def stage_rhs(k):
-            def rhs(y):
-                write(y, dst)
-                return kernel(bb, y, k)
-            return rhs
-    else:
-        plans = {}   # one commutator kernel per (lo, block count) of B's pencils
-
-        def stage_rhs(k):
-            def rhs(y):
-                Q = B(MatrixPencil.from_blocks(lo, y.view()))
-                key = (Q.lo, len(Q.blocks))
-                kernel = plans.get(key)
-                if kernel is None:
-                    kernel = plans[key] = _commutator_plan(key[1], kb, Q.lo + lo,
-                                                           window, n)
-                return kernel(Q.blocks, y, k)
-            return rhs
+    def stage_rhs(k):
+        def rhs(y):
+            write(y, dst)
+            return kernel(bb, y, k)
+        return rhs
 
     make_step = functools.partial(_four_stages, [stage_rhs(k) for k in ks],
                                   functools.partial(_stage_array, out=s),

@@ -658,8 +658,7 @@ class _RelaxedSystem:
 
 
 def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
-              resonance_names: Optional[Sequence[str]] = None,
-              resonance_slots: Optional[Mapping[int, Tuple[str, object]]] = None
+              resonances: Optional[Mapping[int, Tuple[str, str, object]]] = None
               ) -> LaurentFamily:
     """Compute the Laurent family seeded by a balance, exactly.
 
@@ -668,9 +667,10 @@ def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
     resonance, otherwise free parameters would silently go missing.  A
     fresh parameter symbol is adjoined at every solvable resonance;
     unsolvable ones raise PainleveObstruction with a left-null-vector
-    certificate.  `resonance_slots` maps a step j to (variable, scale):
-    the new parameter appears as exactly scale*symbol in that variable's
-    step-j coefficient (this pins the normalization used in golden tests).
+    certificate.  `resonances` maps a step j to (name, variable, scale):
+    step j's first parameter is called name, and appears as exactly
+    scale*name in that variable's step-j coefficient (this pins the
+    normalization used in golden tests).
 
     The right-hand sides are evaluated relaxed (online; J. van der Hoeven,
     "Relax, but don't be too lazy", J. Symbolic Comput. 34, 2002): the
@@ -709,9 +709,9 @@ def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
             f"need order >= {int(max_res) + 1}")
     rhs = _RelaxedSystem(sys, m, ell, bal.leading)
     L = kd.matrix
-    names_iter = iter(resonance_names or [])
+    declared = resonances or {}
     params: List[str] = list(bal.free_symbols)
-    resonances: List[Tuple[int, str]] = []
+    met: List[Tuple[int, str]] = []
     taken = set(params) | set(sys.variables) | set(sys.constants)
     # c1, c2, ..., skipping a name taken when it comes up
     fresh = (nm for nm in (f"c{i}" for i in itertools.count(1)) if nm not in taken)
@@ -731,11 +731,12 @@ def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
             # at the others, or to `scale` at the slot column when the kernel
             # is one-dimensional and nonzero there
             free, basis = nullspace(M)
-            slot_spec = (resonance_slots or {}).get(j)
-            slot = sys.variables.index(slot_spec[0]) if slot_spec else None
+            spec = declared.get(j)
+            names = iter(spec[:1] if spec else ())
+            slot = sys.variables.index(spec[1]) if spec else None
             if (slot is not None and len(basis) == 1
                     and not basis[0][slot].is_zero):
-                pins = {slot: MultiPoly.coerce(slot_spec[1])}
+                pins = {slot: MultiPoly.coerce(spec[2])}
             else:
                 pins = {f: MultiPoly.const(1) for f in free}
             try:
@@ -759,12 +760,12 @@ def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
                     kvec = [(x * scale).exact_div(v[f]) for x in v]
                 except ValueError as exc:
                     raise FamilyNotPolynomial(j, ell) from exc
-                name = next(names_iter, None) or next(fresh)
+                name = next(names, None) or next(fresh)
                 taken.add(name)
                 s = MultiPoly.var(name)
                 zj = [zj[i] + s * kvec[i] for i in range(n)]
                 params.append(name)
-                resonances.append((j, name))
+                met.append((j, name))
         rhs.extend(zj)
 
     series = {
@@ -773,7 +774,7 @@ def propagate(sys: VectorFieldSystem, bal: Balance, order: Optional[int] = None,
     }
     fam = LaurentFamily(system=sys, balance=bal, ell=ell, series=series,
                         free_parameters=tuple(params),
-                        resonances=tuple(resonances), kowalewski=kd)
+                        resonances=tuple(met), kowalewski=kd)
     bad = family_residual(fam)
     if bad:
         raise AssertionError(f"nonzero residual coefficients: {bad[:3]}")
@@ -958,17 +959,16 @@ def principal_family(sys: VectorFieldSystem, bal: Balance,
                      conv: PainleveConventions, order: Optional[int] = None
                      ) -> Tuple[LaurentFamily, Dict[str, object]]:
     """(family, specialization): the family of `bal` at `order` (conv.order
-    by default) with conv's resonance names and slots.  A family that is
+    by default) with conv's resonances.  A family that is
     not polynomial in the balance symbols (hh5's, rational in alpha) is
     propagated again with every free symbol at 1, and those values are
     returned; otherwise the specialization is {}."""
-    names, slots = conv.resonance_names, conv.resonance_slots
     order = conv.order if order is None else order
     try:
-        return propagate(sys, bal, order, names, slots), {}
+        return propagate(sys, bal, order, conv.resonances), {}
     except FamilyNotPolynomial:
         values = {s: 1 for s in bal.free_symbols}
-        return propagate(sys, bal.specialize(values), order, names, slots), values
+        return propagate(sys, bal.specialize(values), order, conv.resonances), values
 
 
 def analyze(sys: VectorFieldSystem, order: int,

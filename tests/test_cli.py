@@ -553,6 +553,22 @@ def test_jacobi_depth_above_max_depth_exit_1_writes_nothing(tmp_path, capsys,
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv", [["--depth", "-3"], ["--depth", "0", "--check-stieltjes"]],
+                         ids=["unchecked", "checked"])
+def test_jacobi_depth_below_1_exit_1_before_any_work(tmp_path, capsys, monkeypatch,
+                                                    argv):
+    # refused up front, with or without the Stieltjes check that reads it
+    from laxkit import jacobispec as js
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("spectral_data called")
+    monkeypatch.setattr(js, "spectral_data", no_work)
+    code = run(tmp_path, "jacobi", "-a", "1,2", "-b", "0,0", *argv)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --depth {argv[1]} is below 1\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_jacobi_period_above_cap_exit_1_writes_nothing(tmp_path, capsys,
                                                       time_limit):
     # refused before any work: period 256 takes about a minute

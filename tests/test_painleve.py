@@ -389,9 +389,7 @@ class FullSeriesRhs:
 
 def _outcome(sys_, bal, order, conv):
     try:
-        fam = propagate(sys_, bal, order,
-                        resonance_names=conv.resonance_names,
-                        resonance_slots=conv.resonance_slots)
+        fam = propagate(sys_, bal, order, resonances=conv.resonances)
     except (PainleveObstruction, FamilyNotPolynomial) as exc:
         return type(exc), exc.step, getattr(exc, "pairing", None)
     return fam.series, fam.free_parameters, fam.resonances
