@@ -8,6 +8,9 @@ builtins and exactalg.poly.  painleve adds painleve and exactalg's
 series, linalg and roots; flow adds numpy and laxflow; jacobi adds numpy,
 laxflow, jacobispec and exactalg.roots; check loads every module.  So
 the parser and every painleve run start without numpy.
+main may be called any number of times in one process: the parser is
+built once, by the first call, and each call parses its own argv into a
+fresh namespace.
 Exit codes: 0 success, 1 usage or input error, 2 Painlevé obstruction, 3
 numerical breakdown (a flow or the Jacobi lattice blew up, a Lax flow's
 commutator spilled outside its h-window, as euler-arnold's does at -N 3
@@ -59,6 +62,7 @@ value <= 0 none.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -417,7 +421,10 @@ def cmd_check(args) -> Result:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parse_args
+    keeps no state in it, so every main call shares it."""
     ap = argparse.ArgumentParser(
         prog="laxkit",
         description="integrable-systems toolkit: Painlevé analysis, Lax "
@@ -433,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None,
                    help="whole powers of t beyond the leading exponent "
                         f"(1 to {bi.MAX_ORDER})")
-    p.set_defaults(fn=cmd_painleve)
 
     p = sub.add_parser("flow", help="integrate a Lax or vector-field builtin")
     p.add_argument("--out", default=".", help="output directory")
@@ -448,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--tol", type=_tol, default=1e-8)
     p.add_argument("--gnuplot", action="store_true")
-    p.set_defaults(fn=cmd_flow)
 
     p = sub.add_parser("jacobi", help="spectral report of a periodic Jacobi matrix")
     p.add_argument("--out", default=".", help="output directory")
@@ -464,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_tol, default=1e-6)
     p.add_argument("--toda-t-end", type=float, default=0.0)
     p.add_argument("--dt", type=float, default=1e-3)
-    p.set_defaults(fn=cmd_jacobi)
 
     p = sub.add_parser("check", help="run the golden acceptance battery")
     p.add_argument("--out", default=".",
@@ -473,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[None, "painleve", "flow", "jacobi", "dims"])
     p.add_argument("--tol", type=_tol, default=None,
                    help="override the float tolerance of the battery")
-    p.set_defaults(fn=cmd_check)
     return ap
 
 
@@ -483,8 +486,12 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    # looked up at each call, not stored in the cached parser, so a command
+    # function rebound after the first call is the one that runs
+    command = {"painleve": cmd_painleve, "flow": cmd_flow,
+               "jacobi": cmd_jacobi, "check": cmd_check}[args.command]
     try:
-        code, files = args.fn(args)
+        code, files = command(args)
         _write_files(args.out, files)
         return code
     except UsageError as exc:

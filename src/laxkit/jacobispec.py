@@ -229,13 +229,14 @@ def spectral_data(m: PeriodicJacobi) -> SpectralData:
 
 
 def _float_spectrum(a, b) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A(1), band edges, auxiliary spectrum) of float period-N data."""
+    """(A(1), sorted band edges, sigma_j) per row of float data of shape (..., N)."""
     A, plus, minus, sigma = _floquet_eigenvalues(a, b)
-    return A, np.sort(np.concatenate([plus, minus])), sigma
+    return A, np.sort(np.concatenate([plus, minus], axis=-1), axis=-1), sigma
 
 
 def _floquet_eigenvalues(a, b):
-    """(A(1), eigenvalues of A(1), of A(-1) and of A(1)'s leading block).
+    """(A(1), eigenvalues of A(1), of A(-1) and of A(1)'s leading block),
+    one matrix per row of data a, b of shape (..., N).
 
     By Floquet theory the 2N roots of P^2 - 4 alpha^2 are the eigenvalues
     of the periodic matrix A(1) (P = 2 alpha) and of the antiperiodic one
@@ -246,7 +247,7 @@ def _floquet_eigenvalues(a, b):
     A = _periodic_matrix(a, b, 1.0)
     return (A, np.linalg.eigvalsh(A),
             np.linalg.eigvalsh(_periodic_matrix(a, b, -1.0)),
-            np.linalg.eigvalsh(A[:-1, :-1]))
+            np.linalg.eigvalsh(A[..., :-1, :-1]))
 
 
 def _seeds(m: PeriodicJacobi):
@@ -446,13 +447,24 @@ class StieltjesMeasure:
         return total
 
     def total_mass(self) -> float:
-        return self.integrate(lambda x: 1.0)
-
-    def cauchy_transform(self, z: complex) -> complex:
-        total = sum(mass / (z - x) for x, mass in self.atoms)
-        for xs, w, dens in self.quadrature:
-            total += complex(np.sum(w * (dens / (z - xs))))
+        """integrate(lambda x: 1.0) to the bit, with no callback: each
+        node's d * 1.0 is d, so a band adds float(np.sum(w * dens))."""
+        total = sum(mass for _, mass in self.atoms)
+        for _, w, dens in self.quadrature:
+            total += float(np.sum(w * dens))
         return total
+
+    def cauchy_transform(self, z):
+        """The transform at one complex z, or a list of it at each z of a
+        sequence: one (points x nodes) array pass per band, each row with
+        the bits of a one-point call, and per point the atom sum, on Python
+        complex numbers, whose division rounds unlike numpy's."""
+        one = np.ndim(z) == 0
+        zs = [complex(p) for p in ([z] if one else z)]
+        totals = np.array([sum((m / (p - x) for x, m in self.atoms), 0j) for p in zs])
+        for xs, w, dens in self.quadrature:
+            totals += np.sum(w * (dens / (np.array(zs)[:, None] - xs)), axis=1)
+        return complex(totals[0]) if one else totals.tolist()
 
 
 def measure_decompose(m: PeriodicJacobi, a0,
@@ -604,16 +616,18 @@ def _stieltjes_grid(data: SpectralData) -> List[complex]:
 
 def stieltjes_error(data: SpectralData, measure: StieltjesMeasure, a0, depth: int) -> float:
     """max |measure.cauchy_transform(z) - gamma_fraction(a, b, a0, z, depth)|
-    over _stieltjes_grid(data), for data's matrix (a, b); a fraction whose
-    denominator vanishes is a FloatingPointError naming its z and level."""
+    over _stieltjes_grid(data) (one cauchy_transform call), for data's
+    matrix (a, b); a fraction whose denominator vanishes is a
+    FloatingPointError naming its z and level."""
     m = data.matrix
+    grid = _stieltjes_grid(data)
     worst = 0.0
-    for z in _stieltjes_grid(data):
+    for z, transform in zip(grid, measure.cauchy_transform(grid)):
         try:
             frac = gamma_fraction(m.a, m.b, a0, z, depth)
         except ZeroDivisionError as exc:
             raise FloatingPointError(f"Stieltjes check at z = {z}: {exc}") from exc
-        worst = max(worst, abs(measure.cauchy_transform(z) - frac))
+        worst = max(worst, abs(transform - frac))
     return worst
 
 
@@ -670,10 +684,11 @@ def toda_flow_jacobi(m: PeriodicJacobi, t_end: float, dt: float,
                      samples: int = 10) -> TodaDiagnostics:
     """Integrate the periodic lattice in Flaschka form and watch the
     spectral data: band edges frozen, auxiliary spectrum interlacing at
-    every sample, sum b_j exactly conserved, a_j never vanishing.  Each
-    sample builds A(1) once: _float_spectrum reads its spectrum from it and
-    the power traces tr A^k are taken of it.  The state is rk4's list of
-    2N Python floats (a_1..a_N, b_1..b_N), which rk4 advances by the
+    every sample, sum b_j exactly conserved, a_j never vanishing.  All
+    samples' A(1) form one stack: _float_spectrum makes three eigvalsh
+    calls a flow, and the power traces tr A^k take N matrix_power calls,
+    each with the bits of one call per sample.  The state is rk4's list
+    of 2N Python floats (a_1..a_N, b_1..b_N), which rk4 advances by the
     generated step _lattice_step(N) makes, one call a step, with no numpy
     conversion.  Raises BlowUpError when the state stops being finite or
     a_j ** 2 overflows, and ValueError unless dt divides t_end
@@ -682,38 +697,28 @@ def toda_flow_jacobi(m: PeriodicJacobi, t_end: float, dt: float,
     stride = max(1, steps_for(t_end, dt) // samples)
     y0 = [float(x) for x in list(m.a) + list(m.b)]
     times, states = rk4(_lattice_step(n), y0, t_end, dt, stride, np.inf)
-    a_states = [y[:n] for y in states]
-    b_states = [y[n:] for y in states]
-
-    edge_sets, aux_sets, traces = [], [], []
-    inter_ok = True
-    for aa, bb in zip(a_states, b_states):
-        A, edges, aux = _float_spectrum(aa, bb)
-        edge_sets.append(edges)
-        aux_sets.append(aux)
-        gaps = list(zip(edges[1:-1:2], edges[2:-1:2]))
-        inter_ok = inter_ok and _interlaces(aux, gaps, 1e-6)
-        traces.append([float(np.trace(np.linalg.matrix_power(A, k)))
-                       for k in range(1, n + 1)])
-    edges, traces = np.array(edge_sets), np.array(traces)
-    tr_drift = max(abs(float(np.sum(bb) - np.sum(b_states[0])))
-                   for bb in b_states)
-    return TodaDiagnostics(times=times, a_states=np.array(a_states),
-                           b_states=np.array(b_states),
-                           band_edges=edges,
-                           aux_states=np.array(aux_sets),
+    a_states, b_states = np.hsplit(np.array(states), [n])
+    A, edges, aux = _float_spectrum(a_states, b_states)
+    inter_ok = all(_interlaces(s, list(zip(e[1:-1:2], e[2:-1:2])), 1e-6)
+                   for e, s in zip(edges, aux))
+    traces = np.array([np.linalg.matrix_power(A, k).trace(0, 1, 2) for k in range(1, n + 1)])
+    sums = np.sum(b_states, axis=-1)
+    return TodaDiagnostics(times=times, a_states=a_states, b_states=b_states,
+                           band_edges=edges, aux_states=aux,
                            band_edge_drift=float(np.max(np.abs(edges - edges[0]))),
-                           trace_sum_drift=tr_drift,
-                           power_trace_drift=float(np.max(np.abs(traces - traces[0]))),
+                           trace_sum_drift=float(np.max(np.abs(sums - sums[0]))),
+                           power_trace_drift=float(np.max(np.abs(traces - traces[:, :1]))),
                            interlacing_ok=inter_ok,
-                           min_abs_a=float(np.min(np.abs(np.array(a_states)))))
+                           min_abs_a=float(np.min(np.abs(a_states))))
 
 
 def _periodic_matrix(a, b, h: float) -> np.ndarray:
-    n = len(a)
-    A = np.diag(np.asarray(b, dtype=float))
-    for j in range(n - 1):
-        A[j, j + 1] = A[j + 1, j] = float(a[j])
-    A[0, n - 1] += float(a[-1]) / h
-    A[n - 1, 0] += float(a[-1]) * h
+    """A(h), one N x N matrix per row of period-N data a, b of shape (..., N)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    j = np.arange(a.shape[-1])
+    A = np.zeros(a.shape + a.shape[-1:])
+    A[..., j, j] = b
+    A[..., j[:-1], j[1:]] = A[..., j[1:], j[:-1]] = a[..., :-1]
+    A[..., 0, -1] += a[..., -1] / h
+    A[..., -1, 0] += a[..., -1] * h
     return A

@@ -700,18 +700,6 @@ def _step_array(y: np.ndarray, c: float, k1: np.ndarray, k2: np.ndarray,
     return np.add(y, np.multiply(c, s, out=t))
 
 
-def _top_array(y: np.ndarray) -> float:
-    # one reduction over every axis: a NaN anywhere makes the max NaN
-    return np.maximum.reduce(np.abs(y), axis=None)
-
-
-def _top_list(y: List[float]) -> float:
-    # a finite sum rules out NaN and inf, which Python's max could pass over
-    if math.isfinite(sum(y)):
-        return max(map(abs, y))
-    return _top_array(y)
-
-
 def _four_stages(rhs: Sequence[Callable[[np.ndarray], np.ndarray]], stage: Callable,
                  advance: Callable, h: float, dt: float, c: float
                  ) -> Callable[[np.ndarray], np.ndarray]:
@@ -748,8 +736,11 @@ def rk4(make_step: Callable[[float, float, float], Callable[[State], State]],
     buffered one, any other ndarray through composed_step(rhs).  Each keeps
     the bits of the four-stage composition with the fresh-array
     combinations y + c k and y + c (k1 + 2 k2 + 2 k3 + k4) (Python floats
-    round as numpy float64 does); the blow-up test's max-norm, exact
-    either way, is chosen by the state's kind.
+    round as numpy float64 does).  A list state whose sum is finite holds
+    no NaN or inf, which Python's max could pass over, so its blow-up test
+    is max(map(abs, y)) under a finite bound and nothing under blowup = inf
+    (the Jacobi lattice); any other state, an overflowing sum included,
+    takes a numpy max-norm reduction.  Both tests are exact.
 
     Returns the sample times and states: t = 0 (y0 itself), every
     `sample_every`-th step and the last step, each at t = step * dt.
@@ -760,7 +751,7 @@ def rk4(make_step: Callable[[float, float, float], Callable[[State], State]],
     """
     steps = steps_for(t_end, dt)
     step = make_step(dt / 2, dt, dt / 6)
-    top_abs = _top_list if isinstance(y0, list) else _top_array
+    listed, bounded = isinstance(y0, list), blowup < math.inf
     y = y0
     times = [0.0]
     states = [y]
@@ -769,9 +760,13 @@ def rk4(make_step: Callable[[float, float, float], Callable[[State], State]],
             y = step(y)
         except OverflowError as exc:
             raise BlowUpError((s + 1) * dt) from exc
-        top = top_abs(y)
-        if not math.isfinite(top) or top > blowup:
-            raise BlowUpError((s + 1) * dt)
+        if listed and math.isfinite(sum(y)):
+            if bounded and max(map(abs, y)) > blowup:
+                raise BlowUpError((s + 1) * dt)
+        else:   # one reduction over every axis: a NaN anywhere makes it NaN
+            top = np.maximum.reduce(np.abs(y), axis=None)
+            if not math.isfinite(top) or top > blowup:
+                raise BlowUpError((s + 1) * dt)
         if (s + 1) % sample_every == 0 or s == steps - 1:
             times.append((s + 1) * dt)
             states.append(y)

@@ -744,6 +744,46 @@ def test_flow_n_cap(tmp_path, capsys, monkeypatch, over):
         assert header.endswith(",b4")
 
 
+def test_main_reuses_one_parser_and_looks_up_commands_at_call_time(tmp_path,
+                                                                  monkeypatch):
+    # main runs many times in one process: the parser is built once, no
+    # option of one call reaches the next, and a command function rebound
+    # after the first call is the one that runs
+    from laxkit import cli
+    built = cli.build_parser()
+    before = cli.build_parser.cache_info()
+
+    def y2(out):
+        payload = json.loads((out / "painleve_henon-heiles.json").read_text())
+        return payload["balances"][0]["series"]["y2"]
+
+    hh = ("painleve", "--builtin", "henon-heiles", "--order", "8")
+    assert run(tmp_path / "bound", *hh, "--bind", "A=1") == 0
+    assert run(tmp_path / "free", *hh) == 0
+    assert y2(tmp_path / "bound")["0"] == "-1/2"
+    assert y2(tmp_path / "free")["0"] == "-1/2*A"
+
+    jac = ("jacobi", "-a", "1,2", "-b", "0,0")
+    assert run(tmp_path / "csv", *jac, "--format", "csv") == 0
+    assert run(tmp_path / "json", *jac) == 0
+    assert (tmp_path / "csv" / "jacobi_bands.csv").exists()
+    assert os.listdir(tmp_path / "json") == ["jacobi_report.json"]
+
+    seen = []
+
+    def recorded(args):
+        seen.append((args.a, args.format))
+        return 0, []
+    monkeypatch.setattr(cli, "cmd_jacobi", recorded)
+    assert run(tmp_path / "patched", "jacobi", "-a", "3,4", "-b", "0,0") == 0
+    assert seen == [("3,4", "json")]
+    assert not (tmp_path / "patched").exists()
+
+    after = cli.build_parser.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 5)
+    assert cli.build_parser() is built
+
+
 def test_flow_n_help_agrees_with_the_flow_table():
     # the parser does not import laxflow, so its -N help spells out each
     # row's min_n: "... >= 2 for toda-periodic and neumann, >= 3 for ..."

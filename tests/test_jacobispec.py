@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from laxkit import jacobispec as js
 from laxkit.exactalg import nearest_roots, real_roots
+from laxkit.laxflow import BlowUpError
 from test_laxflow import reference_composed_step, reference_lattice_rhs
 
 
@@ -1015,14 +1016,14 @@ def test_nearest_roots_matches_sturm_route(N, data):
 @pytest.mark.parametrize("shift,ok", [(5e-7, True), (2e-6, False)],
                          ids=["inside-tolerance", "outside-tolerance"])
 def test_toda_interlacing_can_fail(monkeypatch, shift, ok):
-    # move the first sigma below its gap: by 5e-7 it still passes the
-    # documented 1e-6 tolerance, by 2e-6 it must not
+    # move the first sigma of every sample below its gap: by 5e-7 it still
+    # passes the documented 1e-6 tolerance, by 2e-6 it must not
     real = js._float_spectrum
 
     def displaced(a, b):
         A, edges, aux = real(a, b)
         aux = aux.copy()
-        aux[0] = edges[1] - shift
+        aux[:, 0] = edges[:, 1] - shift
         return A, edges, aux
 
     monkeypatch.setattr(js, "_float_spectrum", displaced)
@@ -1119,3 +1120,210 @@ def test_toda_flow_matches_numpy_scalar_reference_float(seed):
     a = (rng.uniform(0.3, 1.7, n) * rng.choice([-1.0, 1.0], n)).tolist()
     b = rng.uniform(-1, 1, n).tolist() if seed % 2 else [0.0] * n
     _assert_lattice_flow_matches_reference(js.PeriodicJacobi(a, b), 0.5, 1e-3)
+
+
+def _reference_periodic_matrix(a, b, h):
+    """A(h) of one period, entry by entry, as it was built per sample."""
+    n = len(a)
+    A = np.diag(np.asarray(b, dtype=float))
+    for j in range(n - 1):
+        A[j, j + 1] = A[j + 1, j] = float(a[j])
+    A[0, n - 1] += float(a[-1]) / h
+    A[n - 1, 0] += float(a[-1]) * h
+    return A
+
+
+def _reference_toda_flow_jacobi(m, t_end, dt, samples=10):
+    """toda_flow_jacobi's per-sample loop, from before the samples were
+    stacked: each sample's edges, sigma_j and power traces from its own
+    A(1) and A(-1), three eigvalsh and N matrix_power calls a sample."""
+    n = m.period
+    stride = max(1, js.steps_for(t_end, dt) // samples)
+    y0 = [float(x) for x in list(m.a) + list(m.b)]
+    times, states = js.rk4(js._lattice_step(n), y0, t_end, dt, stride, np.inf)
+    a_states = [y[:n] for y in states]
+    b_states = [y[n:] for y in states]
+    edge_sets, aux_sets, traces = [], [], []
+    inter_ok = True
+    for aa, bb in zip(a_states, b_states):
+        A = _reference_periodic_matrix(aa, bb, 1.0)
+        edges = np.sort(np.concatenate([
+            np.linalg.eigvalsh(A),
+            np.linalg.eigvalsh(_reference_periodic_matrix(aa, bb, -1.0))]))
+        aux = np.linalg.eigvalsh(A[:-1, :-1])
+        edge_sets.append(edges)
+        aux_sets.append(aux)
+        gaps = list(zip(edges[1:-1:2], edges[2:-1:2]))
+        inter_ok = inter_ok and js._interlaces(aux, gaps, 1e-6)
+        traces.append([float(np.trace(np.linalg.matrix_power(A, k)))
+                       for k in range(1, n + 1)])
+    edges, traces = np.array(edge_sets), np.array(traces)
+    tr_drift = max(abs(float(np.sum(bb) - np.sum(b_states[0])))
+                   for bb in b_states)
+    return js.TodaDiagnostics(
+        times=times, a_states=np.array(a_states), b_states=np.array(b_states),
+        band_edges=edges, aux_states=np.array(aux_sets),
+        band_edge_drift=float(np.max(np.abs(edges - edges[0]))),
+        trace_sum_drift=tr_drift,
+        power_trace_drift=float(np.max(np.abs(traces - traces[0]))),
+        interlacing_ok=inter_ok,
+        min_abs_a=float(np.min(np.abs(np.array(a_states)))))
+
+
+def _reference_cauchy_transform(mu, z):
+    """The transform at one point, one array pass per band per point."""
+    total = sum(mass / (z - x) for x, mass in mu.atoms)
+    for xs, w, dens in mu.quadrature:
+        total += complex(np.sum(w * (dens / (z - xs))))
+    return total
+
+
+def _reference_stieltjes_error(data, mu, a0, depth):
+    m = data.matrix
+    worst = 0.0
+    for z in js._stieltjes_grid(data):
+        frac = js.gamma_fraction(m.a, m.b, a0, z, depth)
+        worst = max(worst, abs(_reference_cauchy_transform(mu, z) - frac))
+    return worst
+
+
+def _draw_period_data(data, N):
+    """Period-N data: rationals with small numerators and denominators, or
+    doubles of either sign away from zero."""
+    if data.draw(st.booleans()):
+        a = [F(data.draw(_nonzero), data.draw(st.integers(1, 9))) for _ in range(N)]
+        b = [F(data.draw(st.integers(-16, 16)), data.draw(st.integers(1, 9)))
+             for _ in range(N)]
+        return a, b
+    a = [data.draw(st.floats(0.25, 2.0)) * data.draw(st.sampled_from([-1.0, 1.0]))
+         for _ in range(N)]
+    return a, [data.draw(st.floats(-1.0, 1.0)) for _ in range(N)]
+
+
+def _complex_bits(zs):
+    return np.array(zs, dtype=complex).view(float)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 12), st.data())
+def test_toda_flow_matches_the_per_sample_reference(N, data):
+    # the stacked spectra and power traces against one call per sample,
+    # every field to the bit
+    m = js.PeriodicJacobi(*_draw_period_data(data, N))
+    t_end = data.draw(st.sampled_from([0.005, 0.05, 0.2]))
+    got = js.toda_flow_jacobi(m, t_end, 1e-3)
+    want = _reference_toda_flow_jacobi(m, t_end, 1e-3)
+    for field in dataclasses.fields(js.TodaDiagnostics):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "times" or field.name == "interlacing_ok":
+            assert g == w, field.name
+        else:
+            assert _same_bits(g, w), field.name
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 12), st.data())
+def test_stieltjes_and_mass_match_the_per_point_references(N, data):
+    # one cauchy_transform call on the grid against one call per point,
+    # the Stieltjes error they give, and total_mass against the quadrature
+    # of 1.0, to the bit
+    a, b = _draw_period_data(data, N)
+    m = js.PeriodicJacobi(a, b)
+    a0 = data.draw(st.sampled_from([a[-1], F(1), F(3, 2)]))
+    d = js.spectral_data(m)
+    mu = js.measure_decompose(m, a0, data=d)
+    grid = js._stieltjes_grid(d)
+    got = mu.cauchy_transform(grid)
+    assert all(type(v) is complex for v in got)
+    assert _same_bits(_complex_bits(got),
+                      _complex_bits([_reference_cauchy_transform(mu, z) for z in grid]))
+    assert _same_bits(_complex_bits([mu.cauchy_transform(grid[0])]),
+                      _complex_bits([got[0]]))
+    assert _same_bits(js.stieltjes_error(d, mu, a0, 200),
+                      _reference_stieltjes_error(d, mu, a0, 200))
+    assert _same_bits(mu.total_mass(), mu.integrate(lambda x: 1.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 6), st.data())
+def test_stacked_floquet_eigenvalues_match_one_call_per_matrix(N, S, data):
+    # a stack of S period-N matrices against S calls on one matrix each,
+    # and each stacked A(1) against the entry-by-entry build
+    rows = [_draw_period_data(data, N) for _ in range(S)]
+    a = np.array([[float(x) for x in r[0]] for r in rows])
+    b = np.array([[float(x) for x in r[1]] for r in rows])
+    stacked = js._floquet_eigenvalues(a, b)
+    for i in range(S):
+        alone = js._floquet_eigenvalues(a[i].tolist(), b[i].tolist())
+        for got, want in zip(stacked, alone, strict=True):
+            assert _same_bits(got[i], want)
+        assert _same_bits(stacked[0][i], _reference_periodic_matrix(a[i], b[i], 1.0))
+    A, edges, aux = js._float_spectrum(a, b)
+    for i in range(S):
+        assert _same_bits(edges[i], np.sort(np.concatenate(stacked[1:3], axis=1)[i]))
+
+
+def _reference_lattice_outcome(n, y0, t_end, dt):
+    """rk4's loop on the lattice's composed reference step with the
+    max-norm test of every state (NaN-propagating) under blowup = inf:
+    every state, or the time of the step that blew up."""
+    step = reference_composed_step(reference_lattice_rhs(n))(dt / 2, dt, dt / 6)
+    y, states = y0, [y0]
+    for s in range(js.steps_for(t_end, dt)):
+        try:
+            y = step(y)
+        except OverflowError:
+            return (s + 1) * dt
+        if not math.isfinite(np.max(np.abs(y))):
+            return (s + 1) * dt
+        states.append(y)
+    return states
+
+
+def _lattice_outcome(n, y0, t_end, dt):
+    try:
+        return js.rk4(js._lattice_step(n), y0, t_end, dt, 1, np.inf)[1]
+    except BlowUpError as exc:
+        return exc.time
+
+
+_signed = st.sampled_from([-1.0, 1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_lattice_blowup_comes_at_the_step_of_the_composed_reference(N, data):
+    # rk4 tests a lattice state only for a finite sum under blowup = inf:
+    # a sum that overflows from finite entries must not end the flow, and
+    # a NaN or inf entry (given, or from b_(j+1) - b_j or a_j ** 2
+    # overflowing) must end it at the step the max-norm test did
+    a = [data.draw(st.sampled_from([1e-300, 0.5, 1.0, 1e150, 1e154])) * data.draw(_signed)
+         for _ in range(N)]
+    b = [data.draw(st.sampled_from([0.5, 1e307, 8.9e307, 1e308, 1.7e308,
+                                    math.inf, math.nan])) * data.draw(_signed)
+         for _ in range(N)]
+    if data.draw(st.booleans()):    # no b_(j+1) - b_j to overflow
+        b = [b[0]] * N
+    y0 = a + b
+    got = _lattice_outcome(N, y0, 0.02, 1e-3)
+    want = _reference_lattice_outcome(N, y0, 0.02, 1e-3)
+    if isinstance(want, float):
+        assert got == want
+    else:
+        assert len(got) == len(want)
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
+def test_lattice_state_whose_sum_overflows_is_no_blowup():
+    # b_1 + b_2 is inf though both entries are finite: the flow runs on,
+    # to the bits of the composed reference; an inf difference b_2 - b_1
+    # makes inf entries, a blow-up at the first step
+    y0 = [0.5, 0.25, 1e308, 1e308]
+    assert not math.isfinite(sum(y0))
+    got = _lattice_outcome(2, y0, 0.02, 1e-3)
+    assert len(got) == 21
+    assert all(_same_bits(g, w) for g, w in
+               zip(got, _reference_lattice_outcome(2, y0, 0.02, 1e-3)))
+    y0 = [0.5, 0.5, -1e308, 1e308]
+    assert _lattice_outcome(2, y0, 0.02, 1e-3) == 1e-3
+    assert _reference_lattice_outcome(2, y0, 0.02, 1e-3) == 1e-3
