@@ -447,8 +447,7 @@ class StieltjesMeasure:
         return total
 
     def total_mass(self) -> float:
-        """integrate(lambda x: 1.0) to the bit, with no callback: each
-        node's d * 1.0 is d, so a band adds float(np.sum(w * dens))."""
+        """integrate(lambda x: 1.0) to the bit (d * 1.0 is d), with no callback."""
         total = sum(mass for _, mass in self.atoms)
         for _, w, dens in self.quadrature:
             total += float(np.sum(w * dens))
@@ -462,8 +461,9 @@ class StieltjesMeasure:
         one = np.ndim(z) == 0
         zs = [complex(p) for p in ([z] if one else z)]
         totals = np.array([sum((m / (p - x) for x, m in self.atoms), 0j) for p in zs])
+        grid = np.array(zs)[:, None]
         for xs, w, dens in self.quadrature:
-            totals += np.sum(w * (dens / (np.array(zs)[:, None] - xs)), axis=1)
+            totals += np.sum(w * (dens / (grid - xs)), axis=1)
         return complex(totals[0]) if one else totals.tolist()
 
 
